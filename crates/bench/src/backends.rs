@@ -7,20 +7,20 @@
 //! and tallies each run into one deterministic cell. The differential
 //! is the point: workload progress must hold across backends while the
 //! servicing counters swap columns (firmware events vs bounce-buffer
-//! traffic vs unexpected-fault accounting). Cells shard across
-//! backends and seeds via [`crate::par_runner`], so `--jobs N`
-//! produces byte-identical output to a serial run; the JSON the binary
-//! commits (`BENCH_backend.json`) carries only simulation-
-//! deterministic tallies, never wall-clock.
+//! traffic vs unexpected-fault accounting). Cells fan out over the
+//! run's worker pool ([`RunCtx::pool`]), so `--jobs N` produces
+//! byte-identical output to a serial run; the JSON the binary commits
+//! (`BENCH_backend.json`) carries only simulation-deterministic
+//! tallies, never wall-clock.
 
 use npf_core::{BackendKind, BackendSelect};
-use simcore::chaos::ChaosConfig;
 use simcore::{ByteSize, SimTime};
 use testbed::builder::ScenarioBuilder;
 use testbed::eth::RxMode;
 use workloads::memcached::MemcachedConfig;
 
 use crate::report::Report;
+use crate::tracectl::RunCtx;
 
 /// The backends a full sweep visits, in artifact order.
 pub const SWEEP_BACKENDS: &[BackendKind] = &[
@@ -66,27 +66,16 @@ pub struct BackendCell {
 }
 
 /// Runs one sweep cell: the canonical differential scenario under
-/// `backend` with `seed`.
+/// `backend` with `seed`. The memory-feature and chaos knobs come from
+/// `ctx`, so a chaos-enabled differential run exercises the identical
+/// recipe with faults injected.
 ///
 /// # Panics
 ///
 /// Panics when the cell's scenario fails validation — a backendbench
 /// bug, not an input error.
 #[must_use]
-pub fn run_cell(backend: BackendKind, seed: u64) -> BackendCell {
-    run_cell_chaos(backend, seed, None)
-}
-
-/// [`run_cell`] with optional fault injection: the same scenario built
-/// `.chaos(cfg)`, so chaos-enabled differential runs exercise the
-/// identical recipe.
-///
-/// # Panics
-///
-/// Panics when the cell's scenario fails validation — a backendbench
-/// bug, not an input error.
-#[must_use]
-pub fn run_cell_chaos(backend: BackendKind, seed: u64, chaos: Option<ChaosConfig>) -> BackendCell {
+pub fn run_cell(ctx: &RunCtx, backend: BackendKind, seed: u64) -> BackendCell {
     let mut scenario = ScenarioBuilder::ethernet()
         .mode(RxMode::Backup)
         .instances(4)
@@ -100,9 +89,9 @@ pub fn run_cell_chaos(backend: BackendKind, seed: u64, chaos: Option<ChaosConfig
             ..MemcachedConfig::default()
         })
         .working_set_keys(1_000)
-        .npf(crate::tracectl::npf_config().with_backend(BackendSelect::of(backend)))
+        .npf(ctx.npf_config().with_backend(BackendSelect::of(backend)))
         .seed(seed);
-    if let Some(cfg) = chaos {
+    if let Some(cfg) = ctx.opts.chaos {
         scenario = scenario.chaos(cfg);
     }
     let mut bed = scenario.build().expect("backendbench cell must validate");
@@ -223,11 +212,13 @@ pub fn render_report(cells: &[BackendCell]) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tracectl::task;
 
     #[test]
     fn cells_are_deterministic_in_their_seed() {
-        let a = run_cell(BackendKind::SoftEmu, 1);
-        let b = run_cell(BackendKind::SoftEmu, 1);
+        let ctx = RunCtx::default();
+        let a = run_cell(&ctx, BackendKind::SoftEmu, 1);
+        let b = run_cell(&ctx, BackendKind::SoftEmu, 1);
         assert_eq!(a, b);
         assert!(a.ops > 0, "tenants must make progress: {a:?}");
         assert!(a.faults > 0, "cold rings must fault: {a:?}");
@@ -235,9 +226,10 @@ mod tests {
 
     #[test]
     fn counters_swap_columns_by_backend() {
-        let fw = run_cell(BackendKind::Firmware, 1);
-        let se = run_cell(BackendKind::SoftEmu, 1);
-        let pin = run_cell(BackendKind::Pinned, 1);
+        let ctx = RunCtx::default();
+        let fw = run_cell(&ctx, BackendKind::Firmware, 1);
+        let se = run_cell(&ctx, BackendKind::SoftEmu, 1);
+        let pin = run_cell(&ctx, BackendKind::Pinned, 1);
         // Firmware services faults as NPF events, never bounces.
         assert!(fw.fw_events > 0, "{fw:?}");
         assert_eq!(fw.bounces, 0, "{fw:?}");
@@ -257,40 +249,32 @@ mod tests {
 
     #[test]
     fn retry_backoff_is_identical_serial_and_parallel() {
-        use simcore::chaos::ChaosProfile;
-        use std::sync::Mutex;
+        use simcore::chaos::{ChaosConfig, ChaosProfile};
+        use simcore::shard::Pool;
         // NPF-profile chaos fires transient misses, so these cells
         // exercise the softemu exponential-backoff retry path; the
         // tallies must not depend on how many workers ran the cells.
-        let seeds = [1u64, 2, 3, 4];
-        let chaos = |s: u64| Some(ChaosConfig::profile(ChaosProfile::Npf, s));
-        let serial: Vec<BackendCell> = seeds
-            .iter()
-            .map(|&s| run_cell_chaos(BackendKind::SoftEmu, s, chaos(s)))
-            .collect();
-        let slots: Vec<Mutex<Option<BackendCell>>> =
-            seeds.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for (i, &s) in seeds.iter().enumerate() {
-                let slot = &slots[i];
-                scope.spawn(move || {
-                    *slot.lock().expect("slot") =
-                        Some(run_cell_chaos(BackendKind::SoftEmu, s, chaos(s)));
-                });
-            }
-        });
-        let parallel: Vec<BackendCell> = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("slot").expect("filled"))
-            .collect();
+        let sweep = |pool: Pool| -> Vec<BackendCell> {
+            let base = RunCtx::default().with_pool(pool);
+            let cells = (1..=4u64).map(|s| {
+                let chaos = ChaosConfig::profile(ChaosProfile::Npf, s);
+                let ctx = base.clone().with_chaos(Some(chaos));
+                task(move || run_cell(&ctx, BackendKind::SoftEmu, s))
+            });
+            base.pool(cells.collect())
+        };
+        let serial = sweep(Pool::on_host(1, 4));
+        // `on_host` makes the four workers real threads on a 1-core host too.
+        let parallel = sweep(Pool::on_host(4, 4));
         assert_eq!(serial, parallel, "worker count leaked into the cells");
     }
 
     #[test]
     fn check_against_spots_a_drifted_cell() {
+        let ctx = RunCtx::default();
         let cells = [
-            run_cell(BackendKind::Firmware, 1),
-            run_cell(BackendKind::SoftEmu, 1),
+            run_cell(&ctx, BackendKind::Firmware, 1),
+            run_cell(&ctx, BackendKind::SoftEmu, 1),
         ];
         let baseline = render_json(&cells);
         assert!(check_against(&baseline, &cells).is_empty());

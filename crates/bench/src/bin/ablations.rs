@@ -1,32 +1,22 @@
 //! Ablations of the paper's design choices.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Takes the standard flags (see `--help`). `--jobs` and `--shards`
+//! name one worker budget, shared by the experiment points and the
+//! testbeds inside them; output is byte-identical at every value.
+use npf_bench::ablations;
+use npf_bench::tracectl::{run_tasks, task, RunOpts};
 
 fn main() {
-    npf_bench::tracectl::RunOpts::init(&[]);
+    let ctx = &RunOpts::init(&[]);
     let tasks = vec![
-        task("ablation_batching", npf_bench::ablations::ablation_batching),
-        task(
-            "ablation_firmware_bypass",
-            npf_bench::ablations::ablation_firmware_bypass,
-        ),
-        task(
-            "ablation_concurrency",
-            npf_bench::ablations::ablation_concurrency,
-        ),
-        task("ablation_pindown_sweep", || {
-            npf_bench::ablations::ablation_pindown_sweep(30)
-        }),
-        task("ablation_read_rnr", npf_bench::ablations::ablation_read_rnr),
-        task(
-            "ablation_prefaulting",
-            npf_bench::ablations::ablation_prefaulting,
-        ),
+        task(ablations::ablation_batching),
+        task(ablations::ablation_firmware_bypass),
+        task(ablations::ablation_concurrency),
+        task(|| ablations::ablation_pindown_sweep(30)),
+        task(ablations::ablation_read_rnr),
+        task(ablations::ablation_prefaulting),
     ];
-    npf_bench::tracectl::run_tasks(tasks, |reports| {
+    run_tasks(ctx, tasks, |reports| {
         for (i, r) in reports.iter().enumerate() {
             if i > 0 {
                 println!();

@@ -1,54 +1,38 @@
 //! Runs every experiment (E1-E12 plus ablations) and prints the full
 //! report document — the source of `EXPERIMENTS.md`.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Takes the standard flags (see `--help`). `--jobs` and `--shards`
+//! name one worker budget, shared by the experiment points and the
+//! testbeds inside them; output is byte-identical at every value.
+use npf_bench::tracectl::{run_tasks, task, RunOpts};
+use npf_bench::{ablations, eth_experiments as eth, ib_experiments as ib, micro};
 
 fn main() {
-    npf_bench::tracectl::RunOpts::init(&[]);
+    let ctx = &RunOpts::init(&[]);
     let t0 = std::time::Instant::now();
     let tasks = vec![
-        task("fig3", || npf_bench::micro::fig3(500)),
-        task("fig3_traced", || npf_bench::micro::fig3_traced(500)),
-        task("table4", || npf_bench::micro::table4(3000)),
-        task("fig4a", || npf_bench::eth_experiments::fig4a(20)),
-        task("fig4b", || npf_bench::eth_experiments::fig4b(10_000, 150)),
-        task("table5", || npf_bench::eth_experiments::table5(4)),
-        task("fig7", || npf_bench::eth_experiments::fig7(30, 10)),
-        task("fig8a", || npf_bench::ib_experiments::fig8a(4000)),
-        task("fig8b", || npf_bench::ib_experiments::fig8b(1500)),
-        task("fig9", || npf_bench::ib_experiments::fig9(30, 8)),
-        task("fig9_allreduce", || {
-            npf_bench::ib_experiments::fig9_allreduce(30, 8)
-        }),
-        task("table6", || npf_bench::ib_experiments::table6(20, 8)),
-        task("fig10_ethernet", || {
-            npf_bench::ib_experiments::fig10_ethernet(500)
-        }),
-        task("fig10_infiniband", || {
-            npf_bench::ib_experiments::fig10_infiniband(3000)
-        }),
-        task("ablation_batching", npf_bench::ablations::ablation_batching),
-        task(
-            "ablation_firmware_bypass",
-            npf_bench::ablations::ablation_firmware_bypass,
-        ),
-        task(
-            "ablation_concurrency",
-            npf_bench::ablations::ablation_concurrency,
-        ),
-        task("ablation_pindown_sweep", || {
-            npf_bench::ablations::ablation_pindown_sweep(30)
-        }),
-        task("ablation_read_rnr", npf_bench::ablations::ablation_read_rnr),
-        task(
-            "ablation_prefaulting",
-            npf_bench::ablations::ablation_prefaulting,
-        ),
+        task(|| micro::fig3(500)),
+        task(|| micro::fig3_traced(500)),
+        task(|| micro::table4(3000)),
+        task(|| eth::fig4a(ctx, 20)),
+        task(|| eth::fig4b(ctx, 10_000, 150)),
+        task(|| eth::table5(ctx, 4)),
+        task(|| eth::fig7(ctx, 30, 10)),
+        task(|| ib::fig8a(ctx, 4000)),
+        task(|| ib::fig8b(ctx, 1500)),
+        task(|| ib::fig9(30, 8)),
+        task(|| ib::fig9_allreduce(30, 8)),
+        task(|| ib::table6(20, 8)),
+        task(|| ib::fig10_ethernet(500)),
+        task(|| ib::fig10_infiniband(ctx, 3000)),
+        task(ablations::ablation_batching),
+        task(ablations::ablation_firmware_bypass),
+        task(ablations::ablation_concurrency),
+        task(|| ablations::ablation_pindown_sweep(30)),
+        task(ablations::ablation_read_rnr),
+        task(ablations::ablation_prefaulting),
     ];
-    npf_bench::tracectl::run_tasks(tasks, |reports| {
+    run_tasks(ctx, tasks, |reports| {
         for r in &reports {
             print!("{}", r.render());
             println!();

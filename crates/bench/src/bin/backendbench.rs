@@ -1,7 +1,6 @@
 //! ODP backend differential: the identical Ethernet scenario run
 //! under the firmware NPF path, the NP-RDMA-style software emulation,
-//! and the pinned baseline, sharded across seeds via the parallel
-//! runner.
+//! and the pinned baseline, one pool task per (backend, seed) cell.
 //!
 //! Flags (all via `tracectl::RunOpts`):
 //!
@@ -12,58 +11,36 @@
 //! * `--check <path>`: compare this run's cells against a committed
 //!   artifact and exit 1 on any drift. Only simulation-deterministic
 //!   tallies are compared — wall-clock never enters the file.
-//! * `--jobs <n>`: worker threads; output is byte-identical at every
-//!   value.
-
-use std::sync::Mutex;
+//! * `--jobs <n>` / `--shards <n>`: the worker budget (the larger
+//!   wins); output is byte-identical at every value.
+//! * `--chaos-seed <n>`: inject faults into every cell (the tallies
+//!   then differ from the committed artifact by design).
 
 use npf_bench::backends::{self, BackendCell};
-use npf_bench::par_runner::task;
+use npf_bench::tracectl::{self, task, RunOpts};
 
 fn main() {
-    let opts = npf_bench::tracectl::RunOpts::init(&["out", "check"]);
-    let out_path = opts.extra("out").unwrap_or("BENCH_backend.json").to_owned();
-    let check_path = opts.extra("check").map(str::to_owned);
-    let backend_kinds: Vec<_> = match opts.backend {
+    let ctx = &RunOpts::init(&["out", "check"]);
+    let out_path = ctx.opts.extra("out").unwrap_or("BENCH_backend.json");
+    let check_path = ctx.opts.extra("check");
+    let backend_kinds: Vec<_> = match ctx.opts.backend {
         Some(k) => vec![k],
         None => backends::SWEEP_BACKENDS.to_vec(),
     };
 
-    let n_cells = backend_kinds.len() * backends::SWEEP_SEEDS.len();
-    let cells: &'static Mutex<Vec<Option<BackendCell>>> =
-        Box::leak(Box::new(Mutex::new(vec![None; n_cells])));
-    let mut tasks = Vec::with_capacity(n_cells);
-    let mut slot = 0usize;
-    for &backend in &backend_kinds {
-        for &seed in backends::SWEEP_SEEDS {
-            let idx = slot;
-            slot += 1;
-            tasks.push(task("backend_cell", move || {
-                let cell = backends::run_cell(backend, seed);
-                cells.lock().expect("cell slots")[idx] = Some(cell);
-                npf_bench::Report::new("", "")
-            }));
-        }
-    }
-
-    npf_bench::tracectl::run_tasks(tasks, |_reports| {
-        let cells = cells.lock().expect("cell slots");
-        let cells: Vec<BackendCell> = cells
-            .iter()
-            .map(|c| c.expect("every task fills its slot"))
-            .collect();
+    let tasks = backend_kinds
+        .iter()
+        .flat_map(|&b| backends::SWEEP_SEEDS.iter().map(move |&s| (b, s)))
+        .map(|(backend, seed)| task(move || backends::run_cell(ctx, backend, seed)))
+        .collect();
+    let cells: Vec<BackendCell> = tracectl::run(ctx, || {
+        let cells = ctx.pool(tasks);
         print!("{}", backends::render_report(&cells).render());
+        cells
     });
 
-    let cells: Vec<BackendCell> = cells
-        .lock()
-        .expect("cell slots")
-        .iter()
-        .map(|c| c.expect("every task fills its slot"))
-        .collect();
-
     if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(&path) {
+        let baseline = match std::fs::read_to_string(path) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("failed to read baseline {path}: {e}");
@@ -86,7 +63,7 @@ fn main() {
         }
     } else {
         let json = backends::render_json(&cells);
-        if let Err(e) = std::fs::write(&out_path, &json) {
+        if let Err(e) = std::fs::write(out_path, &json) {
             eprintln!("failed to write {out_path}: {e}");
             std::process::exit(2);
         }

@@ -19,7 +19,7 @@ use std::time::Instant;
 use iommu::{Iommu, RangeCheck, TableMode};
 use memsim::lru::LruTracker;
 use memsim::types::{FrameId, PageRange, SpaceId, Vpn};
-use npf_bench::par_runner::task;
+use npf_bench::tracectl::{RunCtx, RunOpts};
 use simcore::event::EventQueue;
 use simcore::time::SimDuration;
 use simcore::trace::TraceRecorder;
@@ -314,156 +314,43 @@ fn bench_lru_touch_evict() -> Sample {
     })
 }
 
-/// The epoch-barrier merge path: 4096 cross-shard envelopes staged out
-/// of order, sorted into `(time, src, seq)` delivery order — exactly
-/// what every epoch exchange pays per message.
-fn bench_shard_merge() -> Sample {
-    use simcore::shard::{merge_order, Envelope};
-    use simcore::time::SimTime;
-    measure("shard_merge_4k", 4096, || {
-        let envelopes: Vec<Envelope<u64>> = (0..4096u64)
-            .map(|i| Envelope {
-                // Scatter times/sources so the sort does real work.
-                at: SimTime::from_nanos(i * 13 % 977),
-                src: (i * 7 % 64) as usize,
-                seq: i,
-                dst: (i % 64) as usize,
-                msg: i,
-            })
-            .collect();
-        let order = merge_order(envelopes);
-        std::hint::black_box(order.len());
-    })
-}
+/// A reduced-size figure, as `figure_wall_clocks` times it.
+type Figure<'a> = Box<dyn FnOnce() -> npf_bench::Report + 'a>;
 
-/// A full conservative epoch loop over 64 one-event-per-tick domains:
-/// 64 epochs × 64 LPs of barrier computation, horizon-bounded
-/// advancement, and cross-LP exchange (every 8th tick forwards to the
-/// next domain). The per-epoch synchronization cost, minus any real
-/// simulation work.
-fn bench_epoch_barrier() -> Sample {
-    use simcore::shard::{run_epochs, IsolationSpec, Outbox, ShardLp};
-    use simcore::time::SimTime;
-
-    struct TickLp {
-        id: usize,
-        queue: EventQueue<u64>,
-        processed: u64,
-        delivered: u64,
-    }
-    impl ShardLp for TickLp {
-        type Msg = u64;
-        fn next_event_time(&self) -> Option<simcore::time::SimTime> {
-            self.queue.next_time()
-        }
-        fn advance(&mut self, horizon: simcore::time::SimTime, outbox: &mut Outbox<u64>) {
-            while let Some(t) = self.queue.next_time() {
-                if t >= horizon {
-                    break;
-                }
-                let (at, tick) = self.queue.pop().expect("peeked");
-                self.processed += 1;
-                if tick < 63 {
-                    self.queue
-                        .schedule_at(at.saturating_add(SimDuration::from_micros(1)), tick + 1);
-                }
-                if tick % 8 == 0 {
-                    // Arrives two lookaheads out: legal at any epoch.
-                    outbox.send(
-                        (self.id + 1) % 64,
-                        at.saturating_add(SimDuration::from_micros(2)),
-                        tick,
-                    );
-                }
-            }
-        }
-        fn deliver(&mut self, _at: simcore::time::SimTime, _msg: u64) {
-            self.delivered += 1;
-        }
-    }
-
-    measure("epoch_barrier_64dom", 64 * 64, || {
-        let lps: Vec<TickLp> = (0..64)
-            .map(|id| {
-                let mut queue = EventQueue::new();
-                queue.schedule_at(SimTime::ZERO, 0);
-                TickLp {
-                    id,
-                    queue,
-                    processed: 0,
-                    delivered: 0,
-                }
-            })
-            .collect();
-        let report = run_epochs(
-            lps,
-            SimDuration::from_micros(1),
-            SimTime::from_micros(64),
-            1,
-            IsolationSpec::none(),
-        );
-        std::hint::black_box((report.epochs, report.messages));
-    })
-}
-
-/// Reduced-size figure runs timed end to end, through the same
-/// `par_runner` machinery the real binaries use.
-fn figure_wall_clocks() -> Vec<(&'static str, f64)> {
-    let figures: Vec<(&'static str, npf_bench::par_runner::Task)> = vec![
-        ("fig3", task("fig3", || npf_bench::micro::fig3(100))),
-        ("table4", task("table4", || npf_bench::micro::table4(300))),
-        (
-            "fig4a",
-            task("fig4a", || npf_bench::eth_experiments::fig4a(4)),
-        ),
-        // The same figure on a 4-worker shard pool: the tentpole's
-        // speedup ablation (≈ fig4a/3 on a multi-core host, since the
-        // figure is three independent testbeds; equal on one core).
-        (
-            "fig4a_shards4",
-            task("fig4a_shards4", || {
-                npf_bench::tracectl::with_shards(4, || npf_bench::eth_experiments::fig4a(4))
-            }),
-        ),
-        // The huge-page + speculative-prefetch ablation of the same
-        // figure (depth 64): the perf tentpole's headline lever. CI
-        // byte-diffs this cell at --jobs 4 --shards 4 against serial.
-        (
-            "fig4a_prefetch",
-            task("fig4a_prefetch", || {
-                npf_bench::tracectl::with_mem_features(true, 64, None, || {
-                    npf_bench::eth_experiments::fig4a(4)
-                })
-            }),
-        ),
-        (
-            "fig8b",
-            task("fig8b", || npf_bench::ib_experiments::fig8b(150)),
-        ),
-        (
-            "fig9",
-            task("fig9", || npf_bench::ib_experiments::fig9(8, 4)),
-        ),
-        (
-            "fig10_ethernet",
-            task("fig10_ethernet", || {
-                npf_bench::ib_experiments::fig10_ethernet(100)
-            }),
-        ),
+/// Reduced-size figure runs timed end to end, fanning out through the
+/// same [`RunCtx::pool`] the real binaries use.
+fn figure_wall_clocks(ctx: &RunCtx) -> Vec<(&'static str, f64)> {
+    use npf_bench::{eth_experiments as eth, ib_experiments as ib, micro};
+    // The same figure on a 4-worker budget: the pool's speedup ablation
+    // (≈ fig4a/3 on a multi-core host, since the figure is three
+    // independent testbeds; equal on one core).
+    let four_workers = ctx.clone().with_workers(4);
+    // The huge-page + speculative-prefetch ablation of the same figure
+    // (depth 64): the memory fast paths' headline lever. CI byte-diffs
+    // this cell at --jobs 4 --shards 4 against serial.
+    let prefetch = ctx.clone().with_huge_pages(true).with_prefetch(64);
+    let figures: Vec<(&'static str, Figure<'_>)> = vec![
+        ("fig3", Box::new(|| micro::fig3(100))),
+        ("table4", Box::new(|| micro::table4(300))),
+        ("fig4a", Box::new(|| eth::fig4a(ctx, 4))),
+        ("fig4a_shards4", Box::new(|| eth::fig4a(&four_workers, 4))),
+        ("fig4a_prefetch", Box::new(|| eth::fig4a(&prefetch, 4))),
+        ("fig8b", Box::new(|| ib::fig8b(ctx, 150))),
+        ("fig9", Box::new(|| ib::fig9(8, 4))),
+        ("fig10_ethernet", Box::new(|| ib::fig10_ethernet(100))),
     ];
     figures
         .into_iter()
-        .map(|(name, t)| {
+        .map(|(name, figure)| {
             let t0 = Instant::now();
-            let out = npf_bench::par_runner::run(vec![t], 1, None, false, 16, None);
-            std::hint::black_box(out.reports.len());
+            std::hint::black_box(figure());
             (name, t0.elapsed().as_secs_f64() * 1e3)
         })
         .collect()
 }
 
 fn render_json(samples: &[Sample], figures: &[(&'static str, f64)]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let host = simcore::shard::host_parallelism();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"npf-enginebench-v1\",\n");
@@ -514,17 +401,9 @@ fn baseline_events_per_sec(json: &str, name: &str) -> Option<f64> {
 }
 
 fn main() {
-    let opts = npf_bench::tracectl::RunOpts::init(&["out", "check"]);
-    // Regression guard for the fig4a_shards4 fix: a single-core host
-    // must collapse any requested shard count to inline execution
-    // instead of spawning workers that contend for its one core.
-    assert_eq!(
-        simcore::shard::effective_shards(4, 3, 1),
-        1,
-        "single-core hosts must run shard pools inline"
-    );
-    let out_path = opts.extra("out").unwrap_or("BENCH_engine.json").to_owned();
-    let check_path = opts.extra("check").map(str::to_owned);
+    let ctx = RunOpts::init(&["out", "check"]);
+    let out_path = ctx.opts.extra("out").unwrap_or("BENCH_engine.json");
+    let check_path = ctx.opts.extra("check");
 
     let samples = [
         bench_schedule_pop(),
@@ -538,8 +417,6 @@ fn main() {
         bench_walk_miss_cold(),
         bench_sg_batch(),
         bench_lru_touch_evict(),
-        bench_shard_merge(),
-        bench_epoch_barrier(),
     ];
     for s in &samples {
         println!(
@@ -549,20 +426,20 @@ fn main() {
             s.events_per_sec()
         );
     }
-    let figures = figure_wall_clocks();
+    let figures = figure_wall_clocks(&ctx);
     for (name, ms) in &figures {
         println!("{name:<24} {ms:>12.1} ms");
     }
 
     let json = render_json(&samples, &figures);
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("failed to write {out_path}: {e}");
         std::process::exit(2);
     }
     println!("engine benchmark written to {out_path}");
 
     if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(&path) {
+        let baseline = match std::fs::read_to_string(path) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("failed to read baseline {path}: {e}");

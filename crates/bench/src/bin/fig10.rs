@@ -1,21 +1,18 @@
 //! Regenerates Figure 10: what-if analysis with synthetic rNPFs.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Takes the standard flags (see `--help`). `--jobs` and `--shards`
+//! name one worker budget, shared by the experiment points and the
+//! testbeds inside them; output is byte-identical at every value.
+use npf_bench::ib_experiments as ib;
+use npf_bench::tracectl::{run_tasks, task, RunOpts};
 
 fn main() {
-    npf_bench::tracectl::RunOpts::init(&[]);
+    let ctx = &RunOpts::init(&[]);
     let tasks = vec![
-        task("fig10_ethernet", || {
-            npf_bench::ib_experiments::fig10_ethernet(500)
-        }),
-        task("fig10_infiniband", || {
-            npf_bench::ib_experiments::fig10_infiniband(3000)
-        }),
+        task(|| ib::fig10_ethernet(500)),
+        task(|| ib::fig10_infiniband(ctx, 3000)),
     ];
-    npf_bench::tracectl::run_tasks(tasks, |reports| {
+    run_tasks(ctx, tasks, |reports| {
         for (i, r) in reports.iter().enumerate() {
             if i > 0 {
                 println!();

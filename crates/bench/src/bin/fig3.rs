@@ -2,16 +2,14 @@
 //!
 //! Pass `--trace <path>` to record a Perfetto-loadable Chrome trace of
 //! the run, and/or `--metrics <path>` for the flat metrics registry.
-use npf_bench::par_runner::task;
+use npf_bench::tracectl::{run_tasks, task, RunOpts};
 
 fn main() {
-    npf_bench::tracectl::RunOpts::init(&[]);
-    npf_bench::tracectl::run_tasks(
-        vec![task("fig3", || npf_bench::micro::fig3(500))],
-        |reports| {
-            for r in &reports {
-                print!("{}", r.render());
-            }
-        },
-    );
+    let ctx = &RunOpts::init(&[]);
+    let tasks = vec![task(|| npf_bench::micro::fig3(500))];
+    run_tasks(ctx, tasks, |reports| {
+        for r in &reports {
+            print!("{}", r.render());
+        }
+    });
 }

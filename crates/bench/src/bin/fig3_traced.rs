@@ -5,16 +5,14 @@
 //!
 //! Pass `--trace <path>` to also export the recorded spans as a
 //! Perfetto-loadable Chrome trace.
-use npf_bench::par_runner::task;
+use npf_bench::tracectl::{run_tasks, task, RunOpts};
 
 fn main() {
-    npf_bench::tracectl::RunOpts::init(&[]);
-    npf_bench::tracectl::run_tasks(
-        vec![task("fig3_traced", || npf_bench::micro::fig3_traced(500))],
-        |reports| {
-            for r in &reports {
-                print!("{}", r.render());
-            }
-        },
-    );
+    let ctx = &RunOpts::init(&[]);
+    let tasks = vec![task(|| npf_bench::micro::fig3_traced(500))];
+    run_tasks(ctx, tasks, |reports| {
+        for r in &reports {
+            print!("{}", r.render());
+        }
+    });
 }

@@ -1,17 +1,18 @@
 //! Regenerates Figure 4: the cold ring problem.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (testbeds within each figure run on the shard pool;
-//! output is byte-identical at every shard count).
-use npf_bench::par_runner::task;
+//! Takes the standard flags (see `--help`). `--jobs` and `--shards`
+//! name one worker budget, shared by the experiment points and the
+//! testbeds inside them; output is byte-identical at every value.
+use npf_bench::eth_experiments as eth;
+use npf_bench::tracectl::{run_tasks, task, RunOpts};
 
 fn main() {
-    npf_bench::tracectl::RunOpts::init(&[]);
+    let ctx = &RunOpts::init(&[]);
     let tasks = vec![
-        task("fig4a", || npf_bench::eth_experiments::fig4a(20)),
-        task("fig4b", || npf_bench::eth_experiments::fig4b(10_000, 150)),
+        task(|| eth::fig4a(ctx, 20)),
+        task(|| eth::fig4b(ctx, 10_000, 150)),
     ];
-    npf_bench::tracectl::run_tasks(tasks, |reports| {
+    run_tasks(ctx, tasks, |reports| {
         for (i, r) in reports.iter().enumerate() {
             if i > 0 {
                 println!();

@@ -1,18 +1,16 @@
 //! Regenerates Figure 7: dynamic working sets under a shared cgroup.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (testbeds within each figure run on the shard pool;
-//! output is byte-identical at every shard count).
-use npf_bench::par_runner::task;
+//! Takes the standard flags (see `--help`). `--jobs` and `--shards`
+//! name one worker budget, shared by the experiment points and the
+//! testbeds inside them; output is byte-identical at every value.
+use npf_bench::tracectl::{run_tasks, task, RunOpts};
 
 fn main() {
-    npf_bench::tracectl::RunOpts::init(&[]);
-    npf_bench::tracectl::run_tasks(
-        vec![task("fig7", || npf_bench::eth_experiments::fig7(30, 10))],
-        |reports| {
-            for r in &reports {
-                print!("{}", r.render());
-            }
-        },
-    );
+    let ctx = &RunOpts::init(&[]);
+    let tasks = vec![task(|| npf_bench::eth_experiments::fig7(ctx, 30, 10))];
+    run_tasks(ctx, tasks, |reports| {
+        for r in &reports {
+            print!("{}", r.render());
+        }
+    });
 }

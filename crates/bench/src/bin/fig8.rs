@@ -1,17 +1,15 @@
 //! Regenerates Figure 8: storage bandwidth and memory usage.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Takes the standard flags (see `--help`). `--jobs` and `--shards`
+//! name one worker budget, shared by the experiment points and the
+//! testbeds inside them; output is byte-identical at every value.
+use npf_bench::ib_experiments as ib;
+use npf_bench::tracectl::{run_tasks, task, RunOpts};
 
 fn main() {
-    npf_bench::tracectl::RunOpts::init(&[]);
-    let tasks = vec![
-        task("fig8a", || npf_bench::ib_experiments::fig8a(4000)),
-        task("fig8b", || npf_bench::ib_experiments::fig8b(1500)),
-    ];
-    npf_bench::tracectl::run_tasks(tasks, |reports| {
+    let ctx = &RunOpts::init(&[]);
+    let tasks = vec![task(|| ib::fig8a(ctx, 4000)), task(|| ib::fig8b(ctx, 1500))];
+    run_tasks(ctx, tasks, |reports| {
         for (i, r) in reports.iter().enumerate() {
             if i > 0 {
                 println!();

@@ -1,20 +1,16 @@
 //! Regenerates Figure 9: IMB collectives under each registration
 //! strategy.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Takes the standard flags (see `--help`). `--jobs` and `--shards`
+//! name one worker budget, shared by the experiment points and the
+//! testbeds inside them; output is byte-identical at every value.
+use npf_bench::ib_experiments as ib;
+use npf_bench::tracectl::{run_tasks, task, RunOpts};
 
 fn main() {
-    npf_bench::tracectl::RunOpts::init(&[]);
-    let tasks = vec![
-        task("fig9", || npf_bench::ib_experiments::fig9(30, 8)),
-        task("fig9_allreduce", || {
-            npf_bench::ib_experiments::fig9_allreduce(30, 8)
-        }),
-    ];
-    npf_bench::tracectl::run_tasks(tasks, |reports| {
+    let ctx = &RunOpts::init(&[]);
+    let tasks = vec![task(|| ib::fig9(30, 8)), task(|| ib::fig9_allreduce(30, 8))];
+    run_tasks(ctx, tasks, |reports| {
         for (i, r) in reports.iter().enumerate() {
             if i > 0 {
                 println!();

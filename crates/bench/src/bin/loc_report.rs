@@ -8,7 +8,7 @@
 //! every application would otherwise own.
 
 fn main() {
-    npf_bench::tracectl::RunOpts::init(&[]);
+    let _ = npf_bench::tracectl::RunOpts::init(&[]);
     // Counted from `npf-core/src/pinning.rs` by construction: the
     // per-strategy match arms. Kept in sync by the assertions below.
     let rows = [

@@ -1,7 +1,7 @@
 //! Lossy-fabric transport differential: the identical cold-ring
 //! incast run under {lossless + PFC, 0.01%–1% random loss} × {go-back-N,
-//! IRN-style selective repeat} × {firmware, softemu, pinned}, sharded
-//! across the sweep via the isolated shard pool.
+//! IRN-style selective repeat} × {firmware, softemu, pinned}, one pool
+//! task per cell.
 //!
 //! Flags (all via `tracectl::RunOpts`):
 //!
@@ -14,60 +14,41 @@
 //! * `--check <path>`: compare this run's cells against a committed
 //!   artifact and exit 1 on any drift. Only simulation-deterministic
 //!   tallies are compared — wall-clock never enters the file.
-//! * `--jobs <n>` / `--shards <n>`: cells are independent coupling
-//!   groups, so both flags name the same cell-level pool (the larger
-//!   wins); output is byte-identical at every value.
+//! * `--jobs <n>` / `--shards <n>`: the worker budget (the larger
+//!   wins; each cell is one coupling group). Output is byte-identical
+//!   at every value.
 
-use netsim::profile::{FabricProfile, RdmaTransport};
+use netsim::profile::RdmaTransport;
 use npf_bench::lossy::{self, LossyCell};
+use npf_bench::tracectl::{self, task, RunOpts};
 use npf_core::BackendKind;
 
 fn main() {
-    let opts = npf_bench::tracectl::RunOpts::init(&["out", "check"]);
-    let out_path = opts.extra("out").unwrap_or("BENCH_lossy.json").to_owned();
-    let check_path = opts.extra("check").map(str::to_owned);
-    // `--transport` is a standard flag with a gbn default, so "was it
-    // given at all" needs an argv peek: absent → sweep both.
-    let transports: Vec<RdmaTransport> =
-        if std::env::args().any(|a| a == "--transport" || a.starts_with("--transport=")) {
-            vec![opts.transport]
-        } else {
-            lossy::SWEEP_TRANSPORTS.to_vec()
-        };
-    let backends: Vec<BackendKind> = match opts.backend {
+    let ctx = &RunOpts::init(&["out", "check"]);
+    let out_path = ctx.opts.extra("out").unwrap_or("BENCH_lossy.json");
+    let check_path = ctx.opts.extra("check");
+    let transports: Vec<RdmaTransport> = match ctx.opts.transport {
+        Some(t) => vec![t],
+        None => lossy::SWEEP_TRANSPORTS.to_vec(),
+    };
+    let backends: Vec<BackendKind> = match ctx.opts.backend {
         Some(k) => vec![k],
         None => lossy::SWEEP_BACKENDS.to_vec(),
     };
-    // Each cell is one coupling group; --jobs and --shards both name
-    // the same cell-level pool here, so the larger wins.
-    let workers = opts.jobs.max(opts.shards);
 
-    let mut combos: Vec<(FabricProfile, RdmaTransport, BackendKind)> = Vec::new();
+    let mut tasks = Vec::new();
     for p in lossy::sweep_profiles() {
         for &t in &transports {
             for &b in &backends {
-                combos.push((p, t, b));
+                tasks.push(task(move || lossy::run_cell(ctx, p, t, b)));
             }
         }
     }
-
-    let cells: Vec<LossyCell> = npf_bench::tracectl::run(|| {
-        simcore::shard::run_isolated(
-            combos
-                .iter()
-                .map(|&(profile, transport, backend)| {
-                    Box::new(move || lossy::run_cell(profile, transport, backend))
-                        as Box<dyn FnOnce() -> LossyCell + Send>
-                })
-                .collect(),
-            workers,
-            npf_bench::tracectl::isolation_spec(),
-        )
-    });
+    let cells: Vec<LossyCell> = tracectl::run(ctx, || ctx.pool(tasks));
     print!("{}", lossy::render_report(&cells).render());
 
     if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(&path) {
+        let baseline = match std::fs::read_to_string(path) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("failed to read baseline {path}: {e}");
@@ -90,7 +71,7 @@ fn main() {
         }
     } else {
         let json = lossy::render_json(&cells);
-        if let Err(e) = std::fs::write(&out_path, &json) {
+        if let Err(e) = std::fs::write(out_path, &json) {
             eprintln!("failed to write {out_path}: {e}");
             std::process::exit(2);
         }

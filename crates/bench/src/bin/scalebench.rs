@@ -1,5 +1,5 @@
 //! Multi-tenant scale-out sweep: 16→2048 IOchannels on one simulated
-//! NIC, cells sharded across the pool.
+//! NIC, one pool task per (tenant count, seed) cell.
 //!
 //! Flags (all via `tracectl::RunOpts`):
 //!
@@ -14,61 +14,52 @@
 //!   artifact and exit 1 on any drift. Only simulation-deterministic
 //!   tallies are compared — wall-clock lands in the separate
 //!   `timings` array, never in the checked cell lines.
-//! * `--jobs <n>` / `--shards <n>`: worker threads for the cell pool
-//!   (the larger of the two wins; each cell is one coupling group).
-//!   Output is byte-identical at every value of either flag.
+//! * `--jobs <n>` / `--shards <n>`: the worker budget (the larger
+//!   wins; each cell is one coupling group). Output is byte-identical
+//!   at every value.
+//! * `--chaos-seed <n>`: inject faults into every cell (the tallies
+//!   then differ from the committed artifact by design).
 
 use npf_bench::scale::{self, ScaleCell};
+use npf_bench::tracectl::{self, task, RunOpts};
 use npf_core::ArbiterPolicy;
 
 fn main() {
-    let opts = npf_bench::tracectl::RunOpts::init(&["out", "check"]);
-    let out_path = opts.extra("out").unwrap_or("BENCH_scale.json").to_owned();
-    let check_path = opts.extra("check").map(str::to_owned);
-    let policy = opts.arbiter.unwrap_or(ArbiterPolicy::WeightedFair);
-    let quota = match opts.quota {
+    let ctx = &RunOpts::init(&["out", "check"]);
+    let out_path = ctx.opts.extra("out").unwrap_or("BENCH_scale.json");
+    let check_path = ctx.opts.extra("check");
+    let policy = ctx.opts.arbiter.unwrap_or(ArbiterPolicy::WeightedFair);
+    let quota = match ctx.opts.quota {
         Some(0) => None,
         Some(q) => Some(q),
         None => Some(16),
     };
-    let tenant_counts: Vec<u32> = match opts.tenants {
+    let tenant_counts: Vec<u32> = match ctx.opts.tenants {
         Some(t) => vec![t],
         None => scale::SWEEP_TENANTS.to_vec(),
     };
-    // Each cell is one coupling group; --jobs and --shards both name
-    // the same cell-level pool here, so the larger wins.
-    let workers = opts.jobs.max(opts.shards);
 
-    let combos: Vec<(u32, u64)> = tenant_counts
+    let tasks = tenant_counts
         .iter()
         .flat_map(|&t| scale::SWEEP_SEEDS.iter().map(move |&s| (t, s)))
+        .map(|(tenants, seed)| {
+            task(move || {
+                let t0 = std::time::Instant::now();
+                let cell = scale::run_cell(ctx, tenants, seed, policy, quota);
+                (
+                    cell,
+                    u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX),
+                )
+            })
+        })
         .collect();
-
-    let results: Vec<(ScaleCell, u64)> = npf_bench::tracectl::run(|| {
-        simcore::shard::run_isolated(
-            combos
-                .iter()
-                .map(|&(tenants, seed)| {
-                    Box::new(move || {
-                        let t0 = std::time::Instant::now();
-                        let cell = scale::run_cell(tenants, seed, policy, quota);
-                        (
-                            cell,
-                            u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX),
-                        )
-                    }) as Box<dyn FnOnce() -> (ScaleCell, u64) + Send>
-                })
-                .collect(),
-            workers,
-            npf_bench::tracectl::isolation_spec(),
-        )
-    });
+    let results: Vec<(ScaleCell, u64)> = tracectl::run(ctx, || ctx.pool(tasks));
     let cells: Vec<ScaleCell> = results.iter().map(|(c, _)| *c).collect();
     let wall_ms: Vec<u64> = results.iter().map(|(_, ms)| *ms).collect();
     print!("{}", scale::render_report(&cells).render());
 
     if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(&path) {
+        let baseline = match std::fs::read_to_string(path) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("failed to read baseline {path}: {e}");
@@ -91,7 +82,7 @@ fn main() {
         }
     } else {
         let json = scale::render_json(policy, quota, &cells, &wall_ms);
-        if let Err(e) = std::fs::write(&out_path, &json) {
+        if let Err(e) = std::fs::write(out_path, &json) {
             eprintln!("failed to write {out_path}: {e}");
             std::process::exit(2);
         }

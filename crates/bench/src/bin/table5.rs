@@ -1,18 +1,16 @@
 //! Regenerates Table 5: memory overcommitment with 1-4 memcached VMs.
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (testbeds within each figure run on the shard pool;
-//! output is byte-identical at every shard count).
-use npf_bench::par_runner::task;
+//! Takes the standard flags (see `--help`). `--jobs` and `--shards`
+//! name one worker budget, shared by the experiment points and the
+//! testbeds inside them; output is byte-identical at every value.
+use npf_bench::tracectl::{run_tasks, task, RunOpts};
 
 fn main() {
-    npf_bench::tracectl::RunOpts::init(&[]);
-    npf_bench::tracectl::run_tasks(
-        vec![task("table5", || npf_bench::eth_experiments::table5(4))],
-        |reports| {
-            for r in &reports {
-                print!("{}", r.render());
-            }
-        },
-    );
+    let ctx = &RunOpts::init(&[]);
+    let tasks = vec![task(|| npf_bench::eth_experiments::table5(ctx, 4))];
+    run_tasks(ctx, tasks, |reports| {
+        for r in &reports {
+            print!("{}", r.render());
+        }
+    });
 }

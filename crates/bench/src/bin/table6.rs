@@ -1,18 +1,16 @@
 //! Regenerates Table 6: effective communication bandwidth (beff).
 //!
-//! Supports `--trace <path>` / `--metrics <path>` / `--jobs <n>` /
-//! `--shards <n>` (see `--help`; sharded figures are byte-identical
-//! at every shard count).
-use npf_bench::par_runner::task;
+//! Takes the standard flags (see `--help`). `--jobs` and `--shards`
+//! name one worker budget, shared by the experiment points and the
+//! testbeds inside them; output is byte-identical at every value.
+use npf_bench::tracectl::{run_tasks, task, RunOpts};
 
 fn main() {
-    npf_bench::tracectl::RunOpts::init(&[]);
-    npf_bench::tracectl::run_tasks(
-        vec![task("table6", || npf_bench::ib_experiments::table6(20, 8))],
-        |reports| {
-            for r in &reports {
-                print!("{}", r.render());
-            }
-        },
-    );
+    let ctx = &RunOpts::init(&[]);
+    let tasks = vec![task(|| npf_bench::ib_experiments::table6(20, 8))];
+    run_tasks(ctx, tasks, |reports| {
+        for r in &reports {
+            print!("{}", r.render());
+        }
+    });
 }

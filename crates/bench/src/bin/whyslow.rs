@@ -16,17 +16,19 @@
 //!   committed golden copy and exit 1 on drift.
 //! * `--journal <path>`: additionally write the merged journal as
 //!   Chrome flow-event JSON (Perfetto-loadable).
-//! * `--jobs <n>`: worker threads; the artifact is byte-identical at
-//!   every value.
+//! * `--jobs <n>` / `--shards <n>`: the worker budget (the larger
+//!   wins); the artifact is byte-identical at every value.
 
-use npf_bench::{tracectl, whyslow};
+use npf_bench::tracectl::RunOpts;
+use npf_bench::whyslow;
 use npf_core::ArbiterPolicy;
 use simcore::time::SimDuration;
 
 fn main() {
-    let opts = tracectl::RunOpts::init(&["out", "check", "scenario", "budget-us"]);
-    let out_path = opts.extra("out").unwrap_or("BENCH_whyslow.txt").to_owned();
-    let check_path = opts.extra("check").map(str::to_owned);
+    let ctx = RunOpts::init(&["out", "check", "scenario", "budget-us"]);
+    let opts = &ctx.opts;
+    let out_path = opts.extra("out").unwrap_or("BENCH_whyslow.txt");
+    let check_path = opts.extra("check");
     let scenario = opts.extra("scenario").unwrap_or("overcommit");
     let tenants = match whyslow::scenario_tenants(scenario) {
         Ok(t) => opts.tenants.unwrap_or(t),
@@ -44,14 +46,8 @@ fn main() {
         SimDuration::from_micros(us)
     });
 
-    let (journal, outcome) = whyslow::run_scenario(
-        tenants,
-        whyslow::DEFAULT_SEEDS,
-        policy,
-        budget,
-        tracectl::jobs(),
-        tracectl::chaos_config(),
-    );
+    let (journal, violations) =
+        whyslow::run_scenario(&ctx, tenants, whyslow::DEFAULT_SEEDS, policy, budget);
 
     // The journal's contract: phase slices tile [begun, ready_at], so
     // each fault's attribution sums to its latency exactly.
@@ -66,23 +62,20 @@ fn main() {
     let artifact = whyslow::render_artifact(tenants, policy, whyslow::DEFAULT_SEEDS, &journal);
     print!("{artifact}");
 
-    if let Some(path) = tracectl::journal_path() {
-        match std::fs::write(&path, journal.export_chrome_json()) {
+    if let Some(path) = &opts.journal {
+        match std::fs::write(path, journal.export_chrome_json()) {
             Ok(()) => eprintln!("fault journal written to {}", path.display()),
             Err(e) => eprintln!("failed to write fault journal to {}: {e}", path.display()),
         }
     }
 
-    if outcome.violations > 0 {
-        eprintln!(
-            "whyslow: {} invariant violation(s) under chaos",
-            outcome.violations
-        );
+    if violations > 0 {
+        eprintln!("whyslow: {violations} invariant violation(s) under chaos");
         std::process::exit(1);
     }
 
     if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(&path) {
+        let baseline = match std::fs::read_to_string(path) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("failed to read baseline {path}: {e}");
@@ -96,7 +89,7 @@ fn main() {
             std::process::exit(1);
         }
     } else {
-        if let Err(e) = std::fs::write(&out_path, &artifact) {
+        if let Err(e) = std::fs::write(out_path, &artifact) {
             eprintln!("failed to write {out_path}: {e}");
             std::process::exit(2);
         }

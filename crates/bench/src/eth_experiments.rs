@@ -7,20 +7,9 @@ use testbed::eth::{EthConfig, EthTestbed, RxMode};
 use workloads::memcached::MemcachedConfig;
 
 use crate::report::{f, Report};
+use crate::tracectl::{task, RunCtx};
 
-/// Runs independent testbed closures on the `--shards` pool (each is
-/// one coupling group; see [`simcore::shard`]). Results come back in
-/// task order and instrumentation is absorbed deterministically, so
-/// every experiment is byte-identical at any shard count.
-fn sharded<T: Send>(tasks: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> Vec<T> {
-    simcore::shard::run_isolated(
-        tasks,
-        crate::tracectl::shards(),
-        crate::tracectl::isolation_spec(),
-    )
-}
-
-fn base_config(mode: RxMode) -> EthConfig {
+fn base_config(ctx: &RunCtx, mode: RxMode) -> EthConfig {
     // <2 GB working set: ~450k pages of 1 KB values.
     EthConfig::default()
         .with_mode(mode)
@@ -34,37 +23,37 @@ fn base_config(mode: RxMode) -> EthConfig {
             ..MemcachedConfig::default()
         })
         .with_working_set_keys(1_800_000)
-        .with_chaos(crate::tracectl::chaos_or_disabled())
-        .with_profile(crate::tracectl::fabric_profile())
-        .with_npf(crate::tracectl::npf_config())
-        .with_tier(crate::tracectl::tier_config())
+        .with_chaos(ctx.chaos_or_disabled())
+        .with_profile(ctx.fabric_profile())
+        .with_npf(ctx.npf_config())
+        .with_tier(ctx.tier_config())
 }
 
 /// E4 — Figure 4(a): startup throughput over time, 64-entry ring.
 ///
 /// `horizon_secs` bounds the simulated duration (the paper runs 80 s;
 /// the interesting dynamics finish well before).
-pub fn fig4a(horizon_secs: u64) -> Report {
+pub fn fig4a(ctx: &RunCtx, horizon_secs: u64) -> Report {
     let mut r = Report::new(
         "Cold-ring startup throughput over time (64-entry ring)",
         "Figure 4(a)",
     );
     r.columns(["t[s]", "pin[KTPS]", "backup[KTPS]", "drop[KTPS]"]);
     // Three independent testbeds (one per rx mode) — three coupling
-    // groups for the shard pool.
-    let series = sharded(
+    // groups for the worker pool.
+    let series = ctx.pool(
         [RxMode::Pin, RxMode::Backup, RxMode::Drop]
             .into_iter()
             .map(|mode| {
-                Box::new(move || {
-                    let mut bed = EthTestbed::new(base_config(mode)).expect("setup");
+                task(move || {
+                    let mut bed = EthTestbed::new(base_config(ctx, mode)).expect("setup");
                     bed.start_sampling();
                     bed.run_until(SimTime::from_secs(horizon_secs));
                     (
                         bed.metrics()[0].ops.series().points().to_vec(),
                         bed.total_failed_conns(),
                     )
-                }) as Box<dyn FnOnce() -> (Vec<(SimTime, f64)>, u32) + Send>
+                })
             })
             .collect(),
     );
@@ -111,7 +100,7 @@ fn workloads_window_mean(points: &[(SimTime, f64)], from: SimTime, to: SimTime) 
 }
 
 /// E5 — Figure 4(b): time to complete 10 000 operations vs ring size.
-pub fn fig4b(ops: u64, deadline_secs: u64) -> Report {
+pub fn fig4b(ctx: &RunCtx, ops: u64, deadline_secs: u64) -> Report {
     let mut r = Report::new(
         "Time to perform operations vs receive ring size",
         "Figure 4(b)",
@@ -120,13 +109,13 @@ pub fn fig4b(ops: u64, deadline_secs: u64) -> Report {
     // 5 rings × 3 modes = 15 independent coupling groups.
     const RINGS: [u64; 5] = [16, 64, 256, 1024, 4096];
     const MODES: [RxMode; 3] = [RxMode::Pin, RxMode::Backup, RxMode::Drop];
-    let cells = sharded(
+    let cells = ctx.pool(
         RINGS
             .into_iter()
             .flat_map(|ring| MODES.into_iter().map(move |mode| (ring, mode)))
             .map(|(ring, mode)| {
-                Box::new(move || {
-                    let mut cfg = base_config(mode);
+                task(move || {
+                    let mut cfg = base_config(ctx, mode);
                     cfg.ring_entries = ring;
                     cfg.bm_size = ring * 2;
                     let mut bed = EthTestbed::new(cfg).expect("setup");
@@ -139,7 +128,7 @@ pub fn fig4b(ops: u64, deadline_secs: u64) -> Report {
                         None if bed.total_failed_conns() > 0 => "FAILED".to_owned(),
                         None => format!(">{deadline_secs}"),
                     }
-                }) as Box<dyn FnOnce() -> String + Send>
+                })
             })
             .collect(),
     );
@@ -158,11 +147,11 @@ pub fn fig4b(ops: u64, deadline_secs: u64) -> Report {
 
 /// E6 — Table 5: aggregated throughput of 1–4 memcached VMs on an
 /// 8 GB host (3 GB virtual each); pinning cannot start more than two.
-pub fn table5(measure_secs: u64) -> Report {
+pub fn table5(ctx: &RunCtx, measure_secs: u64) -> Report {
     let mut r = Report::new("Overcommit: aggregated memcached throughput", "Table 5");
     r.columns(["instances", "NPF[KTPS]", "pinning[KTPS]"]);
     // 4 instance counts × 2 modes = 8 independent coupling groups.
-    let cells = sharded(
+    let cells = ctx.pool(
         (1..=4u32)
             .flat_map(|n| {
                 [RxMode::Backup, RxMode::Pin]
@@ -170,8 +159,8 @@ pub fn table5(measure_secs: u64) -> Report {
                     .map(move |m| (n, m))
             })
             .map(|(n, mode)| {
-                Box::new(move || {
-                    let mut cfg = base_config(mode);
+                task(move || {
+                    let mut cfg = base_config(ctx, mode);
                     cfg.instances = n;
                     match EthTestbed::new(cfg) {
                         Ok(mut bed) => {
@@ -184,7 +173,7 @@ pub fn table5(measure_secs: u64) -> Report {
                         }
                         Err(_) => "N/A".to_owned(),
                     }
-                }) as Box<dyn FnOnce() -> String + Send>
+                })
             })
             .collect(),
     );
@@ -205,7 +194,7 @@ pub fn table5(measure_secs: u64) -> Report {
 /// A `(time, hits-per-second)` series for one instance.
 type HitSeries = Vec<(SimTime, f64)>;
 
-pub fn fig7(total_secs: u64, swap_at: u64) -> Report {
+pub fn fig7(ctx: &RunCtx, total_secs: u64, swap_at: u64) -> Report {
     let value_size = 20 * 1024; // the paper's 20 KB items
     let small_keys = (100u64 << 20) / value_size;
     // ~850 MB: the large set; together with the small one it fits the
@@ -213,7 +202,7 @@ pub fn fig7(total_secs: u64, swap_at: u64) -> Report {
     let big_keys = (850u64 << 20) / value_size;
 
     let run = |pinned: bool| -> (HitSeries, HitSeries) {
-        let mut cfg = base_config(if pinned { RxMode::Pin } else { RxMode::Backup });
+        let mut cfg = base_config(ctx, if pinned { RxMode::Pin } else { RxMode::Backup });
         cfg.instances = 2;
         cfg.conns_per_instance = 8;
         cfg.memcached = MemcachedConfig {
@@ -248,10 +237,7 @@ pub fn fig7(total_secs: u64, swap_at: u64) -> Report {
     };
 
     // Two independent testbeds (NPF vs pinned) — two coupling groups.
-    let mut results = sharded(vec![
-        Box::new(|| run(false)) as Box<dyn FnOnce() -> (HitSeries, HitSeries) + Send>,
-        Box::new(|| run(true)),
-    ]);
+    let mut results = ctx.pool(vec![task(|| run(false)), task(|| run(true))]);
     let (pin_a, pin_b) = results.pop().expect("two tasks");
     let (npf_a, npf_b) = results.pop().expect("two tasks");
 

@@ -15,9 +15,10 @@ use memsim::types::PageRange;
 use rdmasim::types::{SendOp, WcOpcode};
 
 use crate::report::{f, Report};
+use crate::tracectl::RunCtx;
 
 /// E8 — Figure 8(a): storage bandwidth vs target memory.
-pub fn fig8a(total_ios: u64) -> Report {
+pub fn fig8a(ctx: &RunCtx, total_ios: u64) -> Report {
     let mut r = Report::new("Storage bandwidth vs memory limit", "Figure 8(a)");
     r.columns(["memory[GB]", "npf[GB/s]", "pin[GB/s]", "npf/pin"]);
     for mem_gib in 4..=8u64 {
@@ -39,8 +40,8 @@ pub fn fig8a(total_ios: u64) -> Report {
                 access_latency: simcore::SimDuration::from_micros(500),
                 bandwidth: simcore::Bandwidth::mbytes_per_sec(500),
             },
-            tier: crate::tracectl::tier_config(),
-            npf: crate::tracectl::npf_config(),
+            tier: ctx.tier_config(),
+            npf: ctx.npf_config(),
             ..StorageBedConfig::default()
         };
         let npf = run_storage(cfg(true)).expect("npf run");
@@ -65,7 +66,7 @@ pub fn fig8a(total_ios: u64) -> Report {
 
 /// E9 — Figure 8(b): target memory usage vs initiator sessions at a
 /// fixed 6 GB.
-pub fn fig8b(total_ios_per_point: u64) -> Report {
+pub fn fig8b(ctx: &RunCtx, total_ios_per_point: u64) -> Report {
     let mut r = Report::new(
         "Target memory usage vs initiator sessions (6 GB)",
         "Figure 8(b)",
@@ -82,8 +83,8 @@ pub fn fig8b(total_ios_per_point: u64) -> Report {
             odp,
             pinned_headroom: ByteSize::ZERO,
             storage: StorageConfig::default(),
-            tier: crate::tracectl::tier_config(),
-            npf: crate::tracectl::npf_config(),
+            tier: ctx.tier_config(),
+            npf: ctx.npf_config(),
             ..StorageBedConfig::default()
         };
         let pin = run_storage(run_cfg(false, 512 * 1024)).expect("pin run");
@@ -287,7 +288,7 @@ pub fn fig10_ethernet(duration_ms: u64) -> Report {
 
 /// E12 (InfiniBand half) — Figure 10 right: ib_send_bw with RNR-NACK
 /// recovery, as % of the clean optimum.
-pub fn fig10_infiniband(messages: u64) -> Report {
+pub fn fig10_infiniband(ctx: &RunCtx, messages: u64) -> Report {
     let mut r = Report::new(
         "ib_send_bw vs rNPF frequency (InfiniBand)",
         "Figure 10 right",
@@ -298,9 +299,9 @@ pub fn fig10_infiniband(messages: u64) -> Report {
             IbConfig::default()
                 .with_nodes(2)
                 .with_seed(5)
-                .with_profile(crate::tracectl::fabric_profile())
-                .with_transport(crate::tracectl::transport_config())
-                .with_chaos(crate::tracectl::chaos_or_disabled()),
+                .with_profile(ctx.fabric_profile())
+                .with_transport(ctx.transport_config())
+                .with_chaos(ctx.chaos_or_disabled()),
         );
         let (qa, qb) = c.connect(0, 1);
         let msg = 64 * 1024u64;

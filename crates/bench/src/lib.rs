@@ -19,10 +19,10 @@ pub mod eth_experiments;
 pub mod ib_experiments;
 pub mod lossy;
 pub mod micro;
-pub mod par_runner;
 pub mod report;
 pub mod scale;
 pub mod tracectl;
 pub mod whyslow;
 
 pub use report::Report;
+pub use tracectl::{RunCtx, RunOpts};

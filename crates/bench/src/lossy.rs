@@ -9,11 +9,10 @@
 //! transports are equivalent, while under loss go-back-N pays a full
 //! window rewind per drop and selective repeat retransmits only the
 //! missing PSNs, so IRN's goodput must hold up as loss rises
-//! (DESIGN §15). Cells shard across the sweep via
-//! [`crate::par_runner`], so `--jobs N` and `--shards N` produce
-//! byte-identical output to a serial run; the JSON the binary commits
-//! (`BENCH_lossy.json`) carries only simulation-deterministic tallies,
-//! never wall-clock.
+//! (DESIGN §15). Cells fan out over the run's worker pool
+//! ([`RunCtx::pool`]), so `--jobs N` produces byte-identical output to
+//! a serial run; the JSON the binary commits (`BENCH_lossy.json`)
+//! carries only simulation-deterministic tallies, never wall-clock.
 
 use netsim::profile::{FabricProfile, RdmaTransport, TransportConfig};
 use npf_core::{BackendKind, BackendSelect};
@@ -23,6 +22,7 @@ use testbed::builder::ScenarioBuilder;
 use testbed::ib::IbCluster;
 
 use crate::report::Report;
+use crate::tracectl::RunCtx;
 use rdmasim::types::{SendOp, WcOpcode, WcStatus};
 
 /// The fabric profiles a full sweep visits, in artifact order:
@@ -92,19 +92,25 @@ pub struct LossyCell {
 }
 
 /// Runs one sweep cell: the canonical cold-ring incast under one
-/// fabric profile, transport, and backend.
+/// fabric profile, transport, and backend, with the memory-feature
+/// knobs from `ctx`.
 ///
 /// # Panics
 ///
 /// Panics when the cell's scenario fails validation or a QP completes
 /// with an error — either is a lossybench bug, not an input error.
 #[must_use]
-pub fn run_cell(profile: FabricProfile, transport: RdmaTransport, backend: BackendKind) -> LossyCell {
+pub fn run_cell(
+    ctx: &RunCtx,
+    profile: FabricProfile,
+    transport: RdmaTransport,
+    backend: BackendKind,
+) -> LossyCell {
     let receiver = SENDERS; // node index of the fan-in target
     let mut cluster: IbCluster = ScenarioBuilder::infiniband()
         .nodes(SENDERS + 1)
         .node_memory(ByteSize::mib(512))
-        .npf(crate::tracectl::npf_config().with_backend(BackendSelect::of(backend)))
+        .npf(ctx.npf_config().with_backend(BackendSelect::of(backend)))
         .profile(profile)
         .transport(TransportConfig::default().with_transport(transport))
         .seed(7)
@@ -204,7 +210,7 @@ pub fn cell_json(c: &LossyCell) -> String {
 
 /// The full JSON artifact: header plus one line per cell, in task
 /// order. Deterministic in the cells — byte-identical at every
-/// `--jobs` and `--shards` value.
+/// `--jobs` value.
 #[must_use]
 pub fn render_json(cells: &[LossyCell]) -> String {
     let mut out = String::new();
@@ -275,6 +281,11 @@ pub fn render_report(cells: &[LossyCell]) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`super::run_cell`] under the default context.
+    fn run_cell(p: FabricProfile, t: RdmaTransport, b: BackendKind) -> LossyCell {
+        super::run_cell(&RunCtx::default(), p, t, b)
+    }
 
     #[test]
     fn cells_are_deterministic() {

@@ -4,24 +4,24 @@
 //! IOchannels — Zipf-skewed connection allocation, cross-channel fault
 //! arbitration, per-tenant backup-ring quotas — and tallies the
 //! per-tenant counters into one deterministic cell per (tenant count,
-//! seed) pair. Cells shard across seeds via [`crate::par_runner`], so
-//! `--jobs N` produces byte-identical output to a serial run; the JSON
-//! the binary commits (`BENCH_scale.json`) carries only
-//! simulation-deterministic tallies, never wall-clock.
+//! seed) pair. Cells fan out over the run's worker pool
+//! ([`RunCtx::pool`]), so `--jobs N` produces byte-identical output to
+//! a serial run; the JSON the binary commits (`BENCH_scale.json`)
+//! carries only simulation-deterministic tallies, never wall-clock.
 
 use npf_core::ArbiterPolicy;
-use simcore::chaos::ChaosConfig;
 use simcore::{ByteSize, SimTime};
 use testbed::builder::ScenarioBuilder;
 use testbed::eth::RxMode;
 use workloads::memcached::MemcachedConfig;
 
 use crate::report::Report;
+use crate::tracectl::RunCtx;
 
 /// The tenant counts a full sweep visits. The 1024- and 2048-tenant
-/// cells exist because the sharded engine made them practical: cells
-/// are independent coupling groups, so `--shards N` runs them
-/// concurrently with byte-identical output.
+/// cells exist because the worker pool made them practical: cells are
+/// independent coupling groups, so `--jobs N` runs them concurrently
+/// with byte-identical output.
 pub const SWEEP_TENANTS: &[u32] = &[16, 32, 64, 128, 256, 512, 1024, 2048];
 
 /// The seeds each tenant count is sharded across.
@@ -71,32 +71,21 @@ pub fn policy_name(policy: ArbiterPolicy) -> &'static str {
 
 /// Runs one sweep cell: `tenants` skewed memcached tenants on one NIC
 /// under `policy` arbitration, with an optional per-tenant backup
-/// quota, to the fixed horizon.
+/// quota, to the fixed horizon. The fabric, memory-feature and chaos
+/// knobs come from `ctx`, so a chaos-enabled sweep (and `whyslow
+/// --chaos-seed`) exercises the identical recipe with faults injected.
 ///
 /// # Panics
 ///
 /// Panics when the cell's scenario fails validation — a scalebench
 /// bug, not an input error.
 #[must_use]
-pub fn run_cell(tenants: u32, seed: u64, policy: ArbiterPolicy, quota: Option<u64>) -> ScaleCell {
-    run_cell_chaos(tenants, seed, policy, quota, None)
-}
-
-/// [`run_cell`] with optional fault injection: the same scenario built
-/// `.chaos(cfg)`, so chaos-enabled sweeps (and `whyslow --chaos-seed`)
-/// exercise the identical recipe.
-///
-/// # Panics
-///
-/// Panics when the cell's scenario fails validation — a scalebench
-/// bug, not an input error.
-#[must_use]
-pub fn run_cell_chaos(
+pub fn run_cell(
+    ctx: &RunCtx,
     tenants: u32,
     seed: u64,
     policy: ArbiterPolicy,
     quota: Option<u64>,
-    chaos: Option<ChaosConfig>,
 ) -> ScaleCell {
     let mut scenario = ScenarioBuilder::ethernet()
         .mode(RxMode::Backup)
@@ -112,9 +101,9 @@ pub fn run_cell_chaos(
         })
         .working_set_keys(2_000)
         .tenant_skew(1.0)
-        .profile(crate::tracectl::fabric_profile())
+        .profile(ctx.fabric_profile())
         .npf(
-            crate::tracectl::npf_config()
+            ctx.npf_config()
                 .with_arbiter(policy)
                 .with_total_fault_slots(64),
         )
@@ -126,7 +115,7 @@ pub fn run_cell_chaos(
         // One heavy tenant, so the sweep exercises unequal shares.
         scenario = scenario.tenant_weight(0, 4);
     }
-    if let Some(cfg) = chaos {
+    if let Some(cfg) = ctx.opts.chaos {
         scenario = scenario.chaos(cfg);
     }
     let mut bed = scenario.build().expect("scalebench cell must validate");
@@ -266,8 +255,9 @@ mod tests {
 
     #[test]
     fn cells_are_deterministic_in_their_seed() {
-        let a = run_cell(16, 1, ArbiterPolicy::WeightedFair, Some(16));
-        let b = run_cell(16, 1, ArbiterPolicy::WeightedFair, Some(16));
+        let ctx = RunCtx::default();
+        let a = run_cell(&ctx, 16, 1, ArbiterPolicy::WeightedFair, Some(16));
+        let b = run_cell(&ctx, 16, 1, ArbiterPolicy::WeightedFair, Some(16));
         assert_eq!(a, b);
         assert!(a.ops > 0, "tenants must make progress: {a:?}");
         assert!(a.faults > 0, "cold rings must fault: {a:?}");
@@ -275,9 +265,10 @@ mod tests {
 
     #[test]
     fn check_against_spots_a_drifted_cell() {
+        let ctx = RunCtx::default();
         let cells = [
-            run_cell(16, 1, ArbiterPolicy::RoundRobin, None),
-            run_cell(16, 2, ArbiterPolicy::RoundRobin, None),
+            run_cell(&ctx, 16, 1, ArbiterPolicy::RoundRobin, None),
+            run_cell(&ctx, 16, 2, ArbiterPolicy::RoundRobin, None),
         ];
         let baseline = render_json(ArbiterPolicy::RoundRobin, None, &cells, &[0, 0]);
         assert!(check_against(&baseline, &cells).is_empty());

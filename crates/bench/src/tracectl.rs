@@ -1,68 +1,28 @@
-//! Command-line handling for the bench binaries.
+//! Command-line handling and the run context for the bench binaries.
 //!
 //! Every `bin/` target starts `main` with [`RunOpts::init`] — one
 //! strict parse of argv shared by all binaries, so an unknown or
-//! malformed flag fails uniformly (status 2) everywhere — then wraps
-//! its body in [`run`] or [`run_tasks`]. The shared flags:
+//! malformed flag fails uniformly (status 2) everywhere — and gets back
+//! a [`RunCtx`]: the parsed options plus the run's worker budget. The
+//! binary passes `&ctx` into every experiment function that reads a
+//! knob or fans out work, and wraps its body in [`run`] or
+//! [`run_tasks`], which install the instruments the flags ask for and
+//! export them afterwards. Nothing below `main` looks at argv, a
+//! global, or a thread-local to find its configuration: a knob reaches
+//! a testbed because the value carrying it was handed there.
 //!
-//! * `--trace <path>` (or `--trace=<path>`): install a
-//!   [`TraceRecorder`] for the duration of the run and write the
-//!   Chrome trace-event JSON (Perfetto-loadable) to `path` on exit.
-//! * `--metrics <path>` (or `--metrics=<path>`): write the flat
-//!   metrics registry on exit — CSV if `path` ends in `.csv`, JSON
-//!   otherwise.
-//! * `--journal <path>` (or `--journal=<path>`): install a
-//!   [`simcore::journal`] fault-lifecycle recorder for the run and
-//!   write it on exit — the tail-attribution text report if `path`
-//!   ends in `.txt`, Chrome trace-event flow JSON otherwise.
-//! * `--chaos-seed <n>` / `--chaos-profile <name>`: build a
-//!   [`ChaosConfig`] for fault injection ([`chaos_config`]). Profiles:
-//!   `network`, `interrupts`, `npf`, `memory`, `iommu`, `all`
-//!   (default `all`). Binaries that support chaos pass the config into
-//!   their testbeds; a failing run prints the seed for replay.
-//! * `--jobs <n>` (or `--jobs=<n>`): run the binary's experiment
-//!   points across `n` worker threads via [`crate::par_runner`]
-//!   ([`run_tasks`]). `0` means "all available cores". Output is
-//!   byte-identical at every job count.
-//! * `--shards <n>` (or `--shards=<n>`): shard *within* an experiment
-//!   point — independent coupling groups (testbeds, scalebench cells)
-//!   run on `n` workers via [`simcore::shard::run_isolated`] with
-//!   deterministic instrumentation absorption. `0` means "all
-//!   available cores"; default 1 reproduces the serial path exactly.
-//!   Output is byte-identical at every shard count.
-//! * `--tenants <n>` / `--arbiter <policy>` / `--quota <entries>`:
-//!   multi-tenant scale knobs — tenant count, cross-channel fault
-//!   arbitration policy (`channel`, `rr`, `wfq`), and per-tenant
-//!   backup-ring quota — consumed by the binaries that sweep tenants
-//!   (`scalebench`), accepted uniformly by all.
-//! * `--backend <kind>`: which ODP backend services faults —
-//!   `firmware` (the paper's NPF path, default), `softemu` (NP-RDMA-
-//!   style driver-level emulation), or `pinned` — consumed by the
-//!   binaries that compare backends (`backendbench`), accepted
-//!   uniformly by all.
-//! * `--hugepages <on|off>` / `--prefetch <depth>` / `--tier <mib>`:
-//!   the translation/backing-memory knobs — 2 MiB huge-page folding in
-//!   the IOMMU tables and IOTLB, speculative stride-stream NPF
-//!   prefetch (`depth` pages per issue, 0 disables), and an NVM
-//!   backing tier of `mib` MiB in front of the swap disk (0 disables).
-//!   All default off so every existing figure is byte-identical; the
-//!   experiment drivers splice them into [`npf_config`] and
-//!   [`tier_config`] uniformly.
-//! * `--transport <gbn|irn>` / `--loss <p>` / `--pfc <on|off>` /
-//!   `--ecn <on|off>`: the lossy-fabric knobs — RC loss-recovery
-//!   discipline (go-back-N or IRN-style selective repeat), random
-//!   per-packet loss probability, 802.1Qbb priority flow control on
-//!   the switch, and ECN marking. All default to the legacy lossless
-//!   go-back-N fabric so every existing figure is byte-identical; the
-//!   experiment drivers splice them in via [`fabric_profile`] and
-//!   [`transport_config`].
+//! The shared flags are the [`STANDARD_FLAGS`] table (`--help` prints
+//! it). `--jobs` and `--shards` name one budget — the larger wins —
+//! that experiment points and the testbeds inside them share
+//! ([`simcore::shard`]); output is byte-identical at every value.
+//! All feature knobs default to the paper's configuration, so every
+//! figure is byte-identical unless a flag says otherwise.
 //!
 //! Traces are stamped exclusively with [`simcore::time::SimTime`], so
 //! the same seed produces byte-identical files.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 use memsim::manager::TierConfig;
 use memsim::swap::DiskConfig;
@@ -71,72 +31,129 @@ use npf_core::npf::NpfConfig;
 use npf_core::{ArbiterPolicy, BackendKind};
 use simcore::chaos::{invariant, ChaosConfig, ChaosProfile, InvariantChecker};
 use simcore::journal::{self, JournalRecorder};
+use simcore::shard::Pool;
+pub use simcore::shard::{task, Task};
 use simcore::trace::{self, TraceRecorder};
 use simcore::units::ByteSize;
+
+use crate::report::Report;
 
 /// Default ring capacity for binary-driven traces: large enough to
 /// hold full experiment runs without wrapping.
 const DEFAULT_CAPACITY: usize = 1 << 20;
 
-/// Extracts the value of `--<flag> <path>` or `--<flag>=<path>` from
-/// an argv-style iterator.
-fn flag_value<I: IntoIterator<Item = String>>(args: I, flag: &str) -> Option<PathBuf> {
-    let long = format!("--{flag}");
-    let eq = format!("--{flag}=");
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        if a == long {
-            let value = args.next();
-            if value.is_none() {
-                eprintln!("warning: {long} requires a path argument; ignoring");
-            }
-            return value.map(PathBuf::from);
-        }
-        if let Some(rest) = a.strip_prefix(&eq) {
-            return Some(PathBuf::from(rest));
+/// The flags every bench binary accepts, as `(name, value, help)`:
+/// the one table both the parser's accepted set and `--help` come
+/// from. A binary registers any extra value-taking flags of its own
+/// via [`RunOpts::init`]; anything else on the command line is
+/// rejected with a uniform error.
+const STANDARD_FLAGS: &[(&str, &str, &str)] = &[
+    ("trace", "<path>", "write a Chrome trace-event JSON on exit"),
+    (
+        "metrics",
+        "<path>",
+        "write the metrics registry (CSV for .csv paths)",
+    ),
+    (
+        "journal",
+        "<path>",
+        "write the fault-lifecycle journal (.txt for text)",
+    ),
+    ("chaos-seed", "<n>", "enable fault injection with seed n"),
+    (
+        "chaos-profile",
+        "<p>",
+        "chaos profile: network, interrupts, npf, memory,\niommu, all (default all)",
+    ),
+    (
+        "jobs",
+        "<n>",
+        "worker threads for the whole run (0 = all cores),\n\
+         shared by experiment points and the independent\n\
+         testbeds inside them; output is byte-identical\n\
+         at any n",
+    ),
+    (
+        "shards",
+        "<n>",
+        "same budget as --jobs: the larger of the two wins",
+    ),
+    ("tenants", "<n>", "tenant/IO-channel count for scale sweeps"),
+    (
+        "arbiter",
+        "<policy>",
+        "cross-channel fault arbitration: channel, rr, wfq",
+    ),
+    ("quota", "<entries>", "per-tenant backup-ring quota"),
+    (
+        "backend",
+        "<kind>",
+        "ODP backend: firmware, softemu, pinned",
+    ),
+    (
+        "hugepages",
+        "<on|off>",
+        "fold 2 MiB huge pages in the IOMMU tables + IOTLB",
+    ),
+    (
+        "prefetch",
+        "<depth>",
+        "speculative NPF prefetch depth in pages (0 = off)",
+    ),
+    (
+        "tier",
+        "<mib>",
+        "NVM backing tier of <mib> MiB before swap (0 = off)",
+    ),
+    (
+        "transport",
+        "<t>",
+        "RC loss recovery: gbn (go-back-N, default), irn\n(selective repeat with a BDP cap)",
+    ),
+    (
+        "loss",
+        "<p>",
+        "random per-packet loss probability (default 0)",
+    ),
+    (
+        "pfc",
+        "<on|off>",
+        "802.1Qbb priority flow control at the switch",
+    ),
+    (
+        "ecn",
+        "<on|off>",
+        "ECN marking above the queueing-delay threshold",
+    ),
+];
+
+/// The `--help` text shared by every bench binary: the standard flags
+/// plus whatever extras the binary registered with [`RunOpts::init`].
+fn usage(bin: &str, extra: &[&str]) -> String {
+    let mut out = format!("usage: {bin} [--flag value ...]\n\nstandard flags:\n");
+    for (name, value, help) in STANDARD_FLAGS {
+        let mut head = format!("--{name} {value}");
+        for line in help.lines() {
+            out.push_str(&format!("  {head:<23}{line}\n"));
+            head.clear();
         }
     }
-    None
+    if !extra.is_empty() {
+        out.push_str("\nbinary-specific flags:\n");
+        for name in extra {
+            out.push_str(&format!("  --{name} <value>\n"));
+        }
+    }
+    out
 }
-
-/// The flags every bench binary accepts. A binary registers any extra
-/// value-taking flags of its own via [`RunOpts::init`]; anything else
-/// on the command line is rejected with a uniform error.
-const STANDARD_FLAGS: &[&str] = &[
-    "trace",
-    "metrics",
-    "journal",
-    "chaos-seed",
-    "chaos-profile",
-    "jobs",
-    "shards",
-    "tenants",
-    "arbiter",
-    "quota",
-    "backend",
-    "hugepages",
-    "prefetch",
-    "tier",
-    "transport",
-    "loss",
-    "pfc",
-    "ecn",
-];
 
 /// The one parsed view of a bench binary's command line.
 ///
-/// Every `bin/` target calls [`RunOpts::init`] first thing in `main`,
-/// naming whatever extra value-taking flags it understands (for most
-/// binaries: none). Parsing is strict — an unknown `--flag`, a missing
-/// value, a duplicate, or a stray positional argument prints one
-/// uniform error line and exits with status 2 — so every binary
-/// rejects typos the same way instead of silently ignoring them.
-///
-/// The module's free functions ([`trace_path`], [`chaos_config`],
-/// [`jobs`], …) consult the initialized `RunOpts` when one exists and
-/// fall back to a lenient argv scan otherwise (the in-process test
-/// path, where libtest owns argv).
-#[derive(Debug, Clone, Default)]
+/// Parsing is strict — an unknown `--flag`, a missing value, a
+/// duplicate, or a stray positional argument prints one uniform error
+/// line and exits with status 2 — so every binary rejects typos the
+/// same way instead of silently ignoring them.
+#[derive(Debug, Clone)]
 pub struct RunOpts {
     /// `--trace <path>`: write a Chrome trace-event JSON on exit.
     pub trace: Option<PathBuf>,
@@ -145,12 +162,11 @@ pub struct RunOpts {
     /// `--journal <path>`: write the fault-lifecycle journal on exit.
     pub journal: Option<PathBuf>,
     /// `--chaos-seed` / `--chaos-profile`: fault injection, if asked.
+    /// `--chaos-profile` alone uses seed 0.
     pub chaos: Option<ChaosConfig>,
-    /// `--jobs <n>` worker threads; absent → 1, `0` → all cores.
-    pub jobs: usize,
-    /// `--shards <n>` intra-run shard workers; absent → 1, `0` → all
-    /// cores.
-    pub shards: usize,
+    /// The worker budget: the larger of `--jobs <n>` and `--shards
+    /// <n>`; both absent → 1, `0` → all cores.
+    pub workers: usize,
     /// `--tenants <n>`: tenant/IOchannel count for scale sweeps.
     pub tenants: Option<u32>,
     /// `--arbiter <policy>`: cross-channel fault arbitration policy
@@ -170,8 +186,9 @@ pub struct RunOpts {
     /// `--tier <mib>`: NVM backing-tier capacity in MiB (absent or 0
     /// disables tiering).
     pub tier_mib: Option<u64>,
-    /// `--transport <gbn|irn>`: the RC loss-recovery discipline.
-    pub transport: RdmaTransport,
+    /// `--transport <gbn|irn>`: the RC loss-recovery discipline, when
+    /// given (sweeps visit both when it is not).
+    pub transport: Option<RdmaTransport>,
     /// `--loss <p>`: random per-packet loss probability in `[0, 1)`.
     pub loss: f64,
     /// `--pfc <on|off>`: 802.1Qbb priority flow control at the switch.
@@ -183,82 +200,65 @@ pub struct RunOpts {
     extras: BTreeMap<String, String>,
 }
 
-static OPTS: OnceLock<RunOpts> = OnceLock::new();
+/// Removes `--<name>` from `values` and converts it with `parse`,
+/// prefixing a conversion error with the flag's name.
+fn typed<T>(
+    values: &mut BTreeMap<String, String>,
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    values
+        .remove(name)
+        .map(|v| parse(&v).map_err(|e| format!("--{name} {e}")))
+        .transpose()
+}
 
-/// The `--help` text shared by every bench binary: the standard flags
-/// plus whatever extras the binary registered with [`RunOpts::init`].
-fn usage(bin: &str, extra: &[&str]) -> String {
-    let mut out = format!("usage: {bin} [--flag value ...]\n\nstandard flags:\n");
-    out.push_str(
-        "  --trace <path>         write a Chrome trace-event JSON on exit\n\
-         \x20 --metrics <path>       write the metrics registry (CSV for .csv paths)\n\
-         \x20 --journal <path>       write the fault-lifecycle journal (.txt for text)\n\
-         \x20 --chaos-seed <n>       enable fault injection with seed n\n\
-         \x20 --chaos-profile <p>    chaos profile: network, interrupts, npf, memory,\n\
-         \x20                        iommu, all (default all)\n\
-         \x20 --jobs <n>             run experiment points on n workers (0 = all\n\
-         \x20                        cores); output is byte-identical at any n\n\
-         \x20 --shards <n>           shard within each experiment point: independent\n\
-         \x20                        testbeds run on n workers with deterministic\n\
-         \x20                        epoch/instrumentation merging (0 = all cores);\n\
-         \x20                        output is byte-identical at any n\n\
-         \x20 --tenants <n>          tenant/IO-channel count for scale sweeps\n\
-         \x20 --arbiter <policy>     cross-channel fault arbitration: channel, rr, wfq\n\
-         \x20 --quota <entries>      per-tenant backup-ring quota\n\
-         \x20 --backend <kind>       ODP backend: firmware, softemu, pinned\n\
-         \x20 --hugepages <on|off>   fold 2 MiB huge pages in the IOMMU tables + IOTLB\n\
-         \x20 --prefetch <depth>     speculative NPF prefetch depth in pages (0 = off)\n\
-         \x20 --tier <mib>           NVM backing tier of <mib> MiB before swap (0 = off)\n\
-         \x20 --transport <t>        RC loss recovery: gbn (go-back-N, default), irn\n\
-         \x20                        (selective repeat with a BDP cap)\n\
-         \x20 --loss <p>             random per-packet loss probability (default 0)\n\
-         \x20 --pfc <on|off>         802.1Qbb priority flow control at the switch\n\
-         \x20 --ecn <on|off>         ECN marking above the queueing-delay threshold\n",
-    );
-    if !extra.is_empty() {
-        out.push_str("\nbinary-specific flags:\n");
-        for name in extra {
-            out.push_str(&format!("  --{name} <value>\n"));
-        }
+fn integer<T: std::str::FromStr>(v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("must be an integer: {e}"))
+}
+
+/// An on/off switch value (`on`, `true`, `1` / `off`, `false`, `0`).
+fn switch(v: &str) -> Result<bool, String> {
+    match v {
+        "on" | "true" | "1" => Ok(true),
+        "off" | "false" | "0" => Ok(false),
+        _ => Err(format!("must be on|off: {v:?}")),
     }
-    out
+}
+
+/// A worker count: `0` means every hardware thread of this host.
+fn worker_count(v: &str) -> Result<usize, String> {
+    integer(v).map(|n| match n {
+        0 => simcore::shard::host_parallelism(),
+        n => n,
+    })
 }
 
 impl RunOpts {
     /// Parses the process command line, accepting [`STANDARD_FLAGS`]
-    /// plus the binary's own `extra` value-taking flags. Call once at
-    /// the top of `main`; later calls (and the module's free
-    /// functions) reuse the first result. Exits with status 2 on any
-    /// malformed or unknown argument.
-    pub fn init(extra: &[&str]) -> &'static RunOpts {
-        OPTS.get_or_init(|| {
-            let args: Vec<String> = std::env::args().skip(1).collect();
-            if args.iter().any(|a| a == "--help" || a == "-h") {
-                let bin = std::env::args()
-                    .next()
-                    .unwrap_or_else(|| "bench".to_owned());
-                print!("{}", usage(&bin, extra));
-                std::process::exit(0);
-            }
-            match Self::parse(&args, extra) {
-                Ok(opts) => opts,
-                Err(e) => {
-                    let bin = std::env::args()
-                        .next()
-                        .unwrap_or_else(|| "bench".to_owned());
-                    eprintln!("{bin}: error: {e}");
-                    std::process::exit(2);
-                }
-            }
-        })
-    }
-
-    /// The options parsed by [`RunOpts::init`], when a binary has run
-    /// it; `None` in library/test contexts where argv belongs to the
-    /// test harness.
+    /// plus the binary's own `extra` value-taking flags, and returns
+    /// the run's context. Call once at the top of `main`. Exits with
+    /// status 2 on any malformed or unknown argument, and with status 0
+    /// after printing the usage on `--help`.
     #[must_use]
-    pub fn get() -> Option<&'static RunOpts> {
-        OPTS.get()
+    pub fn init(extra: &[&str]) -> RunCtx {
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_else(|| "bench".to_owned());
+        let args: Vec<String> = argv.collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            print!("{}", usage(&bin, extra));
+            std::process::exit(0);
+        }
+        match Self::parse(&args, extra) {
+            Ok(opts) => RunCtx::new(opts),
+            Err(e) => {
+                eprintln!("{bin}: error: {e}");
+                std::process::exit(2);
+            }
+        }
     }
 
     /// Strict parse of an argv slice. Every flag takes a value, in
@@ -282,7 +282,7 @@ impl RunOpts {
                 Some((n, v)) => (n, Some(v.to_owned())),
                 None => (body, None),
             };
-            if !STANDARD_FLAGS.contains(&name) && !extra.contains(&name) {
+            if !STANDARD_FLAGS.iter().any(|(flag, ..)| *flag == name) && !extra.contains(&name) {
                 return Err(format!("unknown flag --{name}"));
             }
             let value = match inline {
@@ -296,160 +296,59 @@ impl RunOpts {
                 return Err(format!("--{name} given more than once"));
             }
         }
-        Self::from_values(values, extra)
+        Self::from_values(values)
     }
 
-    fn from_values(mut values: BTreeMap<String, String>, extra: &[&str]) -> Result<Self, String> {
-        let seed = values
-            .remove("chaos-seed")
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|e| format!("--chaos-seed must be an integer: {e}"))
-            })
-            .transpose()?;
-        let profile = values
-            .remove("chaos-profile")
-            .map(|v| {
-                ChaosProfile::from_name(&v)
-                    .ok_or_else(|| format!("unknown --chaos-profile {v:?} (try \"all\")"))
-            })
-            .transpose()?;
-        let chaos = if seed.is_none() && profile.is_none() {
-            None
-        } else {
-            Some(ChaosConfig::profile(
-                profile.unwrap_or(ChaosProfile::All),
-                seed.unwrap_or(0),
-            ))
-        };
-        let jobs = match values.remove("jobs") {
-            None => 1,
-            Some(v) => {
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|e| format!("--jobs must be an integer: {e}"))?;
-                if n == 0 {
-                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-                } else {
-                    n
-                }
+    fn from_values(mut values: BTreeMap<String, String>) -> Result<Self, String> {
+        let v = &mut values;
+        let seed = typed(v, "chaos-seed", integer::<u64>)?;
+        let profile = typed(v, "chaos-profile", |p| {
+            ChaosProfile::from_name(p).ok_or_else(|| format!("{p:?} is unknown (try \"all\")"))
+        })?;
+        let chaos = (seed.is_some() || profile.is_some())
+            .then(|| ChaosConfig::profile(profile.unwrap_or(ChaosProfile::All), seed.unwrap_or(0)));
+        let jobs = typed(v, "jobs", worker_count)?.unwrap_or(1);
+        let shards = typed(v, "shards", worker_count)?.unwrap_or(1);
+        let loss = typed(v, "loss", |p| {
+            let loss: f64 = p
+                .parse()
+                .map_err(|e| format!("must be a probability: {e}"))?;
+            if !loss.is_finite() || !(0.0..1.0).contains(&loss) {
+                return Err(format!("must be in [0, 1): {p:?}"));
             }
-        };
-        let shards = match values.remove("shards") {
-            None => 1,
-            Some(v) => {
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|e| format!("--shards must be an integer: {e}"))?;
-                if n == 0 {
-                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-                } else {
-                    n
-                }
-            }
-        };
-        let tenants = values
-            .remove("tenants")
-            .map(|v| {
-                v.parse::<u32>()
-                    .map_err(|e| format!("--tenants must be an integer: {e}"))
-            })
-            .transpose()?;
-        let arbiter = values
-            .remove("arbiter")
-            .map(|v| ArbiterPolicy::parse(&v).map_err(|e| format!("--arbiter: {e}")))
-            .transpose()?;
-        let quota = values
-            .remove("quota")
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|e| format!("--quota must be an integer: {e}"))
-            })
-            .transpose()?;
-        let backend = values
-            .remove("backend")
-            .map(|v| BackendKind::parse(&v).map_err(|e| format!("--backend: {e}")))
-            .transpose()?;
-        let huge_pages = values
-            .remove("hugepages")
-            .map(|v| parse_switch(&v).ok_or_else(|| format!("--hugepages must be on|off: {v:?}")))
-            .transpose()?
-            .unwrap_or(false);
-        let prefetch = values
-            .remove("prefetch")
-            .map(|v| {
-                v.parse::<u32>()
-                    .map_err(|e| format!("--prefetch must be an integer: {e}"))
-            })
-            .transpose()?
-            .unwrap_or(0);
-        let tier_mib = values
-            .remove("tier")
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|e| format!("--tier must be an integer (MiB): {e}"))
-            })
-            .transpose()?
-            .filter(|&mib| mib > 0);
-        let transport = values
-            .remove("transport")
-            .map(|v| {
-                RdmaTransport::from_name(&v)
-                    .ok_or_else(|| format!("--transport must be gbn|irn: {v:?}"))
-            })
-            .transpose()?
-            .unwrap_or_default();
-        let loss = values
-            .remove("loss")
-            .map(|v| {
-                let p = v
-                    .parse::<f64>()
-                    .map_err(|e| format!("--loss must be a probability: {e}"))?;
-                if !p.is_finite() || !(0.0..1.0).contains(&p) {
-                    return Err(format!("--loss must be in [0, 1): {v:?}"));
-                }
-                Ok(p)
-            })
-            .transpose()?
-            .unwrap_or(0.0);
-        let pfc = values
-            .remove("pfc")
-            .map(|v| parse_switch(&v).ok_or_else(|| format!("--pfc must be on|off: {v:?}")))
-            .transpose()?
-            .unwrap_or(false);
-        let ecn = values
-            .remove("ecn")
-            .map(|v| parse_switch(&v).ok_or_else(|| format!("--ecn must be on|off: {v:?}")))
-            .transpose()?
-            .unwrap_or(false);
+            Ok(loss)
+        })?
+        .unwrap_or(0.0);
+        let pfc = typed(v, "pfc", switch)?.unwrap_or(false);
         if pfc && loss > 0.0 {
             return Err(format!(
                 "--pfc models a lossless fabric; it cannot be combined with --loss {loss}"
             ));
         }
-        let trace = values.remove("trace").map(PathBuf::from);
-        let metrics = values.remove("metrics").map(PathBuf::from);
-        let journal = values.remove("journal").map(PathBuf::from);
-        // What's left can only be the binary's registered extras.
-        debug_assert!(values.keys().all(|k| extra.contains(&k.as_str())));
         Ok(RunOpts {
-            trace,
-            metrics,
-            journal,
+            trace: v.remove("trace").map(PathBuf::from),
+            metrics: v.remove("metrics").map(PathBuf::from),
+            journal: v.remove("journal").map(PathBuf::from),
             chaos,
-            jobs,
-            shards,
-            tenants,
-            arbiter,
-            quota,
-            backend,
-            huge_pages,
-            prefetch,
-            tier_mib,
-            transport,
+            workers: jobs.max(shards),
+            tenants: typed(v, "tenants", integer)?,
+            arbiter: typed(v, "arbiter", |p| {
+                ArbiterPolicy::parse(p).map_err(|bad| format!("does not accept {bad:?}"))
+            })?,
+            quota: typed(v, "quota", integer)?,
+            backend: typed(v, "backend", |k| {
+                BackendKind::parse(k).map_err(|bad| format!("does not accept {bad:?}"))
+            })?,
+            huge_pages: typed(v, "hugepages", switch)?.unwrap_or(false),
+            prefetch: typed(v, "prefetch", integer)?.unwrap_or(0),
+            tier_mib: typed(v, "tier", integer::<u64>)?.filter(|&mib| mib > 0),
+            transport: typed(v, "transport", |t| {
+                RdmaTransport::from_name(t).ok_or_else(|| format!("must be gbn|irn: {t:?}"))
+            })?,
             loss,
             pfc,
-            ecn,
+            ecn: typed(v, "ecn", switch)?.unwrap_or(false),
+            // What's left can only be the binary's registered extras.
             extras: values,
         })
     }
@@ -459,316 +358,146 @@ impl RunOpts {
     pub fn extra(&self, name: &str) -> Option<&str> {
         self.extras.get(name).map(String::as_str)
     }
+}
 
-    /// The requested chaos config, defaulting to disabled.
+/// Everything an experiment needs from its caller: the parsed options
+/// and the run's worker budget. `Clone + Send + Sync`; clones share the
+/// budget, so however a run nests its fan-outs, at most
+/// `opts.workers` task bodies execute at once.
+///
+/// Tests build one with `RunCtx::default()` (the paper's
+/// configuration, serial) and the `with_*` setters.
+#[derive(Debug, Clone)]
+pub struct RunCtx {
+    /// The parsed command line.
+    pub opts: RunOpts,
+    pool: Pool,
+}
+
+impl Default for RunCtx {
+    /// What a binary run with no flags gets.
+    fn default() -> Self {
+        RunCtx::new(RunOpts::parse(&[], &[]).expect("an empty command line parses"))
+    }
+}
+
+impl RunCtx {
+    /// A context for `opts`, with a fresh budget of `opts.workers`.
+    #[must_use]
+    pub fn new(opts: RunOpts) -> Self {
+        let pool = Pool::new(opts.workers);
+        RunCtx { opts, pool }
+    }
+
+    /// This context with its own fresh budget of `workers` threads.
+    #[must_use]
+    pub fn with_workers(self, workers: usize) -> Self {
+        self.with_pool(Pool::new(workers))
+    }
+
+    /// This context fanning out on `pool` (tests use
+    /// [`Pool::on_host`] to force real worker threads on any host).
+    #[must_use]
+    pub fn with_pool(mut self, pool: Pool) -> Self {
+        self.opts.workers = pool.workers();
+        self.pool = pool;
+        self
+    }
+
+    /// This context with `--hugepages` set — with [`Self::with_prefetch`],
+    /// the ablation cell `enginebench` times next to the plain figure.
+    #[must_use]
+    pub fn with_huge_pages(mut self, on: bool) -> Self {
+        self.opts.huge_pages = on;
+        self
+    }
+
+    /// This context with `--prefetch <depth>` set.
+    #[must_use]
+    pub fn with_prefetch(mut self, depth: u32) -> Self {
+        self.opts.prefetch = depth;
+        self
+    }
+
+    /// This context with fault injection set as `--chaos-seed` /
+    /// `--chaos-profile` would.
+    #[must_use]
+    pub fn with_chaos(mut self, chaos: Option<ChaosConfig>) -> Self {
+        self.opts.chaos = chaos;
+        self
+    }
+
+    /// Runs independent tasks on the run's worker budget and returns
+    /// their results in task order; see [`simcore::shard`] for the
+    /// determinism contract.
+    pub fn pool<T: Send>(&self, tasks: Vec<Task<'_, T>>) -> Vec<T> {
+        self.pool.run(tasks)
+    }
+
+    /// The requested chaos config, defaulting to disabled: the form
+    /// testbed config literals splice in directly.
     #[must_use]
     pub fn chaos_or_disabled(&self) -> ChaosConfig {
-        self.chaos.unwrap_or_else(ChaosConfig::disabled)
+        self.opts.chaos.unwrap_or_else(ChaosConfig::disabled)
     }
-}
 
-/// `--trace <path>` from the process arguments, if present.
-#[must_use]
-pub fn trace_path() -> Option<PathBuf> {
-    if let Some(opts) = RunOpts::get() {
-        return opts.trace.clone();
+    /// The [`NpfConfig`] matching the memory-feature flags: defaults
+    /// plus `--hugepages` and `--prefetch`. Experiment drivers build on
+    /// this (e.g. `.with_backend(...)`) so every binary honors the
+    /// flags uniformly.
+    #[must_use]
+    pub fn npf_config(&self) -> NpfConfig {
+        NpfConfig::default()
+            .with_huge_pages(self.opts.huge_pages)
+            .with_prefetch_depth(self.opts.prefetch)
     }
-    flag_value(std::env::args().skip(1), "trace")
-}
 
-/// `--metrics <path>` from the process arguments, if present.
-#[must_use]
-pub fn metrics_path() -> Option<PathBuf> {
-    if let Some(opts) = RunOpts::get() {
-        return opts.metrics.clone();
+    /// The [`TierConfig`] requested with `--tier <mib>`, if any: an
+    /// Optane-class NVM device of that capacity in front of the swap
+    /// disk.
+    #[must_use]
+    pub fn tier_config(&self) -> Option<TierConfig> {
+        self.opts.tier_mib.map(|mib| TierConfig {
+            capacity: ByteSize::mib(mib),
+            disk: DiskConfig::nvm(),
+        })
     }
-    flag_value(std::env::args().skip(1), "metrics")
-}
 
-/// `--journal <path>` from the process arguments, if present.
-#[must_use]
-pub fn journal_path() -> Option<PathBuf> {
-    if let Some(opts) = RunOpts::get() {
-        return opts.journal.clone();
-    }
-    flag_value(std::env::args().skip(1), "journal")
-}
-
-/// Builds a [`ChaosConfig`] from `--chaos-seed` / `--chaos-profile`
-/// argv-style arguments. Returns `None` (chaos disabled) when neither
-/// flag is present; `--chaos-profile` alone uses seed 0.
-fn chaos_from_args<I: IntoIterator<Item = String>>(args: I) -> Option<ChaosConfig> {
-    let args: Vec<String> = args.into_iter().collect();
-    let seed = flag_value(args.iter().cloned(), "chaos-seed").map(|p| {
-        p.to_string_lossy()
-            .parse::<u64>()
-            .unwrap_or_else(|e| panic!("--chaos-seed must be an integer: {e}"))
-    });
-    let profile = flag_value(args, "chaos-profile").map(|p| {
-        let name = p.to_string_lossy();
-        ChaosProfile::from_name(&name)
-            .unwrap_or_else(|| panic!("unknown --chaos-profile {name:?} (try \"all\")"))
-    });
-    if seed.is_none() && profile.is_none() {
-        return None;
-    }
-    Some(ChaosConfig::profile(
-        profile.unwrap_or(ChaosProfile::All),
-        seed.unwrap_or(0),
-    ))
-}
-
-/// The fault-injection config requested on the command line, if any.
-/// On the first call with chaos enabled, prints the chosen seed so a
-/// violation can be replayed (experiments build many testbeds; one
-/// announcement is enough).
-#[must_use]
-pub fn chaos_config() -> Option<ChaosConfig> {
-    static ANNOUNCE: std::sync::Once = std::sync::Once::new();
-    let cfg = match RunOpts::get() {
-        Some(opts) => opts.chaos?,
-        None => chaos_from_args(std::env::args().skip(1))?,
-    };
-    ANNOUNCE.call_once(|| {
-        eprintln!(
-            "chaos enabled: seed {} (replay with --chaos-seed {})",
-            cfg.seed, cfg.seed
-        );
-    });
-    Some(cfg)
-}
-
-/// [`chaos_config`], defaulting to disabled: the form testbed config
-/// literals splice in directly.
-#[must_use]
-pub fn chaos_or_disabled() -> ChaosConfig {
-    chaos_config().unwrap_or_else(ChaosConfig::disabled)
-}
-
-/// Parses `--jobs <n>` from argv-style arguments. Absent → 1 (serial);
-/// `0` → all available cores.
-fn jobs_from_args<I: IntoIterator<Item = String>>(args: I) -> usize {
-    let Some(raw) = flag_value(args, "jobs") else {
-        return 1;
-    };
-    let n = raw
-        .to_string_lossy()
-        .parse::<usize>()
-        .unwrap_or_else(|e| panic!("--jobs must be an integer: {e}"));
-    if n == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        n
-    }
-}
-
-/// The worker count requested with `--jobs`, defaulting to 1.
-#[must_use]
-pub fn jobs() -> usize {
-    if let Some(opts) = RunOpts::get() {
-        return opts.jobs;
-    }
-    jobs_from_args(std::env::args().skip(1))
-}
-
-/// Parses an on/off switch value (`on`, `true`, `1` / `off`, `false`,
-/// `0`).
-fn parse_switch(v: &str) -> Option<bool> {
-    match v {
-        "on" | "true" | "1" => Some(true),
-        "off" | "false" | "0" => Some(false),
-        _ => None,
-    }
-}
-
-thread_local! {
-    static SHARDS_OVERRIDE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-    /// `(huge_pages, prefetch_depth, tier_mib)` forced by
-    /// [`with_mem_features`] on this thread.
-    static MEM_FEATURES_OVERRIDE: std::cell::Cell<Option<(bool, u32, Option<u64>)>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// Runs `body` with [`huge_pages`], [`prefetch_depth`], and
-/// [`tier_mib`] forced on this thread — `enginebench` uses this to run
-/// the same figure with and without the memory features inside one
-/// process (the ablation cells).
-pub fn with_mem_features<R>(
-    huge: bool,
-    prefetch: u32,
-    tier_mib_override: Option<u64>,
-    body: impl FnOnce() -> R,
-) -> R {
-    let prev = MEM_FEATURES_OVERRIDE.with(|c| c.replace(Some((huge, prefetch, tier_mib_override))));
-    let out = body();
-    MEM_FEATURES_OVERRIDE.with(|c| c.set(prev));
-    out
-}
-
-/// `--hugepages on`: whether 2 MiB huge-page folding is enabled.
-/// Defaults to off, so existing figures stay byte-identical.
-#[must_use]
-pub fn huge_pages() -> bool {
-    if let Some((huge, _, _)) = MEM_FEATURES_OVERRIDE.with(std::cell::Cell::get) {
-        return huge;
-    }
-    if let Some(opts) = RunOpts::get() {
-        return opts.huge_pages;
-    }
-    flag_value(std::env::args().skip(1), "hugepages")
-        .and_then(|v| parse_switch(&v.to_string_lossy()))
-        .unwrap_or(false)
-}
-
-/// `--prefetch <depth>`: the speculative NPF prefetch depth in pages.
-/// Defaults to 0 (disabled).
-#[must_use]
-pub fn prefetch_depth() -> u32 {
-    if let Some((_, depth, _)) = MEM_FEATURES_OVERRIDE.with(std::cell::Cell::get) {
-        return depth;
-    }
-    if let Some(opts) = RunOpts::get() {
-        return opts.prefetch;
-    }
-    flag_value(std::env::args().skip(1), "prefetch")
-        .and_then(|v| v.to_string_lossy().parse::<u32>().ok())
-        .unwrap_or(0)
-}
-
-/// `--tier <mib>`: the NVM backing-tier capacity in MiB, if tiering is
-/// enabled.
-#[must_use]
-pub fn tier_mib() -> Option<u64> {
-    if let Some((_, _, tier)) = MEM_FEATURES_OVERRIDE.with(std::cell::Cell::get) {
-        return tier.filter(|&mib| mib > 0);
-    }
-    if let Some(opts) = RunOpts::get() {
-        return opts.tier_mib;
-    }
-    flag_value(std::env::args().skip(1), "tier")
-        .and_then(|v| v.to_string_lossy().parse::<u64>().ok())
-        .filter(|&mib| mib > 0)
-}
-
-/// The [`NpfConfig`] matching the command line's memory-feature flags:
-/// defaults plus `--hugepages` and `--prefetch`. Experiment drivers
-/// build on this (e.g. `.with_backend(...)`) so every binary honors
-/// the flags uniformly.
-#[must_use]
-pub fn npf_config() -> NpfConfig {
-    NpfConfig::default()
-        .with_huge_pages(huge_pages())
-        .with_prefetch_depth(prefetch_depth())
-}
-
-/// The [`TierConfig`] requested with `--tier <mib>`, if any: an
-/// Optane-class NVM device of that capacity in front of the swap disk.
-#[must_use]
-pub fn tier_config() -> Option<TierConfig> {
-    tier_mib().map(|mib| TierConfig {
-        capacity: ByteSize::mib(mib),
-        disk: DiskConfig::nvm(),
-    })
-}
-
-/// The [`FabricProfile`] matching the command line's lossy-fabric
-/// flags: lossless by default, `--loss <p>` for random loss, `--pfc on`
-/// for 802.1Qbb flow control, `--ecn on` for marking at the default
-/// queueing-delay threshold. The lenient fallback (test contexts) scans
-/// argv the same way the strict parser does.
-#[must_use]
-pub fn fabric_profile() -> FabricProfile {
-    let (loss, pfc, ecn) = match RunOpts::get() {
-        Some(opts) => (opts.loss, opts.pfc, opts.ecn),
-        None => {
-            let loss = flag_value(std::env::args().skip(1), "loss")
-                .and_then(|v| v.to_string_lossy().parse::<f64>().ok())
-                .unwrap_or(0.0);
-            let pfc = flag_value(std::env::args().skip(1), "pfc")
-                .and_then(|v| parse_switch(&v.to_string_lossy()))
-                .unwrap_or(false);
-            let ecn = flag_value(std::env::args().skip(1), "ecn")
-                .and_then(|v| parse_switch(&v.to_string_lossy()))
-                .unwrap_or(false);
-            (loss, pfc, ecn)
+    /// The [`FabricProfile`] matching the lossy-fabric flags: lossless
+    /// by default, `--loss <p>` for random loss, `--pfc on` for
+    /// 802.1Qbb flow control, `--ecn on` for marking at the default
+    /// queueing-delay threshold.
+    #[must_use]
+    pub fn fabric_profile(&self) -> FabricProfile {
+        let mut profile = FabricProfile::default()
+            .with_loss(self.opts.loss)
+            .with_pfc(self.opts.pfc);
+        if self.opts.ecn {
+            profile = profile.with_ecn(Some(simcore::time::SimDuration::from_micros(20)));
         }
-    };
-    let mut profile = FabricProfile::default().with_loss(loss).with_pfc(pfc);
-    if ecn {
-        profile = profile.with_ecn(Some(simcore::time::SimDuration::from_micros(20)));
+        profile
     }
-    profile
-}
 
-/// The [`TransportConfig`] matching `--transport <gbn|irn>`: the
-/// default BDP cap with the requested discipline.
-#[must_use]
-pub fn transport_config() -> TransportConfig {
-    let transport = match RunOpts::get() {
-        Some(opts) => opts.transport,
-        None => flag_value(std::env::args().skip(1), "transport")
-            .and_then(|v| RdmaTransport::from_name(&v.to_string_lossy()))
-            .unwrap_or_default(),
-    };
-    TransportConfig::default().with_transport(transport)
-}
-
-/// Runs `body` with [`shards`] forced to `n` on this thread —
-/// `enginebench` uses this to time the same figure at several shard
-/// counts inside one process.
-pub fn with_shards<R>(n: usize, body: impl FnOnce() -> R) -> R {
-    let prev = SHARDS_OVERRIDE.with(|c| c.replace(Some(n)));
-    let out = body();
-    SHARDS_OVERRIDE.with(|c| c.set(prev));
-    out
-}
-
-/// The intra-run shard count requested with `--shards`, defaulting to 1
-/// (serial; byte-identical to every other value). `0` → all cores.
-#[must_use]
-pub fn shards() -> usize {
-    if let Some(n) = SHARDS_OVERRIDE.with(std::cell::Cell::get) {
-        return n;
-    }
-    if let Some(opts) = RunOpts::get() {
-        return opts.shards;
-    }
-    let Some(raw) = flag_value(std::env::args().skip(1), "shards") else {
-        return 1;
-    };
-    let n = raw
-        .to_string_lossy()
-        .parse::<usize>()
-        .unwrap_or_else(|e| panic!("--shards must be an integer: {e}"));
-    if n == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        n
+    /// The [`TransportConfig`] matching `--transport <gbn|irn>`: the
+    /// default BDP cap with the requested discipline (go-back-N when
+    /// the flag is absent).
+    #[must_use]
+    pub fn transport_config(&self) -> TransportConfig {
+        TransportConfig::default().with_transport(self.opts.transport.unwrap_or_default())
     }
 }
 
-/// Builds the [`simcore::shard::IsolationSpec`] matching whatever
-/// instrumentation is installed on the **current** thread, so a shard
-/// pool reproduces the caller's environment per LP: recording when the
-/// caller records, checking under the caller's chaos seed, journaling
-/// (with the caller's watchdog) when the caller journals. Shard workers
-/// run each LP under fresh instruments built from this spec; the pool
-/// absorbs them back into the caller's in LP order.
-#[must_use]
-pub fn isolation_spec() -> simcore::shard::IsolationSpec {
-    simcore::shard::IsolationSpec {
-        record: trace::enabled(),
-        ring_capacity: DEFAULT_CAPACITY,
-        chaos_seed: invariant::with(|c| c.seed()),
-        journal: journal::enabled(),
-        watchdog: journal::enabled()
-            .then(|| {
-                let mut w = None;
-                journal::with(|j| w = j.watchdog());
-                w
-            })
-            .flatten(),
-    }
+/// Installs the invariant checker a chaos run executes under, and
+/// prints the chosen seed so a violation can be replayed.
+pub(crate) fn install_checker(cfg: ChaosConfig) {
+    eprintln!(
+        "chaos enabled: seed {} (replay with --chaos-seed {})",
+        cfg.seed, cfg.seed
+    );
+    assert!(
+        invariant::install(InvariantChecker::new(cfg.seed)).is_none(),
+        "an invariant checker was already installed"
+    );
 }
 
 fn write_or_warn(path: &Path, what: &str, contents: &str) {
@@ -778,40 +507,31 @@ fn write_or_warn(path: &Path, what: &str, contents: &str) {
     }
 }
 
-/// Runs `body` with tracing installed when `--trace`/`--metrics` are
-/// present in argv, exporting the requested files afterwards. Without
-/// either flag this is a plain call to `body` (tracing stays disabled,
-/// so instrumentation costs one branch per site).
+/// Runs `body` under the instruments the flags ask for and exports
+/// them afterwards: a trace recorder for `--trace`/`--metrics`, a fault
+/// journal for `--journal`. Without any of them this is a plain call to
+/// `body` (instrumentation costs one branch per site).
 ///
-/// When `--chaos-seed`/`--chaos-profile` are present, also installs a
-/// global [`InvariantChecker`] around `body`: a violation prints the
-/// failing seed (plus the trace ring, when recording) and the process
-/// exits nonzero, so chaos-enabled experiment runs are CI-able.
-pub fn run<R>(body: impl FnOnce() -> R) -> R {
-    let chaos = chaos_config();
-    if let Some(cfg) = chaos {
+/// With `--chaos-seed`/`--chaos-profile`, also installs an
+/// [`InvariantChecker`] around `body`: a violation prints the failing
+/// seed (plus the trace ring, when recording) and the process exits
+/// nonzero, so chaos-enabled experiment runs are CI-able.
+///
+/// Whatever `body` fans out through [`RunCtx::pool`] runs under fresh
+/// copies of these instruments and is absorbed back in task order, so
+/// the exported files are byte-identical at every worker count.
+pub fn run<R>(ctx: &RunCtx, body: impl FnOnce() -> R) -> R {
+    let opts = &ctx.opts;
+    if let Some(cfg) = opts.chaos {
+        install_checker(cfg);
+    }
+    if opts.trace.is_some() || opts.metrics.is_some() {
         assert!(
-            invariant::install(InvariantChecker::new(cfg.seed)).is_none(),
-            "an invariant checker was already installed"
+            trace::install(TraceRecorder::new(DEFAULT_CAPACITY)).is_none(),
+            "a trace recorder was already installed"
         );
     }
-    let trace_to = trace_path();
-    let metrics_to = metrics_path();
-    let journal_to = journal_path();
-    if trace_to.is_none() && metrics_to.is_none() && journal_to.is_none() {
-        let out = body();
-        if finish_chaos(chaos) {
-            std::process::exit(1);
-        }
-        return out;
-    }
-    let record = trace_to.is_some() || metrics_to.is_some();
-    let prev = if record {
-        trace::install(TraceRecorder::new(DEFAULT_CAPACITY))
-    } else {
-        None
-    };
-    if journal_to.is_some() {
+    if opts.journal.is_some() {
         assert!(
             journal::install(JournalRecorder::new()).is_none(),
             "a fault journal was already installed"
@@ -819,37 +539,32 @@ pub fn run<R>(body: impl FnOnce() -> R) -> R {
     }
     let out = body();
     // Settle chaos while the recorder is still installed, so a
-    // violation discovered by `finish()` can dump the trace ring.
-    let violated = finish_chaos(chaos);
-    let journal_rec = journal_to
-        .is_some()
-        .then(|| journal::uninstall().expect("journal installed above"));
-    if record {
-        let recorder = trace::uninstall().expect("recorder installed above");
-        if let Some(prev) = prev {
-            trace::install(prev);
-        }
-        if let Some(path) = trace_to {
+    // violation discovered here can dump the trace ring.
+    let violated = opts.chaos.is_some_and(|cfg| {
+        let checker = invariant::uninstall().expect("checker installed above");
+        report_chaos(cfg, &checker)
+    });
+    if let Some(recorder) = trace::uninstall() {
+        if let Some(path) = &opts.trace {
             if recorder.dropped() > 0 {
                 eprintln!(
                     "trace ring wrapped: {} oldest records dropped",
                     recorder.dropped()
                 );
             }
-            write_or_warn(&path, "chrome trace", &recorder.export_chrome_json());
+            write_or_warn(path, "chrome trace", &recorder.export_chrome_json());
         }
-        if let Some(path) = metrics_to {
-            let is_csv = path.extension().is_some_and(|e| e == "csv");
-            let contents = if is_csv {
+        if let Some(path) = &opts.metrics {
+            let contents = if path.extension().is_some_and(|e| e == "csv") {
                 recorder.metrics().to_csv()
             } else {
                 recorder.metrics().to_json()
             };
-            write_or_warn(&path, "metrics", &contents);
+            write_or_warn(path, "metrics", &contents);
         }
     }
-    if let (Some(path), Some(j)) = (journal_to.as_deref(), journal_rec.as_ref()) {
-        finish_journal(j, path, violated);
+    if let (Some(path), Some(j)) = (&opts.journal, journal::uninstall()) {
+        finish_journal(&j, path, violated);
     }
     if violated {
         std::process::exit(1);
@@ -877,22 +592,6 @@ fn finish_journal(j: &JournalRecorder, path: &Path, violated: bool) {
     write_or_warn(path, "fault journal", &contents);
 }
 
-/// Uninstalls the chaos invariant checker (when one was installed),
-/// runs its end-of-run predicates, and reports. Returns `true` when
-/// any invariant was violated.
-fn finish_chaos(chaos: Option<ChaosConfig>) -> bool {
-    let Some(cfg) = chaos else {
-        return false;
-    };
-    let checker = invariant::uninstall().expect("checker installed by run()");
-    report_chaos(
-        cfg,
-        checker.outstanding_faults() as u64,
-        checker.violations().len() as u64,
-        checker.checks(),
-    )
-}
-
 /// Prints the end-of-run chaos verdict. Returns `true` when any
 /// invariant was violated.
 ///
@@ -900,13 +599,15 @@ fn finish_chaos(chaos: Option<ChaosConfig>) -> bool {
 /// in-flight NPFs at the cut are expected — report them as context,
 /// not as `finish()`'s liveness violation (the sweep tests, which do
 /// hunt a quiescent cut, assert that predicate instead).
-fn report_chaos(cfg: ChaosConfig, outstanding: u64, violations: u64, checks: u64) -> bool {
+fn report_chaos(cfg: ChaosConfig, checker: &InvariantChecker) -> bool {
+    let outstanding = checker.outstanding_faults();
     if outstanding > 0 {
         eprintln!(
             "chaos seed {}: {outstanding} NPFs still in flight at the horizon",
             cfg.seed
         );
     }
+    let violations = checker.violations().len();
     if violations > 0 {
         eprintln!(
             "chaos seed {}: {violations} invariant violation(s) — replay with --chaos-seed {}",
@@ -915,68 +616,20 @@ fn report_chaos(cfg: ChaosConfig, outstanding: u64, violations: u64, checks: u64
         return true;
     }
     eprintln!(
-        "chaos seed {}: no invariant violations ({checks} checks)",
-        cfg.seed
+        "chaos seed {}: no invariant violations ({} checks)",
+        cfg.seed,
+        checker.checks()
     );
     false
 }
 
-/// Runs a binary's experiment points through [`crate::par_runner`] with
-/// everything argv asks for — `--jobs` workers, per-task chaos
-/// checkers, per-task trace recorders — then hands the reports (in
-/// task order) to `emit` for printing and settles trace export and the
-/// chaos verdict exactly like [`run`]: stdout first, chaos verdict on
-/// stderr, trace/metrics files, then a nonzero exit on violation.
-///
-/// The merge is deterministic in task order, so a binary's stdout,
-/// trace file, and metrics file are byte-identical at every `--jobs`
-/// value.
-pub fn run_tasks(tasks: Vec<crate::par_runner::Task>, emit: impl FnOnce(Vec<crate::Report>)) {
-    let chaos = chaos_config();
-    let trace_to = trace_path();
-    let metrics_to = metrics_path();
-    let journal_to = journal_path();
-    let record = trace_to.is_some() || metrics_to.is_some();
-    let journal_spec = journal_to
-        .is_some()
-        .then(crate::par_runner::JournalSpec::default);
-    let outcome =
-        crate::par_runner::run(tasks, jobs(), chaos, record, DEFAULT_CAPACITY, journal_spec);
-    emit(outcome.reports);
-    let violated = chaos.is_some_and(|cfg| {
-        report_chaos(
-            cfg,
-            outcome.outstanding_faults,
-            outcome.violations,
-            outcome.checks,
-        )
-    });
-    if let Some(recorder) = outcome.recorder {
-        if let Some(path) = trace_to {
-            if recorder.dropped() > 0 {
-                eprintln!(
-                    "trace ring wrapped: {} oldest records dropped",
-                    recorder.dropped()
-                );
-            }
-            write_or_warn(&path, "chrome trace", &recorder.export_chrome_json());
-        }
-        if let Some(path) = metrics_to {
-            let is_csv = path.extension().is_some_and(|e| e == "csv");
-            let contents = if is_csv {
-                recorder.metrics().to_csv()
-            } else {
-                recorder.metrics().to_json()
-            };
-            write_or_warn(&path, "metrics", &contents);
-        }
-    }
-    if let (Some(path), Some(j)) = (journal_to.as_deref(), outcome.journal.as_ref()) {
-        finish_journal(j, path, violated);
-    }
-    if violated {
-        std::process::exit(1);
-    }
+/// [`run`] for a binary whose body is a list of report-producing
+/// experiment points: fans them over the worker budget and hands the
+/// reports (in task order) to `emit` for printing, then settles exactly
+/// like [`run`] — stdout first, chaos verdict on stderr, trace/metrics
+/// files, then a nonzero exit on violation.
+pub fn run_tasks(ctx: &RunCtx, tasks: Vec<Task<'_, Report>>, emit: impl FnOnce(Vec<Report>)) {
+    run(ctx, || emit(ctx.pool(tasks)));
 }
 
 #[cfg(test)]
@@ -988,39 +641,34 @@ mod tests {
     }
 
     #[test]
-    fn parses_space_and_equals_forms() {
-        assert_eq!(
-            flag_value(argv(&["--trace", "/tmp/t.json"]), "trace"),
-            Some(PathBuf::from("/tmp/t.json"))
-        );
-        assert_eq!(
-            flag_value(argv(&["--trace=/tmp/t.json"]), "trace"),
-            Some(PathBuf::from("/tmp/t.json"))
-        );
-        assert_eq!(flag_value(argv(&["--other", "x"]), "trace"), None);
-        assert_eq!(flag_value(argv(&["--trace"]), "trace"), None);
+    fn help_lists_every_standard_flag_once() {
+        let help = usage("bench", &["out"]);
+        assert_eq!(STANDARD_FLAGS.len(), 18);
+        for (name, ..) in STANDARD_FLAGS {
+            assert_eq!(help.matches(&format!("\n  --{name} ")).count(), 1, "{name}");
+        }
+        assert!(help.contains("\n  --out <value>\n"), "{help}");
     }
 
     #[test]
     fn parses_chaos_flags() {
-        assert_eq!(chaos_from_args(argv(&["--foo", "1"])), None);
-        let cfg = chaos_from_args(argv(&["--chaos-seed", "42"])).expect("enabled");
+        let chaos = |items: &[&str]| RunOpts::parse(&argv(items), &[]).expect("valid").chaos;
+        assert_eq!(chaos(&["--jobs", "1"]), None);
+        let cfg = chaos(&["--chaos-seed", "42"]).expect("enabled");
         assert_eq!(cfg.seed, 42);
         assert!(cfg.enabled());
-        let cfg =
-            chaos_from_args(argv(&["--chaos-seed=7", "--chaos-profile=network"])).expect("enabled");
+        let cfg = chaos(&["--chaos-seed=7", "--chaos-profile=network"]).expect("enabled");
         assert_eq!(cfg.seed, 7);
         assert!(cfg.net.active());
         assert!(!cfg.interrupt.active());
-        let cfg = chaos_from_args(argv(&["--chaos-profile", "irq"])).expect("enabled");
+        let cfg = chaos(&["--chaos-profile", "irq"]).expect("enabled");
         assert!(cfg.interrupt.active());
         assert_eq!(cfg.seed, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown --chaos-profile")]
-    fn rejects_unknown_profile() {
-        let _ = chaos_from_args(argv(&["--chaos-profile", "gremlins"]));
+        let bad = RunOpts::parse(&argv(&["--chaos-profile", "gremlins"]), &[]).unwrap_err();
+        assert!(
+            bad.contains("--chaos-profile \"gremlins\" is unknown"),
+            "{bad}"
+        );
     }
 
     #[test]
@@ -1049,8 +697,7 @@ mod tests {
         .expect("all standard flags");
         assert_eq!(opts.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(opts.metrics, Some(PathBuf::from("/tmp/m.csv")));
-        assert_eq!(opts.jobs, 4);
-        assert_eq!(opts.shards, 2);
+        assert_eq!(opts.workers, 4);
         assert_eq!(opts.tenants, Some(256));
         assert_eq!(opts.arbiter, Some(ArbiterPolicy::WeightedFair));
         assert_eq!(opts.quota, Some(64));
@@ -1059,6 +706,21 @@ mod tests {
         assert!(opts.huge_pages);
         assert_eq!(opts.prefetch, 16);
         assert_eq!(opts.tier_mib, Some(2048));
+    }
+
+    #[test]
+    fn jobs_and_shards_name_one_budget() {
+        let workers = |items: &[&str]| RunOpts::parse(&argv(items), &[]).expect("valid").workers;
+        assert_eq!(workers(&[]), 1);
+        assert_eq!(workers(&["--jobs", "3"]), 3);
+        assert_eq!(workers(&["--shards", "3"]), 3);
+        assert_eq!(workers(&["--jobs", "2", "--shards", "5"]), 5);
+        assert_eq!(
+            workers(&["--jobs", "0"]),
+            simcore::shard::host_parallelism()
+        );
+        let bad = RunOpts::parse(&argv(&["--shards", "many"]), &[]).unwrap_err();
+        assert!(bad.contains("--shards must be an integer"), "{bad}");
     }
 
     #[test]
@@ -1071,28 +733,26 @@ mod tests {
         let opts = RunOpts::parse(&argv(&["--tier", "0"]), &[]).expect("tier 0");
         assert_eq!(opts.tier_mib, None);
         let bad = RunOpts::parse(&argv(&["--hugepages", "maybe"]), &[]).unwrap_err();
-        assert!(bad.contains("--hugepages"), "{bad}");
+        assert!(bad.contains("--hugepages must be on|off"), "{bad}");
         let bad = RunOpts::parse(&argv(&["--prefetch", "lots"]), &[]).unwrap_err();
         assert!(bad.contains("--prefetch must be an integer"), "{bad}");
     }
 
     #[test]
-    fn mem_feature_overrides_scope_to_the_closure() {
-        assert!(!huge_pages());
-        assert_eq!(prefetch_depth(), 0);
-        assert_eq!(tier_mib(), None);
-        with_mem_features(true, 32, Some(1024), || {
-            assert!(huge_pages());
-            assert_eq!(prefetch_depth(), 32);
-            assert_eq!(tier_mib(), Some(1024));
-            let npf = npf_config();
-            assert!(npf.huge_pages);
-            assert_eq!(npf.prefetch_depth, 32);
-            let tier = tier_config().expect("tier on");
-            assert_eq!(tier.capacity, ByteSize::mib(1024));
-        });
-        assert!(!huge_pages());
-        assert!(tier_config().is_none());
+    fn mem_feature_knobs_reach_the_configs() {
+        let plain = RunCtx::default();
+        assert!(!plain.npf_config().huge_pages);
+        assert_eq!(plain.npf_config().prefetch_depth, 0);
+        assert!(plain.tier_config().is_none());
+        let ctx = plain.clone().with_huge_pages(true).with_prefetch(32);
+        let npf = ctx.npf_config();
+        assert!(npf.huge_pages);
+        assert_eq!(npf.prefetch_depth, 32);
+        // The setters changed a clone, not the value it came from.
+        assert!(!plain.npf_config().huge_pages);
+        let tiered = RunCtx::new(RunOpts::parse(&argv(&["--tier", "1024"]), &[]).expect("tier"));
+        let tier = tiered.tier_config().expect("tier on");
+        assert_eq!(tier.capacity, ByteSize::mib(1024));
     }
 
     #[test]
@@ -1102,14 +762,14 @@ mod tests {
             &[],
         )
         .expect("lossy transport flags");
-        assert_eq!(opts.transport, RdmaTransport::SelectiveRepeat);
+        assert_eq!(opts.transport, Some(RdmaTransport::SelectiveRepeat));
         assert!((opts.loss - 0.01).abs() < 1e-12);
         assert!(opts.ecn);
         assert!(!opts.pfc);
 
         let opts = RunOpts::parse(&argv(&["--pfc", "on"]), &[]).expect("pfc alone");
         assert!(opts.pfc);
-        assert_eq!(opts.transport, RdmaTransport::GoBackN);
+        assert_eq!(opts.transport, None);
 
         let bad = RunOpts::parse(&argv(&["--transport", "tcp"]), &[]).unwrap_err();
         assert!(bad.contains("--transport must be gbn|irn"), "{bad}");
@@ -1121,25 +781,25 @@ mod tests {
 
     #[test]
     fn transport_defaults_reproduce_the_legacy_fabric() {
-        let opts = RunOpts::parse(&[], &[]).expect("empty argv");
-        assert_eq!(opts.transport, RdmaTransport::GoBackN);
-        assert_eq!(opts.loss, 0.0);
-        assert!(!opts.pfc);
-        assert!(!opts.ecn);
-        // The accessor view: a transparent profile and a GBN transport.
-        assert!(fabric_profile().is_lossless_default());
-        assert_eq!(transport_config().transport, RdmaTransport::GoBackN);
+        let ctx = RunCtx::new(RunOpts::parse(&[], &[]).expect("empty argv"));
+        assert_eq!(ctx.opts.transport, None);
+        assert_eq!(ctx.opts.loss, 0.0);
+        assert!(!ctx.opts.pfc);
+        assert!(!ctx.opts.ecn);
+        // The config view: a transparent profile and a GBN transport.
+        assert!(ctx.fabric_profile().is_lossless_default());
+        assert_eq!(ctx.transport_config().transport, RdmaTransport::GoBackN);
     }
 
     #[test]
     fn runopts_defaults_when_argv_is_empty() {
-        let opts = RunOpts::parse(&[], &[]).expect("empty argv is fine");
+        let ctx = RunCtx::new(RunOpts::parse(&[], &[]).expect("empty argv is fine"));
+        let opts = &ctx.opts;
         assert_eq!(opts.trace, None);
         assert_eq!(opts.metrics, None);
         assert!(opts.chaos.is_none());
-        assert!(!opts.chaos_or_disabled().enabled());
-        assert_eq!(opts.jobs, 1);
-        assert_eq!(opts.shards, 1);
+        assert!(!ctx.chaos_or_disabled().enabled());
+        assert_eq!(opts.workers, 1);
         assert_eq!(opts.tenants, None);
         assert_eq!(opts.arbiter, None);
         assert_eq!(opts.quota, None);
@@ -1184,7 +844,7 @@ mod tests {
 
     #[test]
     fn run_without_flags_leaves_tracing_disabled() {
-        let r = run(|| {
+        let r = run(&RunCtx::default(), || {
             assert!(!trace::enabled());
             7
         });

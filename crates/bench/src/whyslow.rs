@@ -11,12 +11,12 @@
 //! and `--check` pins it against a committed golden copy.
 
 use npf_core::ArbiterPolicy;
-use simcore::chaos::ChaosConfig;
-use simcore::journal::{JournalRecorder, JournalWatchdog};
+use simcore::chaos::invariant;
+use simcore::journal::{self, JournalRecorder, JournalWatchdog};
 use simcore::time::SimDuration;
 
-use crate::par_runner::{self, task, JournalSpec};
 use crate::scale;
+use crate::tracectl::{self, task, RunCtx};
 
 /// The seeds a whyslow run shards across (matching the scale sweep).
 pub const DEFAULT_SEEDS: &[u64] = &[1, 2];
@@ -44,38 +44,46 @@ pub fn scenario_tenants(name: &str) -> Result<u32, String> {
     }
 }
 
-/// Runs the scenario's cells — one task per seed, each an independent
-/// [`scale::run_cell`] with its own journal — and returns the merged
-/// journal plus the chaos tallies from the runner.
+/// Runs the scenario's cells — one pool task per seed, each an
+/// independent [`scale::run_cell`] under its own journal (armed with
+/// the `budget` SLO watchdog, if any) and, when `ctx` asks for chaos,
+/// its own invariant checker — and returns the journal merged in seed
+/// order plus the number of invariant violations.
 ///
 /// # Panics
 ///
-/// Panics when the runner fails to return the requested journal — a
-/// whyslow bug, not an input error.
+/// Panics when the calling thread already has a journal or checker
+/// installed.
 #[must_use]
 pub fn run_scenario(
+    ctx: &RunCtx,
     tenants: u32,
     seeds: &[u64],
     policy: ArbiterPolicy,
     budget: Option<SimDuration>,
-    jobs: usize,
-    chaos: Option<ChaosConfig>,
-) -> (JournalRecorder, par_runner::RunOutcome) {
-    let tasks: Vec<par_runner::Task> = seeds
-        .iter()
-        .map(|&seed| {
-            task("whyslow_cell", move || {
-                let _ = scale::run_cell_chaos(tenants, seed, policy, Some(16), chaos);
-                crate::Report::new("", "")
-            })
-        })
-        .collect();
-    let spec = JournalSpec {
-        watchdog: budget.map(|budget| JournalWatchdog { budget }),
-    };
-    let mut outcome = par_runner::run(tasks, jobs, chaos, false, 1 << 16, Some(spec));
-    let journal = outcome.journal.take().expect("journal requested above");
-    (journal, outcome)
+) -> (JournalRecorder, usize) {
+    let mut root = JournalRecorder::new();
+    if let Some(budget) = budget {
+        root.set_watchdog(JournalWatchdog { budget });
+    }
+    assert!(
+        journal::install(root).is_none(),
+        "a fault journal was already installed"
+    );
+    if let Some(cfg) = ctx.opts.chaos {
+        tracectl::install_checker(cfg);
+    }
+    ctx.pool(
+        seeds
+            .iter()
+            .map(|&seed| task(move || scale::run_cell(ctx, tenants, seed, policy, Some(16))))
+            .collect(),
+    );
+    let violations = invariant::uninstall().map_or(0, |c| c.violations().len());
+    (
+        journal::uninstall().expect("journal installed above"),
+        violations,
+    )
 }
 
 /// Faults whose phase sums disagree with their end-to-end latency.
@@ -123,15 +131,14 @@ mod tests {
 
     #[test]
     fn small_scenario_attributes_every_fault_exactly() {
-        let (journal, outcome) = run_scenario(
+        let (journal, violations) = run_scenario(
+            &RunCtx::default(),
             SMALL_TENANTS,
             &[1],
             ArbiterPolicy::WeightedFair,
             None,
-            1,
-            None,
         );
-        assert_eq!(outcome.reports.len(), 1);
+        assert_eq!(violations, 0);
         assert!(!journal.faults().is_empty(), "cold rings must fault");
         assert_eq!(exact_sum_violations(&journal), 0);
         assert_eq!(journal.unbalanced_faults(), 0);
@@ -142,14 +149,14 @@ mod tests {
 
     #[test]
     fn artifact_is_byte_identical_across_jobs() {
-        let render = |jobs| {
+        let render = |host| {
+            let ctx = RunCtx::default().with_pool(simcore::shard::Pool::on_host(4, host));
             let (journal, _) = run_scenario(
+                &ctx,
                 SMALL_TENANTS,
                 DEFAULT_SEEDS,
                 ArbiterPolicy::WeightedFair,
                 Some(SimDuration::from_micros(50)),
-                jobs,
-                None,
             );
             render_artifact(
                 SMALL_TENANTS,
@@ -158,6 +165,7 @@ mod tests {
                 &journal,
             )
         };
+        // One hardware thread runs the cells inline; four spawn workers.
         assert_eq!(render(1), render(4));
     }
 

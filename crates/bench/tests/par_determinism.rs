@@ -7,17 +7,18 @@
 //!
 //! * end-to-end through a real binary (`ablations`, six tasks), with
 //!   `--metrics`/`--trace` export and with a chaos profile armed;
-//! * in-process through [`npf_bench::par_runner`] with fault injection
-//!   actually firing (the binaries' ablation testbeds don't take a
-//!   chaos config, so injection equivalence needs a direct testbed).
+//! * in-process through the worker pool with fault injection actually
+//!   firing (the binaries' ablation testbeds don't take a chaos
+//!   config, so injection equivalence needs a direct testbed).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::Command;
 
-use npf_bench::par_runner;
 use npf_bench::report::Report;
-use simcore::chaos::{ChaosConfig, ChaosProfile};
+use simcore::chaos::{invariant, ChaosConfig, ChaosProfile, InvariantChecker};
+use simcore::shard::{task, Pool, Task};
+use simcore::trace::{self, TraceRecorder};
 use simcore::units::ByteSize;
 
 /// Output of one binary run: stdout, the chaos-relevant stderr lines,
@@ -103,8 +104,8 @@ fn ablations_binary_is_byte_identical_across_jobs_under_chaos() {
 
 /// A small two-node IB transfer with fault injection armed through the
 /// testbed config (not argv), so chaos actually fires inside the task.
-fn chaos_ib_task(seed: u64) -> par_runner::Task {
-    par_runner::task("chaos_ib", move || {
+fn chaos_ib_task(seed: u64) -> Task<'static, Report> {
+    task(move || {
         use rdmasim::types::{RcConfig, SendOp, WcStatus};
         use testbed::ib::{IbCluster, IbConfig};
         let mut c = IbCluster::new(
@@ -156,32 +157,36 @@ fn chaos_ib_task(seed: u64) -> par_runner::Task {
     })
 }
 
-/// Renders everything observable about a run into one comparable blob.
-fn fingerprint(outcome: &par_runner::RunOutcome) -> String {
-    let reports = outcome
-        .reports
+/// Runs four chaos tasks on `pool` under a caller-side recorder and
+/// checker, as `tracectl::run` would install them, and renders
+/// everything observable about the run into one comparable blob.
+fn fingerprint(pool: &Pool) -> (String, Vec<Report>, u64) {
+    assert!(trace::install(TraceRecorder::new(1 << 16)).is_none());
+    assert!(invariant::install(InvariantChecker::new(21)).is_none());
+    let reports = pool.run((0..4).map(|i| chaos_ib_task(21 + i)).collect());
+    let checker = invariant::uninstall().expect("installed above");
+    let recorder = trace::uninstall().expect("installed above");
+    let rendered = reports
         .iter()
         .map(Report::render)
         .collect::<Vec<_>>()
         .join("\n");
-    let recorder = outcome.recorder.as_ref().expect("recording enabled");
-    format!(
-        "{reports}\n---\nviolations={} checks={} outstanding={}\n---\n{}\n---\n{}",
-        outcome.violations,
-        outcome.checks,
-        outcome.outstanding_faults,
+    let blob = format!(
+        "{rendered}\n---\nviolations={} checks={} outstanding={}\n---\n{}\n---\n{}",
+        checker.violations().len(),
+        checker.checks(),
+        checker.outstanding_faults(),
         recorder.metrics().to_json(),
         recorder.export_chrome_json(),
-    )
+    );
+    (blob, reports, checker.checks())
 }
 
 #[test]
 fn injected_chaos_runs_are_identical_across_jobs() {
-    let cfg = ChaosConfig::profile(ChaosProfile::All, 21);
-    let tasks = |n: u64| (0..n).map(|i| chaos_ib_task(21 + i)).collect::<Vec<_>>();
-    let serial = par_runner::run(tasks(4), 1, Some(cfg), true, 1 << 16, None);
-    let parallel = par_runner::run(tasks(4), 4, Some(cfg), true, 1 << 16, None);
-    let (fs, fp) = (fingerprint(&serial), fingerprint(&parallel));
+    let (fs, reports, checks) = fingerprint(&Pool::on_host(1, 4));
+    // `on_host` makes the four workers real threads on a 1-core host too.
+    let (fp, _, _) = fingerprint(&Pool::on_host(4, 4));
     if fs != fp {
         std::fs::write("/tmp/fp_serial.txt", &fs).ok();
         std::fs::write("/tmp/fp_parallel.txt", &fp).ok();
@@ -191,12 +196,12 @@ fn injected_chaos_runs_are_identical_across_jobs() {
         "injected chaos must merge identically at every job count"
     );
     assert!(
-        serial.checks > 0,
+        checks > 0,
         "the invariant checker actually observed the runs"
     );
     // The report bodies differ per seed, so merge order is observable.
     let mut seen = HashMap::new();
-    for r in &serial.reports {
+    for r in &reports {
         *seen.entry(r.render()).or_insert(0u32) += 1;
     }
     assert_eq!(seen.len(), 4, "per-seed tasks produced distinct reports");

@@ -3,34 +3,21 @@
 //! render a byte-identical artifact whether the cells run serially or
 //! across four workers.
 
-use std::sync::Mutex;
-
-use npf_bench::par_runner::{self, task};
-use npf_bench::scale::{self, ScaleCell};
+use npf_bench::scale;
+use npf_bench::tracectl::{task, RunCtx};
 use npf_core::ArbiterPolicy;
+use simcore::shard::Pool;
 
-fn sweep(jobs: usize) -> String {
-    let seeds: &[u64] = &[1, 2, 3, 4];
-    let cells: &'static Mutex<Vec<Option<ScaleCell>>> =
-        Box::leak(Box::new(Mutex::new(vec![None; seeds.len()])));
-    let tasks = seeds
-        .iter()
-        .enumerate()
-        .map(|(idx, &seed)| {
-            task("scale_cell", move || {
-                let cell = scale::run_cell(256, seed, ArbiterPolicy::WeightedFair, Some(16));
-                cells.lock().expect("slots")[idx] = Some(cell);
-                npf_bench::Report::new("", "")
+fn sweep(pool: Pool) -> String {
+    let ctx = &RunCtx::default().with_pool(pool);
+    let cells = ctx.pool(
+        [1u64, 2, 3, 4]
+            .into_iter()
+            .map(|seed| {
+                task(move || scale::run_cell(ctx, 256, seed, ArbiterPolicy::WeightedFair, Some(16)))
             })
-        })
-        .collect();
-    let _ = par_runner::run(tasks, jobs, None, false, 1 << 16, None);
-    let cells: Vec<ScaleCell> = cells
-        .lock()
-        .expect("slots")
-        .iter()
-        .map(|c| c.expect("every task fills its slot"))
-        .collect();
+            .collect(),
+    );
     // Zero wall_ms placeholders: timings are informational and must
     // never reach the compared cell lines anyway.
     scale::render_json(
@@ -43,8 +30,9 @@ fn sweep(jobs: usize) -> String {
 
 #[test]
 fn jobs_1_and_4_render_identical_256_tenant_artifacts() {
-    let serial = sweep(1);
-    let parallel = sweep(4);
+    let serial = sweep(Pool::on_host(1, 4));
+    // `on_host` makes the four workers real threads on a 1-core host too.
+    let parallel = sweep(Pool::on_host(4, 4));
     assert_eq!(
         serial, parallel,
         "the scale artifact must be byte-identical at every --jobs value"

@@ -1,6 +1,6 @@
-//! Byte-identity of the sharded executor across shard counts.
+//! Byte-identity of the worker pool across worker counts.
 //!
-//! The contract the sharded engine sells (`DESIGN.md` §13) is that
+//! The contract the pool sells (`DESIGN.md` §13) is that `--jobs N` /
 //! `--shards N` is *unobservable* in every artifact: stdout tables,
 //! trace exports, journal exports, and invariant tallies are
 //! byte-identical whether the coupling groups run serially or on N
@@ -12,23 +12,23 @@
 //! * chaos — fault injection plus the invariant checker;
 //! * chaos + watchdog — the above with a journal SLO watchdog armed.
 //!
-//! Each case runs the same task set at shards 1, 2, and 8 and demands
-//! identical bytes from every export. The epoch-edge test at the
-//! bottom pins the `< horizon` rule: a message landing *exactly* at
-//! `barrier + lookahead` belongs to the next epoch at every shard
-//! count.
+//! Each case runs the same task set at 1, 2, and 8 workers and demands
+//! identical bytes from every export. The test at the bottom pins the
+//! other half of the contract: a knob set on the [`RunCtx`] reaches
+//! every task, on whichever thread it runs.
 //!
 //! Tuned small (`PROPTEST_CASES` overrides): the point is the
 //! cross-shard comparison, not scenario coverage — `scale_determinism`
 //! and the golden checks cover breadth.
 
+use npf_bench::tracectl::{task, RunCtx};
 use npf_core::ArbiterPolicy;
 use proptest::prelude::*;
 use simcore::chaos::{invariant, ChaosConfig, ChaosProfile, InvariantChecker};
 use simcore::journal::{self, JournalRecorder};
-use simcore::shard::{self, IsolationSpec, Outbox, ShardLp};
+use simcore::shard::Pool;
 use simcore::trace::{self, TraceRecorder};
-use simcore::{JournalWatchdog, SimDuration, SimTime};
+use simcore::{JournalWatchdog, SimDuration};
 
 const POLICIES: [ArbiterPolicy; 3] = [
     ArbiterPolicy::ChannelOnly,
@@ -61,9 +61,9 @@ fn first_diff(a: &str, b: &str) -> String {
 }
 
 /// Runs three coupled-by-nothing scalebench cells through
-/// [`shard::run_isolated`] at `shards` workers with caller-side
-/// instruments installed, exactly as the bench binaries do, and
-/// returns every export.
+/// [`RunCtx::pool`] at `shards` workers (real threads on any host)
+/// with caller-side instruments installed, exactly as the bench
+/// binaries do, and returns every export.
 fn run_at(
     shards: usize,
     tenants: u32,
@@ -89,29 +89,21 @@ fn run_at(
     }
     assert!(journal::install(jr).is_none());
 
-    // The spec the binaries would build from the installed set — but
-    // with the test-sized ring, so all shard counts share it.
-    let spec = IsolationSpec {
-        ring_capacity: RING,
-        ..npf_bench::tracectl::isolation_spec()
-    };
     let chaos = chaos_seed.map(|s| ChaosConfig::profile(ChaosProfile::All, s));
+    let ctx = &RunCtx::default()
+        .with_chaos(chaos)
+        .with_pool(Pool::on_host(shards, 8));
 
     let params = [
         (tenants, seed),
         (tenants, seed.wrapping_add(1)),
         (tenants + 1, seed),
     ];
-    let cells = shard::run_isolated(
+    let cells = ctx.pool(
         params
             .iter()
-            .map(|&(t, s)| {
-                Box::new(move || npf_bench::scale::run_cell_chaos(t, s, policy, quota, chaos))
-                    as Box<dyn FnOnce() -> npf_bench::scale::ScaleCell + Send>
-            })
+            .map(|&(t, s)| task(move || npf_bench::scale::run_cell(ctx, t, s, policy, quota)))
             .collect(),
-        shards,
-        spec,
     );
 
     let recorder = trace::uninstall().expect("installed above");
@@ -218,97 +210,43 @@ proptest! {
     }
 }
 
-/// The epoch-edge rule, shard-count-invariant: a cross-LP message
-/// arriving *exactly* at `barrier + lookahead` must wait for the next
-/// epoch, and the resulting delivery log is identical at every shard
-/// count.
+/// The bug the explicit [`RunCtx`] removes: knobs set for one figure
+/// inside the process (the `enginebench` ablation cells) used to live
+/// in a thread-local override, which spawned workers never saw — the
+/// figure silently ran with the defaults on any multi-core host.
 #[test]
-fn epoch_edge_arrivals_are_identical_at_every_shard_count() {
-    #[derive(Clone)]
-    struct EdgeLp {
-        id: usize,
-        peers: usize,
-        pending: Vec<(SimTime, u64)>,
-        log: Vec<(SimTime, u64)>,
-    }
+fn knobs_reach_spawned_workers() {
+    let knobs = RunCtx::default().with_huge_pages(true).with_prefetch(64);
+    let serial = knobs.clone().with_pool(Pool::on_host(1, 8));
+    let parallel = knobs.with_pool(Pool::on_host(4, 8));
 
-    impl ShardLp for EdgeLp {
-        type Msg = u64;
-
-        fn next_event_time(&self) -> Option<SimTime> {
-            self.pending.iter().map(|&(t, _)| t).min()
-        }
-
-        fn advance(&mut self, horizon: SimTime, outbox: &mut Outbox<u64>) {
-            // Strict `<`: events exactly on the horizon stay pending.
-            let mut i = 0;
-            while i < self.pending.len() {
-                if self.pending[i].0 < horizon {
-                    let (at, v) = self.pending.remove(i);
-                    self.log.push((at, v));
-                    if v % 3 == 0 {
-                        // Fabric hop at exactly the lookahead: lands
-                        // precisely on the receiver's epoch edge.
-                        outbox.send(
-                            (self.id + 1) % self.peers,
-                            at.saturating_add(SimDuration::from_nanos(100)),
-                            v + 1,
-                        );
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-        }
-
-        fn deliver(&mut self, at: SimTime, msg: u64) {
-            self.pending.push((at, msg));
-        }
-    }
-
-    let build = || -> Vec<EdgeLp> {
-        (0..4)
-            .map(|id| EdgeLp {
-                id,
-                peers: 4,
-                // Every LP starts with events at t = 0, 100, 200 ns —
-                // multiples of the 100 ns lookahead, so every barrier
-                // and every fabric arrival sits exactly on an edge.
-                pending: (0..3)
-                    .map(|k| (SimTime::from_nanos(k * 100), (id as u64) * 3 + k))
-                    .collect(),
-                log: Vec::new(),
+    // Two probe tasks that meet at a barrier run on two threads at
+    // once, so at least one is on a spawned worker.
+    let gate = std::sync::Barrier::new(2);
+    let caller = std::thread::current().id();
+    let probes = parallel.pool(
+        (0..2)
+            .map(|_| {
+                task(|| {
+                    gate.wait();
+                    (std::thread::current().id(), parallel.npf_config())
+                })
             })
-            .collect()
-    };
-
-    let mut reports = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let report = shard::run_epochs(
-            build(),
-            SimDuration::from_nanos(100),
-            SimTime::from_nanos(10_000),
-            shards,
-            IsolationSpec::none(),
-        );
-        reports.push((shards, report));
-    }
-
-    let (_, base) = &reports[0];
-    assert!(
-        base.epochs >= 3,
-        "edge events must spread across epochs, got {}",
-        base.epochs
+            .collect(),
     );
-    assert!(base.messages > 0, "fabric hops must cross shards");
-    for (shards, r) in &reports[1..] {
-        assert_eq!(r.epochs, base.epochs, "epoch count at shards {shards}");
-        assert_eq!(
-            r.messages, base.messages,
-            "message count at shards {shards}"
-        );
-        for (i, (a, b)) in base.lps.iter().zip(&r.lps).enumerate() {
-            assert_eq!(a.log, b.log, "LP {i} delivery log at shards {shards}");
-        }
+    assert!(
+        probes.iter().any(|(thread, _)| *thread != caller),
+        "a probe must have run on a spawned worker"
+    );
+    for (_, npf) in &probes {
+        assert!(npf.huge_pages);
+        assert_eq!(npf.prefetch_depth, 64);
     }
+
+    let fig = |ctx| npf_bench::eth_experiments::fig4a(ctx, 1).render();
+    assert_eq!(
+        fig(&serial),
+        fig(&parallel),
+        "the figure must not depend on which threads ran its testbeds"
+    );
 }

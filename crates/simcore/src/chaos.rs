@@ -906,11 +906,12 @@ impl InvariantChecker {
     }
 
     /// Folds another checker's end-of-run state into this one, in
-    /// support of sharded execution: each shard LP runs under a private
-    /// checker and the shard executor absorbs them in LP order. All keys
-    /// (fault ids, stream keys, domains, frames, rings) are salted with
-    /// a process-unique namespace at testbed construction, so the maps
-    /// of two checkers never collide.
+    /// support of the worker pool: each task runs under a private
+    /// checker and the pool absorbs them in task order. All keys (fault
+    /// ids, stream keys, domains, frames, rings) are salted with a
+    /// namespace unique to the testbed (see
+    /// [`invariant::split_namespaces`]), so the maps of two checkers
+    /// never collide.
     pub fn absorb(&mut self, other: InvariantChecker) {
         self.pending_faults.extend(other.pending_faults);
         self.resolved_faults += other.resolved_faults;
@@ -1230,41 +1231,75 @@ pub mod invariant {
     /// with node 1's frame 0 inside one checker.
     static NAMESPACES: AtomicU64 = AtomicU64::new(1);
 
+    /// The namespace range a thread outside any [`with_namespaces`]
+    /// scope splits for a worker pool: above anything the global
+    /// counter reaches in practice, and below the 24 bits the
+    /// `ns << 40` frame keys leave room for.
+    const ROOT_SCOPE: (u64, u64) = (1 << 20, 1 << 24);
+
     thread_local! {
-        /// When set, `fresh_namespace` draws from this thread-local
-        /// counter instead of the process-global one — the sharded
-        /// executor scopes each task to a deterministic base so the
-        /// salted ids in violation reports don't depend on which
-        /// worker constructed which testbed first.
-        static NS_NEXT: std::cell::Cell<Option<u64>> =
+        /// When set, `fresh_namespace` draws from this `[next, end)`
+        /// range instead of the process-global counter — the worker
+        /// pool scopes each task to a deterministic range so the salted
+        /// ids in violation reports don't depend on which worker
+        /// constructed which testbed first.
+        static NS_SCOPE: std::cell::Cell<Option<(u64, u64)>> =
             const { std::cell::Cell::new(None) };
     }
 
     /// Allocates a fresh note-key namespace: from the thread's scoped
-    /// allocator inside [`with_namespace_base`], else from the
-    /// process-global counter.
+    /// range inside [`with_namespaces`], else from the process-global
+    /// counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the thread's scoped range is used up — aliasing two
+    /// testbeds' keys inside one checker would corrupt its tallies
+    /// silently.
     #[must_use]
     pub fn fresh_namespace() -> u64 {
-        if let Some(next) = NS_NEXT.with(std::cell::Cell::get) {
-            NS_NEXT.with(|c| c.set(Some(next + 1)));
+        if let Some((next, end)) = NS_SCOPE.with(std::cell::Cell::get) {
+            assert!(next < end, "invariant namespace scope exhausted");
+            NS_SCOPE.with(|c| c.set(Some((next + 1, end))));
             return next;
         }
         NAMESPACES.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Runs `f` with namespaces allocated sequentially from `base`.
+    /// Splits the calling thread's remaining namespace range into
+    /// `n + 1` equal parts and returns `(base, span)`: part `i + 1`,
+    /// `[base + i * span, base + (i + 1) * span)`, belongs to pool task
+    /// `i`; part 0 stays with the caller for whatever it builds (or
+    /// fans out) afterwards.
     ///
-    /// The sharded executor calls this with a base derived from the
-    /// task index, so namespace assignment — and with it every salted
-    /// fault/frame/domain id a violation report can mention — is a
-    /// function of the task, not of worker scheduling. Bases are
-    /// spaced `1 << 20` apart, far above what one task can construct,
-    /// and far above what the global counter reaches in practice, so
-    /// scoped and global allocations never collide.
-    pub fn with_namespace_base<R>(base: u64, f: impl FnOnce() -> R) -> R {
-        let prev = NS_NEXT.with(|c| c.replace(Some(base)));
+    /// Nested pools therefore compose — an inner task's range lies
+    /// inside its outer task's — so no two tasks anywhere in the tree
+    /// share a namespace, and every checker can be absorbed into one
+    /// root without key collisions. A thread outside any scope splits
+    /// the same fixed root range on every call.
+    #[must_use]
+    pub fn split_namespaces(n: usize) -> (u64, u64) {
+        let scope = NS_SCOPE.with(std::cell::Cell::get);
+        let (next, end) = scope.unwrap_or(ROOT_SCOPE);
+        let span = (end - next) / (n as u64 + 1);
+        if scope.is_some() {
+            NS_SCOPE.with(|c| c.set(Some((next, next + span))));
+        }
+        (next + span, span)
+    }
+
+    /// Runs `f` with namespaces allocated sequentially from
+    /// `[base, base + span)`.
+    ///
+    /// The worker pool calls this with task `i`'s share of
+    /// [`split_namespaces`], so namespace assignment — and with it
+    /// every salted fault/frame/domain id a violation report can
+    /// mention — is a function of the task's position, not of worker
+    /// scheduling.
+    pub fn with_namespaces<R>(base: u64, span: u64, f: impl FnOnce() -> R) -> R {
+        let prev = NS_SCOPE.with(|c| c.replace(Some((base, base + span))));
         let r = f();
-        NS_NEXT.with(|c| c.set(prev));
+        NS_SCOPE.with(|c| c.set(prev));
         r
     }
 

@@ -48,7 +48,7 @@ pub use chaos::{ChaosConfig, ChaosEngine, ChaosProfile, FaultPlan, InvariantChec
 pub use event::{EventQueue, EventToken};
 pub use journal::{CauseId, FaultJournal, JournalId, JournalRecorder, JournalWatchdog, Phase};
 pub use rng::SimRng;
-pub use shard::{run_epochs, run_isolated, EpochPool, EpochReport, IsolationSpec, Outbox, ShardLp};
+pub use shard::Pool;
 pub use stats::{Counters, DurationHistogram, OnlineStats, ThroughputMeter, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use trace::{ArgValue, MetricsRegistry, SpanId, TraceRecord, TraceRecorder};

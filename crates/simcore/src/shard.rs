@@ -1,87 +1,46 @@
-//! Conservative parallel simulation: domain-sharded logical processes
-//! with deterministic epoch synchronization.
+//! The worker pool: independent deterministic tasks fanned over
+//! threads, with nothing about the schedule reaching the output.
 //!
-//! The engine parallelizes a run at the granularity of **coupling
-//! groups**: sets of domains that share zero-lookahead state (a host
-//! memory pool, a fault arbiter, a backup ring, the link queues of a
-//! testbed) and therefore must advance as one logical process (LP).
-//! Only the fabric — links with a propagation delay of at least the
-//! configured lookahead — is a legal shard boundary, because a message
-//! sent at `t` cannot affect its destination before `t + lookahead`.
-//!
-//! Two execution shapes share this module:
-//!
-//! * [`run_isolated`] — LPs that exchange **no** messages (independent
-//!   testbeds of one experiment, scalebench cells). Each runs to
-//!   completion on a worker pool; instrumentation is installed per LP
-//!   and absorbed in LP order, so output is byte-identical at any
-//!   `--shards N` (and `N = 1` runs inline, reproducing the serial
-//!   path exactly).
-//! * [`run_epochs`] — LPs coupled through a latency-`lookahead` fabric.
-//!   A conservative epoch loop: every epoch starts at the global
-//!   minimum next-event time (`barrier`), each LP advances freely to
-//!   `epoch_end = barrier + lookahead` processing only events with
-//!   `time < epoch_end` (events exactly **on** the horizon wait for the
-//!   next epoch), and cross-LP messages are exchanged at the barrier,
-//!   delivered in `(time, src, seq)` order. Scheduling, worker count,
-//!   and OS timing never reach the event order.
+//! A run parallelizes at the granularity of **coupling groups**: sets
+//! of domains that share zero-lookahead state (a host memory pool, a
+//! fault arbiter, a backup ring, the link queues of a testbed) and
+//! therefore must advance as one unit. Every task handed to a [`Pool`]
+//! is one such group — a whole experiment point, a whole testbed, a
+//! sweep cell — that exchanges no events with its siblings, so the only
+//! thing the pool has to get right is instrumentation.
 //!
 //! # Determinism contract
 //!
-//! Both shapes install fresh thread-local instrumentation
-//! ([`trace`]/[`journal`]/[`invariant`]) around each LP slice on
-//! whichever worker runs it, and absorb the collected state into the
-//! caller's installed instruments strictly in LP order after all
-//! workers join — the same discipline `bench::par_runner` applies to
-//! experiment points. Nothing about thread interleaving is observable.
+//! Whatever [`trace`]/[`journal`]/[`invariant`] instruments the calling
+//! thread has installed are taken off it for the duration of the call.
+//! Every task then runs — on whichever thread claims it, the caller's
+//! included — under fresh, empty instruments of the same kinds and
+//! settings (ring capacity, chaos seed, SLO watchdog) and inside its
+//! own invariant-namespace range. After all tasks finish the caller's
+//! instruments go back on and absorb the per-task state strictly in
+//! task order. Nothing about thread interleaving, worker count, or
+//! which thread ran what is observable; a call with one worker and a
+//! call with eight produce the same bytes by construction.
+//!
+//! # One budget
+//!
+//! A [`Pool`] is a worker *budget*, shared by every clone. A call
+//! always works through its tasks on the calling thread and borrows
+//! helper threads only while the budget has some to spare, so a task
+//! that itself calls the pool (a figure fanning out its testbeds under
+//! a binary fanning out its figures) shares the budget instead of
+//! multiplying it: at most `workers` task bodies run at any instant,
+//! however deep the nesting.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::chaos::{invariant, InvariantChecker};
-use crate::journal::{self, JournalRecorder, JournalWatchdog};
-use crate::time::{SimDuration, SimTime};
+use crate::journal::{self, JournalRecorder};
 use crate::trace::{self, TraceRecorder};
 
-/// What instrumentation each LP (or isolated task) runs under.
-///
-/// Mirrors the caller's own environment: a bench task running with
-/// `--trace --chaos-seed 7` hands its shard pool the same spec so every
-/// LP records into a private recorder/checker that is later absorbed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IsolationSpec {
-    /// Give each LP a fresh [`TraceRecorder`] (absorbed in LP order).
-    pub record: bool,
-    /// Ring capacity for per-LP recorders.
-    pub ring_capacity: usize,
-    /// Give each LP a fresh [`InvariantChecker`] with this seed.
-    pub chaos_seed: Option<u64>,
-    /// Give each LP a fresh [`JournalRecorder`].
-    pub journal: bool,
-    /// Watchdog armed on each per-LP journal.
-    pub watchdog: Option<JournalWatchdog>,
-}
-
-impl IsolationSpec {
-    /// A spec that installs nothing (pure compute fan-out).
-    #[must_use]
-    pub fn none() -> Self {
-        IsolationSpec::default()
-    }
-}
-
-/// Instruments displaced by an [`Instruments::install`], restored by
-/// the matching `uninstall`.
-#[derive(Debug, Default)]
-struct Swapped {
-    recorder: Option<TraceRecorder>,
-    checker: Option<InvariantChecker>,
-    journal: Option<JournalRecorder>,
-}
-
-/// Per-LP instrumentation state, carried across epochs and absorbed at
-/// the end of the run.
-#[derive(Debug, Default)]
+/// The instruments installed on one thread.
+#[derive(Debug)]
 struct Instruments {
     recorder: Option<TraceRecorder>,
     checker: Option<InvariantChecker>,
@@ -89,57 +48,54 @@ struct Instruments {
 }
 
 impl Instruments {
-    fn fresh(spec: IsolationSpec) -> Self {
+    /// Takes whatever is installed off the current thread.
+    fn take() -> Self {
         Instruments {
-            recorder: spec.record.then(|| TraceRecorder::new(spec.ring_capacity)),
-            checker: spec.chaos_seed.map(InvariantChecker::new),
-            journal: spec.journal.then(|| {
-                let mut j = JournalRecorder::new();
-                if let Some(w) = spec.watchdog {
-                    j.set_watchdog(w);
+            recorder: trace::uninstall(),
+            checker: invariant::uninstall(),
+            journal: journal::uninstall(),
+        }
+    }
+
+    /// Empty instruments of the same kinds and settings as `self`:
+    /// recording when `self` records (same ring capacity), checking
+    /// under the same chaos seed, journaling with the same watchdog.
+    fn fresh(&self) -> Self {
+        Instruments {
+            recorder: self
+                .recorder
+                .as_ref()
+                .map(|r| TraceRecorder::new(r.capacity())),
+            checker: self
+                .checker
+                .as_ref()
+                .map(|c| InvariantChecker::new(c.seed())),
+            journal: self.journal.as_ref().map(|j| {
+                let mut fresh = JournalRecorder::new();
+                if let Some(w) = j.watchdog() {
+                    fresh.set_watchdog(w);
                 }
-                j
+                fresh
             }),
         }
     }
 
-    /// Installs this LP's instruments on the current thread, returning
-    /// whatever was installed before (the caller's own instruments when
-    /// running on the caller's thread; nothing on a fresh worker).
-    fn install(&mut self) -> Swapped {
-        Swapped {
-            recorder: self.recorder.take().and_then(trace::install),
-            checker: self.checker.take().and_then(invariant::install),
-            journal: self.journal.take().and_then(journal::install),
-        }
-    }
-
-    /// Takes the instruments back off the current thread and restores
-    /// whatever [`Instruments::install`] displaced.
-    fn uninstall(&mut self, spec: IsolationSpec, swapped: Swapped) {
-        if spec.journal {
-            self.journal = Some(journal::uninstall().expect("journal installed"));
-        }
-        if spec.chaos_seed.is_some() {
-            self.checker = Some(invariant::uninstall().expect("checker installed"));
-        }
-        if spec.record {
-            self.recorder = Some(trace::uninstall().expect("recorder installed"));
-        }
-        if let Some(r) = swapped.recorder {
+    /// Installs these instruments on the current thread.
+    fn install(self) {
+        if let Some(r) = self.recorder {
             trace::install(r);
         }
-        if let Some(c) = swapped.checker {
+        if let Some(c) = self.checker {
             invariant::install(c);
         }
-        if let Some(j) = swapped.journal {
+        if let Some(j) = self.journal {
             journal::install(j);
         }
     }
 
-    /// Folds this LP's collected state into the caller's installed
-    /// instruments. Call in LP order from the coordinating thread.
-    fn absorb_into_caller(self) {
+    /// Folds this task's collected state into the instruments installed
+    /// on the current thread. Call in task order.
+    fn absorb_into_installed(self) {
         if let Some(rec) = self.recorder {
             trace::with(|mine| mine.absorb(rec));
         }
@@ -152,35 +108,30 @@ impl Instruments {
     }
 }
 
-/// Deterministic invariant-namespace base for task `i`: testbeds a
-/// task constructs draw their note-key namespaces from here (via
-/// [`invariant::with_namespace_base`]), so the salted ids violation
-/// reports mention depend on the task index, never on which worker
-/// constructed which testbed first.
-fn ns_base(i: usize) -> u64 {
-    (i as u64 + 1) << 20
-}
-
-/// A boxed isolated task, as [`run_isolated`] consumes them.
+/// A boxed task, as [`Pool::run`] consumes them.
 pub type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
+/// Boxes a closure as a pool [`Task`].
+pub fn task<'a, T>(run: impl FnOnce() -> T + Send + 'a) -> Task<'a, T> {
+    Box::new(run)
+}
+
 /// Hardware threads available to this process (1 when unknown).
-fn host_parallelism() -> usize {
+#[must_use]
+pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The worker count a pool actually uses for `requested` shards over
-/// `tasks` work items on a host with `host` hardware threads.
+/// The thread count a pool call uses for a budget of `requested`
+/// workers over `tasks` work items on a host with `host` hardware
+/// threads.
 ///
 /// Beyond the obvious clamp to `[1, tasks]`, a single-hardware-thread
 /// host always runs inline: spawned workers would time-slice the one
-/// core the caller's thread already owns, so the pool pays spawn,
+/// core the caller's thread already owns, so the pool would pay spawn,
 /// mutex, and scheduling overhead to execute the exact same serial
-/// order (output is byte-identical either way — the per-task
-/// instrument isolation does not depend on worker count — so only
-/// wall-clock changes). This is the `fig4a_shards4` fix: on 1-core CI
-/// runners, `--shards 4` used to run slower than `--shards 1` for no
-/// benefit.
+/// order (output is byte-identical either way, so only wall-clock
+/// changes).
 #[must_use]
 pub fn effective_shards(requested: usize, tasks: usize, host: usize) -> usize {
     if host <= 1 {
@@ -189,670 +140,137 @@ pub fn effective_shards(requested: usize, tasks: usize, host: usize) -> usize {
     requested.clamp(1, tasks.max(1))
 }
 
-/// Runs independent closures on a pool of `shards` workers and returns
-/// their results in task order.
-///
-/// The message-free fast path of the sharded engine: each task is one
-/// coupling group (a whole testbed, a scalebench cell) with no
-/// cross-group events, so no epoch synchronization is needed — only
-/// deterministic instrumentation handling:
-///
-/// Every task runs under **fresh** instruments built from `spec` —
-/// at every shard count, including 1 — and the collected state is
-/// absorbed into the caller's installed instruments in task order
-/// after all tasks finish (the discipline `bench::par_runner` applies
-/// to experiment points). That construction, not luck, is what makes
-/// `--shards N` byte-identical to `--shards 1`: per-task recorder
-/// clocks, journal cause state, and checker timelines never leak
-/// between tasks on any path.
-///
-/// `shards <= 1` executes the tasks sequentially on the caller's own
-/// thread (no spawns); `shards > 1` fans them over scoped workers —
-/// except on a single-hardware-thread host, where the pool always runs
-/// inline (see [`effective_shards`]).
-pub fn run_isolated<T: Send>(
-    tasks: Vec<Task<'_, T>>,
-    shards: usize,
-    spec: IsolationSpec,
-) -> Vec<T> {
-    let n = tasks.len();
-    let shards = effective_shards(shards, n, host_parallelism());
-    if shards <= 1 {
-        let mut results = Vec::with_capacity(n);
-        let mut collected = Vec::with_capacity(n);
-        for (i, task) in tasks.into_iter().enumerate() {
-            let mut instruments = Instruments::fresh(spec);
-            let swapped = instruments.install();
-            results.push(invariant::with_namespace_base(ns_base(i), task));
-            instruments.uninstall(spec, swapped);
-            collected.push(instruments);
-        }
-        for instruments in collected {
-            instruments.absorb_into_caller();
-        }
-        return results;
-    }
-    struct Done<T> {
-        result: T,
-        instruments: Instruments,
-    }
-    let inputs: Vec<Mutex<Option<Task<'_, T>>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let outputs: Vec<Mutex<Option<Done<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let worker = || loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            return;
-        }
-        let task = inputs[i]
-            .lock()
-            .expect("task slot poisoned")
-            .take()
-            .expect("claimed exactly once");
-        let mut instruments = Instruments::fresh(spec);
-        let swapped = instruments.install();
-        let result = invariant::with_namespace_base(ns_base(i), task);
-        instruments.uninstall(spec, swapped);
-        *outputs[i].lock().expect("result slot poisoned") = Some(Done {
-            result,
-            instruments,
-        });
-    };
-    std::thread::scope(|s| {
-        for _ in 0..shards {
-            s.spawn(worker);
-        }
-    });
-    let mut results = Vec::with_capacity(n);
-    for slot in outputs {
-        let done = slot
-            .into_inner()
-            .expect("result slot poisoned")
-            .expect("worker loop fills every slot");
-        done.instruments.absorb_into_caller();
-        results.push(done.result);
-    }
-    results
+/// A budget of worker threads; see the module docs. Clones share the
+/// budget.
+#[derive(Debug, Clone)]
+pub struct Pool {
+    workers: usize,
+    host: usize,
+    /// Threads of the budget not running anything right now, beyond
+    /// the one the process started with.
+    spare: Arc<AtomicUsize>,
 }
 
-/// A cross-shard message in flight: scheduled to arrive at `at` on LP
-/// `dst`, stamped with its sender and a per-sender sequence number so
-/// the global delivery order `(at, src, seq)` is total and independent
-/// of worker scheduling.
-#[derive(Debug)]
-pub struct Envelope<M> {
-    /// Arrival time at the destination (≥ epoch end, by lookahead).
-    pub at: SimTime,
-    /// Sending LP index.
-    pub src: usize,
-    /// Per-sender sequence number (FIFO among same-instant sends).
-    pub seq: u64,
-    /// Destination LP index.
-    pub dst: usize,
-    /// Payload.
-    pub msg: M,
+impl Default for Pool {
+    /// A serial pool: every call runs inline on the caller's thread.
+    fn default() -> Self {
+        Pool::new(1)
+    }
 }
 
-/// Per-LP staging area for cross-shard messages produced during one
-/// epoch. Exchanged and drained at the epoch barrier.
-#[derive(Debug)]
-pub struct Outbox<M> {
-    src: usize,
-    seq: u64,
-    msgs: Vec<Envelope<M>>,
-}
-
-impl<M> Outbox<M> {
-    fn new(src: usize) -> Self {
-        Outbox {
-            src,
-            seq: 0,
-            msgs: Vec::new(),
-        }
-    }
-
-    /// Sends `msg` to LP `dst`, arriving at absolute time `at`. The
-    /// arrival must respect the fabric lookahead: `at` may not precede
-    /// the end of the epoch in which the send happens (checked at the
-    /// barrier).
-    pub fn send(&mut self, dst: usize, at: SimTime, msg: M) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.msgs.push(Envelope {
-            at,
-            src: self.src,
-            seq,
-            dst,
-            msg,
-        });
-    }
-
-    /// Messages staged so far this epoch.
+impl Pool {
+    /// A budget of `workers` threads (at least 1) on this host.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.msgs.len()
+    pub fn new(workers: usize) -> Self {
+        Pool::on_host(workers, host_parallelism())
     }
 
-    /// `true` when nothing is staged.
+    /// [`Pool::new`] with the hardware-thread count given instead of
+    /// measured, so a test can make a one-core host spawn (or a
+    /// many-core host run inline); see [`effective_shards`].
     #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
+    pub fn on_host(workers: usize, host: usize) -> Self {
+        let workers = workers.max(1);
+        Pool {
+            workers,
+            host,
+            spare: Arc::new(AtomicUsize::new(workers - 1)),
+        }
     }
-}
 
-/// One logical process of a sharded run: a coupling group advancing on
-/// its own event queue, exchanging messages with other LPs only through
-/// the latency-bounded fabric.
-pub trait ShardLp: Send {
-    /// Cross-shard message payload.
-    type Msg: Send;
-
-    /// Timestamp of the LP's next local event, if any.
-    fn next_event_time(&self) -> Option<SimTime>;
-
-    /// Processes every local event with timestamp **strictly below**
-    /// `horizon`, staging any cross-shard sends in `outbox`. An event
-    /// exactly on the horizon must be left pending — it belongs to the
-    /// next epoch (the epoch-edge rule the conformance tests pin down).
-    fn advance(&mut self, horizon: SimTime, outbox: &mut Outbox<Self::Msg>);
-
-    /// Accepts a message from another LP, scheduling it locally at
-    /// `at`. The executor guarantees `at` is not in the LP's past.
-    fn deliver(&mut self, at: SimTime, msg: Self::Msg);
-}
-
-/// Outcome of an epoch-synchronized run.
-#[derive(Debug)]
-pub struct EpochReport<L> {
-    /// The LPs, in their original order, advanced to the horizon.
-    pub lps: Vec<L>,
-    /// Epochs executed.
-    pub epochs: u64,
-    /// Cross-shard messages exchanged.
-    pub messages: u64,
-}
-
-/// Runs coupled LPs to `until` under conservative epoch synchronization
-/// with fixed `lookahead` (the minimum fabric latency between any two
-/// LPs), on `shards` workers.
-///
-/// Every epoch: `barrier = min(next_event_time)` over all LPs,
-/// `epoch_end = min(barrier + lookahead, until)`; each LP advances to
-/// `epoch_end` in parallel; staged messages are merged in
-/// `(at, src, seq)` order and delivered. The loop ends when no LP has
-/// an event before `until`. Events exactly at `until` stay pending.
-///
-/// # Panics
-///
-/// Panics when a staged message violates the lookahead contract
-/// (arrival before the end of its sending epoch) — that means two LPs
-/// actually share zero-lookahead state and belong in one coupling
-/// group.
-pub fn run_epochs<L: ShardLp>(
-    lps: Vec<L>,
-    lookahead: SimDuration,
-    until: SimTime,
-    shards: usize,
-    spec: IsolationSpec,
-) -> EpochReport<L> {
-    assert!(
-        lookahead > SimDuration::ZERO,
-        "zero lookahead cannot shard: the LPs form one coupling group"
-    );
-    struct Cell<L: ShardLp> {
-        lp: L,
-        instruments: Instruments,
-        outbox: Outbox<L::Msg>,
+    /// The budget this pool was created with.
+    #[must_use]
+    pub fn workers(&self) -> usize {
+        self.workers
     }
-    let n = lps.len();
-    let shards = effective_shards(shards, n, host_parallelism());
-    let cells: Vec<Mutex<Cell<L>>> = lps
-        .into_iter()
-        .enumerate()
-        .map(|(i, lp)| {
-            Mutex::new(Cell {
-                lp,
-                instruments: Instruments::fresh(spec),
-                outbox: Outbox::new(i),
-            })
-        })
-        .collect();
 
-    let mut epochs = 0u64;
-    let mut messages = 0u64;
+    /// Borrows up to `want` threads from the budget; returns how many
+    /// it got. The counter hands out permits only — task data travels
+    /// through the slot mutexes and the scope join — so `Relaxed` is
+    /// enough.
+    fn borrow(&self, want: usize) -> usize {
+        let mut got = 0;
+        let _ = self
+            .spare
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |spare| {
+                got = want.min(spare);
+                Some(spare - got)
+            });
+        got
+    }
 
-    // One advance of every LP to `horizon`, fanned over the pool. The
-    // claiming order is racy; the per-LP instruments travel with the
-    // claim, so nothing observable depends on it.
-    let advance_all = |horizon: SimTime| {
+    /// Runs `tasks` and returns their results in task order, under the
+    /// module's determinism contract.
+    ///
+    /// # Panics
+    ///
+    /// A panic in a task propagates once the other threads have
+    /// finished the tasks they are running.
+    pub fn run<T: Send>(&self, tasks: Vec<Task<'_, T>>) -> Vec<T> {
+        let n = tasks.len();
+        let helpers = self.borrow(effective_shards(self.workers, n, self.host) - 1);
+        let caller = Instruments::take();
+        let (ns_base, ns_span) = invariant::split_namespaces(n);
+        let inputs: Vec<Mutex<Option<Task<'_, T>>>> =
+            tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let outputs: Vec<Mutex<Option<(T, Instruments)>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
         let worker = || loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 return;
             }
-            let mut cell = cells[i].lock().expect("cell poisoned");
-            let swapped = cell.instruments.install();
-            let Cell { lp, outbox, .. } = &mut *cell;
-            lp.advance(horizon, outbox);
-            cell.instruments.uninstall(spec, swapped);
+            let task = inputs[i]
+                .lock()
+                .expect("a task panicked holding its input slot")
+                .take()
+                .expect("each task index is claimed exactly once");
+            caller.fresh().install();
+            let result = invariant::with_namespaces(ns_base + i as u64 * ns_span, ns_span, task);
+            *outputs[i]
+                .lock()
+                .expect("a task panicked holding its result slot") =
+                Some((result, Instruments::take()));
         };
-        if shards == 1 {
-            worker();
-        } else {
-            std::thread::scope(|s| {
-                for _ in 0..shards {
-                    s.spawn(worker);
-                }
-            });
-        }
-    };
-
-    loop {
-        // Barrier: the global minimum next event. Serial and cheap —
-        // one lock round over the LPs.
-        let barrier = cells
-            .iter()
-            .filter_map(|c| c.lock().expect("cell poisoned").lp.next_event_time())
-            .min();
-        let Some(barrier) = barrier else { break };
-        if barrier >= until {
-            break;
-        }
-        let epoch_end = barrier.saturating_add(lookahead).min(until);
-        advance_all(epoch_end);
-        epochs += 1;
-
-        // Exchange: merge every outbox, deliver in (at, src, seq) order.
-        let mut exchange: Vec<Envelope<L::Msg>> = Vec::new();
-        for cell in &cells {
-            let mut cell = cell.lock().expect("cell poisoned");
-            exchange.append(&mut cell.outbox.msgs);
-        }
-        if exchange.is_empty() {
-            continue;
-        }
-        exchange.sort_unstable_by_key(|e| (e.at, e.src, e.seq));
-        messages += exchange.len() as u64;
-        for env in exchange {
-            assert!(
-                env.at >= epoch_end,
-                "lookahead violation: LP {} scheduled a message at {:?} before \
-                 epoch end {:?} — these LPs share zero-lookahead state and must \
-                 be one coupling group",
-                env.src,
-                env.at,
-                epoch_end,
-            );
-            let mut cell = cells[env.dst].lock().expect("cell poisoned");
-            let swapped = cell.instruments.install();
-            cell.lp.deliver(env.at, env.msg);
-            cell.instruments.uninstall(spec, swapped);
-        }
-    }
-
-    // Absorb per-LP instruments into the caller's, strictly in LP order.
-    let mut lps = Vec::with_capacity(n);
-    for cell in cells {
-        let cell = cell.into_inner().expect("cell poisoned");
-        cell.instruments.absorb_into_caller();
-        lps.push(cell.lp);
-    }
-    EpochReport {
-        lps,
-        epochs,
-        messages,
-    }
-}
-
-/// Microbench helper: merges pre-staged envelopes the way the epoch
-/// barrier does, returning the delivery order. Exposed for
-/// `enginebench`'s `shard_merge` sample and the determinism tests.
-#[must_use]
-pub fn merge_order<M>(mut envelopes: Vec<Envelope<M>>) -> Vec<Envelope<M>> {
-    envelopes.sort_unstable_by_key(|e| (e.at, e.src, e.seq));
-    envelopes
-}
-
-// The Barrier/AtomicU64 imports back the persistent-pool variant of
-// `run_epochs` used when epochs are small relative to thread spawn
-// cost; see `EpochPool`.
-/// A persistent worker pool for epoch loops with many tiny epochs:
-/// workers are spawned once and coordinate through a [`Barrier`], so
-/// per-epoch cost is a barrier round, not a thread spawn.
-///
-/// Semantics are identical to [`run_epochs`]; only the scheduling
-/// differs, and scheduling is unobservable.
-pub struct EpochPool {
-    shards: usize,
-}
-
-impl EpochPool {
-    /// A pool of `shards` workers (clamped to ≥ 1).
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        EpochPool {
-            shards: shards.max(1),
-        }
-    }
-
-    /// Runs the epoch loop on the persistent pool. See [`run_epochs`].
-    pub fn run<L: ShardLp>(
-        &self,
-        lps: Vec<L>,
-        lookahead: SimDuration,
-        until: SimTime,
-        spec: IsolationSpec,
-    ) -> EpochReport<L> {
-        let n = lps.len();
-        let shards = effective_shards(self.shards, n, host_parallelism());
-        if shards == 1 || n == 0 {
-            return run_epochs(lps, lookahead, until, 1, spec);
-        }
-        assert!(
-            lookahead > SimDuration::ZERO,
-            "zero lookahead cannot shard: the LPs form one coupling group"
-        );
-        struct Cell<L: ShardLp> {
-            lp: L,
-            instruments: Instruments,
-            outbox: Outbox<L::Msg>,
-        }
-        let cells: Vec<Mutex<Cell<L>>> = lps
-            .into_iter()
-            .enumerate()
-            .map(|(i, lp)| {
-                Mutex::new(Cell {
-                    lp,
-                    instruments: Instruments::fresh(spec),
-                    outbox: Outbox::new(i),
-                })
-            })
-            .collect();
-        let gate = Barrier::new(shards + 1);
-        // Epoch horizon in nanos; u64::MAX doubles as the stop signal.
-        let horizon = AtomicU64::new(0);
-        const STOP: u64 = u64::MAX;
-        let cursor = AtomicUsize::new(0);
-        let mut epochs = 0u64;
-        let mut messages = 0u64;
-
         std::thread::scope(|s| {
-            for _ in 0..shards {
-                s.spawn(|| loop {
-                    gate.wait();
-                    let h = horizon.load(Ordering::Acquire);
-                    if h == STOP {
-                        return;
-                    }
-                    let epoch_end = SimTime::from_nanos(h);
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let mut cell = cells[i].lock().expect("cell poisoned");
-                        let swapped = cell.instruments.install();
-                        let Cell { lp, outbox, .. } = &mut *cell;
-                        lp.advance(epoch_end, outbox);
-                        cell.instruments.uninstall(spec, swapped);
-                    }
-                    gate.wait();
+            for _ in 0..helpers {
+                s.spawn(|| {
+                    worker();
+                    // Out of tasks: hand the thread back at once, so a
+                    // sibling still running can fan out wider.
+                    self.spare.fetch_add(1, Ordering::Relaxed);
                 });
             }
-            // Coordinator (caller's thread).
-            loop {
-                let barrier = cells
-                    .iter()
-                    .filter_map(|c| c.lock().expect("cell poisoned").lp.next_event_time())
-                    .min();
-                let stop = match barrier {
-                    None => true,
-                    Some(b) => b >= until,
-                };
-                if stop {
-                    horizon.store(STOP, Ordering::Release);
-                    gate.wait();
-                    break;
-                }
-                let barrier = barrier.expect("checked above");
-                let epoch_end = barrier.saturating_add(lookahead).min(until);
-                cursor.store(0, Ordering::Relaxed);
-                horizon.store(epoch_end.as_nanos(), Ordering::Release);
-                gate.wait(); // release workers into the epoch
-                gate.wait(); // wait for the epoch to complete
-                epochs += 1;
-                let mut exchange: Vec<Envelope<L::Msg>> = Vec::new();
-                for cell in &cells {
-                    let mut cell = cell.lock().expect("cell poisoned");
-                    exchange.append(&mut cell.outbox.msgs);
-                }
-                if exchange.is_empty() {
-                    continue;
-                }
-                exchange.sort_unstable_by_key(|e| (e.at, e.src, e.seq));
-                messages += exchange.len() as u64;
-                for env in exchange {
-                    assert!(
-                        env.at >= epoch_end,
-                        "lookahead violation: LP {} message at {:?} before epoch \
-                         end {:?}",
-                        env.src,
-                        env.at,
-                        epoch_end,
-                    );
-                    let mut cell = cells[env.dst].lock().expect("cell poisoned");
-                    let swapped = cell.instruments.install();
-                    cell.lp.deliver(env.at, env.msg);
-                    cell.instruments.uninstall(spec, swapped);
-                }
-            }
+            worker();
         });
-
-        let mut lps = Vec::with_capacity(n);
-        for cell in cells {
-            let cell = cell.into_inner().expect("cell poisoned");
-            cell.instruments.absorb_into_caller();
-            lps.push(cell.lp);
-        }
-        EpochReport {
-            lps,
-            epochs,
-            messages,
-        }
+        caller.install();
+        outputs
+            .into_iter()
+            .map(|slot| {
+                let (result, instruments) = slot
+                    .into_inner()
+                    .expect("a task panicked holding its result slot")
+                    .expect("the worker loop fills every slot");
+                instruments.absorb_into_installed();
+                result
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventQueue;
-
-    /// A minimal LP: a queue of u64 payloads; processing payload `p`
-    /// appends `(time, p)` to a log, and payloads with the high bit set
-    /// are forwarded to the next LP over the fabric.
-    struct TestLp {
-        id: usize,
-        peers: usize,
-        queue: EventQueue<u64>,
-        log: Vec<(SimTime, u64)>,
-        fabric_latency: SimDuration,
-    }
-
-    const FWD: u64 = 1 << 63;
-
-    impl TestLp {
-        fn new(id: usize, peers: usize, fabric_latency: SimDuration) -> Self {
-            TestLp {
-                id,
-                peers,
-                queue: EventQueue::new(),
-                log: Vec::new(),
-                fabric_latency,
-            }
-        }
-    }
-
-    impl ShardLp for TestLp {
-        type Msg = u64;
-
-        fn next_event_time(&self) -> Option<SimTime> {
-            self.queue.next_time()
-        }
-
-        fn advance(&mut self, horizon: SimTime, outbox: &mut Outbox<u64>) {
-            while let Some(t) = self.queue.next_time() {
-                if t >= horizon {
-                    break;
-                }
-                let (at, p) = self.queue.pop().expect("peeked");
-                self.log.push((at, p));
-                if p & FWD != 0 {
-                    let dst = (self.id + 1) % self.peers;
-                    outbox.send(dst, at.saturating_add(self.fabric_latency), p & !FWD);
-                }
-            }
-        }
-
-        fn deliver(&mut self, at: SimTime, msg: u64) {
-            self.queue.schedule_at(at, msg);
-        }
-    }
-
-    fn build(n: usize, lookahead: SimDuration) -> Vec<TestLp> {
-        let mut lps: Vec<TestLp> = (0..n).map(|i| TestLp::new(i, n, lookahead)).collect();
-        // Seed: staggered local work plus a few cross-LP sends.
-        for (i, lp) in lps.iter_mut().enumerate() {
-            for k in 0..40u64 {
-                let at = SimTime::from_nanos(10 + k * 97 + i as u64 * 13);
-                let payload = if k % 5 == 0 { FWD | (k + 1) } else { k + 1 };
-                lp.queue.schedule_at(at, payload);
-            }
-        }
-        lps
-    }
-
-    fn full_log(lps: &[TestLp]) -> Vec<(usize, SimTime, u64)> {
-        let mut out = Vec::new();
-        for lp in lps {
-            for &(t, p) in &lp.log {
-                out.push((lp.id, t, p));
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn epoch_run_is_shard_count_invariant() {
-        let la = SimDuration::from_nanos(50);
-        let until = SimTime::from_micros(100);
-        let a = run_epochs(build(4, la), la, until, 1, IsolationSpec::none());
-        let b = run_epochs(build(4, la), la, until, 2, IsolationSpec::none());
-        let c = run_epochs(build(4, la), la, until, 8, IsolationSpec::none());
-        assert_eq!(full_log(&a.lps), full_log(&b.lps));
-        assert_eq!(full_log(&a.lps), full_log(&c.lps));
-        assert!(a.messages > 0, "sends actually crossed shards");
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.epochs, c.epochs);
-    }
-
-    #[test]
-    fn persistent_pool_matches_scoped_spawns() {
-        let la = SimDuration::from_nanos(50);
-        let until = SimTime::from_micros(100);
-        let a = run_epochs(build(6, la), la, until, 3, IsolationSpec::none());
-        let pool = EpochPool::new(3);
-        let b = pool.run(build(6, la), la, until, IsolationSpec::none());
-        assert_eq!(full_log(&a.lps), full_log(&b.lps));
-        assert_eq!(a.epochs, b.epochs);
-        assert_eq!(a.messages, b.messages);
-    }
-
-    #[test]
-    fn event_exactly_on_the_horizon_waits_for_the_next_epoch() {
-        // One LP, one event at t, another exactly at t + lookahead (the
-        // first epoch's end). The horizon event must not be processed
-        // in epoch 1 — strictly-less-than is the epoch-edge rule.
-        let la = SimDuration::from_nanos(100);
-        let mut lp = TestLp::new(0, 1, la);
-        lp.queue.schedule_at(SimTime::from_nanos(10), 1);
-        lp.queue.schedule_at(SimTime::from_nanos(110), 2); // == 10 + lookahead
-        let report = run_epochs(
-            vec![lp],
-            la,
-            SimTime::from_micros(1),
-            1,
-            IsolationSpec::none(),
-        );
-        let lp = &report.lps[0];
-        assert_eq!(
-            lp.log,
-            vec![(SimTime::from_nanos(10), 1), (SimTime::from_nanos(110), 2),]
-        );
-        // Epoch 1 covered [10, 110); the horizon event needed epoch 2.
-        assert_eq!(report.epochs, 2);
-    }
-
-    #[test]
-    fn events_at_until_stay_pending() {
-        let la = SimDuration::from_nanos(100);
-        let mut lp = TestLp::new(0, 1, la);
-        lp.queue.schedule_at(SimTime::from_nanos(10), 1);
-        lp.queue.schedule_at(SimTime::from_nanos(500), 2);
-        let report = run_epochs(
-            vec![lp],
-            la,
-            SimTime::from_nanos(500),
-            1,
-            IsolationSpec::none(),
-        );
-        let lp = &report.lps[0];
-        assert_eq!(lp.log, vec![(SimTime::from_nanos(10), 1)]);
-        assert_eq!(lp.queue.next_time(), Some(SimTime::from_nanos(500)));
-    }
-
-    #[test]
-    fn cross_shard_delivery_is_time_src_seq_ordered() {
-        let envs = vec![
-            Envelope {
-                at: SimTime::from_nanos(5),
-                src: 1,
-                seq: 0,
-                dst: 0,
-                msg: "b",
-            },
-            Envelope {
-                at: SimTime::from_nanos(5),
-                src: 0,
-                seq: 1,
-                dst: 1,
-                msg: "a1",
-            },
-            Envelope {
-                at: SimTime::from_nanos(3),
-                src: 2,
-                seq: 0,
-                dst: 0,
-                msg: "c",
-            },
-            Envelope {
-                at: SimTime::from_nanos(5),
-                src: 0,
-                seq: 0,
-                dst: 1,
-                msg: "a0",
-            },
-        ];
-        let order: Vec<&str> = merge_order(envs).into_iter().map(|e| e.msg).collect();
-        assert_eq!(order, vec!["c", "a0", "a1", "b"]);
-    }
+    use crate::time::{SimDuration, SimTime};
+    use std::sync::Barrier;
 
     #[test]
     fn single_core_hosts_always_run_inline() {
-        // The fig4a_shards4 fix: `--shards 4` on a 1-core runner must
-        // not spawn contending workers.
+        // `--shards 4` on a 1-core runner must not spawn contending
+        // workers.
         assert_eq!(effective_shards(4, 16, 1), 1);
+        assert_eq!(effective_shards(4, 3, 1), 1);
         assert_eq!(effective_shards(0, 16, 1), 1);
         // Multi-core hosts keep the requested count, clamped to the
         // task count.
@@ -863,42 +281,35 @@ mod tests {
     }
 
     #[test]
-    fn run_isolated_returns_results_in_task_order() {
-        let tasks: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..16u64)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> u64 + Send>)
-            .collect();
-        let out = run_isolated(tasks, 4, IsolationSpec::none());
+    fn results_come_back_in_task_order() {
+        let tasks: Vec<Task<'_, u64>> = (0..16u64).map(|i| task(move || i * i)).collect();
+        let out = Pool::on_host(4, 8).run(tasks);
         assert_eq!(out, (0..16u64).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
-    fn run_isolated_single_shard_runs_inline() {
-        // At shards <= 1 the caller's thread identity is preserved —
-        // today's serial path, byte for byte.
+    fn a_one_worker_budget_runs_on_the_callers_thread() {
         let caller = std::thread::current().id();
-        let tasks: Vec<Box<dyn FnOnce() -> std::thread::ThreadId + Send>> = (0..3)
-            .map(|_| {
-                Box::new(|| std::thread::current().id())
-                    as Box<dyn FnOnce() -> std::thread::ThreadId + Send>
-            })
+        let tasks: Vec<Task<'_, std::thread::ThreadId>> = (0..3)
+            .map(|_| task(|| std::thread::current().id()))
             .collect();
-        let out = run_isolated(tasks, 1, IsolationSpec::none());
+        let out = Pool::on_host(1, 8).run(tasks);
         assert!(out.iter().all(|&id| id == caller));
     }
 
     #[test]
-    fn run_isolated_absorbs_traces_in_task_order() {
-        // Caller runs with a recorder installed; the pool gives each
-        // task its own and absorbs them back in task order.
+    fn instruments_are_mirrored_per_task_and_absorbed_in_task_order() {
+        // The caller records and checks; every task must see fresh
+        // instruments of the same kinds (never the caller's own), and
+        // the caller's must come back holding everything in task order.
         assert!(trace::install(TraceRecorder::new(1 << 10)).is_none());
-        let spec = IsolationSpec {
-            record: true,
-            ring_capacity: 1 << 10,
-            ..IsolationSpec::default()
-        };
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..6u64)
+        assert!(invariant::install(InvariantChecker::new(5)).is_none());
+        trace::metrics(|m| m.counter_add("caller.before", 1));
+        let tasks: Vec<Task<'_, (u64, Option<u64>)>> = (0..6u64)
             .map(|i| {
                 Box::new(move || {
+                    let mut seen_before = 0;
+                    trace::with(|r| seen_before = r.metrics().counter("caller.before"));
                     trace::span(
                         SimTime::from_micros(i),
                         SimDuration::from_micros(1),
@@ -907,13 +318,24 @@ mod tests {
                         vec![("i", crate::trace::ArgValue::U64(i))],
                     );
                     trace::metrics(|m| m.counter_add("shard.tasks", 1));
-                }) as Box<dyn FnOnce() + Send>
+                    invariant::note_event_time(SimTime::from_micros(1));
+                    // Backwards inside the same task: one violation.
+                    invariant::note_event_time(SimTime::ZERO);
+                    (seen_before, invariant::with(|c| c.seed()))
+                }) as Task<'_, _>
             })
             .collect();
-        run_isolated(tasks, 3, spec);
+        let out = Pool::on_host(3, 8).run(tasks);
+        assert!(out
+            .iter()
+            .all(|&(before, seed)| before == 0 && seed == Some(5)));
+        assert!(journal::uninstall().is_none(), "no journal was mirrored");
+        let checker = invariant::uninstall().expect("still installed");
+        assert_eq!(checker.violations().len(), 6);
+        assert!(checker.checks() >= 12);
         let rec = trace::uninstall().expect("still installed");
+        assert_eq!(rec.metrics().counter("caller.before"), 1);
         assert_eq!(rec.metrics().counter("shard.tasks"), 6);
-        // Spans appear in task order after the ordered absorb.
         let starts: Vec<SimTime> = rec
             .spans()
             .filter_map(|r| match r {
@@ -926,5 +348,76 @@ mod tests {
             (0..6u64).map(SimTime::from_micros).collect::<Vec<_>>(),
             "absorb preserved task order"
         );
+    }
+
+    #[test]
+    fn nested_tasks_get_disjoint_namespace_ranges() {
+        let pool = Pool::on_host(2, 8);
+        let outer: Vec<Task<'_, Vec<u64>>> = (0..3)
+            .map(|_| {
+                Box::new(|| {
+                    let mut seen = vec![invariant::fresh_namespace()];
+                    // Two inner fan-outs from one task must not reuse
+                    // each other's ranges either.
+                    for _ in 0..2 {
+                        let inner: Vec<Task<'_, u64>> = (0..4)
+                            .map(|_| Box::new(invariant::fresh_namespace) as Task<'_, u64>)
+                            .collect();
+                        seen.extend(pool.run(inner));
+                    }
+                    seen.push(invariant::fresh_namespace());
+                    seen
+                }) as Task<'_, _>
+            })
+            .collect();
+        let first = pool.run(outer);
+        let mut all: Vec<u64> = first.iter().flatten().copied().collect();
+        assert!(all.iter().all(|&ns| ns < 1 << 24), "frame keys shift by 40");
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 3 * (2 + 2 * 4), "every namespace is distinct");
+    }
+
+    #[test]
+    fn nested_calls_share_one_budget() {
+        // 4 outer × 4 inner tasks on a budget of 3. The barrier forces
+        // three outer bodies onto three threads at once, so the budget
+        // is really spent when their inner calls start; a pool that
+        // multiplied budgets would then run up to 9 inner bodies.
+        let pool = Pool::on_host(3, 8);
+        let gate = Barrier::new(3);
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let outer: Vec<Task<'_, Vec<usize>>> = (0..4usize)
+            .map(|o| {
+                let (pool, gate, running, peak) = (&pool, &gate, &running, &peak);
+                Box::new(move || {
+                    if o < 3 {
+                        gate.wait();
+                    }
+                    let inner: Vec<Task<'_, usize>> = (0..4usize)
+                        .map(|i| {
+                            Box::new(move || {
+                                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                                peak.fetch_max(now, Ordering::SeqCst);
+                                std::thread::sleep(std::time::Duration::from_millis(2));
+                                running.fetch_sub(1, Ordering::SeqCst);
+                                o * 4 + i
+                            }) as Task<'_, usize>
+                        })
+                        .collect();
+                    pool.run(inner)
+                }) as Task<'_, _>
+            })
+            .collect();
+        let out = pool.run(outer);
+        let expect: Vec<Vec<usize>> = (0..4).map(|o| (o * 4..o * 4 + 4).collect()).collect();
+        assert_eq!(out, expect, "task order at both levels");
+        assert!(
+            peak.load(Ordering::SeqCst) <= 3,
+            "{} task bodies ran at once on a budget of 3",
+            peak.load(Ordering::SeqCst)
+        );
+        assert_eq!(pool.spare.load(Ordering::SeqCst), 2, "budget returned");
     }
 }

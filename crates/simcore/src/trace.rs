@@ -571,6 +571,12 @@ impl TraceRecorder {
         }
     }
 
+    /// The most records the ring retains.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// The records currently retained, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
         self.ring.iter()
@@ -1384,7 +1390,7 @@ mod tests {
             m.counter_add("faults", base);
             m
         };
-        // Task-order merge (what par_runner does) is reproducible:
+        // Task-order merge (what the worker pool does) is reproducible:
         // merging the same parts in the same order twice is identical.
         let merge_all = |parts: &[u64]| {
             let mut m = MetricsRegistry::new();

@@ -24,12 +24,11 @@
 //! job count.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use npf::prelude::*;
 use npf::rdmasim::types::{SendOp, WcStatus};
 use npf::simcore::chaos::{invariant, ChaosProfile};
+use npf::simcore::shard::{self, Pool};
 use npf::testbed::eth::RxMode;
 use npf::workloads::memcached::MemcachedConfig;
 
@@ -44,47 +43,31 @@ fn seed_base() -> u64 {
 /// Worker-thread count for the sweep, from `CHAOS_JOBS` (default 1;
 /// `0` means all available cores).
 fn sweep_jobs() -> usize {
-    let n: usize = std::env::var("CHAOS_JOBS")
+    match std::env::var("CHAOS_JOBS")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    if n == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        n
+    {
+        Some(0) => shard::host_parallelism(),
+        Some(n) => n,
+        None => 1,
     }
 }
 
-/// Runs one sweep cell per config across [`sweep_jobs`] worker threads
+/// Runs one sweep cell per config on a pool of [`sweep_jobs`] workers
 /// and merges the per-cell injection totals in cell order. A cell
-/// assertion failure propagates when the scope joins, so a failing seed
+/// assertion failure propagates out of the pool, so a failing seed
 /// still fails the test with its message.
 fn sweep(
     cells: Vec<ChaosConfig>,
     run: impl Fn(ChaosConfig) -> HashMap<String, u64> + Sync,
 ) -> HashMap<String, u64> {
-    let n = cells.len();
-    let jobs = sweep_jobs().clamp(1, n.max(1));
-    let outputs: Vec<Mutex<Option<HashMap<String, u64>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                *outputs[i].lock().expect("cell slot poisoned") = Some(run(cells[i]));
-            });
-        }
-    });
+    let run = &run;
+    let tasks = cells
+        .into_iter()
+        .map(|cell| shard::task(move || run(cell)))
+        .collect();
     let mut totals = HashMap::new();
-    for slot in outputs {
-        let cell = slot
-            .into_inner()
-            .expect("cell slot poisoned")
-            .expect("worker loop fills every slot");
+    for cell in Pool::new(sweep_jobs()).run(tasks) {
         for (name, value) in cell {
             *totals.entry(name).or_default() += value;
         }

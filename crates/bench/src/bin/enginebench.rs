@@ -20,7 +20,7 @@ use iommu::{Iommu, RangeCheck, TableMode};
 use memsim::lru::LruTracker;
 use memsim::types::{FrameId, PageRange, SpaceId, Vpn};
 use npf_bench::tracectl::{RunCtx, RunOpts};
-use simcore::event::EventQueue;
+use simcore::event::{EventQueue, EventToken};
 use simcore::time::SimDuration;
 use simcore::trace::TraceRecorder;
 
@@ -83,8 +83,8 @@ fn bench_schedule_pop() -> Sample {
     })
 }
 
-/// Half the scheduled events cancelled before the drain: the tombstone
-/// path the old `HashSet` bookkeeping paid hashing for.
+/// Half the scheduled events cancelled before the drain: 2048 in-place
+/// removals from a 4 k-deep heap, then a drain of the live half.
 fn bench_schedule_cancel_pop() -> Sample {
     measure("schedule_cancel_pop_4k", 4096 + 2048 + 2048, || {
         let mut q: EventQueue<u64> = EventQueue::new();
@@ -123,6 +123,41 @@ fn bench_churn() -> Sample {
         }
         std::hint::black_box(sum);
     })
+}
+
+/// The shape of a TCP or RC testbed: 64 near events churn while 16
+/// retransmit timers sit 200 ms out, and every pop (an ACK) cancels one
+/// timer and re-arms it. The near delays advance simulated time ~1.7 µs
+/// per pop, the rate `eth_overcommit_reclaim` cancels at, and the queue
+/// lives across iterations: a queue that parked cancelled timers until
+/// their instant would carry ~116 k of them under its 80 live events.
+/// The other queue samples cancel near-term events only and cannot see
+/// that.
+fn bench_timer_rearm() -> Sample {
+    const RTO: SimDuration = SimDuration::from_millis(200);
+    let mut q: EventQueue<u64> = EventQueue::new();
+    for i in 0..64u64 {
+        q.schedule_in(SimDuration::from_nanos(i), i);
+    }
+    let mut timers: Vec<EventToken> = (0..16u64).map(|i| q.schedule_in(RTO, i)).collect();
+    let mut round = move || {
+        let mut sum = 0u64;
+        for i in 0..4096u64 {
+            let (_, e) = q.pop().unwrap();
+            sum = sum.wrapping_add(e);
+            q.schedule_in(SimDuration::from_nanos(e * 7919 % 220_000 + 1), i);
+            let timer = &mut timers[(i % 16) as usize];
+            q.cancel(*timer);
+            *timer = q.schedule_in(RTO, i);
+        }
+        std::hint::black_box(sum);
+    };
+    // Run past one RTO of simulated time (~116 k pops) before timing, so
+    // the measured rounds see the steady-state heap.
+    for _ in 0..32 {
+        round();
+    }
+    measure("timer_rearm_depth64", 4096 * 4, round)
 }
 
 /// Hot-path metric updates against an installed recorder: with
@@ -409,6 +444,7 @@ fn main() {
         bench_schedule_pop(),
         bench_schedule_cancel_pop(),
         bench_churn(),
+        bench_timer_rearm(),
         bench_metrics(),
         bench_translate_hit(),
         bench_translate_hit_2m(),

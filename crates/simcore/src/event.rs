@@ -7,16 +7,20 @@
 //!
 //! # Cancellation bookkeeping
 //!
-//! Cancellation is O(1) and hash-free: every scheduled event owns a slot in
-//! a generation-tagged slab, and its heap entry carries the slot index.
-//! [`EventQueue::cancel`] flips the slot to a tombstone; tombstoned entries
-//! are dropped from the heap lazily, with a counter keeping [`EventQueue::len`]
-//! exact. The queue maintains the invariant that the heap *top* is never a
-//! tombstone (tombstones are drained whenever they surface), so
-//! [`EventQueue::next_time`] is a non-mutating O(1) peek. Slot generations
-//! make stale tokens — from events that already fired, were cancelled, or
-//! were discarded by [`EventQueue::clear`] — harmless even after their slot
-//! is reused.
+//! The queue is an *indexed* heap: every scheduled event owns a slot in a
+//! generation-tagged slab, its heap entry carries the slot index, and the
+//! slot records where in the heap that entry currently sits (every sift
+//! writes the moved entry's new index back). [`EventQueue::cancel`] follows
+//! the back-pointer, removes the entry in place (the last entry fills the
+//! hole and sifts up or down) and frees the slot at once, so the heap holds
+//! live events only: its depth is [`EventQueue::len`], however many
+//! far-future timers were armed and cancelled, and
+//! [`EventQueue::next_time`] is a plain peek. Removal cannot perturb
+//! delivery order: the key `(at, seq)` is total, so the pop sequence is a
+//! function of the set of pending keys alone, never of heap shape. Slot
+//! generations make stale tokens — from events that already fired, were
+//! cancelled, or were discarded by [`EventQueue::clear`] — harmless even
+//! after their slot is reused.
 //!
 //! # Examples
 //!
@@ -39,7 +43,7 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// Payloads live in the slot slab, not the heap (a SoA split): sift
 /// operations move 24-byte keys instead of whole event structs, so the
-/// hot loop's swaps stay within a couple of cache lines even for large
+/// hot loop's moves stay within a couple of cache lines even for large
 /// event enums (a testbed event embedding a TCP segment is >100 bytes).
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -55,81 +59,6 @@ impl Entry {
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
-    }
-}
-
-/// A flat 4-ary min-heap ordered by [`Entry::key`].
-///
-/// Half the levels of a binary heap for the same population: pops touch
-/// fewer cache lines, and the event queue is the single hottest
-/// structure in every testbed. Four sibling keys share adjacent slots,
-/// so the widest sift-down level is one or two cache lines.
-#[derive(Debug)]
-struct MinHeap {
-    v: Vec<Entry>,
-}
-
-impl MinHeap {
-    const ARITY: usize = 4;
-
-    fn new() -> Self {
-        MinHeap { v: Vec::new() }
-    }
-
-    fn len(&self) -> usize {
-        self.v.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.v.is_empty()
-    }
-
-    fn peek(&self) -> Option<&Entry> {
-        self.v.first()
-    }
-
-    fn clear(&mut self) {
-        self.v.clear();
-    }
-
-    fn push(&mut self, entry: Entry) {
-        self.v.push(entry);
-        let mut i = self.v.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / Self::ARITY;
-            if self.v[parent].key() <= self.v[i].key() {
-                break;
-            }
-            self.v.swap(parent, i);
-            i = parent;
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry> {
-        let last = self.v.len().checked_sub(1)?;
-        self.v.swap(0, last);
-        let top = self.v.pop();
-        let len = self.v.len();
-        let mut i = 0;
-        loop {
-            let first = i * Self::ARITY + 1;
-            if first >= len {
-                break;
-            }
-            let mut min = first;
-            let end = (first + Self::ARITY).min(len);
-            for c in first + 1..end {
-                if self.v[c].key() < self.v[min].key() {
-                    min = c;
-                }
-            }
-            if self.v[i].key() <= self.v[min].key() {
-                break;
-            }
-            self.v.swap(i, min);
-            i = min;
-        }
-        top
     }
 }
 
@@ -155,30 +84,25 @@ impl EventToken {
     }
 }
 
-/// Occupancy of one slab slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    /// The slot's event is scheduled and live.
-    Pending,
-    /// The slot's event was cancelled; its heap entry is a tombstone.
-    Cancelled,
-    /// No event owns the slot (it is on the free list).
-    Free,
-}
-
 #[derive(Debug)]
 struct Slot<E> {
     /// Bumped every time the slot is released, invalidating old tokens.
     gen: u32,
-    state: SlotState,
-    /// Next slot on the free list (valid only when `state == Free`).
-    next_free: u32,
-    /// The scheduled payload (present while `state == Pending`; dropped
-    /// eagerly on cancel so tombstones hold no event data).
+    /// While the slot is pending: the index of its entry in the heap.
+    /// While it is free: the next slot on the free list.
+    link: u32,
+    /// The scheduled payload; `Some` exactly while the slot is pending.
     event: Option<E>,
 }
 
 const NIL: u32 = u32::MAX;
+
+/// Children per heap node. Half the levels of a binary heap for the same
+/// population: pops touch fewer cache lines, and the event queue is the
+/// single hottest structure in every testbed. Four sibling keys share
+/// adjacent entries, so the widest sift-down level is one or two cache
+/// lines.
+const ARITY: usize = 4;
 
 /// A time-ordered queue of simulation events.
 ///
@@ -199,13 +123,13 @@ const NIL: u32 = u32::MAX;
 /// [`EventQueue::clear`].
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: MinHeap,
+    /// Flat 4-ary min-heap ordered by [`Entry::key`]; one entry per
+    /// pending event, none for cancelled ones.
+    heap: Vec<Entry>,
     now: SimTime,
     next_seq: u64,
     slots: Vec<Slot<E>>,
     free_head: u32,
-    /// Cancelled entries still sitting in the heap.
-    tombstones: usize,
     scheduled_total: u64,
     popped_total: u64,
     cancelled_total: u64,
@@ -223,12 +147,11 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            heap: MinHeap::new(),
+            heap: Vec::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             slots: Vec::new(),
             free_head: NIL,
-            tombstones: 0,
             scheduled_total: 0,
             popped_total: 0,
             cancelled_total: 0,
@@ -245,14 +168,12 @@ impl<E> EventQueue<E> {
     /// Number of pending (non-cancelled) events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len() - self.tombstones
+        self.heap.len()
     }
 
     /// `true` when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        // The heap top is never a tombstone, so a non-empty heap always
-        // holds at least one pending event.
         self.heap.is_empty()
     }
 
@@ -280,22 +201,21 @@ impl<E> EventQueue<E> {
         self.discarded_total
     }
 
-    /// Takes a slot off the free list (or grows the slab), marks it
-    /// pending, and parks the payload there. Returns the slot index.
+    /// Takes a slot off the free list (or grows the slab) and parks the
+    /// payload there, which marks it pending. Returns the slot index;
+    /// the caller sets the heap back-pointer when it places the entry.
     fn alloc_slot(&mut self, event: E) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
             let slot = &mut self.slots[idx as usize];
-            self.free_head = slot.next_free;
-            slot.state = SlotState::Pending;
+            self.free_head = slot.link;
             slot.event = Some(event);
             idx
         } else {
             let idx = u32::try_from(self.slots.len()).expect("slab exceeds u32 slots");
             self.slots.push(Slot {
                 gen: 0,
-                state: SlotState::Pending,
-                next_free: NIL,
+                link: NIL,
                 event: Some(event),
             });
             idx
@@ -303,29 +223,78 @@ impl<E> EventQueue<E> {
     }
 
     /// Releases a slot whose heap entry was just removed: bumps the
-    /// generation (invalidating outstanding tokens), takes whatever
-    /// payload is still parked, and pushes the slot onto the free list.
+    /// generation (invalidating outstanding tokens), takes the payload,
+    /// and pushes the slot onto the free list.
     fn free_slot(&mut self, idx: u32) -> Option<E> {
         let next_free = self.free_head;
         let slot = &mut self.slots[idx as usize];
         slot.gen = slot.gen.wrapping_add(1);
-        slot.state = SlotState::Free;
-        slot.next_free = next_free;
+        slot.link = next_free;
         self.free_head = idx;
         slot.event.take()
     }
 
-    /// Restores the invariant that the heap top is never a tombstone.
-    fn drain_tombstones(&mut self) {
-        while self.tombstones > 0 {
-            let Some(top) = self.heap.peek() else { return };
-            if self.slots[top.slot as usize].state != SlotState::Cancelled {
-                return;
+    /// Writes `entry` at heap index `i` and points its slot back at it.
+    #[inline]
+    fn place(&mut self, i: usize, entry: Entry) {
+        self.heap[i] = entry;
+        // `i < heap.len() <= slots.len()`, which `alloc_slot` keeps in u32.
+        self.slots[entry.slot as usize].link = i as u32;
+    }
+
+    /// Settles `entry` into the hole at index `i`, moving larger
+    /// ancestors down into it.
+    fn sift_up(&mut self, mut i: usize, entry: Entry) {
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            let above = self.heap[parent];
+            if above.key() <= entry.key() {
+                break;
             }
-            let entry = self.heap.pop().expect("peeked entry exists");
-            self.free_slot(entry.slot);
-            self.tombstones -= 1;
+            self.place(i, above);
+            i = parent;
         }
+        self.place(i, entry);
+    }
+
+    /// Settles `entry` into the hole at index `i`, moving the smallest
+    /// child up into it while that child sorts first.
+    fn sift_down(&mut self, mut i: usize, entry: Entry) {
+        let len = self.heap.len();
+        loop {
+            let first = i * ARITY + 1;
+            if first >= len {
+                break;
+            }
+            let mut min = first;
+            for c in first + 1..(first + ARITY).min(len) {
+                if self.heap[c].key() < self.heap[min].key() {
+                    min = c;
+                }
+            }
+            let below = self.heap[min];
+            if entry.key() <= below.key() {
+                break;
+            }
+            self.place(i, below);
+            i = min;
+        }
+        self.place(i, entry);
+    }
+
+    /// Removes and returns the entry at heap index `i`: the last entry
+    /// fills the hole and sifts whichever way restores heap order.
+    fn remove_at(&mut self, i: usize) -> Entry {
+        let removed = self.heap[i];
+        let last = self.heap.pop().expect("index is in the heap");
+        if i < self.heap.len() {
+            if i > 0 && last.key() < self.heap[(i - 1) / ARITY].key() {
+                self.sift_up(i, last);
+            } else {
+                self.sift_down(i, last);
+            }
+        }
+        removed
     }
 
     /// Schedules `event` at absolute time `at`. Times in the past are
@@ -337,7 +306,9 @@ impl<E> EventQueue<E> {
         self.scheduled_total += 1;
         let slot = self.alloc_slot(event);
         let token = EventToken::new(slot, self.slots[slot as usize].gen);
-        self.heap.push(Entry { at, seq, slot });
+        let entry = Entry { at, seq, slot };
+        self.heap.push(entry);
+        self.sift_up(self.heap.len() - 1, entry);
         token
     }
 
@@ -358,18 +329,17 @@ impl<E> EventQueue<E> {
     /// returns `false`.
     pub fn cancel(&mut self, token: EventToken) -> bool {
         let idx = token.slot();
-        let Some(slot) = self.slots.get_mut(idx as usize) else {
+        let Some(slot) = self.slots.get(idx as usize) else {
             return false;
         };
-        if slot.gen != token.gen() || slot.state != SlotState::Pending {
+        if slot.gen != token.gen() || slot.event.is_none() {
             return false;
         }
-        slot.state = SlotState::Cancelled;
-        slot.event = None; // drop eagerly: tombstones hold no payload
-        self.tombstones += 1;
+        let heap_idx = slot.link as usize;
+        let entry = self.remove_at(heap_idx);
+        debug_assert_eq!(entry.slot, idx, "back-pointer names its own entry");
+        self.free_slot(idx);
         self.cancelled_total += 1;
-        // Keep the heap top tombstone-free so `next_time` stays a pure peek.
-        self.drain_tombstones();
         true
     }
 
@@ -377,25 +347,23 @@ impl<E> EventQueue<E> {
     /// advancing the simulated clock. Returns `None` when the queue is
     /// drained.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // The top is never a tombstone, so the first entry is live.
-        let entry = self.heap.pop()?;
+        if self.heap.is_empty() {
+            return None;
+        }
+        let entry = self.remove_at(0);
         debug_assert!(entry.at >= self.now, "time must be monotone");
-        debug_assert_eq!(self.slots[entry.slot as usize].state, SlotState::Pending);
         let event = self
             .free_slot(entry.slot)
             .expect("pending slot holds payload");
         self.now = entry.at;
         self.popped_total += 1;
-        self.drain_tombstones();
         Some((entry.at, event))
     }
 
     /// The timestamp of the next pending event without removing it.
-    /// Non-mutating: tombstones are drained eagerly on `cancel`/`pop`,
-    /// never surfacing here.
     #[must_use]
     pub fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|entry| entry.at)
+        self.heap.first().map(|entry| entry.at)
     }
 
     /// Discards all pending events without changing the clock or the
@@ -403,29 +371,54 @@ impl<E> EventQueue<E> {
     ///
     /// Reset semantics: pending events are counted in
     /// [`EventQueue::discarded_total`] (they were neither popped nor
-    /// cancelled), tombstone accounting is drained, and every slab slot
-    /// is released with a generation bump — so a token issued before
-    /// `clear()` can never cancel an event scheduled after it. The
-    /// accounting identity
+    /// cancelled), and every slab slot is released with a generation
+    /// bump — so a token issued before `clear()` can never cancel an
+    /// event scheduled after it. The accounting identity
     /// `scheduled == popped + cancelled + discarded + len` keeps holding
     /// across arbitrary clear/reuse cycles.
     pub fn clear(&mut self) {
         self.discarded_total += self.len() as u64;
         self.heap.clear();
-        self.tombstones = 0;
         // Rebuild the free list, invalidating every outstanding token.
         self.free_head = NIL;
         for idx in (0..self.slots.len()).rev() {
-            let next_free = self.free_head;
             let slot = &mut self.slots[idx];
-            if slot.state != SlotState::Free {
+            if slot.event.take().is_some() {
                 slot.gen = slot.gen.wrapping_add(1);
-                slot.state = SlotState::Free;
-                slot.event = None;
             }
-            slot.next_free = next_free;
+            slot.link = self.free_head;
             self.free_head = u32::try_from(idx).expect("slab exceeds u32 slots");
         }
+    }
+
+    /// Panics unless the structure is consistent: every child sorts
+    /// after its parent, the heap holds exactly the pending slots
+    /// (`heap.len() == len()`, no cancelled entry lingers), every
+    /// entry's slot points back at it, and the free list holds every
+    /// other slot. For tests and debug builds; O(slots).
+    #[cfg(any(test, debug_assertions))]
+    pub fn check_invariants(&self) {
+        assert_eq!(self.heap.len(), self.len());
+        for (i, entry) in self.heap.iter().enumerate() {
+            if i > 0 {
+                let parent = &self.heap[(i - 1) / ARITY];
+                assert!(parent.key() < entry.key(), "heap order broken at {i}");
+            }
+            let slot = &self.slots[entry.slot as usize];
+            assert!(slot.event.is_some(), "entry {i} names a free slot");
+            assert_eq!(slot.link as usize, i, "slot back-pointer is stale");
+        }
+        let pending = self.slots.iter().filter(|s| s.event.is_some()).count();
+        assert_eq!(pending, self.heap.len(), "a pending slot has no entry");
+        let mut free = 0;
+        let mut idx = self.free_head;
+        while idx != NIL {
+            assert!(self.slots[idx as usize].event.is_none());
+            free += 1;
+            assert!(free <= self.slots.len(), "free list cycles");
+            idx = self.slots[idx as usize].link;
+        }
+        assert_eq!(free + pending, self.slots.len(), "a slot leaked");
     }
 }
 
@@ -535,11 +528,12 @@ mod tests {
         for i in 0..10u64 {
             toks.push(q.schedule_at(SimTime::from_nanos(i), i));
         }
-        // Cancel a prefix: tombstones at the top must be drained so the
-        // immutable peek sees the first live event.
+        // Cancel a prefix, the root included: each removal re-roots the
+        // heap, so the immutable peek sees the first live event.
         for t in &toks[..4] {
             q.cancel(*t);
         }
+        q.check_invariants();
         let q = &q; // immutable from here on
         assert_eq!(q.next_time(), Some(SimTime::from_nanos(4)));
         assert_eq!(q.len(), 6);
@@ -554,6 +548,7 @@ mod tests {
             .collect();
         for t in toks {
             assert!(q.cancel(t));
+            q.check_invariants();
         }
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
@@ -578,7 +573,7 @@ mod tests {
     fn clear_reset_semantics_stay_consistent() {
         // Regression test: `clear()` must leave the accounting identity
         // `scheduled == popped + cancelled + discarded + len` intact and
-        // the tombstone/slab state reusable.
+        // the heap/slab state reusable.
         let identity = |q: &EventQueue<u64>| {
             assert_eq!(
                 q.scheduled_total(),
@@ -596,6 +591,7 @@ mod tests {
         let pre_clear_token = toks[7];
         q.clear();
         identity(&q);
+        q.check_invariants();
         assert_eq!(q.len(), 0);
         assert!(q.is_empty());
         assert_eq!(q.scheduled_total(), 10);
@@ -619,25 +615,28 @@ mod tests {
     }
 
     #[test]
-    fn clear_drains_tombstone_accounting() {
+    fn cancel_below_top_then_clear_leaves_no_residue() {
         let mut q = EventQueue::new();
         let a = q.schedule_at(SimTime::from_nanos(5), 1);
         q.schedule_at(SimTime::from_nanos(1), 2);
-        q.cancel(a); // tombstone buried below the live top
+        q.cancel(a); // removed from below the live top, slot freed at once
+        assert_eq!(q.len(), 1);
+        q.check_invariants();
         q.clear();
         assert_eq!(q.len(), 0);
-        // Tombstones from before the clear never resurface.
+        // Nothing cancelled or discarded before the clear resurfaces.
         for i in 0..4u64 {
             q.schedule_at(SimTime::from_nanos(10 + i), i);
         }
         assert_eq!(q.len(), 4);
+        q.check_invariants();
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn determinism_with_interleaved_cancels() {
-        // The tombstone scheme must preserve bit-for-bit FIFO-tie order
+        // In-place removal must preserve bit-for-bit FIFO-tie order
         // against the reference behaviour: same (time, seq) order, with
         // cancelled events elided.
         let run = || {
@@ -652,6 +651,7 @@ mod tests {
                     q.cancel(*t);
                 }
             }
+            q.check_invariants();
             while let Some((t, e)) = q.pop() {
                 out.push((t, e));
                 if e % 7 == 0 {

@@ -1,0 +1,121 @@
+//! Differential test of [`EventQueue`] against an ordered-map reference.
+//!
+//! The reference is a `BTreeMap` keyed by the queue's total delivery key
+//! `(time, sequence number)`: popping is `pop_first`, cancelling is
+//! `remove`. Since a sequence number is never reused, a key that left the
+//! map (fired, cancelled, or discarded by `clear`) can never be removed
+//! again, which is exactly the stale-token contract. Random operation
+//! sequences must produce the same pop stream, the same `cancel` return
+//! values and the same observable state after every step.
+
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+use simcore::event::{EventQueue, EventToken};
+use simcore::time::SimTime;
+
+type Key = (SimTime, u64);
+
+/// What `EventQueue` promises, written the obvious way.
+#[derive(Default)]
+struct Model {
+    pending: BTreeMap<Key, u64>,
+    now: SimTime,
+    next_seq: u64,
+    popped: u64,
+    cancelled: u64,
+    discarded: u64,
+}
+
+impl Model {
+    fn schedule_at(&mut self, at: SimTime, payload: u64) -> Key {
+        let key = (at.max(self.now), self.next_seq);
+        self.next_seq += 1;
+        self.pending.insert(key, payload);
+        key
+    }
+
+    fn cancel(&mut self, key: Key) -> bool {
+        let live = self.pending.remove(&key).is_some();
+        self.cancelled += u64::from(live);
+        live
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let ((at, _), payload) = self.pending.pop_first()?;
+        self.now = at;
+        self.popped += 1;
+        Some((at, payload))
+    }
+
+    fn clear(&mut self) {
+        self.discarded += self.pending.len() as u64;
+        self.pending.clear();
+    }
+}
+
+fn assert_same_state(q: &EventQueue<u64>, m: &Model) -> Result<(), TestCaseError> {
+    prop_assert_eq!(q.len(), m.pending.len());
+    prop_assert_eq!(q.is_empty(), m.pending.is_empty());
+    prop_assert_eq!(q.next_time(), m.pending.keys().next().map(|&(at, _)| at));
+    prop_assert_eq!(q.now(), m.now);
+    prop_assert_eq!(q.scheduled_total(), m.next_seq);
+    prop_assert_eq!(q.popped_total(), m.popped);
+    prop_assert_eq!(q.cancelled_total(), m.cancelled);
+    prop_assert_eq!(q.discarded_total(), m.discarded);
+    prop_assert_eq!(
+        q.scheduled_total(),
+        q.popped_total() + q.cancelled_total() + q.discarded_total() + q.len() as u64
+    );
+    // The structural check exists in debug builds only.
+    #[cfg(debug_assertions)]
+    q.check_invariants();
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn queue_matches_ordered_map_reference(
+        ops in proptest::collection::vec((0u8..16, any::<u64>(), any::<u64>()), 1..400),
+    ) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut m = Model::default();
+        // Every token ever issued with its reference key, so cancels hit
+        // live, fired, already-cancelled and cleared events alike.
+        let mut issued: Vec<(EventToken, Key)> = Vec::new();
+        for (op, a, b) in ops {
+            match op {
+                // Near events on a narrow time axis: ties and clamping
+                // into the past are common.
+                0..=4 => {
+                    let at = SimTime::from_nanos(a % 48);
+                    issued.push((q.schedule_at(at, b), m.schedule_at(at, b)));
+                }
+                // A timer far beyond everything else, as TCP's RTO is.
+                5..=6 => {
+                    let at = SimTime::from_nanos(200_000_000 + a % 4);
+                    issued.push((q.schedule_at(at, b), m.schedule_at(at, b)));
+                }
+                7..=10 if !issued.is_empty() => {
+                    let (token, key) = issued[(a % issued.len() as u64) as usize];
+                    prop_assert_eq!(q.cancel(token), m.cancel(key));
+                }
+                // Rare, so that the queue has time to fill between clears.
+                15 if a % 8 == 0 => {
+                    q.clear();
+                    m.clear();
+                }
+                _ => prop_assert_eq!(q.pop(), m.pop()),
+            }
+            assert_same_state(&q, &m)?;
+        }
+        // Drain: the full remaining pop stream agrees too.
+        while let Some(expected) = m.pop() {
+            prop_assert_eq!(q.pop(), Some(expected));
+        }
+        prop_assert_eq!(q.pop(), None);
+        assert_same_state(&q, &m)?;
+    }
+}

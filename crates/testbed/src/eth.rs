@@ -452,6 +452,9 @@ pub struct EthTestbed {
     instances: Vec<Instance>,
     client: Client,
     metrics: Vec<InstanceMetrics>,
+    /// Running sum of every instance's `metrics[i].ops.total()`, so the
+    /// closed-loop stop test is not a per-event walk over all tenants.
+    ops_total: u64,
     link_c2s: Link,
     link_s2c: Link,
     cpu: CpuPool,
@@ -649,6 +652,7 @@ impl EthTestbed {
                 generators,
             },
             metrics,
+            ops_total: 0,
             link_c2s: Link::new(link_cfg, rng.fork(7)),
             link_s2c: Link::new(link_cfg, rng.fork(8)),
             cpu: CpuPool::new(config.cores),
@@ -897,7 +901,11 @@ impl EthTestbed {
     /// Total operations completed across all instances.
     #[must_use]
     pub fn total_ops(&self) -> u64 {
-        self.metrics.iter().map(|m| m.ops.total()).sum()
+        debug_assert_eq!(
+            self.ops_total,
+            self.metrics.iter().map(|m| m.ops.total()).sum::<u64>()
+        );
+        self.ops_total
     }
 
     /// Total failed connections.
@@ -1383,6 +1391,7 @@ impl EthTestbed {
             let instance = self.client.conns[&cid].instance;
             let m = &mut self.metrics[instance as usize];
             m.ops.record(1);
+            self.ops_total += 1;
             if hit {
                 m.hits.record(1);
             }

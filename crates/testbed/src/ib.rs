@@ -6,7 +6,8 @@
 //! latency, RNR NACK timing, and transport retries all interleave on
 //! one deterministic clock.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 
 use memsim::manager::{MemConfig, MemoryManager, TierConfig};
 use memsim::space::Backing;
@@ -190,7 +191,9 @@ pub struct IbNode {
     engine: NpfEngine,
     space: SpaceId,
     default_domain: DomainId,
-    qps: HashMap<QpId, RcQp>,
+    /// Ordered, so that waking every QP of the node (fault completion)
+    /// visits them in `QpId` order in every process.
+    qps: BTreeMap<QpId, RcQp>,
     domains: HashMap<QpId, DomainId>,
     timers: HashMap<(QpId, QpTimer), EventToken>,
     completions: Vec<Completion>,
@@ -415,7 +418,7 @@ impl IbCluster {
                     engine,
                     space,
                     default_domain,
-                    qps: HashMap::new(),
+                    qps: BTreeMap::new(),
                     domains: HashMap::new(),
                     timers: HashMap::new(),
                     completions: Vec::new(),
@@ -710,18 +713,9 @@ impl IbCluster {
                 if n.engine.pending_fault(fault).is_some() {
                     n.engine.complete_fault(fault);
                 }
-                // Wake every QP that might be paused on this fault.
-                let qpids: Vec<QpId> = n.qps.keys().copied().collect();
-                for qp in qpids {
-                    self.drive_qp(now, node, qp, QpDrive::FaultResolved(fault));
-                }
+                self.wake_qps(now, node, fault);
             }
-            IbEvent::SynthDone { node, fault } => {
-                let qpids: Vec<QpId> = self.nodes[node as usize].qps.keys().copied().collect();
-                for qp in qpids {
-                    self.drive_qp(now, node, qp, QpDrive::FaultResolved(fault));
-                }
-            }
+            IbEvent::SynthDone { node, fault } => self.wake_qps(now, node, fault),
             IbEvent::PostSend {
                 node,
                 qp,
@@ -740,6 +734,21 @@ impl IbCluster {
                     self.arm_chaos_tick();
                 }
             }
+        }
+    }
+
+    /// Tells every QP of `node` that `fault` resolved (any of them may be
+    /// paused on it), in `QpId` order. Driving a QP needs `&mut self`, so
+    /// the walk re-seeks from the last id instead of holding an iterator.
+    fn wake_qps(&mut self, now: SimTime, node: u32, fault: u64) {
+        let mut after = Bound::Unbounded;
+        while let Some((&qp, _)) = self.nodes[node as usize]
+            .qps
+            .range((after, Bound::Unbounded))
+            .next()
+        {
+            self.drive_qp(now, node, qp, QpDrive::FaultResolved(fault));
+            after = Bound::Excluded(qp);
         }
     }
 
@@ -1126,5 +1135,45 @@ mod tests {
             faulty > clean,
             "faults must cost time: clean {clean}, faulty {faulty}"
         );
+    }
+
+    #[test]
+    fn qps_paused_on_one_fault_wake_in_qp_order() {
+        // Six QPs of node 0 share its default domain and gather from the
+        // same cold buffer, so all six pause on a single NPF. Waking them
+        // in hash order made the completion order differ from one cluster
+        // to the next within a process.
+        const MSG: u64 = 64 * 1024;
+        let run = || -> Vec<WrId> {
+            let mut c = two_node_cluster();
+            let src = c.alloc_buffers(0, ByteSize::mib(1));
+            let dst = c.alloc_buffers(1, ByteSize::mib(1));
+            let db = c.node(1).default_domain();
+            c.node_mut(1)
+                .engine_mut()
+                .pin_and_map(db, memsim::types::PageRange::covering(dst, 1 << 20))
+                .expect("pin dst");
+            let pairs: Vec<(QpId, QpId)> = (0..6).map(|_| c.connect_shared(0, 1)).collect();
+            for (i, &(_, qb)) in (0u64..).zip(&pairs) {
+                c.post_recv(1, qb, 100 + i, VirtAddr(dst.0 + i * MSG), MSG);
+            }
+            for (i, &(qa, _)) in (0u64..).zip(&pairs) {
+                let op = SendOp::Send {
+                    local: src,
+                    len: MSG,
+                };
+                c.post_send(0, qa, i, op);
+            }
+            c.run_until_quiescent(1_000_000);
+            assert_eq!(
+                c.node(0).engine().counters().get("npf_events"),
+                1,
+                "all six sends wait on the same fault"
+            );
+            c.drain_completions(1).iter().map(|c| c.wr_id).collect()
+        };
+        let first = run();
+        assert_eq!(first, run(), "same build, same completion order");
+        assert_eq!(first, (100..106).collect::<Vec<WrId>>(), "QpId order");
     }
 }

@@ -14,15 +14,23 @@
 //! more than 30% — the CI smoke gate. Figure wall-clocks are recorded
 //! for trend reading but not gated (they shift with runner load).
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use iommu::{Iommu, RangeCheck, TableMode};
 use memsim::lru::LruTracker;
-use memsim::types::{FrameId, PageRange, SpaceId, Vpn};
+use memsim::types::{FrameId, PageRange, SpaceId, VirtAddr, Vpn};
+use netsim::fabric::Fabric;
+use netsim::link::LinkConfig;
+use netsim::packet::NodeId;
 use npf_bench::tracectl::{RunCtx, RunOpts};
+use rdmasim::rc::RcQp;
+use rdmasim::types::{PinnedGate, QpId, QpOutput, RcConfig, RcPacket, RecvWqe, SendOp};
 use simcore::event::{EventQueue, EventToken};
-use simcore::time::SimDuration;
+use simcore::rng::SimRng;
+use simcore::time::{SimDuration, SimTime};
 use simcore::trace::TraceRecorder;
+use simcore::units::Bandwidth;
 
 /// Events per second below `baseline * (1 - REGRESSION_TOLERANCE)`
 /// fail `--check`.
@@ -349,6 +357,82 @@ fn bench_lru_touch_evict() -> Sample {
     })
 }
 
+/// The kernel `ib_stream_hot` runs: a requester and a responder QP on
+/// pinned memory with 64 sends of 64 KiB outstanding, packets and ACKs
+/// handed over in order, one new send posted per completion. The QPs
+/// persist across iterations, so the PSN window is in steady state. One
+/// op is one `on_packet`: 16 data packets and their ACK per message.
+fn bench_rc_stream_window64() -> Sample {
+    const DEPTH: u64 = 64;
+    const LEN: u64 = 64 * 1024;
+    let cfg = RcConfig::default();
+    let mut a = RcQp::new(cfg, QpId(1), QpId(2), NodeId(1));
+    let mut b = RcQp::new(cfg, QpId(2), QpId(1), NodeId(0));
+    // Packets on the wire, oldest first; the flag is "toward b".
+    let mut wire: VecDeque<(bool, RcPacket)> = VecDeque::new();
+    let mut next_wr = 0u64;
+    let mut post = |a: &mut RcQp, b: &mut RcQp, wire: &mut VecDeque<(bool, RcPacket)>| {
+        next_wr += 1;
+        b.post_recv(RecvWqe {
+            wr_id: next_wr,
+            addr: VirtAddr(0x10_0000),
+            capacity: LEN,
+        });
+        let op = SendOp::Send {
+            local: VirtAddr(0x80_0000),
+            len: LEN,
+        };
+        for out in a.post_send(SimTime::ZERO, next_wr, op, &mut PinnedGate) {
+            if let QpOutput::Send { packet, .. } = out {
+                wire.push_back((true, packet));
+            }
+        }
+    };
+    for _ in 0..DEPTH {
+        post(&mut a, &mut b, &mut wire);
+    }
+    measure("rc_stream_window64", DEPTH * (LEN / cfg.mtu + 1), || {
+        let mut sent = 0;
+        while sent < DEPTH {
+            let (toward_b, pkt) = wire.pop_front().expect("a closed loop never drains");
+            let qp = if toward_b { &mut b } else { &mut a };
+            for out in qp.on_packet(SimTime::ZERO, pkt, &mut PinnedGate) {
+                match out {
+                    QpOutput::Send { packet, .. } => wire.push_back((!toward_b, packet)),
+                    // A send completed at the requester: keep 64 posted.
+                    QpOutput::Complete(_) if !toward_b => {
+                        sent += 1;
+                        post(&mut a, &mut b, &mut wire);
+                    }
+                    _ => {}
+                }
+            }
+        }
+    })
+}
+
+/// `Fabric::send` on the 3-node star of `ib_incast_cold_lossy`: two
+/// senders alternate into the third node at line rate, two link
+/// lookups per packet.
+fn bench_fabric_star_send() -> Sample {
+    const PACKETS: u64 = 4096;
+    const WIRE_BYTES: u64 = 4096 + 64;
+    let bandwidth = Bandwidth::gbps(56);
+    let mut link = LinkConfig::datacenter(bandwidth);
+    link.queue_capacity = u64::MAX / 4;
+    let latency = SimDuration::from_nanos(200);
+    let mut fabric = Fabric::star(link, 3, latency, &mut SimRng::new(5));
+    let gap = bandwidth.transfer_time(WIRE_BYTES);
+    let mut now = SimTime::ZERO;
+    measure("fabric_star_send", PACKETS, || {
+        for i in 0..PACKETS {
+            let from = NodeId((i % 2) as u32);
+            std::hint::black_box(fabric.send(now, from, NodeId(2), WIRE_BYTES));
+            now += gap;
+        }
+    })
+}
+
 /// A reduced-size figure, as `figure_wall_clocks` times it.
 type Figure<'a> = Box<dyn FnOnce() -> npf_bench::Report + 'a>;
 
@@ -453,6 +537,8 @@ fn main() {
         bench_walk_miss_cold(),
         bench_sg_batch(),
         bench_lru_touch_evict(),
+        bench_rc_stream_window64(),
+        bench_fabric_star_send(),
     ];
     for s in &samples {
         println!(

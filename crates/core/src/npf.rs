@@ -17,7 +17,7 @@
 //! be resolved and `complete_fault` applies the IOMMU update; the
 //! testbed schedules the completion event.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use iommu::{DomainId, Iommu, TableMode};
 use memsim::manager::{Invalidation, MemError, MemoryManager};
@@ -480,7 +480,7 @@ pub struct NpfEngine {
     /// In-flight faults, sorted by id (ids are monotone, so pushes keep
     /// the order). Lookups binary-search; overlap scans iterate in id
     /// order, which makes "lowest covering id" the first hit.
-    pending: Vec<FaultRecord>,
+    pending: VecDeque<FaultRecord>,
     /// Completion times of outstanding faults, per dense domain id
     /// (concurrency limiting).
     outstanding: Vec<Vec<SimTime>>,
@@ -539,7 +539,7 @@ impl NpfEngine {
             mm,
             iommu,
             bindings: Vec::new(),
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             outstanding: Vec::new(),
             arbiter: FaultArbiter::new(config.arbiter, config.total_fault_slots),
             next_fault: 0,
@@ -1028,7 +1028,7 @@ impl NpfEngine {
             mappings,
         };
         invariant::note_fault_begun((self.chaos_ns << 32) | id, now);
-        self.pending.push(record); // ids are monotone: stays sorted
+        self.pending.push_back(record); // ids are monotone: stays sorted
         let demand_idx = self.pending.len() - 1;
         // The demand fault is fully recorded; train the stride detector
         // and (possibly) issue one speculative pre-fault for the
@@ -1220,7 +1220,7 @@ impl NpfEngine {
             mappings,
         };
         invariant::note_fault_begun((self.chaos_ns << 32) | id, now);
-        self.pending.push(record);
+        self.pending.push_back(record);
         Some((id, ready_at))
     }
 
@@ -1242,7 +1242,9 @@ impl NpfEngine {
             .pending
             .binary_search_by_key(&id, |f| f.id)
             .expect("unknown fault id");
-        let record = self.pending.remove(idx);
+        // Faults mostly complete oldest first, and a deque removes near
+        // its front without moving the tail.
+        let record = self.pending.remove(idx).expect("index from the search");
         invariant::note_fault_resolved((self.chaos_ns << 32) | id);
         journal::with(|j| j.fault_resolved((self.chaos_ns << 32) | id));
         if trace::enabled() {

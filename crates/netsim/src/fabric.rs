@@ -5,8 +5,6 @@
 //! [`Fabric`] owns the links and computes end-to-end delivery times,
 //! store-and-forward through the switch.
 
-use std::collections::HashMap;
-
 use simcore::chaos::{ChaosEngine, PacketFate};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
@@ -56,9 +54,10 @@ enum Topology {
 pub struct Fabric {
     topology: Topology,
     nodes: u32,
-    /// For back-to-back: key (from, to). For star: uplinks keyed
-    /// (from, SWITCH) and downlinks keyed (SWITCH, to).
-    links: HashMap<(u32, u32), Link>,
+    /// Indexed by position. Back-to-back: `[0→1, 1→0]`, so a link's
+    /// index is its sender. Star: node `n`'s uplink at `2n`, the
+    /// switch's downlink toward it at `2n + 1`.
+    links: Vec<Link>,
     /// Packets dropped by fault injection.
     chaos_drops: u64,
     /// PFC thresholds `(xoff, xon)` in bytes, when armed. On a star,
@@ -69,15 +68,24 @@ pub struct Fabric {
     pfc_pauses: u64,
 }
 
-const SWITCH: u32 = u32::MAX;
+/// Index of star node `n`'s link into the switch.
+fn uplink(n: u32) -> usize {
+    2 * n as usize
+}
+
+/// Index of the switch's link toward star node `n`.
+fn downlink(n: u32) -> usize {
+    2 * n as usize + 1
+}
 
 impl Fabric {
     /// Two nodes (`NodeId(0)`, `NodeId(1)`) connected directly.
     #[must_use]
     pub fn back_to_back(config: LinkConfig, rng: &mut SimRng) -> Self {
-        let mut links = HashMap::new();
-        links.insert((0, 1), Link::new(config, rng.fork(0x01)));
-        links.insert((1, 0), Link::new(config, rng.fork(0x10)));
+        let links = vec![
+            Link::new(config, rng.fork(0x01)),
+            Link::new(config, rng.fork(0x10)),
+        ];
         Fabric {
             topology: Topology::BackToBack,
             nodes: 2,
@@ -96,14 +104,10 @@ impl Fabric {
         switch_latency: SimDuration,
         rng: &mut SimRng,
     ) -> Self {
-        let mut links = HashMap::new();
-        for n in 0..nodes {
-            links.insert((n, SWITCH), Link::new(config, rng.fork(u64::from(n) * 2)));
-            links.insert(
-                (SWITCH, n),
-                Link::new(config, rng.fork(u64::from(n) * 2 + 1)),
-            );
-        }
+        // Link `i` draws from fork `i`: uplink 2n, then downlink 2n + 1.
+        let links = (0..u64::from(nodes) * 2)
+            .map(|i| Link::new(config, rng.fork(i)))
+            .collect();
         Fabric {
             topology: Topology::Star { switch_latency },
             nodes,
@@ -147,20 +151,16 @@ impl Fabric {
         assert_ne!(from, to, "loopback is not modelled");
         assert!(from.0 < self.nodes && to.0 < self.nodes, "unknown node");
         match self.topology {
-            Topology::BackToBack => {
-                let link = self.links.get_mut(&(from.0, to.0)).expect("link exists");
-                link.send(now, size_bytes)
-            }
+            Topology::BackToBack => self.links[from.0 as usize].send(now, size_bytes),
             Topology::Star { switch_latency } => {
-                let up = self.links.get_mut(&(from.0, SWITCH)).expect("uplink");
-                match up.send(now, size_bytes) {
+                match self.links[uplink(from.0)].send(now, size_bytes) {
                     SendOutcome::Dropped => SendOutcome::Dropped,
                     SendOutcome::Delivered {
                         arrives_at,
                         ecn_marked,
                     } => {
                         let offered_at = arrives_at + switch_latency;
-                        let down = self.links.get_mut(&(SWITCH, to.0)).expect("downlink");
+                        let down = &mut self.links[downlink(to.0)];
                         let outcome = match down.send(offered_at, size_bytes) {
                             SendOutcome::Dropped => SendOutcome::Dropped,
                             SendOutcome::Delivered {
@@ -178,16 +178,12 @@ impl Fabric {
                         // control stalls *all* streams, not just the
                         // congested one).
                         if let Some((xoff, xon)) = self.pfc {
-                            let down = self.links.get_mut(&(SWITCH, to.0)).expect("downlink");
                             if down.backlog_bytes(offered_at) > xoff {
                                 let resume = down.drains_below(xon);
                                 if resume > offered_at {
                                     self.pfc_pauses += 1;
                                     for n in 0..self.nodes {
-                                        self.links
-                                            .get_mut(&(n, SWITCH))
-                                            .expect("uplink")
-                                            .pause_until(resume);
+                                        self.links[uplink(n)].pause_until(resume);
                                     }
                                 }
                             }
@@ -250,39 +246,29 @@ impl Fabric {
     /// pause emitted by `node`). On a star this pauses the switch's
     /// downlink; back-to-back it pauses the peer.
     pub fn pause_toward(&mut self, node: NodeId, until: SimTime) {
-        match self.topology {
-            Topology::BackToBack => {
-                let peer = 1 - node.0;
-                self.links
-                    .get_mut(&(peer, node.0))
-                    .expect("link exists")
-                    .pause_until(until);
-            }
-            Topology::Star { .. } => {
-                self.links
-                    .get_mut(&(SWITCH, node.0))
-                    .expect("downlink")
-                    .pause_until(until);
-            }
-        }
+        let toward = match self.topology {
+            Topology::BackToBack => 1 - node.0 as usize,
+            Topology::Star { .. } => downlink(node.0),
+        };
+        self.links[toward].pause_until(until);
     }
 
     /// Total drops across all links.
     #[must_use]
     pub fn total_drops(&self) -> u64 {
-        self.links.values().map(Link::dropped_packets).sum()
+        self.links.iter().map(Link::dropped_packets).sum()
     }
 
     /// Total packets accepted across all links (a star counts both hops).
     #[must_use]
     pub fn total_sent(&self) -> u64 {
-        self.links.values().map(Link::sent_packets).sum()
+        self.links.iter().map(Link::sent_packets).sum()
     }
 
     /// Total ECN-marked packets across all links.
     #[must_use]
     pub fn total_marked(&self) -> u64 {
-        self.links.values().map(Link::marked_packets).sum()
+        self.links.iter().map(Link::marked_packets).sum()
     }
 }
 
@@ -517,6 +503,49 @@ mod star_pause_tests {
         assert!(
             arrives_at > SimTime::from_micros(60),
             "bystander must queue behind the pause: {arrives_at}"
+        );
+    }
+
+    /// Each link's loss stream is an RNG fork named by the link's
+    /// position, so which packets a lossy star drops pins the
+    /// fork-id → link mapping: the indices below are the behaviour of
+    /// the keyed-map fabric this layout replaced.
+    #[test]
+    fn lossy_star_drops_the_same_packets_on_every_build() {
+        let run = || {
+            let mut r = SimRng::new(42);
+            let mut cfg = LinkConfig::datacenter(Bandwidth::gbps(10));
+            cfg.loss_probability = 0.05;
+            cfg.ecn_threshold = Some(SimDuration::from_micros(2));
+            let mut f = Fabric::star(cfg, 3, SimDuration::from_nanos(200), &mut r);
+            let mut dropped = Vec::new();
+            let mut marked = 0;
+            for i in 0..120u32 {
+                // Rotate over all six ordered pairs of the three nodes.
+                let (from, to) = (i % 3, (i % 3 + 1 + i / 3 % 2) % 3);
+                let at = SimTime::from_micros(u64::from(i));
+                match f.send(at, NodeId(from), NodeId(to), 4096) {
+                    SendOutcome::Dropped => dropped.push(i),
+                    SendOutcome::Delivered { ecn_marked, .. } => marked += u64::from(ecn_marked),
+                }
+            }
+            (dropped, marked, f)
+        };
+        let (dropped, marked, f) = run();
+        assert_eq!(dropped, run().0, "same seed, same drops");
+        assert_eq!(
+            dropped,
+            [18, 22, 32, 38, 40, 43, 50, 97, 105, 112, 115, 116, 118]
+        );
+        // A packet lost on its uplink never reaches the downlink, one
+        // lost on the downlink was sent once; every drop is one link's.
+        assert_eq!(f.total_drops(), dropped.len() as u64);
+        let delivered = 120 - dropped.len() as u64;
+        assert!(f.total_sent() >= 2 * delivered, "both hops are counted");
+        assert!(f.total_sent() <= 2 * delivered + dropped.len() as u64);
+        assert!(
+            f.total_marked() >= marked && marked > 0,
+            "marks of both hops"
         );
     }
 

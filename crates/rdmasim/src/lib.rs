@@ -31,11 +31,13 @@
 //! ```
 
 pub mod mr;
+pub mod psn_window;
 pub mod rc;
 pub mod types;
 pub mod ud;
 
 pub use mr::{MemoryRegion, MrKey, MrMode, MrTable};
+pub use psn_window::PsnWindow;
 pub use rc::{RcQp, RcStats};
 pub use types::{
     Completion, DmaGate, GateDecision, MessageRange, PinnedGate, QpId, QpOutput, QpTimer, RcConfig,

@@ -26,13 +26,14 @@
 //! Every DMA consults a [`DmaGate`], which the NPF engine implements; a
 //! pinned channel uses [`crate::types::PinnedGate`] and never faults.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use memsim::types::VirtAddr;
 use netsim::packet::NodeId;
 use simcore::time::SimTime;
 use simcore::trace::{self, ArgValue};
 
+use crate::psn_window::PsnWindow;
 use crate::types::{
     Completion, DmaGate, GateDecision, MessageRange, QpId, QpOutput, QpTimer, RcConfig, RcPacket,
     RcPacketKind, RdmaTransport, RecvWqe, SendOp, WcOpcode, WcStatus, WrId,
@@ -66,6 +67,24 @@ struct TxDesc {
     message: MessageRange,
     /// Completion to deliver when this packet is cumulatively acked.
     complete: Option<(WrId, WcOpcode, u64)>,
+}
+
+/// Requester state of one unacknowledged PSN: the packet, plus the
+/// selective-repeat recovery marks that live and die with it. Marks
+/// are only set on in-flight PSNs, and a marked packet leaves the
+/// window only through a cumulative ACK (which retires the marks below
+/// it) or an RNR rewind (which clears every mark first), so the marks
+/// need no lifetime of their own. This relies on both ends of a
+/// connection running one transport: go-back-N never sets a mark.
+#[derive(Debug, Clone, Copy)]
+struct TxSlot {
+    desc: TxDesc,
+    /// The peer advertised this PSN as received out of order: still
+    /// unacked cumulatively, but never retransmitted.
+    sacked: bool,
+    /// Already queued or sent as a SACK-driven retransmit since the
+    /// last cumulative-ACK advance (suppresses duplicate recovery).
+    retx_queued: bool,
 }
 
 /// Why a packet is being (re)transmitted, for split accounting: RNR
@@ -192,7 +211,9 @@ pub struct RcQp {
     // Requester.
     sq: VecDeque<SqWr>,
     tx: VecDeque<TxItem>,
-    inflight: BTreeMap<u64, TxDesc>,
+    /// Unacked packets by PSN. The span is bounded by the transmit
+    /// window plus the PSN ranges reserved for outstanding reads.
+    inflight: PsnWindow<TxSlot>,
     next_psn: u64,
     pause: Pause,
     retry: u32,
@@ -201,12 +222,6 @@ pub struct RcQp {
     /// When the retransmission timer was last armed (journalled as the
     /// `retransmit_wait` phase when it fires).
     timer_armed_at: SimTime,
-    /// PSNs the peer advertised as received out of order (selective
-    /// repeat only): still unacked cumulatively, but never retransmitted.
-    sacked: BTreeSet<u64>,
-    /// PSNs already queued or sent as SACK-driven retransmits since the
-    /// last cumulative-ACK advance (suppresses duplicate recovery).
-    retx_queued: BTreeSet<u64>,
     reads: BTreeMap<u64, ReadState>,
     read_fault: Option<(u64, u64)>, // (fault_id, base_psn)
 
@@ -215,7 +230,7 @@ pub struct RcQp {
     /// Out-of-order packets parked for in-order processing (selective
     /// repeat only). Keyed by PSN; bounded to [`SACK_WINDOW`] beyond
     /// the expected PSN.
-    ooo: BTreeMap<u64, RcPacket>,
+    ooo: PsnWindow<RcPacket>,
     rq: VecDeque<RecvWqe>,
     cur_recv: Option<RecvProgress>,
     nak_outstanding: bool,
@@ -243,19 +258,17 @@ impl RcQp {
             chaos_stream: simcore::chaos::invariant::fresh_namespace(),
             sq: VecDeque::new(),
             tx: VecDeque::new(),
-            inflight: BTreeMap::new(),
+            inflight: PsnWindow::new(),
             next_psn: 0,
             pause: Pause::None,
             retry: 0,
             rnr_retry: 0,
             timer_armed: false,
             timer_armed_at: SimTime::ZERO,
-            sacked: BTreeSet::new(),
-            retx_queued: BTreeSet::new(),
             reads: BTreeMap::new(),
             read_fault: None,
             epsn: 0,
-            ooo: BTreeMap::new(),
+            ooo: PsnWindow::new(),
             rq: VecDeque::new(),
             cur_recv: None,
             nak_outstanding: false,
@@ -373,8 +386,10 @@ impl RcQp {
                 // An RNR means the receiver discarded data (it also
                 // flushes its out-of-order park under selective repeat),
                 // so any SACK state is stale.
-                self.sacked.clear();
-                self.retx_queued.clear();
+                for (_, slot) in self.inflight.iter_mut() {
+                    slot.sacked = false;
+                    slot.retx_queued = false;
+                }
                 self.rewind_to(pkt.psn, Retx::Rnr);
                 self.pause = Pause::Rnr(now + wait);
                 out.push(QpOutput::SetTimer(QpTimer::RnrResume, now + wait));
@@ -505,36 +520,32 @@ impl RcQp {
                     RdmaTransport::GoBackN => {
                         // Go-back-N: everything unacked is resent in
                         // order.
-                        let oldest = self.inflight.keys().next().copied();
-                        if let Some(psn) = oldest {
-                            self.rewind_to(psn, Retx::Loss);
+                        if let Some(oldest) = self.inflight.first_key() {
+                            self.rewind_to(oldest, Retx::Loss);
                         }
                     }
                     RdmaTransport::SelectiveRepeat => {
                         // Selective repeat: only the holes are resent;
                         // SACKed packets sit at the receiver already.
-                        let mut missing: Vec<u64> = self
-                            .inflight
-                            .keys()
-                            .copied()
-                            .filter(|p| !self.sacked.contains(p))
-                            .collect();
-                        if missing.is_empty() {
+                        if self.inflight.range(..).all(|(_, slot)| slot.sacked) {
                             // Every in-flight packet is SACKed: the
                             // receiver has them all and the ACK that
                             // would retire them was itself lost. Probe
                             // with the oldest unacked packet — the
                             // receiver re-acks duplicates — so the
                             // window drains instead of waiting forever.
-                            if let Some(&oldest) = self.inflight.keys().next() {
-                                self.sacked.remove(&oldest);
-                                missing.push(oldest);
+                            if let Some((_, oldest)) = self.inflight.iter_mut().next() {
+                                oldest.sacked = false;
                             }
                         }
-                        for p in &missing {
-                            self.retx_queued.remove(p);
+                        // A timeout starts a new recovery round, so
+                        // holes queued in the last one are queued again.
+                        for (psn, slot) in self.inflight.iter_mut() {
+                            if !slot.sacked {
+                                slot.retx_queued = false;
+                                Self::queue_selective_retransmit(&mut self.tx, psn, slot);
+                            }
                         }
-                        self.queue_selective_retransmits(&missing);
                     }
                 }
                 // Stalled reads re-request their remainders.
@@ -583,8 +594,8 @@ impl RcQp {
         out.push(QpOutput::CancelTimer(QpTimer::Retransmit));
         // Flush completions for everything outstanding, oldest first.
         let mut flushed: Vec<Completion> = Vec::new();
-        for (_psn, desc) in std::mem::take(&mut self.inflight) {
-            if let Some((wr_id, opcode, len)) = desc.complete {
+        for (_psn, slot) in self.inflight.drain() {
+            if let Some((wr_id, opcode, len)) = slot.desc.complete {
                 flushed.push(Completion {
                     wr_id,
                     opcode,
@@ -625,15 +636,12 @@ impl RcQp {
     }
 
     fn on_ack(&mut self, now: SimTime, psn: u64, out: &mut Vec<QpOutput>) {
-        let acked: Vec<u64> = self.inflight.range(..=psn).map(|(&p, _)| p).collect();
-        if acked.is_empty() {
-            return;
-        }
-        self.retry = 0;
-        self.rnr_retry = 0;
-        for p in acked {
-            let desc = self.inflight.remove(&p).expect("keys from range");
-            if let Some((wr_id, opcode, len)) = desc.complete {
+        // Cumulative progress retires the entries' SACK marks with them.
+        let mut progressed = false;
+        while self.inflight.first_key().is_some_and(|first| first <= psn) {
+            let (_, slot) = self.inflight.pop_first().expect("first key exists");
+            progressed = true;
+            if let Some((wr_id, opcode, len)) = slot.desc.complete {
                 out.push(QpOutput::Complete(Completion {
                     wr_id,
                     opcode,
@@ -642,13 +650,11 @@ impl RcQp {
                 }));
             }
         }
-        // Cumulative progress retires SACK bookkeeping below it.
-        if !self.sacked.is_empty() {
-            self.sacked = self.sacked.split_off(&(psn + 1));
+        if !progressed {
+            return;
         }
-        if !self.retx_queued.is_empty() {
-            self.retx_queued = self.retx_queued.split_off(&(psn + 1));
-        }
+        self.retry = 0;
+        self.rnr_retry = 0;
         self.rearm_timer(now, out);
     }
 
@@ -666,7 +672,13 @@ impl RcQp {
     /// as parked at the receiver. Every unsacked hole at or above
     /// `expected` is queued for selective retransmission exactly once
     /// per recovery round.
-    fn on_selective_ack(&mut self, now: SimTime, expected: u64, bitmap: u64, out: &mut Vec<QpOutput>) {
+    fn on_selective_ack(
+        &mut self,
+        now: SimTime,
+        expected: u64,
+        bitmap: u64,
+        out: &mut Vec<QpOutput>,
+    ) {
         self.stats.sacks_received += 1;
         if expected > 0 {
             self.on_ack(now, expected - 1, out);
@@ -675,43 +687,35 @@ impl RcQp {
         for i in 0..SACK_WINDOW {
             if bitmap & (1 << i) != 0 {
                 let p = expected + 1 + i;
-                if self.inflight.contains_key(&p) {
-                    self.sacked.insert(p);
+                if let Some(slot) = self.inflight.get_mut(p) {
+                    slot.sacked = true;
                 }
                 highest = Some(p);
             }
         }
-        let upper = highest.map_or(expected + 1, |h| h);
-        let missing: Vec<u64> = self
-            .inflight
-            .range(expected..upper)
-            .map(|(&p, _)| p)
-            .filter(|p| !self.sacked.contains(p))
-            .collect();
-        self.queue_selective_retransmits(&missing);
+        let upper = highest.unwrap_or(expected + 1);
+        for (psn, slot) in self.inflight.range_mut(expected..upper) {
+            if !slot.sacked {
+                Self::queue_selective_retransmit(&mut self.tx, psn, slot);
+            }
+        }
     }
 
-    /// Queues loss retransmissions for `psns` (ascending), skipping any
-    /// already queued for recovery or currently waiting in the tx queue.
-    fn queue_selective_retransmits(&mut self, psns: &[u64]) {
-        for &p in psns {
-            if !self.retx_queued.insert(p) {
-                continue;
-            }
-            if self
-                .tx
-                .iter()
-                .any(|item| matches!(item, TxItem::Retransmit { psn, .. } if *psn == p))
-            {
-                continue;
-            }
-            if let Some(desc) = self.inflight.get(&p).copied() {
-                self.tx.push_back(TxItem::Retransmit {
-                    psn: p,
-                    desc,
-                    rnr: false,
-                });
-            }
+    /// Queues a loss retransmission of the in-flight packet `psn`,
+    /// unless one was already queued this recovery round or is still
+    /// waiting in the tx queue. Callers visit PSNs in ascending order.
+    fn queue_selective_retransmit(tx: &mut VecDeque<TxItem>, psn: u64, slot: &mut TxSlot) {
+        if std::mem::replace(&mut slot.retx_queued, true) {
+            return;
+        }
+        let waiting =
+            |item: &TxItem| matches!(item, TxItem::Retransmit { psn: p, .. } if *p == psn);
+        if !tx.iter().any(waiting) {
+            tx.push_back(TxItem::Retransmit {
+                psn,
+                desc: slot.desc,
+                rnr: false,
+            });
         }
     }
 
@@ -720,19 +724,19 @@ impl RcQp {
     /// the receiver already SACKed are left in place.
     fn rewind_to(&mut self, from: u64, cause: Retx) {
         let rnr = cause == Retx::Rnr;
-        let resend: Vec<(u64, TxDesc)> = self
-            .inflight
-            .range(from..)
-            .filter(|(p, _)| {
-                self.cfg.transport == RdmaTransport::GoBackN || !self.sacked.contains(p)
-            })
-            .map(|(&p, d)| (p, *d))
-            .collect();
-        for &(p, _) in &resend {
-            self.inflight.remove(&p);
-        }
-        for (psn, desc) in resend.into_iter().rev() {
-            self.tx.push_front(TxItem::Retransmit { psn, desc, rnr });
+        let go_back_n = self.cfg.transport == RdmaTransport::GoBackN;
+        let (Some(first), Some(last)) = (self.inflight.first_key(), self.inflight.last_key())
+        else {
+            return;
+        };
+        // Newest first, each onto the front: the queue ends up ascending.
+        let resend = |slot: &TxSlot| go_back_n || !slot.sacked;
+        for psn in (from.max(first)..=last).rev() {
+            if self.inflight.get(psn).is_some_and(resend) {
+                let slot = self.inflight.remove(psn).expect("checked live");
+                let desc = slot.desc;
+                self.tx.push_front(TxItem::Retransmit { psn, desc, rnr });
+            }
         }
     }
 
@@ -846,9 +850,7 @@ impl RcQp {
             // data at one BDP (IRN's replacement for PFC back-pressure).
             let window = match self.cfg.transport {
                 RdmaTransport::GoBackN => self.cfg.window_packets,
-                RdmaTransport::SelectiveRepeat => {
-                    self.cfg.window_packets.min(self.cfg.bdp_packets)
-                }
+                RdmaTransport::SelectiveRepeat => self.cfg.window_packets.min(self.cfg.bdp_packets),
             };
             if self.inflight.len() as u64 >= window {
                 break;
@@ -981,7 +983,19 @@ impl RcQp {
         };
         self.stats.data_packets_sent += 1;
         self.stats.bytes_sent += len;
-        self.inflight.insert(psn, desc);
+        match self.inflight.get_mut(psn) {
+            // A selective retransmit of a packet that never left the
+            // window: its recovery marks stand.
+            Some(slot) => slot.desc = desc,
+            None => {
+                let slot = TxSlot {
+                    desc,
+                    sacked: false,
+                    retx_queued: false,
+                };
+                self.inflight.insert(psn, slot);
+            }
+        }
         out.push(QpOutput::Send {
             to: self.peer_node,
             packet: RcPacket {
@@ -1153,10 +1167,7 @@ impl RcQp {
     /// as the expected PSN is missing or a packet fails to make progress
     /// (e.g. its scatter DMA faulted and an RNR flushed the park).
     fn drain_parked(&mut self, now: SimTime, gate: &mut dyn DmaGate, out: &mut Vec<QpOutput>) {
-        loop {
-            let Some(pkt) = self.ooo.remove(&self.epsn) else {
-                break;
-            };
+        while let Some(pkt) = self.ooo.remove(self.epsn) {
             let before = self.epsn;
             self.responder_path(now, pkt, gate, out);
             if self.epsn == before {
@@ -1171,7 +1182,7 @@ impl RcQp {
         self.stats.sacks_sent += 1;
         self.since_ack = 0;
         let mut bitmap = 0u64;
-        for (&p, _) in self.ooo.range(self.epsn + 1..=self.epsn + SACK_WINDOW) {
+        for (p, _) in self.ooo.range(self.epsn + 1..=self.epsn + SACK_WINDOW) {
             bitmap |= 1 << (p - self.epsn - 1);
         }
         out.push(QpOutput::Send {
@@ -1567,7 +1578,10 @@ mod tests {
         );
         assert_eq!(ca.len(), 1);
         assert_eq!(cb.len(), 1);
-        assert!(a.stats().rnr_retransmits >= 1, "RNR rewind books separately");
+        assert!(
+            a.stats().rnr_retransmits >= 1,
+            "RNR rewind books separately"
+        );
         assert_eq!(a.stats().retransmits, 0, "no loss happened");
     }
 

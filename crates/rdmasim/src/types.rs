@@ -319,6 +319,21 @@ pub enum QpTimer {
     FaultResume,
 }
 
+impl QpTimer {
+    /// Number of timer kinds: the size of a per-QP timer table.
+    pub const COUNT: usize = 3;
+
+    /// This kind's slot in a per-QP timer table, below [`QpTimer::COUNT`].
+    #[must_use]
+    pub fn index(self) -> usize {
+        match self {
+            QpTimer::Retransmit => 0,
+            QpTimer::RnrResume => 1,
+            QpTimer::FaultResume => 2,
+        }
+    }
+}
+
 /// Effects emitted by a QP.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QpOutput {

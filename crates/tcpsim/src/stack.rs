@@ -5,8 +5,7 @@
 //! port spawn new connections. All effects bubble up tagged with the
 //! connection they belong to.
 
-use std::collections::HashMap;
-
+use simcore::fxhash::FxHashMap;
 use simcore::time::SimTime;
 
 use crate::conn::{TcpConnection, TcpOutput, TcpState};
@@ -18,8 +17,11 @@ pub type ConnId = (u16, u16);
 /// A TCP stack instance.
 #[derive(Debug, Default)]
 pub struct TcpStack {
-    conns: HashMap<ConnId, TcpConnection>,
-    listeners: HashMap<u16, TcpConfig>,
+    /// Looked up on every segment and every application call. Nothing
+    /// iterates it in an order a caller can see (`reap` only filters),
+    /// so the seed-free hash keeps runs deterministic.
+    conns: FxHashMap<ConnId, TcpConnection>,
+    listeners: FxHashMap<u16, TcpConfig>,
 }
 
 impl TcpStack {
@@ -59,11 +61,6 @@ impl TcpStack {
     /// Mutable access to a connection (for `write`/`read`/`close`).
     pub fn conn_mut(&mut self, id: ConnId) -> Option<&mut TcpConnection> {
         self.conns.get_mut(&id)
-    }
-
-    /// Ids of all live connections.
-    pub fn conn_ids(&self) -> impl Iterator<Item = ConnId> + '_ {
-        self.conns.keys().copied()
     }
 
     /// Number of connections (any state).

@@ -6,7 +6,7 @@
 //! latency, RNR NACK timing, and transport retries all interleave on
 //! one deterministic clock.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use memsim::manager::{MemConfig, MemoryManager, TierConfig};
@@ -186,6 +186,25 @@ struct SyntheticInjector {
     next_id: u64,
 }
 
+/// Everything a node keeps per QP, found with one lookup per drive.
+struct QpSlot {
+    qp: RcQp,
+    /// The IOMMU domain of the QP's channel.
+    domain: DomainId,
+    /// The pending event of each armed timer, by [`QpTimer::index`].
+    timers: [Option<EventToken>; QpTimer::COUNT],
+}
+
+impl QpSlot {
+    fn new(qp: RcQp, domain: DomainId) -> Self {
+        QpSlot {
+            qp,
+            domain,
+            timers: [None; QpTimer::COUNT],
+        }
+    }
+}
+
 /// One cluster node.
 pub struct IbNode {
     engine: NpfEngine,
@@ -193,9 +212,7 @@ pub struct IbNode {
     default_domain: DomainId,
     /// Ordered, so that waking every QP of the node (fault completion)
     /// visits them in `QpId` order in every process.
-    qps: BTreeMap<QpId, RcQp>,
-    domains: HashMap<QpId, DomainId>,
-    timers: HashMap<(QpId, QpTimer), EventToken>,
+    qps: BTreeMap<QpId, QpSlot>,
     completions: Vec<Completion>,
     synthetic: Option<SyntheticInjector>,
 }
@@ -218,10 +235,20 @@ impl IbNode {
         self.space
     }
 
+    fn slot(&self, qp: QpId) -> &QpSlot {
+        self.qps
+            .get(&qp)
+            .unwrap_or_else(|| panic!("no QP {} on this node", qp.0))
+    }
+
     /// The IOMMU domain of a QP's channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node has no such QP.
     #[must_use]
     pub fn domain_of(&self, qp: QpId) -> DomainId {
-        self.domains[&qp]
+        self.slot(qp).domain
     }
 
     /// The node's shared protection-domain-like channel (all QPs
@@ -232,9 +259,13 @@ impl IbNode {
     }
 
     /// A QP's transport statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node has no such QP.
     #[must_use]
     pub fn qp_stats(&self, qp: QpId) -> rdmasim::rc::RcStats {
-        *self.qps[&qp].stats()
+        *self.slot(qp).qp.stats()
     }
 }
 
@@ -419,8 +450,6 @@ impl IbCluster {
                     space,
                     default_domain,
                     qps: BTreeMap::new(),
-                    domains: HashMap::new(),
-                    timers: HashMap::new(),
                     completions: Vec::new(),
                     synthetic: None,
                 }
@@ -551,19 +580,11 @@ impl IbCluster {
         let qa = QpId(self.next_qp);
         let qb = QpId(self.next_qp + 1);
         self.next_qp += 2;
-        {
-            let node = &mut self.nodes[a as usize];
+        for (local, qp, peer_qp, peer) in [(a, qa, qb, b), (b, qb, qa, a)] {
+            let node = &mut self.nodes[local as usize];
             let dom = node.engine.create_channel(node.space);
-            node.qps
-                .insert(qa, RcQp::new(self.config.rc, qa, qb, NodeId(b)));
-            node.domains.insert(qa, dom);
-        }
-        {
-            let node = &mut self.nodes[b as usize];
-            let dom = node.engine.create_channel(node.space);
-            node.qps
-                .insert(qb, RcQp::new(self.config.rc, qb, qa, NodeId(a)));
-            node.domains.insert(qb, dom);
+            let rc = RcQp::new(self.config.rc, qp, peer_qp, NodeId(peer));
+            node.qps.insert(qp, QpSlot::new(rc, dom));
         }
         (qa, qb)
     }
@@ -575,19 +596,10 @@ impl IbCluster {
         let qa = QpId(self.next_qp);
         let qb = QpId(self.next_qp + 1);
         self.next_qp += 2;
-        {
-            let node = &mut self.nodes[a as usize];
-            let dom = node.default_domain;
-            node.qps
-                .insert(qa, RcQp::new(self.config.rc, qa, qb, NodeId(b)));
-            node.domains.insert(qa, dom);
-        }
-        {
-            let node = &mut self.nodes[b as usize];
-            let dom = node.default_domain;
-            node.qps
-                .insert(qb, RcQp::new(self.config.rc, qb, qa, NodeId(a)));
-            node.domains.insert(qb, dom);
+        for (local, qp, peer_qp, peer) in [(a, qa, qb, b), (b, qb, qa, a)] {
+            let node = &mut self.nodes[local as usize];
+            let rc = RcQp::new(self.config.rc, qp, peer_qp, NodeId(peer));
+            node.qps.insert(qp, QpSlot::new(rc, node.default_domain));
         }
         (qa, qb)
     }
@@ -609,6 +621,7 @@ impl IbCluster {
             .qps
             .get_mut(&qp)
             .expect("unknown qp")
+            .qp
             .post_recv(RecvWqe {
                 wr_id,
                 addr,
@@ -705,7 +718,6 @@ impl IbCluster {
                 self.drive_qp(now, node, pkt.dst_qp, QpDrive::Packet(pkt));
             }
             IbEvent::QpTimer { node, qp, timer } => {
-                self.nodes[node as usize].timers.remove(&(qp, timer));
                 self.drive_qp(now, node, qp, QpDrive::Timer(timer));
             }
             IbEvent::FaultDone { node, fault } => {
@@ -754,37 +766,54 @@ impl IbCluster {
 
     /// Drives one QP with one stimulus and performs its effects.
     fn drive_qp(&mut self, now: SimTime, node_idx: u32, qp: QpId, drive: QpDrive) {
-        let node = &mut self.nodes[node_idx as usize];
-        let Some(queue_pair) = node.qps.get_mut(&qp) else {
+        let IbCluster {
+            config,
+            queue,
+            fabric,
+            nodes,
+            chaos,
+            ..
+        } = self;
+        let IbNode {
+            engine,
+            qps,
+            completions,
+            synthetic,
+            ..
+        } = &mut nodes[node_idx as usize];
+        let Some(slot) = qps.get_mut(&qp) else {
             return;
         };
-        let domain = node.domains[&qp];
         let mut gate = EngineGate {
-            engine: &mut node.engine,
-            domain,
+            engine,
+            domain: slot.domain,
             now,
             new_faults: Vec::new(),
-            synthetic: node.synthetic.as_mut(),
+            synthetic: synthetic.as_mut(),
             new_synthetic: Vec::new(),
         };
         let outputs = match drive {
-            QpDrive::Packet(pkt) => queue_pair.on_packet(now, pkt, &mut gate),
-            QpDrive::Timer(t) => queue_pair.on_timer(now, t, &mut gate),
-            QpDrive::PostSend { wr_id, op } => queue_pair.post_send(now, wr_id, op, &mut gate),
-            QpDrive::FaultResolved(id) => queue_pair.fault_resolved(now, id, &mut gate),
+            QpDrive::Packet(pkt) => slot.qp.on_packet(now, pkt, &mut gate),
+            QpDrive::Timer(t) => {
+                // This is the timer's own event: nothing is left to cancel.
+                slot.timers[t.index()] = None;
+                slot.qp.on_timer(now, t, &mut gate)
+            }
+            QpDrive::PostSend { wr_id, op } => slot.qp.post_send(now, wr_id, op, &mut gate),
+            QpDrive::FaultResolved(id) => slot.qp.fault_resolved(now, id, &mut gate),
         };
-        let new_faults = std::mem::take(&mut gate.new_faults);
-        let new_synth = std::mem::take(&mut gate.new_synthetic);
-        drop(gate);
+        let EngineGate {
+            new_faults,
+            new_synthetic,
+            ..
+        } = gate;
 
         // Speculative pre-faults issued alongside the demand faults
         // complete through the same FaultDone path (the handler
         // tolerates ids no QP is waiting on).
-        let spawned = self.nodes[node_idx as usize]
-            .engine
-            .drain_spawned_prefetches();
+        let spawned = engine.drain_spawned_prefetches();
         for (id, ready) in new_faults.into_iter().chain(spawned) {
-            self.queue.schedule_at(
+            queue.schedule_at(
                 ready,
                 IbEvent::FaultDone {
                     node: node_idx,
@@ -792,8 +821,8 @@ impl IbCluster {
                 },
             );
         }
-        for (id, at) in new_synth {
-            self.queue.schedule_at(
+        for (id, at) in new_synthetic {
+            queue.schedule_at(
                 at,
                 IbEvent::SynthDone {
                     node: node_idx,
@@ -802,21 +831,34 @@ impl IbCluster {
             );
         }
 
-        for out in outputs {
+        // One drive often sets a timer more than once (an ACK re-arms
+        // the retransmit timer when it retires packets and again after
+        // pumping new ones). Only the last word per timer kind can be
+        // observed, so only it is applied — at its own position among
+        // the outputs, which keeps every event's queue order.
+        let mut last_timer_op = [usize::MAX; QpTimer::COUNT];
+        for (i, out) in outputs.iter().enumerate() {
+            if let QpOutput::SetTimer(timer, _) | QpOutput::CancelTimer(timer) = out {
+                last_timer_op[timer.index()] = i;
+            }
+        }
+
+        for (i, out) in outputs.into_iter().enumerate() {
             match out {
                 QpOutput::Send { to, packet } => {
                     let size = packet.wire_size();
-                    if let Some(chaos) = self.chaos.as_mut() {
-                        match self
-                            .fabric
-                            .send_chaos(now, NodeId(node_idx), to, size, chaos)
-                        {
+                    let deliver = |queue: &mut EventQueue<IbEvent>, at: SimTime| {
+                        let node = to.0;
+                        queue.schedule_at(at, IbEvent::Deliver { node, pkt: packet });
+                    };
+                    if let Some(chaos) = chaos.as_mut() {
+                        match fabric.send_chaos(now, NodeId(node_idx), to, size, chaos) {
                             ChaosSendOutcome::Dropped { injected } => {
                                 // Only the injector or a lossy profile
                                 // drops; transport-level retransmission
                                 // recovers either way.
                                 assert!(
-                                    injected || self.config.profile.loss > 0.0,
+                                    injected || config.profile.loss > 0.0,
                                     "lossless IB fabric dropped a packet"
                                 );
                             }
@@ -830,74 +872,46 @@ impl IbCluster {
                                 // fails the receiver's CRC, so it is
                                 // never delivered to the QP.
                                 if !corrupted {
-                                    self.queue.schedule_at(
-                                        arrives_at,
-                                        IbEvent::Deliver {
-                                            node: to.0,
-                                            pkt: packet,
-                                        },
-                                    );
+                                    deliver(queue, arrives_at);
                                 }
                                 if let Some(at) = duplicate_at {
-                                    self.queue.schedule_at(
-                                        at,
-                                        IbEvent::Deliver {
-                                            node: to.0,
-                                            pkt: packet,
-                                        },
-                                    );
+                                    deliver(queue, at);
                                 }
                             }
                         }
                     } else {
-                        match self.fabric.send(now, NodeId(node_idx), to, size) {
+                        match fabric.send(now, NodeId(node_idx), to, size) {
                             SendOutcome::Delivered { arrives_at, .. } => {
-                                self.queue.schedule_at(
-                                    arrives_at,
-                                    IbEvent::Deliver {
-                                        node: to.0,
-                                        pkt: packet,
-                                    },
-                                );
+                                deliver(queue, arrives_at);
                             }
                             SendOutcome::Dropped => {
                                 // Random loss from a lossy profile: the
                                 // packet vanishes and the transport's
                                 // timeout/NAK machinery recovers.
                                 assert!(
-                                    self.config.profile.loss > 0.0,
+                                    config.profile.loss > 0.0,
                                     "lossless IB fabric dropped a packet"
                                 );
                             }
                         }
                     }
                 }
+                QpOutput::SetTimer(timer, _) | QpOutput::CancelTimer(timer)
+                    if last_timer_op[timer.index()] != i => {}
                 QpOutput::SetTimer(timer, at) => {
-                    let node = &mut self.nodes[node_idx as usize];
-                    if let Some(tok) = node.timers.remove(&(qp, timer)) {
-                        self.queue.cancel(tok);
+                    let armed = &mut slot.timers[timer.index()];
+                    if let Some(tok) = armed.take() {
+                        queue.cancel(tok);
                     }
-                    let tok = self.queue.schedule_at(
-                        at,
-                        IbEvent::QpTimer {
-                            node: node_idx,
-                            qp,
-                            timer,
-                        },
-                    );
-                    self.nodes[node_idx as usize]
-                        .timers
-                        .insert((qp, timer), tok);
+                    let node = node_idx;
+                    *armed = Some(queue.schedule_at(at, IbEvent::QpTimer { node, qp, timer }));
                 }
                 QpOutput::CancelTimer(timer) => {
-                    let node = &mut self.nodes[node_idx as usize];
-                    if let Some(tok) = node.timers.remove(&(qp, timer)) {
-                        self.queue.cancel(tok);
+                    if let Some(tok) = slot.timers[timer.index()].take() {
+                        queue.cancel(tok);
                     }
                 }
-                QpOutput::Complete(c) => {
-                    self.nodes[node_idx as usize].completions.push(c);
-                }
+                QpOutput::Complete(c) => completions.push(c),
                 QpOutput::RnrIssued { .. } => {
                     // The gate already started resolution (or it is
                     // synthetic); nothing further to do.
@@ -1135,6 +1149,68 @@ mod tests {
             faulty > clean,
             "faults must cost time: clean {clean}, faulty {faulty}"
         );
+    }
+
+    /// A 1 MiB send over pinned buffers: 256 packets through a
+    /// 128-packet window, so every ACK both retires packets and lets
+    /// the QP pump new ones — two `SetTimer(Retransmit)` in one drive.
+    fn pinned_one_mib_send() -> (IbCluster, QpId) {
+        let mut c = two_node_cluster();
+        let (qa, qb) = c.connect(0, 1);
+        let src = c.alloc_buffers(0, ByteSize::mib(1));
+        let dst = c.alloc_buffers(1, ByteSize::mib(1));
+        for (n, qp, buf) in [(0, qa, src), (1, qb, dst)] {
+            let dom = c.node(n).domain_of(qp);
+            let range = memsim::types::PageRange::covering(buf, 1 << 20);
+            c.node_mut(n)
+                .engine_mut()
+                .pin_and_map(dom, range)
+                .expect("pin");
+        }
+        c.post_recv(1, qb, 100, dst, 1 << 20);
+        let len = 1 << 20;
+        c.post_send(0, qa, 1, SendOp::Send { local: src, len });
+        (c, qa)
+    }
+
+    #[test]
+    fn repeated_set_timer_in_one_drive_leaves_one_live_timer() {
+        let (mut c, qa) = pinned_one_mib_send();
+        // Stop right after the drive that handled the first ACK.
+        while c.node(0).qp_stats(qa).data_packets_sent <= 128 {
+            assert!(c.step(), "the first ACK arrives");
+        }
+        let now = c.now();
+        assert_eq!(
+            c.queue.cancelled_total(),
+            1,
+            "the ACK's drive re-armed the timer once, not once per SetTimer"
+        );
+        let retransmit = QpTimer::Retransmit.index();
+        assert!(c.nodes[0].qps[&qa].timers[retransmit].is_some());
+        let mut live = Vec::new();
+        while let Some((at, ev)) = c.queue.pop() {
+            if matches!(ev, IbEvent::QpTimer { node: 0, .. }) {
+                live.push(at);
+            }
+        }
+        assert_eq!(live, [now + c.config.rc.retransmit_timeout]);
+
+        // Same completions at the same simulated time as when every
+        // SetTimer cost a cancel and a schedule.
+        let (mut c, _) = pinned_one_mib_send();
+        c.run_until_quiescent(1_000_000);
+        assert!(c.queue.is_empty(), "the last ACK cancels the timer");
+        assert_eq!(c.now(), SimTime::from_nanos(157_076));
+        let wr_ids = |cs: Vec<Completion>| cs.iter().map(|c| c.wr_id).collect::<Vec<_>>();
+        assert_eq!(wr_ids(c.drain_completions(0)), [1]);
+        assert_eq!(wr_ids(c.drain_completions(1)), [100]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no QP 9 on this node")]
+    fn stats_of_an_unknown_qp_name_it() {
+        let _ = two_node_cluster().node(0).qp_stats(QpId(9));
     }
 
     #[test]

@@ -6,18 +6,19 @@
 
 fn main() {
     use simcore::{ByteSize, SimTime};
-    use testbed::eth::{EthConfig, EthTestbed, RxMode};
+    use testbed::builder::ScenarioBuilder;
+    use testbed::eth::RxMode;
     use workloads::memcached::MemcachedConfig;
     for n in [1u32, 2, 3, 4] {
-        let cfg = EthConfig::default()
-            .with_mode(RxMode::Backup)
-            .with_instances(n)
-            .with_memcached(MemcachedConfig {
+        let scenario = ScenarioBuilder::ethernet()
+            .mode(RxMode::Backup)
+            .instances(n)
+            .memcached(MemcachedConfig {
                 max_bytes: ByteSize::gib(3),
                 ..MemcachedConfig::default()
             })
-            .with_working_set_keys(1_800_000);
-        let mut bed = EthTestbed::new(cfg).unwrap();
+            .working_set_keys(1_800_000);
+        let mut bed = scenario.build().expect("valid scenario");
         bed.run_until(SimTime::from_secs(1));
         let before = bed.total_ops();
         bed.run_until(SimTime::from_secs(3));

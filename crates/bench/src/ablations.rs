@@ -206,14 +206,15 @@ pub fn ablation_pindown_sweep(iterations: u32) -> Report {
 pub fn ablation_read_rnr() -> Report {
     use rdmasim::types::{RcConfig, SendOp, WcOpcode};
     use simcore::time::SimDuration as D;
-    use testbed::ib::{IbCluster, IbConfig};
+    use testbed::builder::ScenarioBuilder;
 
     let run = |extension: bool| -> (f64, u64) {
         let rc = RcConfig {
             rnr_for_reads: extension,
             ..RcConfig::default()
         };
-        let mut c = IbCluster::new(IbConfig::default().with_nodes(2).with_rc(rc).with_seed(15));
+        let scenario = ScenarioBuilder::infiniband().nodes(2).rc(rc).seed(15);
+        let mut c = scenario.build().expect("valid scenario");
         let (qa, qb) = c.connect(0, 1);
         let local = c.alloc_buffers(0, ByteSize::mib(64));
         let remote = c.alloc_buffers(1, ByteSize::mib(64));
@@ -282,24 +283,25 @@ pub fn ablation_read_rnr() -> Report {
 pub fn ablation_prefaulting() -> Report {
     use simcore::time::SimTime;
     use simcore::units::ByteSize as BS;
-    use testbed::eth::{EthConfig, EthTestbed, RxMode};
+    use testbed::builder::ScenarioBuilder;
+    use testbed::eth::RxMode;
     use workloads::memcached::MemcachedConfig;
 
     let run = |mode: RxMode, window: u64| -> String {
-        let cfg = EthConfig::default()
-            .with_mode(mode)
-            .with_instances(1)
-            .with_conns_per_instance(16)
-            .with_ring_entries(1024)
-            .with_bm_size(2048)
-            .with_host_memory(BS::gib(4))
-            .with_memcached(MemcachedConfig {
+        let scenario = ScenarioBuilder::ethernet()
+            .mode(mode)
+            .instances(1)
+            .conns_per_instance(16)
+            .ring_entries(1024)
+            .bm_size(2048)
+            .host_memory(BS::gib(4))
+            .memcached(MemcachedConfig {
                 max_bytes: BS::mib(512),
                 ..MemcachedConfig::default()
             })
-            .with_working_set_keys(100_000)
-            .with_prefault_window(window);
-        let mut bed = EthTestbed::new(cfg).expect("setup");
+            .working_set_keys(100_000)
+            .prefault_window(window);
+        let mut bed = scenario.build().expect("setup");
         match bed.run_until_ops(10_000, SimTime::from_secs(120)) {
             Some(t) => format!("{:.2}s", t.as_secs_f64()),
             None => ">120s".to_owned(),

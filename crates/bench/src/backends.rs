@@ -157,19 +157,6 @@ pub fn render_json(cells: &[BackendCell]) -> String {
     out
 }
 
-/// Compares freshly-run cells against a committed baseline artifact:
-/// every cell's JSON line must appear verbatim in `baseline`. Subset
-/// runs (`--backend softemu`) check only their own cells. Returns the
-/// mismatched cells' JSON lines.
-#[must_use]
-pub fn check_against(baseline: &str, cells: &[BackendCell]) -> Vec<String> {
-    cells
-        .iter()
-        .map(cell_json)
-        .filter(|line| !baseline.contains(line.as_str()))
-        .collect()
-}
-
 /// Renders the sweep as one stdout table, in cell order.
 #[must_use]
 pub fn render_report(cells: &[BackendCell]) -> Report {
@@ -212,6 +199,7 @@ pub fn render_report(cells: &[BackendCell]) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tracectl::cells_verdict;
     use crate::tracectl::task;
 
     #[test]
@@ -277,11 +265,12 @@ mod tests {
             run_cell(&ctx, BackendKind::SoftEmu, 1),
         ];
         let baseline = render_json(&cells);
-        assert!(check_against(&baseline, &cells).is_empty());
+        let verdict = |cells: &[_]| cells_verdict("golden", &baseline, cells, cell_json);
+        assert!(verdict(&cells).is_ok());
         let mut drifted = cells;
         drifted[1].ops += 1;
-        let bad = check_against(&baseline, &drifted);
-        assert_eq!(bad.len(), 1);
+        let bad = verdict(&drifted).expect_err("one cell moved");
+        assert_eq!(bad.len(), 2, "the cell and the summary: {bad:?}");
         assert!(bad[0].contains("\"backend\": \"softemu\""), "{bad:?}");
     }
 }

@@ -21,8 +21,6 @@ use npf_bench::tracectl::{self, task, RunOpts};
 
 fn main() {
     let ctx = &RunOpts::init(&["out", "check"]);
-    let out_path = ctx.opts.extra("out").unwrap_or("BENCH_backend.json");
-    let check_path = ctx.opts.extra("check");
     let backend_kinds: Vec<_> = match ctx.opts.backend {
         Some(k) => vec![k],
         None => backends::SWEEP_BACKENDS.to_vec(),
@@ -39,34 +37,11 @@ fn main() {
         cells
     });
 
-    if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let drifted = backends::check_against(&baseline, &cells);
-        if drifted.is_empty() {
-            println!("all {} cells match {path}", cells.len());
-        } else {
-            for line in &drifted {
-                eprintln!("drifted from {path}: {line}");
-            }
-            eprintln!(
-                "{} of {} cells drifted from {path}",
-                drifted.len(),
-                cells.len()
-            );
-            std::process::exit(1);
-        }
-    } else {
-        let json = backends::render_json(&cells);
-        if let Err(e) = std::fs::write(out_path, &json) {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(2);
-        }
-        println!("backend differential written to {out_path}");
-    }
+    tracectl::check_or_write(
+        &ctx.opts,
+        "BENCH_backend.json",
+        "backend differential",
+        |path, baseline| tracectl::cells_verdict(path, baseline, &cells, backends::cell_json),
+        || backends::render_json(&cells),
+    );
 }

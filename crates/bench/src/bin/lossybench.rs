@@ -25,8 +25,6 @@ use npf_core::BackendKind;
 
 fn main() {
     let ctx = &RunOpts::init(&["out", "check"]);
-    let out_path = ctx.opts.extra("out").unwrap_or("BENCH_lossy.json");
-    let check_path = ctx.opts.extra("check");
     let transports: Vec<RdmaTransport> = match ctx.opts.transport {
         Some(t) => vec![t],
         None => lossy::SWEEP_TRANSPORTS.to_vec(),
@@ -47,34 +45,11 @@ fn main() {
     let cells: Vec<LossyCell> = tracectl::run(ctx, || ctx.pool(tasks));
     print!("{}", lossy::render_report(&cells).render());
 
-    if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let drifted = lossy::check_against(&baseline, &cells);
-        if drifted.is_empty() {
-            println!("all {} cells match {path}", cells.len());
-        } else {
-            for line in &drifted {
-                eprintln!("drifted from {path}: {line}");
-            }
-            eprintln!(
-                "{} of {} cells drifted from {path}",
-                drifted.len(),
-                cells.len()
-            );
-            std::process::exit(1);
-        }
-    } else {
-        let json = lossy::render_json(&cells);
-        if let Err(e) = std::fs::write(out_path, &json) {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(2);
-        }
-        println!("lossy transport differential written to {out_path}");
-    }
+    tracectl::check_or_write(
+        &ctx.opts,
+        "BENCH_lossy.json",
+        "lossy transport differential",
+        |path, baseline| tracectl::cells_verdict(path, baseline, &cells, lossy::cell_json),
+        || lossy::render_json(&cells),
+    );
 }

@@ -26,8 +26,6 @@ use npf_core::ArbiterPolicy;
 
 fn main() {
     let ctx = &RunOpts::init(&["out", "check"]);
-    let out_path = ctx.opts.extra("out").unwrap_or("BENCH_scale.json");
-    let check_path = ctx.opts.extra("check");
     let policy = ctx.opts.arbiter.unwrap_or(ArbiterPolicy::WeightedFair);
     let quota = match ctx.opts.quota {
         Some(0) => None,
@@ -58,34 +56,11 @@ fn main() {
     let wall_ms: Vec<u64> = results.iter().map(|(_, ms)| *ms).collect();
     print!("{}", scale::render_report(&cells).render());
 
-    if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let drifted = scale::check_against(&baseline, &cells);
-        if drifted.is_empty() {
-            println!("all {} cells match {path}", cells.len());
-        } else {
-            for line in &drifted {
-                eprintln!("drifted from {path}: {line}");
-            }
-            eprintln!(
-                "{} of {} cells drifted from {path}",
-                drifted.len(),
-                cells.len()
-            );
-            std::process::exit(1);
-        }
-    } else {
-        let json = scale::render_json(policy, quota, &cells, &wall_ms);
-        if let Err(e) = std::fs::write(out_path, &json) {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(2);
-        }
-        println!("scale sweep written to {out_path}");
-    }
+    tracectl::check_or_write(
+        &ctx.opts,
+        "BENCH_scale.json",
+        "scale sweep",
+        |path, baseline| tracectl::cells_verdict(path, baseline, &cells, scale::cell_json),
+        || scale::render_json(policy, quota, &cells, &wall_ms),
+    );
 }

@@ -19,7 +19,7 @@
 //! * `--jobs <n>` / `--shards <n>`: the worker budget (the larger
 //!   wins); the artifact is byte-identical at every value.
 
-use npf_bench::tracectl::RunOpts;
+use npf_bench::tracectl::{self, RunOpts};
 use npf_bench::whyslow;
 use npf_core::ArbiterPolicy;
 use simcore::time::SimDuration;
@@ -27,8 +27,6 @@ use simcore::time::SimDuration;
 fn main() {
     let ctx = RunOpts::init(&["out", "check", "scenario", "budget-us"]);
     let opts = &ctx.opts;
-    let out_path = opts.extra("out").unwrap_or("BENCH_whyslow.txt");
-    let check_path = opts.extra("check");
     let scenario = opts.extra("scenario").unwrap_or("overcommit");
     let tenants = match whyslow::scenario_tenants(scenario) {
         Ok(t) => opts.tenants.unwrap_or(t),
@@ -74,25 +72,17 @@ fn main() {
         std::process::exit(1);
     }
 
-    if let Some(path) = check_path {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                std::process::exit(2);
+    tracectl::check_or_write(
+        opts,
+        "BENCH_whyslow.txt",
+        "attribution",
+        |path, baseline| {
+            if baseline == artifact {
+                Ok(format!("attribution matches {path}"))
+            } else {
+                Err(vec![format!("attribution drifted from {path}")])
             }
-        };
-        if baseline == artifact {
-            println!("attribution matches {path}");
-        } else {
-            eprintln!("attribution drifted from {path}");
-            std::process::exit(1);
-        }
-    } else {
-        if let Err(e) = std::fs::write(out_path, &artifact) {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(2);
-        }
-        println!("attribution written to {out_path}");
-    }
+        },
+        || artifact.clone(),
+    );
 }

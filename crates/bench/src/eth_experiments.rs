@@ -3,30 +3,34 @@
 
 use simcore::time::SimTime;
 use simcore::units::ByteSize;
-use testbed::eth::{EthConfig, EthTestbed, RxMode};
+use testbed::builder::{EthScenario, ScenarioBuilder};
+use testbed::eth::RxMode;
 use workloads::memcached::MemcachedConfig;
 
 use crate::report::{f, Report};
 use crate::tracectl::{task, RunCtx};
 
-fn base_config(ctx: &RunCtx, mode: RxMode) -> EthConfig {
+fn base_scenario(ctx: &RunCtx, mode: RxMode) -> EthScenario {
     // <2 GB working set: ~450k pages of 1 KB values.
-    EthConfig::default()
-        .with_mode(mode)
-        .with_instances(1)
-        .with_conns_per_instance(16)
-        .with_ring_entries(64)
-        .with_host_memory(ByteSize::gib(8))
-        .with_memcached(MemcachedConfig {
+    let scenario = ScenarioBuilder::ethernet()
+        .mode(mode)
+        .instances(1)
+        .conns_per_instance(16)
+        .ring_entries(64)
+        .host_memory(ByteSize::gib(8))
+        .memcached(MemcachedConfig {
             max_bytes: ByteSize::gib(3),
             value_size: 1024,
             ..MemcachedConfig::default()
         })
-        .with_working_set_keys(1_800_000)
-        .with_chaos(ctx.chaos_or_disabled())
-        .with_profile(ctx.fabric_profile())
-        .with_npf(ctx.npf_config())
-        .with_tier(ctx.tier_config())
+        .working_set_keys(1_800_000)
+        .chaos(ctx.chaos_or_disabled())
+        .profile(ctx.fabric_profile())
+        .npf(ctx.npf_config());
+    match ctx.tier_config() {
+        Some(tier) => scenario.tier(tier),
+        None => scenario,
+    }
 }
 
 /// E4 — Figure 4(a): startup throughput over time, 64-entry ring.
@@ -46,7 +50,7 @@ pub fn fig4a(ctx: &RunCtx, horizon_secs: u64) -> Report {
             .into_iter()
             .map(|mode| {
                 task(move || {
-                    let mut bed = EthTestbed::new(base_config(ctx, mode)).expect("setup");
+                    let mut bed = base_scenario(ctx, mode).build().expect("setup");
                     bed.start_sampling();
                     bed.run_until(SimTime::from_secs(horizon_secs));
                     (
@@ -115,10 +119,10 @@ pub fn fig4b(ctx: &RunCtx, ops: u64, deadline_secs: u64) -> Report {
             .flat_map(|ring| MODES.into_iter().map(move |mode| (ring, mode)))
             .map(|(ring, mode)| {
                 task(move || {
-                    let mut cfg = base_config(ctx, mode);
-                    cfg.ring_entries = ring;
-                    cfg.bm_size = ring * 2;
-                    let mut bed = EthTestbed::new(cfg).expect("setup");
+                    let scenario = base_scenario(ctx, mode)
+                        .ring_entries(ring)
+                        .bm_size(ring * 2);
+                    let mut bed = scenario.build().expect("setup");
                     let done = bed.run_until_ops(ops, SimTime::from_secs(deadline_secs));
                     match done {
                         Some(t) => f(t.as_secs_f64(), 2),
@@ -160,9 +164,7 @@ pub fn table5(ctx: &RunCtx, measure_secs: u64) -> Report {
             })
             .map(|(n, mode)| {
                 task(move || {
-                    let mut cfg = base_config(ctx, mode);
-                    cfg.instances = n;
-                    match EthTestbed::new(cfg) {
+                    match base_scenario(ctx, mode).instances(n).build() {
                         Ok(mut bed) => {
                             // Warm up 1 s, then measure.
                             bed.run_until(SimTime::from_secs(1));
@@ -202,23 +204,25 @@ pub fn fig7(ctx: &RunCtx, total_secs: u64, swap_at: u64) -> Report {
     let big_keys = (850u64 << 20) / value_size;
 
     let run = |pinned: bool| -> (HitSeries, HitSeries) {
-        let mut cfg = base_config(ctx, if pinned { RxMode::Pin } else { RxMode::Backup });
-        cfg.instances = 2;
-        cfg.conns_per_instance = 8;
-        cfg.memcached = MemcachedConfig {
-            max_bytes: ByteSize::gib(1),
+        let cache = |max_bytes| MemcachedConfig {
+            max_bytes,
             value_size,
             ..MemcachedConfig::default()
         };
-        cfg.working_set_keys = small_keys;
-        cfg.preload = false; // per-instance manual warmup below
-        if pinned {
+        let scenario = base_scenario(ctx, if pinned { RxMode::Pin } else { RxMode::Backup })
+            .instances(2)
+            .conns_per_instance(8)
+            .working_set_keys(small_keys)
+            .preload(false); // per-instance manual warmup below
+        let scenario = if pinned {
             // Static split: 500 MB each (the paper's only choice).
-            cfg.memcached.max_bytes = ByteSize::mib(500);
+            scenario.memcached(cache(ByteSize::mib(500)))
         } else {
-            cfg.cgroup_limit = Some(ByteSize::gib(1));
-        }
-        let mut bed = EthTestbed::new(cfg).expect("setup");
+            scenario
+                .memcached(cache(ByteSize::gib(1)))
+                .cgroup_limit(ByteSize::gib(1))
+        };
+        let mut bed = scenario.build().expect("setup");
         // Instance 0 starts small (100 MB), instance 1 big (850 MB).
         // Preload big first so the small set stays resident.
         bed.resize_working_set(1, big_keys);

@@ -4,7 +4,7 @@
 use npf_core::pinning::Strategy;
 use simcore::time::SimDuration;
 use simcore::units::ByteSize;
-use testbed::ib::{IbCluster, IbConfig};
+use testbed::builder::ScenarioBuilder;
 use testbed::mpi_run::{run_collective, MpiRunConfig};
 use testbed::storage_bed::{run_storage, StorageBedConfig};
 use testbed::stream_eth::{run_stream, StreamBedConfig, StreamMode};
@@ -295,14 +295,14 @@ pub fn fig10_infiniband(ctx: &RunCtx, messages: u64) -> Report {
     );
     r.columns(["freq", "throughput[Gb/s]", "% of optimum"]);
     let run = |freq: f64| -> f64 {
-        let mut c = IbCluster::new(
-            IbConfig::default()
-                .with_nodes(2)
-                .with_seed(5)
-                .with_profile(ctx.fabric_profile())
-                .with_transport(ctx.transport_config())
-                .with_chaos(ctx.chaos_or_disabled()),
-        );
+        let mut c = ScenarioBuilder::infiniband()
+            .nodes(2)
+            .seed(5)
+            .profile(ctx.fabric_profile())
+            .transport(ctx.transport_config())
+            .chaos(ctx.chaos_or_disabled())
+            .build()
+            .expect("fig10 cluster must validate");
         let (qa, qb) = c.connect(0, 1);
         let msg = 64 * 1024u64;
         let src = c.alloc_buffers(0, ByteSize::mib(8));

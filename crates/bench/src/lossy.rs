@@ -225,19 +225,6 @@ pub fn render_json(cells: &[LossyCell]) -> String {
     out
 }
 
-/// Compares freshly-run cells against a committed baseline artifact:
-/// every cell's JSON line must appear verbatim in `baseline`. Subset
-/// runs (`--transport irn`, `--backend softemu`) check only their own
-/// cells. Returns the mismatched cells' JSON lines.
-#[must_use]
-pub fn check_against(baseline: &str, cells: &[LossyCell]) -> Vec<String> {
-    cells
-        .iter()
-        .map(cell_json)
-        .filter(|line| !baseline.contains(line.as_str()))
-        .collect()
-}
-
 /// Renders the sweep as one stdout table, in cell order.
 #[must_use]
 pub fn render_report(cells: &[LossyCell]) -> Report {
@@ -264,7 +251,11 @@ pub fn render_report(cells: &[LossyCell]) -> Report {
             c.transport.name().to_owned(),
             c.backend.as_str().to_owned(),
             c.delivered.to_string(),
-            format!("{}.{:01}", c.goodput_kbps / 1000, (c.goodput_kbps % 1000) / 100),
+            format!(
+                "{}.{:01}",
+                c.goodput_kbps / 1000,
+                (c.goodput_kbps % 1000) / 100
+            ),
             c.retransmits.to_string(),
             c.rnr_retransmits.to_string(),
             c.timeouts.to_string(),
@@ -281,6 +272,7 @@ pub fn render_report(cells: &[LossyCell]) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tracectl::cells_verdict;
 
     /// [`super::run_cell`] under the default context.
     fn run_cell(p: FabricProfile, t: RdmaTransport, b: BackendKind) -> LossyCell {
@@ -332,11 +324,12 @@ mod tests {
             run_cell(p, RdmaTransport::SelectiveRepeat, BackendKind::Pinned),
         ];
         let baseline = render_json(&cells);
-        assert!(check_against(&baseline, &cells).is_empty());
+        let verdict = |cells: &[_]| cells_verdict("golden", &baseline, cells, cell_json);
+        assert!(verdict(&cells).is_ok());
         let mut drifted = cells;
         drifted[1].goodput_kbps += 1;
-        let bad = check_against(&baseline, &drifted);
-        assert_eq!(bad.len(), 1);
+        let bad = verdict(&drifted).expect_err("one cell moved");
+        assert_eq!(bad.len(), 2, "the cell and the summary: {bad:?}");
         assert!(bad[0].contains("\"transport\": \"irn\""), "{bad:?}");
     }
 }

@@ -165,7 +165,7 @@ pub fn cell_json(c: &ScaleCell) -> String {
 /// `--jobs` value.
 ///
 /// `wall_ms` (per-cell wall-clock, when measured) lands in a separate
-/// `timings` array *after* the cells: [`check_against`] compares only
+/// `timings` array *after* the cells: `--check` compares only
 /// the cell lines, so timings are informational and never gate CI.
 #[must_use]
 pub fn render_json(
@@ -198,20 +198,6 @@ pub fn render_json(
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Compares freshly-run cells against a committed baseline artifact:
-/// every cell's JSON line must appear verbatim in `baseline`. Subset
-/// runs (`--tenants 64`) check only their own cells, so the CI smoke
-/// job stays cheap while the committed file keeps the full sweep.
-/// Returns the mismatched cells' JSON lines.
-#[must_use]
-pub fn check_against(baseline: &str, cells: &[ScaleCell]) -> Vec<String> {
-    cells
-        .iter()
-        .map(cell_json)
-        .filter(|line| !baseline.contains(line.as_str()))
-        .collect()
 }
 
 /// Renders the sweep as one stdout table, in cell order.
@@ -252,6 +238,7 @@ pub fn render_report(cells: &[ScaleCell]) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tracectl::cells_verdict;
 
     #[test]
     fn cells_are_deterministic_in_their_seed() {
@@ -271,11 +258,12 @@ mod tests {
             run_cell(&ctx, 16, 2, ArbiterPolicy::RoundRobin, None),
         ];
         let baseline = render_json(ArbiterPolicy::RoundRobin, None, &cells, &[0, 0]);
-        assert!(check_against(&baseline, &cells).is_empty());
+        let verdict = |cells: &[_]| cells_verdict("golden", &baseline, cells, cell_json);
+        assert!(verdict(&cells).is_ok());
         let mut drifted = cells;
         drifted[1].ops += 1;
-        let bad = check_against(&baseline, &drifted);
-        assert_eq!(bad.len(), 1);
+        let bad = verdict(&drifted).expect_err("one cell moved");
+        assert_eq!(bad.len(), 2, "the cell and the summary: {bad:?}");
         assert!(bad[0].contains("\"seed\": 2"), "{bad:?}");
     }
 }

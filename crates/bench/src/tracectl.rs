@@ -632,6 +632,72 @@ pub fn run_tasks(ctx: &RunCtx, tasks: Vec<Task<'_, Report>>, emit: impl FnOnce(V
     run(ctx, || emit(ctx.pool(tasks)));
 }
 
+/// The tail every sweep binary ends with: `--check <path>` compares
+/// this run against a committed artifact, otherwise the artifact is
+/// written to `--out <path>` (default `default_out`).
+///
+/// Under `--check`, `verdict(path, baseline)` returns the line to print
+/// when the run matches, or the lines for stderr when it drifted (exit
+/// status 1). An unreadable baseline or unwritable output exits 2.
+pub fn check_or_write(
+    opts: &RunOpts,
+    default_out: &str,
+    what: &str,
+    verdict: impl FnOnce(&str, &str) -> Result<String, Vec<String>>,
+    render: impl FnOnce() -> String,
+) {
+    if let Some(path) = opts.extra("check") {
+        let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("failed to read baseline {path}: {e}");
+            std::process::exit(2);
+        });
+        match verdict(path, &baseline) {
+            Ok(matches) => println!("{matches}"),
+            Err(drift) => {
+                for line in drift {
+                    eprintln!("{line}");
+                }
+                std::process::exit(1);
+            }
+        }
+    } else {
+        let out_path = opts.extra("out").unwrap_or(default_out);
+        if let Err(e) = std::fs::write(out_path, render()) {
+            eprintln!("failed to write {out_path}: {e}");
+            std::process::exit(2);
+        }
+        println!("{what} written to {out_path}");
+    }
+}
+
+/// The [`check_or_write`] verdict of a sweep whose artifact holds one
+/// JSON line per cell: every cell's line must appear verbatim in
+/// `baseline`. Subset runs (`--tenants 64`, `--backend softemu`) check
+/// only their own cells, so the CI smoke jobs stay cheap while the
+/// committed file keeps the full sweep.
+pub fn cells_verdict<C>(
+    path: &str,
+    baseline: &str,
+    cells: &[C],
+    cell_json: impl Fn(&C) -> String,
+) -> Result<String, Vec<String>> {
+    let lines = cells.iter().map(cell_json);
+    let mut drift: Vec<String> = lines
+        .filter(|line| !baseline.contains(line.as_str()))
+        .map(|line| format!("drifted from {path}: {line}"))
+        .collect();
+    if drift.is_empty() {
+        return Ok(format!("all {} cells match {path}", cells.len()));
+    }
+    let summary = format!(
+        "{} of {} cells drifted from {path}",
+        drift.len(),
+        cells.len()
+    );
+    drift.push(summary);
+    Err(drift)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -107,18 +107,18 @@ fn ablations_binary_is_byte_identical_across_jobs_under_chaos() {
 fn chaos_ib_task(seed: u64) -> Task<'static, Report> {
     task(move || {
         use rdmasim::types::{RcConfig, SendOp, WcStatus};
-        use testbed::ib::{IbCluster, IbConfig};
-        let mut c = IbCluster::new(
-            IbConfig::default()
-                .with_nodes(2)
-                .with_rc(RcConfig {
-                    max_retries: 100_000,
-                    max_rnr_retries: 100_000,
-                    ..RcConfig::default()
-                })
-                .with_chaos(ChaosConfig::profile(ChaosProfile::All, seed))
-                .with_disk(memsim::swap::DiskConfig::nvme()),
-        );
+        use testbed::builder::ScenarioBuilder;
+        let mut c = ScenarioBuilder::infiniband()
+            .nodes(2)
+            .rc(RcConfig {
+                max_retries: 100_000,
+                max_rnr_retries: 100_000,
+                ..RcConfig::default()
+            })
+            .chaos(ChaosConfig::profile(ChaosProfile::All, seed))
+            .disk(memsim::swap::DiskConfig::nvme())
+            .build()
+            .expect("valid scenario");
         let (qa, qb) = c.connect(0, 1);
         let src = c.alloc_buffers(0, ByteSize::mib(4));
         let dst = c.alloc_buffers(1, ByteSize::mib(4));

@@ -1213,7 +1213,6 @@ impl InvariantChecker {
 
 thread_local! {
     static CHECKER: RefCell<Option<InvariantChecker>> = const { RefCell::new(None) };
-    static CHECKING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Free-function observation API. Every call is one thread-local branch
@@ -1222,7 +1221,8 @@ thread_local! {
 pub mod invariant {
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    use super::{InvariantChecker, SimTime, CHECKER, CHECKING};
+    use super::{InvariantChecker, SimTime, CHECKER};
+    use crate::instruments;
 
     /// Source of unique namespaces for frame/domain note keys. Every
     /// independent resource pool (one per NPF engine: its frame
@@ -1306,13 +1306,13 @@ pub mod invariant {
     /// Installs `checker` for the current thread, returning the
     /// previous one.
     pub fn install(checker: InvariantChecker) -> Option<InvariantChecker> {
-        CHECKING.with(|c| c.set(true));
+        instruments::set(instruments::CHECKER, true);
         CHECKER.with(|slot| slot.borrow_mut().replace(checker))
     }
 
     /// Removes and returns the current thread's checker.
     pub fn uninstall() -> Option<InvariantChecker> {
-        CHECKING.with(|c| c.set(false));
+        instruments::set(instruments::CHECKER, false);
         CHECKER.with(|slot| slot.borrow_mut().take())
     }
 
@@ -1321,7 +1321,7 @@ pub mod invariant {
     #[inline]
     #[must_use]
     pub fn enabled() -> bool {
-        CHECKING.with(std::cell::Cell::get)
+        instruments::has(instruments::CHECKER)
     }
 
     /// Runs `f` against the installed checker, if any.
@@ -1348,9 +1348,10 @@ pub mod invariant {
         }
     }
 
-    /// See [`InvariantChecker::checkpoint`].
+    /// See [`InvariantChecker::checkpoint`]. Called by the event queue
+    /// as it pops each event, and by nothing else.
     #[inline]
-    pub fn checkpoint(now: SimTime) {
+    pub(crate) fn checkpoint(now: SimTime) {
         if enabled() {
             with(|c| c.checkpoint(now));
         }

@@ -22,6 +22,17 @@
 //! cancelled, or were discarded by [`EventQueue::clear`] — harmless even
 //! after their slot is reused.
 //!
+//! # The queue owns the clocks
+//!
+//! [`EventQueue::now`] is the only simulated clock, so the queue is also
+//! what tells the thread's instruments the time: every
+//! [`EventQueue::pop`] / [`EventQueue::pop_until`] stamps the installed
+//! trace recorder and fault journal and checkpoints the installed
+//! invariant checker before the event reaches its handler. A testbed
+//! loop is `while let Some((now, ev)) = queue.pop_until(deadline)` and
+//! nothing else; with no instrument installed the stamp is one
+//! thread-local read.
+//!
 //! # Examples
 //!
 //! ```
@@ -37,7 +48,19 @@
 //! assert!(q.pop().is_none());
 //! ```
 
+use crate::chaos::invariant;
 use crate::time::{SimDuration, SimTime};
+use crate::{instruments, journal, trace};
+
+/// Tells the thread's installed instruments the time of the event about
+/// to be handed out. Out of line, so the uninstrumented pop stays a
+/// flag test.
+#[cold]
+fn stamp(now: SimTime) {
+    trace::with(|t| t.set_clock(now));
+    journal::with(|j| j.set_clock(now));
+    invariant::checkpoint(now);
+}
 
 /// A heap entry: delivery key plus the slab slot holding the payload.
 ///
@@ -346,8 +369,23 @@ impl<E> EventQueue<E> {
     /// Removes and returns the next event along with its timestamp,
     /// advancing the simulated clock. Returns `None` when the queue is
     /// drained.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Like [`EventQueue::pop`], but leaves an event later than
+    /// `deadline` pending and returns `None`, so [`EventQueue::now`]
+    /// stays at the last event delivered.
+    ///
+    /// The queue owns `now`, so this is also the one place the thread's
+    /// instruments learn it: before the event is handed out, an
+    /// installed trace recorder and fault journal have their clocks
+    /// advanced to its time and an installed invariant checker runs its
+    /// dispatch-boundary checkpoint, in that order.
+    #[inline]
+    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        if self.heap.first()?.at > deadline {
             return None;
         }
         let entry = self.remove_at(0);
@@ -357,6 +395,9 @@ impl<E> EventQueue<E> {
             .expect("pending slot holds payload");
         self.now = entry.at;
         self.popped_total += 1;
+        if instruments::any() {
+            stamp(entry.at);
+        }
         Some((entry.at, event))
     }
 
@@ -454,6 +495,37 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_micros(5));
+    }
+
+    #[test]
+    fn pop_until_honours_the_deadline_and_stamps_instruments() {
+        use crate::journal::{JournalRecorder, MarkKind};
+        use crate::trace::TraceRecorder;
+
+        trace::install(TraceRecorder::new(16));
+        journal::install(JournalRecorder::new());
+        let mut q = EventQueue::new();
+        for us in [9, 1, 5, 3] {
+            q.schedule_at(SimTime::from_micros(us), us);
+        }
+        let deadline = SimTime::from_micros(5);
+        let mut seen = Vec::new();
+        while let Some((at, e)) = q.pop_until(deadline) {
+            assert!(at <= deadline);
+            // A producer with no `now` in scope stamps with the queue's.
+            journal::mark(MarkKind::Eviction, e);
+            seen.push(e);
+        }
+        assert_eq!(seen, [1, 3, 5]);
+        assert_eq!(q.now(), deadline, "now is the last event delivered");
+        assert_eq!(q.next_time(), Some(SimTime::from_micros(9)));
+        assert_eq!(q.popped_total(), 3);
+
+        let traced = trace::uninstall().expect("installed above");
+        assert_eq!(traced.clock(), deadline);
+        let journal = journal::uninstall().expect("installed above");
+        let times: Vec<SimTime> = journal.marks().iter().map(|m| m.time).collect();
+        assert_eq!(times, [1, 3, 5].map(SimTime::from_micros));
     }
 
     #[test]

@@ -22,15 +22,16 @@
 //!   latency exceeds a sim-time budget, shipping the causal chain.
 //!
 //! Like the trace ring, the journal uses a thread-local recorder with
-//! a dedicated enabled flag, so the disabled path is one `Cell` read.
+//! an installed flag, so the disabled path is one `Cell` read.
 //! Recorders merge with [`JournalRecorder::absorb`] in task order with
 //! `(time, seq)` event rebasing — parallel runs stay byte-identical to
 //! serial ones at every `--jobs` value.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt::Write as _;
 
 use crate::fxhash::FxHashMap;
+use crate::instruments;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{self, ArgValue};
 
@@ -878,19 +879,18 @@ fn fmt_us(ns: u64) -> String {
 }
 
 thread_local! {
-    static ENABLED: Cell<bool> = const { Cell::new(false) };
     static RECORDER: RefCell<Option<JournalRecorder>> = const { RefCell::new(None) };
 }
 
 /// Installs `recorder` as the thread's journal, returning the old one.
 pub fn install(recorder: JournalRecorder) -> Option<JournalRecorder> {
-    ENABLED.with(|e| e.set(true));
+    instruments::set(instruments::JOURNAL, true);
     RECORDER.with(|r| r.borrow_mut().replace(recorder))
 }
 
 /// Removes and returns the thread's journal.
 pub fn uninstall() -> Option<JournalRecorder> {
-    ENABLED.with(|e| e.set(false));
+    instruments::set(instruments::JOURNAL, false);
     RECORDER.with(|r| r.borrow_mut().take())
 }
 
@@ -899,7 +899,7 @@ pub fn uninstall() -> Option<JournalRecorder> {
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    ENABLED.with(Cell::get)
+    instruments::has(instruments::JOURNAL)
 }
 
 /// Runs `f` against the installed recorder, if any.
@@ -912,14 +912,6 @@ pub fn with<F: FnOnce(&mut JournalRecorder)>(f: F) {
             f(rec);
         }
     });
-}
-
-/// Advances the journal clock (testbed dispatch loop).
-#[inline]
-pub fn set_clock(now: SimTime) {
-    if enabled() {
-        with(|j| j.set_clock(now));
-    }
 }
 
 /// Sets the cause context for subsequent faults and marks.
@@ -1045,10 +1037,22 @@ mod tests {
     #[test]
     fn absorb_rebases_ids_and_seq_in_task_order() {
         let mut a = JournalRecorder::new();
-        record_fault(&mut a, 1, 0, 0, [1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        record_fault(
+            &mut a,
+            1,
+            0,
+            0,
+            [1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        );
         a.mark_at(SimTime::from_nanos(1), MarkKind::IotlbFill, 7);
         let mut b = JournalRecorder::new();
-        record_fault(&mut b, 1, 1, 50, [0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        record_fault(
+            &mut b,
+            1,
+            1,
+            50,
+            [0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        );
         b.mark_at(SimTime::from_nanos(51), MarkKind::BackingFetch, 9);
 
         let mut merged = JournalRecorder::new();
@@ -1074,8 +1078,20 @@ mod tests {
         j.set_watchdog(JournalWatchdog {
             budget: SimDuration::from_nanos(100),
         });
-        record_fault(&mut j, 1, 3, 0, [0, 0, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 0, 0]); // under
-        record_fault(&mut j, 2, 4, 0, [0, 200, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 0, 0]); // over
+        record_fault(
+            &mut j,
+            1,
+            3,
+            0,
+            [0, 0, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        ); // under
+        record_fault(
+            &mut j,
+            2,
+            4,
+            0,
+            [0, 200, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        ); // over
         assert_eq!(j.slo_hits().len(), 1);
         let hit = j.slo_hits()[0];
         assert_eq!(hit.cause.tenant, 4);
@@ -1141,9 +1157,27 @@ mod tests {
     #[test]
     fn attribution_report_groups_tenants_in_order() {
         let mut j = JournalRecorder::new();
-        record_fault(&mut j, 1, 1, 0, [0, 0, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
-        record_fault(&mut j, 2, 0, 0, [0, 0, 0, 0, 0, 300, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
-        record_fault(&mut j, 3, 0, 0, [0, 0, 0, 0, 0, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        record_fault(
+            &mut j,
+            1,
+            1,
+            0,
+            [0, 0, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        );
+        record_fault(
+            &mut j,
+            2,
+            0,
+            0,
+            [0, 0, 0, 0, 0, 300, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        );
+        record_fault(
+            &mut j,
+            3,
+            0,
+            0,
+            [0, 0, 0, 0, 0, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        );
         let report = j.attribution_report();
         let t0 = report.find("\n      0 ").expect("tenant 0 row");
         let t1 = report.find("\n      1 ").expect("tenant 1 row");
@@ -1274,7 +1308,11 @@ mod tests {
         w.set_watchdog(JournalWatchdog {
             budget: SimDuration::from_nanos(10),
         });
-        w.wait_event(Phase::RetransmitWait, SimTime::ZERO, SimTime::from_nanos(500));
+        w.wait_event(
+            Phase::RetransmitWait,
+            SimTime::ZERO,
+            SimTime::from_nanos(500),
+        );
         assert!(w.slo_hits().is_empty());
     }
 }

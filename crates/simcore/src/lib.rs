@@ -36,6 +36,7 @@
 pub mod chaos;
 pub mod event;
 pub mod fxhash;
+mod instruments;
 pub mod journal;
 pub mod rng;
 pub mod shard;

@@ -37,10 +37,11 @@
 //! assert!(parent.is_some());
 //! ```
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
+use crate::instruments;
 use crate::stats::{DurationHistogram, ThroughputMeter, TimeSeries};
 use crate::time::{SimDuration, SimTime};
 
@@ -961,7 +962,6 @@ fn escape_json(s: &str) -> String {
 }
 
 thread_local! {
-    static ENABLED: Cell<bool> = const { Cell::new(false) };
     static RECORDER: RefCell<Option<TraceRecorder>> = const { RefCell::new(None) };
 }
 
@@ -969,20 +969,21 @@ thread_local! {
 /// instrumentation free functions. Replaces (and returns) any previous
 /// recorder.
 pub fn install(recorder: TraceRecorder) -> Option<TraceRecorder> {
-    ENABLED.with(|e| e.set(true));
+    instruments::set(instruments::TRACE, true);
     RECORDER.with(|r| r.borrow_mut().replace(recorder))
 }
 
 /// Removes and returns the current thread's recorder, disabling tracing.
 pub fn uninstall() -> Option<TraceRecorder> {
-    ENABLED.with(|e| e.set(false));
+    instruments::set(instruments::TRACE, false);
     RECORDER.with(|r| r.borrow_mut().take())
 }
 
 /// `true` when a recorder is installed on this thread.
+#[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    ENABLED.with(Cell::get)
+    instruments::has(instruments::TRACE)
 }
 
 /// Runs `f` against the installed recorder, if any. The no-recorder
@@ -1066,11 +1067,6 @@ pub fn counter_now(track: &'static str, name: &'static str, value: f64) {
         let at = t.clock();
         t.counter(at, track, name, value);
     });
-}
-
-/// Advances the installed recorder's logical clock.
-pub fn set_clock(now: SimTime) {
-    with(|t| t.set_clock(now));
 }
 
 /// Runs `f` against the installed recorder's metrics registry.

@@ -1,9 +1,11 @@
-//! Unified scenario construction: one typed, validated, `Result`-
-//! returning entry point for both testbeds.
+//! Scenario construction: the one typed, validated, `Result`-returning
+//! way to build either testbed.
 //!
 //! [`ScenarioBuilder::ethernet`] and [`ScenarioBuilder::infiniband`]
-//! return scenario builders with chainable setters mirroring
-//! [`EthConfig`] / [`IbConfig`]. `build()` runs cross-field validation
+//! return scenario builders with one chainable setter per field of
+//! [`EthConfig`] / [`IbConfig`]; a configuration assembled as plain
+//! data enters through [`EthScenario::from_config`] /
+//! [`IbScenario::from_config`]. `build()` runs cross-field validation
 //! (ring geometry vs rNPF budgets, backup capacity vs tenant quotas,
 //! host memory vs instance allocations, arbiter pool sizing) and
 //! returns a typed [`ScenarioError`] instead of panicking deep inside a
@@ -724,15 +726,17 @@ impl IbScenario {
     /// Sets the fabric profile (loss regime, PFC, ECN).
     #[must_use]
     pub fn profile(mut self, profile: FabricProfile) -> Self {
-        self.config = self.config.with_profile(profile);
+        self.config.profile = profile;
         self
     }
 
     /// Sets the RC transport discipline (go-back-N or IRN-style
-    /// selective repeat) and its BDP cap.
+    /// selective repeat) and its BDP cap. Equivalent to editing those
+    /// two fields of [`IbConfig::rc`]; last writer wins.
     #[must_use]
     pub fn transport(mut self, transport: TransportConfig) -> Self {
-        self.config = self.config.with_transport(transport);
+        self.config.rc.transport = transport.transport;
+        self.config.rc.bdp_packets = transport.bdp_packets;
         self
     }
 
@@ -1013,21 +1017,61 @@ mod tests {
     }
 
     #[test]
-    fn builder_and_legacy_new_produce_identical_runs() {
-        let config = EthConfig::default()
-            .with_instances(2)
-            .with_conns_per_instance(2)
-            .with_host_memory(ByteSize::mib(256))
-            .with_memcached(MemcachedConfig {
-                max_bytes: ByteSize::mib(16),
-                ..MemcachedConfig::default()
-            })
-            .with_working_set_keys(200);
-        let mut a = EthScenario::from_config(config).build().expect("builder");
-        let mut b = EthTestbed::new(config).expect("legacy");
+    fn from_config_equals_the_same_fields_set_through_the_setters() {
+        let cache = MemcachedConfig {
+            max_bytes: ByteSize::mib(16),
+            ..MemcachedConfig::default()
+        };
+        let config = EthConfig {
+            instances: 2,
+            conns_per_instance: 2,
+            host_memory: ByteSize::mib(256),
+            memcached: cache,
+            working_set_keys: 200,
+            ..EthConfig::default()
+        };
+        let mut a = EthScenario::from_config(config).build().expect("config");
+        let mut b = ScenarioBuilder::ethernet()
+            .instances(2)
+            .conns_per_instance(2)
+            .host_memory(ByteSize::mib(256))
+            .memcached(cache)
+            .working_set_keys(200)
+            .build()
+            .expect("setters");
         a.run_until(simcore::SimTime::from_millis(100));
         b.run_until(simcore::SimTime::from_millis(100));
         assert_eq!(a.total_ops(), b.total_ops());
+        assert_eq!(a.queue_stats(), b.queue_stats());
         assert!(a.total_ops() > 0);
+
+        let mut config = IbConfig {
+            nodes: 2,
+            node_memory: ByteSize::mib(64),
+            seed: 9,
+            ..IbConfig::default()
+        };
+        config.rc.transport = RdmaTransport::SelectiveRepeat;
+        config.rc.bdp_packets = TransportConfig::irn().bdp_packets;
+        let run = |mut c: IbCluster| {
+            let (qa, qb) = c.connect(0, 1);
+            let src = c.alloc_buffers(0, ByteSize::mib(1));
+            let dst = c.alloc_buffers(1, ByteSize::mib(1));
+            c.post_recv(1, qb, 7, dst, 1 << 20);
+            let len = 256 * 1024;
+            c.post_send(0, qa, 8, rdmasim::types::SendOp::Send { local: src, len });
+            let events = c.run_until_quiescent(1_000_000);
+            (events, c.now(), c.drain_completions(1).len())
+        };
+        let a = run(IbScenario::from_config(config).build().expect("config"));
+        let b = run(ScenarioBuilder::infiniband()
+            .nodes(2)
+            .node_memory(ByteSize::mib(64))
+            .seed(9)
+            .transport(TransportConfig::irn())
+            .build()
+            .expect("setters"));
+        assert_eq!(a, b);
+        assert_eq!(a.2, 1, "the message arrived");
     }
 }

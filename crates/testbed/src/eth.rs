@@ -39,7 +39,6 @@ use simcore::units::{Bandwidth, ByteSize};
 use tcpsim::{ConnId, TcpConfig, TcpOutput, TcpSegment, TcpStack};
 use workloads::memcached::{KvOp, Memaslap, Memcached, MemcachedConfig, TenantPopularity};
 
-use crate::builder::ScenarioError;
 use crate::cpu::CpuPool;
 
 /// Receive-fault policy of the server NIC.
@@ -55,10 +54,12 @@ pub enum RxMode {
 
 /// Testbed configuration.
 ///
-/// Construct via [`EthConfig::default`] plus the `with_*` setters, or
-/// through [`crate::builder::ScenarioBuilder::ethernet`] (which also
-/// validates cross-field constraints). The struct is `#[non_exhaustive]`
-/// so new knobs can be added without breaking downstream crates.
+/// Plain data: start from [`EthConfig::default`] and assign fields, or
+/// chain the setters of [`crate::builder::ScenarioBuilder::ethernet`].
+/// Either way the testbed is built (and the configuration validated)
+/// by [`crate::builder::EthScenario::build`]. The struct is
+/// `#[non_exhaustive]` so new knobs can be added without breaking
+/// downstream crates.
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct EthConfig {
@@ -162,183 +163,13 @@ impl Default for EthConfig {
     }
 }
 
-impl EthConfig {
-    /// Sets the receive-fault policy.
-    #[must_use]
-    pub fn with_mode(mut self, mode: RxMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the number of memcached instances (IOusers).
-    #[must_use]
-    pub fn with_instances(mut self, instances: u32) -> Self {
-        self.instances = instances;
-        self
-    }
-
-    /// Sets the closed-loop connections per instance.
-    #[must_use]
-    pub fn with_conns_per_instance(mut self, conns: u32) -> Self {
-        self.conns_per_instance = conns;
-        self
-    }
-
-    /// Sets the RX ring entries per IOchannel.
-    #[must_use]
-    pub fn with_ring_entries(mut self, entries: u64) -> Self {
-        self.ring_entries = entries;
-        self
-    }
-
-    /// Sets the per-ring rNPF budget (`bm_size`).
-    #[must_use]
-    pub fn with_bm_size(mut self, bm_size: u64) -> Self {
-        self.bm_size = bm_size;
-        self
-    }
-
-    /// Sets the backup ring capacity (packets).
-    #[must_use]
-    pub fn with_backup_capacity(mut self, capacity: u64) -> Self {
-        self.backup_capacity = capacity;
-        self
-    }
-
-    /// Sets (or clears) the per-tenant backup-ring quota.
-    #[must_use]
-    pub fn with_backup_quota(mut self, quota: Option<u64>) -> Self {
-        self.backup_quota = quota;
-        self
-    }
-
-    /// Sets the server's physical memory.
-    #[must_use]
-    pub fn with_host_memory(mut self, memory: ByteSize) -> Self {
-        self.host_memory = memory;
-        self
-    }
-
-    /// Sets the secondary-storage model.
-    #[must_use]
-    pub fn with_disk(mut self, disk: DiskConfig) -> Self {
-        self.disk = disk;
-        self
-    }
-
-    /// Sets the per-instance memcached configuration.
-    #[must_use]
-    pub fn with_memcached(mut self, memcached: MemcachedConfig) -> Self {
-        self.memcached = memcached;
-        self
-    }
-
-    /// Sets the working-set size in keys.
-    #[must_use]
-    pub fn with_working_set_keys(mut self, keys: u64) -> Self {
-        self.working_set_keys = keys;
-        self
-    }
-
-    /// Sets (or clears) the shared cgroup limit.
-    #[must_use]
-    pub fn with_cgroup_limit(mut self, limit: Option<ByteSize>) -> Self {
-        self.cgroup_limit = limit;
-        self
-    }
-
-    /// Sets the link rate.
-    #[must_use]
-    pub fn with_bandwidth(mut self, bandwidth: Bandwidth) -> Self {
-        self.bandwidth = bandwidth;
-        self
-    }
-
-    /// Sets the interrupt moderation holdoff.
-    #[must_use]
-    pub fn with_interrupt_holdoff(mut self, holdoff: SimDuration) -> Self {
-        self.interrupt_holdoff = holdoff;
-        self
-    }
-
-    /// Sets the server core count.
-    #[must_use]
-    pub fn with_cores(mut self, cores: u32) -> Self {
-        self.cores = cores;
-        self
-    }
-
-    /// Pre-faults the receive rings at startup.
-    #[must_use]
-    pub fn with_prefault_rings(mut self, prefault: bool) -> Self {
-        self.prefault_rings = prefault;
-        self
-    }
-
-    /// Pre-populates each instance's cache with its working set.
-    #[must_use]
-    pub fn with_preload(mut self, preload: bool) -> Self {
-        self.preload = preload;
-        self
-    }
-
-    /// Sets §3's pre-faulting window (0 disables).
-    #[must_use]
-    pub fn with_prefault_window(mut self, window: u64) -> Self {
-        self.prefault_window = window;
-        self
-    }
-
-    /// Sets the RNG seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the fault-injection configuration.
-    #[must_use]
-    pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.chaos = chaos;
-        self
-    }
-
-    /// Sets the NPF engine configuration.
-    #[must_use]
-    pub fn with_npf(mut self, npf: NpfConfig) -> Self {
-        self.npf = npf;
-        self
-    }
-
-    /// Sets (or clears) the NVM backing tier.
-    #[must_use]
-    pub fn with_tier(mut self, tier: Option<TierConfig>) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// Sets (or clears) the Zipf tenant-popularity exponent.
-    #[must_use]
-    pub fn with_tenant_skew(mut self, skew: Option<f64>) -> Self {
-        self.tenant_skew = skew;
-        self
-    }
-
-    /// Sets the fabric profile (loss regime / ECN marking).
-    #[must_use]
-    pub fn with_profile(mut self, profile: FabricProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-}
-
 /// Events of the Ethernet testbed.
 #[derive(Debug)]
 enum EthEvent {
     ToServer(TcpSegment),
     ToClient(TcpSegment),
-    ClientTimer(ConnId),
-    ServerTimer(u32, ConnId),
+    /// A connection's retransmission timer fired.
+    TcpTimer(Side, ConnId),
     IoUserInterrupt(u32),
     BackupInterrupt,
     ResolverStep(RingId),
@@ -355,6 +186,26 @@ enum EthEvent {
     ChaosTick,
 }
 
+/// Which TCP stack a connection lives in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    /// The client machine's Linux stack.
+    Client,
+    /// The lwIP stack of this memcached instance.
+    Server(u32),
+}
+
+/// What an instance keeps per accepted connection, beside the stack's
+/// own state.
+#[derive(Default)]
+struct ServerConn {
+    /// The pending event of the armed retransmission timer.
+    timer: Option<EventToken>,
+    /// Oracle framing: `(request_bytes, op)` the client has written
+    /// (stands in for protocol parsing).
+    requests: VecDeque<(u64, KvOp)>,
+}
+
 /// One memcached IOuser instance.
 struct Instance {
     space: SpaceId,
@@ -363,30 +214,30 @@ struct Instance {
     stack: TcpStack,
     app: Memcached,
     rx_moderator: InterruptModerator,
-    timers: FxHashMap<ConnId, EventToken>,
-    /// Oracle framing: per-connection queue of `(request_bytes, op)` the
-    /// client has written (stands in for protocol parsing).
-    req_oracle: FxHashMap<ConnId, VecDeque<(u64, KvOp)>>,
+    /// Looked up per segment and per operation, never iterated.
+    conns: FxHashMap<ConnId, ServerConn>,
     /// Descriptors posted so far (absolute).
     posted: u64,
 }
 
-/// Per-connection client state.
+/// What the client keeps per connection, beside the stack's own state.
 struct ClientConn {
     instance: u32,
     alive: bool,
+    /// The pending event of the armed retransmission timer.
+    timer: Option<EventToken>,
+    /// Oracle framing: `(response_bytes, hit)` the server has written.
+    responses: VecDeque<(u64, bool)>,
+    /// Issue timestamps of in-flight requests (closed loop: at most one
+    /// outstanding, but a queue keeps it robust).
+    issued: VecDeque<SimTime>,
 }
 
 /// The client machine.
 struct Client {
     stack: TcpStack,
-    timers: FxHashMap<ConnId, EventToken>,
+    /// Looked up per segment and per operation, never iterated.
     conns: FxHashMap<ConnId, ClientConn>,
-    /// Oracle framing: per-connection queue of `(response_bytes, hit)`.
-    resp_oracle: FxHashMap<ConnId, VecDeque<(u64, bool)>>,
-    /// Issue timestamps of in-flight requests, per connection (closed
-    /// loop: at most one outstanding, but a queue keeps it robust).
-    issue_times: FxHashMap<ConnId, VecDeque<SimTime>>,
     generators: Vec<Memaslap>,
 }
 
@@ -474,22 +325,6 @@ pub struct EthTestbed {
 }
 
 impl EthTestbed {
-    /// Builds the testbed, validating the configuration first. This is
-    /// shorthand for [`crate::builder::ScenarioBuilder::ethernet`] with
-    /// the configuration pre-filled.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScenarioError`] when the configuration fails
-    /// cross-field validation, or — under [`RxMode::Pin`] — when the
-    /// host cannot pin every instance's memory (wrapped as
-    /// [`ScenarioError::Mem`]; this is exactly the Table 5 "N/A"
-    /// outcome).
-    pub fn new(config: EthConfig) -> Result<Self, ScenarioError> {
-        crate::builder::validate_eth(&config)?;
-        Self::build(config).map_err(ScenarioError::from)
-    }
-
     /// Constructs the testbed from an already-validated configuration.
     pub(crate) fn build(config: EthConfig) -> Result<Self, MemError> {
         // A new testbed starts a new timeline at t=0; tell the (possibly
@@ -598,8 +433,7 @@ impl EthTestbed {
                 stack,
                 app,
                 rx_moderator: InterruptModerator::new(config.interrupt_holdoff),
-                timers: FxHashMap::default(),
-                req_oracle: FxHashMap::default(),
+                conns: FxHashMap::default(),
                 posted: 0,
             };
             // IOuser posts its whole ring at startup.
@@ -645,10 +479,7 @@ impl EthTestbed {
             instances,
             client: Client {
                 stack: TcpStack::new(),
-                timers: FxHashMap::default(),
                 conns: FxHashMap::default(),
-                resp_oracle: FxHashMap::default(),
-                issue_times: FxHashMap::default(),
                 generators,
             },
             metrics,
@@ -792,9 +623,12 @@ impl EthTestbed {
                     ClientConn {
                         instance: i,
                         alive: true,
+                        timer: None,
+                        responses: VecDeque::new(),
+                        issued: VecDeque::new(),
                     },
                 );
-                self.handle_client_outputs(now, cid, outs);
+                self.apply_outputs(now, Side::Client, cid, outs);
             }
         }
     }
@@ -809,13 +643,6 @@ impl EthTestbed {
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.queue.now()
-    }
-
-    /// Timestamp of the next pending event, if any (the shard executor
-    /// uses this to compute epoch horizons).
-    #[must_use]
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.next_time()
     }
 
     /// Lifetime event-queue counters:
@@ -959,49 +786,36 @@ impl EthTestbed {
 
     /// Runs until simulated time `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.queue.next_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
+        while self.step(deadline) {}
     }
 
     /// Runs until `ops` total operations completed or `deadline`
     /// passes; returns the completion time if reached.
     pub fn run_until_ops(&mut self, ops: u64, deadline: SimTime) -> Option<SimTime> {
         while self.total_ops() < ops {
-            let t = self.queue.next_time()?;
-            if t > deadline {
+            if !self.step(deadline) {
                 return None;
             }
-            self.step();
         }
         Some(self.queue.now())
     }
 
-    fn step(&mut self) {
-        let Some((now, event)) = self.queue.pop() else {
-            return;
+    /// Handles the next event due by `deadline`; `false` when none is.
+    fn step(&mut self, deadline: SimTime) -> bool {
+        let Some((now, event)) = self.queue.pop_until(deadline) else {
+            return false;
         };
-        // Advance the trace clock so instrumentation in substrates
-        // without their own `now` stamps with the event time.
-        trace::set_clock(now);
-        journal::set_clock(now);
-        // Global invariants are checked at every dispatch boundary.
-        invariant::checkpoint(now);
         match event {
             EthEvent::ToServer(seg) => self.server_rx(now, seg),
             EthEvent::ToClient(seg) => self.client_rx(now, seg),
-            EthEvent::ClientTimer(cid) => {
-                self.client.timers.remove(&cid);
-                let outs = self.client.stack.on_timer(now, cid);
-                self.handle_client_outputs(now, cid, outs);
-            }
-            EthEvent::ServerTimer(i, cid) => {
-                self.instances[i as usize].timers.remove(&cid);
-                let outs = self.instances[i as usize].stack.on_timer(now, cid);
-                self.handle_server_outputs(now, i, cid, outs);
+            EthEvent::TcpTimer(side, cid) => {
+                // This is the timer's own event: nothing is left to cancel.
+                *self.timer_slot(side, cid) = None;
+                let outs = match side {
+                    Side::Client => self.client.stack.on_timer(now, cid),
+                    Side::Server(i) => self.instances[i as usize].stack.on_timer(now, cid),
+                };
+                self.apply_outputs(now, side, cid, outs);
             }
             EthEvent::IoUserInterrupt(i) => self.iouser_interrupt(now, i),
             EthEvent::BackupInterrupt => {
@@ -1025,17 +839,14 @@ impl EthTestbed {
             } => {
                 // The server writes the response; tell the client's
                 // framing oracle.
-                let client_cid = (conn.1, conn.0);
-                self.client
-                    .resp_oracle
-                    .entry(client_cid)
-                    .or_default()
+                self.client_conn((conn.1, conn.0))
+                    .responses
                     .push_back((response_bytes, hit));
                 let outs = match self.instances[instance as usize].stack.conn_mut(conn) {
                     Some(c) => c.write(now, response_bytes),
                     None => Vec::new(),
                 };
-                self.handle_server_outputs(now, instance, conn, outs);
+                self.apply_outputs(now, Side::Server(instance), conn, outs);
             }
             EthEvent::Sample => {
                 for m in &mut self.metrics {
@@ -1057,6 +868,7 @@ impl EthTestbed {
                 }
             }
         }
+        true
     }
 
     // ------------------------------------------------------------------
@@ -1201,7 +1013,7 @@ impl EthTestbed {
                 .stack
                 .on_segment(now, seg, false)
             {
-                self.handle_server_outputs(now, idx, cid, outs);
+                self.apply_outputs(now, Side::Server(idx), cid, outs);
             }
         }
     }
@@ -1261,36 +1073,13 @@ impl EthTestbed {
         }
     }
 
-    fn handle_server_outputs(&mut self, now: SimTime, idx: u32, cid: ConnId, outs: Vec<TcpOutput>) {
-        for out in outs {
-            match out {
-                TcpOutput::Send(seg) => self.link_send(now, seg, false),
-                TcpOutput::SetTimer(at) => {
-                    let inst = &mut self.instances[idx as usize];
-                    if let Some(tok) = inst.timers.remove(&cid) {
-                        self.queue.cancel(tok);
-                    }
-                    let tok = self.queue.schedule_at(at, EthEvent::ServerTimer(idx, cid));
-                    self.instances[idx as usize].timers.insert(cid, tok);
-                }
-                TcpOutput::CancelTimer => {
-                    if let Some(tok) = self.instances[idx as usize].timers.remove(&cid) {
-                        self.queue.cancel(tok);
-                    }
-                }
-                TcpOutput::Readable => self.server_readable(now, idx, cid),
-                TcpOutput::Connected | TcpOutput::PeerClosed | TcpOutput::Failed(_) => {}
-            }
-        }
-    }
-
     fn server_readable(&mut self, now: SimTime, idx: u32, cid: ConnId) {
         loop {
             let inst = &mut self.instances[idx as usize];
-            let Some(q) = inst.req_oracle.get_mut(&cid) else {
+            let Some(slot) = inst.conns.get_mut(&cid) else {
                 return;
             };
-            let Some(&(req_bytes, op)) = q.front() else {
+            let Some(&(req_bytes, op)) = slot.requests.front() else {
                 return;
             };
             let Some(conn) = inst.stack.conn_mut(cid) else {
@@ -1300,7 +1089,7 @@ impl EthTestbed {
                 return;
             }
             conn.read(req_bytes);
-            q.pop_front();
+            slot.requests.pop_front();
             // Process the operation: protocol CPU plus value-memory
             // touches (which may fault, swap, and invalidate under
             // pressure).
@@ -1337,47 +1126,16 @@ impl EthTestbed {
 
     fn client_rx(&mut self, now: SimTime, seg: TcpSegment) {
         if let Some((cid, outs)) = self.client.stack.on_segment(now, seg, false) {
-            self.handle_client_outputs(now, cid, outs);
-        }
-    }
-
-    fn handle_client_outputs(&mut self, now: SimTime, cid: ConnId, outs: Vec<TcpOutput>) {
-        for out in outs {
-            match out {
-                TcpOutput::Send(seg) => self.link_send(now, seg, true),
-                TcpOutput::SetTimer(at) => {
-                    if let Some(tok) = self.client.timers.remove(&cid) {
-                        self.queue.cancel(tok);
-                    }
-                    let tok = self.queue.schedule_at(at, EthEvent::ClientTimer(cid));
-                    self.client.timers.insert(cid, tok);
-                }
-                TcpOutput::CancelTimer => {
-                    if let Some(tok) = self.client.timers.remove(&cid) {
-                        self.queue.cancel(tok);
-                    }
-                }
-                TcpOutput::Connected => self.issue_op(now, cid),
-                TcpOutput::Readable => self.client_readable(now, cid),
-                TcpOutput::Failed(_) => {
-                    if let Some(c) = self.client.conns.get_mut(&cid) {
-                        if c.alive {
-                            c.alive = false;
-                            self.metrics[c.instance as usize].failed_conns += 1;
-                        }
-                    }
-                }
-                TcpOutput::PeerClosed => {}
-            }
+            self.apply_outputs(now, Side::Client, cid, outs);
         }
     }
 
     fn client_readable(&mut self, now: SimTime, cid: ConnId) {
         loop {
-            let Some(q) = self.client.resp_oracle.get_mut(&cid) else {
+            let Some(slot) = self.client.conns.get_mut(&cid) else {
                 return;
             };
-            let Some(&(bytes, hit)) = q.front() else {
+            let Some(&(bytes, hit)) = slot.responses.front() else {
                 return;
             };
             let Some(conn) = self.client.stack.conn_mut(cid) else {
@@ -1387,20 +1145,14 @@ impl EthTestbed {
                 return;
             }
             conn.read(bytes);
-            q.pop_front();
-            let instance = self.client.conns[&cid].instance;
-            let m = &mut self.metrics[instance as usize];
+            slot.responses.pop_front();
+            let m = &mut self.metrics[slot.instance as usize];
             m.ops.record(1);
             self.ops_total += 1;
             if hit {
                 m.hits.record(1);
             }
-            if let Some(issued) = self
-                .client
-                .issue_times
-                .get_mut(&cid)
-                .and_then(VecDeque::pop_front)
-            {
+            if let Some(issued) = slot.issued.pop_front() {
                 m.latency.record(now.saturating_since(issued));
             }
             self.issue_op(now, cid);
@@ -1408,56 +1160,115 @@ impl EthTestbed {
     }
 
     fn issue_op(&mut self, now: SimTime, cid: ConnId) {
-        let Some(conn_state) = self.client.conns.get(&cid) else {
+        let Some(slot) = self.client.conns.get_mut(&cid) else {
             return;
         };
-        if !conn_state.alive {
+        if !slot.alive {
             return;
         }
-        let instance = conn_state.instance;
-        self.client
-            .issue_times
-            .entry(cid)
-            .or_default()
-            .push_back(now);
-        let (op, req_bytes) = self.client.generators[instance as usize].next_op();
+        slot.issued.push_back(now);
+        let instance = slot.instance as usize;
+        let (op, req_bytes) = self.client.generators[instance].next_op();
         // Tell the server's framing oracle.
-        let server_cid = (cid.1, cid.0);
-        self.instances[instance as usize]
-            .req_oracle
-            .entry(server_cid)
+        self.instances[instance]
+            .conns
+            .entry((cid.1, cid.0))
             .or_default()
+            .requests
             .push_back((req_bytes, op));
         let outs = match self.client.stack.conn_mut(cid) {
             Some(c) => c.write(now, req_bytes),
             None => Vec::new(),
         };
-        self.handle_client_outputs(now, cid, outs);
+        self.apply_outputs(now, Side::Client, cid, outs);
+    }
+
+    // ------------------------------------------------------------------
+    // Both sides: TCP effects.
+    // ------------------------------------------------------------------
+
+    /// The client's slot for a connection it opened (every connection
+    /// in this testbed is one).
+    fn client_conn(&mut self, cid: ConnId) -> &mut ClientConn {
+        self.client
+            .conns
+            .get_mut(&cid)
+            .expect("the client opened every connection")
+    }
+
+    /// Where `side` keeps the armed timer of connection `cid`.
+    fn timer_slot(&mut self, side: Side, cid: ConnId) -> &mut Option<EventToken> {
+        match side {
+            Side::Client => &mut self.client_conn(cid).timer,
+            Side::Server(i) => {
+                let conns = &mut self.instances[i as usize].conns;
+                &mut conns.entry(cid).or_default().timer
+            }
+        }
+    }
+
+    fn cancel_timer(&mut self, side: Side, cid: ConnId) {
+        if let Some(tok) = self.timer_slot(side, cid).take() {
+            self.queue.cancel(tok);
+        }
+    }
+
+    /// Performs the effects one of `side`'s connections asked for.
+    fn apply_outputs(&mut self, now: SimTime, side: Side, cid: ConnId, outs: Vec<TcpOutput>) {
+        for out in outs {
+            match (out, side) {
+                (TcpOutput::Send(seg), _) => self.link_send(now, seg, side == Side::Client),
+                (TcpOutput::SetTimer(at), _) => {
+                    let tok = self.queue.schedule_at(at, EthEvent::TcpTimer(side, cid));
+                    if let Some(armed) = self.timer_slot(side, cid).replace(tok) {
+                        self.queue.cancel(armed);
+                    }
+                }
+                (TcpOutput::CancelTimer, _) => self.cancel_timer(side, cid),
+                (TcpOutput::Connected, Side::Client) => self.issue_op(now, cid),
+                (TcpOutput::Readable, Side::Client) => self.client_readable(now, cid),
+                (TcpOutput::Readable, Side::Server(i)) => self.server_readable(now, i, cid),
+                (TcpOutput::Failed(_), Side::Client) => {
+                    let slot = self.client_conn(cid);
+                    if slot.alive {
+                        slot.alive = false;
+                        let instance = slot.instance as usize;
+                        self.metrics[instance].failed_conns += 1;
+                    }
+                }
+                (TcpOutput::Connected | TcpOutput::PeerClosed | TcpOutput::Failed(_), _) => {}
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{EthScenario, ScenarioBuilder};
 
-    fn small_config(mode: RxMode) -> EthConfig {
-        EthConfig::default()
-            .with_mode(mode)
-            .with_instances(1)
-            .with_conns_per_instance(4)
-            .with_ring_entries(64)
-            .with_host_memory(ByteSize::mib(512))
-            .with_memcached(MemcachedConfig {
-                max_bytes: ByteSize::mib(64),
-                value_size: 1024,
-                ..MemcachedConfig::default()
-            })
-            .with_working_set_keys(1000)
+    fn small(mode: RxMode) -> EthScenario {
+        ScenarioBuilder::ethernet()
+            .mode(mode)
+            .instances(1)
+            .conns_per_instance(4)
+            .ring_entries(64)
+            .host_memory(ByteSize::mib(512))
+            .memcached(small_cache(64))
+            .working_set_keys(1000)
+    }
+
+    fn small_cache(mib: u64) -> MemcachedConfig {
+        MemcachedConfig {
+            max_bytes: ByteSize::mib(mib),
+            value_size: 1024,
+            ..MemcachedConfig::default()
+        }
     }
 
     #[test]
     fn pinned_testbed_serves_operations() {
-        let mut bed = EthTestbed::new(small_config(RxMode::Pin)).expect("setup");
+        let mut bed = small(RxMode::Pin).build().expect("setup");
         bed.run_until(SimTime::from_secs(1));
         assert!(
             bed.total_ops() > 1000,
@@ -1470,7 +1281,7 @@ mod tests {
 
     #[test]
     fn backup_testbed_recovers_from_cold_ring() {
-        let mut bed = EthTestbed::new(small_config(RxMode::Backup)).expect("setup");
+        let mut bed = small(RxMode::Backup).build().expect("setup");
         bed.run_until(SimTime::from_secs(1));
         assert!(
             bed.total_ops() > 1000,
@@ -1486,9 +1297,9 @@ mod tests {
 
     #[test]
     fn drop_testbed_stalls_on_cold_ring() {
-        let mut drop_bed = EthTestbed::new(small_config(RxMode::Drop)).expect("setup");
+        let mut drop_bed = small(RxMode::Drop).build().expect("setup");
         drop_bed.run_until(SimTime::from_secs(1));
-        let mut backup_bed = EthTestbed::new(small_config(RxMode::Backup)).expect("setup");
+        let mut backup_bed = small(RxMode::Backup).build().expect("setup");
         backup_bed.run_until(SimTime::from_secs(1));
         assert!(
             drop_bed.total_ops() * 10 < backup_bed.total_ops().max(1),
@@ -1501,9 +1312,8 @@ mod tests {
 
     #[test]
     fn prefaulted_drop_ring_behaves_like_pinned() {
-        let mut cfg = small_config(RxMode::Drop);
-        cfg.prefault_rings = true;
-        let mut bed = EthTestbed::new(cfg).expect("setup");
+        let scenario = small(RxMode::Drop).prefault_rings(true);
+        let mut bed = scenario.build().expect("setup");
         bed.run_until(SimTime::from_secs(1));
         assert!(
             bed.total_ops() > 1000,
@@ -1514,19 +1324,16 @@ mod tests {
 
     #[test]
     fn pin_mode_fails_when_memory_insufficient() {
-        let mut cfg = small_config(RxMode::Pin);
-        cfg.memcached.max_bytes = ByteSize::gib(1); // exceeds 512 MiB host
-        let err = EthTestbed::new(cfg).err();
+        let gib = small_cache(1024); // exceeds the 512 MiB host
+        let err = small(RxMode::Pin).memcached(gib).build().err();
         assert!(err.is_some(), "pinning 1 GiB into 512 MiB must fail");
         // The same allocation works with NPFs.
-        let mut cfg2 = small_config(RxMode::Backup);
-        cfg2.memcached.max_bytes = ByteSize::gib(1);
-        assert!(EthTestbed::new(cfg2).is_ok());
+        assert!(small(RxMode::Backup).memcached(gib).build().is_ok());
     }
 
     #[test]
     fn latency_percentiles_are_recorded() {
-        let mut bed = EthTestbed::new(small_config(RxMode::Pin)).expect("setup");
+        let mut bed = small(RxMode::Pin).build().expect("setup");
         bed.run_until(SimTime::from_secs(1));
         let rep = bed.tenant_report(0);
         assert!(rep.ops > 0);
@@ -1537,16 +1344,12 @@ mod tests {
 
     #[test]
     fn tenant_skew_concentrates_connections_and_load() {
-        let cfg = small_config(RxMode::Backup)
-            .with_instances(4)
-            .with_conns_per_instance(4)
-            .with_memcached(MemcachedConfig {
-                max_bytes: ByteSize::mib(16),
-                value_size: 1024,
-                ..MemcachedConfig::default()
-            })
-            .with_tenant_skew(Some(1.2));
-        let mut bed = EthTestbed::new(cfg).expect("setup");
+        let scenario = small(RxMode::Backup)
+            .instances(4)
+            .conns_per_instance(4)
+            .memcached(small_cache(16))
+            .tenant_skew(1.2);
+        let mut bed = scenario.build().expect("setup");
         assert_eq!((0..4).map(|i| bed.conns_of(i)).sum::<u32>(), 16);
         assert!(
             bed.conns_of(0) > bed.conns_of(3),
@@ -1567,7 +1370,7 @@ mod tests {
 
     #[test]
     fn sampling_produces_time_series() {
-        let mut bed = EthTestbed::new(small_config(RxMode::Pin)).expect("setup");
+        let mut bed = small(RxMode::Pin).build().expect("setup");
         bed.start_sampling();
         bed.run_until(SimTime::from_secs(1));
         let series = bed.metrics()[0].ops.series();
@@ -1580,26 +1383,29 @@ mod tests {
 #[cfg(test)]
 mod prefault_tests {
     use super::*;
+    use crate::builder::ScenarioBuilder;
 
     #[test]
     fn prefault_window_shortens_cold_sequences() {
-        let cfg = |window: u64| {
-            EthConfig::default()
-                .with_mode(RxMode::Backup)
-                .with_instances(1)
-                .with_conns_per_instance(8)
-                .with_ring_entries(512)
-                .with_bm_size(1024)
-                .with_host_memory(ByteSize::mib(512))
-                .with_memcached(MemcachedConfig {
+        let bed = |window: u64| {
+            ScenarioBuilder::ethernet()
+                .mode(RxMode::Backup)
+                .instances(1)
+                .conns_per_instance(8)
+                .ring_entries(512)
+                .bm_size(1024)
+                .host_memory(ByteSize::mib(512))
+                .memcached(MemcachedConfig {
                     max_bytes: ByteSize::mib(64),
                     ..MemcachedConfig::default()
                 })
-                .with_working_set_keys(1_000)
-                .with_prefault_window(window)
+                .working_set_keys(1_000)
+                .prefault_window(window)
+                .build()
+                .expect("setup")
         };
         let run = |window| {
-            let mut bed = EthTestbed::new(cfg(window)).expect("setup");
+            let mut bed = bed(window);
             bed.run_until_ops(2_000, SimTime::from_secs(30))
                 .expect("completes")
         };
@@ -1611,7 +1417,7 @@ mod prefault_tests {
         );
         // And it reduces the number of distinct fault events.
         let events = |window| {
-            let mut bed = EthTestbed::new(cfg(window)).expect("setup");
+            let mut bed = bed(window);
             bed.run_until(SimTime::from_millis(500));
             bed.engine().counters().get("npf_events")
         };

@@ -16,7 +16,7 @@ use memsim::types::{SpaceId, VirtAddr};
 use netsim::fabric::{ChaosSendOutcome, Fabric};
 use netsim::link::{LinkConfig, SendOutcome};
 use netsim::packet::NodeId;
-use netsim::profile::{FabricProfile, TransportConfig};
+use netsim::profile::FabricProfile;
 use npf_core::npf::{NpfConfig, NpfEngine};
 use rdmasim::rc::RcQp;
 use rdmasim::types::{
@@ -27,7 +27,6 @@ use simcore::chaos::{invariant, ChaosConfig, ChaosEngine, IommuFate, MemoryFate,
 use simcore::event::{EventQueue, EventToken};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
-use simcore::trace;
 use simcore::units::{Bandwidth, ByteSize};
 use workloads::stream::SyntheticFaults;
 
@@ -35,10 +34,12 @@ use iommu::DomainId;
 
 /// Cluster configuration.
 ///
-/// Construct via [`IbConfig::default`] plus the `with_*` setters, or
-/// through [`crate::builder::ScenarioBuilder::infiniband`] (which also
-/// validates cross-field constraints). The struct is `#[non_exhaustive]`
-/// so new knobs can be added without breaking downstream crates.
+/// Plain data: start from [`IbConfig::default`] and assign fields, or
+/// chain the setters of [`crate::builder::ScenarioBuilder::infiniband`].
+/// Either way the cluster is built (and the configuration validated)
+/// by [`crate::builder::IbScenario::build`]. The struct is
+/// `#[non_exhaustive]` so new knobs can be added without breaking
+/// downstream crates.
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct IbConfig {
@@ -84,95 +85,6 @@ impl Default for IbConfig {
             chaos: ChaosConfig::disabled(),
             profile: FabricProfile::default(),
         }
-    }
-}
-
-impl IbConfig {
-    /// Sets the node count.
-    #[must_use]
-    pub fn with_nodes(mut self, nodes: u32) -> Self {
-        self.nodes = nodes;
-        self
-    }
-
-    /// Sets the per-node physical memory.
-    #[must_use]
-    pub fn with_node_memory(mut self, memory: ByteSize) -> Self {
-        self.node_memory = memory;
-        self
-    }
-
-    /// Sets the link rate.
-    #[must_use]
-    pub fn with_bandwidth(mut self, bandwidth: Bandwidth) -> Self {
-        self.bandwidth = bandwidth;
-        self
-    }
-
-    /// Sets the switch store-and-forward latency.
-    #[must_use]
-    pub fn with_switch_latency(mut self, latency: SimDuration) -> Self {
-        self.switch_latency = latency;
-        self
-    }
-
-    /// Sets the RC transport tuning.
-    #[must_use]
-    pub fn with_rc(mut self, rc: RcConfig) -> Self {
-        self.rc = rc;
-        self
-    }
-
-    /// Sets the NPF engine configuration.
-    #[must_use]
-    pub fn with_npf(mut self, npf: NpfConfig) -> Self {
-        self.npf = npf;
-        self
-    }
-
-    /// Sets the secondary-storage model.
-    #[must_use]
-    pub fn with_disk(mut self, disk: DiskConfig) -> Self {
-        self.disk = disk;
-        self
-    }
-
-    /// Sets (or clears) the NVM backing tier.
-    #[must_use]
-    pub fn with_tier(mut self, tier: Option<TierConfig>) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// Sets the RNG seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the fault-injection configuration.
-    #[must_use]
-    pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.chaos = chaos;
-        self
-    }
-
-    /// Sets the fabric profile (loss, PFC, ECN).
-    #[must_use]
-    pub fn with_profile(mut self, profile: FabricProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Applies a typed transport configuration onto the RC tuning: the
-    /// loss-recovery discipline and its BDP cap. Equivalent to editing
-    /// [`IbConfig::rc`] directly; last writer wins.
-    #[must_use]
-    pub fn with_transport(mut self, transport: TransportConfig) -> Self {
-        self.rc.transport = transport.transport;
-        self.rc.bdp_packets = transport.bdp_packets;
-        self
     }
 }
 
@@ -401,22 +313,6 @@ pub struct IbCluster {
 }
 
 impl IbCluster {
-    /// Builds the cluster, validating the configuration first.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration fails validation (e.g. zero
-    /// nodes). Use [`crate::builder::ScenarioBuilder::infiniband`] to
-    /// get the validation outcome as a typed
-    /// [`crate::builder::ScenarioError`] instead.
-    #[must_use]
-    pub fn new(config: IbConfig) -> Self {
-        match crate::builder::validate_ib(&config) {
-            Ok(()) => Self::build(config),
-            Err(e) => panic!("invalid IbConfig: {e}"),
-        }
-    }
-
     /// Constructs the cluster from an already-validated configuration.
     pub(crate) fn build(config: IbConfig) -> Self {
         // A new cluster starts a new timeline at t=0; tell the (possibly
@@ -673,46 +569,42 @@ impl IbCluster {
     /// it (models CPU-side work between rounds).
     pub fn run_idle_until(&mut self, target: SimTime) {
         self.queue.schedule_at(target, IbEvent::Nop);
-        while let Some((_, ev)) = {
-            // Pop only events at or before the target.
-            match self.queue.next_time() {
-                Some(t) if t <= target => self.queue.pop(),
-                _ => None,
-            }
-        } {
-            self.dispatch(ev);
-        }
+        while self.step_until(target) {}
     }
 
     /// Runs until no events remain or `max_events` were processed.
     /// Returns the number of events handled.
     pub fn run_until_quiescent(&mut self, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events {
-            if !self.step() {
-                break;
+        let before = self.queue.popped_total();
+        self.run_until(|_| false, max_events);
+        self.queue.popped_total() - before
+    }
+
+    /// Runs until `done` holds, checking it before every event. Returns
+    /// `false` if the queue drained or `budget` events were processed
+    /// first.
+    pub fn run_until(&mut self, mut done: impl FnMut(&IbCluster) -> bool, budget: u64) -> bool {
+        for _ in 0..budget {
+            if done(self) {
+                return true;
             }
-            n += 1;
+            if !self.step() {
+                return false;
+            }
         }
-        n
+        done(self)
     }
 
     /// Processes one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((_, event)) = self.queue.pop() else {
-            return false;
-        };
-        self.dispatch(event);
-        true
+        self.step_until(SimTime::MAX)
     }
 
-    fn dispatch(&mut self, event: IbEvent) {
-        let now = self.queue.now();
-        // Advance the trace clock so instrumentation in substrates
-        // without their own `now` stamps with the event time.
-        trace::set_clock(now);
-        // Global invariants are checked at every dispatch boundary.
-        invariant::checkpoint(now);
+    /// Handles the next event due by `deadline`; `false` when none is.
+    fn step_until(&mut self, deadline: SimTime) -> bool {
+        let Some((now, event)) = self.queue.pop_until(deadline) else {
+            return false;
+        };
         match event {
             IbEvent::Deliver { node, pkt } => {
                 self.drive_qp(now, node, pkt.dst_qp, QpDrive::Packet(pkt));
@@ -747,6 +639,7 @@ impl IbCluster {
                 }
             }
         }
+        true
     }
 
     /// Tells every QP of `node` that `fault` resolved (any of them may be
@@ -935,7 +828,8 @@ mod tests {
     use rdmasim::types::{WcOpcode, WcStatus};
 
     fn two_node_cluster() -> IbCluster {
-        IbCluster::new(IbConfig::default().with_nodes(2))
+        let scenario = crate::builder::ScenarioBuilder::infiniband().nodes(2);
+        scenario.build().expect("valid scenario")
     }
 
     #[test]
@@ -1251,5 +1145,49 @@ mod tests {
         let first = run();
         assert_eq!(first, run(), "same build, same completion order");
         assert_eq!(first, (100..106).collect::<Vec<WrId>>(), "QpId order");
+    }
+
+    #[test]
+    fn journal_marks_carry_event_time() {
+        use simcore::journal::{self, JournalRecorder, MarkKind};
+
+        // 12 MiB of sends through 8 MiB nodes: both sides evict.
+        const MSG: u64 = 64 * 1024;
+        const MESSAGES: u64 = 192;
+        journal::install(JournalRecorder::new());
+        let scenario = crate::builder::ScenarioBuilder::infiniband()
+            .nodes(2)
+            .node_memory(ByteSize::mib(8));
+        let mut c = scenario.build().expect("valid scenario");
+        let (qa, qb) = c.connect(0, 1);
+        let src = c.alloc_buffers(0, ByteSize::mib(12));
+        let dst = c.alloc_buffers(1, ByteSize::mib(12));
+        for i in 0..MESSAGES {
+            c.post_recv(1, qb, 1000 + i, VirtAddr(dst.0 + i * MSG), MSG);
+            let local = VirtAddr(src.0 + i * MSG);
+            c.post_send(0, qa, i, SendOp::Send { local, len: MSG });
+        }
+        c.run_until_quiescent(10_000_000);
+        let journal = journal::uninstall().expect("installed above");
+        assert_eq!(c.drain_completions(1).len() as u64, MESSAGES);
+
+        // Link arrivals are stamped ahead with their delivery time;
+        // every other mark reads the journal clock.
+        let clocked: Vec<_> = journal
+            .marks()
+            .iter()
+            .filter(|m| m.kind != MarkKind::PacketArrival)
+            .collect();
+        assert!(clocked.iter().any(|m| m.kind == MarkKind::Eviction));
+        assert!(clocked.windows(2).all(|w| w[0].seq < w[1].seq));
+        assert!(clocked.windows(2).all(|w| w[0].time <= w[1].time));
+        for m in clocked {
+            assert!(
+                SimTime::ZERO < m.time && m.time <= c.now(),
+                "{:?} mark at {}",
+                m.kind,
+                m.time
+            );
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! # testbed — experiment drivers
 //!
-//! Deterministic event-loop testbeds mirroring the paper's two setups:
+//! Deterministic event-loop testbeds of the paper's two setups:
 //!
 //! * [`eth::EthTestbed`] — the Ethernet pair: a Linux-TCP client machine
 //!   back-to-back with a 12 Gb/s NPF-prototype server hosting memcached
@@ -14,13 +14,16 @@
 //! * [`stream_eth`] — the Netperf-style what-if stream with synthetic
 //!   rNPF injection (Figure 10 left).
 //!
-//! Testbeds own the event loops; every substrate stays sans-IO. All
-//! runs are deterministic in their seeds (asserted by integration
-//! tests).
+//! Testbeds own the event loops; every substrate stays sans-IO. Each
+//! loop is `while let Some((now, event)) = queue.pop_until(deadline)`:
+//! the queue owns `now`, so it — not the testbed — advances the trace
+//! and journal clocks and runs the invariant checkpoint (see
+//! [`simcore::event`]). All runs are deterministic in their seeds
+//! (asserted by integration tests).
 //!
-//! Scenarios are constructed through [`builder::ScenarioBuilder`], the
-//! typed, validated entry point for both testbeds; the legacy
-//! `EthTestbed::new` / `IbCluster::new` constructors delegate to it.
+//! Both testbeds are constructed through [`builder::ScenarioBuilder`],
+//! the one typed, validated way to build them; [`EthConfig`] and
+//! [`IbConfig`] are the plain data it fills in.
 //!
 //! # Examples
 //!

@@ -17,7 +17,8 @@ use simcore::time::SimDuration;
 use simcore::units::ByteSize;
 use workloads::mpi::{BufferPool, Collective};
 
-use crate::ib::{IbCluster, IbConfig};
+use crate::builder::ScenarioBuilder;
+use crate::ib::IbCluster;
 
 /// Configuration of one collective run.
 #[derive(Debug, Clone, Copy)]
@@ -88,11 +89,11 @@ impl MpiRunResult {
 /// Panics if the cluster deadlocks (event budget exhausted) — a bug,
 /// not a measurement.
 pub fn run_collective(config: MpiRunConfig) -> MpiRunResult {
-    let mut cluster = IbCluster::new(
-        IbConfig::default()
-            .with_nodes(config.ranks)
-            .with_seed(config.seed),
-    );
+    let mut cluster = ScenarioBuilder::infiniband()
+        .nodes(config.ranks)
+        .seed(config.seed)
+        .build()
+        .unwrap_or_else(|e| panic!("invalid collective run: {e}"));
 
     // Connect every (src, dst) pair the schedule uses, sharing each
     // node's protection domain.
@@ -192,30 +193,20 @@ pub fn run_collective(config: MpiRunConfig) -> MpiRunResult {
             }
 
             // Round barrier: wait for all completions.
-            let mut budget = 50_000_000u64;
-            loop {
-                let done = expected_sends.iter().all(|(&n, &want)| {
-                    cluster
-                        .completions(n)
-                        .iter()
-                        .filter(|c| c.opcode == WcOpcode::Send)
-                        .count()
-                        >= want
-                }) && expected_recvs.iter().all(|(&n, &want)| {
-                    cluster
-                        .completions(n)
-                        .iter()
-                        .filter(|c| c.opcode == WcOpcode::Recv)
-                        .count()
-                        >= want
-                });
-                if done {
-                    break;
-                }
-                assert!(cluster.step(), "cluster deadlocked mid-round");
-                budget -= 1;
-                assert!(budget > 0, "event budget exhausted");
-            }
+            let arrived = |c: &IbCluster, expected: &HashMap<u32, usize>, opcode| {
+                expected.iter().all(|(&n, &want)| {
+                    let done = c.completions(n).iter().filter(|c| c.opcode == opcode);
+                    done.count() >= want
+                })
+            };
+            let round_done = |c: &IbCluster| {
+                arrived(c, &expected_sends, WcOpcode::Send)
+                    && arrived(c, &expected_recvs, WcOpcode::Recv)
+            };
+            assert!(
+                cluster.run_until(round_done, 50_000_000),
+                "cluster deadlocked mid-round or event budget exhausted"
+            );
 
             // Post-round cleanup: fine-grained unpinning / copy-out, and
             // the allreduce CPU reduction.

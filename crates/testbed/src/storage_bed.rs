@@ -19,6 +19,7 @@ use workloads::storage::{FioClient, StorageConfig, StorageTarget};
 
 use simcore::rng::SimRng;
 
+use crate::builder::IbScenario;
 use crate::ib::{IbCluster, IbConfig};
 
 /// Configuration of one storage run.
@@ -105,15 +106,17 @@ pub struct StorageBedResult {
 /// fit in memory — the paper's "fails to load the tgt service" outcome
 /// below 5 GB.
 pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemError> {
-    let mut cluster = IbCluster::new(
-        IbConfig::default()
-            .with_nodes(2)
-            .with_node_memory(config.target_memory)
-            .with_seed(config.seed)
-            .with_npf(config.npf)
-            .with_disk(config.disk)
-            .with_tier(config.tier),
-    );
+    let mut cluster = IbScenario::from_config(IbConfig {
+        nodes: 2,
+        node_memory: config.target_memory,
+        seed: config.seed,
+        npf: config.npf,
+        disk: config.disk,
+        tier: config.tier,
+        ..IbConfig::default()
+    })
+    .build()
+    .unwrap_or_else(|e| panic!("invalid storage scenario: {e}"));
 
     // OS + daemon baseline: pinned, unreclaimable.
     {
@@ -260,17 +263,11 @@ pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemErro
             outstanding += 1;
         }
         // Wait for at least one write completion at the target.
-        loop {
-            let done = cluster
-                .completions(0)
-                .iter()
-                .filter(|c| c.opcode == WcOpcode::Write)
-                .count();
-            if done > 0 {
-                break;
-            }
-            assert!(cluster.step(), "storage bed deadlocked");
-        }
+        let written = |c: &IbCluster| c.completions(0).iter().any(|c| c.opcode == WcOpcode::Write);
+        assert!(
+            cluster.run_until(written, u64::MAX),
+            "storage bed deadlocked"
+        );
         let comps = cluster.drain_completions(0);
         let mut n = 0u32;
         for c in &comps {

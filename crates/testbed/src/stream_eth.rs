@@ -8,8 +8,6 @@
 //! retransmission recovers it, slowly) or parked in the backup ring and
 //! merged once the synthetic fault "resolves".
 
-use std::collections::HashMap;
-
 use memsim::manager::{MemConfig, MemoryManager};
 use memsim::space::Backing;
 use memsim::types::{PageRange, VirtAddr};
@@ -18,6 +16,7 @@ use netsim::profile::FabricProfile;
 use nicsim::rx::{RingId, RxDescriptor, RxEngine, RxFaultMode, RxVerdict};
 use npf_core::npf::{NpfConfig, NpfEngine};
 use npf_core::RX_BUFFER_BASE;
+use simcore::chaos::invariant;
 use simcore::event::{EventQueue, EventToken};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
@@ -83,294 +82,293 @@ pub struct StreamBedResult {
     pub backup_packets: u64,
 }
 
+/// Which end of the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    /// The sender: a standard Linux stack.
+    Client,
+    /// The receiver: the lwIP IOuser behind the direct channel.
+    Server,
+}
+
 #[derive(Debug)]
 enum Ev {
     ToServer(TcpSegment),
     ToClient(TcpSegment),
-    ClientTimer(ConnId),
-    ServerTimer(ConnId),
+    /// The retransmission timer of a side's connection fired.
+    Timer(Side, ConnId),
     /// A synthetic fault resolved: merge the oldest backup entry back.
     Merge,
     /// Announce ring contents to the IOuser.
     Consume,
 }
 
-/// Runs the Ethernet stream benchmark.
-pub fn run_stream(config: StreamBedConfig) -> StreamBedResult {
-    const PORT: u16 = 9000;
-    const MSG: u64 = 64 * 1024;
-    let mut rng = SimRng::new(config.seed);
-    let mut queue: EventQueue<Ev> = EventQueue::new();
+/// One end of the stream. The bed opens exactly one connection, so what
+/// an end keeps per connection it keeps once.
+struct Endpoint {
+    stack: TcpStack,
+    /// The link this end transmits on.
+    tx: Link,
+    /// The pending event of the connection's armed retransmission timer.
+    timer: Option<EventToken>,
+}
 
-    // Server: one IOuser with a pre-faulted ring.
-    let mm = MemoryManager::new(MemConfig {
-        total_memory: ByteSize::gib(4),
-        ..MemConfig::default()
-    });
-    let mut engine = NpfEngine::new(NpfConfig::default(), mm, rng.fork(1));
-    let space = engine.memory_mut().create_space();
-    let ring = RingId(0);
-    let rx_range = PageRange::new(VirtAddr(RX_BUFFER_BASE).vpn(), config.ring_entries);
-    engine
-        .memory_mut()
-        .mmap_fixed(space, rx_range, Backing::Anonymous)
-        .expect("rx mapping");
-    let domain = engine.create_channel(space);
-    for vpn in rx_range.iter() {
-        engine.touch(space, vpn, true).expect("prefault");
-        let frame = engine
-            .memory()
-            .space(space)
-            .expect("space")
-            .frame_of(vpn)
-            .expect("resident");
-        engine.iommu_mut().map(domain, vpn, frame, true);
+const PORT: u16 = 9000;
+const MSG: u64 = 64 * 1024;
+const RING: RingId = RingId(0);
+/// Delay from a ring store to the IOuser consuming it.
+const CONSUME_DELAY: SimDuration = SimDuration::from_micros(4);
+
+struct StreamBed {
+    config: StreamBedConfig,
+    queue: EventQueue<Ev>,
+    rx: RxEngine<TcpSegment>,
+    /// Descriptors posted so far (absolute).
+    posted: u64,
+    synth: SyntheticFaults,
+    /// Resolution latency of an injected fault.
+    resolve_delay: SimDuration,
+    client: Endpoint,
+    server: Endpoint,
+    receiver: StreamReceiver,
+}
+
+impl StreamBed {
+    fn new(config: StreamBedConfig) -> Self {
+        // A new bed starts a new timeline at t=0; tell the (possibly
+        // process-global) invariant checker so monotonicity tracking
+        // does not span testbeds.
+        invariant::note_timeline_reset();
+        let mut rng = SimRng::new(config.seed);
+
+        // Server: one IOuser with a pre-faulted ring. Nothing consults
+        // the engine once the ring is warm: only synthetic faults fire.
+        let mm = MemoryManager::new(MemConfig {
+            total_memory: ByteSize::gib(4),
+            ..MemConfig::default()
+        });
+        let mut engine = NpfEngine::new(NpfConfig::default(), mm, rng.fork(1));
+        let space = engine.memory_mut().create_space();
+        let rx_range = PageRange::new(VirtAddr(RX_BUFFER_BASE).vpn(), config.ring_entries);
+        engine
+            .memory_mut()
+            .mmap_fixed(space, rx_range, Backing::Anonymous)
+            .expect("rx mapping");
+        let domain = engine.create_channel(space);
+        for vpn in rx_range.iter() {
+            engine.touch(space, vpn, true).expect("prefault");
+            let frame = engine
+                .memory()
+                .space(space)
+                .expect("space")
+                .frame_of(vpn)
+                .expect("resident");
+            engine.iommu_mut().map(domain, vpn, frame, true);
+        }
+        let mut rx: RxEngine<TcpSegment> = RxEngine::new(match config.mode {
+            StreamMode::Drop => RxFaultMode::Drop,
+            StreamMode::Backup => RxFaultMode::BackupRing { capacity: 2048 },
+        });
+        rx.create_ring(RING, config.ring_entries, config.ring_entries * 2);
+
+        let mut synth = SyntheticFaults::new(config.fault_frequency, rng.fork(2));
+        synth.arm();
+        let minor = SimDuration::from_micros(220);
+        let major = minor + NpfConfig::default().cost.memcpy(0) + SimDuration::from_millis(5);
+
+        let link_cfg = config.profile.apply_link(LinkConfig {
+            bandwidth: config.bandwidth,
+            propagation: SimDuration::from_micros(1),
+            queue_capacity: 8 << 20,
+            ecn_threshold: None,
+            loss_probability: 0.0,
+        });
+        let mut endpoint = |fork| Endpoint {
+            stack: TcpStack::new(),
+            tx: Link::new(link_cfg, rng.fork(fork)),
+            timer: None,
+        };
+        let mut bed = StreamBed {
+            config,
+            queue: EventQueue::new(),
+            rx,
+            posted: 0,
+            synth,
+            resolve_delay: if config.major_faults { major } else { minor },
+            client: endpoint(3),
+            server: endpoint(4),
+            receiver: StreamReceiver::new(),
+        };
+        for _ in 0..config.ring_entries {
+            bed.post_one();
+        }
+        bed.server.stack.listen(PORT, TcpConfig::lwip());
+        let (cid, outs) = bed
+            .client
+            .stack
+            .connect(SimTime::ZERO, 5000, PORT, TcpConfig::linux());
+        bed.apply(SimTime::ZERO, Side::Client, cid, outs);
+        bed
     }
-    let mut rx: RxEngine<TcpSegment> = RxEngine::new(match config.mode {
-        StreamMode::Drop => RxFaultMode::Drop,
-        StreamMode::Backup => RxFaultMode::BackupRing { capacity: 2048 },
-    });
-    rx.create_ring(ring, config.ring_entries, config.ring_entries * 2);
-    let mut posted = 0u64;
-    let post_one = |rx: &mut RxEngine<TcpSegment>, posted: &mut u64| {
-        let addr = VirtAddr(RX_BUFFER_BASE + (*posted % config.ring_entries) * memsim::PAGE_SIZE);
-        *posted += 1;
-        rx.post_descriptor(
-            ring,
+
+    fn post_one(&mut self) {
+        let slot = self.posted % self.config.ring_entries;
+        self.posted += 1;
+        self.rx.post_descriptor(
+            RING,
             RxDescriptor {
-                addr,
+                addr: VirtAddr(RX_BUFFER_BASE + slot * memsim::PAGE_SIZE),
                 capacity: memsim::PAGE_SIZE,
             },
-        )
-    };
-    for _ in 0..config.ring_entries {
-        post_one(&mut rx, &mut posted);
+        );
     }
 
-    let mut synth = SyntheticFaults::new(config.fault_frequency, rng.fork(2));
-    synth.arm();
-    let fault_delay_base = NpfConfig::default();
-    let minor = SimDuration::from_micros(220);
-    let major = minor + fault_delay_base.cost.memcpy(0) + SimDuration::from_millis(5);
-    let resolve_delay = if config.major_faults { major } else { minor };
+    /// Reposts descriptors for drop-mode holes passed over.
+    fn repost_holes(&mut self) {
+        for _ in 0..self.rx.take_skipped_holes(RING) {
+            self.post_one();
+        }
+    }
 
-    let mut server = TcpStack::new();
-    server.listen(PORT, TcpConfig::lwip());
-    let mut client = TcpStack::new();
-    let link_cfg = config.profile.apply_link(LinkConfig {
-        bandwidth: config.bandwidth,
-        propagation: SimDuration::from_micros(1),
-        queue_capacity: 8 << 20,
-        ecn_threshold: None,
-        loss_probability: 0.0,
-    });
-    let mut link_c2s = Link::new(link_cfg, rng.fork(3));
-    let mut link_s2c = Link::new(link_cfg, rng.fork(4));
+    fn end(&mut self, side: Side) -> &mut Endpoint {
+        match side {
+            Side::Client => &mut self.client,
+            Side::Server => &mut self.server,
+        }
+    }
 
-    let mut receiver = StreamReceiver::new();
-    let mut client_timers: HashMap<ConnId, EventToken> = HashMap::new();
-    let mut server_timers: HashMap<ConnId, EventToken> = HashMap::new();
+    fn cancel_timer(&mut self, side: Side) {
+        if let Some(tok) = self.end(side).timer.take() {
+            self.queue.cancel(tok);
+        }
+    }
 
-    let (cid, outs) = client.connect(SimTime::ZERO, 5000, PORT, TcpConfig::linux());
-    // Effects helpers are plain closures over the queue + links.
-    fn client_effects(
-        now: SimTime,
-        outs: Vec<TcpOutput>,
-        cid: ConnId,
-        queue: &mut EventQueue<Ev>,
-        link_c2s: &mut Link,
-        timers: &mut HashMap<ConnId, EventToken>,
-        client: &mut TcpStack,
-    ) {
+    fn client_write(&mut self, now: SimTime, cid: ConnId, bytes: u64) {
+        if let Some(conn) = self.client.stack.conn_mut(cid) {
+            let outs = conn.write(now, bytes);
+            self.apply(now, Side::Client, cid, outs);
+        }
+    }
+
+    /// Performs the effects `side`'s connection asked for.
+    fn apply(&mut self, now: SimTime, side: Side, cid: ConnId, outs: Vec<TcpOutput>) {
         for out in outs {
-            match out {
-                TcpOutput::Send(seg) => {
+            match (out, side) {
+                (TcpOutput::Send(seg), _) => {
                     if let SendOutcome::Delivered { arrives_at, .. } =
-                        link_c2s.send(now, seg.wire_size())
+                        self.end(side).tx.send(now, seg.wire_size())
                     {
-                        queue.schedule_at(arrives_at, Ev::ToServer(seg));
+                        let arrival = match side {
+                            Side::Client => Ev::ToServer(seg),
+                            Side::Server => Ev::ToClient(seg),
+                        };
+                        self.queue.schedule_at(arrives_at, arrival);
                     }
                 }
-                TcpOutput::SetTimer(at) => {
-                    if let Some(t) = timers.remove(&cid) {
-                        queue.cancel(t);
-                    }
-                    timers.insert(cid, queue.schedule_at(at, Ev::ClientTimer(cid)));
-                }
-                TcpOutput::CancelTimer => {
-                    if let Some(t) = timers.remove(&cid) {
-                        queue.cancel(t);
+                (TcpOutput::SetTimer(at), _) => {
+                    let tok = self.queue.schedule_at(at, Ev::Timer(side, cid));
+                    if let Some(armed) = self.end(side).timer.replace(tok) {
+                        self.queue.cancel(armed);
                     }
                 }
-                TcpOutput::Connected => {
-                    // Start the stream: keep the pipe full.
-                    if let Some(conn) = client.conn_mut(cid) {
-                        let outs = conn.write(now, MSG * 8);
-                        client_effects(now, outs, cid, queue, link_c2s, timers, client);
+                (TcpOutput::CancelTimer, _) => self.cancel_timer(side),
+                // Start the stream: keep the pipe full.
+                (TcpOutput::Connected, Side::Client) => self.client_write(now, cid, MSG * 8),
+                (TcpOutput::Readable, Side::Server) => {
+                    if let Some(conn) = self.server.stack.conn_mut(cid) {
+                        let n = conn.readable_bytes();
+                        conn.read(n);
+                        self.receiver.deliver(now, n);
                     }
                 }
                 _ => {}
             }
         }
     }
-    client_effects(
-        SimTime::ZERO,
-        outs,
-        cid,
-        &mut queue,
-        &mut link_c2s,
-        &mut client_timers,
-        &mut client,
-    );
 
-    let deadline = SimTime::ZERO + config.duration;
-    while let Some(t) = queue.next_time() {
-        if t > deadline {
-            break;
-        }
-        let Some((now, ev)) = queue.pop() else { break };
-        // Advance the trace clock so instrumentation in substrates
-        // without their own `now` stamps with the event time.
-        simcore::trace::set_clock(now);
+    fn dispatch(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::ToServer(seg) => {
                 // Presence: ring is warm; only synthetic faults fire.
-                let posted_desc = rx.target_descriptor(ring).is_some();
-                let present = posted_desc && !synth.should_fault();
-                match rx.recv(ring, seg, seg.wire_size(), present) {
+                let posted_desc = self.rx.target_descriptor(RING).is_some();
+                let present = posted_desc && !self.synth.should_fault();
+                match self.rx.recv(RING, seg, seg.wire_size(), present) {
                     RxVerdict::Stored { notify_iouser, .. } => {
                         if notify_iouser {
-                            queue.schedule_in(SimDuration::from_micros(4), Ev::Consume);
+                            self.queue.schedule_in(CONSUME_DELAY, Ev::Consume);
                         }
                     }
                     RxVerdict::Backup { .. } => {
-                        queue.schedule_in(resolve_delay, Ev::Merge);
+                        self.queue.schedule_in(self.resolve_delay, Ev::Merge);
                     }
                     RxVerdict::Dropped { burned_descriptor } => {
                         if burned_descriptor {
-                            queue.schedule_in(SimDuration::from_micros(4), Ev::Consume);
+                            self.queue.schedule_in(CONSUME_DELAY, Ev::Consume);
                         }
                     }
                 }
             }
             Ev::Merge => {
-                if let Some(entry) = rx.pop_backup() {
+                if let Some(entry) = self.rx.pop_backup() {
                     let placed =
-                        rx.place_resolved(ring, entry.target_index, entry.payload, entry.len);
-                    if placed && rx.resolve_rnpfs(ring, entry.bit_index) {
-                        queue.schedule_in(SimDuration::from_micros(4), Ev::Consume);
+                        self.rx
+                            .place_resolved(RING, entry.target_index, entry.payload, entry.len);
+                    if placed && self.rx.resolve_rnpfs(RING, entry.bit_index) {
+                        self.queue.schedule_in(CONSUME_DELAY, Ev::Consume);
                     }
                 }
             }
             Ev::Consume => loop {
-                for _ in 0..rx.take_skipped_holes(ring) {
-                    post_one(&mut rx, &mut posted);
-                }
-                let Some((seg, _)) = rx.consume(ring) else {
-                    for _ in 0..rx.take_skipped_holes(ring) {
-                        post_one(&mut rx, &mut posted);
-                    }
+                self.repost_holes();
+                let Some((seg, _)) = self.rx.consume(RING) else {
+                    // A trailing run of holes still needs reposting.
+                    self.repost_holes();
                     break;
                 };
-                post_one(&mut rx, &mut posted);
-                if let Some((scid, outs)) = server.on_segment(now, seg, false) {
-                    for out in outs {
-                        match out {
-                            TcpOutput::Send(s) => {
-                                if let SendOutcome::Delivered { arrives_at, .. } =
-                                    link_s2c.send(now, s.wire_size())
-                                {
-                                    queue.schedule_at(arrives_at, Ev::ToClient(s));
-                                }
-                            }
-                            TcpOutput::SetTimer(at) => {
-                                if let Some(t) = server_timers.remove(&scid) {
-                                    queue.cancel(t);
-                                }
-                                server_timers
-                                    .insert(scid, queue.schedule_at(at, Ev::ServerTimer(scid)));
-                            }
-                            TcpOutput::CancelTimer => {
-                                if let Some(t) = server_timers.remove(&scid) {
-                                    queue.cancel(t);
-                                }
-                            }
-                            TcpOutput::Readable => {
-                                if let Some(conn) = server.conn_mut(scid) {
-                                    let n = conn.readable_bytes();
-                                    conn.read(n);
-                                    receiver.deliver(now, n);
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
+                self.post_one();
+                if let Some((cid, outs)) = self.server.stack.on_segment(now, seg, false) {
+                    self.apply(now, Side::Server, cid, outs);
                 }
             },
             Ev::ToClient(seg) => {
-                if let Some((ccid, outs)) = client.on_segment(now, seg, false) {
-                    client_effects(
-                        now,
-                        outs,
-                        ccid,
-                        &mut queue,
-                        &mut link_c2s,
-                        &mut client_timers,
-                        &mut client,
-                    );
+                if let Some((cid, outs)) = self.client.stack.on_segment(now, seg, false) {
+                    self.apply(now, Side::Client, cid, outs);
                     // Keep the stream saturated.
-                    if let Some(conn) = client.conn_mut(ccid) {
-                        if conn.send_queue_bytes() < MSG * 4 {
-                            let outs = conn.write(now, MSG * 4);
-                            client_effects(
-                                now,
-                                outs,
-                                ccid,
-                                &mut queue,
-                                &mut link_c2s,
-                                &mut client_timers,
-                                &mut client,
-                            );
-                        }
+                    let conn = self.client.stack.conn(cid);
+                    if conn.is_some_and(|c| c.send_queue_bytes() < MSG * 4) {
+                        self.client_write(now, cid, MSG * 4);
                     }
                 }
             }
-            Ev::ClientTimer(tcid) => {
-                client_timers.remove(&tcid);
-                let outs = client.on_timer(now, tcid);
-                client_effects(
-                    now,
-                    outs,
-                    tcid,
-                    &mut queue,
-                    &mut link_c2s,
-                    &mut client_timers,
-                    &mut client,
-                );
-            }
-            Ev::ServerTimer(scid) => {
-                server_timers.remove(&scid);
-                for out in server.on_timer(now, scid) {
-                    if let TcpOutput::Send(s) = out {
-                        if let SendOutcome::Delivered { arrives_at, .. } =
-                            link_s2c.send(now, s.wire_size())
-                        {
-                            queue.schedule_at(arrives_at, Ev::ToClient(s));
-                        }
-                    }
-                }
+            Ev::Timer(side, cid) => {
+                // This is the timer's own event: nothing is left to cancel.
+                self.end(side).timer = None;
+                let outs = self.end(side).stack.on_timer(now, cid);
+                self.apply(now, side, cid, outs);
             }
         }
     }
 
-    StreamBedResult {
-        goodput_gbps: receiver.bytes() as f64 * 8.0
-            / 1e9
-            / config.duration.as_secs_f64().max(1e-12),
-        faults_injected: synth.injected(),
-        nic_drops: rx.counters().get("dropped_fault") + rx.counters().get("dropped_no_buffer"),
-        backup_packets: rx.counters().get("backup_stored"),
+    fn result(&self) -> StreamBedResult {
+        let duration = self.config.duration.as_secs_f64().max(1e-12);
+        let counters = self.rx.counters();
+        StreamBedResult {
+            goodput_gbps: self.receiver.bytes() as f64 * 8.0 / 1e9 / duration,
+            faults_injected: self.synth.injected(),
+            nic_drops: counters.get("dropped_fault") + counters.get("dropped_no_buffer"),
+            backup_packets: counters.get("backup_stored"),
+        }
     }
+}
+
+/// Runs the Ethernet stream benchmark.
+pub fn run_stream(config: StreamBedConfig) -> StreamBedResult {
+    let mut bed = StreamBed::new(config);
+    let deadline = SimTime::ZERO + config.duration;
+    while let Some((now, ev)) = bed.queue.pop_until(deadline) {
+        bed.dispatch(now, ev);
+    }
+    bed.result()
 }
 
 #[cfg(test)]
@@ -451,5 +449,84 @@ mod tests {
             major.goodput_gbps,
             minor.goodput_gbps
         );
+    }
+
+    #[test]
+    fn journal_marks_carry_event_time() {
+        use simcore::journal::{self, JournalRecorder, MarkKind};
+
+        let duration = SimDuration::from_millis(50);
+        journal::install(JournalRecorder::new());
+        let r = run_stream(StreamBedConfig {
+            fault_frequency: 1.0 / 64.0,
+            duration,
+            ..StreamBedConfig::default()
+        });
+        let journal = journal::uninstall().expect("installed above");
+        assert!(r.backup_packets > 0);
+        // Link arrivals are stamped ahead with their delivery time;
+        // every other mark reads the journal clock.
+        let clocked: Vec<_> = journal
+            .marks()
+            .iter()
+            .filter(|m| m.kind != MarkKind::PacketArrival)
+            .collect();
+        assert!(clocked.windows(2).all(|w| w[0].time <= w[1].time));
+        let diverts: Vec<_> = clocked
+            .iter()
+            .filter(|m| m.kind == MarkKind::RxBackupDivert)
+            .collect();
+        assert_eq!(diverts.len() as u64, r.backup_packets);
+        for m in diverts {
+            assert!(SimTime::ZERO < m.time && m.time <= SimTime::ZERO + duration);
+        }
+    }
+
+    #[test]
+    fn back_to_back_runs_are_checked_on_separate_timelines() {
+        use simcore::chaos::{invariant, InvariantChecker};
+
+        let run = |duration| {
+            run_stream(StreamBedConfig {
+                fault_frequency: 1.0 / 256.0,
+                duration,
+                ..StreamBedConfig::default()
+            })
+        };
+        invariant::install(InvariantChecker::new(7));
+        run(SimDuration::from_millis(20));
+        run(SimDuration::from_millis(20));
+        let clean = invariant::with(|c| c.checks() > 0 && c.violations().is_empty());
+        assert_eq!(clean, Some(true), "each run starts its own timeline");
+        // The bed's events did reach the checker: its clock stands at
+        // the second run's last one, so an earlier time is out of order.
+        invariant::note_event_time(SimTime::from_nanos(1));
+        let mut checker = invariant::uninstall().expect("installed above");
+        let found: Vec<_> = checker.finish().iter().map(|v| v.invariant).collect();
+        assert_eq!(found, ["time-monotonicity"]);
+    }
+
+    #[test]
+    fn a_server_timer_that_fires_is_rearmed() {
+        let mut bed = StreamBed::new(StreamBedConfig::default());
+        // Lose every SYN-ACK, so the server's handshake timer fires and
+        // `on_timer` asks for it to be armed again.
+        loop {
+            let (now, ev) = bed.queue.pop().expect("the server timer is pending");
+            if matches!(ev, Ev::ToClient(_)) {
+                continue;
+            }
+            let server_timer = matches!(ev, Ev::Timer(Side::Server, _));
+            bed.dispatch(now, ev);
+            if server_timer {
+                break;
+            }
+        }
+        assert!(bed.server.timer.is_some());
+        let mut live = 0;
+        while let Some((_, ev)) = bed.queue.pop() {
+            live += usize::from(matches!(ev, Ev::Timer(Side::Server, _)));
+        }
+        assert_eq!(live, 1);
     }
 }

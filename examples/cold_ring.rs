@@ -8,22 +8,24 @@
 //! Run with: `cargo run --release --example cold_ring`
 
 use simcore::{ByteSize, SimTime};
-use testbed::eth::{EthConfig, EthTestbed, RxMode};
+use testbed::builder::ScenarioBuilder;
+use testbed::eth::{EthTestbed, RxMode};
 use workloads::memcached::MemcachedConfig;
 
 fn main() {
-    let config = |mode| {
-        EthConfig::default()
-            .with_mode(mode)
-            .with_instances(1)
-            .with_conns_per_instance(16)
-            .with_ring_entries(64)
-            .with_host_memory(ByteSize::gib(4))
-            .with_memcached(MemcachedConfig {
+    let bed = |mode| {
+        ScenarioBuilder::ethernet()
+            .mode(mode)
+            .instances(1)
+            .conns_per_instance(16)
+            .ring_entries(64)
+            .host_memory(ByteSize::gib(4))
+            .memcached(MemcachedConfig {
                 max_bytes: ByteSize::mib(512),
                 ..MemcachedConfig::default()
             })
-            .with_working_set_keys(100_000)
+            .working_set_keys(100_000)
+            .build()
     };
 
     println!("cold start, 64-entry receive ring, 16 connections");
@@ -32,18 +34,9 @@ fn main() {
         "t[s]", "pin", "backup", "drop"
     );
     let mut beds: Vec<(&str, EthTestbed)> = vec![
-        (
-            "pin",
-            EthTestbed::new(config(RxMode::Pin)).expect("pin setup"),
-        ),
-        (
-            "backup",
-            EthTestbed::new(config(RxMode::Backup)).expect("backup setup"),
-        ),
-        (
-            "drop",
-            EthTestbed::new(config(RxMode::Drop)).expect("drop setup"),
-        ),
+        ("pin", bed(RxMode::Pin).expect("pin setup")),
+        ("backup", bed(RxMode::Backup).expect("backup setup")),
+        ("drop", bed(RxMode::Drop).expect("drop setup")),
     ];
     let mut last = vec![0u64; beds.len()];
     for sec in 1..=20u64 {

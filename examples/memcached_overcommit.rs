@@ -7,28 +7,29 @@
 //! Run with: `cargo run --release --example memcached_overcommit`
 
 use simcore::{ByteSize, SimTime};
-use testbed::eth::{EthConfig, EthTestbed, RxMode};
+use testbed::builder::{EthScenario, ScenarioBuilder};
+use testbed::eth::RxMode;
 use workloads::memcached::MemcachedConfig;
 
 fn main() {
-    let config = |mode, instances| {
-        EthConfig::default()
-            .with_mode(mode)
-            .with_instances(instances)
-            .with_conns_per_instance(16)
-            .with_host_memory(ByteSize::gib(8))
-            .with_memcached(MemcachedConfig {
+    let scenario = |mode, instances| {
+        ScenarioBuilder::ethernet()
+            .mode(mode)
+            .instances(instances)
+            .conns_per_instance(16)
+            .host_memory(ByteSize::gib(8))
+            .memcached(MemcachedConfig {
                 max_bytes: ByteSize::gib(3), // what the VM thinks it has
                 ..MemcachedConfig::default()
             })
-            .with_working_set_keys(1_200_000) // ~1.2 GB actually used
+            .working_set_keys(1_200_000) // ~1.2 GB actually used
     };
 
     println!("8 GB host; each memcached VM is allocated 3 GB but uses ~1.2 GB\n");
     println!("{:>10} {:>14} {:>14}", "instances", "NPF", "static pinning");
     for n in 1..=4 {
-        let npf = run(config(RxMode::Backup, n));
-        let pin = run(config(RxMode::Pin, n));
+        let npf = run(scenario(RxMode::Backup, n));
+        let pin = run(scenario(RxMode::Pin, n));
         println!(
             "{n:>10} {:>14} {:>14}",
             npf.map_or("-".into(), |k| format!("{k} KTPS")),
@@ -39,8 +40,8 @@ fn main() {
     println!("NPFs back only the pages each VM actually touches");
 }
 
-fn run(config: EthConfig) -> Option<u64> {
-    let mut bed = EthTestbed::new(config).ok()?;
+fn run(scenario: EthScenario) -> Option<u64> {
+    let mut bed = scenario.build().ok()?;
     bed.run_until(SimTime::from_secs(1));
     let before = bed.total_ops();
     bed.run_until(SimTime::from_secs(3));

@@ -52,7 +52,7 @@ pub mod prelude {
     pub use npf_core::{BackendKind, BackendSelect, SoftEmuConfig};
     pub use simcore::chaos::{ChaosConfig, ChaosEngine, ChaosProfile, InvariantChecker};
     pub use simcore::{Bandwidth, ByteSize, SimDuration, SimRng, SimTime};
-    pub use testbed::builder::{ScenarioBuilder, ScenarioError};
+    pub use testbed::builder::{EthScenario, IbScenario, ScenarioBuilder, ScenarioError};
     pub use testbed::eth::{EthConfig, EthTestbed, RxMode, TenantReport};
     pub use testbed::ib::{IbCluster, IbConfig};
 }

@@ -101,13 +101,13 @@ fn run_ib(chaos: ChaosConfig) -> HashMap<String, u64> {
     // NVMe swap: under eviction storms every re-fault is a swap-in, and
     // resolution must beat the next eviction for the transport to make
     // progress (a 5 ms hard-drive swap-in never can).
-    let mut c = IbCluster::new(
-        IbConfig::default()
-            .with_nodes(2)
-            .with_rc(rc)
-            .with_chaos(chaos)
-            .with_disk(npf::memsim::swap::DiskConfig::nvme()),
-    );
+    let mut c = ScenarioBuilder::infiniband()
+        .nodes(2)
+        .rc(rc)
+        .chaos(chaos)
+        .disk(npf::memsim::swap::DiskConfig::nvme())
+        .build()
+        .expect("valid scenario");
     let (qa, qb) = c.connect(0, 1);
     let src = c.alloc_buffers(0, ByteSize::mib(8));
     let dst = c.alloc_buffers(1, ByteSize::mib(8));
@@ -189,23 +189,22 @@ fn run_eth(chaos: ChaosConfig) -> HashMap<String, u64> {
     );
     // NVMe swap: as in the IB sweep, resolution must beat the next
     // chaos eviction or no quiescent cut ever exists.
-    let mut bed = EthTestbed::new(
-        EthConfig::default()
-            .with_mode(RxMode::Backup)
-            .with_instances(1)
-            .with_conns_per_instance(4)
-            .with_ring_entries(64)
-            .with_host_memory(ByteSize::mib(512))
-            .with_disk(npf::memsim::swap::DiskConfig::nvme())
-            .with_memcached(MemcachedConfig {
-                max_bytes: ByteSize::mib(64),
-                value_size: 1024,
-                ..MemcachedConfig::default()
-            })
-            .with_working_set_keys(1000)
-            .with_chaos(chaos),
-    )
-    .expect("setup");
+    let mut bed = ScenarioBuilder::ethernet()
+        .mode(RxMode::Backup)
+        .instances(1)
+        .conns_per_instance(4)
+        .ring_entries(64)
+        .host_memory(ByteSize::mib(512))
+        .disk(npf::memsim::swap::DiskConfig::nvme())
+        .memcached(MemcachedConfig {
+            max_bytes: ByteSize::mib(64),
+            value_size: 1024,
+            ..MemcachedConfig::default()
+        })
+        .working_set_keys(1000)
+        .chaos(chaos)
+        .build()
+        .expect("setup");
     bed.run_until(SimTime::from_secs(1));
 
     // The client is closed-loop and never stops issuing, so the queue
@@ -818,7 +817,8 @@ fn same_chaos_seed_replays_identically() {
 #[test]
 fn disabled_chaos_injects_nothing_and_stays_deterministic() {
     let run = || {
-        let mut c = IbCluster::new(IbConfig::default().with_nodes(2));
+        let scenario = ScenarioBuilder::infiniband().nodes(2);
+        let mut c = scenario.build().expect("valid scenario");
         assert!(c.chaos().is_none(), "disabled chaos must build no engine");
         let (qa, qb) = c.connect(0, 1);
         let src = c.alloc_buffers(0, ByteSize::mib(1));
@@ -866,32 +866,31 @@ fn prefetched_faults_leave_complete_journal_chains() {
             journal::install(JournalRecorder::new()).is_none(),
             "stale journal"
         );
-        let mut bed = EthTestbed::new(
-            EthConfig::default()
-                .with_mode(RxMode::Backup)
-                .with_instances(2)
-                .with_conns_per_instance(2)
-                .with_ring_entries(64)
-                .with_host_memory(ByteSize::mib(512))
-                .with_disk(npf::memsim::swap::DiskConfig::nvme())
-                .with_tier(Some(npf::memsim::manager::TierConfig {
-                    capacity: ByteSize::mib(256),
-                    disk: npf::memsim::swap::DiskConfig::nvm(),
-                }))
-                .with_memcached(MemcachedConfig {
-                    max_bytes: ByteSize::mib(64),
-                    value_size: 1024,
-                    ..MemcachedConfig::default()
-                })
-                .with_working_set_keys(1000)
-                .with_npf(
-                    NpfConfig::default()
-                        .with_huge_pages(true)
-                        .with_prefetch_depth(64),
-                )
-                .with_chaos(chaos),
-        )
-        .expect("setup");
+        let mut bed = ScenarioBuilder::ethernet()
+            .mode(RxMode::Backup)
+            .instances(2)
+            .conns_per_instance(2)
+            .ring_entries(64)
+            .host_memory(ByteSize::mib(512))
+            .disk(npf::memsim::swap::DiskConfig::nvme())
+            .tier(npf::memsim::manager::TierConfig {
+                capacity: ByteSize::mib(256),
+                disk: npf::memsim::swap::DiskConfig::nvm(),
+            })
+            .memcached(MemcachedConfig {
+                max_bytes: ByteSize::mib(64),
+                value_size: 1024,
+                ..MemcachedConfig::default()
+            })
+            .working_set_keys(1000)
+            .npf(
+                NpfConfig::default()
+                    .with_huge_pages(true)
+                    .with_prefetch_depth(64),
+            )
+            .chaos(chaos)
+            .build()
+            .expect("setup");
         bed.run_until(SimTime::from_millis(250));
 
         // Hunt a quiescent cut so "incomplete" below means "lost",

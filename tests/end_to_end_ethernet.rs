@@ -4,23 +4,27 @@
 use npf::prelude::*;
 use workloads::memcached::MemcachedConfig;
 
-fn small(mode: RxMode) -> EthConfig {
-    EthConfig::default()
-        .with_mode(mode)
-        .with_instances(1)
-        .with_conns_per_instance(4)
-        .with_ring_entries(64)
-        .with_host_memory(ByteSize::mib(512))
-        .with_memcached(MemcachedConfig {
-            max_bytes: ByteSize::mib(64),
-            ..MemcachedConfig::default()
-        })
-        .with_working_set_keys(2_000)
+fn small(mode: RxMode) -> EthScenario {
+    ScenarioBuilder::ethernet()
+        .mode(mode)
+        .instances(1)
+        .conns_per_instance(4)
+        .ring_entries(64)
+        .host_memory(ByteSize::mib(512))
+        .memcached(cache_mib(64))
+        .working_set_keys(2_000)
+}
+
+fn cache_mib(mib: u64) -> MemcachedConfig {
+    MemcachedConfig {
+        max_bytes: ByteSize::mib(mib),
+        ..MemcachedConfig::default()
+    }
 }
 
 #[test]
 fn backup_ring_hides_faults_from_the_iouser() {
-    let mut bed = EthTestbed::new(small(RxMode::Backup)).expect("setup");
+    let mut bed = small(RxMode::Backup).build().expect("setup");
     bed.run_until(SimTime::from_millis(1500));
     // Faults occurred (cold ring) but every operation completed and no
     // connection failed: the IOuser never noticed.
@@ -33,7 +37,7 @@ fn backup_ring_hides_faults_from_the_iouser() {
 #[test]
 fn three_modes_order_as_the_paper_says() {
     let total = |mode| {
-        let mut bed = EthTestbed::new(small(mode)).expect("setup");
+        let mut bed = small(mode).build().expect("setup");
         bed.run_until(SimTime::from_millis(1500));
         bed.total_ops()
     };
@@ -50,17 +54,12 @@ fn three_modes_order_as_the_paper_says() {
 #[test]
 fn overcommit_feasibility_matches_table_5() {
     // Two 300 MiB VMs on a 512 MiB host: pinning fails, NPFs run.
-    let mut cfg = small(RxMode::Pin);
-    cfg.instances = 2;
-    cfg.memcached.max_bytes = ByteSize::mib(300);
+    let two_vms = |mode| small(mode).instances(2).memcached(cache_mib(300));
     assert!(
-        EthTestbed::new(cfg).is_err(),
+        two_vms(RxMode::Pin).build().is_err(),
         "pinning 600 MiB into a 512 MiB host"
     );
-    let mut cfg = small(RxMode::Backup);
-    cfg.instances = 2;
-    cfg.memcached.max_bytes = ByteSize::mib(300);
-    let mut bed = EthTestbed::new(cfg).expect("NPF mode starts");
+    let mut bed = two_vms(RxMode::Backup).build().expect("NPF mode starts");
     bed.run_until(SimTime::from_millis(700));
     assert!(bed.total_ops() > 500);
 }
@@ -75,7 +74,7 @@ fn differential_pinned_vs_odp_serves_same_workload() {
     // the IOuser observes.
     const TARGET_OPS: u64 = 2_000;
     let run = |mode: RxMode| {
-        let mut bed = EthTestbed::new(small(mode)).expect("setup");
+        let mut bed = small(mode).build().expect("setup");
         // Run in slices until the service has served TARGET_OPS, so
         // both modes are compared at the same amount of delivered work.
         let mut deadline = SimTime::ZERO;
@@ -106,7 +105,7 @@ fn differential_pinned_vs_odp_serves_same_workload() {
 #[test]
 fn deterministic_across_runs() {
     let run = || {
-        let mut bed = EthTestbed::new(small(RxMode::Backup)).expect("setup");
+        let mut bed = small(RxMode::Backup).build().expect("setup");
         bed.run_until(SimTime::from_millis(800));
         (
             bed.total_ops(),
@@ -120,9 +119,7 @@ fn deterministic_across_runs() {
 #[test]
 fn different_seeds_still_serve() {
     for seed in [7, 99, 12345] {
-        let mut cfg = small(RxMode::Backup);
-        cfg.seed = seed;
-        let mut bed = EthTestbed::new(cfg).expect("setup");
+        let mut bed = small(RxMode::Backup).seed(seed).build().expect("setup");
         bed.run_until(SimTime::from_millis(700));
         assert!(bed.total_ops() > 300, "seed {seed}: {}", bed.total_ops());
         assert_eq!(bed.total_failed_conns(), 0, "seed {seed}");
@@ -135,22 +132,18 @@ fn stream_isolation_faulting_channel_does_not_slow_others() {
     // not slow down unrelated channels. Run a warm instance alone, then
     // next to a cold (faulting) instance: its throughput must not drop.
     let solo = {
-        let mut cfg = small(RxMode::Backup);
-        cfg.instances = 1;
-        cfg.prefault_rings = true;
-        let mut bed = EthTestbed::new(cfg).expect("setup");
+        let scenario = small(RxMode::Backup).instances(1).prefault_rings(true);
+        let mut bed = scenario.build().expect("setup");
         bed.run_until(SimTime::from_millis(800));
         bed.metrics()[0].ops.total()
     };
     let with_neighbor = {
-        let mut cfg = small(RxMode::Backup);
-        cfg.instances = 2;
         // Both rings pre-faulted except... the second instance's cold
         // slab still faults on first touches; more importantly its ring
         // is cold because prefault_rings is off here. Instance 0 is
         // warmed manually through the same preload path.
-        cfg.prefault_rings = false;
-        let mut bed = EthTestbed::new(cfg).expect("setup");
+        let scenario = small(RxMode::Backup).instances(2).prefault_rings(false);
+        let mut bed = scenario.build().expect("setup");
         bed.run_until(SimTime::from_millis(800));
         bed.metrics()[0].ops.total()
     };
@@ -168,11 +161,10 @@ fn prefetch_and_huge_pages_cut_firmware_npf_events() {
     // scenario, scaled down) must raise at least 2x fewer firmware NPF
     // events than the baseline, while serving at least as many ops.
     let run = |huge: bool, depth: u32| {
-        let mut cfg = small(RxMode::Backup);
-        cfg.npf = NpfConfig::default()
+        let npf = NpfConfig::default()
             .with_huge_pages(huge)
             .with_prefetch_depth(depth);
-        let mut bed = EthTestbed::new(cfg).expect("setup");
+        let mut bed = small(RxMode::Backup).npf(npf).build().expect("setup");
         bed.run_until(SimTime::from_millis(800));
         let c = bed.engine().counters();
         (
@@ -209,16 +201,16 @@ fn tiered_backing_serves_and_migrates() {
     // A DRAM tier smaller than the working set forces demote-on-evict
     // traffic to the NVM tier; the service must stay live and the
     // engine must book tier migrations.
-    let mut cfg = small(RxMode::Backup);
-    cfg.instances = 2;
-    cfg.host_memory = ByteSize::mib(256);
-    cfg.memcached.max_bytes = ByteSize::mib(160);
-    cfg.working_set_keys = 150_000;
-    cfg.tier = Some(npf::memsim::manager::TierConfig {
-        capacity: ByteSize::mib(256),
-        disk: npf::memsim::swap::DiskConfig::nvm(),
-    });
-    let mut bed = EthTestbed::new(cfg).expect("setup");
+    let scenario = small(RxMode::Backup)
+        .instances(2)
+        .host_memory(ByteSize::mib(256))
+        .memcached(cache_mib(160))
+        .working_set_keys(150_000)
+        .tier(npf::memsim::manager::TierConfig {
+            capacity: ByteSize::mib(256),
+            disk: npf::memsim::swap::DiskConfig::nvm(),
+        });
+    let mut bed = scenario.build().expect("setup");
     bed.run_until(SimTime::from_millis(800));
     assert!(bed.total_ops() > 300, "{} ops", bed.total_ops());
     assert_eq!(bed.total_failed_conns(), 0);

@@ -6,7 +6,8 @@ use npf::prelude::*;
 use rdmasim::types::{SendOp, WcOpcode, WcStatus};
 
 fn pair() -> IbCluster {
-    IbCluster::new(IbConfig::default().with_nodes(2))
+    let scenario = ScenarioBuilder::infiniband().nodes(2);
+    scenario.build().expect("valid scenario")
 }
 
 #[test]
@@ -214,7 +215,9 @@ fn rdma_read_initiator_fault_recovers_by_rewind() {
 
 #[test]
 fn eight_node_all_pairs_traffic() {
-    let mut c = IbCluster::new(IbConfig::default());
+    let mut c = ScenarioBuilder::infiniband()
+        .build()
+        .expect("valid scenario");
     let mut qps = Vec::new();
     for i in 0..8u32 {
         let j = (i + 1) % 8;
@@ -279,7 +282,8 @@ fn read_rnr_extension_works_through_the_cluster() {
         rnr_for_reads: true,
         ..RcConfig::default()
     };
-    let mut c = IbCluster::new(IbConfig::default().with_nodes(2).with_rc(rc));
+    let scenario = ScenarioBuilder::infiniband().nodes(2).rc(rc);
+    let mut c = scenario.build().expect("valid scenario");
     let (qa, qb) = c.connect(0, 1);
     let local = c.alloc_buffers(0, ByteSize::mib(2));
     let remote = c.alloc_buffers(1, ByteSize::mib(2));

@@ -35,7 +35,8 @@ fn irn_survives_random_loss() {
 fn rc_survives_random_loss_with(transport: RdmaTransport) {
     let mut rng = SimRng::new(1234);
     // 5% of packets vanish
-    let link_cfg = FabricProfile::lossy(0.05).apply_link(LinkConfig::datacenter(Bandwidth::gbps(56)));
+    let link_cfg =
+        FabricProfile::lossy(0.05).apply_link(LinkConfig::datacenter(Bandwidth::gbps(56)));
     let mut ab = Link::new(link_cfg, rng.fork(1));
     let mut ba = Link::new(link_cfg, rng.fork(2));
 

@@ -89,12 +89,11 @@ fn pause_storms_with_loss_keep_exactly_once_and_complete_journals() {
     use npf::simcore::journal::{self, JournalRecorder};
     let base = seed_base();
     for s in 0..2u64 {
-        let chaos = ChaosConfig::profile(ChaosProfile::Network, base + 0x7000 + s).with_pause(
-            PauseChaos {
+        let chaos =
+            ChaosConfig::profile(ChaosProfile::Network, base + 0x7000 + s).with_pause(PauseChaos {
                 storm: 0.05,
                 max_pause: SimDuration::from_micros(80),
-            },
-        );
+            });
         assert!(
             invariant::install(InvariantChecker::new(chaos.seed)).is_none(),
             "stale checker"

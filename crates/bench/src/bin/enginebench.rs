@@ -30,7 +30,8 @@ use simcore::event::{EventQueue, EventToken};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::trace::TraceRecorder;
-use simcore::units::Bandwidth;
+use simcore::units::{Bandwidth, ByteSize};
+use workloads::memcached::{KvOp, Memaslap, Memcached, MemcachedConfig};
 
 /// Events per second below `baseline * (1 - REGRESSION_TOLERANCE)`
 /// fail `--check`.
@@ -433,6 +434,32 @@ fn bench_fabric_star_send() -> Sample {
     })
 }
 
+/// Figure 7's grown working set: a full 16 Ki-item memcached under
+/// memaslap's 90/10 mix over nine times as many keys, so eight SETs in
+/// nine evict. The cache persists across iterations (the recency list
+/// is built and in steady state); one op is one `process`.
+fn bench_kv_evict_full_cache() -> Sample {
+    const ITEMS: u64 = 16 * 1024;
+    const OPS: u64 = 4096;
+    let config = MemcachedConfig {
+        max_bytes: ByteSize::bytes_exact(ITEMS * 1024),
+        value_size: 1024,
+        ..MemcachedConfig::default()
+    };
+    let mut app = Memcached::new(config);
+    app.reserve_keys(ITEMS);
+    for key in 0..ITEMS {
+        app.process(KvOp::Set { key });
+    }
+    let mut client = Memaslap::new(ITEMS * 9, config.value_size, SimRng::new(9));
+    measure("kv_evict_full_cache", OPS, || {
+        for _ in 0..OPS {
+            let (op, _) = client.next_op();
+            std::hint::black_box(app.process(op));
+        }
+    })
+}
+
 /// A reduced-size figure, as `figure_wall_clocks` times it.
 type Figure<'a> = Box<dyn FnOnce() -> npf_bench::Report + 'a>;
 
@@ -539,6 +566,7 @@ fn main() {
         bench_lru_touch_evict(),
         bench_rc_stream_window64(),
         bench_fabric_star_send(),
+        bench_kv_evict_full_cache(),
     ];
     for s in &samples {
         println!(

@@ -41,7 +41,7 @@
 
 use simcore::journal::Phase;
 use simcore::rng::SimRng;
-use simcore::stats::Counters;
+use simcore::stats::{CounterId, Counters};
 use simcore::time::{SimDuration, SimTime};
 
 use crate::cost::{CostModel, NpfBreakdown};
@@ -168,13 +168,15 @@ impl BackendSelect {
         }
     }
 
-    /// Builds the backend implementation.
+    /// Builds the backend implementation, registering the counters it
+    /// bumps in `counters` — the set every later trait call must be
+    /// handed.
     #[must_use]
-    pub fn build(self) -> Box<dyn OdpBackend> {
+    pub fn build(self, counters: &mut Counters) -> Box<dyn OdpBackend> {
         match self {
-            BackendSelect::Firmware => Box::new(FirmwareBackend),
-            BackendSelect::SoftEmu(cfg) => Box::new(SoftEmuBackend::new(cfg)),
-            BackendSelect::Pinned => Box::new(PinnedBackend),
+            BackendSelect::Firmware => Box::new(FirmwareBackend::new(counters)),
+            BackendSelect::SoftEmu(cfg) => Box::new(SoftEmuBackend::new(cfg, counters)),
+            BackendSelect::Pinned => Box::new(PinnedBackend::new(counters)),
         }
     }
 }
@@ -204,15 +206,48 @@ pub struct FaultRequest {
     pub tier_cost: SimDuration,
 }
 
+/// The ordered phase slices of one [`FaultPlan`], stored inline — the
+/// longest plan (software emulation with a tier fetch) has six — so
+/// pricing a fault allocates nothing. Reads like a slice.
+#[derive(Debug, Clone, Copy)]
+pub struct PhaseSlices {
+    len: usize,
+    slices: [(Phase, SimDuration); Self::CAPACITY],
+}
+
+impl PhaseSlices {
+    const CAPACITY: usize = 6;
+
+    fn new() -> Self {
+        PhaseSlices {
+            len: 0,
+            slices: [(Phase::Trigger, SimDuration::ZERO); Self::CAPACITY],
+        }
+    }
+
+    fn push(&mut self, phase: Phase, duration: SimDuration) {
+        self.slices[self.len] = (phase, duration);
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for PhaseSlices {
+    type Target = [(Phase, SimDuration)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.slices[..self.len]
+    }
+}
+
 /// A backend's service plan for one fault: ordered phase slices whose
 /// durations sum exactly to `breakdown.total()` — the engine lays them
 /// down back-to-back from the service start, so the journal's
 /// exact-sum invariant holds by construction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct FaultPlan {
     /// Lifecycle slices, in order. Zero-duration slices are kept (the
     /// trace still shows the child span, the critical path skips it).
-    pub slices: Vec<(Phase, SimDuration)>,
+    pub slices: PhaseSlices,
     /// The Figure 3 breakdown synthesized for reporting. For the
     /// software emulation, `resume` holds the copy-out and
     /// `trigger_interrupt` is zero (no firmware involvement).
@@ -229,6 +264,10 @@ impl FaultPlan {
 
 /// The backend half of the NPF engine's fault path. See the module
 /// docs for the contract each implementation must uphold.
+///
+/// A backend registers its [`CounterId`]s when it is constructed; the
+/// `counters` every method takes must be the set it was constructed
+/// with.
 pub trait OdpBackend: std::fmt::Debug {
     /// The backend's kind tag.
     fn kind(&self) -> BackendKind;
@@ -278,26 +317,36 @@ pub const fn trace_child_name(phase: Phase) -> &'static str {
 /// The paper's firmware NPF path: Figure 3's five components with
 /// log-normal hardware jitter, linear transient retries, no admission
 /// resource beyond the engine's own limits.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FirmwareBackend;
+#[derive(Debug, Clone, Copy)]
+pub struct FirmwareBackend {
+    fw_npf_events: CounterId,
+    fw_prefetch_events: CounterId,
+}
+
+impl FirmwareBackend {
+    /// Creates the backend, registering its counters in `counters`.
+    #[must_use]
+    pub fn new(counters: &mut Counters) -> Self {
+        FirmwareBackend {
+            fw_npf_events: counters.register("fw_npf_events"),
+            fw_prefetch_events: counters.register("fw_prefetch_events"),
+        }
+    }
+}
 
 /// Appends the OS-translate span, carving out the slow-tier fetch as
 /// its own slice when the memory manager reported one. The TierMigrate
 /// slice is only emitted when non-zero, so runs without tiering keep
 /// their exact golden slice lists.
-fn push_os_slices(
-    slices: &mut Vec<(Phase, SimDuration)>,
-    os_span: SimDuration,
-    tier_cost: SimDuration,
-) {
+fn push_os_slices(slices: &mut PhaseSlices, os_span: SimDuration, tier_cost: SimDuration) {
     let tier = if tier_cost < os_span {
         tier_cost
     } else {
         os_span
     };
-    slices.push((Phase::OsTranslate, os_span - tier));
+    slices.push(Phase::OsTranslate, os_span - tier);
     if tier > SimDuration::ZERO {
-        slices.push((Phase::TierMigrate, tier));
+        slices.push(Phase::TierMigrate, tier);
     }
 }
 
@@ -309,13 +358,12 @@ fn firmware_plan(req: &FaultRequest, cost: &CostModel, rng: &mut SimRng) -> Faul
     // blocks on; split so trace and journal show both.
     let driver_sw = breakdown.driver.saturating_sub(req.os_cost);
     let os_span = breakdown.driver - driver_sw;
-    let mut slices = vec![
-        (Phase::Trigger, breakdown.trigger_interrupt),
-        (Phase::DriverSw, driver_sw),
-    ];
+    let mut slices = PhaseSlices::new();
+    slices.push(Phase::Trigger, breakdown.trigger_interrupt);
+    slices.push(Phase::DriverSw, driver_sw);
     push_os_slices(&mut slices, os_span, req.tier_cost);
-    slices.push((Phase::PtUpdate, breakdown.update_hw_pt));
-    slices.push((Phase::Resume, breakdown.resume));
+    slices.push(Phase::PtUpdate, breakdown.update_hw_pt);
+    slices.push(Phase::Resume, breakdown.resume);
     FaultPlan { slices, breakdown }
 }
 
@@ -330,9 +378,11 @@ fn speculative_plan(req: &FaultRequest, cost: &CostModel) -> FaultPlan {
     let driver_sw = cost.driver_sw_base + cost.driver_sw_per_page * pages;
     let os_span = req.os_cost;
     let pt_update = cost.update_pt_base + cost.update_pt_per_page * pages;
-    let mut slices = vec![(Phase::Prefetch, issue), (Phase::DriverSw, driver_sw)];
+    let mut slices = PhaseSlices::new();
+    slices.push(Phase::Prefetch, issue);
+    slices.push(Phase::DriverSw, driver_sw);
     push_os_slices(&mut slices, os_span, req.tier_cost);
-    slices.push((Phase::PtUpdate, pt_update));
+    slices.push(Phase::PtUpdate, pt_update);
     FaultPlan {
         slices,
         breakdown: NpfBreakdown {
@@ -363,10 +413,10 @@ impl OdpBackend for FirmwareBackend {
         if req.speculative {
             // Driver-level pre-validation: the NIC never saw a fault,
             // so the firmware event counter must not move.
-            counters.bump("fw_prefetch_events");
+            counters.bump_id(self.fw_prefetch_events);
             return speculative_plan(req, cost);
         }
-        counters.bump("fw_npf_events");
+        counters.bump_id(self.fw_npf_events);
         firmware_plan(req, cost, rng)
     }
 
@@ -393,18 +443,35 @@ pub struct SoftEmuBackend {
     pool: Vec<SimTime>,
     /// Buffer chosen by the in-flight `admit`, consumed by `commit`.
     pending_slot: Option<usize>,
+    ids: SoftEmuCounterIds,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct SoftEmuCounterIds {
+    softemu_pool_waits: CounterId,
+    softemu_prefetches: CounterId,
+    softemu_bounces: CounterId,
+    softemu_copyouts: CounterId,
+    softemu_copy_skipped: CounterId,
 }
 
 impl SoftEmuBackend {
     /// Creates the backend with `config` (pool depth clamped to ≥ 1 —
     /// the builder rejects 0 up front, this is the engine-level
-    /// backstop).
+    /// backstop), registering its counters in `counters`.
     #[must_use]
-    pub fn new(config: SoftEmuConfig) -> Self {
+    pub fn new(config: SoftEmuConfig, counters: &mut Counters) -> Self {
         SoftEmuBackend {
             config,
             pool: vec![SimTime::ZERO; config.bounce_buffers.max(1) as usize],
             pending_slot: None,
+            ids: SoftEmuCounterIds {
+                softemu_pool_waits: counters.register("softemu_pool_waits"),
+                softemu_prefetches: counters.register("softemu_prefetches"),
+                softemu_bounces: counters.register("softemu_bounces"),
+                softemu_copyouts: counters.register("softemu_copyouts"),
+                softemu_copy_skipped: counters.register("softemu_copy_skipped"),
+            },
         }
     }
 
@@ -433,7 +500,7 @@ impl OdpBackend for SoftEmuBackend {
         self.pending_slot = Some(idx);
         let start = cleared_at.max(busy);
         if start > cleared_at {
-            counters.bump("softemu_pool_waits");
+            counters.bump_id(self.ids.softemu_pool_waits);
         }
         start
     }
@@ -449,10 +516,10 @@ impl OdpBackend for SoftEmuBackend {
         if req.speculative {
             // Pre-validation needs no bounce buffer: no DMA is in
             // flight, the driver is mapping ahead of the stream.
-            counters.bump("softemu_prefetches");
+            counters.bump_id(self.ids.softemu_prefetches);
             return speculative_plan(req, cost);
         }
-        counters.bump("softemu_bounces");
+        counters.bump_id(self.ids.softemu_bounces);
         let pages = req.pages.max(1);
         let validate = self.config.validate_base + self.config.validate_per_page * pages;
         let driver_sw = cost.driver_sw_base + cost.driver_sw_per_page * pages;
@@ -461,10 +528,12 @@ impl OdpBackend for SoftEmuBackend {
         // hardware jitter.
         let pt_update = cost.update_pt_base + cost.update_pt_per_page * pages;
         let copy_out = cost.memcpy(pages * 4096);
-        let mut slices = vec![(Phase::Validate, validate), (Phase::DriverSw, driver_sw)];
+        let mut slices = PhaseSlices::new();
+        slices.push(Phase::Validate, validate);
+        slices.push(Phase::DriverSw, driver_sw);
         push_os_slices(&mut slices, os_span, req.tier_cost);
-        slices.push((Phase::PtUpdate, pt_update));
-        slices.push((Phase::CopyOut, copy_out));
+        slices.push(Phase::PtUpdate, pt_update);
+        slices.push(Phase::CopyOut, copy_out);
         FaultPlan {
             slices,
             breakdown: NpfBreakdown {
@@ -491,11 +560,11 @@ impl OdpBackend for SoftEmuBackend {
     }
 
     fn on_complete(&mut self, resident: u64, total: u64, counters: &mut Counters) {
-        counters.add("softemu_copyouts", resident);
+        counters.add_id(self.ids.softemu_copyouts, resident);
         if total > resident {
             // Target pages evicted mid-bounce: never copy to a stale
             // frame — skip, and let the next access fault again.
-            counters.add("softemu_copy_skipped", total - resident);
+            counters.add_id(self.ids.softemu_copy_skipped, total - resident);
         }
     }
 }
@@ -505,8 +574,22 @@ impl OdpBackend for SoftEmuBackend {
 /// scenario forgot to pin), the fault is serviced on the firmware slow
 /// path and counted as `pinned_unexpected_faults` so conformance
 /// checks can assert the scenario really was pinned.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PinnedBackend;
+#[derive(Debug, Clone, Copy)]
+pub struct PinnedBackend {
+    pinned_prefetches: CounterId,
+    pinned_unexpected_faults: CounterId,
+}
+
+impl PinnedBackend {
+    /// Creates the backend, registering its counters in `counters`.
+    #[must_use]
+    pub fn new(counters: &mut Counters) -> Self {
+        PinnedBackend {
+            pinned_prefetches: counters.register("pinned_prefetches"),
+            pinned_unexpected_faults: counters.register("pinned_unexpected_faults"),
+        }
+    }
+}
 
 impl OdpBackend for PinnedBackend {
     fn kind(&self) -> BackendKind {
@@ -528,10 +611,10 @@ impl OdpBackend for PinnedBackend {
             // A pinned scenario has nothing to pre-map; price it as a
             // plain speculative no-op plan without touching the
             // unexpected-fault counter.
-            counters.bump("pinned_prefetches");
+            counters.bump_id(self.pinned_prefetches);
             return speculative_plan(req, cost);
         }
-        counters.bump("pinned_unexpected_faults");
+        counters.bump_id(self.pinned_unexpected_faults);
         firmware_plan(req, cost, rng)
     }
 
@@ -583,7 +666,7 @@ mod tests {
             BackendSelect::SoftEmu(SoftEmuConfig::default()),
             BackendSelect::Pinned,
         ] {
-            let mut b = select.build();
+            let mut b = select.build(&mut counters);
             for pages in [1, 16, 1024] {
                 let plan = b.plan(&req(pages), &cost, &mut rng, &mut counters);
                 let sum = plan
@@ -603,7 +686,7 @@ mod tests {
         let mut counters = Counters::new();
         let mut rng_a = SimRng::new(42);
         let mut rng_b = SimRng::new(42);
-        let mut fw = FirmwareBackend;
+        let mut fw = FirmwareBackend::new(&mut counters);
         let plan = fw.plan(&req(4), &cost, &mut rng_a, &mut counters);
         let direct = cost.npf(4, SimDuration::from_micros(3), false, &mut rng_b);
         assert_eq!(plan.breakdown, direct);
@@ -615,7 +698,7 @@ mod tests {
     fn softemu_is_deterministic_and_firmware_free() {
         let cost = CostModel::default();
         let mut counters = Counters::new();
-        let mut b = SoftEmuBackend::new(SoftEmuConfig::default());
+        let mut b = SoftEmuBackend::new(SoftEmuConfig::default(), &mut counters);
         let mut rng = SimRng::new(1);
         let p1 = b.plan(&req(8), &cost, &mut rng, &mut counters);
         let p2 = b.plan(&req(8), &cost, &mut rng, &mut counters);
@@ -630,7 +713,10 @@ mod tests {
     #[test]
     fn bounce_pool_backpressures_without_drops() {
         let mut counters = Counters::new();
-        let mut b = SoftEmuBackend::new(SoftEmuConfig::default().with_bounce_buffers(2));
+        let mut b = SoftEmuBackend::new(
+            SoftEmuConfig::default().with_bounce_buffers(2),
+            &mut counters,
+        );
         let t0 = SimTime::ZERO;
         // Two buffers absorb two faults immediately...
         let s1 = b.admit(t0, &mut counters);
@@ -649,7 +735,8 @@ mod tests {
 
     #[test]
     fn transient_backoff_is_exponential_and_capped() {
-        let b = SoftEmuBackend::new(SoftEmuConfig::default());
+        let mut counters = Counters::new();
+        let b = SoftEmuBackend::new(SoftEmuConfig::default(), &mut counters);
         let d = SimDuration::from_micros(10);
         assert_eq!(b.transient_penalty(0, d), SimDuration::ZERO);
         assert_eq!(b.transient_penalty(1, d), d);
@@ -659,14 +746,14 @@ mod tests {
             b.transient_penalty(40, d),
             SimDuration::from_micros(10 * 1023)
         );
-        let fw = FirmwareBackend;
+        let fw = FirmwareBackend::new(&mut counters);
         assert_eq!(fw.transient_penalty(3, d), SimDuration::from_micros(30));
     }
 
     #[test]
     fn copyout_skips_evicted_pages() {
         let mut counters = Counters::new();
-        let mut b = SoftEmuBackend::new(SoftEmuConfig::default());
+        let mut b = SoftEmuBackend::new(SoftEmuConfig::default(), &mut counters);
         b.on_complete(5, 8, &mut counters);
         assert_eq!(counters.get("softemu_copyouts"), 5);
         assert_eq!(counters.get("softemu_copy_skipped"), 3);
@@ -687,7 +774,7 @@ mod tests {
             BackendSelect::SoftEmu(SoftEmuConfig::default()),
             BackendSelect::Pinned,
         ] {
-            let mut b = select.build();
+            let mut b = select.build(&mut counters);
             let plan = b.plan(&spec, &cost, &mut rng, &mut counters);
             let sum = plan
                 .slices
@@ -716,7 +803,7 @@ mod tests {
         let cost = CostModel::default();
         let mut counters = Counters::new();
         let mut rng = SimRng::new(5);
-        let mut fw = FirmwareBackend;
+        let mut fw = FirmwareBackend::new(&mut counters);
         let tiered = FaultRequest {
             os_cost: SimDuration::from_micros(90),
             tier_cost: SimDuration::from_micros(80),
@@ -753,6 +840,36 @@ mod tests {
         // Without a tier cost, no TierMigrate slice appears at all
         // (golden slice lists stay stable).
         assert!(!untier.slices.iter().any(|(p, _)| *p == Phase::TierMigrate));
+    }
+
+    /// `PhaseSlices::push` panics past `CAPACITY`: a backend that grows
+    /// a phase must raise it, and this names the constant to raise.
+    #[test]
+    fn the_longest_plan_of_every_backend_fits_the_inline_slices() {
+        let cost = CostModel::default();
+        let mut counters = Counters::new();
+        let mut rng = SimRng::new(5);
+        let mut longest = 0;
+        for select in [
+            BackendSelect::Firmware,
+            BackendSelect::SoftEmu(SoftEmuConfig::default()),
+            BackendSelect::Pinned,
+        ] {
+            let mut b = select.build(&mut counters);
+            for speculative in [false, true] {
+                // A tier fetch splits the OS span: the most slices a
+                // request can ask for.
+                let tiered = FaultRequest {
+                    os_cost: SimDuration::from_micros(90),
+                    tier_cost: SimDuration::from_micros(80),
+                    speculative,
+                    ..req(4)
+                };
+                let plan = b.plan(&tiered, &cost, &mut rng, &mut counters);
+                longest = longest.max(plan.slices.len());
+            }
+        }
+        assert_eq!(longest, PhaseSlices::CAPACITY);
     }
 
     #[test]

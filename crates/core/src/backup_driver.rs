@@ -11,13 +11,13 @@
 //! All IOusers stay **unaware**: they observe only their own ring, with
 //! packets arriving in order.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use memsim::manager::MemError;
 use memsim::types::VirtAddr;
 use nicsim::rx::{BackupEntry, RingId, RxEngine};
 use simcore::journal;
-use simcore::stats::Counters;
+use simcore::stats::{CounterId, Counters};
 use simcore::time::{SimDuration, SimTime};
 use simcore::trace::{self, ArgValue};
 
@@ -58,21 +58,41 @@ pub struct RingStats {
     pub parked: u64,
 }
 
+/// What the driver keeps per IOuser ring.
+#[derive(Debug)]
+struct RingState<P> {
+    /// The ring's software queue (`q` in the paper).
+    queue: VecDeque<BackupEntry<P>>,
+    /// The resolver is parked awaiting a tail interrupt.
+    parked: bool,
+    /// The ring's IOMMU domain and the number of buffer slots it cycles
+    /// through (slot address reconstruction); `None` until
+    /// [`BackupDriver::bind_ring`].
+    bound: Option<(DomainId, u64)>,
+    /// Resolver activity.
+    stats: RingStats,
+}
+
+impl<P> Default for RingState<P> {
+    fn default() -> Self {
+        RingState {
+            queue: VecDeque::new(),
+            parked: false,
+            bound: None,
+            stats: RingStats::default(),
+        }
+    }
+}
+
 /// The backup-ring driver.
 #[derive(Debug)]
 pub struct BackupDriver<P> {
-    /// Per-IOuser software queues (`q` in the paper).
-    queues: HashMap<RingId, VecDeque<BackupEntry<P>>>,
-    /// Rings whose resolver is parked awaiting a tail interrupt.
-    parked: HashMap<RingId, bool>,
-    /// Domain of each ring (for IOMMU updates).
-    domains: HashMap<RingId, DomainId>,
-    /// Number of buffer slots each ring cycles through (slot address
-    /// reconstruction).
-    ring_slots: HashMap<RingId, u64>,
-    /// Per-ring resolver activity.
-    ring_stats: HashMap<RingId, RingStats>,
+    /// Per-ring state, indexed by the dense ring id.
+    rings: Vec<RingState<P>>,
     counters: Counters,
+    drained: CounterId,
+    parked: CounterId,
+    merged: CounterId,
 }
 
 impl<P: Clone> Default for BackupDriver<P> {
@@ -85,14 +105,23 @@ impl<P: Clone> BackupDriver<P> {
     /// Creates an idle driver.
     #[must_use]
     pub fn new() -> Self {
+        let mut counters = Counters::new();
         BackupDriver {
-            queues: HashMap::new(),
-            parked: HashMap::new(),
-            domains: HashMap::new(),
-            ring_slots: HashMap::new(),
-            ring_stats: HashMap::new(),
-            counters: Counters::new(),
+            rings: Vec::new(),
+            drained: counters.register("drained"),
+            parked: counters.register("parked"),
+            merged: counters.register("merged"),
+            counters,
         }
+    }
+
+    /// The state of `ring`, growing the dense table to cover it.
+    fn ring_mut(&mut self, ring: RingId) -> &mut RingState<P> {
+        let idx = ring.0 as usize;
+        if idx >= self.rings.len() {
+            self.rings.resize_with(idx + 1, RingState::default);
+        }
+        &mut self.rings[idx]
     }
 
     /// Statistics: `drained`, `merged`, `parked`.
@@ -104,7 +133,9 @@ impl<P: Clone> BackupDriver<P> {
     /// Per-tenant resolver activity for one ring.
     #[must_use]
     pub fn ring_stats(&self, ring: RingId) -> RingStats {
-        self.ring_stats.get(&ring).copied().unwrap_or_default()
+        self.rings
+            .get(ring.0 as usize)
+            .map_or_else(RingStats::default, |r| r.stats)
     }
 
     /// Associates a ring with its IOMMU domain and its buffer-slot
@@ -112,14 +143,13 @@ impl<P: Clone> BackupDriver<P> {
     /// convention: a page-per-slot array at [`crate::RX_BUFFER_BASE`],
     /// reused modulo `slots`.
     pub fn bind_ring(&mut self, ring: RingId, domain: DomainId, slots: u64) {
-        self.domains.insert(ring, domain);
-        self.ring_slots.insert(ring, slots.max(1));
+        self.ring_mut(ring).bound = Some((domain, slots.max(1)));
     }
 
     /// Total packets parked in software queues.
     #[must_use]
     pub fn queued_packets(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
+        self.rings.iter().map(|r| r.queue.len()).sum()
     }
 
     /// Backup-ring interrupt handler: drains the NIC's backup entries
@@ -134,14 +164,15 @@ impl<P: Clone> BackupDriver<P> {
         let mut drained = 0u64;
         while let Some(entry) = rx.pop_backup() {
             let ring = entry.ring;
-            self.queues.entry(ring).or_default().push_back(entry);
-            self.ring_stats.entry(ring).or_default().drained += 1;
+            let state = self.ring_mut(ring);
+            state.queue.push_back(entry);
+            state.stats.drained += 1;
             if !woken.contains(&ring) {
                 woken.push(ring);
             }
             drained += 1;
         }
-        self.counters.add("drained", drained);
+        self.counters.add_id(self.drained, drained);
         if trace::enabled() {
             trace::instant_now(
                 "backup_driver",
@@ -169,22 +200,22 @@ impl<P: Clone> BackupDriver<P> {
         rx: &mut RxEngine<P>,
         ring: RingId,
     ) -> Result<ResolveStep, MemError> {
-        let Some(q) = self.queues.get_mut(&ring) else {
+        let Some(state) = self.rings.get_mut(ring.0 as usize) else {
             return Ok(ResolveStep::Idle);
         };
-        let Some(entry) = q.front() else {
+        let Some(entry) = state.queue.front() else {
             return Ok(ResolveStep::Idle);
         };
-        let domain = *self.domains.get(&ring).expect("ring bound to a domain");
+        let (domain, slots) = state.bound.expect("ring bound to a domain");
 
         // Find where the packet must land. The descriptor may not be
         // posted yet: park and request a tail interrupt.
         let target_index = entry.target_index;
         if target_index >= rx.tail(ring) {
             rx.request_tail_interrupt(ring);
-            self.parked.insert(ring, true);
-            self.counters.bump("parked");
-            self.ring_stats.entry(ring).or_default().parked += 1;
+            state.parked = true;
+            state.stats.parked += 1;
+            self.counters.bump_id(self.parked);
             if trace::enabled() {
                 trace::instant(
                     now,
@@ -200,12 +231,14 @@ impl<P: Clone> BackupDriver<P> {
             return Ok(ResolveStep::WaitingForRing(ring));
         }
 
-        let entry = q.pop_front().expect("checked front");
+        let entry = state.queue.pop_front().expect("checked front");
         // Resolve the rNPF: make the buffer pages resident and mapped.
-        // The descriptor address comes from the NIC metadata via the
-        // ring slot; target buffers are page-sized in our testbeds, so
-        // fault the page(s) the packet touches.
-        let buf_addr = self.slot_addr(rx, ring, target_index);
+        // In the real hardware the buffer address comes from the
+        // descriptor; the testbeds' ring buffers are a contiguous
+        // page-per-slot array starting at RX_BUFFER_BASE in every IOuser
+        // space, reused modulo the ring's slot count, so fault the
+        // page(s) the packet touches there.
+        let buf_addr = VirtAddr(crate::RX_BUFFER_BASE + (target_index % slots) * memsim::PAGE_SIZE);
         let mut ready_at = now;
         let mut cost = engine.config().cost.backup_resolver_per_packet;
         if !engine.dma_ready(domain, buf_addr, entry.len.max(1), true) {
@@ -216,11 +249,11 @@ impl<P: Clone> BackupDriver<P> {
                 // The mapping installs when that fault completes; the
                 // testbed orders completion before this merge by time.
             } else {
-                let rec = engine
-                    .begin_fault(now, domain, buf_addr, entry.len.max(1), true, None)?
-                    .clone();
+                let rec =
+                    engine.begin_fault(now, domain, buf_addr, entry.len.max(1), true, None)?;
+                let id = rec.id;
                 ready_at = ready_at.max(rec.ready_at);
-                engine.complete_fault(rec.id);
+                engine.complete_fault(id);
             }
         }
         // Copy the packet into the IOuser buffer.
@@ -228,8 +261,8 @@ impl<P: Clone> BackupDriver<P> {
         let placed = rx.place_resolved(ring, target_index, entry.payload.clone(), entry.len);
         assert!(placed, "descriptor checked above");
         let notify = rx.resolve_rnpfs(ring, entry.bit_index);
-        self.counters.bump("merged");
-        self.ring_stats.entry(ring).or_default().merged += 1;
+        state.stats.merged += 1;
+        self.counters.bump_id(self.merged);
         journal::mark_at(ready_at + cost, journal::MarkKind::ReplayDrain, entry.len);
         if trace::enabled() {
             trace::span(
@@ -261,25 +294,17 @@ impl<P: Clone> BackupDriver<P> {
     /// The IOuser posted descriptors (tail interrupt fired): unpark the
     /// ring's resolver. Returns `true` when it was parked.
     pub fn on_tail_interrupt(&mut self, ring: RingId) -> bool {
-        self.parked.remove(&ring).unwrap_or(false)
+        self.rings
+            .get_mut(ring.0 as usize)
+            .is_some_and(|r| std::mem::take(&mut r.parked))
     }
 
     /// `true` when `ring` still has queued packets.
     #[must_use]
     pub fn has_work(&self, ring: RingId) -> bool {
-        self.queues.get(&ring).is_some_and(|q| !q.is_empty())
-    }
-
-    /// The buffer address of slot `index` — in the real hardware this
-    /// comes from the descriptor; the testbeds use page-aligned
-    /// per-slot buffers recorded at post time. We reconstruct it from
-    /// the NIC's metadata path.
-    fn slot_addr(&self, _rx: &RxEngine<P>, ring: RingId, index: u64) -> VirtAddr {
-        // Testbed convention: ring buffers are a contiguous page-per-
-        // slot array starting at RX_BUFFER_BASE in every IOuser space,
-        // reused modulo the ring's slot count.
-        let slots = self.ring_slots.get(&ring).copied().unwrap_or(4096);
-        VirtAddr(crate::RX_BUFFER_BASE + (index % slots) * memsim::PAGE_SIZE)
+        self.rings
+            .get(ring.0 as usize)
+            .is_some_and(|r| !r.queue.is_empty())
     }
 }
 

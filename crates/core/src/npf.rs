@@ -21,12 +21,13 @@ use std::collections::{HashMap, VecDeque};
 
 use iommu::{DomainId, Iommu, TableMode};
 use memsim::manager::{Invalidation, MemError, MemoryManager};
+use memsim::space::Pte;
 use memsim::types::{PageRange, SpaceId, VirtAddr, Vpn};
 use memsim::FrameId;
 use simcore::chaos::{invariant, ChaosEngine, NpfFate};
 use simcore::journal;
 use simcore::rng::SimRng;
-use simcore::stats::{Counters, DurationHistogram};
+use simcore::stats::{CounterId, Counters, DurationHistogram};
 use simcore::time::{SimDuration, SimTime};
 use simcore::trace::{self, ArgValue};
 
@@ -368,15 +369,26 @@ impl FaultArbiter {
             self.stats_mut(domain).grants += 1;
             return chan_start;
         }
-        // Earliest-free slot, lowest index on ties (deterministic).
-        let global_best = self
-            .servers
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &(t, _))| (t, i))
-            .map(|(i, _)| i)
-            .expect("total_slots > 0");
-        let chosen = if self.policy == ArbiterPolicy::WeightedFair {
+        // One pass over the slot servers finds both candidates: the
+        // earliest-free slot overall, and the earliest-free of the slots
+        // this domain still holds busy. The strict `<` keeps the lowest
+        // index on ties (deterministic).
+        let weighted = self.policy == ArbiterPolicy::WeightedFair;
+        let mut global_best = 0;
+        let mut mine_busy = 0usize;
+        let mut mine_best: Option<usize> = None;
+        for (i, &(t, owner)) in self.servers.iter().enumerate() {
+            if t < self.servers[global_best].0 {
+                global_best = i;
+            }
+            if weighted && t > chan_start && owner == Some(domain) {
+                mine_busy += 1;
+                if mine_best.is_none_or(|best| t < self.servers[best].0) {
+                    mine_best = Some(i);
+                }
+            }
+        }
+        let chosen = if weighted {
             // Reservation share over the registered weights: the cap
             // holds even when other channels are idle, so their shares
             // stay available to them (non-work-conserving by design).
@@ -388,21 +400,11 @@ impl FaultArbiter {
             };
             let share = usize::try_from((u64::from(self.total_slots) * w_d / w_sum.max(1)).max(1))
                 .unwrap_or(usize::MAX);
-            let mine: Vec<usize> = self
-                .servers
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(t, d))| t > chan_start && d == Some(domain))
-                .map(|(i, _)| i)
-                .collect();
-            if mine.len() >= share {
+            match mine_best {
                 // At the weight share: serialize on the soonest-free of
                 // this domain's own slots rather than spreading wider.
-                mine.into_iter()
-                    .min_by_key(|&i| (self.servers[i].0, i))
-                    .expect("nonempty")
-            } else {
-                global_best
+                Some(own) if mine_busy >= share => own,
+                _ => global_best,
             }
         } else {
             global_best
@@ -469,6 +471,50 @@ struct StrideStream {
 /// Strides this large stop looking like a stream and are not prefetched.
 const MAX_PREFETCH_STRIDE: i64 = 64;
 
+/// Ids of the counters the engine itself bumps (the backend registers
+/// its own), resolved once in [`NpfEngine::new`] so the fault and
+/// invalidation paths index instead of hashing.
+#[derive(Debug, Clone, Copy)]
+struct NpfCounterIds {
+    arb_waits: CounterId,
+    huge_demotions: CounterId,
+    huge_promotions: CounterId,
+    invalidations: CounterId,
+    invalidations_mapped: CounterId,
+    npf_chaos_delays: CounterId,
+    npf_chaos_retries: CounterId,
+    npf_events: CounterId,
+    npf_major: CounterId,
+    npf_pages: CounterId,
+    npf_tier_fetches: CounterId,
+    prefetch_hits: CounterId,
+    prefetch_issued: CounterId,
+    prefetch_pages: CounterId,
+    softemu_retries: CounterId,
+}
+
+impl NpfCounterIds {
+    fn register(counters: &mut Counters) -> Self {
+        NpfCounterIds {
+            arb_waits: counters.register("arb_waits"),
+            huge_demotions: counters.register("huge_demotions"),
+            huge_promotions: counters.register("huge_promotions"),
+            invalidations: counters.register("invalidations"),
+            invalidations_mapped: counters.register("invalidations_mapped"),
+            npf_chaos_delays: counters.register("npf_chaos_delays"),
+            npf_chaos_retries: counters.register("npf_chaos_retries"),
+            npf_events: counters.register("npf_events"),
+            npf_major: counters.register("npf_major"),
+            npf_pages: counters.register("npf_pages"),
+            npf_tier_fetches: counters.register("npf_tier_fetches"),
+            prefetch_hits: counters.register("prefetch_hits"),
+            prefetch_issued: counters.register("prefetch_issued"),
+            prefetch_pages: counters.register("prefetch_pages"),
+            softemu_retries: counters.register("softemu_retries"),
+        }
+    }
+}
+
 /// The NPF engine.
 #[derive(Debug)]
 pub struct NpfEngine {
@@ -481,6 +527,11 @@ pub struct NpfEngine {
     /// the order). Lookups binary-search; overlap scans iterate in id
     /// order, which makes "lowest covering id" the first hit.
     pending: VecDeque<FaultRecord>,
+    /// `(id, range)` of every pending fault, per dense domain id, in id
+    /// order: the overlap scans walk one channel's faults instead of
+    /// every tenant's. Linked by `push_pending`, unlinked by
+    /// `complete_fault`.
+    pending_by_domain: Vec<Vec<(u64, PageRange)>>,
     /// Completion times of outstanding faults, per dense domain id
     /// (concurrency limiting).
     outstanding: Vec<Vec<SimTime>>,
@@ -497,6 +548,13 @@ pub struct NpfEngine {
     /// [`NpfConfig::backend`].
     backend: Box<dyn OdpBackend>,
     counters: Counters,
+    ids: NpfCounterIds,
+    /// Scratch for the page-table entries of the range a fault covers,
+    /// kept between faults so resolving one allocates nothing for it.
+    scratch_ptes: Vec<(Vpn, Pte)>,
+    /// Scratch for the mappings of a completing fault that are still
+    /// resident.
+    scratch_resident: Vec<(Vpn, FrameId)>,
     fault_latency: DurationHistogram,
     fault_latency_by_tag: HashMap<&'static str, DurationHistogram>,
     last_breakdown: Option<NpfBreakdown>,
@@ -534,20 +592,27 @@ impl NpfEngine {
         let mut iommu = Iommu::new(config.iotlb_entries);
         iommu.set_chaos_namespace(ns);
         iommu.set_huge_pages(config.huge_pages);
+        let mut counters = Counters::new();
+        let ids = NpfCounterIds::register(&mut counters);
+        let backend = config.backend.build(&mut counters);
         NpfEngine {
             config,
             mm,
             iommu,
             bindings: Vec::new(),
             pending: VecDeque::new(),
+            pending_by_domain: Vec::new(),
             outstanding: Vec::new(),
             arbiter: FaultArbiter::new(config.arbiter, config.total_fault_slots),
             next_fault: 0,
             rng,
             chaos_ns: ns,
             chaos: None,
-            backend: config.backend.build(),
-            counters: Counters::new(),
+            backend,
+            counters,
+            ids,
+            scratch_ptes: Vec::new(),
+            scratch_resident: Vec::new(),
             fault_latency: DurationHistogram::new(),
             fault_latency_by_tag: HashMap::new(),
             last_breakdown: None,
@@ -707,7 +772,7 @@ impl NpfEngine {
     fn sync_prefetch_hits(&mut self) {
         let hits = self.prefetch_hits_pending.take();
         if hits > 0 {
-            self.counters.add("prefetch_hits", hits);
+            self.counters.add_id(self.ids.prefetch_hits, hits);
             if trace::enabled() {
                 trace::metrics(|m| m.counter_add("npf.prefetch_hits", hits));
             }
@@ -732,14 +797,30 @@ impl NpfEngine {
         addr: VirtAddr,
         len: u64,
     ) -> Option<u64> {
-        let r = PageRange::covering(addr, len.max(1));
-        // `pending` is sorted by id, so the first overlap is the lowest
-        // id — the earliest fault raised, which is the one the hardware
-        // bitmap would have kept.
-        self.pending
+        self.pending_overlap(domain, PageRange::covering(addr, len.max(1)))
+    }
+
+    /// The lowest-id pending fault of `domain` overlapping `range`. The
+    /// per-domain list is in id order, so the first overlap is the
+    /// earliest fault raised — the one the hardware bitmap would have
+    /// kept.
+    fn pending_overlap(&self, domain: DomainId, range: PageRange) -> Option<u64> {
+        self.pending_by_domain
+            .get(domain.0 as usize)?
             .iter()
-            .find(|f| f.domain == domain && f.range.overlaps(r))
-            .map(|f| f.id)
+            .find(|(_, r)| r.overlaps(range))
+            .map(|&(id, _)| id)
+    }
+
+    /// Appends a fault to `pending` and links it into its domain's
+    /// index. Ids are monotone, so both stay sorted by id.
+    fn push_pending(&mut self, record: FaultRecord) {
+        let idx = record.domain.0 as usize;
+        if idx >= self.pending_by_domain.len() {
+            self.pending_by_domain.resize_with(idx + 1, Vec::new);
+        }
+        self.pending_by_domain[idx].push((record.id, record.range));
+        self.pending.push_back(record);
     }
 
     /// A pending fault by id.
@@ -797,11 +878,12 @@ impl NpfEngine {
         // One pass over the page tables for the whole scatter-gather
         // range (the VMA and each PTE leaf are resolved once), then the
         // per-page fault logic runs on the collected entries.
-        let mut ptes = Vec::with_capacity(range.pages as usize);
+        let mut ptes = std::mem::take(&mut self.scratch_ptes);
+        ptes.clear();
         self.mm
             .space(space)?
             .for_each_pte(range, |vpn, pte| ptes.push((vpn, pte)))?;
-        for (vpn, pte) in ptes {
+        for &(vpn, pte) in &ptes {
             let frame = if let Some(f) = pte.frame() {
                 if write && pte.cow {
                     // A DMA write to a COW-shared page must break the
@@ -826,10 +908,10 @@ impl NpfEngine {
                 tier_cost += res.tier_cost;
                 major |= res.kind == memsim::FaultKind::Major;
                 if res.kind == memsim::FaultKind::Major {
-                    self.counters.bump("npf_major");
+                    self.counters.bump_id(self.ids.npf_major);
                 }
                 if res.tier_cost > SimDuration::ZERO {
-                    self.counters.bump("npf_tier_fetches");
+                    self.counters.bump_id(self.ids.npf_tier_fetches);
                 }
                 // Reclaim may have revoked other pages: purge their
                 // IOMMU mappings now (Figure 2 a–d).
@@ -840,6 +922,7 @@ impl NpfEngine {
             };
             mappings.push((vpn, frame));
         }
+        self.scratch_ptes = ptes;
 
         // The backend prices the fault: an ordered phase plan plus the
         // synthesized Figure 3 breakdown. The firmware backend draws
@@ -892,7 +975,7 @@ impl NpfEngine {
         // Cross-channel arbitration over the engine-wide slot pool.
         let arb_start = self.arbiter.admit(now, domain, chan_start);
         if arb_start > chan_start {
-            self.counters.bump("arb_waits");
+            self.counters.bump_id(self.ids.arb_waits);
         }
         // Backend-side admission: the software emulation may hold the
         // fault here waiting for a bounce buffer (backpressure, never
@@ -905,16 +988,18 @@ impl NpfEngine {
         let ready_at = match self.chaos.as_mut().map(ChaosEngine::npf_fate) {
             None | Some(NpfFate::Normal) => ready_at,
             Some(NpfFate::Delay { extra }) => {
-                self.counters.bump("npf_chaos_delays");
+                self.counters.bump_id(self.ids.npf_chaos_delays);
                 ready_at + extra
             }
             Some(NpfFate::Transient {
                 retries,
                 retry_delay,
             }) => {
-                self.counters.add("npf_chaos_retries", u64::from(retries));
+                self.counters
+                    .add_id(self.ids.npf_chaos_retries, u64::from(retries));
                 if self.backend.kind() == BackendKind::SoftEmu {
-                    self.counters.add("softemu_retries", u64::from(retries));
+                    self.counters
+                        .add_id(self.ids.softemu_retries, u64::from(retries));
                 }
                 ready_at + self.backend.transient_penalty(retries, retry_delay)
             }
@@ -925,8 +1010,8 @@ impl NpfEngine {
 
         let id = self.next_fault;
         self.next_fault += 1;
-        self.counters.bump("npf_events");
-        self.counters.add("npf_pages", range.pages);
+        self.counters.bump_id(self.ids.npf_events);
+        self.counters.add_id(self.ids.npf_pages, range.pages);
         let latency = ready_at.saturating_since(now);
         self.fault_latency.record(latency);
         if let Some(t) = tag {
@@ -960,7 +1045,7 @@ impl NpfEngine {
             );
             if let Some(parent) = parent {
                 let mut at = start;
-                for &(phase, d) in &plan.slices {
+                for &(phase, d) in plan.slices.iter() {
                     trace::child_span(at, d, "npf", trace_child_name(phase), parent, Vec::new());
                     at += d;
                 }
@@ -1008,7 +1093,7 @@ impl NpfEngine {
                     start.saturating_since(arb_start),
                 );
                 let mut at = start;
-                for &(phase, d) in slices {
+                for &(phase, d) in slices.iter() {
                     j.phase(key, phase, at, d);
                     at += d;
                 }
@@ -1028,7 +1113,7 @@ impl NpfEngine {
             mappings,
         };
         invariant::note_fault_begun((self.chaos_ns << 32) | id, now);
-        self.pending.push_back(record); // ids are monotone: stays sorted
+        self.push_pending(record);
         let demand_idx = self.pending.len() - 1;
         // The demand fault is fully recorded; train the stride detector
         // and (possibly) issue one speculative pre-fault for the
@@ -1082,11 +1167,7 @@ impl NpfEngine {
         if self.iommu.probe_range(domain, target, write) {
             return; // already mapped (e.g. by an earlier prefetch)
         }
-        if self
-            .pending
-            .iter()
-            .any(|f| f.domain == domain && f.range.overlaps(target))
-        {
+        if self.pending_overlap(domain, target).is_some() {
             return; // a demand or speculative fault already covers it
         }
         if let Some((id, ready_at)) = self.issue_prefetch(now, domain, target, write) {
@@ -1105,7 +1186,8 @@ impl NpfEngine {
         write: bool,
     ) -> Option<(u64, SimTime)> {
         let space = self.space_of(domain);
-        let mut ptes = Vec::with_capacity(range.pages as usize);
+        let mut ptes = std::mem::take(&mut self.scratch_ptes);
+        ptes.clear();
         // The predicted window may run past the covering VMA (the end of
         // an rx ring, say): `for_each_pte` reports the covered prefix
         // before erroring, and speculation clamps to that prefix rather
@@ -1115,14 +1197,11 @@ impl NpfEngine {
             .space(space)
             .ok()?
             .for_each_pte(range, |vpn, pte| ptes.push((vpn, pte)));
-        if ptes.is_empty() {
-            return None;
-        }
         let mut os_cost = SimDuration::ZERO;
         let mut tier_cost = SimDuration::ZERO;
         let mut invalidation_cost = SimDuration::ZERO;
         let mut mappings = Vec::new();
-        for (vpn, pte) in ptes {
+        for &(vpn, pte) in &ptes {
             let frame = if let Some(f) = pte.frame() {
                 if write && pte.cow {
                     // Never break COW speculatively: leave the page to a
@@ -1144,6 +1223,7 @@ impl NpfEngine {
             };
             mappings.push((vpn, frame));
         }
+        self.scratch_ptes = ptes;
         if mappings.is_empty() {
             return None;
         }
@@ -1170,8 +1250,9 @@ impl NpfEngine {
         let ready_at = now + breakdown.total();
         let id = self.next_fault;
         self.next_fault += 1;
-        self.counters.bump("prefetch_issued");
-        self.counters.add("prefetch_pages", mappings.len() as u64);
+        self.counters.bump_id(self.ids.prefetch_issued);
+        self.counters
+            .add_id(self.ids.prefetch_pages, mappings.len() as u64);
 
         if trace::enabled() {
             let parent = trace::span(
@@ -1187,7 +1268,7 @@ impl NpfEngine {
             );
             if let Some(parent) = parent {
                 let mut at = now;
-                for &(phase, d) in &plan.slices {
+                for &(phase, d) in plan.slices.iter() {
                     trace::child_span(at, d, "npf", trace_child_name(phase), parent, Vec::new());
                     at += d;
                 }
@@ -1202,7 +1283,7 @@ impl NpfEngine {
             journal::with(|j| {
                 j.fault_begun(key, u64::from(domain.0), range.pages, false, now, ready_at);
                 let mut at = now;
-                for &(phase, d) in slices {
+                for &(phase, d) in slices.iter() {
                     j.phase(key, phase, at, d);
                     at += d;
                 }
@@ -1220,7 +1301,7 @@ impl NpfEngine {
             mappings,
         };
         invariant::note_fault_begun((self.chaos_ns << 32) | id, now);
-        self.pending.push_back(record);
+        self.push_pending(record);
         Some((id, ready_at))
     }
 
@@ -1245,6 +1326,11 @@ impl NpfEngine {
         // Faults mostly complete oldest first, and a deque removes near
         // its front without moving the tail.
         let record = self.pending.remove(idx).expect("index from the search");
+        let linked = &mut self.pending_by_domain[record.domain.0 as usize];
+        let at = linked
+            .binary_search_by_key(&id, |&(id, _)| id)
+            .expect("every pending fault is linked under its domain");
+        linked.remove(at);
         invariant::note_fault_resolved((self.chaos_ns << 32) | id);
         journal::with(|j| j.fault_resolved((self.chaos_ns << 32) | id));
         if trace::enabled() {
@@ -1267,15 +1353,17 @@ impl NpfEngine {
         // Pages may have been reclaimed again between fault start and
         // completion under extreme pressure; map only what is still
         // resident (the next access faults again, which is correct).
-        let still_resident: Vec<(Vpn, FrameId)> = match self.mm.space(record.space) {
-            Ok(s) => record
-                .mappings
-                .iter()
-                .copied()
-                .filter(|&(vpn, frame)| s.frame_of(vpn) == Some(frame))
-                .collect(),
-            Err(_) => Vec::new(),
-        };
+        let mut still_resident = std::mem::take(&mut self.scratch_resident);
+        still_resident.clear();
+        if let Ok(s) = self.mm.space(record.space) {
+            still_resident.extend(
+                record
+                    .mappings
+                    .iter()
+                    .copied()
+                    .filter(|&(vpn, frame)| s.frame_of(vpn) == Some(frame)),
+            );
+        }
         if record.speculative {
             // No NIC event and no bounce buffer behind a speculative
             // fault: skip backend completion accounting, and remember
@@ -1295,6 +1383,7 @@ impl NpfEngine {
             );
         }
         self.iommu.map_batch(record.domain, &still_resident, true);
+        self.scratch_resident = still_resident;
         self.absorb_huge_deltas();
         record
     }
@@ -1310,7 +1399,7 @@ impl NpfEngine {
         if promotions > self.seen_promotions {
             let delta = promotions - self.seen_promotions;
             self.seen_promotions = promotions;
-            self.counters.add("huge_promotions", delta);
+            self.counters.add_id(self.ids.huge_promotions, delta);
             self.pending_huge_cost += self.config.cost.huge_promote() * delta;
             if trace::enabled() {
                 trace::metrics(|m| m.counter_add("npf.huge_promotions", delta));
@@ -1319,7 +1408,7 @@ impl NpfEngine {
         if demotions > self.seen_demotions {
             let delta = demotions - self.seen_demotions;
             self.seen_demotions = demotions;
-            self.counters.add("huge_demotions", delta);
+            self.counters.add_id(self.ids.huge_demotions, delta);
             self.pending_huge_cost += self.config.cost.huge_demote() * delta;
             if trace::enabled() {
                 trace::metrics(|m| m.counter_add("npf.huge_demotions", delta));
@@ -1360,7 +1449,7 @@ impl NpfEngine {
     /// Runs the Figure 2 invalidation flow for one revoked page,
     /// returning its cost.
     fn run_invalidation(&mut self, inv: Invalidation) -> SimDuration {
-        self.counters.bump("invalidations");
+        self.counters.bump_id(self.ids.invalidations);
         // Find the domains bound to the space that lost the page. The
         // dense table iterates in domain-id order, so the cost
         // attribution order is deterministic by construction.
@@ -1375,7 +1464,7 @@ impl NpfEngine {
         for d in domains {
             let was_mapped = self.iommu.invalidate(d, inv.vpn);
             if was_mapped {
-                self.counters.bump("invalidations_mapped");
+                self.counters.bump_id(self.ids.invalidations_mapped);
             }
             // A revoked page can no longer be a prefetch hit.
             self.prefetched.get_mut().remove(&(d.0, inv.vpn.0));

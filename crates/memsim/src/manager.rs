@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use simcore::journal;
-use simcore::stats::Counters;
+use simcore::stats::{CounterId, Counters};
 use simcore::time::SimDuration;
 use simcore::trace::{self, ArgValue};
 use simcore::units::ByteSize;
@@ -229,8 +229,41 @@ pub struct MemoryManager {
     /// (their relative ages decide reclaim order, as in Linux).
     clock: u64,
     counters: Counters,
+    ids: MemCounterIds,
     next_space: u32,
     next_group: u32,
+}
+
+/// Ids of the counters the manager bumps, registered once in
+/// [`MemoryManager::new`] so the fault and reclaim paths index instead
+/// of hashing.
+#[derive(Debug, Clone, Copy)]
+struct MemCounterIds {
+    cache_drops: CounterId,
+    cow_breaks: CounterId,
+    evictions: CounterId,
+    forks: CounterId,
+    major_faults: CounterId,
+    minor_faults: CounterId,
+    swap_outs: CounterId,
+    tier_demotions: CounterId,
+    tier_promotions: CounterId,
+}
+
+impl MemCounterIds {
+    fn register(counters: &mut Counters) -> Self {
+        MemCounterIds {
+            cache_drops: counters.register("cache_drops"),
+            cow_breaks: counters.register("cow_breaks"),
+            evictions: counters.register("evictions"),
+            forks: counters.register("forks"),
+            major_faults: counters.register("major_faults"),
+            minor_faults: counters.register("minor_faults"),
+            swap_outs: counters.register("swap_outs"),
+            tier_demotions: counters.register("tier_demotions"),
+            tier_promotions: counters.register("tier_promotions"),
+        }
+    }
 }
 
 impl MemoryManager {
@@ -244,6 +277,8 @@ impl MemoryManager {
     pub fn new(config: MemConfig) -> Self {
         let total_frames = config.total_memory.bytes() / PAGE_SIZE;
         let swap_slots = config.swap_capacity.bytes() / PAGE_SIZE;
+        let mut counters = Counters::new();
+        let ids = MemCounterIds::register(&mut counters);
         MemoryManager {
             frames: FrameAllocator::new(total_frames),
             spaces: Vec::new(),
@@ -259,7 +294,8 @@ impl MemoryManager {
             lru: LruTracker::new(),
             frame_refs: HashMap::new(),
             clock: 0,
-            counters: Counters::new(),
+            counters,
+            ids,
             next_space: 0,
             next_group: 0,
             config,
@@ -483,7 +519,7 @@ impl MemoryManager {
         }
         debug_assert_eq!(child_id.0 as usize, self.spaces.len());
         self.spaces.push(child);
-        self.counters.bump("forks");
+        self.counters.bump_id(self.ids.forks);
         Ok((child_id, invalidations))
     }
 
@@ -496,7 +532,7 @@ impl MemoryManager {
             .frame_of(vpn)
             .expect("COW break on resident page");
         let refs = self.frame_refs.get(&old).copied().unwrap_or(1);
-        self.counters.bump("cow_breaks");
+        self.counters.bump_id(self.ids.cow_breaks);
         // The writer's translation changes either way: existing I/O
         // mappings of this page are stale.
         let mut invalidations = vec![Invalidation { space, vpn }];
@@ -605,20 +641,20 @@ impl MemoryManager {
                     cost += io;
                     io_cost += io;
                     tier_cost += io;
-                    self.counters.bump("tier_promotions");
+                    self.counters.bump_id(self.ids.tier_promotions);
                     journal::mark(journal::MarkKind::TierMigrate, vpn.0);
                 } else {
                     let io = self.swap.swap_in(slot);
                     cost += io;
                     io_cost += io;
                 }
-                self.counters.bump("major_faults");
+                self.counters.bump_id(self.ids.major_faults);
                 FaultKind::Major
             }
             (Backing::Anonymous, _) => {
                 // Zero-fill (delayed allocation). Charged in the per-page
                 // software cost.
-                self.counters.bump("minor_faults");
+                self.counters.bump_id(self.ids.minor_faults);
                 FaultKind::Minor
             }
             (Backing::File { .. }, _) => {
@@ -629,7 +665,7 @@ impl MemoryManager {
                 let key = CacheKey { file, page };
                 let t = self.next_tick();
                 if self.cache.lookup(key, t).is_some() {
-                    self.counters.bump("minor_faults");
+                    self.counters.bump_id(self.ids.minor_faults);
                     FaultKind::Minor
                 } else {
                     // Read through the cache: the newly allocated frame
@@ -639,7 +675,7 @@ impl MemoryManager {
                     let io = self.config.disk.io_time(PAGE_SIZE);
                     cost += io;
                     io_cost += io;
-                    self.counters.bump("major_faults");
+                    self.counters.bump_id(self.ids.major_faults);
                     FaultKind::Major
                 }
             }
@@ -763,7 +799,7 @@ impl MemoryManager {
         if take_cache {
             let frame = self.cache.evict_oldest().expect("age implies entry");
             self.frames.free(frame);
-            self.counters.bump("cache_drops");
+            self.counters.bump_id(self.ids.cache_drops);
             return Ok((None, SimDuration::ZERO));
         }
         let (space, vpn) = self.lru.pop_oldest().expect("age implies entry");
@@ -811,7 +847,7 @@ impl MemoryManager {
             // back to swap once NVM is full (the hemem policy).
             let slot =
                 if let Some((nvm_slot, _io)) = self.nvm.as_mut().and_then(SwapDevice::swap_out) {
-                    self.counters.bump("tier_demotions");
+                    self.counters.bump_id(self.ids.tier_demotions);
                     journal::mark(journal::MarkKind::TierMigrate, vpn.0);
                     if trace::enabled() {
                         trace::metrics(|m| m.counter_add("memsim.tier_demotions", 1));
@@ -821,7 +857,7 @@ impl MemoryManager {
                     let Some((swap_slot, _io)) = self.swap.swap_out() else {
                         return Err(MemError::SwapFull);
                     };
-                    self.counters.bump("swap_outs");
+                    self.counters.bump_id(self.ids.swap_outs);
                     if trace::enabled() {
                         trace::metrics(|m| m.counter_add("memsim.swap_outs", 1));
                     }
@@ -838,7 +874,7 @@ impl MemoryManager {
             s.evict(vpn, None)
         };
         self.release_frame(frame);
-        self.counters.bump("evictions");
+        self.counters.bump_id(self.ids.evictions);
         journal::mark(journal::MarkKind::Eviction, vpn.0);
         if trace::enabled() {
             trace::instant_now(

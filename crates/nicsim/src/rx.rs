@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use memsim::types::VirtAddr;
 use simcore::chaos::invariant;
 use simcore::journal;
-use simcore::stats::Counters;
+use simcore::stats::{CounterId, Counters};
 use simcore::trace::{self, ArgValue};
 
 /// Identifier of one IOuser receive ring (one per IOchannel).
@@ -181,6 +181,33 @@ pub enum RxFaultMode {
     },
 }
 
+/// Ids of the counters the engine bumps, registered once in
+/// [`RxEngine::new`] so the per-packet path indexes instead of hashing.
+#[derive(Debug, Clone, Copy)]
+struct RxCounterIds {
+    backup_stored: CounterId,
+    bounced_fault: CounterId,
+    dropped_fault: CounterId,
+    dropped_no_buffer: CounterId,
+    dropped_quota: CounterId,
+    resolved: CounterId,
+    stored: CounterId,
+}
+
+impl RxCounterIds {
+    fn register(counters: &mut Counters) -> Self {
+        RxCounterIds {
+            backup_stored: counters.register("backup_stored"),
+            bounced_fault: counters.register("bounced_fault"),
+            dropped_fault: counters.register("dropped_fault"),
+            dropped_no_buffer: counters.register("dropped_no_buffer"),
+            dropped_quota: counters.register("dropped_quota"),
+            resolved: counters.register("resolved"),
+            stored: counters.register("stored"),
+        }
+    }
+}
+
 /// The NIC's receive engine: all IOuser rings plus the backup ring.
 #[derive(Debug)]
 pub struct RxEngine<P> {
@@ -194,6 +221,7 @@ pub struct RxEngine<P> {
     /// testbeds an experiment binary builds in one process.
     backup_key: u64,
     counters: Counters,
+    ids: RxCounterIds,
 }
 
 impl<P: Clone> RxEngine<P> {
@@ -215,13 +243,16 @@ impl<P: Clone> RxEngine<P> {
                 })
             }
         };
+        let mut counters = Counters::new();
+        let ids = RxCounterIds::register(&mut counters);
         RxEngine {
             rings: Vec::new(),
             backup,
             mode,
             policy: BackupPolicy::Shared,
             backup_key,
-            counters: Counters::new(),
+            counters,
+            ids,
         }
     }
 
@@ -273,7 +304,7 @@ impl<P: Clone> RxEngine<P> {
     /// event (the softemu backend). The verdict (drop/backup) is
     /// unchanged — this only attributes the fault's servicing path.
     pub fn note_bounced_fault(&mut self) {
-        self.counters.bump("bounced_fault");
+        self.counters.bump_id(self.ids.bounced_fault);
     }
 
     /// Creates an IOuser ring of `size` entries whose bitmap (backup
@@ -384,7 +415,7 @@ impl<P: Clone> RxEngine<P> {
                 r.head += 1;
                 true
             };
-            self.counters.bump("stored");
+            self.counters.bump_id(self.ids.stored);
             if trace::enabled() {
                 let (head, tail) = (r.head, r.tail);
                 trace::counter_now("nicsim", "ring_head", head as f64);
@@ -406,7 +437,7 @@ impl<P: Clone> RxEngine<P> {
                 let slot = (idx % r.size) as usize;
                 r.slots[slot] = Some(Slot::Hole);
                 r.head += 1;
-                self.counters.bump("dropped_fault");
+                self.counters.bump_id(self.ids.dropped_fault);
                 journal::mark(journal::MarkKind::RxDrop, u64::from(id.0));
                 if trace::enabled() {
                     trace::instant_now(
@@ -423,7 +454,7 @@ impl<P: Clone> RxEngine<P> {
                     burned_descriptor: true,
                 };
             }
-            self.counters.bump("dropped_no_buffer");
+            self.counters.bump_id(self.ids.dropped_no_buffer);
             journal::mark(journal::MarkKind::RxDrop, u64::from(id.0));
             if trace::enabled() {
                 trace::instant_now(
@@ -446,8 +477,8 @@ impl<P: Clone> RxEngine<P> {
         if let BackupPolicy::Partitioned { quota } = self.policy {
             if backup.per_ring.get(id.0 as usize).copied().unwrap_or(0) >= quota {
                 invariant::note_backup_dropped();
-                self.counters.bump("dropped_quota");
-                self.counters.bump("dropped_fault");
+                self.counters.bump_id(self.ids.dropped_quota);
+                self.counters.bump_id(self.ids.dropped_fault);
                 journal::mark(journal::MarkKind::RxDrop, u64::from(id.0));
                 if trace::enabled() {
                     trace::instant_now(
@@ -471,7 +502,7 @@ impl<P: Clone> RxEngine<P> {
             // earlier backup entry or a retransmission). Never silent:
             // the drop is counted and the invariant checker told.
             invariant::note_backup_dropped();
-            self.counters.bump("dropped_fault");
+            self.counters.bump_id(self.ids.dropped_fault);
             journal::mark(journal::MarkKind::RxDrop, u64::from(id.0));
             if trace::enabled() {
                 trace::instant_now(
@@ -519,7 +550,7 @@ impl<P: Clone> RxEngine<P> {
             }
         }
         r.head_offset += 1;
-        self.counters.bump("backup_stored");
+        self.counters.bump_id(self.ids.backup_stored);
         journal::mark(journal::MarkKind::RxBackupDivert, idx);
         if trace::enabled() {
             trace::instant_now(
@@ -594,7 +625,7 @@ impl<P: Clone> RxEngine<P> {
         }
         let head = r.head;
         let bitmap_pending = r.pending_bits;
-        self.counters.bump("resolved");
+        self.counters.bump_id(self.ids.resolved);
         if trace::enabled() {
             trace::instant_now(
                 "nicsim",

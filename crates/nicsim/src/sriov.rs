@@ -9,8 +9,6 @@
 //! content" (§5) — here, by destination TCP/UDP port — while
 //! backup-ring entries are steered by NIC-attached metadata.
 
-use simcore::fxhash::FxHashMap;
-
 use iommu::DomainId;
 use memsim::types::SpaceId;
 
@@ -40,12 +38,26 @@ pub struct Channel {
 }
 
 /// The channel table plus port-based steering.
+///
+/// Channel ids are handed out densely from 0 and ring ids and ports are
+/// small integers, so every lookup is an index, not a hash probe.
 #[derive(Debug, Default)]
 pub struct ChannelTable {
-    channels: FxHashMap<ChannelId, Channel>,
-    by_ring: FxHashMap<RingId, ChannelId>,
-    steering: FxHashMap<u16, ChannelId>,
-    next_id: u32,
+    /// Indexed by [`ChannelId`].
+    channels: Vec<Channel>,
+    /// Owning channel per dense ring id.
+    by_ring: Vec<Option<ChannelId>>,
+    /// Target channel per destination port; grows to the highest
+    /// steered port.
+    steering: Vec<Option<ChannelId>>,
+}
+
+/// Stores `value` at `idx`, growing the table with `None` to cover it.
+fn set_slot(table: &mut Vec<Option<ChannelId>>, idx: usize, value: ChannelId) {
+    if idx >= table.len() {
+        table.resize(idx + 1, None);
+    }
+    table[idx] = Some(value);
 }
 
 impl ChannelTable {
@@ -57,16 +69,14 @@ impl ChannelTable {
 
     /// Allocates a channel for `space` using `domain` and `rx_ring`.
     pub fn create(&mut self, space: SpaceId, domain: DomainId, rx_ring: RingId) -> ChannelId {
-        let id = ChannelId(self.next_id);
-        self.next_id += 1;
-        let ch = Channel {
+        let id = ChannelId(u32::try_from(self.channels.len()).expect("channel ids fit u32"));
+        self.channels.push(Channel {
             id,
             space,
             domain,
             rx_ring,
-        };
-        self.channels.insert(id, ch);
-        self.by_ring.insert(rx_ring, id);
+        });
+        set_slot(&mut self.by_ring, rx_ring.0 as usize, id);
         id
     }
 
@@ -76,39 +86,33 @@ impl ChannelTable {
     ///
     /// Panics for unknown channels.
     pub fn steer_port(&mut self, port: u16, channel: ChannelId) {
-        assert!(self.channels.contains_key(&channel), "unknown {channel}");
-        self.steering.insert(port, channel);
+        assert!(self.get(channel).is_some(), "unknown {channel}");
+        set_slot(&mut self.steering, usize::from(port), channel);
     }
 
     /// The channel a packet with destination `port` steers to.
     #[must_use]
     pub fn lookup_port(&self, port: u16) -> Option<Channel> {
-        self.steering
-            .get(&port)
-            .and_then(|id| self.channels.get(id))
-            .copied()
+        let id = (*self.steering.get(usize::from(port))?)?;
+        self.get(id)
     }
 
     /// The channel owning a ring (backup-path reverse lookup).
     #[must_use]
     pub fn by_ring(&self, ring: RingId) -> Option<Channel> {
-        self.by_ring
-            .get(&ring)
-            .and_then(|id| self.channels.get(id))
-            .copied()
+        let id = (*self.by_ring.get(ring.0 as usize)?)?;
+        self.get(id)
     }
 
     /// The channel by id.
     #[must_use]
     pub fn get(&self, id: ChannelId) -> Option<Channel> {
-        self.channels.get(&id).copied()
+        self.channels.get(id.0 as usize).copied()
     }
 
     /// All channels, in id order.
     pub fn iter(&self) -> impl Iterator<Item = Channel> + '_ {
-        let mut v: Vec<Channel> = self.channels.values().copied().collect();
-        v.sort_by_key(|c| c.id);
-        v.into_iter()
+        self.channels.iter().copied()
     }
 
     /// Number of channels.

@@ -344,15 +344,63 @@ impl ThroughputMeter {
     }
 }
 
+/// Interned handle for one counter inside the [`Counters`] that
+/// registered it.
+///
+/// Resolve once with [`Counters::register`] when the owning component is
+/// built, then update through [`Counters::add_id`] / [`Counters::bump_id`]:
+/// those are plain array indexing — no hashing, no allocation — which is
+/// what the per-packet and per-fault paths use. An id is only meaningful
+/// to the `Counters` (or a clone of it) that handed it out; debug builds
+/// assert that on every update.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CounterId {
+    index: u32,
+    /// The [`Counters::set`] that registered this id.
+    set: u32,
+}
+
+impl CounterId {
+    /// The id's dense index (ids are handed out contiguously from 0).
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.index as usize
+    }
+}
+
+/// Source of [`Counters::set`] tags.
+static NEXT_SET: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
 /// Simple named counters for component statistics (faults, drops,
 /// retransmissions, ...).
 ///
-/// Hash-keyed so the hot path (`add`/`bump` on an existing counter)
-/// allocates nothing; [`Counters::iter`] sorts by name so exports stay
-/// deterministic.
-#[derive(Debug, Clone, Default)]
+/// Names are interned into [`CounterId`]s; a counter's value is `None`
+/// until something is first added to it (even zero), and only such
+/// counters are visible to [`Counters::iter`] and
+/// [`Counters::merge_from`]. Registering a name therefore never changes
+/// an export: a component may register every counter it might bump
+/// without making the untouched ones appear. [`Counters::iter`] sorts by
+/// name so exports stay deterministic.
+#[derive(Debug, Clone)]
 pub struct Counters {
-    entries: std::collections::HashMap<Box<str>, u64>,
+    /// Tags the ids this set hands out (a clone shares it: same names,
+    /// same indices). Never exported, only asserted on.
+    set: u32,
+    lookup: std::collections::HashMap<Box<str>, CounterId>,
+    names: Vec<Box<str>>,
+    /// Indexed by [`CounterId::index`]; `None` = never added to.
+    values: Vec<Option<u64>>,
+}
+
+impl Default for Counters {
+    fn default() -> Self {
+        Counters {
+            set: NEXT_SET.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            lookup: std::collections::HashMap::new(),
+            names: Vec::new(),
+            values: Vec::new(),
+        }
+    }
 }
 
 impl Counters {
@@ -362,13 +410,44 @@ impl Counters {
         Counters::default()
     }
 
+    /// Interns `name`, returning its stable id. Idempotent, and
+    /// invisible: the counter stays out of [`Counters::iter`] until it is
+    /// first added to.
+    pub fn register(&mut self, name: &str) -> CounterId {
+        if let Some(&id) = self.lookup.get(name) {
+            return id;
+        }
+        let id = CounterId {
+            index: u32::try_from(self.names.len()).expect("counter names exceed u32"),
+            set: self.set,
+        };
+        self.names.push(name.into());
+        self.values.push(None);
+        self.lookup.insert(name.into(), id);
+        id
+    }
+
+    /// Adds `n` to the counter behind a registered id: array-indexed,
+    /// zero allocation. Adding zero still makes the counter visible.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic on an id another `Counters` registered: it
+    /// would name an unrelated counter here, or none.
+    pub fn add_id(&mut self, id: CounterId, n: u64) {
+        debug_assert_eq!(id.set, self.set, "CounterId used on a foreign Counters");
+        *self.values[id.index()].get_or_insert(0) += n;
+    }
+
+    /// Increments the counter behind a registered id by one.
+    pub fn bump_id(&mut self, id: CounterId) {
+        self.add_id(id, 1);
+    }
+
     /// Adds `n` to counter `name`, creating it at zero if absent.
     pub fn add(&mut self, name: &str, n: u64) {
-        if let Some(v) = self.entries.get_mut(name) {
-            *v += n;
-        } else {
-            self.entries.insert(name.into(), n);
-        }
+        let id = self.register(name);
+        self.add_id(id, n);
     }
 
     /// Increments counter `name` by one.
@@ -379,12 +458,21 @@ impl Counters {
     /// Reads counter `name` (zero if never touched).
     #[must_use]
     pub fn get(&self, name: &str) -> u64 {
-        self.entries.get(name).copied().unwrap_or(0)
+        self.lookup
+            .get(name)
+            .and_then(|id| self.values[id.index()])
+            .unwrap_or(0)
     }
 
-    /// Iterates over `(name, value)` pairs in name order.
+    /// Iterates over `(name, value)` pairs of every counter that was
+    /// ever added to, in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        let mut pairs: Vec<(&str, u64)> = self.entries.iter().map(|(k, &v)| (&**k, v)).collect();
+        let mut pairs: Vec<(&str, u64)> = self
+            .names
+            .iter()
+            .zip(&self.values)
+            .filter_map(|(name, value)| value.map(|v| (&**name, v)))
+            .collect();
         pairs.sort_unstable_by_key(|&(name, _)| name);
         pairs.into_iter()
     }
@@ -503,5 +591,48 @@ mod tests {
         assert_eq!(c.get("missing"), 0);
         let names: Vec<&str> = c.iter().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["drops", "rnpf"]);
+    }
+
+    #[test]
+    fn registered_ids_stay_invisible_until_added_to() {
+        let mut c = Counters::new();
+        let quiet = c.register("quiet");
+        let zero = c.register("zero");
+        let hot = c.register("hot");
+        assert_eq!(c.register("hot"), hot, "registration is idempotent");
+        c.add_id(zero, 0);
+        c.bump_id(hot);
+        c.add("hot", 2);
+        assert_eq!(c.get("hot"), 3);
+        assert_eq!(c.get("quiet"), 0);
+        let seen: Vec<(&str, u64)> = c.iter().collect();
+        assert_eq!(seen, vec![("hot", 3), ("zero", 0)]);
+        let mut merged = Counters::new();
+        merged.merge_from(&c);
+        assert_eq!(merged.iter().collect::<Vec<_>>(), seen);
+        c.bump_id(quiet);
+        assert_eq!(c.get("quiet"), 1);
+    }
+
+    #[test]
+    fn ids_work_on_a_clone_of_the_set_that_registered_them() {
+        let mut c = Counters::new();
+        let hot = c.register("hot");
+        let mut snapshot = c.clone();
+        snapshot.bump_id(hot);
+        assert_eq!(snapshot.get("hot"), 1);
+        assert_eq!(c.get("hot"), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "foreign Counters")]
+    fn an_id_from_another_set_is_rejected() {
+        let mut ours = Counters::new();
+        let mut theirs = Counters::new();
+        ours.register("drops");
+        let foreign = theirs.register("faults");
+        // In range here, but it would silently bump "drops".
+        ours.bump_id(foreign);
     }
 }

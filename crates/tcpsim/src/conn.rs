@@ -1,8 +1,12 @@
 //! The TCP connection state machine.
 //!
-//! Sans-IO: each call returns [`TcpOutput`] effects (segments to emit,
+//! Sans-IO: each call yields [`TcpOutput`] effects (segments to emit,
 //! the retransmission timer to arm, application notifications); the host
-//! event loop performs them. The implementation covers what the paper's
+//! event loop performs them. The per-packet entry points append the
+//! effects to a buffer the caller owns (`_into`: what the testbeds'
+//! loops use, no allocation per call); `connect`, `write` and
+//! `on_segment` also have a `Vec`-returning form that wraps it. The
+//! implementation covers what the paper's
 //! experiments exercise:
 //!
 //! * three-way handshake with SYN retransmission and exponential backoff
@@ -291,12 +295,22 @@ impl TcpConnection {
     ///
     /// Panics unless the connection is closed.
     pub fn connect(&mut self, now: SimTime) -> Vec<TcpOutput> {
+        let mut out = Vec::new();
+        self.connect_into(now, &mut out);
+        out
+    }
+
+    /// [`TcpConnection::connect`], appending the effects to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the connection is closed.
+    pub fn connect_into(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
         assert_eq!(self.state, TcpState::Closed, "connect on open connection");
         self.state = TcpState::SynSent;
-        let mut out = vec![TcpOutput::Send(self.segment(self.iss, 0, TcpFlags::syn()))];
+        out.push(TcpOutput::Send(self.segment(self.iss, 0, TcpFlags::syn())));
         self.snd_nxt = self.iss + 1;
-        self.arm_timer(now, &mut out);
-        out
+        self.arm_timer(now, out);
     }
 
     /// Starts a passive open.
@@ -312,10 +326,15 @@ impl TcpConnection {
     /// Queues `bytes` of application data and transmits what the windows
     /// allow.
     pub fn write(&mut self, now: SimTime, bytes: u64) -> Vec<TcpOutput> {
-        self.snd_limit += bytes;
         let mut out = Vec::new();
-        self.pump(now, &mut out);
+        self.write_into(now, bytes, &mut out);
         out
+    }
+
+    /// [`TcpConnection::write`], appending the effects to `out`.
+    pub fn write_into(&mut self, now: SimTime, bytes: u64, out: &mut Vec<TcpOutput>) {
+        self.snd_limit += bytes;
+        self.pump(now, out);
     }
 
     /// Requests an orderly close after all queued data.
@@ -371,9 +390,9 @@ impl TcpConnection {
         }
     }
 
-    /// Handles the retransmission timer firing.
-    pub fn on_timer(&mut self, now: SimTime) -> Vec<TcpOutput> {
-        let mut out = Vec::new();
+    /// Handles the retransmission timer firing, appending the effects
+    /// to `out`.
+    pub fn on_timer_into(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
         self.timer_armed = false;
         self.timeouts += 1;
         if trace::enabled() {
@@ -394,11 +413,11 @@ impl TcpConnection {
                 if self.retries > self.config.max_syn_retries {
                     self.state = TcpState::Failed;
                     out.push(TcpOutput::Failed(FailReason::ConnectTimeout));
-                    return out;
+                    return;
                 }
                 self.rto = self.rto.doubled().min(self.config.rto_max);
                 out.push(TcpOutput::Send(self.segment(self.iss, 0, TcpFlags::syn())));
-                self.arm_timer(now, &mut out);
+                self.arm_timer(now, out);
                 self.retransmitted_segments += 1;
             }
             TcpState::SynReceived => {
@@ -406,7 +425,7 @@ impl TcpConnection {
                 if self.retries > self.config.max_syn_retries {
                     self.state = TcpState::Failed;
                     out.push(TcpOutput::Failed(FailReason::ConnectTimeout));
-                    return out;
+                    return;
                 }
                 self.rto = self.rto.doubled().min(self.config.rto_max);
                 out.push(TcpOutput::Send(self.segment(
@@ -414,7 +433,7 @@ impl TcpConnection {
                     0,
                     TcpFlags::syn_ack(),
                 )));
-                self.arm_timer(now, &mut out);
+                self.arm_timer(now, out);
                 self.retransmitted_segments += 1;
             }
             _ if self.flight_size() > 0 => {
@@ -422,7 +441,7 @@ impl TcpConnection {
                 if self.retries > self.config.max_data_retries {
                     self.state = TcpState::Failed;
                     out.push(TcpOutput::Failed(FailReason::RetransmitLimit));
-                    return out;
+                    return;
                 }
                 // RFC 5681 timeout response.
                 let flight = self.flight_size();
@@ -432,15 +451,14 @@ impl TcpConnection {
                 self.dupacks = 0;
                 self.rto = self.rto.doubled().min(self.config.rto_max);
                 self.rtt_probe = None; // Karn: do not sample retransmits
-                self.retransmit_head(&mut out);
-                self.arm_timer(now, &mut out);
+                self.retransmit_head(out);
+                self.arm_timer(now, out);
                 self.trace_cwnd(now);
             }
             _ => {
                 // Spurious timer with nothing outstanding: ignore.
             }
         }
-        out
     }
 
     fn retransmit_head(&mut self, out: &mut Vec<TcpOutput>) {
@@ -479,17 +497,29 @@ impl TcpConnection {
         ecn_marked: bool,
     ) -> Vec<TcpOutput> {
         let mut out = Vec::new();
+        self.on_segment_into(now, seg, ecn_marked, &mut out);
+        out
+    }
+
+    /// [`TcpConnection::on_segment`], appending the effects to `out`.
+    pub fn on_segment_into(
+        &mut self,
+        now: SimTime,
+        seg: TcpSegment,
+        ecn_marked: bool,
+        out: &mut Vec<TcpOutput>,
+    ) {
         if matches!(
             self.state,
             TcpState::Failed | TcpState::Done | TcpState::Closed
         ) {
-            return out;
+            return;
         }
         if seg.flags.rst {
             self.state = TcpState::Failed;
-            self.cancel_timer(&mut out);
+            self.cancel_timer(out);
             out.push(TcpOutput::Failed(FailReason::Reset));
-            return out;
+            return;
         }
         if ecn_marked && self.config.ecn {
             self.pending_ece = true;
@@ -509,9 +539,8 @@ impl TcpConnection {
                         TcpFlags::syn_ack(),
                     )));
                     self.snd_nxt = self.iss + 1;
-                    self.arm_timer(now, &mut out);
+                    self.arm_timer(now, out);
                 }
-                out
             }
             TcpState::SynSent => {
                 if seg.flags.syn && seg.flags.ack && seg.ack == self.iss + 1 {
@@ -522,17 +551,13 @@ impl TcpConnection {
                     self.state = TcpState::Established;
                     self.retries = 0;
                     self.rto = self.config.rto_initial;
-                    self.cancel_timer(&mut out);
+                    self.cancel_timer(out);
                     out.push(TcpOutput::Connected);
                     out.push(TcpOutput::Send(self.ack_segment()));
-                    self.pump(now, &mut out);
+                    self.pump(now, out);
                 }
-                out
             }
-            _ => {
-                self.established_path(now, seg, &mut out);
-                out
-            }
+            _ => self.established_path(now, seg, out),
         }
     }
 
@@ -712,6 +737,14 @@ impl TcpConnection {
     }
 }
 
+/// Fires `conn`'s retransmission timer, collecting the effects.
+#[cfg(test)]
+fn on_timer(conn: &mut TcpConnection, now: SimTime) -> Vec<TcpOutput> {
+    let mut out = Vec::new();
+    conn.on_timer_into(now, &mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,7 +862,7 @@ mod tests {
         let mut failures = 0;
         let mut rtos = Vec::new();
         for _ in 0..10 {
-            let outs = c.on_timer(deadline);
+            let outs = on_timer(&mut c, deadline);
             let mut next = None;
             for o in &outs {
                 match o {
@@ -867,7 +900,7 @@ mod tests {
         });
         let deadline = timer.expect("retransmission timer armed");
         // RTO fires; the retransmission reaches the server this time.
-        let outs = c.on_timer(deadline);
+        let outs = on_timer(&mut c, deadline);
         let retx: Vec<TcpSegment> = outs
             .iter()
             .filter_map(|o| match o {
@@ -976,7 +1009,7 @@ mod tests {
             .expect("timer");
         let mut failed = false;
         for _ in 0..10 {
-            let outs = c.on_timer(deadline);
+            let outs = on_timer(&mut c, deadline);
             let mut next = None;
             for o in outs {
                 match o {
@@ -1214,7 +1247,7 @@ mod congestion_tests {
             }
         }
         now = timer.expect("retransmission timer armed");
-        let outs = c.on_timer(now);
+        let outs = on_timer(&mut c, now);
         assert_eq!(c.cwnd(), cfg.mss, "timeout collapses cwnd");
         assert!(c.timeouts() >= 1);
         // Recover: keep delivering retransmissions (and firing the timer
@@ -1225,7 +1258,7 @@ mod congestion_tests {
                 break;
             }
             now = timer.expect("timer while data in flight");
-            let outs = c.on_timer(now);
+            let outs = on_timer(&mut c, now);
             shuttle(&mut c, &mut s, outs, now, &mut timer);
         }
         assert_eq!(c.flight_size(), 0, "recovery completes");

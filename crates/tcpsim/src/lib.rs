@@ -7,7 +7,8 @@
 //!
 //! The state machine ([`conn::TcpConnection`]) is pure: it consumes
 //! segments and timer expirations and returns [`conn::TcpOutput`]
-//! effects. [`stack::TcpStack`] adds port demultiplexing and listeners.
+//! effects. [`stack::TcpStack`] adds port demultiplexing and listeners,
+//! and names each connection by a dense [`stack::ConnSlot`].
 //! Payload bytes are *logical* (counts, not contents).
 //!
 //! # Examples
@@ -20,7 +21,8 @@
 //! server.listen(80, TcpConfig::lwip());
 //!
 //! let mut client = TcpStack::new();
-//! let (_id, outs) = client.connect(SimTime::ZERO, 4000, 80, TcpConfig::linux());
+//! let mut outs = Vec::new();
+//! let _slot = client.connect_into(SimTime::ZERO, 4000, 80, TcpConfig::linux(), &mut outs);
 //! // The first effect is the SYN to put on the wire.
 //! assert!(matches!(outs[0], TcpOutput::Send(seg) if seg.flags.syn));
 //! ```
@@ -30,5 +32,5 @@ pub mod stack;
 pub mod types;
 
 pub use conn::{FailReason, TcpConnection, TcpOutput, TcpState};
-pub use stack::{ConnId, TcpStack};
+pub use stack::{ConnId, ConnSlot, TcpStack};
 pub use types::{TcpConfig, TcpFlags, TcpSegment};

@@ -13,7 +13,6 @@
 //! [`RxMode`] — pinned (never faults), drop (the Figure 4 strawman), or
 //! the backup ring.
 
-use simcore::fxhash::FxHashMap;
 use std::collections::VecDeque;
 
 use memsim::manager::{MemConfig, MemError, MemoryManager, TierConfig};
@@ -36,7 +35,7 @@ use simcore::stats::{DurationHistogram, ThroughputMeter};
 use simcore::time::{SimDuration, SimTime};
 use simcore::trace;
 use simcore::units::{Bandwidth, ByteSize};
-use tcpsim::{ConnId, TcpConfig, TcpOutput, TcpSegment, TcpStack};
+use tcpsim::{ConnSlot, TcpConfig, TcpOutput, TcpSegment, TcpStack};
 use workloads::memcached::{KvOp, Memaslap, Memcached, MemcachedConfig, TenantPopularity};
 
 use crate::cpu::CpuPool;
@@ -169,14 +168,15 @@ enum EthEvent {
     ToServer(TcpSegment),
     ToClient(TcpSegment),
     /// A connection's retransmission timer fired.
-    TcpTimer(Side, ConnId),
+    TcpTimer(Side, ConnSlot),
     IoUserInterrupt(u32),
     BackupInterrupt,
     ResolverStep(RingId),
     FaultDone(u64),
     OpDone {
         instance: u32,
-        conn: ConnId,
+        /// The connection's slot in the instance's stack.
+        conn: ConnSlot,
         response_bytes: u64,
         hit: bool,
     },
@@ -197,13 +197,12 @@ enum Side {
 
 /// What an instance keeps per accepted connection, beside the stack's
 /// own state.
-#[derive(Default)]
 struct ServerConn {
     /// The pending event of the armed retransmission timer.
     timer: Option<EventToken>,
-    /// Oracle framing: `(request_bytes, op)` the client has written
-    /// (stands in for protocol parsing).
-    requests: VecDeque<(u64, KvOp)>,
+    /// The same connection's slot in the client's stack, resolved once
+    /// when the instance accepts it: the framing oracle lives there.
+    peer: ConnSlot,
 }
 
 /// One memcached IOuser instance.
@@ -214,8 +213,10 @@ struct Instance {
     stack: TcpStack,
     app: Memcached,
     rx_moderator: InterruptModerator,
-    /// Looked up per segment and per operation, never iterated.
-    conns: FxHashMap<ConnId, ServerConn>,
+    /// Indexed by the [`ConnSlot`] `stack` hands out. The bed never
+    /// reaps, so a new connection always gets the next index
+    /// ([`install`] asserts it).
+    conns: Vec<ServerConn>,
     /// Descriptors posted so far (absolute).
     posted: u64,
 }
@@ -226,6 +227,9 @@ struct ClientConn {
     alive: bool,
     /// The pending event of the armed retransmission timer.
     timer: Option<EventToken>,
+    /// Oracle framing: `(request_bytes, op)` the client has written
+    /// (stands in for protocol parsing at the server).
+    requests: VecDeque<(u64, KvOp)>,
     /// Oracle framing: `(response_bytes, hit)` the server has written.
     responses: VecDeque<(u64, bool)>,
     /// Issue timestamps of in-flight requests (closed loop: at most one
@@ -233,11 +237,25 @@ struct ClientConn {
     issued: VecDeque<SimTime>,
 }
 
+/// Records the bed-side state of the connection a stack just created in
+/// `slot`.
+///
+/// # Panics
+///
+/// Panics if `slot` is not the next index: a stack that reaps hands a
+/// freed slot to its next connection, which would otherwise inherit the
+/// dead connection's timer token and oracles here.
+fn install<T>(conns: &mut Vec<T>, slot: ConnSlot, state: T) {
+    assert_eq!(slot.index(), conns.len(), "the beds never reap");
+    conns.push(state);
+}
+
 /// The client machine.
 struct Client {
     stack: TcpStack,
-    /// Looked up per segment and per operation, never iterated.
-    conns: FxHashMap<ConnId, ClientConn>,
+    /// Indexed by the [`ConnSlot`] `stack` hands out; like
+    /// [`Instance::conns`], never reaped.
+    conns: Vec<ClientConn>,
     generators: Vec<Memaslap>,
 }
 
@@ -322,6 +340,11 @@ pub struct EthTestbed {
     /// Monotonic packet sequence for journal provenance; only advanced
     /// while a journal recorder is installed.
     packet_seq: u64,
+    /// Emptied effect buffers awaiting reuse. Applying one connection's
+    /// effects can drive another TCP call (a readable response issues
+    /// the next request), so a few are in use at once; none is
+    /// allocated once the nesting depth has been seen.
+    spare_outs: Vec<Vec<TcpOutput>>,
 }
 
 impl EthTestbed {
@@ -433,7 +456,7 @@ impl EthTestbed {
                 stack,
                 app,
                 rx_moderator: InterruptModerator::new(config.interrupt_holdoff),
-                conns: FxHashMap::default(),
+                conns: Vec::new(),
                 posted: 0,
             };
             // IOuser posts its whole ring at startup.
@@ -479,7 +502,7 @@ impl EthTestbed {
             instances,
             client: Client {
                 stack: TcpStack::new(),
-                conns: FxHashMap::default(),
+                conns: Vec::new(),
                 generators,
             },
             metrics,
@@ -494,6 +517,7 @@ impl EthTestbed {
             chaos_tick_armed: false,
             conn_alloc,
             packet_seq: 0,
+            spare_outs: Vec::new(),
             config,
         };
         bed.open_connections();
@@ -614,21 +638,27 @@ impl EthTestbed {
                 let local = u16::try_from(next_local).expect("validated port space");
                 next_local += 1;
                 let remote = 11211 + i as u16;
-                let (cid, outs) = self
-                    .client
-                    .stack
-                    .connect(now, local, remote, TcpConfig::linux());
-                self.client.conns.insert(
-                    cid,
+                let mut outs = self.take_outs();
+                let slot = self.client.stack.connect_into(
+                    now,
+                    local,
+                    remote,
+                    TcpConfig::linux(),
+                    &mut outs,
+                );
+                install(
+                    &mut self.client.conns,
+                    slot,
                     ClientConn {
                         instance: i,
                         alive: true,
                         timer: None,
+                        requests: VecDeque::new(),
                         responses: VecDeque::new(),
                         issued: VecDeque::new(),
                     },
                 );
-                self.apply_outputs(now, Side::Client, cid, outs);
+                self.apply_outputs(now, Side::Client, slot, outs);
             }
         }
     }
@@ -808,14 +838,16 @@ impl EthTestbed {
         match event {
             EthEvent::ToServer(seg) => self.server_rx(now, seg),
             EthEvent::ToClient(seg) => self.client_rx(now, seg),
-            EthEvent::TcpTimer(side, cid) => {
+            EthEvent::TcpTimer(side, slot) => {
                 // This is the timer's own event: nothing is left to cancel.
-                *self.timer_slot(side, cid) = None;
-                let outs = match side {
-                    Side::Client => self.client.stack.on_timer(now, cid),
-                    Side::Server(i) => self.instances[i as usize].stack.on_timer(now, cid),
+                *self.timer_slot(side, slot) = None;
+                let mut outs = self.take_outs();
+                let stack = match side {
+                    Side::Client => &mut self.client.stack,
+                    Side::Server(i) => &mut self.instances[i as usize].stack,
                 };
-                self.apply_outputs(now, side, cid, outs);
+                stack.on_timer_into(now, slot, &mut outs);
+                self.apply_outputs(now, side, slot, outs);
             }
             EthEvent::IoUserInterrupt(i) => self.iouser_interrupt(now, i),
             EthEvent::BackupInterrupt => {
@@ -839,13 +871,15 @@ impl EthTestbed {
             } => {
                 // The server writes the response; tell the client's
                 // framing oracle.
-                self.client_conn((conn.1, conn.0))
+                let mut outs = self.take_outs();
+                let inst = &mut self.instances[instance as usize];
+                let peer = inst.conns[conn.index()].peer;
+                self.client.conns[peer.index()]
                     .responses
                     .push_back((response_bytes, hit));
-                let outs = match self.instances[instance as usize].stack.conn_mut(conn) {
-                    Some(c) => c.write(now, response_bytes),
-                    None => Vec::new(),
-                };
+                if let Some(c) = inst.stack.conn_at_mut(conn) {
+                    c.write_into(now, response_bytes, &mut outs);
+                }
                 self.apply_outputs(now, Side::Server(instance), conn, outs);
             }
             EthEvent::Sample => {
@@ -1009,11 +1043,27 @@ impl EthTestbed {
                 self.queue.schedule_now(EthEvent::ResolverStep(ring));
             }
             // lwIP processes the packet.
-            if let Some((cid, outs)) = self.instances[idx as usize]
-                .stack
-                .on_segment(now, seg, false)
-            {
-                self.apply_outputs(now, Side::Server(idx), cid, outs);
+            let client_id = (seg.src_port, seg.dst_port);
+            let mut outs = self.take_outs();
+            let inst = &mut self.instances[idx as usize];
+            let known = inst.stack.len();
+            match inst.stack.on_segment_into(now, seg, false, &mut outs) {
+                Some(slot) => {
+                    if inst.stack.len() > known {
+                        // Accepted just now: link it to the client's end.
+                        let peer = self.client.stack.slot_of(client_id);
+                        install(
+                            &mut inst.conns,
+                            slot,
+                            ServerConn {
+                                timer: None,
+                                peer: peer.expect("the client opened every connection"),
+                            },
+                        );
+                    }
+                    self.apply_outputs(now, Side::Server(idx), slot, outs);
+                }
+                None => self.spare_outs.push(outs),
             }
         }
     }
@@ -1073,23 +1123,21 @@ impl EthTestbed {
         }
     }
 
-    fn server_readable(&mut self, now: SimTime, idx: u32, cid: ConnId) {
+    fn server_readable(&mut self, now: SimTime, idx: u32, slot: ConnSlot) {
         loop {
             let inst = &mut self.instances[idx as usize];
-            let Some(slot) = inst.conns.get_mut(&cid) else {
+            let requests = &mut self.client.conns[inst.conns[slot.index()].peer.index()].requests;
+            let Some(&(req_bytes, op)) = requests.front() else {
                 return;
             };
-            let Some(&(req_bytes, op)) = slot.requests.front() else {
-                return;
-            };
-            let Some(conn) = inst.stack.conn_mut(cid) else {
+            let Some(conn) = inst.stack.conn_at_mut(slot) else {
                 return;
             };
             if conn.readable_bytes() < req_bytes {
                 return;
             }
             conn.read(req_bytes);
-            slot.requests.pop_front();
+            requests.pop_front();
             // Process the operation: protocol CPU plus value-memory
             // touches (which may fault, swap, and invalidate under
             // pressure).
@@ -1112,7 +1160,7 @@ impl EthTestbed {
                 end,
                 EthEvent::OpDone {
                     instance: idx,
-                    conn: cid,
+                    conn: slot,
                     response_bytes: outcome.response_bytes,
                     hit: outcome.hit,
                 },
@@ -1125,120 +1173,117 @@ impl EthTestbed {
     // ------------------------------------------------------------------
 
     fn client_rx(&mut self, now: SimTime, seg: TcpSegment) {
-        if let Some((cid, outs)) = self.client.stack.on_segment(now, seg, false) {
-            self.apply_outputs(now, Side::Client, cid, outs);
+        let mut outs = self.take_outs();
+        match self
+            .client
+            .stack
+            .on_segment_into(now, seg, false, &mut outs)
+        {
+            Some(slot) => self.apply_outputs(now, Side::Client, slot, outs),
+            None => self.spare_outs.push(outs),
         }
     }
 
-    fn client_readable(&mut self, now: SimTime, cid: ConnId) {
+    fn client_readable(&mut self, now: SimTime, slot: ConnSlot) {
         loop {
-            let Some(slot) = self.client.conns.get_mut(&cid) else {
+            let state = &mut self.client.conns[slot.index()];
+            let Some(&(bytes, hit)) = state.responses.front() else {
                 return;
             };
-            let Some(&(bytes, hit)) = slot.responses.front() else {
-                return;
-            };
-            let Some(conn) = self.client.stack.conn_mut(cid) else {
+            let Some(conn) = self.client.stack.conn_at_mut(slot) else {
                 return;
             };
             if conn.readable_bytes() < bytes {
                 return;
             }
             conn.read(bytes);
-            slot.responses.pop_front();
-            let m = &mut self.metrics[slot.instance as usize];
+            state.responses.pop_front();
+            let m = &mut self.metrics[state.instance as usize];
             m.ops.record(1);
             self.ops_total += 1;
             if hit {
                 m.hits.record(1);
             }
-            if let Some(issued) = slot.issued.pop_front() {
+            if let Some(issued) = state.issued.pop_front() {
                 m.latency.record(now.saturating_since(issued));
             }
-            self.issue_op(now, cid);
+            self.issue_op(now, slot);
         }
     }
 
-    fn issue_op(&mut self, now: SimTime, cid: ConnId) {
-        let Some(slot) = self.client.conns.get_mut(&cid) else {
-            return;
-        };
-        if !slot.alive {
+    fn issue_op(&mut self, now: SimTime, slot: ConnSlot) {
+        let state = &mut self.client.conns[slot.index()];
+        if !state.alive {
             return;
         }
-        slot.issued.push_back(now);
-        let instance = slot.instance as usize;
-        let (op, req_bytes) = self.client.generators[instance].next_op();
+        state.issued.push_back(now);
+        let (op, req_bytes) = self.client.generators[state.instance as usize].next_op();
         // Tell the server's framing oracle.
-        self.instances[instance]
-            .conns
-            .entry((cid.1, cid.0))
-            .or_default()
-            .requests
-            .push_back((req_bytes, op));
-        let outs = match self.client.stack.conn_mut(cid) {
-            Some(c) => c.write(now, req_bytes),
-            None => Vec::new(),
-        };
-        self.apply_outputs(now, Side::Client, cid, outs);
+        state.requests.push_back((req_bytes, op));
+        let mut outs = self.take_outs();
+        if let Some(c) = self.client.stack.conn_at_mut(slot) {
+            c.write_into(now, req_bytes, &mut outs);
+        }
+        self.apply_outputs(now, Side::Client, slot, outs);
     }
 
     // ------------------------------------------------------------------
     // Both sides: TCP effects.
     // ------------------------------------------------------------------
 
-    /// The client's slot for a connection it opened (every connection
-    /// in this testbed is one).
-    fn client_conn(&mut self, cid: ConnId) -> &mut ClientConn {
-        self.client
-            .conns
-            .get_mut(&cid)
-            .expect("the client opened every connection")
+    /// An empty effect buffer for the next TCP call; `apply_outputs`
+    /// takes it back.
+    fn take_outs(&mut self) -> Vec<TcpOutput> {
+        self.spare_outs.pop().unwrap_or_default()
     }
 
-    /// Where `side` keeps the armed timer of connection `cid`.
-    fn timer_slot(&mut self, side: Side, cid: ConnId) -> &mut Option<EventToken> {
+    /// Where `side` keeps the armed timer of the connection in `slot`.
+    fn timer_slot(&mut self, side: Side, slot: ConnSlot) -> &mut Option<EventToken> {
         match side {
-            Side::Client => &mut self.client_conn(cid).timer,
-            Side::Server(i) => {
-                let conns = &mut self.instances[i as usize].conns;
-                &mut conns.entry(cid).or_default().timer
-            }
+            Side::Client => &mut self.client.conns[slot.index()].timer,
+            Side::Server(i) => &mut self.instances[i as usize].conns[slot.index()].timer,
         }
     }
 
-    fn cancel_timer(&mut self, side: Side, cid: ConnId) {
-        if let Some(tok) = self.timer_slot(side, cid).take() {
+    fn cancel_timer(&mut self, side: Side, slot: ConnSlot) {
+        if let Some(tok) = self.timer_slot(side, slot).take() {
             self.queue.cancel(tok);
         }
     }
 
-    /// Performs the effects one of `side`'s connections asked for.
-    fn apply_outputs(&mut self, now: SimTime, side: Side, cid: ConnId, outs: Vec<TcpOutput>) {
-        for out in outs {
+    /// Performs the effects the connection in `side`'s `slot` asked
+    /// for, then keeps the emptied buffer for reuse.
+    fn apply_outputs(
+        &mut self,
+        now: SimTime,
+        side: Side,
+        slot: ConnSlot,
+        mut outs: Vec<TcpOutput>,
+    ) {
+        for out in outs.drain(..) {
             match (out, side) {
                 (TcpOutput::Send(seg), _) => self.link_send(now, seg, side == Side::Client),
                 (TcpOutput::SetTimer(at), _) => {
-                    let tok = self.queue.schedule_at(at, EthEvent::TcpTimer(side, cid));
-                    if let Some(armed) = self.timer_slot(side, cid).replace(tok) {
+                    let tok = self.queue.schedule_at(at, EthEvent::TcpTimer(side, slot));
+                    if let Some(armed) = self.timer_slot(side, slot).replace(tok) {
                         self.queue.cancel(armed);
                     }
                 }
-                (TcpOutput::CancelTimer, _) => self.cancel_timer(side, cid),
-                (TcpOutput::Connected, Side::Client) => self.issue_op(now, cid),
-                (TcpOutput::Readable, Side::Client) => self.client_readable(now, cid),
-                (TcpOutput::Readable, Side::Server(i)) => self.server_readable(now, i, cid),
+                (TcpOutput::CancelTimer, _) => self.cancel_timer(side, slot),
+                (TcpOutput::Connected, Side::Client) => self.issue_op(now, slot),
+                (TcpOutput::Readable, Side::Client) => self.client_readable(now, slot),
+                (TcpOutput::Readable, Side::Server(i)) => self.server_readable(now, i, slot),
                 (TcpOutput::Failed(_), Side::Client) => {
-                    let slot = self.client_conn(cid);
-                    if slot.alive {
-                        slot.alive = false;
-                        let instance = slot.instance as usize;
-                        self.metrics[instance].failed_conns += 1;
+                    let state = &mut self.client.conns[slot.index()];
+                    if state.alive {
+                        state.alive = false;
+                        self.metrics[state.instance as usize].failed_conns += 1;
                     }
                 }
                 (TcpOutput::Connected | TcpOutput::PeerClosed | TcpOutput::Failed(_), _) => {}
             }
         }
+        self.spare_outs.push(outs);
     }
 }
 

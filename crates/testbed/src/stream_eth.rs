@@ -21,7 +21,7 @@ use simcore::event::{EventQueue, EventToken};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::units::{Bandwidth, ByteSize};
-use tcpsim::{ConnId, TcpConfig, TcpOutput, TcpSegment, TcpStack};
+use tcpsim::{ConnSlot, TcpConfig, TcpOutput, TcpSegment, TcpStack};
 use workloads::stream::{StreamReceiver, SyntheticFaults};
 
 /// Fault policy for the stream run.
@@ -96,7 +96,7 @@ enum Ev {
     ToServer(TcpSegment),
     ToClient(TcpSegment),
     /// The retransmission timer of a side's connection fired.
-    Timer(Side, ConnId),
+    Timer(Side, ConnSlot),
     /// A synthetic fault resolved: merge the oldest backup entry back.
     Merge,
     /// Announce ring contents to the IOuser.
@@ -131,6 +131,9 @@ struct StreamBed {
     client: Endpoint,
     server: Endpoint,
     receiver: StreamReceiver,
+    /// Emptied effect buffers awaiting reuse (applying the client's
+    /// effects can drive its next write, so two are in use at once).
+    spare_outs: Vec<Vec<TcpOutput>>,
 }
 
 impl StreamBed {
@@ -198,16 +201,18 @@ impl StreamBed {
             client: endpoint(3),
             server: endpoint(4),
             receiver: StreamReceiver::new(),
+            spare_outs: Vec::new(),
         };
         for _ in 0..config.ring_entries {
             bed.post_one();
         }
         bed.server.stack.listen(PORT, TcpConfig::lwip());
-        let (cid, outs) = bed
-            .client
-            .stack
-            .connect(SimTime::ZERO, 5000, PORT, TcpConfig::linux());
-        bed.apply(SimTime::ZERO, Side::Client, cid, outs);
+        let mut outs = Vec::new();
+        let slot =
+            bed.client
+                .stack
+                .connect_into(SimTime::ZERO, 5000, PORT, TcpConfig::linux(), &mut outs);
+        bed.apply(SimTime::ZERO, Side::Client, slot, outs);
         bed
     }
 
@@ -243,16 +248,39 @@ impl StreamBed {
         }
     }
 
-    fn client_write(&mut self, now: SimTime, cid: ConnId, bytes: u64) {
-        if let Some(conn) = self.client.stack.conn_mut(cid) {
-            let outs = conn.write(now, bytes);
-            self.apply(now, Side::Client, cid, outs);
-        }
+    /// An empty effect buffer for the next TCP call; `apply` takes it
+    /// back.
+    fn take_outs(&mut self) -> Vec<TcpOutput> {
+        self.spare_outs.pop().unwrap_or_default()
     }
 
-    /// Performs the effects `side`'s connection asked for.
-    fn apply(&mut self, now: SimTime, side: Side, cid: ConnId, outs: Vec<TcpOutput>) {
-        for out in outs {
+    fn client_write(&mut self, now: SimTime, slot: ConnSlot, bytes: u64) {
+        let mut outs = self.take_outs();
+        if let Some(conn) = self.client.stack.conn_at_mut(slot) {
+            conn.write_into(now, bytes, &mut outs);
+        }
+        self.apply(now, Side::Client, slot, outs);
+    }
+
+    /// A segment reached `side`: its stack handles it and the effects
+    /// are performed. Returns the connection it belonged to.
+    fn on_segment(&mut self, now: SimTime, side: Side, seg: TcpSegment) -> Option<ConnSlot> {
+        let mut outs = self.take_outs();
+        let slot = self
+            .end(side)
+            .stack
+            .on_segment_into(now, seg, false, &mut outs);
+        match slot {
+            Some(slot) => self.apply(now, side, slot, outs),
+            None => self.spare_outs.push(outs),
+        }
+        slot
+    }
+
+    /// Performs the effects `side`'s connection asked for, then keeps
+    /// the emptied buffer for reuse.
+    fn apply(&mut self, now: SimTime, side: Side, slot: ConnSlot, mut outs: Vec<TcpOutput>) {
+        for out in outs.drain(..) {
             match (out, side) {
                 (TcpOutput::Send(seg), _) => {
                     if let SendOutcome::Delivered { arrives_at, .. } =
@@ -266,16 +294,16 @@ impl StreamBed {
                     }
                 }
                 (TcpOutput::SetTimer(at), _) => {
-                    let tok = self.queue.schedule_at(at, Ev::Timer(side, cid));
+                    let tok = self.queue.schedule_at(at, Ev::Timer(side, slot));
                     if let Some(armed) = self.end(side).timer.replace(tok) {
                         self.queue.cancel(armed);
                     }
                 }
                 (TcpOutput::CancelTimer, _) => self.cancel_timer(side),
                 // Start the stream: keep the pipe full.
-                (TcpOutput::Connected, Side::Client) => self.client_write(now, cid, MSG * 8),
+                (TcpOutput::Connected, Side::Client) => self.client_write(now, slot, MSG * 8),
                 (TcpOutput::Readable, Side::Server) => {
-                    if let Some(conn) = self.server.stack.conn_mut(cid) {
+                    if let Some(conn) = self.server.stack.conn_at_mut(slot) {
                         let n = conn.readable_bytes();
                         conn.read(n);
                         self.receiver.deliver(now, n);
@@ -284,6 +312,7 @@ impl StreamBed {
                 _ => {}
             }
         }
+        self.spare_outs.push(outs);
     }
 
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
@@ -326,25 +355,23 @@ impl StreamBed {
                     break;
                 };
                 self.post_one();
-                if let Some((cid, outs)) = self.server.stack.on_segment(now, seg, false) {
-                    self.apply(now, Side::Server, cid, outs);
-                }
+                self.on_segment(now, Side::Server, seg);
             },
             Ev::ToClient(seg) => {
-                if let Some((cid, outs)) = self.client.stack.on_segment(now, seg, false) {
-                    self.apply(now, Side::Client, cid, outs);
+                if let Some(slot) = self.on_segment(now, Side::Client, seg) {
                     // Keep the stream saturated.
-                    let conn = self.client.stack.conn(cid);
+                    let conn = self.client.stack.conn_at(slot);
                     if conn.is_some_and(|c| c.send_queue_bytes() < MSG * 4) {
-                        self.client_write(now, cid, MSG * 4);
+                        self.client_write(now, slot, MSG * 4);
                     }
                 }
             }
-            Ev::Timer(side, cid) => {
+            Ev::Timer(side, slot) => {
                 // This is the timer's own event: nothing is left to cancel.
                 self.end(side).timer = None;
-                let outs = self.end(side).stack.on_timer(now, cid);
-                self.apply(now, side, cid, outs);
+                let mut outs = self.take_outs();
+                self.end(side).stack.on_timer_into(now, slot, &mut outs);
+                self.apply(now, side, slot, outs);
             }
         }
     }

@@ -73,17 +73,43 @@ pub struct KvOutcome {
     pub response_bytes: u64,
 }
 
+/// End of the recency list (no slot).
+const NIL: u32 = u32::MAX;
+
+/// What the item table keeps per key.
+#[derive(Debug, Clone, Copy)]
+struct Item {
+    slot: u32,
+    /// Tick of the last GET hit or SET.
+    tick: u64,
+}
+
+/// One slot's neighbours in the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The next less recently used slot.
+    older: u32,
+    /// The next more recently used slot.
+    newer: u32,
+}
+
 /// The server.
 #[derive(Debug)]
 pub struct Memcached {
     config: MemcachedConfig,
-    /// key -> (slot, lru tick)
-    items: FxHashMap<u64, (u64, u64)>,
+    items: FxHashMap<u64, Item>,
     /// slot -> key (for eviction bookkeeping). Slot ids are dense
     /// (0..max_items), so this is a flat table, not a map.
     slots: Vec<u64>,
-    free_slots: Vec<u64>,
-    next_slot: u64,
+    /// The recency list over the slots, by slot id. Empty until the
+    /// first eviction: a cache that never fills orders nothing, and a
+    /// hit only stamps its tick in the item-table entry the lookup
+    /// already fetched. The first eviction sorts the items by tick into
+    /// the list once; from then on every use also moves its slot to the
+    /// `newest` end and the victim is `oldest` — no scan.
+    recency: Vec<Link>,
+    oldest: u32,
+    newest: u32,
     max_items: u64,
     tick: u64,
     hits: u64,
@@ -100,8 +126,9 @@ impl Memcached {
             config,
             items: FxHashMap::default(),
             slots: Vec::new(),
-            free_slots: Vec::new(),
-            next_slot: 0,
+            recency: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
             max_items,
             tick: 0,
             hits: 0,
@@ -173,8 +200,67 @@ impl Memcached {
         ByteSize::bytes_exact(self.max_items * self.config.value_size)
     }
 
-    fn slot_addr(&self, slot: u64) -> VirtAddr {
-        VirtAddr(self.config.slab_base.0 + slot * self.config.value_size)
+    fn slot_addr(&self, slot: u32) -> VirtAddr {
+        VirtAddr(self.config.slab_base.0 + u64::from(slot) * self.config.value_size)
+    }
+
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Link { older, newer } = self.recency[slot as usize];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.recency[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.recency[n as usize].older = older,
+        }
+    }
+
+    /// Appends `slot` at the most recently used end.
+    fn link_newest(&mut self, slot: u32) {
+        self.recency[slot as usize] = Link {
+            older: self.newest,
+            newer: NIL,
+        };
+        match self.newest {
+            NIL => self.oldest = slot,
+            n => self.recency[n as usize].newer = slot,
+        }
+        self.newest = slot;
+    }
+
+    /// Moves a just-used `slot` to the `newest` end, once there is a
+    /// list to keep.
+    fn relink(&mut self, slot: u32) {
+        if !self.recency.is_empty() && self.newest != slot {
+            self.unlink(slot);
+            self.link_newest(slot);
+        }
+    }
+
+    /// Evicts the least recently used item, returning its slot for
+    /// reuse. Ticks are unique per operation, so the order — and the
+    /// victim — is unambiguous.
+    fn evict(&mut self) -> u32 {
+        if self.recency.is_empty() {
+            let mut by_tick: Vec<(u64, u32)> =
+                self.items.values().map(|i| (i.tick, i.slot)).collect();
+            by_tick.sort_unstable();
+            let unlinked = Link {
+                older: NIL,
+                newer: NIL,
+            };
+            self.recency = vec![unlinked; self.slots.len()];
+            for (_, slot) in by_tick {
+                self.link_newest(slot);
+            }
+        }
+        let victim = self.oldest;
+        self.unlink(victim);
+        self.items.remove(&self.slots[victim as usize]);
+        self.evictions += 1;
+        victim
     }
 
     /// Processes one operation, returning what to touch and charge.
@@ -182,14 +268,14 @@ impl Memcached {
         self.tick += 1;
         match op {
             KvOp::Get { key } => match self.items.get_mut(&key) {
-                Some((slot, tick)) => {
-                    *tick = self.tick;
-                    let slot = *slot;
-                    let addr = VirtAddr(self.config.slab_base.0 + slot * self.config.value_size);
+                Some(item) => {
+                    item.tick = self.tick;
+                    let slot = item.slot;
+                    self.relink(slot);
                     self.hits += 1;
                     KvOutcome {
                         hit: true,
-                        touch: Some((addr, self.config.value_size, false)),
+                        touch: Some((self.slot_addr(slot), self.config.value_size, false)),
                         cpu: self.config.cpu_per_op,
                         response_bytes: self.config.value_size + 48,
                     }
@@ -205,35 +291,32 @@ impl Memcached {
                 }
             },
             KvOp::Set { key } => {
-                let slot = if let Some(entry) = self.items.get_mut(&key) {
-                    entry.1 = self.tick;
-                    entry.0
+                let slot = if let Some(item) = self.items.get_mut(&key) {
+                    item.tick = self.tick;
+                    let slot = item.slot;
+                    self.relink(slot);
+                    slot
                 } else {
-                    let slot = if let Some(s) = self.free_slots.pop() {
-                        s
-                    } else if self.next_slot < self.max_items {
-                        let s = self.next_slot;
-                        self.next_slot += 1;
-                        s
+                    let slot = if (self.slots.len() as u64) < self.max_items {
+                        let fresh = u32::try_from(self.slots.len())
+                            .ok()
+                            .filter(|&s| s != NIL)
+                            .expect("item slots fit u32");
+                        self.slots.push(key);
+                        fresh
                     } else {
-                        // LRU eviction. Ticks are unique per operation,
-                        // so the minimum is unambiguous regardless of
-                        // map iteration order.
-                        let (&victim_key, &(victim_slot, _)) = self
-                            .items
-                            .iter()
-                            .min_by_key(|(_, &(_, t))| t)
-                            .expect("cache full implies nonempty");
-                        self.items.remove(&victim_key);
-                        self.evictions += 1;
-                        victim_slot
+                        let victim = self.evict();
+                        self.slots[victim as usize] = key;
+                        self.link_newest(victim);
+                        victim
                     };
-                    self.items.insert(key, (slot, self.tick));
-                    let idx = usize::try_from(slot).expect("slot fits usize");
-                    if idx >= self.slots.len() {
-                        self.slots.resize(idx + 1, u64::MAX);
-                    }
-                    self.slots[idx] = key;
+                    self.items.insert(
+                        key,
+                        Item {
+                            slot,
+                            tick: self.tick,
+                        },
+                    );
                     slot
                 };
                 KvOutcome {

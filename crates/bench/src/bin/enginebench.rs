@@ -1,6 +1,8 @@
 //! Engine microbenchmarks: events/sec on the event-queue fast path and
 //! wall-clock for reduced-size figure runs, persisted as
-//! `BENCH_engine.json` so every PR leaves a perf trajectory.
+//! `BENCH_engine.json` so every PR leaves a perf trajectory. Every
+//! sample times a call some testbed makes; a sample whose call loses
+//! its last bed caller is deleted with it.
 //!
 //! Usage:
 //!
@@ -17,9 +19,9 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use iommu::{Iommu, RangeCheck, TableMode};
+use iommu::{Iommu, TableMode};
 use memsim::lru::LruTracker;
-use memsim::types::{FrameId, PageRange, SpaceId, VirtAddr, Vpn};
+use memsim::types::{FrameId, SpaceId, VirtAddr, Vpn};
 use netsim::fabric::Fabric;
 use netsim::link::LinkConfig;
 use netsim::packet::NodeId;
@@ -184,97 +186,6 @@ fn bench_metrics() -> Sample {
             m.duration_record_id(lat, SimDuration::from_nanos(i % 997));
         }
         std::hint::black_box(m.counter("bench.ops"));
-    })
-}
-
-/// Translation fast path, warm: 4096 single-page DMA checks that all
-/// hit the IOTLB (mostly the level-0 run cache — the descriptors walk
-/// contiguous VAs).
-fn bench_translate_hit() -> Sample {
-    let mut mmu = Iommu::new(8192);
-    let d = mmu.create_domain(TableMode::PageFaultCapable);
-    let pairs: Vec<(Vpn, FrameId)> = (0..4096u64).map(|i| (Vpn(i), FrameId(i + 64))).collect();
-    mmu.map_batch(d, &pairs, true);
-    // Warm the TLB with one pass.
-    for i in 0..4096u64 {
-        mmu.check_dma(d, Vpn(i), true);
-    }
-    measure("translate_hit_4k", 4096, move || {
-        let mut sum = 0u64;
-        for i in 0..4096u64 {
-            if let iommu::DmaCheck::Ok(f) = mmu.check_dma(d, Vpn(i), true) {
-                sum = sum.wrapping_add(f.0);
-            }
-        }
-        std::hint::black_box(sum);
-    })
-}
-
-/// Cold walks: every page misses the IOTLB and takes a full table walk
-/// plus a queued page request — the fault-path cost per page.
-fn bench_walk_miss_cold() -> Sample {
-    measure("walk_miss_cold", 2048, || {
-        let mut mmu = Iommu::new(64);
-        let d = mmu.create_domain(TableMode::PageFaultCapable);
-        let mut faults = 0usize;
-        for i in 0..2048u64 {
-            if let iommu::DmaCheck::Fault(_) = mmu.check_dma(d, Vpn(i), true) {
-                faults += 1;
-            }
-        }
-        std::hint::black_box((faults, mmu.drain_requests().len()));
-    })
-}
-
-/// Batched scatter-gather resolution: 64 64-page ranges checked through
-/// `check_dma_range`, each costing one walk with a contiguous fill
-/// (the §4.3 batching ablation's fast side).
-fn bench_sg_batch() -> Sample {
-    let mut mmu = Iommu::new(8192);
-    let d = mmu.create_domain(TableMode::PageFaultCapable);
-    let pairs: Vec<(Vpn, FrameId)> = (0..4096u64).map(|i| (Vpn(i), FrameId(i + 64))).collect();
-    mmu.map_batch(d, &pairs, true);
-    measure("sg_batch_64p", 64 * 64, move || {
-        // Flush so every range pays exactly one walk, not a TLB sweep.
-        mmu.shootdown_all();
-        let mut ok = 0usize;
-        for r in 0..64u64 {
-            let range = PageRange::new(Vpn(r * 64), 64);
-            if matches!(mmu.check_dma_range(d, range, true), RangeCheck::Ok) {
-                ok += 1;
-            }
-        }
-        std::hint::black_box(ok);
-    })
-}
-
-/// Translation fast path through a folded superpage: the same 4096
-/// warm DMA checks as `translate_hit_4k`, but the mappings have been
-/// promoted to eight 2 MiB leaves, so every hit is served by an IOTLB
-/// superpage entry (one entry covers 512 pages).
-fn bench_translate_hit_2m() -> Sample {
-    let mut mmu = Iommu::new(8192);
-    mmu.set_huge_pages(true);
-    let d = mmu.create_domain(TableMode::PageFaultCapable);
-    // Contiguous ascending frames from each 2 MiB chunk base: the fold
-    // precondition, satisfied 8 chunks over.
-    let pairs: Vec<(Vpn, FrameId)> = (0..4096u64).map(|i| (Vpn(i), FrameId(i + 64))).collect();
-    mmu.map_batch(d, &pairs, true);
-    assert!(
-        mmu.huge_stats().0 >= 8,
-        "the fixture must fold its 8 chunks"
-    );
-    for i in 0..4096u64 {
-        mmu.check_dma(d, Vpn(i), true);
-    }
-    measure("translate_hit_2m", 4096, move || {
-        let mut sum = 0u64;
-        for i in 0..4096u64 {
-            if let iommu::DmaCheck::Ok(f) = mmu.check_dma(d, Vpn(i), true) {
-                sum = sum.wrapping_add(f.0);
-            }
-        }
-        std::hint::black_box(sum);
     })
 }
 
@@ -557,12 +468,8 @@ fn main() {
         bench_churn(),
         bench_timer_rearm(),
         bench_metrics(),
-        bench_translate_hit(),
-        bench_translate_hit_2m(),
         bench_promote_512(),
         bench_prefetch_issue_8(),
-        bench_walk_miss_cold(),
-        bench_sg_batch(),
         bench_lru_touch_evict(),
         bench_rc_stream_window64(),
         bench_fabric_star_send(),

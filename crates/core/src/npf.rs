@@ -62,16 +62,17 @@ pub struct NpfConfig {
     /// `0` means unbounded (per-channel limits still apply); ignored
     /// under [`ArbiterPolicy::ChannelOnly`].
     pub total_fault_slots: u32,
-    /// IOTLB capacity. The prototype's 4096 entries thrash with
-    /// hundreds of tenant domains, so scale-out scenarios raise it.
+    /// Inert: the IOMMU has no translation cache and nothing reads
+    /// this. Kept only because the frozen `benchmark/` names the field
+    /// (see the residue note in `iommu::unit`).
     pub iotlb_entries: usize,
     /// Which ODP backend services faults: the paper's firmware NPF
     /// path (default), the NP-RDMA-style driver-level software
     /// emulation, or the pinned-only baseline.
     pub backend: BackendSelect,
     /// Fold runs of 512 resident 4 KiB pages into 2 MiB leaves in the
-    /// IOMMU page tables, with IOTLB superpage caching. Promotion and
-    /// demotion maintenance is charged to the next fault's OS span.
+    /// IOMMU page tables. Promotion and demotion maintenance is charged
+    /// to the next fault's OS span.
     pub huge_pages: bool,
     /// Speculative NPF prefetch depth in pages (0 disables). When a
     /// per-channel stride detector trains on the fault stream, each
@@ -138,13 +139,6 @@ impl NpfConfig {
     #[must_use]
     pub fn with_total_fault_slots(mut self, slots: u32) -> Self {
         self.total_fault_slots = slots;
-        self
-    }
-
-    /// Sets the IOTLB capacity.
-    #[must_use]
-    pub fn with_iotlb_entries(mut self, entries: usize) -> Self {
-        self.iotlb_entries = entries;
         self
     }
 
@@ -580,8 +574,7 @@ pub struct NpfEngine {
 }
 
 impl NpfEngine {
-    /// Creates an engine over `mm` with an IOTLB of
-    /// [`NpfConfig::iotlb_entries`] entries.
+    /// Creates an engine over `mm`.
     #[must_use]
     pub fn new(config: NpfConfig, mut mm: MemoryManager, rng: SimRng) -> Self {
         // One shared note namespace per engine: the allocator's frame
@@ -589,7 +582,7 @@ impl NpfEngine {
         // other but never alias another node's.
         let ns = invariant::fresh_namespace();
         mm.set_chaos_namespace(ns);
-        let mut iommu = Iommu::new(config.iotlb_entries);
+        let mut iommu = Iommu::new(0);
         iommu.set_chaos_namespace(ns);
         iommu.set_huge_pages(config.huge_pages);
         let mut counters = Counters::new();
@@ -1438,12 +1431,6 @@ impl NpfEngine {
             self.run_invalidation(inv);
         }
         n
-    }
-
-    /// Chaos IOTLB shootdown: flushes every cached translation, racing
-    /// any in-flight resolution. Returns entries flushed.
-    pub fn chaos_shootdown(&mut self) -> u64 {
-        self.iommu.shootdown_all()
     }
 
     /// Runs the Figure 2 invalidation flow for one revoked page,

@@ -41,8 +41,7 @@ pub enum NestedTranslation {
 /// guest PTE pointers is a guest-physical address that itself takes an
 /// `H`-step host walk to follow, and the final gPA takes one more. A
 /// full 2D walk therefore loads `G*(H+1) + H` PTEs — 24 for the
-/// classic `G = H = 4` case, which is why the IOTLB earns its keep
-/// under virtualization. This struct charges that model per walk so
+/// classic `G = H = 4` case. This struct charges that model per walk so
 /// experiments can report walk-memory traffic, not just walk counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkStats {

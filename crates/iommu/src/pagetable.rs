@@ -74,7 +74,7 @@ impl Translation {
 /// An I/O page table for one domain.
 ///
 /// Entries live in a dense, direct-indexed [`PageMap`]: a walk is two
-/// array indexes in the common case, and [`IoPageTable::walk_range`]
+/// array indexes in the common case, and [`IoPageTable::probe_range`]
 /// resolves each leaf chunk once for a whole scatter-gather range.
 #[derive(Debug, Clone)]
 pub struct IoPageTable {
@@ -84,8 +84,7 @@ pub struct IoPageTable {
     /// When set, 512 present 4 KiB siblings with contiguous frames and
     /// uniform permissions fold into one 2 MiB PTE (and split back on
     /// any partial unmap). Translations are byte-for-byte identical to
-    /// the 4 KiB-only table; only the PTE *shape* (and hence IOTLB
-    /// reach) changes.
+    /// the 4 KiB-only table; only the PTE *shape* changes.
     huge_enabled: bool,
     walks: u64,
     faults: u64,
@@ -113,12 +112,6 @@ impl IoPageTable {
     #[must_use]
     pub fn domain(&self) -> DomainId {
         self.domain
-    }
-
-    /// The table's fault tolerance mode.
-    #[must_use]
-    pub fn mode(&self) -> TableMode {
-        self.mode
     }
 
     /// Number of present entries (huge PTEs count all 512 pages).
@@ -304,48 +297,6 @@ impl IoPageTable {
         }
     }
 
-    /// Batched walk over a contiguous range (§4.3's scatter-gather
-    /// resolution): *one* walk is charged for the whole range, each leaf
-    /// chunk is resolved once, and `f` receives every page's raw PTE in
-    /// ascending order (`None` = non-present, counted as a fault).
-    pub fn walk_range<F: FnMut(Vpn, Option<IoPte>)>(&mut self, range: PageRange, mut f: F) {
-        self.walks += 1;
-        let mut faults = 0u64;
-        let entries = &self.entries;
-        entries.scan_range(range, |vpn, pte| {
-            let pte = pte
-                .copied()
-                .or_else(|| entries.huge(vpn).map(|h| Self::synth_huge(h, vpn)));
-            if pte.is_none() {
-                faults += 1;
-            }
-            f(vpn, pte);
-        });
-        self.faults += faults;
-    }
-
-    /// Like [`IoPageTable::translate`] for a whole range in one walk:
-    /// `f` receives each page's [`Translation`] in ascending order.
-    pub fn translate_range<F: FnMut(Vpn, Translation)>(
-        &mut self,
-        range: PageRange,
-        write: bool,
-        mut f: F,
-    ) {
-        let mode = self.mode;
-        self.walk_range(range, |vpn, pte| {
-            let t = match pte {
-                Some(p) if write && !p.writable => Translation::Error,
-                Some(p) => Translation::Ok(p.frame),
-                None => match mode {
-                    TableMode::PageFaultCapable => Translation::Fault,
-                    TableMode::PinnedOnly => Translation::Error,
-                },
-            };
-            f(vpn, t);
-        });
-    }
-
     /// Whether every page of `range` is present (and writable, when
     /// `write`), without touching the walk statistics — the side-effect
     /// free probe behind `is_descriptor_present` checks.
@@ -413,38 +364,6 @@ mod tests {
         assert!(t.unmap(Vpn(1)));
         assert!(!t.unmap(Vpn(1)), "second unmap finds nothing");
         assert_eq!(t.translate(Vpn(1), false), Translation::Fault);
-    }
-
-    #[test]
-    fn walk_range_charges_one_walk() {
-        let mut t = table(TableMode::PageFaultCapable);
-        t.map(Vpn(1), FrameId(1), true);
-        t.map(Vpn(2), FrameId(2), true);
-        let mut seen = Vec::new();
-        t.translate_range(PageRange::new(Vpn(0), 4), false, |vpn, tr| {
-            seen.push((vpn.0, tr));
-        });
-        assert_eq!(t.walks(), 1, "a batched walk costs one walk");
-        assert_eq!(t.faults(), 2, "faults still count per page");
-        assert_eq!(
-            seen,
-            vec![
-                (0, Translation::Fault),
-                (1, Translation::Ok(FrameId(1))),
-                (2, Translation::Ok(FrameId(2))),
-                (3, Translation::Fault),
-            ]
-        );
-    }
-
-    #[test]
-    fn translate_range_reports_permission_errors() {
-        let mut t = table(TableMode::PageFaultCapable);
-        t.map(Vpn(0), FrameId(0), true);
-        t.map(Vpn(1), FrameId(1), false);
-        let mut seen = Vec::new();
-        t.translate_range(PageRange::new(Vpn(0), 2), true, |_, tr| seen.push(tr));
-        assert_eq!(seen, vec![Translation::Ok(FrameId(0)), Translation::Error]);
     }
 
     #[test]
@@ -532,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn huge_walk_range_and_probe_agree_with_small_pages() {
+    fn huge_ptes_and_probe_agree_with_small_pages() {
         let mut small = table(TableMode::PageFaultCapable);
         let mut huge = table(TableMode::PageFaultCapable);
         huge.set_huge_pages(true);
@@ -541,12 +460,9 @@ mod tests {
             huge.map(Vpn(512 + i), FrameId(7000 + i), true);
         }
         assert_eq!(huge.huge_ptes(), 1);
-        let range = PageRange::new(Vpn(500), 540);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        small.walk_range(range, |v, p| a.push((v, p)));
-        huge.walk_range(range, |v, p| b.push((v, p)));
-        assert_eq!(a, b, "huge walk is byte-identical to the 4 KiB walk");
+        for v in PageRange::new(Vpn(500), 540).iter() {
+            assert_eq!(huge.pte(v), small.pte(v), "folded PTE of {v:?}");
+        }
         assert!(huge.probe_range(PageRange::new(Vpn(512), HUGE_PAGES), true));
         assert!(!huge.probe_range(PageRange::new(Vpn(511), 2), false));
     }

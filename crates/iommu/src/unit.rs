@@ -1,77 +1,30 @@
-//! The IOMMU proper: domains + IOTLB + PRI-style fault reporting.
+//! The IOMMU proper: translation domains and their I/O page tables.
 //!
 //! This is the functional equivalent of the Connect-IB's on-NIC IOMMU
 //! (the paper uses it in place of ATS/PRI, §4 "Basic NPF Support"), and
 //! also stands in for a platform IOMMU for the Ethernet prototype.
 //!
-//! The unit keeps the IOTLB *coherent* with the page tables: `map` and
-//! `map_batch` refresh any cached entry in place and every invalidation
-//! purges the cache, so a TLB hit never needs to re-walk the table for
-//! permissions. [`Iommu::check_dma_range`] is the batched fast path: the
-//! cached prefix of a scatter-gather range is served from the TLB and
-//! the rest is resolved with a single table walk.
+//! The device translates one way: [`Iommu::probe_range`] reads the page
+//! table, and the table is the only translation state. What the paper's
+//! figures depend on is that a PTE may be non-present and that an
+//! invalidation has a price (Fig. 2 a–d, Fig. 3b); the price lives in
+//! `npf_core::cost`, not here. There is no translation cache and no
+//! page-request queue: `npf_core::NpfEngine::dma_ready` probes, and on a
+//! miss the engine itself raises the NPF with the complete fault set.
 
 use memsim::types::{FrameId, PageRange, Vpn};
 use simcore::chaos::invariant;
 use simcore::journal;
-use simcore::trace::{self, ArgValue, MetricId};
+use simcore::trace::{self, MetricId};
 
-use crate::iotlb::IoTlb;
-use crate::pagetable::{DomainId, IoPageTable, TableMode, Translation, HUGE_PAGES};
-
-/// An outstanding page request (the PRI analogue). The NIC hands the
-/// driver as much context as it can — the paper's third optimization
-/// exploits this to batch page-table updates instead of the
-/// one-page-per-PRI-request discipline ATS/PRI mandates (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageRequest {
-    /// Unique request id.
-    pub id: u64,
-    /// Faulting domain.
-    pub domain: DomainId,
-    /// Faulting page.
-    pub vpn: Vpn,
-    /// Whether the access was a write.
-    pub write: bool,
-}
-
-/// Outcome of an IOMMU access check for one DMA page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DmaCheck {
-    /// Translation succeeded.
-    Ok(FrameId),
-    /// Page fault; a [`PageRequest`] was queued for the driver.
-    Fault(PageRequest),
-    /// Fatal translation error (pinned-only table miss or permission
-    /// violation).
-    Error,
-}
-
-/// Outcome of an IOMMU access check for a whole DMA range.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RangeCheck {
-    /// Every page translated; the DMA may proceed.
-    Ok,
-    /// One or more pages faulted; the page requests were queued and are
-    /// repeated here (ascending vpn) for the driver's batched
-    /// resolution.
-    Fault(Vec<PageRequest>),
-    /// Fatal translation error. Requests queued for pages before the
-    /// erroring one remain queued.
-    Error,
-}
+use crate::pagetable::{DomainId, IoPageTable, TableMode, HUGE_PAGES};
 
 /// Interned metric ids for the unit's hot-path counters (resolved once
-/// per recorder instead of hashing the metric name per DMA page).
+/// per recorder instead of hashing the metric name per invalidation).
 #[derive(Debug, Clone, Copy)]
 struct MetricIds {
-    iotlb_hits: MetricId,
-    iotlb_misses: MetricId,
-    iotlb_evictions: MetricId,
-    page_requests: MetricId,
     invalidations: MetricId,
     invalidations_mapped: MetricId,
-    chaos_shootdowns: MetricId,
 }
 
 /// The I/O memory management unit.
@@ -80,36 +33,57 @@ pub struct Iommu {
     /// Indexed by `DomainId.0`; ids are handed out densely below.
     /// `None` = destroyed domain.
     tables: Vec<Option<IoPageTable>>,
-    tlb: IoTlb,
-    pending: Vec<PageRequest>,
-    next_request: u64,
     /// Invariant-note namespace: distinguishes this unit's domain and
     /// frame ids from other nodes' units inside one global checker.
     chaos_ns: u64,
-    /// 2 MiB PTE folding: applied to every table and mirrored into the
-    /// IOTLB as superpage entries.
+    /// 2 MiB PTE folding, applied to every table present and future.
     huge_enabled: bool,
     metric_ids: Option<MetricIds>,
-    /// TLB evictions already exported as metrics.
-    evictions_reported: u64,
+}
+
+// Residue of the deleted translation cache, kept only because the frozen
+// `benchmark/` still names it: the ignored `Iommu::new` argument,
+// `Iommu::tlb()` with its always-zero `TlbStats`, and the inert
+// `npf_core::NpfConfig::iotlb_entries` field. All three go in the
+// `benchmark/` refresh (ROADMAP "One current description").
+/// Lookup tallies of a translation cache the unit no longer has.
+#[derive(Debug, Clone, Copy)]
+pub struct TlbStats;
+
+impl TlbStats {
+    /// Always 0: no bed ever looked a translation up.
+    #[must_use]
+    pub fn hits(&self) -> u64 {
+        0
+    }
+
+    /// Always 0: no bed ever looked a translation up.
+    #[must_use]
+    pub fn misses(&self) -> u64 {
+        0
+    }
 }
 
 impl Iommu {
-    /// Creates an IOMMU with an IOTLB of `tlb_entries` translations.
+    /// Creates an IOMMU with no domains. The argument is ignored.
     #[must_use]
-    pub fn new(tlb_entries: usize) -> Self {
+    pub fn new(_tlb_entries: usize) -> Self {
         Iommu {
             tables: Vec::new(),
-            tlb: IoTlb::new(tlb_entries),
-            pending: Vec::new(),
-            next_request: 0,
             chaos_ns: 0,
             huge_enabled: false,
             metric_ids: None,
-            evictions_reported: 0,
         }
     }
 
+    /// Always-zero lookup tallies.
+    #[must_use]
+    pub fn tlb(&self) -> TlbStats {
+        TlbStats
+    }
+}
+
+impl Iommu {
     /// Enables (or disables) 2 MiB huge-page folding on every domain,
     /// present and future. Disabling splits existing folds.
     pub fn set_huge_pages(&mut self, enabled: bool) {
@@ -117,12 +91,6 @@ impl Iommu {
         for t in self.tables.iter_mut().flatten() {
             t.set_huge_pages(enabled);
         }
-    }
-
-    /// Whether huge-page folding is enabled.
-    #[must_use]
-    pub fn huge_pages_enabled(&self) -> bool {
-        self.huge_enabled
     }
 
     /// `(promotions, demotions)` summed over every live domain.
@@ -168,27 +136,6 @@ impl Iommu {
             .expect("unknown IOMMU domain")
     }
 
-    /// IOTLB statistics.
-    #[must_use]
-    pub fn tlb(&self) -> &IoTlb {
-        &self.tlb
-    }
-
-    /// Page requests raised but not yet drained by the driver.
-    #[must_use]
-    pub fn pending_requests(&self) -> &[PageRequest] {
-        &self.pending
-    }
-
-    /// Drains the pending page requests (the NPF interrupt handler path).
-    pub fn drain_requests(&mut self) -> Vec<PageRequest> {
-        let drained = std::mem::take(&mut self.pending);
-        if trace::enabled() && !drained.is_empty() {
-            trace::counter_now("iommu", "pri_queue_depth", 0.0);
-        }
-        drained
-    }
-
     /// The interned metric ids, resolving them on first use. `None`
     /// when no trace recorder is installed.
     fn metric_ids(&mut self) -> Option<MetricIds> {
@@ -196,13 +143,8 @@ impl Iommu {
             let mut ids = None;
             trace::metrics(|m| {
                 ids = Some(MetricIds {
-                    iotlb_hits: m.metric_id("iommu.iotlb_hits"),
-                    iotlb_misses: m.metric_id("iommu.iotlb_misses"),
-                    iotlb_evictions: m.metric_id("iommu.iotlb_evictions"),
-                    page_requests: m.metric_id("iommu.page_requests"),
                     invalidations: m.metric_id("iommu.invalidations"),
                     invalidations_mapped: m.metric_id("iommu.invalidations_mapped"),
-                    chaos_shootdowns: m.metric_id("iommu.chaos_shootdowns"),
                 });
             });
             self.metric_ids = ids;
@@ -210,209 +152,10 @@ impl Iommu {
         self.metric_ids
     }
 
-    /// Exports TLB hit/miss tallies (plus any fresh evictions) in one
-    /// registry access.
-    fn report_tlb(&mut self, hits: u64, misses: u64) {
-        let evicted = self.tlb.evictions() - self.evictions_reported;
-        self.evictions_reported = self.tlb.evictions();
-        if let Some(ids) = self.metric_ids() {
-            trace::metrics(|m| {
-                if hits > 0 {
-                    m.counter_add_id(ids.iotlb_hits, hits);
-                }
-                if misses > 0 {
-                    m.counter_add_id(ids.iotlb_misses, misses);
-                }
-                if evicted > 0 {
-                    m.counter_add_id(ids.iotlb_evictions, evicted);
-                }
-            });
-        }
-    }
-
-    /// Queues a page request for the driver, tracing it.
-    fn raise_request(&mut self, domain: DomainId, vpn: Vpn, write: bool) -> PageRequest {
-        let req = PageRequest {
-            id: self.next_request,
-            domain,
-            vpn,
-            write,
-        };
-        self.next_request += 1;
-        self.pending.push(req);
-        if trace::enabled() {
-            trace::instant_now(
-                "iommu",
-                "page_request",
-                vec![
-                    ("request_id", ArgValue::U64(req.id)),
-                    ("vpn", ArgValue::U64(vpn.0)),
-                    ("write", ArgValue::Bool(write)),
-                ],
-            );
-            trace::counter_now("iommu", "pri_queue_depth", self.pending.len() as f64);
-            if let Some(ids) = self.metric_ids() {
-                trace::metrics(|m| m.counter_add_id(ids.page_requests, 1));
-            }
-        }
-        req
-    }
-
-    /// Checks one DMA page access, consulting the IOTLB then walking the
-    /// table; queues a [`PageRequest`] on a recoverable fault.
-    pub fn check_dma(&mut self, domain: DomainId, vpn: Vpn, write: bool) -> DmaCheck {
-        if let Some(entry) = self.tlb.lookup_entry(domain, vpn) {
-            // The cached permission bit is authoritative: map/invalidate
-            // keep the TLB coherent, so no table re-check is needed.
-            if write && !entry.writable {
-                return DmaCheck::Error;
-            }
-            if trace::enabled() {
-                self.report_tlb(1, 0);
-            }
-            return DmaCheck::Ok(entry.frame);
-        }
-        let table = self.table_mut(domain);
-        match table.translate(vpn, write) {
-            Translation::Ok(frame) => {
-                if table.is_huge(vpn) {
-                    // Fill the whole 2 MiB reach instead of one page.
-                    self.sync_super(domain, vpn);
-                } else {
-                    let writable = table.pte(vpn).is_some_and(|p| p.writable);
-                    self.tlb.insert_pte(domain, vpn, frame, writable);
-                }
-                if trace::enabled() {
-                    self.report_tlb(0, 1);
-                }
-                DmaCheck::Ok(frame)
-            }
-            Translation::Fault => DmaCheck::Fault(self.raise_request(domain, vpn, write)),
-            Translation::Error => DmaCheck::Error,
-        }
-    }
-
-    /// Checks a whole DMA range: the TLB-cached prefix is consumed page
-    /// by page, then *one* table walk resolves the rest of the range —
-    /// contiguous present pages fill the TLB (extending its level-0
-    /// run), missing pages queue page requests (all of them, so the
-    /// driver sees the complete fault set in one interrupt, §4).
-    pub fn check_dma_range(
-        &mut self,
-        domain: DomainId,
-        range: PageRange,
-        write: bool,
-    ) -> RangeCheck {
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut error = false;
-        let end = range.end().0;
-        let mut vpn = range.start.0;
-        // TLB fast path: serve cached translations until the first miss.
-        while vpn < end {
-            match self.tlb.lookup_entry(domain, Vpn(vpn)) {
-                Some(e) => {
-                    if write && !e.writable {
-                        error = true;
-                        break;
-                    }
-                    hits += 1;
-                    vpn += 1;
-                }
-                None => {
-                    misses += 1;
-                    break;
-                }
-            }
-        }
-        let mut faulted: Vec<(Vpn, bool)> = Vec::new();
-        let mut filled = 0u64;
-        let walk_pages = if error { 0 } else { end.saturating_sub(vpn) };
-        if !error && vpn < end {
-            // Chunks of the remainder that are already folded: their
-            // pages fill through one superpage entry after the walk
-            // instead of 512 individual fills.
-            let mut folded: Vec<u64> = Vec::new();
-            if self.huge_enabled {
-                let t = self.table(domain);
-                for c in (vpn / HUGE_PAGES)..=((end - 1) / HUGE_PAGES) {
-                    if t.is_huge(Vpn(c * HUGE_PAGES)) {
-                        folded.push(c);
-                    }
-                }
-            }
-            // Single walk for the remainder. Pages the TLB did cache
-            // past the first miss are simply re-filled — the table is
-            // authoritative and coherent with the cache.
-            let rest = PageRange::new(Vpn(vpn), end - vpn);
-            let table = self
-                .tables
-                .get_mut(domain.0 as usize)
-                .and_then(Option::as_mut)
-                .expect("unknown IOMMU domain");
-            let mode = table.mode();
-            let tlb = &mut self.tlb;
-            table.walk_range(rest, |page, pte| {
-                if error {
-                    return;
-                }
-                match pte {
-                    Some(p) if write && !p.writable => error = true,
-                    Some(p) => {
-                        if folded.binary_search(&(page.0 / HUGE_PAGES)).is_err() {
-                            tlb.insert_pte(domain, page, p.frame, p.writable);
-                        }
-                        filled += 1;
-                    }
-                    None => match mode {
-                        TableMode::PageFaultCapable => faulted.push((page, write)),
-                        TableMode::PinnedOnly => error = true,
-                    },
-                }
-            });
-            for c in folded {
-                self.sync_super(domain, Vpn(c * HUGE_PAGES));
-            }
-        }
-        if trace::enabled() {
-            self.report_tlb(hits, misses);
-        }
-        if journal::enabled() && walk_pages > 0 {
-            journal::mark(journal::MarkKind::IommuWalk, walk_pages);
-            if filled > 0 {
-                journal::mark(journal::MarkKind::IotlbFill, filled);
-            }
-        }
-        let requests: Vec<PageRequest> = faulted
-            .into_iter()
-            .map(|(page, w)| self.raise_request(domain, page, w))
-            .collect();
-        if error {
-            RangeCheck::Error
-        } else if requests.is_empty() {
-            RangeCheck::Ok
-        } else {
-            RangeCheck::Fault(requests)
-        }
-    }
-
-    /// Probes whether a DMA would succeed, *without* raising a page
-    /// request or touching statistics. The NIC's backup-ring logic uses
-    /// this for `is_descriptor_present` checks (Figure 6).
-    #[must_use]
-    pub fn probe(&self, domain: DomainId, vpn: Vpn, write: bool) -> bool {
-        match self
-            .tables
-            .get(domain.0 as usize)
-            .and_then(Option::as_ref)
-            .and_then(|t| t.pte(vpn))
-        {
-            Some(pte) => !write || pte.writable,
-            None => false,
-        }
-    }
-
-    /// Probes an entire range in one pass over the table.
+    /// Whether a DMA to every page of `range` would succeed, in one
+    /// pass over the table and without side effects: the
+    /// `is_descriptor_present` check of Figure 6 and the only way the
+    /// device translates.
     #[must_use]
     pub fn probe_range(&self, domain: DomainId, range: PageRange, write: bool) -> bool {
         self.tables
@@ -422,80 +165,29 @@ impl Iommu {
     }
 
     /// Installs a mapping (driver resolving a fault, Figure 2 step 4).
-    /// Any cached translation is refreshed in place, keeping the TLB
-    /// coherent.
     pub fn map(&mut self, domain: DomainId, vpn: Vpn, frame: FrameId, writable: bool) {
-        invariant::note_frame_mapped(
-            (self.chaos_ns << 32) | u64::from(domain.0),
-            vpn.0,
-            (self.chaos_ns << 40) | frame.0,
-        );
-        self.table_mut(domain).map(vpn, frame, writable);
-        self.tlb.refresh(domain, vpn, frame, writable);
-        if self.huge_enabled {
-            self.sync_super(domain, vpn);
-        }
+        let chaos_ns = self.chaos_ns;
+        install(self.table_mut(domain), chaos_ns, vpn, frame, writable);
     }
 
-    /// Mirrors a fresh page-table fold covering `vpn` into the IOTLB as
-    /// a superpage entry (no-op when the chunk is not folded or the
-    /// superpage is already cached).
-    fn sync_super(&mut self, domain: DomainId, vpn: Vpn) {
-        let table = self.table(domain);
-        if !table.is_huge(vpn) || self.tlb.super_cached(domain, vpn) {
-            return;
-        }
-        let base = Vpn(vpn.0 & !(HUGE_PAGES - 1));
-        let pte = table.pte(base).expect("folded chunk has a base pte");
-        self.tlb.insert_super(domain, base, pte.frame, pte.writable);
-        if journal::enabled() {
-            journal::mark(journal::MarkKind::HugePromote, base.0);
-        }
-    }
-
-    /// Installs a run of mappings with consecutive frames. Used by the
-    /// batched resolution path.
+    /// Installs a run of mappings. Used by the batched resolution path.
     pub fn map_batch(&mut self, domain: DomainId, mappings: &[(Vpn, FrameId)], writable: bool) {
         let chaos_ns = self.chaos_ns;
-        let table = self
-            .tables
-            .get_mut(domain.0 as usize)
-            .and_then(Option::as_mut)
-            .expect("unknown IOMMU domain");
-        let promos_before = table.promotions();
+        let table = self.table_mut(domain);
         for &(vpn, frame) in mappings {
-            invariant::note_frame_mapped(
-                (chaos_ns << 32) | u64::from(domain.0),
-                vpn.0,
-                (chaos_ns << 40) | frame.0,
-            );
-            table.map(vpn, frame, writable);
-            self.tlb.refresh(domain, vpn, frame, writable);
-        }
-        if self.huge_enabled && self.table(domain).promotions() > promos_before {
-            // One or more chunks folded during the batch: mirror each
-            // (distinct chunks in ascending mapping order) into the TLB.
-            let mut last_chunk = u64::MAX;
-            for &(vpn, _) in mappings {
-                let chunk = vpn.0 / HUGE_PAGES;
-                if chunk != last_chunk {
-                    last_chunk = chunk;
-                    self.sync_super(domain, vpn);
-                }
-            }
+            install(table, chaos_ns, vpn, frame, writable);
         }
     }
 
-    /// Invalidates one page: removes the PTE and purges the IOTLB.
-    /// Returns `true` when the page was mapped (the paper's invalidation
-    /// flow short-circuits when it was not, Figure 3b).
+    /// Invalidates one page: removes the PTE. Returns `true` when the
+    /// page was mapped (the paper's invalidation flow short-circuits
+    /// when it was not, Figure 3b).
     pub fn invalidate(&mut self, domain: DomainId, vpn: Vpn) -> bool {
         invariant::note_frame_unmapped((self.chaos_ns << 32) | u64::from(domain.0), vpn.0);
-        self.tlb.invalidate(domain, vpn);
         let table = self.table_mut(domain);
         let demotions_before = table.demotions();
         let was_mapped = table.unmap(vpn);
-        if journal::enabled() && self.table(domain).demotions() > demotions_before {
+        if table.demotions() > demotions_before && journal::enabled() {
             journal::mark(journal::MarkKind::HugeDemote, vpn.0 & !(HUGE_PAGES - 1));
         }
         if trace::enabled() {
@@ -519,11 +211,10 @@ impl Iommu {
                 invariant::note_frame_unmapped((self.chaos_ns << 32) | u64::from(domain.0), vpn.0);
             }
         }
-        self.tlb.invalidate_range(domain, range);
         let table = self.table_mut(domain);
         let demotions_before = table.demotions();
         let mapped = table.unmap_range(range);
-        if journal::enabled() && self.table(domain).demotions() > demotions_before {
+        if table.demotions() > demotions_before && journal::enabled() {
             journal::mark(
                 journal::MarkKind::HugeDemote,
                 range.start.0 & !(HUGE_PAGES - 1),
@@ -543,35 +234,33 @@ impl Iommu {
     /// Tears down a domain entirely.
     pub fn destroy_domain(&mut self, domain: DomainId) {
         invariant::note_domain_destroyed((self.chaos_ns << 32) | u64::from(domain.0));
-        self.tlb.invalidate_domain(domain);
         if let Some(t) = self.tables.get_mut(domain.0 as usize) {
             *t = None;
         }
     }
+}
 
-    /// Flushes the whole IOTLB — the chaos injection point for
-    /// shootdown races. Translations are re-walked on the next access;
-    /// page tables are untouched, so this is always safe (the property
-    /// the chaos sweep verifies).
-    pub fn shootdown_all(&mut self) -> u64 {
-        let flushed = self.tlb.flush();
-        if trace::enabled() && flushed > 0 {
-            trace::instant_now(
-                "iommu",
-                "chaos_shootdown",
-                vec![("flushed", ArgValue::U64(flushed))],
-            );
-            if let Some(ids) = self.metric_ids() {
-                trace::metrics(|m| m.counter_add_id(ids.chaos_shootdowns, 1));
-            }
-        }
-        flushed
+/// Installs one PTE, journalling the fold when the map completes a
+/// 2 MiB chunk. The mark follows `IoPageTable::promotions`, so an
+/// identical re-map of a page in an already folded chunk marks nothing.
+fn install(table: &mut IoPageTable, chaos_ns: u64, vpn: Vpn, frame: FrameId, writable: bool) {
+    invariant::note_frame_mapped(
+        (chaos_ns << 32) | u64::from(table.domain().0),
+        vpn.0,
+        (chaos_ns << 40) | frame.0,
+    );
+    let promotions_before = table.promotions();
+    table.map(vpn, frame, writable);
+    if table.promotions() > promotions_before && journal::enabled() {
+        journal::mark(journal::MarkKind::HugePromote, vpn.0 & !(HUGE_PAGES - 1));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pagetable::IoPte;
+    use simcore::journal::{self, MarkKind};
 
     fn odp_iommu() -> (Iommu, DomainId) {
         let mut mmu = Iommu::new(64);
@@ -579,64 +268,39 @@ mod tests {
         (mmu, d)
     }
 
+    fn probe(mmu: &Iommu, d: DomainId, vpn: u64, write: bool) -> bool {
+        mmu.probe_range(d, PageRange::new(Vpn(vpn), 1), write)
+    }
+
+    fn pte(frame: u64, writable: bool) -> Option<IoPte> {
+        Some(IoPte {
+            frame: FrameId(frame),
+            writable,
+        })
+    }
+
+    /// What the device sees for one page: `(read ok, write ok, PTE)`.
+    fn verdict(mmu: &Iommu, d: DomainId, vpn: u64) -> (bool, bool, Option<IoPte>) {
+        (
+            probe(mmu, d, vpn, false),
+            probe(mmu, d, vpn, true),
+            mmu.table(d).pte(Vpn(vpn)),
+        )
+    }
+
+    fn chunk(base: u64, frame0: u64) -> Vec<(Vpn, FrameId)> {
+        (0..HUGE_PAGES)
+            .map(|i| (Vpn(base + i), FrameId(frame0 + i)))
+            .collect()
+    }
+
     #[test]
-    fn mapped_dma_succeeds() {
+    fn invalidate_removes_the_translation() {
         let (mut mmu, d) = odp_iommu();
         mmu.map(d, Vpn(1), FrameId(10), true);
-        assert_eq!(mmu.check_dma(d, Vpn(1), true), DmaCheck::Ok(FrameId(10)));
-        // Second access hits the IOTLB.
-        assert_eq!(mmu.check_dma(d, Vpn(1), true), DmaCheck::Ok(FrameId(10)));
-        assert_eq!(mmu.tlb().hits(), 1);
-    }
-
-    #[test]
-    fn unmapped_dma_raises_page_request() {
-        let (mut mmu, d) = odp_iommu();
-        let check = mmu.check_dma(d, Vpn(3), true);
-        let DmaCheck::Fault(req) = check else {
-            panic!("expected fault, got {check:?}");
-        };
-        assert_eq!(req.domain, d);
-        assert_eq!(req.vpn, Vpn(3));
-        assert!(req.write);
-        assert_eq!(mmu.pending_requests().len(), 1);
-        let drained = mmu.drain_requests();
-        assert_eq!(drained, vec![req]);
-        assert!(mmu.pending_requests().is_empty());
-    }
-
-    #[test]
-    fn request_ids_are_unique() {
-        let (mut mmu, d) = odp_iommu();
-        let DmaCheck::Fault(a) = mmu.check_dma(d, Vpn(1), false) else {
-            panic!("fault")
-        };
-        let DmaCheck::Fault(b) = mmu.check_dma(d, Vpn(2), false) else {
-            panic!("fault")
-        };
-        assert_ne!(a.id, b.id);
-    }
-
-    #[test]
-    fn pinned_only_domain_errors_instead_of_faulting() {
-        let mut mmu = Iommu::new(16);
-        let d = mmu.create_domain(TableMode::PinnedOnly);
-        assert_eq!(mmu.check_dma(d, Vpn(1), false), DmaCheck::Error);
-        assert!(mmu.pending_requests().is_empty());
-    }
-
-    #[test]
-    fn invalidate_purges_tlb_and_table() {
-        let (mut mmu, d) = odp_iommu();
-        mmu.map(d, Vpn(1), FrameId(10), true);
-        mmu.check_dma(d, Vpn(1), false); // warm the TLB
+        assert!(probe(&mmu, d, 1, true));
         assert!(mmu.invalidate(d, Vpn(1)));
-        // After invalidation the access faults instead of using a stale
-        // translation.
-        assert!(matches!(
-            mmu.check_dma(d, Vpn(1), false),
-            DmaCheck::Fault(_)
-        ));
+        assert_eq!(verdict(&mmu, d, 1), (false, false, None));
     }
 
     #[test]
@@ -646,13 +310,12 @@ mod tests {
     }
 
     #[test]
-    fn probe_does_not_fault() {
+    fn probe_range_reports_presence_and_permission() {
         let (mut mmu, d) = odp_iommu();
-        assert!(!mmu.probe(d, Vpn(1), false));
-        assert!(mmu.pending_requests().is_empty());
+        assert!(!probe(&mmu, d, 1, false));
         mmu.map(d, Vpn(1), FrameId(1), false);
-        assert!(mmu.probe(d, Vpn(1), false));
-        assert!(!mmu.probe(d, Vpn(1), true), "read-only blocks writes");
+        assert!(probe(&mmu, d, 1, false));
+        assert!(!probe(&mmu, d, 1, true), "read-only blocks writes");
         assert!(!mmu.probe_range(d, PageRange::new(Vpn(0), 2), false));
     }
 
@@ -670,60 +333,10 @@ mod tests {
         let d0 = mmu.create_domain(TableMode::PageFaultCapable);
         let d1 = mmu.create_domain(TableMode::PageFaultCapable);
         mmu.map(d0, Vpn(1), FrameId(1), true);
-        assert!(matches!(
-            mmu.check_dma(d1, Vpn(1), false),
-            DmaCheck::Fault(_)
-        ));
+        assert_eq!(verdict(&mmu, d0, 1), (true, true, pte(1, true)));
+        assert_eq!(verdict(&mmu, d1, 1), (false, false, None));
         mmu.destroy_domain(d0);
-        assert!(!mmu.probe(d0, Vpn(1), false));
-    }
-
-    #[test]
-    fn range_check_resolves_whole_run_in_one_walk() {
-        let (mut mmu, d) = odp_iommu();
-        let mappings: Vec<(Vpn, FrameId)> = (0..8).map(|i| (Vpn(i), FrameId(100 + i))).collect();
-        mmu.map_batch(d, &mappings, true);
-        assert_eq!(
-            mmu.check_dma_range(d, PageRange::new(Vpn(0), 8), true),
-            RangeCheck::Ok
-        );
-        assert_eq!(mmu.table(d).walks(), 1, "one walk fills all 8 pages");
-        // Every page now hits — the second pass never walks the table.
-        assert_eq!(
-            mmu.check_dma_range(d, PageRange::new(Vpn(0), 8), true),
-            RangeCheck::Ok
-        );
-        assert_eq!(mmu.table(d).walks(), 1);
-        assert_eq!(mmu.tlb().hits(), 8);
-    }
-
-    #[test]
-    fn range_check_queues_complete_fault_set() {
-        let (mut mmu, d) = odp_iommu();
-        mmu.map(d, Vpn(1), FrameId(1), true);
-        let RangeCheck::Fault(reqs) = mmu.check_dma_range(d, PageRange::new(Vpn(0), 4), true)
-        else {
-            panic!("expected faults");
-        };
-        let vpns: Vec<u64> = reqs.iter().map(|r| r.vpn.0).collect();
-        assert_eq!(vpns, vec![0, 2, 3], "ascending, complete, skips mapped");
-        assert_eq!(mmu.pending_requests().len(), 3);
-    }
-
-    #[test]
-    fn range_check_write_through_readonly_is_fatal() {
-        let (mut mmu, d) = odp_iommu();
-        mmu.map(d, Vpn(0), FrameId(0), true);
-        mmu.map(d, Vpn(1), FrameId(1), false);
-        assert_eq!(
-            mmu.check_dma_range(d, PageRange::new(Vpn(0), 2), true),
-            RangeCheck::Error
-        );
-        // The same range reads fine.
-        assert_eq!(
-            mmu.check_dma_range(d, PageRange::new(Vpn(0), 2), false),
-            RangeCheck::Ok
-        );
+        assert!(!probe(&mmu, d0, 1, false));
     }
 
     #[test]
@@ -731,128 +344,82 @@ mod tests {
         let mut mmu = Iommu::new(64);
         mmu.set_huge_pages(true);
         let d = mmu.create_domain(TableMode::PageFaultCapable);
-        let mappings: Vec<(Vpn, FrameId)> = (0..crate::pagetable::HUGE_PAGES)
-            .map(|i| (Vpn(512 + i), FrameId(9000 + i)))
-            .collect();
-        mmu.map_batch(d, &mappings, true);
+        mmu.map_batch(d, &chunk(512, 9000), true);
         assert_eq!(mmu.table(d).huge_ptes(), 1, "batch folded the chunk");
-        assert_eq!(mmu.tlb().super_len(), 1, "fold mirrored into the TLB");
         assert_eq!(mmu.huge_stats(), (1, 0));
-        // A DMA anywhere in the chunk hits through the superpage.
-        assert_eq!(
-            mmu.check_dma(d, Vpn(700), true),
-            DmaCheck::Ok(FrameId(9188))
-        );
-        assert_eq!(mmu.tlb().super_hits(), 1);
-        // One range check = pure TLB hits, no walk.
-        let walks = mmu.table(d).walks();
-        assert_eq!(
-            mmu.check_dma_range(d, PageRange::new(Vpn(512), 64), true),
-            RangeCheck::Ok
-        );
-        assert_eq!(mmu.table(d).walks(), walks, "superpage served the range");
-        // Partial invalidation demotes and purges the superpage.
+        // A DMA anywhere in the chunk translates through the fold.
+        assert_eq!(verdict(&mmu, d, 700), (true, true, pte(9188, true)));
+        assert!(mmu.probe_range(d, PageRange::new(Vpn(512), 64), true));
+        // Partial invalidation demotes the fold and unmaps only its page.
         assert!(mmu.invalidate(d, Vpn(600)));
         assert_eq!(mmu.table(d).huge_ptes(), 0);
-        assert_eq!(mmu.tlb().super_len(), 0);
         assert_eq!(mmu.huge_stats(), (1, 1));
-        assert!(matches!(
-            mmu.check_dma(d, Vpn(600), true),
-            DmaCheck::Fault(_)
-        ));
-        assert_eq!(
-            mmu.check_dma(d, Vpn(601), true),
-            DmaCheck::Ok(FrameId(9089))
-        );
+        assert_eq!(verdict(&mmu, d, 600), (false, false, None));
+        assert_eq!(verdict(&mmu, d, 601), (true, true, pte(9089, true)));
     }
 
     #[test]
     fn huge_mode_is_translation_equivalent_to_small_pages() {
         // The differential property in miniature: same op sequence, one
-        // unit folding, one not — every check must agree.
+        // unit folding, one not — every verdict must agree.
         let run = |huge: bool| {
             let mut mmu = Iommu::new(64);
             mmu.set_huge_pages(huge);
             let d = mmu.create_domain(TableMode::PageFaultCapable);
-            let mappings: Vec<(Vpn, FrameId)> = (0..crate::pagetable::HUGE_PAGES)
-                .map(|i| (Vpn(512 + i), FrameId(9000 + i)))
-                .collect();
-            mmu.map_batch(d, &mappings, true);
-            let mut out = String::new();
+            mmu.map_batch(d, &chunk(512, 9000), true);
+            let mut out = Vec::new();
             for vpn in [512u64, 700, 1023, 1024] {
-                out.push_str(&format!("{:?};", mmu.check_dma(d, Vpn(vpn), true)));
+                out.push(verdict(&mmu, d, vpn));
             }
             mmu.invalidate(d, Vpn(700));
             for vpn in [700u64, 701, 512] {
-                out.push_str(&format!("{:?};", mmu.check_dma(d, Vpn(vpn), false)));
+                out.push(verdict(&mmu, d, vpn));
             }
-            out.push_str(&format!(
-                "{:?}",
-                mmu.check_dma_range(d, PageRange::new(Vpn(512), 8), true)
-            ));
-            out
+            let head = mmu.probe_range(d, PageRange::new(Vpn(512), 8), true);
+            let hole = mmu.probe_range(d, PageRange::new(Vpn(696), 8), false);
+            (out, head, hole)
         };
-        // DmaCheck::Fault carries request ids which advance identically.
         assert_eq!(run(false), run(true));
     }
 
     #[test]
-    fn remap_refreshes_cached_translation() {
+    fn remap_replaces_the_translation() {
         let (mut mmu, d) = odp_iommu();
         mmu.map(d, Vpn(1), FrameId(10), true);
-        mmu.check_dma(d, Vpn(1), false); // warm the TLB
         mmu.map(d, Vpn(1), FrameId(20), true); // re-map in place
-        assert_eq!(
-            mmu.check_dma(d, Vpn(1), false),
-            DmaCheck::Ok(FrameId(20)),
-            "the cached translation must follow the re-map"
-        );
+        assert_eq!(verdict(&mmu, d, 1), (true, true, pte(20, true)));
     }
 
     #[test]
-    fn remap_to_readonly_blocks_cached_writes() {
+    fn remap_to_readonly_blocks_writes() {
         let (mut mmu, d) = odp_iommu();
         mmu.map(d, Vpn(1), FrameId(10), true);
-        mmu.check_dma(d, Vpn(1), true); // warm the TLB, writable
         mmu.map(d, Vpn(1), FrameId(10), false); // downgrade permissions
-        assert_eq!(mmu.check_dma(d, Vpn(1), true), DmaCheck::Error);
-        assert_eq!(mmu.check_dma(d, Vpn(1), false), DmaCheck::Ok(FrameId(10)));
-    }
-}
-
-#[cfg(test)]
-mod teardown_tests {
-    use super::*;
-
-    #[test]
-    fn destroy_domain_with_pending_requests() {
-        let mut mmu = Iommu::new(16);
-        let d = mmu.create_domain(TableMode::PageFaultCapable);
-        mmu.map(d, Vpn(1), FrameId(1), true);
-        mmu.check_dma(d, Vpn(1), false); // warm TLB
-        mmu.check_dma(d, Vpn(9), true); // pending request
-        mmu.destroy_domain(d);
-        // Pending requests for dead domains are the driver's to discard;
-        // the domain's TLB entries must be gone.
-        let stale: Vec<_> = mmu
-            .drain_requests()
-            .into_iter()
-            .filter(|r| r.domain == d)
-            .collect();
-        assert_eq!(stale.len(), 1, "driver sees and discards it");
-        assert!(!mmu.probe(d, Vpn(1), false), "mappings are gone");
+        assert_eq!(verdict(&mmu, d, 1), (true, false, pte(10, false)));
     }
 
+    /// Regression: the `huge_promote` journal mark follows the table's
+    /// promotion counter. It used to be emitted whenever a folded chunk
+    /// was missing from the translation cache's 8-entry superpage store,
+    /// so after 9 folds an identical re-map of a page in the first
+    /// (evicted) chunk marked a tenth promotion that never happened.
     #[test]
-    fn tlb_entries_scale_with_use() {
-        let mut mmu = Iommu::new(8);
+    fn huge_promote_marks_follow_the_promotion_counter() {
+        journal::install(journal::JournalRecorder::new());
+        let mut mmu = Iommu::new(64);
+        mmu.set_huge_pages(true);
         let d = mmu.create_domain(TableMode::PageFaultCapable);
-        for i in 0..32 {
-            mmu.map(d, Vpn(i), FrameId(i), true);
-            mmu.check_dma(d, Vpn(i), false);
+        for c in 0..9 {
+            mmu.map_batch(d, &chunk(c * HUGE_PAGES, 100_000 * (c + 1)), true);
         }
-        assert!(mmu.tlb().len() <= 8, "capacity bound holds");
-        assert!(mmu.tlb().misses() >= 24, "old entries were evicted");
-        assert!(mmu.tlb().evictions() >= 24, "evictions are counted");
+        mmu.map(d, Vpn(7), FrameId(100_007), true); // identical: stays folded
+        let marks = journal::uninstall()
+            .expect("installed above")
+            .marks()
+            .iter()
+            .filter(|m| m.kind == MarkKind::HugePromote)
+            .count();
+        assert_eq!(mmu.huge_stats().0, 9);
+        assert_eq!(marks, 9, "one mark per fold, none for the re-map");
     }
 }

@@ -1,13 +1,16 @@
 //! # nicsim — a simulated direct-I/O network controller
 //!
 //! Models the NIC hardware the paper modifies: SR-IOV IOchannels with
-//! port steering ([`sriov`]), IOMMU-checked DMA that reports *complete*
-//! fault sets ([`dma`]), transmit queues that stall on send-side NPFs
-//! ([`tx`]), interrupt moderation ([`interrupt`]), and — the heart of
-//! the Ethernet design — a faithful implementation of Figure 6's
-//! backup-ring hardware ([`rx`]): per-IOuser receive rings with
-//! `head`/`head_offset`/`bitmap` bookkeeping that preserves in-order
-//! delivery across receive-side page faults.
+//! port steering ([`sriov`]), interrupt moderation ([`interrupt`]), and
+//! — the heart of the Ethernet design — a faithful implementation of
+//! Figure 6's backup-ring hardware ([`rx`]): per-IOuser receive rings
+//! with `head`/`head_offset`/`bitmap` bookkeeping that preserves
+//! in-order delivery across receive-side page faults.
+//!
+//! The crate has no DMA engine or transmit queue of its own: whether a
+//! DMA may proceed is `npf_core::NpfEngine::dma_ready` over
+//! `iommu::Iommu::probe_range`, and send-side stalls are
+//! `rdmasim::RcQp::pump` behind a `rdmasim::DmaGate`.
 //!
 //! # Examples
 //!
@@ -29,16 +32,12 @@
 //! assert_eq!(rx.consume(RingId(0)), Some(("payload", 100)));
 //! ```
 
-pub mod dma;
 pub mod interrupt;
 pub mod rx;
 pub mod sriov;
-pub mod tx;
 
-pub use dma::{DmaEngine, DmaOutcome, DmaStats};
 pub use interrupt::{InterruptDecision, InterruptModerator};
 pub use rx::{
     BackupEntry, BackupPolicy, IoUserRing, RingId, RxDescriptor, RxEngine, RxFaultMode, RxVerdict,
 };
 pub use sriov::{Channel, ChannelId, ChannelTable};
-pub use tx::{TxDescriptor, TxQueue, TxState};

@@ -4,12 +4,13 @@
 //! the paper's §4 builds on — cumulative ACKs, sequence-error NAKs,
 //! go-back-N retransmission, and **RNR NACK** (the mechanism the
 //! modified firmware reuses to suspend senders on receive-side NPFs) —
-//! plus unreliable datagrams (UD) and a memory-region table
-//! distinguishing pinned from on-demand-paging (ODP) registrations.
+//! plus unreliable datagrams (UD).
 //!
 //! Every DMA a QP performs consults a [`types::DmaGate`]; the NPF engine
 //! in `npf-core` implements the gate over the IOMMU and host memory.
-//! Pinned channels use [`types::PinnedGate`] and never fault.
+//! Pinned channels use [`types::PinnedGate`] and never fault. Memory
+//! registration (pinned vs on-demand paging) is modelled by
+//! `npf_core::pinning`, not here.
 //!
 //! # Examples
 //!
@@ -30,13 +31,11 @@
 //! assert!(outs.iter().any(|o| matches!(o, QpOutput::Send { .. })));
 //! ```
 
-pub mod mr;
 pub mod psn_window;
 pub mod rc;
 pub mod types;
 pub mod ud;
 
-pub use mr::{MemoryRegion, MrKey, MrMode, MrTable};
 pub use psn_window::PsnWindow;
 pub use rc::{RcQp, RcStats};
 pub use types::{

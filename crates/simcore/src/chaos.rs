@@ -9,7 +9,7 @@
 //!    in `netsim::fabric`, lost and delayed interrupts in
 //!    `nicsim::interrupt`, NPF resolution delay/transient-failure/retry
 //!    in `core::npf`, memory-pressure bursts and eviction storms in
-//!    `memsim::manager`, IOTLB shootdown races in `iommu::unit`.
+//!    `memsim::manager`.
 //!
 //! 2. **Invariant checking.** An [`InvariantChecker`] installed
 //!    thread-locally (the same pattern as [`crate::trace`]) receives
@@ -168,26 +168,6 @@ impl MemChaos {
     }
 }
 
-/// IOTLB shootdown races injected at the IOMMU (`iommu::unit`).
-/// Evaluated once per chaos tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IommuChaos {
-    /// Probability of a full IOTLB shootdown this tick, racing in-flight
-    /// resolutions (correctness requires the next access to re-walk).
-    pub shootdown: f64,
-}
-
-impl IommuChaos {
-    /// No IOMMU faults.
-    pub const OFF: IommuChaos = IommuChaos { shootdown: 0.0 };
-
-    /// `true` when any IOMMU fault can fire.
-    #[must_use]
-    pub fn active(&self) -> bool {
-        self.shootdown > 0.0
-    }
-}
-
 /// PFC pause storms injected at the fabric (`netsim::fabric`): a rogue
 /// peer spraying 802.3x/PFC pause frames, stalling a victim's egress.
 /// Evaluated once per chaos tick per node.
@@ -224,7 +204,7 @@ impl PauseChaos {
 pub struct ChaosConfig {
     /// Seed of the chaos schedule (forked per fault class).
     pub seed: u64,
-    /// Period of the testbed's chaos tick (memory and IOMMU classes).
+    /// Period of the testbed's chaos tick (memory and pause classes).
     pub tick: SimDuration,
     /// Packet faults.
     pub net: NetChaos,
@@ -234,8 +214,6 @@ pub struct ChaosConfig {
     pub npf: NpfChaos,
     /// Memory-pressure faults.
     pub memory: MemChaos,
-    /// IOTLB shootdowns.
-    pub iommu: IommuChaos,
     /// PFC pause storms.
     pub pause: PauseChaos,
 }
@@ -257,7 +235,6 @@ impl ChaosConfig {
             interrupt: InterruptChaos::OFF,
             npf: NpfChaos::OFF,
             memory: MemChaos::OFF,
-            iommu: IommuChaos::OFF,
             pause: PauseChaos::OFF,
         }
     }
@@ -269,7 +246,6 @@ impl ChaosConfig {
             || self.interrupt.active()
             || self.npf.active()
             || self.memory.active()
-            || self.iommu.active()
             || self.pause.active()
     }
 
@@ -315,13 +291,6 @@ impl ChaosConfig {
         self
     }
 
-    /// Sets the IOTLB-shootdown fault class.
-    #[must_use]
-    pub fn with_iommu(mut self, iommu: IommuChaos) -> Self {
-        self.iommu = iommu;
-        self
-    }
-
     /// Sets the PFC pause-storm fault class.
     #[must_use]
     pub fn with_pause(mut self, pause: PauseChaos) -> Self {
@@ -341,13 +310,11 @@ impl ChaosConfig {
             ChaosProfile::Interrupts => cfg.interrupt = PROFILE_IRQ,
             ChaosProfile::Npf => cfg.npf = PROFILE_NPF,
             ChaosProfile::Memory => cfg.memory = PROFILE_MEM,
-            ChaosProfile::Iommu => cfg.iommu = PROFILE_IOMMU,
             ChaosProfile::All => {
                 cfg.net = PROFILE_NET;
                 cfg.interrupt = PROFILE_IRQ;
                 cfg.npf = PROFILE_NPF;
                 cfg.memory = PROFILE_MEM;
-                cfg.iommu = PROFILE_IOMMU;
             }
         }
         cfg
@@ -388,8 +355,6 @@ const PROFILE_MEM: MemChaos = MemChaos {
     storm_pages: 64,
 };
 
-const PROFILE_IOMMU: IommuChaos = IommuChaos { shootdown: 0.20 };
-
 /// Named per-class fault profiles, one per injection layer plus the
 /// union.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -402,20 +367,17 @@ pub enum ChaosProfile {
     Npf,
     /// Memory-pressure bursts and eviction storms.
     Memory,
-    /// IOTLB shootdown races.
-    Iommu,
     /// All of the above at once.
     All,
 }
 
 impl ChaosProfile {
     /// Every profile, in a stable order (sweep tests iterate this).
-    pub const ALL: [ChaosProfile; 6] = [
+    pub const ALL: [ChaosProfile; 5] = [
         ChaosProfile::Network,
         ChaosProfile::Interrupts,
         ChaosProfile::Npf,
         ChaosProfile::Memory,
-        ChaosProfile::Iommu,
         ChaosProfile::All,
     ];
 
@@ -427,7 +389,6 @@ impl ChaosProfile {
             "interrupts" | "irq" => Some(ChaosProfile::Interrupts),
             "npf" => Some(ChaosProfile::Npf),
             "memory" | "mem" => Some(ChaosProfile::Memory),
-            "iommu" => Some(ChaosProfile::Iommu),
             "all" => Some(ChaosProfile::All),
             _ => None,
         }
@@ -441,7 +402,6 @@ impl ChaosProfile {
             ChaosProfile::Interrupts => "interrupts",
             ChaosProfile::Npf => "npf",
             ChaosProfile::Memory => "memory",
-            ChaosProfile::Iommu => "iommu",
             ChaosProfile::All => "all",
         }
     }
@@ -526,15 +486,6 @@ pub enum MemoryFate {
     },
 }
 
-/// IOTLB perturbation applied at one chaos tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IommuFate {
-    /// No shootdown this tick.
-    None,
-    /// Flush the whole IOTLB, racing in-flight resolutions.
-    ShootdownAll,
-}
-
 /// PFC pause decision for one node at one chaos tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PauseFate {
@@ -561,8 +512,6 @@ pub enum FaultPlan {
     Npf(NpfFate),
     /// Memory-pressure decision.
     Memory(MemoryFate),
-    /// IOTLB decision.
-    Iommu(IommuFate),
     /// PFC pause decision.
     Pause(PauseFate),
 }
@@ -580,7 +529,6 @@ pub struct ChaosEngine {
     irq_rng: SimRng,
     npf_rng: SimRng,
     mem_rng: SimRng,
-    iommu_rng: SimRng,
     pause_rng: SimRng,
     counters: Counters,
 }
@@ -597,8 +545,12 @@ impl ChaosEngine {
             irq_rng: root.fork(2),
             npf_rng: root.fork(3),
             mem_rng: root.fork(4),
-            iommu_rng: root.fork(5),
-            pause_rng: root.fork(6),
+            pause_rng: {
+                // Lane 5 belonged to a deleted fault class; `fork` draws
+                // from the root, so skip its draw to keep lane 6's stream.
+                root.next_u64();
+                root.fork(6)
+            },
             counters: Counters::new(),
         }
     }
@@ -631,7 +583,7 @@ impl ChaosEngine {
     /// Counts of injected faults per class: `net_drop`, `net_corrupt`,
     /// `net_duplicate`, `net_reorder`, `irq_lost`, `irq_delayed`,
     /// `npf_delay`, `npf_transient`, `mem_burst`, `mem_storm`,
-    /// `iommu_shootdown`.
+    /// `pause_storm`.
     #[must_use]
     pub fn counters(&self) -> &Counters {
         &self.counters
@@ -752,21 +704,6 @@ impl ChaosEngine {
         };
         self.trace_injection("memory", &FaultPlan::Memory(fate));
         fate
-    }
-
-    /// Draws the IOTLB decision for one chaos tick.
-    pub fn iommu_fate(&mut self) -> IommuFate {
-        let c = self.cfg.iommu;
-        if !c.active() {
-            return IommuFate::None;
-        }
-        if self.iommu_rng.chance(c.shootdown) {
-            self.counters.bump("iommu_shootdown");
-            let fate = IommuFate::ShootdownAll;
-            self.trace_injection("iommu", &FaultPlan::Iommu(fate));
-            return fate;
-        }
-        IommuFate::None
     }
 
     /// Draws the PFC pause decision for one node at one chaos tick.
@@ -1507,7 +1444,6 @@ mod tests {
             assert_eq!(a.interrupt_fate(), b.interrupt_fate());
             assert_eq!(a.npf_fate(), b.npf_fate());
             assert_eq!(a.memory_fate(), b.memory_fate());
-            assert_eq!(a.iommu_fate(), b.iommu_fate());
         }
         assert!(a.total_injected() > 0, "profile must actually inject");
     }
@@ -1529,7 +1465,6 @@ mod tests {
             assert_eq!(e.interrupt_fate(), InterruptFate::Deliver);
             assert_eq!(e.npf_fate(), NpfFate::Normal);
             assert_eq!(e.memory_fate(), MemoryFate::Calm);
-            assert_eq!(e.iommu_fate(), IommuFate::None);
         }
         assert_eq!(e.total_injected(), 0);
         assert!(!e.enabled());
@@ -1542,7 +1477,6 @@ mod tests {
             (ChaosProfile::Interrupts, "irq_delayed"),
             (ChaosProfile::Npf, "npf_delay"),
             (ChaosProfile::Memory, "mem_burst"),
-            (ChaosProfile::Iommu, "iommu_shootdown"),
         ] {
             let mut e = ChaosEngine::new(ChaosConfig::profile(profile, 7));
             for _ in 0..2000 {
@@ -1550,7 +1484,6 @@ mod tests {
                 e.interrupt_fate();
                 e.npf_fate();
                 e.memory_fate();
-                e.iommu_fate();
             }
             assert!(
                 e.counters().get(counter) > 0,

@@ -1,8 +1,8 @@
 //! A fast, deterministic hasher for simulator-internal maps.
 //!
 //! `std`'s default `SipHash` is DoS-resistant but costs tens of cycles
-//! per key — measurable on the per-packet fast paths (IOTLB index,
-//! key-value store, per-connection timer maps). The simulator needs no
+//! per key — measurable on the per-packet fast paths (TCP demux,
+//! key-value store, open-fault journal index). The simulator needs no
 //! DoS resistance: keys are small integers or tuples of them, generated
 //! by the simulation itself. This multiplicative hasher (the FxHash
 //! construction used by rustc) is a few cycles per word and — unlike

@@ -11,7 +11,7 @@
 //! * a per-fault [`FaultJournal`] of typed [`Phase`] slices whose
 //!   durations **sum exactly** to the fault's end-to-end latency
 //!   (Figure 3's (i)–(v) decomposition, plus queue/arbiter/chaos
-//!   phases), and a stream of [`Mark`] annotations (IOTLB fills,
+//!   phases), and a stream of [`Mark`] annotations (evictions,
 //!   backing fetches, replay drains) keyed by cause;
 //! * deterministic **critical-path extraction** (the longest blocking
 //!   chain of a fault, phase-attributed) and a per-tenant, per-phase
@@ -107,7 +107,7 @@ pub enum Phase {
     /// Fetching the page from the slow memory tier (NVM) instead of
     /// swap — tiered backing store migration time.
     TierMigrate,
-    /// Updating the device page tables / IOTLB (phase iv's HW share).
+    /// Updating the device page tables (phase iv's HW share).
     PtUpdate,
     /// Resuming the stalled DMA (phase v).
     Resume,
@@ -192,10 +192,6 @@ pub enum MarkKind {
     RxBackupDivert,
     /// The NIC dropped a faulting packet (drop mode / overflow).
     RxDrop,
-    /// An IOMMU page-table walk ran (detail = levels touched).
-    IommuWalk,
-    /// An IOTLB entry was filled (detail = vpn).
-    IotlbFill,
     /// The memory manager fetched a page from the backing store
     /// (detail = vpn).
     BackingFetch,
@@ -222,8 +218,6 @@ impl MarkKind {
             MarkKind::PacketArrival => "packet_arrival",
             MarkKind::RxBackupDivert => "rx_backup_divert",
             MarkKind::RxDrop => "rx_drop",
-            MarkKind::IommuWalk => "iommu_walk",
-            MarkKind::IotlbFill => "iotlb_fill",
             MarkKind::BackingFetch => "backing_fetch",
             MarkKind::Eviction => "eviction",
             MarkKind::ReplayDrain => "replay_drain",
@@ -1044,7 +1038,7 @@ mod tests {
             0,
             [1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         );
-        a.mark_at(SimTime::from_nanos(1), MarkKind::IotlbFill, 7);
+        a.mark_at(SimTime::from_nanos(1), MarkKind::Eviction, 7);
         let mut b = JournalRecorder::new();
         record_fault(
             &mut b,

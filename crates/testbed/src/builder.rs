@@ -1022,7 +1022,7 @@ mod tests {
             max_bytes: ByteSize::mib(16),
             ..MemcachedConfig::default()
         };
-        let config = EthConfig {
+        let mut config = EthConfig {
             instances: 2,
             conns_per_instance: 2,
             host_memory: ByteSize::mib(256),
@@ -1030,6 +1030,9 @@ mod tests {
             working_set_keys: 200,
             ..EthConfig::default()
         };
+        // Inert residue field: 0 used to panic in the IOTLB constructor
+        // instead of building; now it must change nothing, on either bed.
+        config.npf.iotlb_entries = 0;
         let mut a = EthScenario::from_config(config).build().expect("config");
         let mut b = ScenarioBuilder::ethernet()
             .instances(2)
@@ -1051,6 +1054,7 @@ mod tests {
             seed: 9,
             ..IbConfig::default()
         };
+        config.npf.iotlb_entries = 0;
         config.rc.transport = RdmaTransport::SelectiveRepeat;
         config.rc.bdp_packets = TransportConfig::irn().bdp_packets;
         let run = |mut c: IbCluster| {

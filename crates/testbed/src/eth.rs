@@ -27,7 +27,7 @@ use nicsim::sriov::ChannelTable;
 use npf_core::backup_driver::{BackupDriver, ResolveStep};
 use npf_core::npf::{NpfConfig, NpfEngine};
 use npf_core::{BackendKind, RX_BUFFER_BASE};
-use simcore::chaos::{invariant, ChaosConfig, ChaosEngine, IommuFate, MemoryFate, PacketFate};
+use simcore::chaos::{invariant, ChaosConfig, ChaosEngine, MemoryFate, PacketFate};
 use simcore::event::{EventQueue, EventToken};
 use simcore::journal::{self, CauseId};
 use simcore::rng::SimRng;
@@ -181,8 +181,8 @@ enum EthEvent {
         hit: bool,
     },
     Sample,
-    /// Periodic chaos heartbeat driving memory-pressure and IOTLB
-    /// shootdown injections. Re-arms itself while work is pending.
+    /// Periodic chaos heartbeat driving memory-pressure injections.
+    /// Re-arms itself while work is pending.
     ChaosTick,
 }
 
@@ -553,8 +553,7 @@ impl EthTestbed {
         }
     }
 
-    /// Applies one round of memory-pressure and IOTLB-shootdown chaos
-    /// to the server.
+    /// Applies one round of memory-pressure chaos to the server.
     fn chaos_tick(&mut self) {
         let Some(engine) = self.chaos.as_mut() else {
             return;
@@ -563,12 +562,6 @@ impl EthTestbed {
             MemoryFate::Calm => {}
             MemoryFate::PressureBurst { pages } | MemoryFate::EvictionStorm { pages } => {
                 self.engine.chaos_evict(pages);
-            }
-        }
-        match engine.iommu_fate() {
-            IommuFate::None => {}
-            IommuFate::ShootdownAll => {
-                self.engine.chaos_shootdown();
             }
         }
     }

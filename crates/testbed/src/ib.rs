@@ -23,7 +23,7 @@ use rdmasim::types::{
     Completion, DmaGate, GateDecision, MessageRange, QpId, QpOutput, QpTimer, RcConfig, RcPacket,
     RecvWqe, SendOp, WrId,
 };
-use simcore::chaos::{invariant, ChaosConfig, ChaosEngine, IommuFate, MemoryFate, PauseFate};
+use simcore::chaos::{invariant, ChaosConfig, ChaosEngine, MemoryFate, PauseFate};
 use simcore::event::{EventQueue, EventToken};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
@@ -210,8 +210,8 @@ enum IbEvent {
     /// Clock sentinel (used to advance simulated time across CPU-side
     /// work that produces no packets).
     Nop,
-    /// Periodic chaos heartbeat driving memory-pressure and IOTLB
-    /// shootdown injections. Re-arms itself while work is pending.
+    /// Periodic chaos heartbeat driving memory-pressure and PFC
+    /// pause-storm injections. Re-arms itself while work is pending.
     ChaosTick,
 }
 
@@ -403,8 +403,8 @@ impl IbCluster {
         }
     }
 
-    /// Applies one round of memory-pressure, IOTLB-shootdown, and PFC
-    /// pause-storm chaos to every node.
+    /// Applies one round of memory-pressure and PFC pause-storm chaos
+    /// to every node.
     fn chaos_tick(&mut self, now: SimTime) {
         let Some(engine) = self.chaos.as_mut() else {
             return;
@@ -414,12 +414,6 @@ impl IbCluster {
                 MemoryFate::Calm => {}
                 MemoryFate::PressureBurst { pages } | MemoryFate::EvictionStorm { pages } => {
                     node.engine.chaos_evict(pages);
-                }
-            }
-            match engine.iommu_fate() {
-                IommuFate::None => {}
-                IommuFate::ShootdownAll => {
-                    node.engine.chaos_shootdown();
                 }
             }
             match engine.pause_fate() {

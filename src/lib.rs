@@ -8,11 +8,13 @@
 //! * [`simcore`] — time, events, RNG, statistics
 //! * [`memsim`] — host virtual memory (frames, demand paging, swap,
 //!   reclaim, page cache, cgroups)
-//! * [`iommu`] — I/O page tables, IOTLB, PRI-style fault reporting
+//! * [`iommu`] — translation domains, I/O page tables with non-present
+//!   entries, `probe_range`, invalidation
 //! * [`netsim`] — links, queues, flow control, switches
 //! * [`tcpsim`] — a sans-IO TCP (the cold-ring dynamics live here)
 //! * [`rdmasim`] — RC/UD queue pairs with RNR NACK
-//! * [`nicsim`] — rings, DMA engine, the Figure-6 backup ring
+//! * [`nicsim`] — receive rings, the Figure-6 backup ring, interrupts,
+//!   SR-IOV channels
 //! * [`npf_core`] — **the paper's contribution**: the NPF engine,
 //!   invalidation flow, backup-ring driver, and registration strategies
 //! * [`workloads`] — memcached/memaslap, storage, MPI, streams

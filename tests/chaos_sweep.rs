@@ -8,8 +8,8 @@
 //! - zero invariant violations (including `finish()`'s check that every
 //!   raised NPF resolved),
 //! - exactly-once, in-order, byte-exact delivery despite drops,
-//!   duplicates, reordering, corruption, interrupt loss, NPF delays,
-//!   eviction storms, and IOTLB shootdowns,
+//!   duplicates, reordering, corruption, interrupt loss, NPF delays
+//!   and eviction storms,
 //! - that the sweep as a whole exercised every fault class (so a
 //!   regression that silently disables an injection point fails here).
 //!
@@ -260,18 +260,18 @@ fn run_eth(chaos: ChaosConfig) -> HashMap<String, u64> {
 #[test]
 fn ib_chaos_sweep_holds_invariants() {
     let base = seed_base();
+    // Seed slot 3 belonged to a profile that no longer exists; the
+    // others keep the seeds they have always run with.
     let profiles = [
-        ChaosProfile::Network,
-        ChaosProfile::Npf,
-        ChaosProfile::Memory,
-        ChaosProfile::Iommu,
-        ChaosProfile::All,
+        (0, ChaosProfile::Network),
+        (1, ChaosProfile::Npf),
+        (2, ChaosProfile::Memory),
+        (4, ChaosProfile::All),
     ];
     let cells: Vec<ChaosConfig> = profiles
         .into_iter()
-        .enumerate()
         .flat_map(|(p, profile)| {
-            (0..2u64).map(move |s| ChaosConfig::profile(profile, base + (p as u64) * 100 + s))
+            (0..2u64).map(move |s| ChaosConfig::profile(profile, base + p * 100 + s))
         })
         .collect();
     let totals = sweep(cells, run_ib);
@@ -283,7 +283,6 @@ fn ib_chaos_sweep_holds_invariants() {
         "net_duplicate",
         "net_reorder",
         "npf_chaos_delays",
-        "iommu_shootdown",
     ] {
         assert!(
             totals.get(class).copied().unwrap_or(0) > 0,

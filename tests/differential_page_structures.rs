@@ -6,16 +6,13 @@
 //!
 //! * [`memsim::dense::PageMap`] vs `BTreeMap` (including the
 //!   direct/sparse boundary at 8 GiB of VA),
-//! * [`iommu::IoTlb`] (two-level: run cache + LRU slab) vs a
-//!   `Vec`-ordered reference LRU,
 //! * [`memsim::lru::LruTracker`] (intrusive slab lists) vs a
 //!   `VecDeque`-ordered reference,
 //! * huge-page [`iommu::IoPageTable`] (2 MiB folds, promote/demote) vs
 //!   a flat 4 KiB-only `BTreeMap` reference,
-//! * [`iommu::IoTlb`] superpage store (FIFO eviction, shadow drops) vs
-//!   a `Vec`-ordered reference,
 //! * a huge-enabled [`iommu::Iommu`] vs a 4 KiB-only unit: DMA verdicts
-//!   must be identical — folding is a pure performance transform.
+//!   (read and write `probe_range`, and the PTE each page translates
+//!   through) must be identical — folding only changes table shape.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -23,7 +20,7 @@ use std::collections::VecDeque;
 use proptest::prelude::*;
 
 use iommu::pagetable::HUGE_PAGES;
-use iommu::{DmaCheck, IoPageTable, IoTlb, Iommu, TableMode, Translation};
+use iommu::{IoPageTable, IoPte, Iommu, TableMode, Translation};
 use memsim::dense::PageMap;
 use memsim::lru::LruTracker;
 use memsim::types::{FrameId, PageRange, SpaceId, Vpn};
@@ -96,170 +93,6 @@ proptest! {
         let fast_all: Vec<(u64, u64)> = fast.iter().map(|(v, &t)| (v.0, t)).collect();
         let ref_all: Vec<(u64, u64)> = reference.iter().map(|(&v, &t)| (v, t)).collect();
         prop_assert_eq!(fast_all, ref_all, "iteration order or contents diverged");
-    }
-}
-
-// ---------------------------------------------------------------------
-// IoTlb vs a Vec-ordered reference LRU
-// ---------------------------------------------------------------------
-
-type TlbKey = (u32, u64);
-
-/// Reference model: recency as literal `Vec` order (oldest first).
-#[derive(Default)]
-struct RefTlb {
-    cap: usize,
-    entries: Vec<(TlbKey, (u64, bool))>,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-    evictions: u64,
-}
-
-impl RefTlb {
-    fn new(cap: usize) -> Self {
-        RefTlb {
-            cap,
-            ..RefTlb::default()
-        }
-    }
-
-    fn pos(&self, key: TlbKey) -> Option<usize> {
-        self.entries.iter().position(|&(k, _)| k == key)
-    }
-
-    fn lookup(&mut self, key: TlbKey) -> Option<(u64, bool)> {
-        match self.pos(key) {
-            Some(i) => {
-                let e = self.entries.remove(i);
-                self.entries.push(e);
-                self.hits += 1;
-                Some(e.1)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, key: TlbKey, val: (u64, bool)) {
-        if let Some(i) = self.pos(key) {
-            self.entries.remove(i);
-        } else if self.entries.len() >= self.cap {
-            self.entries.remove(0);
-            self.evictions += 1;
-        }
-        self.entries.push((key, val));
-    }
-
-    fn refresh(&mut self, key: TlbKey, val: (u64, bool)) {
-        if let Some(i) = self.pos(key) {
-            self.entries[i].1 = val;
-        }
-    }
-
-    fn invalidate(&mut self, key: TlbKey) -> bool {
-        match self.pos(key) {
-            Some(i) => {
-                self.entries.remove(i);
-                self.invalidations += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn flush(&mut self) -> u64 {
-        let n = self.entries.len() as u64;
-        self.entries.clear();
-        self.invalidations += n;
-        n
-    }
-
-    fn invalidate_domain(&mut self, domain: u32) -> u64 {
-        let before = self.entries.len();
-        self.entries.retain(|&((d, _), _)| d != domain);
-        let n = (before - self.entries.len()) as u64;
-        self.invalidations += n;
-        n
-    }
-
-    fn contains(&self, key: TlbKey) -> bool {
-        self.pos(key).is_some()
-    }
-}
-
-const TLB_DOMAINS: u32 = 3;
-const TLB_VPNS: u64 = 24;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The two-level IOTLB (per-domain run cache in front of the
-    /// intrusive LRU slab) is observably identical to a flat reference
-    /// LRU: same lookups, same counters, and the same eviction order —
-    /// the present set is compared over the whole key universe after
-    /// every operation.
-    #[test]
-    fn iotlb_matches_reference_lru(
-        ops in proptest::collection::vec(
-            (0u8..6, 0u32..TLB_DOMAINS, 0u64..TLB_VPNS, any::<bool>()),
-            1..300,
-        ),
-    ) {
-        let mut fast = IoTlb::new(8);
-        let mut reference = RefTlb::new(8);
-        for &(op, d, v, flag) in &ops {
-            let domain = iommu::DomainId(d);
-            let vpn = Vpn(v);
-            // Contiguous frames (vpn + 100) exercise the run cache's
-            // arithmetic extension; the offset variant breaks runs.
-            let frame = if flag { v + 100 } else { v + 7000 + u64::from(d) };
-            match op {
-                0 => {
-                    let got = fast.lookup_entry(domain, vpn).map(|e| (e.frame.0, e.writable));
-                    prop_assert_eq!(got, reference.lookup((d, v)));
-                }
-                1 => {
-                    fast.insert_pte(domain, vpn, FrameId(frame), flag);
-                    reference.insert((d, v), (frame, flag));
-                }
-                2 => {
-                    fast.refresh(domain, vpn, FrameId(frame), flag);
-                    reference.refresh((d, v), (frame, flag));
-                }
-                3 => {
-                    prop_assert_eq!(fast.invalidate(domain, vpn), reference.invalidate((d, v)));
-                }
-                4 => {
-                    prop_assert_eq!(fast.invalidate_domain(domain), reference.invalidate_domain(d));
-                }
-                _ => {
-                    // Rare full flush: weight it lightly by only acting
-                    // when the op draw also set the flag.
-                    if flag {
-                        prop_assert_eq!(fast.flush(), reference.flush());
-                    }
-                }
-            }
-            prop_assert_eq!(fast.hits(), reference.hits);
-            prop_assert_eq!(fast.misses(), reference.misses);
-            prop_assert_eq!(fast.invalidations(), reference.invalidations);
-            prop_assert_eq!(fast.evictions(), reference.evictions);
-            prop_assert_eq!(fast.len(), reference.entries.len());
-            // The full present set pins down the eviction order: any
-            // deviation in which entry was evicted shows up here.
-            for dd in 0..TLB_DOMAINS {
-                for vv in 0..TLB_VPNS {
-                    prop_assert_eq!(
-                        fast.pte_cached(iommu::DomainId(dd), Vpn(vv)),
-                        reference.contains((dd, vv)),
-                        "present set diverged at dom{} vpn{}", dd, vv
-                    );
-                }
-            }
-        }
     }
 }
 
@@ -509,161 +342,18 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// IoTlb superpage store vs a Vec-ordered FIFO reference
-// ---------------------------------------------------------------------
-
-/// Reference model of the TLB's superpage tier: FIFO order as literal
-/// `Vec` order (oldest first), alongside the surviving 4 KiB present
-/// set. Frames follow one fixed per-(domain, chunk) scheme so every
-/// lookup path (run cache, level-0 super, hash index, super store)
-/// synthesizes the same entry — the *presence* and *order* observables
-/// are what this model pins down.
-#[derive(Default)]
-struct RefSuperTlb {
-    cap: usize,
-    supers: Vec<((u32, u64), u64)>,
-    fourk: Vec<(u32, u64)>,
-    invalidations: u64,
-    evictions: u64,
-}
-
-impl RefSuperTlb {
-    fn super_pos(&self, key: (u32, u64)) -> Option<usize> {
-        self.supers.iter().position(|&(k, _)| k == key)
-    }
-
-    fn insert_super(&mut self, d: u32, chunk: u64, frame0: u64) {
-        match self.super_pos((d, chunk)) {
-            Some(i) => self.supers[i].1 = frame0,
-            None => {
-                if self.supers.len() >= self.cap {
-                    self.supers.remove(0);
-                    self.evictions += 1;
-                }
-                self.supers.push(((d, chunk), frame0));
-            }
-        }
-        // Shadowed 4 KiB entries drop silently (still servable through
-        // the fold), so they never count as invalidations.
-        self.fourk
-            .retain(|&(dd, v)| dd != d || v / HUGE_PAGES != chunk);
-    }
-
-    fn insert_pte(&mut self, d: u32, v: u64) {
-        if !self.fourk.contains(&(d, v)) {
-            self.fourk.push((d, v));
-        }
-    }
-
-    fn invalidate(&mut self, d: u32, v: u64) -> bool {
-        let mut dropped = false;
-        if let Some(i) = self.super_pos((d, v / HUGE_PAGES)) {
-            self.supers.remove(i);
-            self.invalidations += 1;
-            dropped = true;
-        }
-        if let Some(i) = self.fourk.iter().position(|&k| k == (d, v)) {
-            self.fourk.remove(i);
-            self.invalidations += 1;
-            dropped = true;
-        }
-        dropped
-    }
-
-    fn lookup(&self, d: u32, v: u64) -> Option<u64> {
-        if self.fourk.contains(&(d, v)) {
-            return Some(super_frame0(d, v / HUGE_PAGES) + v % HUGE_PAGES);
-        }
-        self.super_pos((d, v / HUGE_PAGES))
-            .map(|i| self.supers[i].1 + v % HUGE_PAGES)
-    }
-}
-
-/// The one frame scheme of the superpage differential: every chunk's
-/// base frame, from which both 4 KiB and superpage entries derive.
-fn super_frame0(d: u32, chunk: u64) -> u64 {
-    50_000 + u64::from(d) * 10_000 + chunk * HUGE_PAGES
-}
-
-const SUPER_DOMAINS: u32 = 2;
-const SUPER_CHUNKS: u64 = 12;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The superpage tier of the IOTLB behaves exactly like a FIFO
-    /// reference: insertion order decides eviction, re-inserting a cached
-    /// chunk refreshes in place without moving it, shadowed 4 KiB entries
-    /// drop silently, and invalidating any covered page drops the fold.
-    /// `IoTlb::new(64)` gives a super-capacity of 8, so 2x12 candidate
-    /// chunks force steady FIFO eviction.
-    #[test]
-    fn iotlb_superpage_store_matches_fifo_reference(
-        ops in proptest::collection::vec(
-            (0u8..5, 0u32..SUPER_DOMAINS, 0u64..SUPER_CHUNKS, 0u64..HUGE_PAGES, 1u64..700),
-            1..250,
-        ),
-    ) {
-        let mut fast = IoTlb::new(64);
-        let mut reference = RefSuperTlb { cap: 8, ..RefSuperTlb::default() };
-        for &(op, d, chunk, offset, len) in &ops {
-            let domain = iommu::DomainId(d);
-            let v = chunk * HUGE_PAGES + offset;
-            match op {
-                0 => {
-                    let base = Vpn(chunk * HUGE_PAGES);
-                    fast.insert_super(domain, base, FrameId(super_frame0(d, chunk)), true);
-                    reference.insert_super(d, chunk, super_frame0(d, chunk));
-                }
-                1 => {
-                    fast.insert_pte(domain, Vpn(v), FrameId(super_frame0(d, chunk) + offset), true);
-                    reference.insert_pte(d, v);
-                }
-                2 => {
-                    prop_assert_eq!(fast.invalidate(domain, Vpn(v)), reference.invalidate(d, v));
-                }
-                3 => {
-                    let end = (v + len).min(SUPER_CHUNKS * HUGE_PAGES);
-                    let range = PageRange::new(Vpn(v), end - v);
-                    let want = (v..end).filter(|&p| reference.invalidate(d, p)).count() as u64;
-                    prop_assert_eq!(fast.invalidate_range(domain, range), want);
-                }
-                _ => {
-                    let got = fast.lookup_entry(domain, Vpn(v)).map(|e| e.frame.0);
-                    prop_assert_eq!(got, reference.lookup(d, v), "lookup diverged at dom{} vpn{}", d, v);
-                }
-            }
-            prop_assert_eq!(fast.super_len(), reference.supers.len());
-            prop_assert_eq!(fast.len(), reference.fourk.len());
-            prop_assert_eq!(fast.invalidations(), reference.invalidations);
-            prop_assert_eq!(fast.evictions(), reference.evictions);
-            // The full present set pins the FIFO eviction order: evicting
-            // the wrong superpage shows up as a divergence here.
-            for dd in 0..SUPER_DOMAINS {
-                for cc in 0..SUPER_CHUNKS {
-                    prop_assert_eq!(
-                        fast.super_cached(iommu::DomainId(dd), Vpn(cc * HUGE_PAGES)),
-                        reference.super_pos((dd, cc)).is_some(),
-                        "superpage present set diverged at dom{} chunk{}", dd, cc
-                    );
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Huge-enabled Iommu vs a 4 KiB-only unit: identical DMA verdicts
 // ---------------------------------------------------------------------
 
-/// Normalizes a [`DmaCheck`] for cross-unit comparison: request ids are
-/// per-unit allocator state, so faults compare by (vpn, write) only.
-fn dma_verdict(check: &DmaCheck) -> (u8, u64, bool) {
-    match check {
-        DmaCheck::Ok(frame) => (0, frame.0, false),
-        DmaCheck::Fault(req) => (1, req.vpn.0, req.write),
-        DmaCheck::Error => (2, 0, false),
-    }
+/// What the device sees for one page: whether a read and a write DMA
+/// would proceed, and the PTE the page translates through.
+fn dma_verdict(unit: &Iommu, domain: iommu::DomainId, vpn: u64) -> (bool, bool, Option<IoPte>) {
+    let one = PageRange::new(Vpn(vpn), 1);
+    (
+        unit.probe_range(domain, one, false),
+        unit.probe_range(domain, one, true),
+        unit.table(domain).pte(Vpn(vpn)),
+    )
 }
 
 const UNIT_CHUNKS: u64 = 2;
@@ -672,14 +362,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Folding is translation-transparent end to end: a huge-enabled
-    /// IOMMU (page-table folds + IOTLB superpages + TLB coherence on
-    /// invalidate) returns exactly the DMA verdicts of a 4 KiB-only
-    /// unit under any interleaving of maps, batched maps, invalidations,
-    /// and checks. Only the performance counters may differ.
+    /// IOMMU returns exactly the DMA verdicts of a 4 KiB-only unit under
+    /// any interleaving of maps, batched maps, invalidations, and
+    /// probes. Only the fold counters may differ.
     #[test]
     fn huge_iommu_matches_plain_iommu_verdicts(
         ops in proptest::collection::vec(
-            (0u8..6, 0u64..UNIT_CHUNKS, 0u64..HUGE_PAGES, 1u64..600, any::<bool>(), any::<bool>()),
+            (0u8..5, 0u64..UNIT_CHUNKS, 0u64..HUGE_PAGES, 1u64..600, any::<bool>(), any::<bool>()),
             1..120,
         ),
     ) {
@@ -713,11 +402,6 @@ proptest! {
                     let range = PageRange::new(Vpn(v), end - v);
                     prop_assert_eq!(huge.invalidate_range(dh, range), plain.invalidate_range(dp, range));
                 }
-                4 => {
-                    let got = dma_verdict(&huge.check_dma(dh, Vpn(v), flag));
-                    let want = dma_verdict(&plain.check_dma(dp, Vpn(v), flag));
-                    prop_assert_eq!(got, want, "DMA verdict diverged at vpn {}", v);
-                }
                 _ => {
                     let end = (v + len).min(universe);
                     let range = PageRange::new(Vpn(v), end - v);
@@ -727,20 +411,14 @@ proptest! {
                     );
                 }
             }
-            // Per-page probe sweep of the op's chunk: presence and
-            // permissions must agree page-for-page right away.
+            // Per-page sweep of the op's chunk: presence, permissions
+            // and frames must agree page-for-page right away.
             let base = chunk * HUGE_PAGES;
             for p in base..base + HUGE_PAGES {
-                let one = PageRange::new(Vpn(p), 1);
                 prop_assert_eq!(
-                    huge.probe_range(dh, one, false),
-                    plain.probe_range(dp, one, false),
-                    "read probe diverged at vpn {}", p
-                );
-                prop_assert_eq!(
-                    huge.probe_range(dh, one, true),
-                    plain.probe_range(dp, one, true),
-                    "write probe diverged at vpn {}", p
+                    dma_verdict(&huge, dh, p),
+                    dma_verdict(&plain, dp, p),
+                    "DMA verdict diverged at vpn {}", p
                 );
             }
         }
@@ -749,9 +427,7 @@ proptest! {
         let (promos, demos) = huge.huge_stats();
         prop_assert!(promos >= demos);
         for p in 0..universe {
-            let one = PageRange::new(Vpn(p), 1);
-            prop_assert_eq!(huge.probe_range(dh, one, false), plain.probe_range(dp, one, false));
-            prop_assert_eq!(huge.probe_range(dh, one, true), plain.probe_range(dp, one, true));
+            prop_assert_eq!(dma_verdict(&huge, dh, p), dma_verdict(&plain, dp, p));
         }
         let (p2, d2) = plain.huge_stats();
         prop_assert_eq!((p2, d2), (0, 0), "huge-disabled unit must never fold");

@@ -1,9 +1,9 @@
-//! More property tests: IOTLB coherence and event-queue ordering.
+//! More property tests: IOMMU translation freshness and event-queue ordering.
 
 use proptest::prelude::*;
 
-use iommu::{DmaCheck, Iommu, TableMode};
-use memsim::types::{FrameId, Vpn};
+use iommu::{Iommu, TableMode};
+use memsim::types::{FrameId, PageRange, Vpn};
 use simcore::event::EventQueue;
 use simcore::time::SimTime;
 
@@ -11,11 +11,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The IOMMU never serves a stale translation: after any sequence
-    /// of map/invalidate/access operations, a successful DMA check
-    /// always returns the *current* mapping.
+    /// of map/invalidate operations, a probe succeeds iff the model has
+    /// the page, and the PTE holds the model's *current* frame.
     #[test]
-    fn iotlb_never_stale(ops in proptest::collection::vec((0u64..16, 0u8..3), 1..200)) {
-        let mut mmu = Iommu::new(4); // tiny TLB: lots of eviction traffic
+    fn translation_never_stale(ops in proptest::collection::vec((0u64..16, 0u8..3), 1..200)) {
+        let mut mmu = Iommu::new(4);
         let d = mmu.create_domain(TableMode::PageFaultCapable);
         let mut truth: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
         let mut version = 100u64;
@@ -34,19 +34,17 @@ proptest! {
                     truth.remove(&page);
                 }
                 _ => {
-                    match (mmu.check_dma(d, Vpn(page), true), truth.get(&page)) {
-                        (DmaCheck::Ok(f), Some(&v)) => prop_assert_eq!(f, FrameId(v)),
-                        (DmaCheck::Fault(_), None) => {}
-                        (got, want) => prop_assert!(
-                            false,
-                            "page {} -> {:?}, expected {:?}",
-                            page,
-                            got,
-                            want
-                        ),
-                    }
-                    // Clear any page request the check may have queued.
-                    mmu.drain_requests();
+                    let want = truth.get(&page).map(|&v| FrameId(v));
+                    prop_assert_eq!(
+                        mmu.probe_range(d, PageRange::new(Vpn(page), 1), true),
+                        want.is_some(),
+                        "page {} present?", page
+                    );
+                    prop_assert_eq!(
+                        mmu.table(d).pte(Vpn(page)).map(|p| p.frame),
+                        want,
+                        "page {} frame", page
+                    );
                 }
             }
         }

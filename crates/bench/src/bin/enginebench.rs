@@ -21,7 +21,9 @@ use std::time::Instant;
 
 use iommu::{Iommu, TableMode};
 use memsim::lru::LruTracker;
-use memsim::types::{FrameId, SpaceId, VirtAddr, Vpn};
+use memsim::manager::{MemConfig, MemoryManager};
+use memsim::space::Backing;
+use memsim::types::{FrameId, SpaceId, VirtAddr, Vpn, PAGE_SIZE};
 use netsim::fabric::Fabric;
 use netsim::link::LinkConfig;
 use netsim::packet::NodeId;
@@ -247,25 +249,61 @@ fn bench_prefetch_issue_8() -> Sample {
     })
 }
 
-/// LRU churn: touches over a working set with steady evictions — the
-/// reclaim bookkeeping that used to cost two `BTreeMap` updates per
-/// touch and now costs O(1) list splices.
+/// Reclaim's bookkeeping in steady state: uniform-random touches over
+/// 6144 pages with the tracked set held at 4096, so two touches in
+/// three promote a tracked page (relinked in place) and the third
+/// tracks a new one and pops the oldest. The tracker persists across
+/// iterations (it has been asked for an order, so it keeps one); one op
+/// is one touch with the eviction it may force.
 fn bench_lru_touch_evict() -> Sample {
-    measure("lru_touch_evict", 8192 + 4096, || {
-        let mut lru = LruTracker::new();
-        let s = SpaceId(0);
-        for i in 0..8192u64 {
-            lru.touch(s, Vpn(i % 6144));
-            // Keep the tracked set at 4096: evict once it grows past.
-            if lru.len() > 4096 {
-                lru.pop_oldest();
+    const PAGES: u64 = 6144;
+    const TRACKED: usize = 4096;
+    const OPS: u64 = 8192;
+    let mut lru = LruTracker::new();
+    let mut rng = SimRng::new(9);
+    let s = SpaceId(0);
+    measure("lru_touch_evict", OPS, || {
+        let mut popped = 0u64;
+        for _ in 0..OPS {
+            lru.touch(s, Vpn(rng.below(PAGES)));
+            if lru.len() > TRACKED {
+                popped += lru.pop_oldest().map_or(0, |(_, v)| v.0);
             }
         }
-        let mut drained = 0u64;
-        while let Some((_, v)) = lru.pop_oldest() {
-            drained = drained.wrapping_add(v.0);
+        std::hint::black_box(popped);
+    })
+}
+
+/// What `eth_memcached_warm` does a million times: a CPU touch of one
+/// of memcached's 786 432 resident pages (3 GiB), picked uniformly, on
+/// a host with memory to spare — nothing is ever reclaimed, so nothing
+/// has ever asked the LRU for an order. One op is one
+/// `MemoryManager::touch`.
+fn bench_touch_resident_768k() -> Sample {
+    const PAGES: u64 = 786_432;
+    const OPS: u64 = 4096;
+    let mut mm = MemoryManager::new(MemConfig {
+        total_memory: ByteSize::gib(8),
+        ..MemConfig::default()
+    });
+    let space = mm.create_space();
+    let region = mm
+        .mmap(
+            space,
+            ByteSize::bytes_exact(PAGES * PAGE_SIZE),
+            Backing::Anonymous,
+        )
+        .expect("3 GiB of address space");
+    for i in 0..PAGES {
+        mm.touch(space, Vpn(region.start.0 + i), true)
+            .expect("8 GiB hold 3");
+    }
+    let mut rng = SimRng::new(9);
+    measure("touch_resident_768k", OPS, || {
+        for _ in 0..OPS {
+            let vpn = Vpn(region.start.0 + rng.below(PAGES));
+            std::hint::black_box(mm.touch(space, vpn, false).is_ok());
         }
-        std::hint::black_box(drained);
     })
 }
 
@@ -364,6 +402,32 @@ fn bench_kv_evict_full_cache() -> Sample {
     }
     let mut client = Memaslap::new(ITEMS * 9, config.value_size, SimRng::new(9));
     measure("kv_evict_full_cache", OPS, || {
+        for _ in 0..OPS {
+            let (op, _) = client.next_op();
+            std::hint::black_box(app.process(op));
+        }
+    })
+}
+
+/// The same cache as `eth_memcached_warm` runs it: 1.8 M preloaded keys
+/// in 3 GiB of 1 KiB values (not full, so nothing evicts and no recency
+/// list exists) under memaslap's 90/10 mix over those keys — every GET
+/// hits. One op is one `process`.
+fn bench_kv_get_hit_1p8m() -> Sample {
+    const KEYS: u64 = 1_800_000;
+    const OPS: u64 = 4096;
+    let config = MemcachedConfig {
+        max_bytes: ByteSize::gib(3),
+        value_size: 1024,
+        ..MemcachedConfig::default()
+    };
+    let mut app = Memcached::new(config);
+    app.reserve_keys(KEYS);
+    for key in 0..KEYS {
+        app.process(KvOp::Set { key });
+    }
+    let mut client = Memaslap::new(KEYS, config.value_size, SimRng::new(9));
+    measure("kv_get_hit_1p8m", OPS, || {
         for _ in 0..OPS {
             let (op, _) = client.next_op();
             std::hint::black_box(app.process(op));
@@ -471,9 +535,11 @@ fn main() {
         bench_promote_512(),
         bench_prefetch_issue_8(),
         bench_lru_touch_evict(),
+        bench_touch_resident_768k(),
         bench_rc_stream_window64(),
         bench_fabric_star_send(),
         bench_kv_evict_full_cache(),
+        bench_kv_get_hit_1p8m(),
     ];
     for s in &samples {
         println!(

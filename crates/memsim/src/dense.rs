@@ -5,16 +5,19 @@
 //! by `vpn >> LEAF_BITS` for the dense low region every address space
 //! actually uses (mmap allocates upward from a small base; the testbeds'
 //! fixed I/O buffers sit a few thousand chunks up), with a hash-map
-//! fallback only for sparse outlier chunks beyond [`DIRECT_CHUNKS`]. A
+//! fallback (unseeded FxHash: it is only probed, never iterated
+//! unsorted) for sparse outlier chunks beyond [`DIRECT_CHUNKS`]. A
 //! lookup in the common case is two array indexes — no hashing, no tree
 //! walk — and a range scan resolves each leaf once per [`LEAF_LEN`]
 //! pages instead of once per page.
 //!
 //! Iteration order is ascending VPN (direct chunks in index order, then
 //! sparse chunks sorted), so every observable traversal is deterministic
-//! by construction — unlike the `HashMap` storage this replaces.
+//! by construction — unlike the hashed storage this replaced.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use simcore::fxhash::FxHashMap;
 
 use crate::types::{PageRange, Vpn};
 
@@ -65,7 +68,7 @@ pub struct PageMap<T> {
     /// Direct directory: chunk id → slab slot + 1 (0 = absent).
     direct: Vec<u32>,
     /// Fallback directory for chunks at or beyond [`DIRECT_CHUNKS`].
-    sparse: HashMap<u64, u32>,
+    sparse: FxHashMap<u64, u32>,
     /// Huge (2 MiB) leaf entries, keyed by chunk id.
     huge: BTreeMap<u64, T>,
     len: usize,
@@ -85,7 +88,7 @@ impl<T> PageMap<T> {
             leaves: Vec::new(),
             free: Vec::new(),
             direct: Vec::new(),
-            sparse: HashMap::new(),
+            sparse: FxHashMap::default(),
             huge: BTreeMap::new(),
             len: 0,
         }
@@ -374,6 +377,48 @@ mod tests {
         assert_eq!(keys, vec![3, 1 << 40]);
         assert_eq!(m.remove(far), Some(1));
         assert!(!m.contains(far));
+    }
+
+    #[test]
+    fn straddling_the_direct_boundary_iterates_in_key_order() {
+        let boundary = DIRECT_CHUNKS << LEAF_BITS;
+        let mut m: PageMap<u64> = PageMap::new();
+        // Inserted far-first, so ascending output is not insertion order.
+        let keys = [
+            u64::MAX,
+            (1 << 40) + 1,
+            boundary + 2 * LEAF_LEN as u64,
+            boundary + 1,
+            boundary,
+            boundary - 1,
+            boundary - LEAF_LEN as u64,
+            7,
+        ];
+        for &k in &keys {
+            m.insert(Vpn(k), !k);
+        }
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        let seen: Vec<u64> = m.iter().map(|(v, _)| v.0).collect();
+        assert_eq!(seen, sorted);
+
+        // Empty one sparse chunk: its leaf is recycled and its directory
+        // entry goes, the neighbours on both sides stay.
+        let slabs = m.leaves.len();
+        assert_eq!(m.remove(Vpn(boundary)), Some(!boundary));
+        assert_eq!(m.remove(Vpn(boundary + 1)), Some(!(boundary + 1)));
+        assert_eq!(m.chunk_population(Vpn(boundary)), 0);
+        assert!(!m.sparse.contains_key(&DIRECT_CHUNKS));
+        assert_eq!(m.get(Vpn(boundary - 1)), Some(&!(boundary - 1)));
+        assert_eq!(m.len(), keys.len() - 2);
+        // Re-inserting brings the chunk back on the recycled leaf.
+        assert_eq!(m.insert(Vpn(boundary + 1), 5), None);
+        assert_eq!(m.leaves.len(), slabs, "leaf slab reused");
+        assert_eq!(m.get(Vpn(boundary + 1)), Some(&5));
+        assert_eq!(m.get(Vpn(boundary)), None);
+        let seen: Vec<u64> = m.iter().map(|(v, _)| v.0).collect();
+        sorted.retain(|&k| k != boundary);
+        assert_eq!(seen, sorted);
     }
 
     #[test]

@@ -130,8 +130,7 @@ impl PageCache {
     }
 
     /// The recency tick of the oldest cached page, if any.
-    #[must_use]
-    pub fn oldest_tick(&self) -> Option<u64> {
+    pub fn oldest_tick(&mut self) -> Option<u64> {
         self.lru.oldest_tick()
     }
 

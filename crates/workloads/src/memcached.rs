@@ -10,9 +10,10 @@
 //! subsystem (faults, swapping, cgroup pressure — the Figure 7
 //! dynamics).
 
-use simcore::fxhash::FxHashMap;
+use std::num::NonZeroU32;
 
-use memsim::types::VirtAddr;
+use memsim::dense::PageMap;
+use memsim::types::{VirtAddr, Vpn};
 use simcore::rng::SimRng;
 use simcore::time::SimDuration;
 use simcore::units::ByteSize;
@@ -79,9 +80,24 @@ const NIL: u32 = u32::MAX;
 /// What the item table keeps per key.
 #[derive(Debug, Clone, Copy)]
 struct Item {
-    slot: u32,
+    /// The slot id plus one: the zero niche keeps an `Option<Item>` at
+    /// 16 bytes, four to a cache line and none across two.
+    slot_plus_one: NonZeroU32,
     /// Tick of the last GET hit or SET.
     tick: u64,
+}
+
+impl Item {
+    fn new(slot: u32, tick: u64) -> Self {
+        Item {
+            slot_plus_one: NonZeroU32::new(slot + 1).expect("slot ids stay below NIL"),
+            tick,
+        }
+    }
+
+    fn slot(&self) -> u32 {
+        self.slot_plus_one.get() - 1
+    }
 }
 
 /// One slot's neighbours in the recency list.
@@ -97,7 +113,12 @@ struct Link {
 #[derive(Debug)]
 pub struct Memcached {
     config: MemcachedConfig,
-    items: FxHashMap<u64, Item>,
+    /// The item table, indexed by key: memaslap's keys are the integers
+    /// of one window, so a lookup is two array indexes and one line. The
+    /// table costs 16 bytes times the key *range* touched, not times the
+    /// items held; keys past the direct range take [`PageMap`]'s sparse
+    /// directory.
+    items: PageMap<Item>,
     /// slot -> key (for eviction bookkeeping). Slot ids are dense
     /// (0..max_items), so this is a flat table, not a map.
     slots: Vec<u64>,
@@ -124,7 +145,7 @@ impl Memcached {
         let max_items = (config.max_bytes.bytes() / config.value_size).max(1);
         Memcached {
             config,
-            items: FxHashMap::default(),
+            items: PageMap::new(),
             slots: Vec::new(),
             recency: Vec::new(),
             oldest: NIL,
@@ -143,12 +164,11 @@ impl Memcached {
         &self.config
     }
 
-    /// Pre-sizes the item table for an expected number of distinct keys
-    /// (capped at capacity). A bulk preload that skips this pays for a
-    /// cascade of rehashes as the table doubles its way up.
+    /// Pre-sizes the slot table for an expected number of distinct keys
+    /// (capped at capacity). The item table grows a leaf at a time and
+    /// has nothing to reserve.
     pub fn reserve_keys(&mut self, keys: u64) {
         let n = keys.min(self.max_items);
-        self.items.reserve(usize::try_from(n).unwrap_or(usize::MAX));
         self.slots.reserve(usize::try_from(n).unwrap_or(usize::MAX));
     }
 
@@ -230,13 +250,18 @@ impl Memcached {
         self.newest = slot;
     }
 
-    /// Moves a just-used `slot` to the `newest` end, once there is a
-    /// list to keep.
-    fn relink(&mut self, slot: u32) {
+    /// Marks `key`'s item, if cached, as just used — stamps the tick
+    /// and, once there is a list to keep, moves its slot to the `newest`
+    /// end — and returns the slot.
+    fn use_item(&mut self, key: u64) -> Option<u32> {
+        let item = self.items.get_mut(Vpn(key))?;
+        item.tick = self.tick;
+        let slot = item.slot();
         if !self.recency.is_empty() && self.newest != slot {
             self.unlink(slot);
             self.link_newest(slot);
         }
+        Some(slot)
     }
 
     /// Evicts the least recently used item, returning its slot for
@@ -245,7 +270,7 @@ impl Memcached {
     fn evict(&mut self) -> u32 {
         if self.recency.is_empty() {
             let mut by_tick: Vec<(u64, u32)> =
-                self.items.values().map(|i| (i.tick, i.slot)).collect();
+                self.items.iter().map(|(_, i)| (i.tick, i.slot())).collect();
             by_tick.sort_unstable();
             let unlinked = Link {
                 older: NIL,
@@ -258,20 +283,37 @@ impl Memcached {
         }
         let victim = self.oldest;
         self.unlink(victim);
-        self.items.remove(&self.slots[victim as usize]);
+        self.items.remove(Vpn(self.slots[victim as usize]));
         self.evictions += 1;
         victim
+    }
+
+    /// Caches a new `key` — in a fresh slot while there is room, in the
+    /// least recently used item's slot after — and returns the slot.
+    fn admit(&mut self, key: u64) -> u32 {
+        let slot = if (self.slots.len() as u64) < self.max_items {
+            let fresh = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("item slots fit u32");
+            self.slots.push(key);
+            fresh
+        } else {
+            let victim = self.evict();
+            self.slots[victim as usize] = key;
+            self.link_newest(victim);
+            victim
+        };
+        self.items.insert(Vpn(key), Item::new(slot, self.tick));
+        slot
     }
 
     /// Processes one operation, returning what to touch and charge.
     pub fn process(&mut self, op: KvOp) -> KvOutcome {
         self.tick += 1;
         match op {
-            KvOp::Get { key } => match self.items.get_mut(&key) {
-                Some(item) => {
-                    item.tick = self.tick;
-                    let slot = item.slot;
-                    self.relink(slot);
+            KvOp::Get { key } => match self.use_item(key) {
+                Some(slot) => {
                     self.hits += 1;
                     KvOutcome {
                         hit: true,
@@ -291,33 +333,9 @@ impl Memcached {
                 }
             },
             KvOp::Set { key } => {
-                let slot = if let Some(item) = self.items.get_mut(&key) {
-                    item.tick = self.tick;
-                    let slot = item.slot;
-                    self.relink(slot);
-                    slot
-                } else {
-                    let slot = if (self.slots.len() as u64) < self.max_items {
-                        let fresh = u32::try_from(self.slots.len())
-                            .ok()
-                            .filter(|&s| s != NIL)
-                            .expect("item slots fit u32");
-                        self.slots.push(key);
-                        fresh
-                    } else {
-                        let victim = self.evict();
-                        self.slots[victim as usize] = key;
-                        self.link_newest(victim);
-                        victim
-                    };
-                    self.items.insert(
-                        key,
-                        Item {
-                            slot,
-                            tick: self.tick,
-                        },
-                    );
-                    slot
+                let slot = match self.use_item(key) {
+                    Some(slot) => slot,
+                    None => self.admit(key),
                 };
                 KvOutcome {
                     hit: false,

@@ -6,8 +6,9 @@
 //!
 //! * [`memsim::dense::PageMap`] vs `BTreeMap` (including the
 //!   direct/sparse boundary at 8 GiB of VA),
-//! * [`memsim::lru::LruTracker`] (intrusive slab lists) vs a
-//!   `VecDeque`-ordered reference,
+//! * [`memsim::lru::LruTracker`] (tick stamps until the first order
+//!   query, intrusive slab lists after) vs a `VecDeque`-ordered
+//!   reference,
 //! * huge-page [`iommu::IoPageTable`] (2 MiB folds, promote/demote) vs
 //!   a flat 4 KiB-only `BTreeMap` reference,
 //! * a huge-enabled [`iommu::Iommu`] vs a 4 KiB-only unit: DMA verdicts
@@ -151,49 +152,88 @@ impl RefLru {
 
 const LRU_SPACES: u32 = 3;
 
+/// One step of the tracker differential: kinds 0–2 (touch, remove,
+/// contains) never ask for an order, kinds 3–6 (the two pops and the
+/// two `oldest_tick` queries) do.
+fn lru_step(
+    fast: &mut LruTracker,
+    reference: &mut RefLru,
+    (op, s, v): (u8, u32, u64),
+) -> Result<(), TestCaseError> {
+    let space = SpaceId(s);
+    let vpn = Vpn(v);
+    match op {
+        0 => {
+            fast.touch(space, vpn);
+            reference.touch((s, v));
+        }
+        1 => prop_assert_eq!(fast.remove(space, vpn), reference.remove((s, v))),
+        2 => {}
+        3 => {
+            let got = fast.pop_oldest().map(|(sp, vp)| (sp.0, vp.0));
+            prop_assert_eq!(
+                got,
+                reference.pop_oldest(),
+                "global eviction order diverged"
+            );
+        }
+        4 => {
+            let got = fast.pop_oldest_in(space).map(|vp| vp.0);
+            prop_assert_eq!(
+                got,
+                reference.pop_oldest_in(s),
+                "per-space eviction order diverged"
+            );
+        }
+        5 => prop_assert_eq!(fast.oldest_tick(), reference.oldest_tick()),
+        _ => prop_assert_eq!(fast.oldest_tick_in(space), reference.oldest_tick_in(s)),
+    }
+    // What never orders the tracker is compared after every step.
+    prop_assert_eq!(
+        fast.contains(space, vpn),
+        reference.entries.iter().any(|&(k, _)| k == (s, v))
+    );
+    prop_assert_eq!(fast.len(), reference.entries.len());
+    for sp in 0..LRU_SPACES {
+        prop_assert_eq!(fast.len_in(SpaceId(sp)), reference.len_in(sp));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The slab-list LRU tracker pops pages in exactly the reference
-    /// order, globally and per space, with identical tick reporting.
+    /// The tracker pops pages in exactly the reference order, globally
+    /// and per space, with identical tick reporting — whichever state it
+    /// is in. `unordered` holds only touches, removes and membership
+    /// checks, so the tracker stays stamped through a prefix of random
+    /// length, with pages in several spaces, removed pages and
+    /// re-touched pages in flight; the first order-dependent kind in
+    /// `mixed` then crosses the one-way transition at an arbitrary
+    /// point, and the rest runs listed (where a re-touch relinks its
+    /// node in place).
+    ///
+    /// Broken on purpose, this fails: a transition that skips a page
+    /// whose stamp was cleared and written again (the page is missing
+    /// from `len` and from the drain), one that threads the stamps in
+    /// `(space, vpn)` order instead of tick order (the first pop or
+    /// `oldest_tick` after the prefix disagrees), and an in-place relink
+    /// that forgets the per-space list (`pop_oldest_in` disagrees).
     #[test]
     fn lru_tracker_matches_reference(
-        ops in proptest::collection::vec(
-            (0u8..5, 0u32..LRU_SPACES, 0u64..48),
+        unordered in proptest::collection::vec(
+            (0u8..3, 0u32..LRU_SPACES, 0u64..48),
+            0..300,
+        ),
+        mixed in proptest::collection::vec(
+            (0u8..7, 0u32..LRU_SPACES, 0u64..48),
             1..400,
         ),
     ) {
         let mut fast = LruTracker::new();
         let mut reference = RefLru::default();
-        for &(op, s, v) in &ops {
-            let space = SpaceId(s);
-            let vpn = Vpn(v);
-            match op {
-                0 => {
-                    fast.touch(space, vpn);
-                    reference.touch((s, v));
-                }
-                1 => {
-                    prop_assert_eq!(fast.remove(space, vpn), reference.remove((s, v)));
-                }
-                2 => {
-                    let got = fast.pop_oldest().map(|(sp, vp)| (sp.0, vp.0));
-                    prop_assert_eq!(got, reference.pop_oldest(), "global eviction order diverged");
-                }
-                3 => {
-                    let got = fast.pop_oldest_in(space).map(|vp| vp.0);
-                    prop_assert_eq!(got, reference.pop_oldest_in(s), "per-space eviction order diverged");
-                }
-                _ => {
-                    prop_assert_eq!(fast.contains(space, vpn), reference.entries.iter().any(|&(k, _)| k == (s, v)));
-                }
-            }
-            prop_assert_eq!(fast.oldest_tick(), reference.oldest_tick());
-            prop_assert_eq!(fast.len(), reference.entries.len());
-            for sp in 0..LRU_SPACES {
-                prop_assert_eq!(fast.oldest_tick_in(SpaceId(sp)), reference.oldest_tick_in(sp));
-                prop_assert_eq!(fast.len_in(SpaceId(sp)), reference.len_in(sp));
-            }
+        for &step in unordered.iter().chain(&mixed) {
+            lru_step(&mut fast, &mut reference, step)?;
         }
         // Drain fully: the complete eviction sequence must agree.
         loop {
@@ -205,6 +245,36 @@ proptest! {
             }
         }
     }
+}
+
+/// The transition with nothing left to order: every page touched is
+/// removed again before the first pop. The pop finds nothing, and the
+/// tracker — listed from here on — still takes touches.
+#[test]
+fn lru_tracker_orders_an_emptied_tracker() {
+    let mut fast = LruTracker::new();
+    let pages: Vec<(SpaceId, Vpn)> = (0..LRU_SPACES)
+        .flat_map(|s| (0..700).map(move |v| (SpaceId(s), Vpn(v * 3))))
+        .collect();
+    for &(s, v) in &pages {
+        fast.touch(s, v);
+    }
+    for &(s, v) in &pages {
+        assert!(fast.remove(s, v));
+    }
+    assert!(fast.is_empty());
+    assert_eq!(fast.pop_oldest(), None);
+    assert_eq!(fast.pop_oldest_in(SpaceId(1)), None);
+    assert_eq!(fast.oldest_tick(), None);
+
+    fast.touch(SpaceId(2), Vpn(9));
+    fast.touch(SpaceId(0), Vpn(9));
+    fast.touch(SpaceId(2), Vpn(9));
+    assert_eq!(fast.len(), 2);
+    assert_eq!(fast.len_in(SpaceId(2)), 1);
+    assert_eq!(fast.pop_oldest(), Some((SpaceId(0), Vpn(9))));
+    assert_eq!(fast.pop_oldest(), Some((SpaceId(2), Vpn(9))));
+    assert_eq!(fast.pop_oldest(), None);
 }
 
 // ---------------------------------------------------------------------

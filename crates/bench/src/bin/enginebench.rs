@@ -173,6 +173,50 @@ fn bench_timer_rearm() -> Sample {
     measure("timer_rearm_depth64", 4096 * 4, round)
 }
 
+/// The shape of `ib_stream_hot`: 128 deliveries in flight down one wire,
+/// each pop feeding the wire its next packet one MTU time after the
+/// last, while two near one-off events (a CPU-side post, a completion)
+/// recur and a 200 ms retransmit timer is cancelled and re-armed every
+/// 16 pops (one ACK per message). The deliveries ride a lane, so the
+/// heap is four entries deep; the queue lives across iterations.
+fn bench_deliver_lane() -> Sample {
+    const RTO: SimDuration = SimDuration::from_millis(200);
+    /// A 4 KiB packet at 56 Gb/s.
+    const MTU_TIME: SimDuration = SimDuration::from_nanos(585);
+    /// Payloads at or above this are the one-off events.
+    const NEAR: u64 = 1 << 63;
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let lane = q.lane();
+    let mut wire = q.now();
+    for i in 0..128u64 {
+        wire += MTU_TIME;
+        q.schedule_on(lane, wire, i);
+    }
+    for k in 0..2u64 {
+        q.schedule_in(SimDuration::from_nanos(1_300 + 800 * k), NEAR | k);
+    }
+    let mut timer = q.schedule_in(RTO, 0);
+    let round = move || {
+        let mut sum = 0u64;
+        for i in 0..4096u64 {
+            let (now, e) = q.pop().unwrap();
+            sum = sum.wrapping_add(e);
+            if e >= NEAR {
+                q.schedule_in(SimDuration::from_nanos(1_300 + 800 * (e - NEAR)), e);
+            } else {
+                wire = wire.max(now) + MTU_TIME;
+                q.schedule_on(lane, wire, i);
+            }
+            if i % 16 == 0 {
+                q.cancel(timer);
+                timer = q.schedule_in(RTO, i);
+            }
+        }
+        std::hint::black_box(sum);
+    };
+    measure("deliver_lane_128", 4096 * 2 + 2 * (4096 / 16), round)
+}
+
 /// Hot-path metric updates against an installed recorder: with
 /// interned ids these are two array writes per update.
 fn bench_metrics() -> Sample {
@@ -531,6 +575,7 @@ fn main() {
         bench_schedule_cancel_pop(),
         bench_churn(),
         bench_timer_rearm(),
+        bench_deliver_lane(),
         bench_metrics(),
         bench_promote_512(),
         bench_prefetch_issue_8(),

@@ -331,6 +331,19 @@ impl RcQp {
         gate: &mut dyn DmaGate,
     ) -> Vec<QpOutput> {
         let mut out = Vec::new();
+        self.post_send_into(now, wr_id, op, gate, &mut out);
+        out
+    }
+
+    /// [`RcQp::post_send`], appending the effects to `out`.
+    pub fn post_send_into(
+        &mut self,
+        now: SimTime,
+        wr_id: WrId,
+        op: SendOp,
+        gate: &mut dyn DmaGate,
+        out: &mut Vec<QpOutput>,
+    ) {
         if self.errored {
             out.push(QpOutput::Complete(Completion {
                 wr_id,
@@ -338,15 +351,14 @@ impl RcQp {
                 status: WcStatus::RetryExceeded,
                 len: op.len(),
             }));
-            return out;
+            return;
         }
         self.sq.push_back(SqWr {
             wr_id,
             op,
             cursor: 0,
         });
-        self.pump(now, gate, &mut out);
-        out
+        self.pump(now, gate, out);
     }
 
     /// Handles an inbound packet.
@@ -357,13 +369,25 @@ impl RcQp {
         gate: &mut dyn DmaGate,
     ) -> Vec<QpOutput> {
         let mut out = Vec::new();
+        self.on_packet_into(now, pkt, gate, &mut out);
+        out
+    }
+
+    /// [`RcQp::on_packet`], appending the effects to `out`.
+    pub fn on_packet_into(
+        &mut self,
+        now: SimTime,
+        pkt: RcPacket,
+        gate: &mut dyn DmaGate,
+        out: &mut Vec<QpOutput>,
+    ) {
         if self.errored {
-            return out;
+            return;
         }
         debug_assert_eq!(pkt.dst_qp, self.qpn, "mis-routed packet");
         match pkt.kind {
-            RcPacketKind::Ack => self.on_ack(now, pkt.psn, &mut out),
-            RcPacketKind::NakSequenceError => self.on_seq_nak(now, pkt.psn, &mut out),
+            RcPacketKind::Ack => self.on_ack(now, pkt.psn, out),
+            RcPacketKind::NakSequenceError => self.on_seq_nak(now, pkt.psn, out),
             RcPacketKind::NakReceiverNotReady { wait } => {
                 self.stats.rnr_nacks_received += 1;
                 if trace::enabled() {
@@ -380,8 +404,8 @@ impl RcQp {
                 }
                 self.rnr_retry += 1;
                 if self.rnr_retry > self.cfg.max_rnr_retries {
-                    self.fail(WcStatus::RnrRetryExceeded, &mut out);
-                    return out;
+                    self.fail(WcStatus::RnrRetryExceeded, out);
+                    return;
                 }
                 // An RNR means the receiver discarded data (it also
                 // flushes its out-of-order park under selective repeat),
@@ -395,10 +419,10 @@ impl RcQp {
                 out.push(QpOutput::SetTimer(QpTimer::RnrResume, now + wait));
             }
             RcPacketKind::SelectiveAck { bitmap } => {
-                self.on_selective_ack(now, pkt.psn, bitmap, &mut out);
+                self.on_selective_ack(now, pkt.psn, bitmap, out);
             }
             RcPacketKind::ReadResponse { offset, len, last } => {
-                self.on_read_response(now, pkt.psn, offset, len, last, gate, &mut out);
+                self.on_read_response(now, pkt.psn, offset, len, last, gate, out);
             }
             RcPacketKind::NakReadNotReady { wait } => {
                 // §4 extension, responder side: stop serving this read
@@ -447,20 +471,19 @@ impl RcQp {
             }
             _ => {
                 let before = self.epsn;
-                self.responder_path(now, pkt, gate, &mut out);
+                self.responder_path(now, pkt, gate, out);
                 if self.cfg.transport == RdmaTransport::SelectiveRepeat {
-                    self.drain_parked(now, gate, &mut out);
+                    self.drain_parked(now, gate, out);
                     if self.epsn != before && !self.ooo.is_empty() {
                         // Progress was made but holes remain: advertise
                         // the new expected PSN so the sender recovers the
                         // next loss without waiting for its timer.
-                        self.send_sack(&mut out);
+                        self.send_sack(out);
                     }
                 }
             }
         }
-        self.pump(now, gate, &mut out);
-        out
+        self.pump(now, gate, out);
     }
 
     /// Handles a timer expiry.
@@ -471,8 +494,20 @@ impl RcQp {
         gate: &mut dyn DmaGate,
     ) -> Vec<QpOutput> {
         let mut out = Vec::new();
+        self.on_timer_into(now, timer, gate, &mut out);
+        out
+    }
+
+    /// [`RcQp::on_timer`], appending the effects to `out`.
+    pub fn on_timer_into(
+        &mut self,
+        now: SimTime,
+        timer: QpTimer,
+        gate: &mut dyn DmaGate,
+        out: &mut Vec<QpOutput>,
+    ) {
         if self.errored {
-            return out;
+            return;
         }
         match timer {
             QpTimer::RnrResume | QpTimer::FaultResume => {
@@ -488,7 +523,7 @@ impl RcQp {
             QpTimer::Retransmit => {
                 self.timer_armed = false;
                 if self.inflight.is_empty() && self.reads.is_empty() {
-                    return out;
+                    return;
                 }
                 self.stats.timeouts += 1;
                 if trace::enabled() {
@@ -505,8 +540,8 @@ impl RcQp {
                 }
                 self.retry += 1;
                 if self.retry > self.cfg.max_retries {
-                    self.fail(WcStatus::RetryExceeded, &mut out);
-                    return out;
+                    self.fail(WcStatus::RetryExceeded, out);
+                    return;
                 }
                 // The time between arming the timer and its expiry is
                 // dead air on this QP: journal it so `whyslow` can
@@ -549,11 +584,10 @@ impl RcQp {
                     }
                 }
                 // Stalled reads re-request their remainders.
-                self.reissue_read_continuations(&mut out);
+                self.reissue_read_continuations(out);
             }
         }
-        self.pump(now, gate, &mut out);
-        out
+        self.pump(now, gate, out);
     }
 
     /// The NPF engine resolved a fault this QP is paused on.
@@ -564,8 +598,20 @@ impl RcQp {
         gate: &mut dyn DmaGate,
     ) -> Vec<QpOutput> {
         let mut out = Vec::new();
+        self.fault_resolved_into(now, fault_id, gate, &mut out);
+        out
+    }
+
+    /// [`RcQp::fault_resolved`], appending the effects to `out`.
+    pub fn fault_resolved_into(
+        &mut self,
+        now: SimTime,
+        fault_id: u64,
+        gate: &mut dyn DmaGate,
+        out: &mut Vec<QpOutput>,
+    ) {
         if self.errored {
-            return out;
+            return;
         }
         if self.pause == Pause::LocalFault(fault_id) {
             self.pause = Pause::None;
@@ -577,12 +623,11 @@ impl RcQp {
                     // Standard RC: the only recovery is rewinding the
                     // read request. Under the §4 extension the responder
                     // resumes by itself after the RNR wait.
-                    self.reissue_read_continuations(&mut out);
+                    self.reissue_read_continuations(out);
                 }
             }
         }
-        self.pump(now, gate, &mut out);
-        out
+        self.pump(now, gate, out);
     }
 
     // ------------------------------------------------------------------

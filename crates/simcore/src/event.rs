@@ -13,14 +13,47 @@
 //! writes the moved entry's new index back). [`EventQueue::cancel`] follows
 //! the back-pointer, removes the entry in place (the last entry fills the
 //! hole and sifts up or down) and frees the slot at once, so the heap holds
-//! live events only: its depth is [`EventQueue::len`], however many
-//! far-future timers were armed and cancelled, and
-//! [`EventQueue::next_time`] is a plain peek. Removal cannot perturb
+//! live events only — one-off events plus one entry per non-empty lane
+//! (see below) — however many far-future timers were armed and cancelled,
+//! and [`EventQueue::next_time`] is a plain peek. Removal cannot perturb
 //! delivery order: the key `(at, seq)` is total, so the pop sequence is a
 //! function of the set of pending keys alone, never of heap shape. Slot
 //! generations make stale tokens — from events that already fired, were
 //! cancelled, or were discarded by [`EventQueue::clear`] — harmless even
 //! after their slot is reused.
+//!
+//! # Lanes
+//!
+//! A wire delivers in the order it was fed, so sorting its packets is
+//! wasted work. [`EventQueue::lane`] opens a FIFO lane (an empty
+//! `VecDeque`; nothing is allocated until an event parks on it) and
+//! [`EventQueue::schedule_on`] means exactly [`EventQueue::schedule_at`] —
+//! same clamp to `now`, same sequence number drawn at schedule time, same
+//! counters — minus the cancel token. When `at` is not earlier than the
+//! lane's newest pending event, the entry (payload inline, no slab slot)
+//! is appended to the lane in O(1); only the lane's *head* key sits in
+//! the heap, and when it pops the next key takes its place with one
+//! sift-down. The heap therefore holds one entry per non-empty lane, not
+//! one per packet in flight.
+//!
+//! **The fall-through.** When `at` *is* earlier than the lane's tail,
+//! `schedule_on` itself takes the ordinary slab + heap path. Correctness
+//! never depends on a caller's monotonicity promise; only speed does.
+//! (Today only fault injection gets there: a packet it delays is
+//! appended and raises the tail, and the packets sent behind it fall
+//! through until the lane has drained up to it.)
+//!
+//! **Why no token.** A lane entry has no slab slot for a token to name,
+//! and removing from the middle of a FIFO is what lanes exist to avoid.
+//! Nothing cancels a link delivery; timers, which are cancelled, stay on
+//! `schedule_at`.
+//!
+//! **Why the order is identical.** Sequence numbers are still drawn at
+//! schedule time, so a lane's keys ascend strictly and lane order equals
+//! `(at, seq)` order. The minimum over {one-off entries, lane heads} is
+//! then the minimum over all pending keys, and the pop sequence remains a
+//! function of the set of pending keys alone: replacing any `schedule_on`
+//! by `schedule_at` changes no run.
 //!
 //! # The queue owns the clocks
 //!
@@ -48,6 +81,8 @@
 //! assert!(q.pop().is_none());
 //! ```
 
+use std::collections::VecDeque;
+
 use crate::chaos::invariant;
 use crate::time::{SimDuration, SimTime};
 use crate::{instruments, journal, trace};
@@ -62,7 +97,8 @@ fn stamp(now: SimTime) {
     invariant::checkpoint(now);
 }
 
-/// A heap entry: delivery key plus the slab slot holding the payload.
+/// A heap entry: delivery key plus where the payload lives — a slab slot,
+/// or (with [`LANE_TAG`] set) the front of a lane.
 ///
 /// Payloads live in the slot slab, not the heap (a SoA split): sift
 /// operations move 24-byte keys instead of whole event structs, so the
@@ -120,6 +156,17 @@ struct Slot<E> {
 
 const NIL: u32 = u32::MAX;
 
+/// Set in [`Entry::slot`] when the entry stands for the head of a lane;
+/// the remaining bits are then the lane's index, not a slab slot.
+const LANE_TAG: u32 = 1 << 31;
+
+/// Names a FIFO lane opened by [`EventQueue::lane`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LaneId(u32);
+
+/// A lane's pending events, oldest first: `(at, seq, payload)`.
+type Lane<E> = VecDeque<(SimTime, u64, E)>;
+
 /// Children per heap node. Half the levels of a binary heap for the same
 /// population: pops touch fewer cache lines, and the event queue is the
 /// single hottest structure in every testbed. Four sibling keys share
@@ -147,8 +194,15 @@ const ARITY: usize = 4;
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Flat 4-ary min-heap ordered by [`Entry::key`]; one entry per
-    /// pending event, none for cancelled ones.
+    /// pending one-off event and one per non-empty lane (its front),
+    /// none for cancelled events.
     heap: Vec<Entry>,
+    /// FIFO lanes; each holds its pending events in strictly ascending
+    /// key order.
+    lanes: Vec<Lane<E>>,
+    /// Lane events waiting behind their lane's head: pending, but not in
+    /// the heap.
+    parked: usize,
     now: SimTime,
     next_seq: u64,
     slots: Vec<Slot<E>>,
@@ -171,6 +225,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
+            lanes: Vec::new(),
+            parked: 0,
             now: SimTime::ZERO,
             next_seq: 0,
             slots: Vec::new(),
@@ -188,16 +244,24 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending (non-cancelled) events, on lanes or not.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.parked
     }
 
     /// `true` when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
+        // A parked event has its lane's head in the heap ahead of it.
         self.heap.is_empty()
+    }
+
+    /// How many of the pending events wait on a lane behind its head:
+    /// [`EventQueue::len`] minus the heap's depth.
+    #[must_use]
+    pub fn parked(&self) -> usize {
+        self.parked
     }
 
     /// Total number of events ever scheduled.
@@ -235,7 +299,9 @@ impl<E> EventQueue<E> {
             slot.event = Some(event);
             idx
         } else {
-            let idx = u32::try_from(self.slots.len()).expect("slab exceeds u32 slots");
+            // Bit 31 of a heap entry's slot is `LANE_TAG`.
+            assert!(self.slots.len() < LANE_TAG as usize, "slab exceeds 2^31");
+            let idx = self.slots.len() as u32;
             self.slots.push(Slot {
                 gen: 0,
                 link: NIL,
@@ -258,11 +324,16 @@ impl<E> EventQueue<E> {
     }
 
     /// Writes `entry` at heap index `i` and points its slot back at it.
+    /// A lane head needs no back-pointer: it only ever leaves from the
+    /// root.
     #[inline]
     fn place(&mut self, i: usize, entry: Entry) {
         self.heap[i] = entry;
-        // `i < heap.len() <= slots.len()`, which `alloc_slot` keeps in u32.
-        self.slots[entry.slot as usize].link = i as u32;
+        if entry.slot & LANE_TAG == 0 {
+            // `i < heap.len() <= slots.len() + lanes.len()`, both kept
+            // below `LANE_TAG`.
+            self.slots[entry.slot as usize].link = i as u32;
+        }
     }
 
     /// Settles `entry` into the hole at index `i`, moving larger
@@ -323,16 +394,68 @@ impl<E> EventQueue<E> {
     /// Schedules `event` at absolute time `at`. Times in the past are
     /// clamped to `now`. Returns a token usable with [`EventQueue::cancel`].
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventToken {
-        let at = if at < self.now { self.now } else { at };
+        let (at, seq) = self.draw_key(at);
+        self.push_one_off(at, seq, event)
+    }
+
+    /// Clamps `at` to `now` and draws the next sequence number: the
+    /// delivery key of the event being scheduled.
+    #[inline]
+    fn draw_key(&mut self, at: SimTime) -> (SimTime, u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
+        (at.max(self.now), seq)
+    }
+
+    /// Parks `event` in a slab slot and its key in the heap.
+    fn push_one_off(&mut self, at: SimTime, seq: u64, event: E) -> EventToken {
         let slot = self.alloc_slot(event);
         let token = EventToken::new(slot, self.slots[slot as usize].gen);
-        let entry = Entry { at, seq, slot };
+        self.push_entry(Entry { at, seq, slot });
+        token
+    }
+
+    fn push_entry(&mut self, entry: Entry) {
         self.heap.push(entry);
         self.sift_up(self.heap.len() - 1, entry);
-        token
+    }
+
+    /// Opens a FIFO lane (see the module docs). Costs nothing until an
+    /// event parks on it; a lane stays open for the queue's lifetime,
+    /// across [`EventQueue::clear`] too.
+    pub fn lane(&mut self) -> LaneId {
+        assert!(self.lanes.len() < LANE_TAG as usize, "more than 2^31 lanes");
+        self.lanes.push(VecDeque::new());
+        LaneId(self.lanes.len() as u32 - 1)
+    }
+
+    /// [`EventQueue::schedule_at`] without the cancel token, for events
+    /// that mostly arrive in the order they were scheduled: when `at` is
+    /// not earlier than the newest event pending on `lane` this is O(1)
+    /// and the heap does not grow; otherwise it is `schedule_at`. Either
+    /// way the event pops exactly where `schedule_at` would have put it.
+    ///
+    /// # Panics
+    ///
+    /// If `lane` was opened by another queue with fewer lanes.
+    pub fn schedule_on(&mut self, lane: LaneId, at: SimTime, event: E) {
+        let (at, seq) = self.draw_key(at);
+        let pending = &mut self.lanes[lane.0 as usize];
+        match pending.back() {
+            None => {
+                pending.push_back((at, seq, event));
+                let slot = LANE_TAG | lane.0;
+                self.push_entry(Entry { at, seq, slot });
+            }
+            Some(&(newest, ..)) if newest <= at => {
+                pending.push_back((at, seq, event));
+                self.parked += 1;
+            }
+            Some(_) => {
+                self.push_one_off(at, seq, event);
+            }
+        }
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -385,20 +508,47 @@ impl<E> EventQueue<E> {
     /// dispatch-boundary checkpoint, in that order.
     #[inline]
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.first()?.at > deadline {
+        let entry = *self.heap.first()?;
+        if entry.at > deadline {
             return None;
         }
-        let entry = self.remove_at(0);
         debug_assert!(entry.at >= self.now, "time must be monotone");
-        let event = self
-            .free_slot(entry.slot)
-            .expect("pending slot holds payload");
+        let event = if entry.slot & LANE_TAG == 0 {
+            self.remove_at(0);
+            self.free_slot(entry.slot)
+                .expect("pending slot holds payload")
+        } else {
+            self.pop_lane(entry.slot)
+        };
         self.now = entry.at;
         self.popped_total += 1;
         if instruments::any() {
             stamp(entry.at);
         }
         Some((entry.at, event))
+    }
+
+    /// Takes the head of the lane whose entry (`slot`, tag included) is
+    /// at the heap's root; the lane's next event, if any, is re-keyed
+    /// into the root in place. Out of line so that `pop_until` stays as
+    /// small as it was for a queue with no lanes: inlined, `enginebench`'s
+    /// four heap-only samples read 2–10 % slower.
+    #[inline(never)]
+    fn pop_lane(&mut self, slot: u32) -> E {
+        let pending = &mut self.lanes[(slot & !LANE_TAG) as usize];
+        let (_, _, event) = pending
+            .pop_front()
+            .expect("a lane in the heap is not empty");
+        match pending.front() {
+            Some(&(at, seq, _)) => {
+                self.parked -= 1;
+                self.sift_down(0, Entry { at, seq, slot });
+            }
+            None => {
+                self.remove_at(0);
+            }
+        }
+        event
     }
 
     /// The timestamp of the next pending event without removing it.
@@ -420,6 +570,10 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.discarded_total += self.len() as u64;
         self.heap.clear();
+        for pending in &mut self.lanes {
+            pending.clear();
+        }
+        self.parked = 0;
         // Rebuild the free list, invalidating every outstanding token.
         self.free_head = NIL;
         for idx in (0..self.slots.len()).rev() {
@@ -433,24 +587,51 @@ impl<E> EventQueue<E> {
     }
 
     /// Panics unless the structure is consistent: every child sorts
-    /// after its parent, the heap holds exactly the pending slots
-    /// (`heap.len() == len()`, no cancelled entry lingers), every
-    /// entry's slot points back at it, and the free list holds every
-    /// other slot. For tests and debug builds; O(slots).
+    /// after its parent, the heap holds exactly the pending slots plus
+    /// one entry per non-empty lane carrying that lane's front key (no
+    /// cancelled entry lingers), every slot entry's slot points back at
+    /// it, each lane's keys strictly ascend from `now`, `parked` counts
+    /// the lane events behind a head, and the free list holds every
+    /// other slot. For tests and debug builds; O(slots + pending).
     #[cfg(any(test, debug_assertions))]
     pub fn check_invariants(&self) {
-        assert_eq!(self.heap.len(), self.len());
+        let mut has_entry = vec![false; self.lanes.len()];
         for (i, entry) in self.heap.iter().enumerate() {
             if i > 0 {
                 let parent = &self.heap[(i - 1) / ARITY];
                 assert!(parent.key() < entry.key(), "heap order broken at {i}");
             }
+            if entry.slot & LANE_TAG != 0 {
+                let lane = (entry.slot & !LANE_TAG) as usize;
+                let front = self.lanes[lane].front().map(|&(at, seq, _)| (at, seq));
+                assert_eq!(front, Some(entry.key()), "entry {i} is not its lane's head");
+                assert!(!has_entry[lane], "lane {lane} has two heap entries");
+                has_entry[lane] = true;
+                continue;
+            }
             let slot = &self.slots[entry.slot as usize];
             assert!(slot.event.is_some(), "entry {i} names a free slot");
             assert_eq!(slot.link as usize, i, "slot back-pointer is stale");
         }
+        let mut parked = 0;
+        for (lane, pending) in self.lanes.iter().enumerate() {
+            assert_eq!(has_entry[lane], !pending.is_empty(), "lane {lane} head");
+            let mut last = None;
+            for &(at, seq, _) in pending {
+                assert!(at >= self.now, "a lane event is in the past");
+                assert!(last < Some((at, seq)), "lane keys must strictly ascend");
+                last = Some((at, seq));
+            }
+            parked += pending.len().saturating_sub(1);
+        }
+        assert_eq!(parked, self.parked, "parked count drifted");
         let pending = self.slots.iter().filter(|s| s.event.is_some()).count();
-        assert_eq!(pending, self.heap.len(), "a pending slot has no entry");
+        let lane_heads = has_entry.iter().filter(|&&h| h).count();
+        assert_eq!(
+            pending + lane_heads,
+            self.heap.len(),
+            "a pending slot has no entry"
+        );
         let mut free = 0;
         let mut idx = self.free_head;
         while idx != NIL {
@@ -704,6 +885,125 @@ mod tests {
         q.check_invariants();
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
+    }
+
+    /// Runs `ops` — `(lane or None, nanos)` — through a queue that
+    /// honours the lanes and one that puts everything on the heap,
+    /// asserts they agree at every step and returns the pop stream.
+    fn lanes_vs_heap(ops: &[(Option<usize>, u64)]) -> Vec<(SimTime, usize)> {
+        let mut with = EventQueue::new();
+        let mut without = EventQueue::new();
+        let lanes = [with.lane(), with.lane()];
+        for (i, &(lane, nanos)) in ops.iter().enumerate() {
+            let at = SimTime::from_nanos(nanos);
+            match lane {
+                Some(l) => with.schedule_on(lanes[l], at, i),
+                None => drop(with.schedule_at(at, i)),
+            }
+            without.schedule_at(at, i);
+            with.check_invariants();
+            assert_eq!(with.len(), without.len());
+            assert_eq!(with.next_time(), without.next_time());
+        }
+        let drain = |q: &mut EventQueue<usize>| {
+            std::iter::from_fn(|| {
+                q.check_invariants();
+                q.pop()
+            })
+            .collect::<Vec<_>>()
+        };
+        let order = drain(&mut with);
+        assert_eq!(order, drain(&mut without));
+        assert_eq!(with.parked(), 0);
+        order
+    }
+
+    #[test]
+    fn lane_events_pop_where_the_heap_would_put_them() {
+        // Two wires and a timer: ascending runs, ties within a lane,
+        // across lanes and with a one-off event.
+        let order = lanes_vs_heap(&[
+            (Some(0), 10),
+            (Some(1), 10),
+            (Some(0), 10),
+            (None, 10),
+            (Some(0), 30),
+            (None, 20),
+            (Some(1), 25),
+            (Some(0), 30),
+        ]);
+        let ids: Vec<usize> = order.iter().map(|&(_, e)| e).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 5, 6, 4, 7]);
+    }
+
+    #[test]
+    fn lane_parks_behind_its_head_and_keeps_the_heap_shallow() {
+        let mut q = EventQueue::new();
+        let lane = q.lane();
+        for i in 0..100u64 {
+            q.schedule_on(lane, SimTime::from_nanos(i / 2), i);
+        }
+        assert_eq!((q.len(), q.parked()), (100, 99));
+        q.check_invariants();
+        for i in 0..100u64 {
+            assert_eq!(q.pop(), Some((SimTime::from_nanos(i / 2), i)));
+        }
+        assert!(q.is_empty());
+        assert_eq!((q.scheduled_total(), q.popped_total()), (100, 100));
+    }
+
+    #[test]
+    fn earlier_than_tail_falls_through_to_the_heap() {
+        // A reordered packet: scheduled on the lane, earlier than its
+        // newest event. It must not be appended — and still pops first.
+        let order = lanes_vs_heap(&[(Some(0), 50), (Some(0), 90), (Some(0), 60), (Some(0), 90)]);
+        let ids: Vec<usize> = order.iter().map(|&(_, e)| e).collect();
+        assert_eq!(ids, [0, 2, 1, 3]);
+
+        let mut q = EventQueue::new();
+        let lane = q.lane();
+        q.schedule_on(lane, SimTime::from_nanos(90), "tail");
+        q.schedule_on(lane, SimTime::from_nanos(60), "early");
+        assert_eq!(q.parked(), 0, "the early event took a slab slot");
+        assert_eq!(q.pop().map(|(_, e)| e), Some("early"));
+    }
+
+    #[test]
+    fn schedule_on_clamps_to_now_and_respects_the_deadline() {
+        let mut q = EventQueue::new();
+        let lane = q.lane();
+        q.schedule_at(SimTime::from_nanos(40), "timer");
+        q.pop();
+        q.schedule_on(lane, SimTime::from_nanos(7), "late packet");
+        q.schedule_on(lane, SimTime::from_nanos(55), "next packet");
+        assert_eq!(q.next_time(), Some(SimTime::from_nanos(40)));
+        let deadline = SimTime::from_nanos(50);
+        assert_eq!(q.pop_until(deadline).map(|(_, e)| e), Some("late packet"));
+        assert_eq!(q.pop_until(deadline), None, "the lane's new head is later");
+        assert_eq!(q.now(), SimTime::from_nanos(40));
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn clear_empties_lanes_and_keeps_them_open() {
+        let mut q = EventQueue::new();
+        let lane = q.lane();
+        for i in 0..5u64 {
+            q.schedule_on(lane, SimTime::from_nanos(i), i);
+        }
+        q.schedule_at(SimTime::from_nanos(2), 99);
+        q.pop();
+        q.clear();
+        q.check_invariants();
+        assert_eq!((q.len(), q.parked()), (0, 0));
+        assert_eq!(q.discarded_total(), 5);
+        q.schedule_on(lane, SimTime::from_nanos(9), 7);
+        q.check_invariants();
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(9), 7)));
+        assert_eq!(
+            q.scheduled_total(),
+            q.popped_total() + q.cancelled_total() + q.discarded_total()
+        );
     }
 
     #[test]

@@ -27,6 +27,9 @@ impl Bandwidth {
     /// Zero rate (a disabled link).
     pub const ZERO: Bandwidth = Bandwidth(0);
 
+    /// Bits per byte times nanoseconds per second.
+    const NANOBITS_PER_BYTE: u64 = 8 * 1_000_000_000;
+
     /// Creates a rate from bits per second.
     #[must_use]
     pub const fn bps(bits_per_sec: u64) -> Self {
@@ -78,9 +81,19 @@ impl Bandwidth {
         if self.0 == 0 {
             return SimDuration::MAX;
         }
-        // nanos = bytes * 8 * 1e9 / bits_per_sec, computed in u128 to
-        // avoid overflow for large transfers.
-        let nanos = (bytes as u128 * 8 * 1_000_000_000) / self.0 as u128;
+        // nanos = bytes * 8 * 1e9 / bits_per_sec. Every packet and
+        // segment fits the u64 product (up to ~2.3 GB); larger
+        // transfers take the u128 division so they cannot overflow.
+        match bytes.checked_mul(Self::NANOBITS_PER_BYTE) {
+            Some(nanobits) => SimDuration::from_nanos(nanobits / self.0),
+            None => self.transfer_time_wide(bytes),
+        }
+    }
+
+    /// [`Bandwidth::transfer_time`] in u128, saturating: correct for any
+    /// `bytes` and a non-zero rate.
+    fn transfer_time_wide(self, bytes: u64) -> SimDuration {
+        let nanos = bytes as u128 * Self::NANOBITS_PER_BYTE as u128 / self.0 as u128;
         SimDuration::from_nanos(nanos.min(u64::MAX as u128) as u64)
     }
 
@@ -209,6 +222,30 @@ mod tests {
         // 12 Gb/s prototype Ethernet: a 1500-byte frame takes 1000 ns.
         let eth = Bandwidth::gbps(12);
         assert_eq!(eth.transfer_time(1500), SimDuration::from_nanos(1000));
+    }
+
+    #[test]
+    fn narrow_and_wide_transfer_times_agree() {
+        // The u64 path is taken up to and including `limit`; the u128
+        // formula is right everywhere, so the two must meet.
+        let limit = u64::MAX / Bandwidth::NANOBITS_PER_BYTE;
+        let rates = [Bandwidth::bps(1)]
+            .into_iter()
+            .chain([12, 56, 100].map(Bandwidth::gbps));
+        for rate in rates {
+            for bytes in [0, 1, 4096, limit - 1, limit, limit + 1, u64::MAX] {
+                assert_eq!(
+                    rate.transfer_time(bytes),
+                    rate.transfer_time_wide(bytes),
+                    "{bytes} bytes at {rate:?}"
+                );
+            }
+        }
+        assert!(limit.checked_mul(Bandwidth::NANOBITS_PER_BYTE).is_some());
+        assert!((limit + 1)
+            .checked_mul(Bandwidth::NANOBITS_PER_BYTE)
+            .is_none());
+        assert_eq!(Bandwidth::ZERO.transfer_time(4096), SimDuration::MAX);
     }
 
     #[test]

@@ -7,11 +7,20 @@
 //! again, which is exactly the stale-token contract. Random operation
 //! sequences must produce the same pop stream, the same `cancel` return
 //! values and the same observable state after every step.
+//!
+//! Lanes do not change the reference: `schedule_on` is `schedule_at`
+//! without a token, whichever path the queue takes for it. The times it
+//! is given are drawn so that ascending runs, equal times, times earlier
+//! than the lane's tail (the fall-through to the heap) and times below
+//! `now` (the clamp) all occur. The test fails — each checked by breaking
+//! the queue that way — on a queue that (a) appends an earlier-than-tail
+//! event to its lane, (b) forgets to re-key the heap's root after a lane
+//! pop, or (c) leaves lanes populated across `clear()`.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use simcore::event::{EventQueue, EventToken};
+use simcore::event::{EventQueue, EventToken, LaneId};
 use simcore::time::SimTime;
 
 type Key = (SimTime, u64);
@@ -42,6 +51,14 @@ impl Model {
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.pop_until(SimTime::MAX)
+    }
+
+    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64)> {
+        let (&(next, _), _) = self.pending.first_key_value()?;
+        if next > deadline {
+            return None;
+        }
         let ((at, _), payload) = self.pending.pop_first()?;
         self.now = at;
         self.popped += 1;
@@ -78,13 +95,15 @@ proptest! {
 
     #[test]
     fn queue_matches_ordered_map_reference(
-        ops in proptest::collection::vec((0u8..16, any::<u64>(), any::<u64>()), 1..400),
+        ops in proptest::collection::vec((0u8..26, any::<u64>(), any::<u64>()), 1..400),
     ) {
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut m = Model::default();
         // Every token ever issued with its reference key, so cancels hit
         // live, fired, already-cancelled and cleared events alike.
         let mut issued: Vec<(EventToken, Key)> = Vec::new();
+        // Open lanes, each with the time last scheduled on it.
+        let mut lanes: Vec<(LaneId, u64)> = Vec::new();
         for (op, a, b) in ops {
             match op {
                 // Near events on a narrow time axis: ties and clamping
@@ -101,6 +120,26 @@ proptest! {
                 7..=10 if !issued.is_empty() => {
                     let (token, key) = issued[(a % issued.len() as u64) as usize];
                     prop_assert_eq!(q.cancel(token), m.cancel(key));
+                }
+                11 => {
+                    let deadline = SimTime::from_nanos(a % 64);
+                    prop_assert_eq!(q.pop_until(deadline), m.pop_until(deadline));
+                }
+                16 if lanes.len() < 4 => lanes.push((q.lane(), 0)),
+                17..=25 if !lanes.is_empty() => {
+                    let pick = (b % lanes.len() as u64) as usize;
+                    let (lane, tail) = &mut lanes[pick];
+                    *tail = match op {
+                        // A wire: each arrival at or after the one before.
+                        17..=21 => *tail + a % 3,
+                        // Reordered: a little earlier than the tail.
+                        22 => tail.saturating_sub(1 + a % 8),
+                        // Anywhere on the narrow axis, the past included.
+                        _ => a % 48,
+                    };
+                    let at = SimTime::from_nanos(*tail);
+                    q.schedule_on(*lane, at, b);
+                    m.schedule_at(at, b);
                 }
                 // Rare, so that the queue has time to fill between clears.
                 15 if a % 8 == 0 => {

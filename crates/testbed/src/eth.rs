@@ -28,7 +28,7 @@ use npf_core::backup_driver::{BackupDriver, ResolveStep};
 use npf_core::npf::{NpfConfig, NpfEngine};
 use npf_core::{BackendKind, RX_BUFFER_BASE};
 use simcore::chaos::{invariant, ChaosConfig, ChaosEngine, MemoryFate, PacketFate};
-use simcore::event::{EventQueue, EventToken};
+use simcore::event::{EventQueue, EventToken, LaneId};
 use simcore::journal::{self, CauseId};
 use simcore::rng::SimRng;
 use simcore::stats::{DurationHistogram, ThroughputMeter};
@@ -326,6 +326,9 @@ pub struct EthTestbed {
     ops_total: u64,
     link_c2s: Link,
     link_s2c: Link,
+    /// The queue lanes the two links' arrivals ride.
+    lane_c2s: LaneId,
+    lane_s2c: LaneId,
     cpu: CpuPool,
     backup_moderator: InterruptModerator,
     sample_every: SimDuration,
@@ -493,8 +496,10 @@ impl EthTestbed {
         });
         let metrics = vec![InstanceMetrics::default(); config.instances as usize];
 
+        let mut queue = EventQueue::new();
+        let (lane_c2s, lane_s2c) = (queue.lane(), queue.lane());
         let mut bed = EthTestbed {
-            queue: EventQueue::new(),
+            queue,
             engine,
             rx,
             driver,
@@ -509,6 +514,8 @@ impl EthTestbed {
             ops_total: 0,
             link_c2s: Link::new(link_cfg, rng.fork(7)),
             link_s2c: Link::new(link_cfg, rng.fork(8)),
+            lane_c2s,
+            lane_s2c,
             cpu: CpuPool::new(config.cores),
             backup_moderator: InterruptModerator::new(config.interrupt_holdoff),
             sample_every: SimDuration::from_millis(250),
@@ -578,10 +585,10 @@ impl EthTestbed {
             // Injected loss: TCP retransmission recovers.
             return;
         }
-        let link = if to_server {
-            &mut self.link_c2s
+        let (link, lane) = if to_server {
+            (&mut self.link_c2s, self.lane_c2s)
         } else {
-            &mut self.link_s2c
+            (&mut self.link_s2c, self.lane_s2c)
         };
         let event = |seg| {
             if to_server {
@@ -593,17 +600,17 @@ impl EthTestbed {
         match link.send(now, wire) {
             SendOutcome::Delivered { arrives_at, .. } => match fate {
                 PacketFate::Deliver => {
-                    self.queue.schedule_at(arrives_at, event(seg));
+                    self.queue.schedule_on(lane, arrives_at, event(seg));
                 }
                 // Corruption burns the wire but fails the CRC; the
                 // stack never sees the segment.
                 PacketFate::Corrupt => {}
                 PacketFate::Duplicate { extra } => {
-                    self.queue.schedule_at(arrives_at, event(seg));
-                    self.queue.schedule_at(arrives_at + extra, event(seg));
+                    self.queue.schedule_on(lane, arrives_at, event(seg));
+                    self.queue.schedule_on(lane, arrives_at + extra, event(seg));
                 }
                 PacketFate::Reorder { extra } => {
-                    self.queue.schedule_at(arrives_at + extra, event(seg));
+                    self.queue.schedule_on(lane, arrives_at + extra, event(seg));
                 }
                 PacketFate::Drop => unreachable!("drop handled above"),
             },

@@ -24,7 +24,7 @@ use rdmasim::types::{
     RecvWqe, SendOp, WrId,
 };
 use simcore::chaos::{invariant, ChaosConfig, ChaosEngine, MemoryFate, PauseFate};
-use simcore::event::{EventQueue, EventToken};
+use simcore::event::{EventQueue, EventToken, LaneId};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::units::{Bandwidth, ByteSize};
@@ -303,6 +303,9 @@ impl DmaGate for EngineGate<'_> {
 pub struct IbCluster {
     config: IbConfig,
     queue: EventQueue<IbEvent>,
+    /// One FIFO lane of `queue` per destination node: a node's downlink
+    /// hands out arrival times in order.
+    lanes: Vec<LaneId>,
     fabric: Fabric,
     nodes: Vec<IbNode>,
     next_qp: u32,
@@ -360,9 +363,12 @@ impl IbCluster {
         } else {
             None
         };
+        let mut queue = EventQueue::new();
+        let lanes = (0..config.nodes).map(|_| queue.lane()).collect();
         let mut cluster = IbCluster {
             config,
-            queue: EventQueue::new(),
+            queue,
+            lanes,
             fabric,
             nodes,
             next_qp: 0,
@@ -438,6 +444,19 @@ impl IbCluster {
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.queue.now()
+    }
+
+    /// Lifetime event-queue counters:
+    /// `(scheduled, popped, cancelled, pending)`. Deliveries parked on a
+    /// lane count as pending.
+    #[must_use]
+    pub fn queue_stats(&self) -> (u64, u64, u64, usize) {
+        (
+            self.queue.scheduled_total(),
+            self.queue.popped_total(),
+            self.queue.cancelled_total(),
+            self.queue.len(),
+        )
     }
 
     /// A node.
@@ -656,6 +675,7 @@ impl IbCluster {
         let IbCluster {
             config,
             queue,
+            lanes,
             fabric,
             nodes,
             chaos,
@@ -736,7 +756,11 @@ impl IbCluster {
                     let size = packet.wire_size();
                     let deliver = |queue: &mut EventQueue<IbEvent>, at: SimTime| {
                         let node = to.0;
-                        queue.schedule_at(at, IbEvent::Deliver { node, pkt: packet });
+                        queue.schedule_on(
+                            lanes[node as usize],
+                            at,
+                            IbEvent::Deliver { node, pkt: packet },
+                        );
                     };
                     if let Some(chaos) = chaos.as_mut() {
                         match fabric.send_chaos(now, NodeId(node_idx), to, size, chaos) {
@@ -1093,6 +1117,53 @@ mod tests {
         let wr_ids = |cs: Vec<Completion>| cs.iter().map(|c| c.wr_id).collect::<Vec<_>>();
         assert_eq!(wr_ids(c.drain_completions(0)), [1]);
         assert_eq!(wr_ids(c.drain_completions(1)), [100]);
+    }
+
+    #[test]
+    fn queue_stats_balance_with_deliveries_parked_on_lanes() {
+        use netsim::profile::{FabricProfile, TransportConfig};
+
+        const MSG: u64 = 64 * 1024;
+        let scenario = crate::builder::ScenarioBuilder::infiniband()
+            .nodes(2)
+            .profile(FabricProfile::lossy(0.01))
+            .transport(TransportConfig::irn());
+        let mut c = scenario.build().expect("valid scenario");
+        let (qa, qb) = c.connect(0, 1);
+        let src = c.alloc_buffers(0, ByteSize::mib(1));
+        let dst = c.alloc_buffers(1, ByteSize::mib(1));
+        for (n, qp, buf) in [(0, qa, src), (1, qb, dst)] {
+            let dom = c.node(n).domain_of(qp);
+            let range = memsim::types::PageRange::covering(buf, 1 << 20);
+            c.node_mut(n)
+                .engine_mut()
+                .pin_and_map(dom, range)
+                .expect("pin");
+        }
+        for i in 0..16 {
+            c.post_recv(1, qb, 100 + i, VirtAddr(dst.0 + i * MSG), MSG);
+            let local = VirtAddr(src.0 + i * MSG);
+            c.post_send(0, qa, i, SendOp::Send { local, len: MSG });
+        }
+        let balanced = |c: &IbCluster| {
+            let (scheduled, popped, cancelled, pending) = c.queue_stats();
+            assert_eq!(scheduled, popped + cancelled + pending as u64);
+        };
+        let mut most_parked = 0;
+        loop {
+            balanced(&c);
+            most_parked = most_parked.max(c.queue.parked());
+            if !c.step() {
+                break;
+            }
+        }
+        assert!(most_parked > 8, "a window of packets rode node 1's lane");
+        assert_eq!(c.drain_completions(1).len(), 16);
+        assert!(c.fabric().total_drops() > 0, "the run was lossy");
+        let (scheduled, popped, cancelled, pending) = c.queue_stats();
+        assert_eq!((pending, c.queue.parked()), (0, 0));
+        assert_eq!(scheduled, popped + cancelled);
+        assert!(cancelled > 0, "ACKs re-armed the retransmit timer");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use nicsim::rx::{RingId, RxDescriptor, RxEngine, RxFaultMode, RxVerdict};
 use npf_core::npf::{NpfConfig, NpfEngine};
 use npf_core::RX_BUFFER_BASE;
 use simcore::chaos::invariant;
-use simcore::event::{EventQueue, EventToken};
+use simcore::event::{EventQueue, EventToken, LaneId};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::units::{Bandwidth, ByteSize};
@@ -109,6 +109,8 @@ struct Endpoint {
     stack: TcpStack,
     /// The link this end transmits on.
     tx: Link,
+    /// The queue lane that link's arrivals ride.
+    tx_lane: LaneId,
     /// The pending event of the connection's armed retransmission timer.
     timer: Option<EventToken>,
 }
@@ -186,20 +188,23 @@ impl StreamBed {
             ecn_threshold: None,
             loss_probability: 0.0,
         });
+        let mut queue = EventQueue::new();
         let mut endpoint = |fork| Endpoint {
             stack: TcpStack::new(),
             tx: Link::new(link_cfg, rng.fork(fork)),
+            tx_lane: queue.lane(),
             timer: None,
         };
+        let (client, server) = (endpoint(3), endpoint(4));
         let mut bed = StreamBed {
             config,
-            queue: EventQueue::new(),
+            queue,
             rx,
             posted: 0,
             synth,
             resolve_delay: if config.major_faults { major } else { minor },
-            client: endpoint(3),
-            server: endpoint(4),
+            client,
+            server,
             receiver: StreamReceiver::new(),
             spare_outs: Vec::new(),
         };
@@ -283,14 +288,16 @@ impl StreamBed {
         for out in outs.drain(..) {
             match (out, side) {
                 (TcpOutput::Send(seg), _) => {
+                    let end = self.end(side);
                     if let SendOutcome::Delivered { arrives_at, .. } =
-                        self.end(side).tx.send(now, seg.wire_size())
+                        end.tx.send(now, seg.wire_size())
                     {
+                        let lane = end.tx_lane;
                         let arrival = match side {
                             Side::Client => Ev::ToServer(seg),
                             Side::Server => Ev::ToClient(seg),
                         };
-                        self.queue.schedule_at(arrives_at, arrival);
+                        self.queue.schedule_on(lane, arrives_at, arrival);
                     }
                 }
                 (TcpOutput::SetTimer(at), _) => {

@@ -9,50 +9,17 @@
 //! allocator; keep it to this one test so nothing else allocates
 //! inside the window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
+use std::sync::atomic::Ordering;
+
+use counting_alloc::{Counting, ALLOCATIONS};
 use simcore::time::SimTime;
 use simcore::units::ByteSize;
 use testbed::builder::ScenarioBuilder;
 use testbed::eth::RxMode;
 use workloads::memcached::MemcachedConfig;
-
-/// Heap allocations (and reallocations) made by the process so far.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting every call that can obtain memory.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a relaxed
-// atomic that publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller guarantees `ptr` came from this allocator
-        // (so from `System`) with `layout`, and that `new_size` is valid.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller guarantees `ptr` came from this allocator
-        // (so from `System`) with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;

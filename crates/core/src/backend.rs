@@ -119,13 +119,6 @@ impl SoftEmuConfig {
         self.bounce_buffers = n;
         self
     }
-
-    /// Sets the backoff-doubling cap.
-    #[must_use]
-    pub fn with_max_backoff_doublings(mut self, n: u32) -> Self {
-        self.max_backoff_doublings = n;
-        self
-    }
 }
 
 /// Backend selection, carried by [`crate::npf::NpfConfig`]. `Copy` so
@@ -155,15 +148,10 @@ impl BackendSelect {
 
     /// A selection of `kind` with default tunables.
     #[must_use]
-    pub const fn of(kind: BackendKind) -> Self {
+    pub fn of(kind: BackendKind) -> Self {
         match kind {
             BackendKind::Firmware => BackendSelect::Firmware,
-            BackendKind::SoftEmu => BackendSelect::SoftEmu(SoftEmuConfig {
-                bounce_buffers: 64,
-                validate_base: SimDuration::from_micros(2),
-                validate_per_page: SimDuration::from_nanos(60),
-                max_backoff_doublings: 10,
-            }),
+            BackendKind::SoftEmu => BackendSelect::SoftEmu(SoftEmuConfig::default()),
             BackendKind::Pinned => BackendSelect::Pinned,
         }
     }
@@ -473,12 +461,6 @@ impl SoftEmuBackend {
                 softemu_copy_skipped: counters.register("softemu_copy_skipped"),
             },
         }
-    }
-
-    /// The backend's tunables.
-    #[must_use]
-    pub fn config(&self) -> SoftEmuConfig {
-        self.config
     }
 }
 

@@ -47,17 +47,6 @@ pub enum ResolveStep {
     Idle,
 }
 
-/// Per-tenant resolver activity (scale-out metrics).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RingStats {
-    /// Backup entries drained for this ring.
-    pub drained: u64,
-    /// Packets merged back into this ring.
-    pub merged: u64,
-    /// Times this ring's resolver parked awaiting a tail interrupt.
-    pub parked: u64,
-}
-
 /// What the driver keeps per IOuser ring.
 #[derive(Debug)]
 struct RingState<P> {
@@ -69,8 +58,6 @@ struct RingState<P> {
     /// through (slot address reconstruction); `None` until
     /// [`BackupDriver::bind_ring`].
     bound: Option<(DomainId, u64)>,
-    /// Resolver activity.
-    stats: RingStats,
 }
 
 impl<P> Default for RingState<P> {
@@ -79,7 +66,6 @@ impl<P> Default for RingState<P> {
             queue: VecDeque::new(),
             parked: false,
             bound: None,
-            stats: RingStats::default(),
         }
     }
 }
@@ -130,14 +116,6 @@ impl<P: Clone> BackupDriver<P> {
         &self.counters
     }
 
-    /// Per-tenant resolver activity for one ring.
-    #[must_use]
-    pub fn ring_stats(&self, ring: RingId) -> RingStats {
-        self.rings
-            .get(ring.0 as usize)
-            .map_or_else(RingStats::default, |r| r.stats)
-    }
-
     /// Associates a ring with its IOMMU domain and its buffer-slot
     /// count (channel setup). Ring buffers follow the testbed
     /// convention: a page-per-slot array at [`crate::RX_BUFFER_BASE`],
@@ -166,7 +144,6 @@ impl<P: Clone> BackupDriver<P> {
             let ring = entry.ring;
             let state = self.ring_mut(ring);
             state.queue.push_back(entry);
-            state.stats.drained += 1;
             if !woken.contains(&ring) {
                 woken.push(ring);
             }
@@ -214,7 +191,6 @@ impl<P: Clone> BackupDriver<P> {
         if target_index >= rx.tail(ring) {
             rx.request_tail_interrupt(ring);
             state.parked = true;
-            state.stats.parked += 1;
             self.counters.bump_id(self.parked);
             if trace::enabled() {
                 trace::instant(
@@ -261,7 +237,6 @@ impl<P: Clone> BackupDriver<P> {
         let placed = rx.place_resolved(ring, target_index, entry.payload.clone(), entry.len);
         assert!(placed, "descriptor checked above");
         let notify = rx.resolve_rnpfs(ring, entry.bit_index);
-        state.stats.merged += 1;
         self.counters.bump_id(self.merged);
         journal::mark_at(ready_at + cost, journal::MarkKind::ReplayDrain, entry.len);
         if trace::enabled() {

@@ -4,9 +4,16 @@
 //! driver that lets direct-I/O NIC DMAs take page faults instead of
 //! requiring pinned memory.
 //!
-//! * [`npf::NpfEngine`] — the Figure 2 flows: fault resolution (with
-//!   batching, firmware-bypass resume, and per-channel concurrency
-//!   limits — the §4 optimizations) and MMU-notifier invalidation.
+//! * [`npf::NpfEngine`] — the Figure 2 flows: MMU-notifier
+//!   invalidation, and fault resolution as one pipeline (resolve →
+//!   plan → admit → record → pend) that a NIC-raised NPF and a
+//!   speculative pre-fault both take. Its policies are modules of
+//!   their own:
+//!   [`backend`] prices a fault (firmware NPF, software emulation,
+//!   pinned baseline), [`arbiter::FaultArbiter`] decides when it may
+//!   start (the §4 per-channel concurrency limit, then the
+//!   cross-channel slot pool), and the private `prefetch` module's
+//!   stride detector decides what to pre-fault.
 //! * [`backup_driver::BackupDriver`] — the §5 Ethernet design: the
 //!   IOprovider half of the backup ring (software queues + resolver
 //!   thread), keeping IOusers unaware of rNPFs.
@@ -39,20 +46,33 @@
 //! # Ok::<(), memsim::manager::MemError>(())
 //! ```
 
+pub mod arbiter;
 pub mod backend;
 pub mod backup_driver;
 pub mod cost;
 pub mod npf;
 pub mod pinning;
+mod prefetch;
 
+pub use arbiter::{ArbiterPolicy, ArbiterStats, FaultArbiter};
 pub use backend::{
     BackendKind, BackendSelect, FaultPlan, FaultRequest, FirmwareBackend, OdpBackend,
     PinnedBackend, SoftEmuBackend, SoftEmuConfig,
 };
-pub use backup_driver::{BackupDriver, ResolveStep, RingStats};
+pub use backup_driver::{BackupDriver, ResolveStep};
 pub use cost::{CostModel, InvalidationBreakdown, NpfBreakdown};
-pub use npf::{ArbiterPolicy, ArbiterStats, FaultArbiter, FaultRecord, NpfConfig, NpfEngine};
+pub use npf::{FaultRecord, NpfConfig, NpfEngine};
 pub use pinning::{Registrar, RegistrarStats, Strategy};
+
+/// The entry for `domain` in a table indexed by the dense domain id,
+/// growing the table with defaults to cover it.
+fn dense_slot<T: Clone + Default>(table: &mut Vec<T>, domain: iommu::DomainId) -> &mut T {
+    let idx = domain.0 as usize;
+    if idx >= table.len() {
+        table.resize(idx + 1, T::default());
+    }
+    &mut table[idx]
+}
 
 /// Testbed convention: every IOuser maps its RX packet buffers as a
 /// page-per-slot array at this virtual address (the NIC metadata lets

@@ -13,11 +13,25 @@
 //!   notifier in Linux), the driver removes the IOMMU mapping — cheap
 //!   when the page was never mapped, since ODP maps lazily.
 //!
-//! The engine is sans-IO: `begin_fault` computes *when* the fault will
+//! Every fault takes one pipeline, `raise`, whether the NIC raised it
+//! ([`NpfEngine::begin_fault`]) or the stride prefetcher predicted it:
+//!
+//! 1. **resolve** — one pass over the host page tables, then the OS
+//!    work per page (allocate, swap in, break COW);
+//! 2. **plan** — the [`OdpBackend`] prices the service as ordered phase
+//!    slices;
+//! 3. **admit** — the fault waits its turn: per-channel cap and
+//!    cross-channel pool ([`crate::arbiter`]), backend bounce pool,
+//!    chaos fate;
+//! 4. **record** — trace spans and journal phases, both from the plan's
+//!    slices;
+//! 5. **pend** — the [`FaultRecord`] joins the in-flight set.
+//!
+//! The engine is sans-IO: the pipeline computes *when* the fault will
 //! be resolved and `complete_fault` applies the IOMMU update; the
 //! testbed schedules the completion event.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use iommu::{DomainId, Iommu, TableMode};
 use memsim::manager::{Invalidation, MemError, MemoryManager};
@@ -25,14 +39,19 @@ use memsim::space::Pte;
 use memsim::types::{PageRange, SpaceId, VirtAddr, Vpn};
 use memsim::FrameId;
 use simcore::chaos::{invariant, ChaosEngine, NpfFate};
-use simcore::journal;
+use simcore::journal::{self, Phase};
 use simcore::rng::SimRng;
-use simcore::stats::{CounterId, Counters, DurationHistogram};
+use simcore::stats::{CounterId, Counters};
 use simcore::time::{SimDuration, SimTime};
 use simcore::trace::{self, ArgValue};
 
-use crate::backend::{trace_child_name, BackendKind, BackendSelect, FaultRequest, OdpBackend};
+use crate::arbiter::{ArbiterPolicy, FaultArbiter};
+use crate::backend::{
+    trace_child_name, BackendKind, BackendSelect, FaultPlan, FaultRequest, OdpBackend,
+};
 use crate::cost::{CostModel, NpfBreakdown};
+use crate::dense_slot;
+use crate::prefetch::StridePrefetcher;
 
 /// Engine configuration: the paper's optimizations as toggles, for the
 /// ablation benches.
@@ -100,13 +119,6 @@ impl Default for NpfConfig {
 }
 
 impl NpfConfig {
-    /// Replaces the cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Sets the per-channel concurrent-fault limit.
     #[must_use]
     pub fn with_concurrent_faults_per_channel(mut self, limit: u32) -> Self {
@@ -164,268 +176,6 @@ impl NpfConfig {
     }
 }
 
-/// How channels contend for the engine-wide fault-servicing capacity
-/// ([`NpfConfig::total_fault_slots`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArbiterPolicy {
-    /// Legacy prototype behavior: each channel is limited to
-    /// `concurrent_faults_per_channel`, channels never contend with one
-    /// another, and the global pool is ignored.
-    #[default]
-    ChannelOnly,
-    /// One global pool of slots granted in arrival order. Combined with
-    /// the per-channel cap this round-robins between contending
-    /// channels: no channel can occupy more than its per-channel limit,
-    /// so waiting channels interleave — but a burst of many channels
-    /// can still queue a late arrival behind everyone.
-    RoundRobin,
-    /// Global pool with per-channel occupancy capped at the channel's
-    /// *registered* weight share, `max(1, total · w / Σw)`. Reservation
-    /// semantics: a channel never occupies beyond its share even when
-    /// the pool is otherwise idle, so every other channel's share stays
-    /// available and no tenant's wait depends on another's backlog —
-    /// starvation is bounded by the drain time of the channel's own
-    /// share.
-    WeightedFair,
-}
-
-impl ArbiterPolicy {
-    /// Parses the CLI spellings used by the bench bins.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognized input.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "channel" | "channel-only" | "none" => Ok(ArbiterPolicy::ChannelOnly),
-            "rr" | "round-robin" => Ok(ArbiterPolicy::RoundRobin),
-            "wfq" | "weighted-fair" => Ok(ArbiterPolicy::WeightedFair),
-            other => Err(other.to_owned()),
-        }
-    }
-}
-
-/// Per-domain starvation accounting for the fault arbiter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArbiterStats {
-    /// Faults admitted for this domain.
-    pub grants: u64,
-    /// Grants that had to wait on arbitration (beyond any per-channel
-    /// queueing).
-    pub queued: u64,
-    /// Total arbitration wait across all grants.
-    pub total_wait: SimDuration,
-    /// Worst single arbitration wait.
-    pub max_wait: SimDuration,
-}
-
-/// Cross-channel fault arbiter: models the engine-wide fault-servicing
-/// capacity as `total_fault_slots` slot servers, each with a busy-until
-/// time and a last owner.
-///
-/// Sans-IO like the engine: `admit` picks a slot and returns the
-/// service start time; the caller commits the completion time so later
-/// admissions see it. Under [`ArbiterPolicy::RoundRobin`] every fault
-/// takes the earliest-free slot (arrival order); under
-/// [`ArbiterPolicy::WeightedFair`] a domain already holding its weight
-/// share of busy slots serializes on its own slots instead of spreading
-/// further — heavy tenants stack depth-wise on their share and the
-/// remaining slots stay available to light tenants.
-#[derive(Debug)]
-pub struct FaultArbiter {
-    policy: ArbiterPolicy,
-    total_slots: u32,
-    /// Registered weight per domain, indexed by the dense domain id
-    /// (0 = unregistered; registered weights are clamped to ≥ 1).
-    weights: Vec<u32>,
-    /// Σ of registered weights (kept incrementally; the share divisor).
-    weight_sum: u64,
-    /// Per-slot `(busy_until, last_owner)`.
-    servers: Vec<(SimTime, Option<DomainId>)>,
-    /// Slot chosen by the in-flight `admit`, consumed by `commit`.
-    pending_slot: Option<usize>,
-    /// Starvation accounting, indexed by the dense domain id. `None`
-    /// until the domain's first admission (so reports only list domains
-    /// that actually faulted).
-    stats: Vec<Option<ArbiterStats>>,
-}
-
-impl FaultArbiter {
-    fn new(policy: ArbiterPolicy, total_slots: u32) -> Self {
-        let slots = if policy == ArbiterPolicy::ChannelOnly {
-            0
-        } else {
-            total_slots as usize
-        };
-        FaultArbiter {
-            policy,
-            total_slots,
-            weights: Vec::new(),
-            weight_sum: 0,
-            servers: vec![(SimTime::ZERO, None); slots],
-            pending_slot: None,
-            stats: Vec::new(),
-        }
-    }
-
-    /// Grows a dense per-domain table to cover `domain`.
-    fn ensure_len<T: Clone + Default>(v: &mut Vec<T>, domain: DomainId) -> &mut T {
-        let idx = domain.0 as usize;
-        if idx >= v.len() {
-            v.resize(idx + 1, T::default());
-        }
-        &mut v[idx]
-    }
-
-    /// Whether the global pool is actually in force.
-    fn active(&self) -> bool {
-        self.policy != ArbiterPolicy::ChannelOnly && self.total_slots > 0
-    }
-
-    /// Registers a domain at the default weight 1 (no-op if already
-    /// registered). Channels register at creation.
-    pub fn register(&mut self, domain: DomainId) {
-        let w = Self::ensure_len(&mut self.weights, domain);
-        if *w == 0 {
-            *w = 1;
-            self.weight_sum += 1;
-        }
-    }
-
-    /// Sets a domain's weight (clamped to ≥ 1). Only
-    /// [`ArbiterPolicy::WeightedFair`] consults weights.
-    pub fn set_weight(&mut self, domain: DomainId, weight: u32) {
-        let w = weight.max(1);
-        let slot = Self::ensure_len(&mut self.weights, domain);
-        let old = *slot;
-        *slot = w;
-        self.weight_sum = self.weight_sum - u64::from(old) + u64::from(w);
-    }
-
-    /// Whether a domain has been registered (or explicitly weighted).
-    fn registered(&self, domain: DomainId) -> bool {
-        self.weights.get(domain.0 as usize).is_some_and(|&w| w != 0)
-    }
-
-    /// A domain's weight (default 1).
-    #[must_use]
-    pub fn weight(&self, domain: DomainId) -> u32 {
-        match self.weights.get(domain.0 as usize) {
-            Some(&w) if w != 0 => w,
-            _ => 1,
-        }
-    }
-
-    /// Starvation accounting for one domain.
-    #[must_use]
-    pub fn stats(&self, domain: DomainId) -> ArbiterStats {
-        self.stats
-            .get(domain.0 as usize)
-            .copied()
-            .flatten()
-            .unwrap_or_default()
-    }
-
-    /// All per-domain stats, in domain order (deterministic). Only
-    /// domains that admitted at least one fault appear.
-    #[must_use]
-    pub fn stats_sorted(&self) -> Vec<(DomainId, ArbiterStats)> {
-        self.stats
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|s| (DomainId(u32::try_from(i).expect("dense id")), s)))
-            .collect()
-    }
-
-    /// The worst arbitration wait seen by any domain.
-    #[must_use]
-    pub fn max_wait(&self) -> SimDuration {
-        self.stats
-            .iter()
-            .flatten()
-            .map(|s| s.max_wait)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// The mutable stats cell for `domain`, created on first touch.
-    fn stats_mut(&mut self, domain: DomainId) -> &mut ArbiterStats {
-        Self::ensure_len(&mut self.stats, domain).get_or_insert_with(ArbiterStats::default)
-    }
-
-    /// Earliest time a fault for `domain` (already cleared for service
-    /// at `chan_start` by the per-channel limiter) may start under the
-    /// global policy. Records starvation stats and remembers the chosen
-    /// slot for `commit`.
-    fn admit(&mut self, _now: SimTime, domain: DomainId, chan_start: SimTime) -> SimTime {
-        self.pending_slot = None;
-        if !self.active() {
-            self.stats_mut(domain).grants += 1;
-            return chan_start;
-        }
-        // One pass over the slot servers finds both candidates: the
-        // earliest-free slot overall, and the earliest-free of the slots
-        // this domain still holds busy. The strict `<` keeps the lowest
-        // index on ties (deterministic).
-        let weighted = self.policy == ArbiterPolicy::WeightedFair;
-        let mut global_best = 0;
-        let mut mine_busy = 0usize;
-        let mut mine_best: Option<usize> = None;
-        for (i, &(t, owner)) in self.servers.iter().enumerate() {
-            if t < self.servers[global_best].0 {
-                global_best = i;
-            }
-            if weighted && t > chan_start && owner == Some(domain) {
-                mine_busy += 1;
-                if mine_best.is_none_or(|best| t < self.servers[best].0) {
-                    mine_best = Some(i);
-                }
-            }
-        }
-        let chosen = if weighted {
-            // Reservation share over the registered weights: the cap
-            // holds even when other channels are idle, so their shares
-            // stay available to them (non-work-conserving by design).
-            let w_d = u64::from(self.weight(domain));
-            let w_sum = if self.registered(domain) {
-                self.weight_sum
-            } else {
-                self.weight_sum + w_d
-            };
-            let share = usize::try_from((u64::from(self.total_slots) * w_d / w_sum.max(1)).max(1))
-                .unwrap_or(usize::MAX);
-            match mine_best {
-                // At the weight share: serialize on the soonest-free of
-                // this domain's own slots rather than spreading wider.
-                Some(own) if mine_busy >= share => own,
-                _ => global_best,
-            }
-        } else {
-            global_best
-        };
-        let start = chan_start.max(self.servers[chosen].0);
-        self.pending_slot = Some(chosen);
-        let wait = start.saturating_since(chan_start);
-        let s = self.stats_mut(domain);
-        s.grants += 1;
-        if wait > SimDuration::ZERO {
-            s.queued += 1;
-        }
-        s.total_wait += wait;
-        if wait > s.max_wait {
-            s.max_wait = wait;
-        }
-        start
-    }
-
-    /// Registers an admitted fault's completion time on its slot.
-    fn commit(&mut self, domain: DomainId, ready_at: SimTime) {
-        if let Some(i) = self.pending_slot.take() {
-            self.servers[i] = (ready_at, Some(domain));
-        }
-    }
-}
-
 /// A fault in flight.
 #[derive(Debug, Clone)]
 pub struct FaultRecord {
@@ -449,25 +199,52 @@ pub struct FaultRecord {
     mappings: Vec<(Vpn, FrameId)>,
 }
 
-/// Per-channel stride detector state for speculative prefetch.
-#[derive(Debug, Clone, Copy, Default)]
-struct StrideStream {
-    /// Whether `last_start` holds a real observation yet.
-    primed: bool,
-    /// Start page of the previous demand fault on this channel.
-    last_start: u64,
-    /// Last observed start-to-start stride in pages.
-    stride: i64,
-    /// Consecutive faults that repeated `stride`.
-    streak: u32,
+/// Who raised a fault — the one input that makes the pipeline's stages
+/// differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// The NIC hit a not-present page: every page of the range must
+    /// resolve (errors propagate, COW breaks) and the fault waits its
+    /// turn in the admit stage.
+    Demand,
+    /// The stride prefetcher predicted the range. Driver-side
+    /// pre-validation, not a NIC event: it maps what it can get without
+    /// surfacing an error or breaking COW, skips the per-channel slots,
+    /// the arbiter, backend admission and chaos, and draws no RNG — so
+    /// enabling prefetch never perturbs the demand path's draw sites.
+    Speculative,
 }
 
-/// Strides this large stop looking like a stream and are not prefetched.
-const MAX_PREFETCH_STRIDE: i64 = 64;
+/// What the resolve stage hands to the rest of the pipeline.
+#[derive(Default)]
+struct Resolved {
+    /// Pages the fault will map at completion, ascending.
+    mappings: Vec<(Vpn, FrameId)>,
+    /// The memory subsystem's cost: I/O waits plus the invalidation
+    /// flow of whatever reclaim revoked along the way.
+    os_cost: SimDuration,
+    /// Share of `os_cost` spent fetching from the slow tier.
+    tier_cost: SimDuration,
+    /// A demand fault swapped some page back in.
+    major: bool,
+}
 
-/// Ids of the counters the engine itself bumps (the backend registers
-/// its own), resolved once in [`NpfEngine::new`] so the fault and
-/// invalidation paths index instead of hashing.
+/// What the admit stage decided: the instants between which the wait
+/// phases and the plan's slices tile `[now, ready_at]`.
+struct Admission {
+    /// Cleared by the per-channel cap.
+    chan_start: SimTime,
+    /// Cleared by the cross-channel pool.
+    arb_start: SimTime,
+    /// Service start (the backend had a bounce buffer).
+    start: SimTime,
+    /// Completion, chaos included.
+    ready_at: SimTime,
+}
+
+/// Ids of the counters the engine itself bumps (the backend and the
+/// prefetcher register their own), resolved once in [`NpfEngine::new`]
+/// so the fault and invalidation paths index instead of hashing.
 #[derive(Debug, Clone, Copy)]
 struct NpfCounterIds {
     arb_waits: CounterId,
@@ -481,7 +258,6 @@ struct NpfCounterIds {
     npf_major: CounterId,
     npf_pages: CounterId,
     npf_tier_fetches: CounterId,
-    prefetch_hits: CounterId,
     prefetch_issued: CounterId,
     prefetch_pages: CounterId,
     softemu_retries: CounterId,
@@ -501,7 +277,6 @@ impl NpfCounterIds {
             npf_major: counters.register("npf_major"),
             npf_pages: counters.register("npf_pages"),
             npf_tier_fetches: counters.register("npf_tier_fetches"),
-            prefetch_hits: counters.register("prefetch_hits"),
             prefetch_issued: counters.register("prefetch_issued"),
             prefetch_pages: counters.register("prefetch_pages"),
             softemu_retries: counters.register("softemu_retries"),
@@ -523,13 +298,11 @@ pub struct NpfEngine {
     pending: VecDeque<FaultRecord>,
     /// `(id, range)` of every pending fault, per dense domain id, in id
     /// order: the overlap scans walk one channel's faults instead of
-    /// every tenant's. Linked by `push_pending`, unlinked by
+    /// every tenant's. Linked by `pend`, unlinked by
     /// `complete_fault`.
     pending_by_domain: Vec<Vec<(u64, PageRange)>>,
-    /// Completion times of outstanding faults, per dense domain id
-    /// (concurrency limiting).
-    outstanding: Vec<Vec<SimTime>>,
     arbiter: FaultArbiter,
+    prefetcher: StridePrefetcher,
     next_fault: u64,
     rng: SimRng,
     /// Invariant-note namespace: salts fault ids (and, via the
@@ -549,21 +322,6 @@ pub struct NpfEngine {
     /// Scratch for the mappings of a completing fault that are still
     /// resident.
     scratch_resident: Vec<(Vpn, FrameId)>,
-    fault_latency: DurationHistogram,
-    fault_latency_by_tag: HashMap<&'static str, DurationHistogram>,
-    last_breakdown: Option<NpfBreakdown>,
-    /// Stride-detector state per dense domain id.
-    streams: Vec<StrideStream>,
-    /// Speculative faults issued since the last drain; the testbed
-    /// schedules a completion event for each.
-    spawned_prefetches: Vec<(u64, SimTime)>,
-    /// Pages mapped by completed speculative faults and not yet touched
-    /// by DMA, keyed `(domain, vpn)`. Interior mutability because hit
-    /// detection happens inside the read-only `dma_ready` probe; only
-    /// membership is ever queried, so iteration order cannot leak.
-    prefetched: std::cell::RefCell<std::collections::HashSet<(u32, u64)>>,
-    /// Hits observed by `dma_ready` awaiting transfer into `counters`.
-    prefetch_hits_pending: std::cell::Cell<u64>,
     /// `Iommu::huge_stats` promotions seen and charged so far.
     seen_promotions: u64,
     /// `Iommu::huge_stats` demotions seen and charged so far.
@@ -595,8 +353,12 @@ impl NpfEngine {
             bindings: Vec::new(),
             pending: VecDeque::new(),
             pending_by_domain: Vec::new(),
-            outstanding: Vec::new(),
-            arbiter: FaultArbiter::new(config.arbiter, config.total_fault_slots),
+            arbiter: FaultArbiter::new(
+                config.arbiter,
+                config.total_fault_slots,
+                config.concurrent_faults_per_channel,
+            ),
+            prefetcher: StridePrefetcher::new(config.prefetch_depth, &mut counters),
             next_fault: 0,
             rng,
             chaos_ns: ns,
@@ -606,13 +368,6 @@ impl NpfEngine {
             ids,
             scratch_ptes: Vec::new(),
             scratch_resident: Vec::new(),
-            fault_latency: DurationHistogram::new(),
-            fault_latency_by_tag: HashMap::new(),
-            last_breakdown: None,
-            streams: Vec::new(),
-            spawned_prefetches: Vec::new(),
-            prefetched: std::cell::RefCell::new(std::collections::HashSet::new()),
-            prefetch_hits_pending: std::cell::Cell::new(0),
             seen_promotions: 0,
             seen_demotions: 0,
             pending_huge_cost: SimDuration::ZERO,
@@ -656,23 +411,6 @@ impl NpfEngine {
         &self.counters
     }
 
-    /// End-to-end fault latency histogram (Table 4).
-    pub fn fault_latency(&mut self) -> &mut DurationHistogram {
-        &mut self.fault_latency
-    }
-
-    /// Latency histogram for faults recorded under `tag` (e.g. one per
-    /// message size).
-    pub fn fault_latency_tagged(&mut self, tag: &'static str) -> &mut DurationHistogram {
-        self.fault_latency_by_tag.entry(tag).or_default()
-    }
-
-    /// The breakdown of the most recent fault (Figure 3a plumbing).
-    #[must_use]
-    pub fn last_breakdown(&self) -> Option<NpfBreakdown> {
-        self.last_breakdown
-    }
-
     /// The cross-channel fault arbiter (starvation accounting).
     #[must_use]
     pub fn arbiter(&self) -> &FaultArbiter {
@@ -695,25 +433,7 @@ impl NpfEngine {
     /// `space`.
     pub fn create_channel(&mut self, space: SpaceId) -> DomainId {
         let d = self.iommu.create_domain(TableMode::PageFaultCapable);
-        self.bind(d, space);
-        self.arbiter.register(d);
-        d
-    }
-
-    /// Records a domain → space binding in the dense table.
-    fn bind(&mut self, domain: DomainId, space: SpaceId) {
-        let idx = domain.0 as usize;
-        if idx >= self.bindings.len() {
-            self.bindings.resize(idx + 1, None);
-        }
-        self.bindings[idx] = Some(space);
-    }
-
-    /// Creates a legacy (pinned-only) channel for baseline
-    /// configurations.
-    pub fn create_pinned_channel(&mut self, space: SpaceId) -> DomainId {
-        let d = self.iommu.create_domain(TableMode::PinnedOnly);
-        self.bind(d, space);
+        *dense_slot(&mut self.bindings, d) = Some(space);
         self.arbiter.register(d);
         d
     }
@@ -738,45 +458,16 @@ impl NpfEngine {
         let range = PageRange::covering(addr, len.max(1));
         let ready = self.iommu.probe_range(domain, range, write);
         if ready {
-            // Prefetch-accuracy accounting: a successful probe of a page
-            // a speculative fault mapped is a hit (counted once — the
-            // page leaves the set). Interior mutability because probes
-            // are read-only to the simulation.
-            let mut set = self.prefetched.borrow_mut();
-            if !set.is_empty() {
-                let mut hits = 0;
-                for vpn in range.iter() {
-                    if set.remove(&(domain.0, vpn.0)) {
-                        hits += 1;
-                    }
-                }
-                if hits > 0 {
-                    self.prefetch_hits_pending
-                        .set(self.prefetch_hits_pending.get() + hits);
-                }
-            }
+            self.prefetcher.note_probe(domain, range);
         }
         ready
-    }
-
-    /// Moves hit counts observed by the read-only `dma_ready` probe into
-    /// the counters (called on the mutating paths, so `counters()` is
-    /// up to date whenever the simulation can observe it).
-    fn sync_prefetch_hits(&mut self) {
-        let hits = self.prefetch_hits_pending.take();
-        if hits > 0 {
-            self.counters.add_id(self.ids.prefetch_hits, hits);
-            if trace::enabled() {
-                trace::metrics(|m| m.counter_add("npf.prefetch_hits", hits));
-            }
-        }
     }
 
     /// Pages a completed speculative fault mapped that DMA has since
     /// used (the prefetch-accuracy numerator).
     #[must_use]
     pub fn prefetch_hits(&self) -> u64 {
-        self.counters.get("prefetch_hits") + self.prefetch_hits_pending.get()
+        self.counters.get("prefetch_hits") + self.prefetcher.hits_pending()
     }
 
     /// Is any pending fault already covering `addr..addr+len`? Returns
@@ -805,17 +496,6 @@ impl NpfEngine {
             .map(|&(id, _)| id)
     }
 
-    /// Appends a fault to `pending` and links it into its domain's
-    /// index. Ids are monotone, so both stay sorted by id.
-    fn push_pending(&mut self, record: FaultRecord) {
-        let idx = record.domain.0 as usize;
-        if idx >= self.pending_by_domain.len() {
-            self.pending_by_domain.resize_with(idx + 1, Vec::new);
-        }
-        self.pending_by_domain[idx].push((record.id, record.range));
-        self.pending.push_back(record);
-    }
-
     /// A pending fault by id.
     #[must_use]
     pub fn pending_fault(&self, id: u64) -> Option<&FaultRecord> {
@@ -831,13 +511,18 @@ impl NpfEngine {
         self.pending.len()
     }
 
-    /// Begins resolving an NPF for `addr..addr+len` in `domain`,
-    /// optionally tagging the latency sample. Returns the fault record;
-    /// the caller schedules `complete_fault(id)` at `record.ready_at`.
+    /// Begins resolving an NPF for `addr..addr+len` in `domain`.
+    /// Returns the fault record; the caller schedules
+    /// `complete_fault(id)` at `record.ready_at`.
     ///
     /// The OS work (allocation, swap-in, reclaim) happens *now*; the
     /// IOMMU mappings are installed at completion. Invalidation costs of
     /// any reclaim are folded into the driver component.
+    ///
+    /// `_tag` is inert: it once keyed a per-tag latency histogram no
+    /// caller ever read. Kept only because the frozen `benchmark/`
+    /// spells the argument (same residue as
+    /// [`NpfConfig::iotlb_entries`]).
     ///
     /// # Errors
     ///
@@ -849,124 +534,208 @@ impl NpfEngine {
         addr: VirtAddr,
         len: u64,
         write: bool,
-        tag: Option<&'static str>,
+        _tag: Option<&'static str>,
     ) -> Result<&FaultRecord, MemError> {
-        self.sync_prefetch_hits();
-        let space = self.space_of(domain);
-        let full_range = PageRange::covering(addr, len.max(1));
-        // ATS/PRI ablation: one page per fault event.
-        let range = if self.config.batch_resolution {
-            full_range
-        } else {
-            PageRange::new(full_range.start, 1)
-        };
+        self.prefetcher.sync_hits(&mut self.counters);
+        let mut range = PageRange::covering(addr, len.max(1));
+        if !self.config.batch_resolution {
+            // ATS/PRI ablation: one page per fault event.
+            range.pages = 1;
+        }
+        let demand = self
+            .raise(now, domain, range, write, Origin::Demand)?
+            .expect("a demand fault resolves every page of a non-empty range");
+        // The demand fault is fully recorded; a speculative fault it
+        // triggers gets the next id, so `pending` stays sorted.
+        self.speculate(now, domain, range, write);
+        Ok(&self.pending[demand])
+    }
 
-        // Resolve all non-resident pages and collect mappings for the
-        // whole (possibly batched) range.
-        let mut os_cost = SimDuration::ZERO;
-        let mut tier_cost = SimDuration::ZERO;
-        let mut mappings = Vec::new();
-        let mut invalidation_cost = SimDuration::ZERO;
-        let mut major = false;
-        // One pass over the page tables for the whole scatter-gather
-        // range (the VMA and each PTE leaf are resolved once), then the
-        // per-page fault logic runs on the collected entries.
+    /// Trains the stride prefetcher on a demand fault over `range` and
+    /// raises a speculative fault for the window it predicts, if any.
+    fn speculate(&mut self, now: SimTime, domain: DomainId, range: PageRange, write: bool) {
+        let Some(window) = self.prefetcher.observe(domain, range) else {
+            return;
+        };
+        // Already mapped (e.g. by an earlier prefetch), or covered by a
+        // demand or speculative fault still in flight.
+        if self.iommu.probe_range(domain, window, write)
+            || self.pending_overlap(domain, window).is_some()
+        {
+            return;
+        }
+        if let Ok(Some(at)) = self.raise(now, domain, window, write, Origin::Speculative) {
+            let fault = &self.pending[at];
+            self.prefetcher.spawned.push((fault.id, fault.ready_at));
+        }
+    }
+
+    /// The fault pipeline: resolve → plan → admit → record → pend.
+    /// Returns the new fault's index in `pending`; `None` when a
+    /// speculation found nothing to map (no fault is raised); a memory
+    /// error only for a demand fault.
+    fn raise(
+        &mut self,
+        now: SimTime,
+        domain: DomainId,
+        range: PageRange,
+        write: bool,
+        origin: Origin,
+    ) -> Result<Option<usize>, MemError> {
+        let space = self.space_of(domain);
+        // The PTE scratch goes back on every exit, so an OOM does not
+        // cost the next fault a reallocation.
         let mut ptes = std::mem::take(&mut self.scratch_ptes);
+        let resolved = self.resolve(space, range, write, origin, &mut ptes);
+        self.scratch_ptes = ptes;
+        let resolved = resolved?;
+        if resolved.mappings.is_empty() {
+            return Ok(None);
+        }
+        let plan = self.plan(&resolved, write, origin);
+        let admission = self.admit(now, domain, plan.service_time(), origin);
+        let fault = FaultRecord {
+            id: self.next_fault,
+            domain,
+            space,
+            range,
+            write,
+            ready_at: admission.ready_at,
+            breakdown: plan.breakdown,
+            speculative: origin == Origin::Speculative,
+            mappings: resolved.mappings,
+        };
+        self.next_fault += 1;
+        self.record(now, &fault, resolved.major, &plan, &admission);
+        Ok(Some(self.pend(now, fault)))
+    }
+
+    /// Resolve stage: one pass over the page tables for the whole
+    /// scatter-gather range (the VMA and each PTE leaf are resolved
+    /// once, into `ptes`), then the per-page fault logic on the
+    /// collected entries.
+    fn resolve(
+        &mut self,
+        space: SpaceId,
+        range: PageRange,
+        write: bool,
+        origin: Origin,
+        ptes: &mut Vec<(Vpn, Pte)>,
+    ) -> Result<Resolved, MemError> {
+        let demand = origin == Origin::Demand;
         ptes.clear();
-        self.mm
+        let walked = self
+            .mm
             .space(space)?
-            .for_each_pte(range, |vpn, pte| ptes.push((vpn, pte)))?;
-        for &(vpn, pte) in &ptes {
-            let frame = if let Some(f) = pte.frame() {
-                if write && pte.cow {
-                    // A DMA write to a COW-shared page must break the
-                    // sharing first (otherwise the device would scribble
-                    // on the other sharers' frame).
+            .for_each_pte(range, |vpn, pte| ptes.push((vpn, pte)));
+        if demand {
+            walked?;
+        }
+        // Else the predicted window ran past its VMA (the end of an rx
+        // ring, say): `for_each_pte` reported the covered prefix before
+        // erroring, and speculation clamps to that prefix.
+        let mut r = Resolved::default();
+        for &(vpn, pte) in ptes.iter() {
+            let frame = match pte.frame() {
+                // A DMA write to a COW-shared page must break the
+                // sharing first (otherwise the device would scribble on
+                // the other sharers' frame) — but never speculatively:
+                // that is left to a demand fault that knows the write
+                // really happened.
+                Some(_) if write && pte.cow => {
+                    if !demand {
+                        continue;
+                    }
                     let access = self.mm.touch(space, vpn, true)?;
                     let broke = access.fault.expect("COW break reports a fault");
-                    os_cost += broke.cost;
+                    r.os_cost += broke.cost;
                     for inv in &broke.invalidations {
-                        invalidation_cost += self.run_invalidation(*inv);
+                        r.os_cost += self.run_invalidation(*inv);
                     }
                     broke.frame
-                } else {
-                    f
                 }
-            } else {
-                let res = self.mm.resolve_fault(space, vpn, write)?;
-                // Only the I/O share: the driver's own software costs
-                // (per-page translation, PT updates) come from the
-                // calibrated cost model below.
-                os_cost += res.io_cost;
-                tier_cost += res.tier_cost;
-                major |= res.kind == memsim::FaultKind::Major;
-                if res.kind == memsim::FaultKind::Major {
-                    self.counters.bump_id(self.ids.npf_major);
+                Some(frame) => frame,
+                None => {
+                    let res = match self.mm.resolve_fault(space, vpn, write) {
+                        Ok(res) => res,
+                        Err(e) if demand => return Err(e),
+                        // Out of memory: stop speculating, keep what
+                        // we have.
+                        Err(_) => break,
+                    };
+                    // Only the I/O share: the driver's own software
+                    // costs (per-page translation, PT updates) come
+                    // from the calibrated cost model in the plan stage.
+                    r.os_cost += res.io_cost;
+                    r.tier_cost += res.tier_cost;
+                    if demand {
+                        // `npf_*` count NIC-raised faults only.
+                        if res.kind == memsim::FaultKind::Major {
+                            r.major = true;
+                            self.counters.bump_id(self.ids.npf_major);
+                        }
+                        if res.tier_cost > SimDuration::ZERO {
+                            self.counters.bump_id(self.ids.npf_tier_fetches);
+                        }
+                    }
+                    // Reclaim may have revoked other pages: purge their
+                    // IOMMU mappings now (Figure 2 a–d).
+                    for inv in &res.invalidations {
+                        r.os_cost += self.run_invalidation(*inv);
+                    }
+                    res.frame
                 }
-                if res.tier_cost > SimDuration::ZERO {
-                    self.counters.bump_id(self.ids.npf_tier_fetches);
-                }
-                // Reclaim may have revoked other pages: purge their
-                // IOMMU mappings now (Figure 2 a–d).
-                for inv in &res.invalidations {
-                    invalidation_cost += self.run_invalidation(*inv);
-                }
-                res.frame
             };
-            mappings.push((vpn, frame));
+            r.mappings.push((vpn, frame));
         }
-        self.scratch_ptes = ptes;
+        Ok(r)
+    }
 
-        // The backend prices the fault: an ordered phase plan plus the
-        // synthesized Figure 3 breakdown. The firmware backend draws
-        // its hardware jitter from the engine RNG exactly where the
-        // direct cost-model call used to, so firmware runs stay
-        // byte-identical to the pre-refactor engine.
+    /// Plan stage: the backend prices the fault as an ordered phase
+    /// plan plus the synthesized Figure 3 breakdown. The firmware
+    /// backend draws its hardware jitter from the engine RNG;
+    /// speculative plans draw none (pinned by the backend tests).
+    fn plan(&mut self, resolved: &Resolved, write: bool, origin: Origin) -> FaultPlan {
         // Page-table maintenance from huge-page folds/splits since the
         // last fault lands on this fault's OS span.
         let huge_cost = std::mem::replace(&mut self.pending_huge_cost, SimDuration::ZERO);
         let request = FaultRequest {
-            // Charge for what the speculation will actually map, not the
-            // nominal window (which may have been clamped above).
-            pages: mappings.len() as u64,
-            os_cost: os_cost + invalidation_cost + huge_cost,
+            // Charge for what will actually be mapped, not the nominal
+            // range (a speculative window may have been clamped).
+            pages: resolved.mappings.len() as u64,
+            os_cost: resolved.os_cost + huge_cost,
             write,
             firmware_bypass: self.config.firmware_bypass,
-            speculative: false,
-            tier_cost,
+            speculative: origin == Origin::Speculative,
+            tier_cost: resolved.tier_cost,
         };
-        let plan = self.backend.plan(
+        self.backend.plan(
             &request,
             &self.config.cost,
             &mut self.rng,
             &mut self.counters,
-        );
-        let breakdown = plan.breakdown;
+        )
+    }
 
-        // Concurrency limiting: if the channel already has the maximum
-        // outstanding faults, this one starts after the earliest
-        // completes.
-        let chan_start = {
-            let idx = domain.0 as usize;
-            if idx >= self.outstanding.len() {
-                self.outstanding.resize_with(idx + 1, Vec::new);
-            }
-            let slots = &mut self.outstanding[idx];
-            slots.retain(|&t| t > now);
-            if slots.len() >= self.config.concurrent_faults_per_channel as usize {
-                let (idx, &earliest) = slots
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, t)| *t)
-                    .expect("nonempty");
-                slots.remove(idx);
-                earliest
-            } else {
-                now
-            }
-        };
-        // Cross-channel arbitration over the engine-wide slot pool.
-        let arb_start = self.arbiter.admit(now, domain, chan_start);
+    /// Admit stage: when a fault raised at `now` needing `service` time
+    /// starts and completes.
+    fn admit(
+        &mut self,
+        now: SimTime,
+        domain: DomainId,
+        service: SimDuration,
+        origin: Origin,
+    ) -> Admission {
+        if origin == Origin::Speculative {
+            return Admission {
+                chan_start: now,
+                arb_start: now,
+                start: now,
+                ready_at: now + service,
+            };
+        }
+        // Per-channel cap, then the engine-wide slot pool.
+        let (chan_start, arb_start) = self.arbiter.admit(now, domain);
         if arb_start > chan_start {
             self.counters.bump_id(self.ids.arb_waits);
         }
@@ -974,7 +743,7 @@ impl NpfEngine {
         // fault here waiting for a bounce buffer (backpressure, never
         // a drop); firmware passes through.
         let start = self.backend.admit(arb_start, &mut self.counters);
-        let ready_at = start + breakdown.total();
+        let ready_at = start + service;
         // Chaos: NPF resolution delay / transient-failure / retry. The
         // perturbed time extends the outstanding slot too, so the
         // concurrency limiter sees the real completion.
@@ -997,45 +766,45 @@ impl NpfEngine {
                 ready_at + self.backend.transient_penalty(retries, retry_delay)
             }
         };
-        self.outstanding[domain.0 as usize].push(ready_at);
         self.arbiter.commit(domain, ready_at);
         self.backend.commit(ready_at);
-
-        let id = self.next_fault;
-        self.next_fault += 1;
-        self.counters.bump_id(self.ids.npf_events);
-        self.counters.add_id(self.ids.npf_pages, range.pages);
-        let latency = ready_at.saturating_since(now);
-        self.fault_latency.record(latency);
-        if let Some(t) = tag {
-            self.fault_latency_by_tag
-                .entry(t)
-                .or_default()
-                .record(latency);
+        Admission {
+            chan_start,
+            arb_start,
+            start,
+            ready_at,
         }
-        self.last_breakdown = Some(breakdown);
+    }
 
+    /// Record stage: the fault's trace span and journal chain, both
+    /// laid down from the same `plan.slices`.
+    fn record(
+        &self,
+        now: SimTime,
+        fault: &FaultRecord,
+        major: bool,
+        plan: &FaultPlan,
+        admitted: &Admission,
+    ) {
+        let demand = !fault.speculative;
+        let (pages, start, ready_at) = (fault.range.pages, admitted.start, fault.ready_at);
         if trace::enabled() {
             // The fault lifecycle span, decomposed into the backend's
             // service plan: Figure 3's five components (i)–(v) under
             // firmware, validate/bounce/copy under the software
             // emulation. The children tile the parent exactly.
-            let parent = trace::span(
-                start,
-                breakdown.total(),
-                "npf",
-                "npf",
-                vec![
-                    ("fault_id", ArgValue::U64(id)),
-                    ("pages", ArgValue::U64(range.pages)),
-                    ("write", ArgValue::Bool(write)),
-                    ("major", ArgValue::Bool(major)),
-                    (
-                        "queued_us",
-                        ArgValue::F64(start.saturating_since(now).as_micros_f64()),
-                    ),
-                ],
-            );
+            let mut args = vec![
+                ("fault_id", ArgValue::U64(fault.id)),
+                ("pages", ArgValue::U64(pages)),
+                ("write", ArgValue::Bool(fault.write)),
+            ];
+            if demand {
+                args.push(("major", ArgValue::Bool(major)));
+                let queued = start.saturating_since(now);
+                args.push(("queued_us", ArgValue::F64(queued.as_micros_f64())));
+            }
+            let name = if demand { "npf" } else { "npf_prefetch" };
+            let parent = trace::span(start, plan.service_time(), "npf", name, args);
             if let Some(parent) = parent {
                 let mut at = start;
                 for &(phase, d) in plan.slices.iter() {
@@ -1043,265 +812,75 @@ impl NpfEngine {
                     at += d;
                 }
             }
-            trace::counter(
-                now,
-                "npf",
-                "pending_faults",
-                (self.pending.len() + 1) as f64,
-            );
-            trace::metrics(|m| {
-                m.counter_add("npf.events", 1);
-                m.counter_add("npf.pages", range.pages);
-                m.duration_record("npf.latency", latency);
-            });
+            if demand {
+                let in_flight = (self.pending.len() + 1) as f64;
+                trace::counter(now, "npf", "pending_faults", in_flight);
+                trace::metrics(|m| {
+                    m.counter_add("npf.events", 1);
+                    m.counter_add("npf.pages", pages);
+                    m.duration_record("npf.latency", ready_at.saturating_since(now));
+                });
+            } else {
+                trace::metrics(|m| m.counter_add("npf.prefetches", 1));
+            }
         }
-
         if journal::enabled() {
             // The causal journal records the same decomposition as the
-            // trace span above, plus the pre-admission waits, as typed
-            // phases that tile `[now, ready_at]` exactly: their sum IS
-            // the end-to-end latency, by construction.
-            let chaos_extra = ready_at.saturating_since(start + breakdown.total());
-            let key = (self.chaos_ns << 32) | id;
-            let slices = &plan.slices;
+            // trace span, plus — for a demand fault — the pre-admission
+            // waits and the chaos tail, as typed phases that tile
+            // `[now, ready_at]` exactly: their sum IS the end-to-end
+            // latency, by construction. A speculative fault has no
+            // waits and no chaos, so its slices alone tile the interval.
+            let key = (self.chaos_ns << 32) | fault.id;
+            let domain = u64::from(fault.domain.0);
             journal::with(|j| {
-                j.fault_begun(key, u64::from(domain.0), range.pages, major, now, ready_at);
-                j.phase(
-                    key,
-                    journal::Phase::QueueWait,
-                    now,
-                    chan_start.saturating_since(now),
-                );
-                j.phase(
-                    key,
-                    journal::Phase::ArbWait,
-                    chan_start,
-                    arb_start.saturating_since(chan_start),
-                );
-                // Bounce-pool backpressure (zero-width under firmware).
-                j.phase(
-                    key,
-                    journal::Phase::BounceWait,
-                    arb_start,
-                    start.saturating_since(arb_start),
-                );
+                j.fault_begun(key, domain, pages, major, now, ready_at);
+                if demand {
+                    // Bounce-pool backpressure is zero-width under firmware.
+                    let waits = [
+                        (Phase::QueueWait, now, admitted.chan_start),
+                        (Phase::ArbWait, admitted.chan_start, admitted.arb_start),
+                        (Phase::BounceWait, admitted.arb_start, start),
+                    ];
+                    for (phase, from, to) in waits {
+                        j.phase(key, phase, from, to.saturating_since(from));
+                    }
+                }
                 let mut at = start;
-                for &(phase, d) in slices.iter() {
-                    j.phase(key, phase, at, d);
-                    at += d;
-                }
-                j.phase(key, journal::Phase::ChaosExtra, at, chaos_extra);
-            });
-        }
-
-        let record = FaultRecord {
-            id,
-            domain,
-            space,
-            range,
-            write,
-            ready_at,
-            breakdown,
-            speculative: false,
-            mappings,
-        };
-        invariant::note_fault_begun((self.chaos_ns << 32) | id, now);
-        self.push_pending(record);
-        let demand_idx = self.pending.len() - 1;
-        // The demand fault is fully recorded; train the stride detector
-        // and (possibly) issue one speculative pre-fault for the
-        // predicted next window. Prefetch ids are allocated after the
-        // demand id, so `pending` stays sorted.
-        self.maybe_prefetch(now, domain, range, write);
-        Ok(&self.pending[demand_idx])
-    }
-
-    /// Trains the per-channel stride detector on a demand fault and
-    /// issues a bounded speculative pre-fault once a stream is
-    /// established. Speculative faults skip the per-channel slots, the
-    /// arbiter, backend admission and chaos — they model driver-side
-    /// pre-validation, not NIC events — and draw no RNG, so enabling
-    /// prefetch never perturbs the demand path's draw sites.
-    fn maybe_prefetch(&mut self, now: SimTime, domain: DomainId, range: PageRange, write: bool) {
-        let depth = self.config.prefetch_depth;
-        if depth == 0 {
-            return;
-        }
-        let idx = domain.0 as usize;
-        if idx >= self.streams.len() {
-            self.streams.resize(idx + 1, StrideStream::default());
-        }
-        let s = &mut self.streams[idx];
-        let stride = range.start.0 as i64 - s.last_start as i64;
-        // A trained stream keeps its streak when the observed stride is
-        // a multiple of the base stride: our own prefetches absorb
-        // intermediate windows, so the next *demand* fault lands several
-        // strides ahead. That gap is continuation, not a new pattern.
-        let continuation = s.primed
-            && stride > 0
-            && stride <= MAX_PREFETCH_STRIDE
-            && (stride == s.stride || (s.streak >= 2 && s.stride > 0 && stride % s.stride == 0));
-        if continuation {
-            s.streak += 1;
-        } else {
-            s.stride = stride;
-            s.streak = 0;
-        }
-        s.last_start = range.start.0;
-        s.primed = true;
-        if s.streak < 2 {
-            return;
-        }
-        // Predicted next window: one stride ahead, but never inside the
-        // range the demand fault just resolved.
-        let stride = s.stride as u64;
-        let first = (range.start.0 + stride).max(range.start.0 + range.pages);
-        let target = PageRange::new(Vpn(first), u64::from(depth));
-        if self.iommu.probe_range(domain, target, write) {
-            return; // already mapped (e.g. by an earlier prefetch)
-        }
-        if self.pending_overlap(domain, target).is_some() {
-            return; // a demand or speculative fault already covers it
-        }
-        if let Some((id, ready_at)) = self.issue_prefetch(now, domain, target, write) {
-            self.spawned_prefetches.push((id, ready_at));
-        }
-    }
-
-    /// Issues one speculative pre-fault over `range`. Returns `None`
-    /// (with no fault raised) when the range is unmapped VMA space or
-    /// memory cannot be found — speculation must never surface errors.
-    fn issue_prefetch(
-        &mut self,
-        now: SimTime,
-        domain: DomainId,
-        range: PageRange,
-        write: bool,
-    ) -> Option<(u64, SimTime)> {
-        let space = self.space_of(domain);
-        let mut ptes = std::mem::take(&mut self.scratch_ptes);
-        ptes.clear();
-        // The predicted window may run past the covering VMA (the end of
-        // an rx ring, say): `for_each_pte` reports the covered prefix
-        // before erroring, and speculation clamps to that prefix rather
-        // than giving up — it must never surface errors.
-        let _ = self
-            .mm
-            .space(space)
-            .ok()?
-            .for_each_pte(range, |vpn, pte| ptes.push((vpn, pte)));
-        let mut os_cost = SimDuration::ZERO;
-        let mut tier_cost = SimDuration::ZERO;
-        let mut invalidation_cost = SimDuration::ZERO;
-        let mut mappings = Vec::new();
-        for &(vpn, pte) in &ptes {
-            let frame = if let Some(f) = pte.frame() {
-                if write && pte.cow {
-                    // Never break COW speculatively: leave the page to a
-                    // demand fault that knows the write really happened.
-                    continue;
-                }
-                f
-            } else {
-                let Ok(res) = self.mm.resolve_fault(space, vpn, write) else {
-                    // Out of memory: stop speculating, keep what we have.
-                    break;
-                };
-                os_cost += res.io_cost;
-                tier_cost += res.tier_cost;
-                for inv in &res.invalidations {
-                    invalidation_cost += self.run_invalidation(*inv);
-                }
-                res.frame
-            };
-            mappings.push((vpn, frame));
-        }
-        self.scratch_ptes = ptes;
-        if mappings.is_empty() {
-            return None;
-        }
-        let huge_cost = std::mem::replace(&mut self.pending_huge_cost, SimDuration::ZERO);
-        let request = FaultRequest {
-            // Charge for what the speculation will actually map, not the
-            // nominal window (which may have been clamped above).
-            pages: mappings.len() as u64,
-            os_cost: os_cost + invalidation_cost + huge_cost,
-            write,
-            firmware_bypass: self.config.firmware_bypass,
-            speculative: true,
-            tier_cost,
-        };
-        // Speculative plans draw no RNG (pinned by the backend tests),
-        // so the demand path's draw sites are untouched.
-        let plan = self.backend.plan(
-            &request,
-            &self.config.cost,
-            &mut self.rng,
-            &mut self.counters,
-        );
-        let breakdown = plan.breakdown;
-        let ready_at = now + breakdown.total();
-        let id = self.next_fault;
-        self.next_fault += 1;
-        self.counters.bump_id(self.ids.prefetch_issued);
-        self.counters
-            .add_id(self.ids.prefetch_pages, mappings.len() as u64);
-
-        if trace::enabled() {
-            let parent = trace::span(
-                now,
-                breakdown.total(),
-                "npf",
-                "npf_prefetch",
-                vec![
-                    ("fault_id", ArgValue::U64(id)),
-                    ("pages", ArgValue::U64(range.pages)),
-                    ("write", ArgValue::Bool(write)),
-                ],
-            );
-            if let Some(parent) = parent {
-                let mut at = now;
                 for &(phase, d) in plan.slices.iter() {
-                    trace::child_span(at, d, "npf", trace_child_name(phase), parent, Vec::new());
-                    at += d;
-                }
-            }
-            trace::metrics(|m| m.counter_add("npf.prefetches", 1));
-        }
-        if journal::enabled() {
-            // Same exact-tiling contract as demand faults: no waits and
-            // no chaos, so the plan slices alone tile `[now, ready_at]`.
-            let key = (self.chaos_ns << 32) | id;
-            let slices = &plan.slices;
-            journal::with(|j| {
-                j.fault_begun(key, u64::from(domain.0), range.pages, false, now, ready_at);
-                let mut at = now;
-                for &(phase, d) in slices.iter() {
                     j.phase(key, phase, at, d);
                     at += d;
                 }
+                if demand {
+                    let chaos_extra = ready_at.saturating_since(at);
+                    j.phase(key, Phase::ChaosExtra, at, chaos_extra);
+                }
             });
         }
-        let record = FaultRecord {
-            id,
-            domain,
-            space,
-            range,
-            write,
-            ready_at,
-            breakdown,
-            speculative: true,
-            mappings,
-        };
-        invariant::note_fault_begun((self.chaos_ns << 32) | id, now);
-        self.push_pending(record);
-        Some((id, ready_at))
+    }
+
+    /// Pend stage: tallies the fault and adds it to `pending` and its
+    /// domain's index (ids are monotone, so both stay sorted by id).
+    /// Returns its index in `pending`.
+    fn pend(&mut self, now: SimTime, fault: FaultRecord) -> usize {
+        if fault.speculative {
+            self.counters.bump_id(self.ids.prefetch_issued);
+            self.counters
+                .add_id(self.ids.prefetch_pages, fault.mappings.len() as u64);
+        } else {
+            self.counters.bump_id(self.ids.npf_events);
+            self.counters.add_id(self.ids.npf_pages, fault.range.pages);
+        }
+        invariant::note_fault_begun((self.chaos_ns << 32) | fault.id, now);
+        dense_slot(&mut self.pending_by_domain, fault.domain).push((fault.id, fault.range));
+        self.pending.push_back(fault);
+        self.pending.len() - 1
     }
 
     /// Drains the speculative faults issued since the last call; the
     /// testbed schedules `complete_fault(id)` at each `ready_at`.
     pub fn drain_spawned_prefetches(&mut self) -> Vec<(u64, SimTime)> {
-        std::mem::take(&mut self.spawned_prefetches)
+        std::mem::take(&mut self.prefetcher.spawned)
     }
 
     /// Completes a fault: installs the IOMMU mappings so subsequent DMA
@@ -1311,7 +890,7 @@ impl NpfEngine {
     ///
     /// Panics for unknown fault ids.
     pub fn complete_fault(&mut self, id: u64) -> FaultRecord {
-        self.sync_prefetch_hits();
+        self.prefetcher.sync_hits(&mut self.counters);
         let idx = self
             .pending
             .binary_search_by_key(&id, |f| f.id)
@@ -1361,10 +940,7 @@ impl NpfEngine {
             // No NIC event and no bounce buffer behind a speculative
             // fault: skip backend completion accounting, and remember
             // the mapped pages for prefetch-accuracy hit detection.
-            let mut set = self.prefetched.borrow_mut();
-            for &(vpn, _) in &still_resident {
-                set.insert((record.domain.0, vpn.0));
-            }
+            self.prefetcher.note_mapped(record.domain, &still_resident);
         } else {
             // Backend completion accounting: the software emulation
             // copies bounced data out to the still-resident pages and
@@ -1453,8 +1029,7 @@ impl NpfEngine {
             if was_mapped {
                 self.counters.bump_id(self.ids.invalidations_mapped);
             }
-            // A revoked page can no longer be a prefetch hit.
-            self.prefetched.get_mut().remove(&(d.0, inv.vpn.0));
+            self.prefetcher.forget(d, inv.vpn);
             cost += self.config.cost.invalidation(1, was_mapped).total();
             if trace::enabled() {
                 // No `now` in scope (invalidations arrive from MMU
@@ -1935,6 +1510,41 @@ mod tests {
     }
 
     #[test]
+    fn oom_fault_hands_the_pte_scratch_back() {
+        let mm = MemoryManager::new(MemConfig {
+            total_memory: ByteSize::kib(64), // 16 frames
+            ..MemConfig::default()
+        });
+        let mut e = NpfEngine::new(NpfConfig::default(), mm, SimRng::new(1));
+        let s = e.memory_mut().create_space();
+        let r = e
+            .memory_mut()
+            .mmap(s, ByteSize::kib(128), Backing::Anonymous)
+            .expect("mmap");
+        let d = e.create_channel(s);
+        // A 16-page fault sizes the scratch and fills the host.
+        let filled = PageRange::new(r.start, 16);
+        let rec = e
+            .begin_fault(SimTime::ZERO, d, r.start.base(), 16 * 4096, true, None)
+            .expect("fault")
+            .clone();
+        e.complete_fault(rec.id);
+        let capacity = e.scratch_ptes.capacity();
+        assert!(capacity >= 16);
+        // With every frame pinned the next fault finds no memory.
+        e.memory_mut().pin_range(s, filled).expect("pin");
+        let cold = Vpn(r.start.0 + 20).base();
+        let oom = e.begin_fault(SimTime::ZERO, d, cold, 4096, true, None);
+        assert_eq!(oom.err(), Some(MemError::OutOfMemory));
+        assert_eq!(e.pending_count(), 0, "a failed fault is not pending");
+        assert_eq!(e.scratch_ptes.capacity(), capacity);
+        e.memory_mut().unpin_range(s, filled).expect("unpin");
+        e.begin_fault(SimTime::ZERO, d, cold, 4096, true, None)
+            .expect("fault");
+        assert_eq!(e.scratch_ptes.capacity(), capacity);
+    }
+
+    #[test]
     fn pin_and_map_makes_dma_ready() {
         let (mut e, _s, d, r) = engine();
         let sub = PageRange::new(r.start, 16);
@@ -2371,7 +1981,7 @@ mod huge_prefetch_tests {
             "speculative faults must not raise firmware NPF events"
         );
         assert!(e.prefetch_hits() > 0);
-        e.sync_prefetch_hits();
+        e.prefetcher.sync_hits(&mut e.counters);
         assert!(e.counters().get("prefetch_hits") > 0);
     }
 

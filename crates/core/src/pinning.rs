@@ -88,12 +88,6 @@ impl Registrar {
         }
     }
 
-    /// The strategy in force.
-    #[must_use]
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
     /// Statistics so far.
     #[must_use]
     pub fn stats(&self) -> RegistrarStats {

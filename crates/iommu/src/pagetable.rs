@@ -132,12 +132,6 @@ impl IoPageTable {
         }
     }
 
-    /// Whether 2 MiB folding is enabled.
-    #[must_use]
-    pub fn huge_pages_enabled(&self) -> bool {
-        self.huge_enabled
-    }
-
     /// Number of huge PTEs currently installed.
     #[must_use]
     pub fn huge_ptes(&self) -> usize {
@@ -263,12 +257,6 @@ impl IoPageTable {
     /// Removes every entry in `range`, returning how many were present.
     pub fn unmap_range(&mut self, range: PageRange) -> u64 {
         range.iter().filter(|&vpn| self.unmap(vpn)).count() as u64
-    }
-
-    /// Whether `vpn` is currently mapped.
-    #[must_use]
-    pub fn is_mapped(&self, vpn: Vpn) -> bool {
-        self.entries.contains(vpn) || self.entries.is_huge(vpn)
     }
 
     /// The PTE for `vpn`, if present (synthesized per-page from a huge

@@ -6,11 +6,9 @@
 
 use std::collections::HashMap;
 
-use crate::types::{FileId, FrameId, PAGE_SIZE};
+use crate::types::{FileId, FrameId};
 
 use simcore::time::SimDuration;
-
-use crate::swap::DiskConfig;
 
 /// Key of one cached page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -150,12 +148,6 @@ impl PageCache {
         let (s, v) = lru_key(key);
         self.lru.remove(s, v);
         Some(frame)
-    }
-
-    /// The disk cost of filling one page on a miss.
-    #[must_use]
-    pub fn miss_cost(disk: &DiskConfig) -> SimDuration {
-        disk.io_time(PAGE_SIZE)
     }
 }
 

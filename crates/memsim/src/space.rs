@@ -395,11 +395,6 @@ impl AddressSpace {
         self.ptes.iter().map(|(v, &p)| (v, p))
     }
 
-    /// Snapshot of the VMAs (fork support).
-    pub fn vma_iter(&self) -> impl Iterator<Item = Vma> + '_ {
-        self.vmas.values().copied()
-    }
-
     /// Builds a forked copy of this space's structure under a new id:
     /// identical VMAs; resident pages shared (both marked COW);
     /// untouched/dropped pages copied as-is.
@@ -457,15 +452,6 @@ impl AddressSpace {
             pte.dirty = true;
         }
         Some((pte.is_pinned(), false))
-    }
-
-    /// Marks an access to a resident page (sets dirty on writes).
-    pub fn mark_access(&mut self, vpn: Vpn, write: bool) {
-        if let Some(pte) = self.ptes.get_mut(vpn) {
-            if write {
-                pte.dirty = true;
-            }
-        }
     }
 
     /// Evicts a resident page, transitioning it to `SwappedOut` (with

@@ -267,12 +267,6 @@ impl<P: Clone> RxEngine<P> {
         self.policy = policy;
     }
 
-    /// The tenant-sharing policy in force.
-    #[must_use]
-    pub fn backup_policy(&self) -> BackupPolicy {
-        self.policy
-    }
-
     /// Backup entries currently held for one IOuser ring.
     #[must_use]
     pub fn backup_occupancy(&self, id: RingId) -> u64 {
@@ -361,13 +355,6 @@ impl<P: Clone> RxEngine<P> {
         r.slots[slot] = Some(Slot::Posted(desc));
         r.tail += 1;
         std::mem::take(&mut r.tail_interrupt_requested)
-    }
-
-    /// Number of descriptors posted and not yet filled or skipped.
-    #[must_use]
-    pub fn free_descriptors(&self, id: RingId) -> u64 {
-        let r = self.ring(id);
-        r.tail - (r.head + r.head_offset)
     }
 
     /// The descriptor the next packet would target, if one is posted.
@@ -722,12 +709,6 @@ impl<P: Clone> RxEngine<P> {
     #[must_use]
     pub fn pending_rnpfs(&self, id: RingId) -> u64 {
         self.ring(id).pending_bits
-    }
-
-    /// Current absolute head (announced watermark).
-    #[must_use]
-    pub fn head(&self, id: RingId) -> u64 {
-        self.ring(id).head
     }
 
     /// Current absolute tail (posted watermark).

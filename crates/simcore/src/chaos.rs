@@ -249,48 +249,6 @@ impl ChaosConfig {
             || self.pause.active()
     }
 
-    /// Sets the chaos-schedule seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the chaos tick period.
-    #[must_use]
-    pub fn with_tick(mut self, tick: SimDuration) -> Self {
-        self.tick = tick;
-        self
-    }
-
-    /// Sets the packet-fault class.
-    #[must_use]
-    pub fn with_net(mut self, net: NetChaos) -> Self {
-        self.net = net;
-        self
-    }
-
-    /// Sets the interrupt-fault class.
-    #[must_use]
-    pub fn with_interrupt(mut self, interrupt: InterruptChaos) -> Self {
-        self.interrupt = interrupt;
-        self
-    }
-
-    /// Sets the NPF-resolution fault class.
-    #[must_use]
-    pub fn with_npf(mut self, npf: NpfChaos) -> Self {
-        self.npf = npf;
-        self
-    }
-
-    /// Sets the memory-pressure fault class.
-    #[must_use]
-    pub fn with_memory(mut self, memory: MemChaos) -> Self {
-        self.memory = memory;
-        self
-    }
-
     /// Sets the PFC pause-storm fault class.
     #[must_use]
     pub fn with_pause(mut self, pause: PauseChaos) -> Self {

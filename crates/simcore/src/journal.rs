@@ -420,12 +420,6 @@ impl JournalRecorder {
         self.cause = CauseId::UNKNOWN;
     }
 
-    /// The current cause context.
-    #[must_use]
-    pub fn cause(&self) -> CauseId {
-        self.cause
-    }
-
     /// All journalled faults, in admit order.
     #[must_use]
     pub fn faults(&self) -> &[FaultJournal] {

@@ -228,12 +228,6 @@ impl MetricsRegistry {
         self.names.intern(name)
     }
 
-    /// The name behind `id` (ids come from [`MetricsRegistry::metric_id`]).
-    #[must_use]
-    pub fn metric_name(&self, id: MetricId) -> &str {
-        self.names.name(id)
-    }
-
     /// Ids of every metric of one kind, sorted by name — the export
     /// order (and the historical `BTreeMap` iteration order).
     fn sorted_ids<T>(&self, storage: &[Option<T>]) -> Vec<MetricId> {

@@ -54,24 +54,6 @@ impl Bandwidth {
         Bandwidth(mb * 8_000_000)
     }
 
-    /// The rate in bits per second.
-    #[must_use]
-    pub const fn bits_per_sec(self) -> u64 {
-        self.0
-    }
-
-    /// The rate in bytes per second.
-    #[must_use]
-    pub const fn bytes_per_sec(self) -> u64 {
-        self.0 / 8
-    }
-
-    /// The rate in gigabits per second, as a float.
-    #[must_use]
-    pub fn as_gbps_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Time to serialize `bytes` at this rate.
     ///
     /// Returns [`SimDuration::MAX`] for a zero rate, modelling a link that
@@ -166,12 +148,6 @@ impl ByteSize {
     #[must_use]
     pub const fn pages(self) -> u64 {
         self.0.div_ceil(4096)
-    }
-
-    /// The size in MiB as a float.
-    #[must_use]
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
     }
 
     /// The size in GiB as a float.

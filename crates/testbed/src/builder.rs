@@ -31,8 +31,8 @@
 use memsim::manager::{MemError, TierConfig};
 use memsim::swap::DiskConfig;
 use netsim::profile::{FabricProfile, RdmaTransport, TransportConfig};
-use npf_core::npf::{ArbiterPolicy, NpfConfig};
-use npf_core::{BackendKind, BackendSelect};
+use npf_core::npf::NpfConfig;
+use npf_core::{ArbiterPolicy, BackendKind, BackendSelect};
 use simcore::chaos::ChaosConfig;
 use simcore::time::SimDuration;
 use simcore::units::{Bandwidth, ByteSize};

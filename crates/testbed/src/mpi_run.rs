@@ -71,17 +71,6 @@ pub struct MpiRunResult {
     pub bytes_moved: u64,
 }
 
-impl MpiRunResult {
-    /// Aggregate bandwidth in MB/s (the beff metric).
-    #[must_use]
-    pub fn bandwidth_mb_s(&self) -> f64 {
-        if self.total.is_zero() {
-            return 0.0;
-        }
-        self.bytes_moved as f64 / 1e6 / self.total.as_secs_f64()
-    }
-}
-
 /// Executes one collective benchmark.
 ///
 /// # Panics

@@ -12,9 +12,9 @@ use memsim::space::Backing;
 use memsim::swap::DiskConfig;
 use memsim::types::{PageRange, VirtAddr};
 use npf_core::npf::NpfConfig;
-use rdmasim::types::{QpId, SendOp, WcOpcode};
+use rdmasim::types::{SendOp, WcOpcode};
 use simcore::time::{SimDuration, SimTime};
-use simcore::units::{Bandwidth, ByteSize};
+use simcore::units::ByteSize;
 use workloads::storage::{FioClient, StorageConfig, StorageTarget};
 
 use simcore::rng::SimRng;
@@ -302,15 +302,6 @@ pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemErro
         npf_events: node.engine().counters().get("npf_events"),
         elapsed,
     })
-}
-
-/// The QP identifier type re-exported for callers inspecting stats.
-pub type TargetQp = QpId;
-
-/// Link rate helper for documentation parity with the paper's setup.
-#[must_use]
-pub fn paper_link_rate() -> Bandwidth {
-    Bandwidth::gbps(56)
 }
 
 #[cfg(test)]

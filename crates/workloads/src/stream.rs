@@ -61,12 +61,6 @@ impl SyntheticFaults {
         self.armed = true;
     }
 
-    /// `true` when injecting.
-    #[must_use]
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
     /// Faults injected so far.
     #[must_use]
     pub fn injected(&self) -> u64 {

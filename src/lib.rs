@@ -49,9 +49,9 @@ pub use workloads;
 pub mod prelude {
     pub use memsim::manager::{MemConfig, MemoryManager};
     pub use memsim::space::Backing;
-    pub use npf_core::npf::{ArbiterPolicy, NpfConfig, NpfEngine};
+    pub use npf_core::npf::{NpfConfig, NpfEngine};
     pub use npf_core::pinning::{Registrar, Strategy};
-    pub use npf_core::{BackendKind, BackendSelect, SoftEmuConfig};
+    pub use npf_core::{ArbiterPolicy, BackendKind, BackendSelect, SoftEmuConfig};
     pub use simcore::chaos::{ChaosConfig, ChaosEngine, ChaosProfile, InvariantChecker};
     pub use simcore::{Bandwidth, ByteSize, SimDuration, SimRng, SimTime};
     pub use testbed::builder::{EthScenario, IbScenario, ScenarioBuilder, ScenarioError};

@@ -138,9 +138,10 @@ fn bench_churn() -> Sample {
     })
 }
 
-/// The shape of a TCP or RC testbed: 64 near events churn while 16
+/// The shape of a TCP testbed: 64 near events churn while 16
 /// retransmit timers sit 200 ms out, and every pop (an ACK) cancels one
-/// timer and re-arms it. The near delays advance simulated time ~1.7 µs
+/// timer and re-arms it, through `schedule_timer` as the Ethernet beds
+/// arm TCP's RTO. The near delays advance simulated time ~1.7 µs
 /// per pop, the rate `eth_overcommit_reclaim` cancels at, and the queue
 /// lives across iterations: a queue that parked cancelled timers until
 /// their instant would carry ~116 k of them under its 80 live events.
@@ -152,16 +153,18 @@ fn bench_timer_rearm() -> Sample {
     for i in 0..64u64 {
         q.schedule_in(SimDuration::from_nanos(i), i);
     }
-    let mut timers: Vec<EventToken> = (0..16u64).map(|i| q.schedule_in(RTO, i)).collect();
+    let mut timers: Vec<EventToken> = (0..16u64)
+        .map(|i| q.schedule_timer(q.now() + RTO, i))
+        .collect();
     let mut round = move || {
         let mut sum = 0u64;
         for i in 0..4096u64 {
-            let (_, e) = q.pop().unwrap();
+            let (now, e) = q.pop().unwrap();
             sum = sum.wrapping_add(e);
             q.schedule_in(SimDuration::from_nanos(e * 7919 % 220_000 + 1), i);
             let timer = &mut timers[(i % 16) as usize];
             q.cancel(*timer);
-            *timer = q.schedule_in(RTO, i);
+            *timer = q.schedule_timer(now + RTO, i);
         }
         std::hint::black_box(sum);
     };
@@ -487,6 +490,55 @@ fn bench_kv_get_hit_1p8m() -> Sample {
     })
 }
 
+/// What one IOuser interrupt of `eth_memcached_warm` serves: 16 GETs
+/// over the same 1.8 M preloaded keys (3 GiB cache, not full; one
+/// resident value page per four keys), each with the CPU touch of its
+/// value page — looked up as one batch first, every item and then every
+/// page's PTE and LRU entry, as `EthTestbed` does before serving. One op
+/// is one GET served.
+fn bench_serve_batch16_1p8m() -> Sample {
+    use memsim::types::PageRange;
+
+    const KEYS: u64 = 1_800_000;
+    const BATCH: usize = 16;
+    const BATCHES: u64 = 256;
+    let config = MemcachedConfig {
+        max_bytes: ByteSize::gib(3),
+        value_size: 1024,
+        ..MemcachedConfig::default()
+    };
+    let mut app = Memcached::new(config);
+    let mut mm = MemoryManager::new(MemConfig {
+        total_memory: ByteSize::gib(8),
+        ..MemConfig::default()
+    });
+    let space = mm.create_space();
+    let slab = PageRange::new(config.slab_base.vpn(), app.slab_bytes().pages());
+    mm.mmap_fixed(space, slab, Backing::Anonymous)
+        .expect("3 GiB of address space");
+    app.reserve_keys(KEYS);
+    for key in 0..KEYS {
+        if let Some((addr, ..)) = app.process(KvOp::Set { key }).touch {
+            mm.touch(space, addr.vpn(), true).expect("8 GiB hold 3");
+        }
+    }
+    let mut rng = SimRng::new(9);
+    measure("serve_batch16_1p8m", BATCHES * BATCH as u64, || {
+        for _ in 0..BATCHES {
+            let keys: [u64; BATCH] = std::array::from_fn(|_| rng.below(KEYS));
+            let pages = keys.map(|key| app.lookup(key).map(VirtAddr::vpn));
+            for &vpn in pages.iter().flatten() {
+                std::hint::black_box(mm.recency(space, vpn));
+            }
+            for key in keys {
+                if let Some((addr, ..)) = app.process(KvOp::Get { key }).touch {
+                    std::hint::black_box(mm.touch(space, addr.vpn(), false).is_ok());
+                }
+            }
+        }
+    })
+}
+
 /// A reduced-size figure, as `figure_wall_clocks` times it.
 type Figure<'a> = Box<dyn FnOnce() -> npf_bench::Report + 'a>;
 
@@ -593,6 +645,7 @@ fn main() {
         bench_fabric_star_send(),
         bench_kv_evict_full_cache(),
         bench_kv_get_hit_1p8m(),
+        bench_serve_batch16_1p8m(),
     ];
     for s in &samples {
         println!(

@@ -1082,7 +1082,7 @@ impl NpfEngine {
     ) -> Result<SimDuration, MemError> {
         let access = self.mm.touch(space, vpn, write)?;
         let mut cost = access.cost();
-        for inv in access.invalidations().to_vec() {
+        for &inv in access.invalidations() {
             cost += self.run_invalidation(inv);
         }
         Ok(cost)
@@ -1130,7 +1130,7 @@ impl NpfEngine {
                 .map_or(SimDuration::ZERO, |res| res.io_cost);
             cpu += total.saturating_sub(fault_io);
             io += fault_io;
-            for inv in access.invalidations().to_vec() {
+            for &inv in access.invalidations() {
                 cpu += self.run_invalidation(inv);
             }
         }

@@ -350,6 +350,16 @@ impl LruTracker {
         }
     }
 
+    /// The recency tick of a tracked page, read without promoting it.
+    #[must_use]
+    pub(crate) fn tick_of(&self, space: SpaceId, vpn: Vpn) -> Option<u64> {
+        let sid = space.0 as usize;
+        match &self.order {
+            Order::Stamped(stamps) => stamps.get(sid)?.get(vpn).copied(),
+            Order::Listed(lists) => Some(lists.nodes[lists.slot_of(space, vpn)? as usize].tick),
+        }
+    }
+
     /// Removes and returns the least-recently-used page across all spaces.
     pub fn pop_oldest(&mut self) -> Option<(SpaceId, Vpn)> {
         let lists = self.lists();
@@ -393,6 +403,19 @@ mod tests {
         assert_eq!(lru.pop_oldest(), Some((S0, Vpn(2))));
         assert_eq!(lru.pop_oldest(), Some((S0, Vpn(3))));
         assert_eq!(lru.pop_oldest(), None);
+    }
+
+    #[test]
+    fn tick_of_reads_without_promoting_in_both_states() {
+        let mut lru = LruTracker::new();
+        lru.touch_tick(S0, Vpn(1), 10);
+        lru.touch_tick(S0, Vpn(2), 20);
+        assert_eq!(lru.tick_of(S0, Vpn(1)), Some(10));
+        assert_eq!(lru.tick_of(S1, Vpn(1)), None);
+        assert_eq!(lru.oldest_tick(), Some(10)); // listed from here
+        assert_eq!(lru.tick_of(S0, Vpn(2)), Some(20));
+        assert_eq!(lru.tick_of(S0, Vpn(3)), None);
+        assert_eq!(lru.pop_oldest(), Some((S0, Vpn(1))), "1 was not promoted");
     }
 
     #[test]

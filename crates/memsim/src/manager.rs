@@ -480,6 +480,16 @@ impl MemoryManager {
         Ok(Access { fault: Some(fault) })
     }
 
+    /// The recency tick of a resident, reclaimable page: reads the PTE
+    /// and the LRU entry a [`MemoryManager::touch`] of it would update,
+    /// and changes neither. `None` for an unknown space, a page that is
+    /// not resident, or a pinned one (reclaim does not track it).
+    #[must_use]
+    pub fn recency(&self, space: SpaceId, vpn: Vpn) -> Option<u64> {
+        self.spaces.get(space.0 as usize)?.frame_of(vpn)?;
+        self.lru.tick_of(space, vpn)
+    }
+
     /// Forks `parent` into a new space: same mappings, resident pages
     /// shared copy-on-write (Table 1's canonical optimization; §5 names
     /// COW forks as a cause of cold sequences for direct I/O).
@@ -1080,6 +1090,33 @@ mod tests {
         // Reaccessing an evicted page is a major fault.
         let a = mm.touch(s, r.start, false).unwrap();
         assert_eq!(a.fault.expect("major fault").kind, FaultKind::Major);
+    }
+
+    #[test]
+    fn recency_reads_what_a_touch_writes_and_changes_nothing() {
+        let mut mm = MemoryManager::new(MemConfig {
+            total_memory: ByteSize::kib(8), // 2 frames
+            ..MemConfig::default()
+        });
+        let s = mm.create_space();
+        let r = mm.mmap(s, ByteSize::kib(16), Backing::Anonymous).unwrap();
+        let [a, b, c] = [r.start, Vpn(r.start.0 + 1), Vpn(r.start.0 + 2)];
+        assert_eq!(mm.recency(s, a), None, "not resident yet");
+        mm.touch(s, a, false).unwrap();
+        mm.touch(s, b, false).unwrap();
+        let (ta, tb) = (mm.recency(s, a).unwrap(), mm.recency(s, b).unwrap());
+        assert!(ta < tb);
+        // Reading `a` did not promote it: the next fault reclaims it.
+        mm.touch(s, c, false).unwrap();
+        assert_eq!(mm.recency(s, a), None, "the oldest page was reclaimed");
+        assert_eq!(mm.recency(s, b), Some(tb));
+        mm.pin_range(s, PageRange::new(b, 1)).unwrap();
+        assert_eq!(
+            mm.recency(s, b),
+            None,
+            "reclaim does not track pinned pages"
+        );
+        assert_eq!(mm.recency(SpaceId(9), a), None);
     }
 
     #[test]

@@ -698,6 +698,16 @@ impl<P: Clone> RxEngine<P> {
         std::mem::take(&mut self.ring_mut(id).holes_pending_repost)
     }
 
+    /// The packets [`RxEngine::consume`] will hand out next, in order,
+    /// left in place.
+    pub fn announced(&self, id: RingId) -> impl Iterator<Item = &P> {
+        let r = self.ring(id);
+        (r.consumed..r.head).filter_map(move |i| match &r.slots[(i % r.size) as usize] {
+            Some(Slot::Filled { payload, .. }) => Some(payload),
+            _ => None,
+        })
+    }
+
     /// Packets announced and not yet consumed.
     #[must_use]
     pub fn readable_packets(&self, id: RingId) -> u64 {
@@ -784,6 +794,23 @@ mod tests {
         assert_eq!(e.consume(R), Some(("pkt1", 101)));
         assert_eq!(e.take_skipped_holes(R), 1);
         assert_eq!(e.take_skipped_holes(R), 0);
+    }
+
+    #[test]
+    fn announced_lists_what_consume_will_return() {
+        let mut e = engine(RxFaultMode::Drop);
+        post_n(&mut e, 4);
+        e.recv(R, "pkt0", 100, true);
+        e.recv(R, "pkt1", 101, false); // a hole
+        e.recv(R, "pkt2", 102, true);
+        assert_eq!(
+            e.announced(R).copied().collect::<Vec<_>>(),
+            ["pkt0", "pkt2"]
+        );
+        assert_eq!(e.consume(R), Some(("pkt0", 100)));
+        assert_eq!(e.announced(R).copied().collect::<Vec<_>>(), ["pkt2"]);
+        assert_eq!(e.consume(R), Some(("pkt2", 102)));
+        assert_eq!(e.announced(R).count(), 0);
     }
 
     #[test]

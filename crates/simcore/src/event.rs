@@ -45,8 +45,8 @@
 //!
 //! **Why no token.** A lane entry has no slab slot for a token to name,
 //! and removing from the middle of a FIFO is what lanes exist to avoid.
-//! Nothing cancels a link delivery; timers, which are cancelled, stay on
-//! `schedule_at`.
+//! Nothing cancels a link delivery; timers, which are cancelled, take
+//! `schedule_at` or `schedule_timer`.
 //!
 //! **Why the order is identical.** Sequence numbers are still drawn at
 //! schedule time, so a lane's keys ascend strictly and lane order equals
@@ -54,6 +54,42 @@
 //! then the minimum over all pending keys, and the pop sequence remains a
 //! function of the set of pending keys alone: replacing any `schedule_on`
 //! by `schedule_at` changes no run.
+//!
+//! # Timers outside the heap
+//!
+//! A retransmission timer that is re-armed on every ACK and almost never
+//! fires costs two sifts per arm/cancel pair if it sits in the heap, and
+//! it deepens the heap every near event sifts through.
+//! [`EventQueue::schedule_timer`] means exactly
+//! [`EventQueue::schedule_at`] — same clamp, same sequence number drawn
+//! at schedule time, same counters, a token that cancels the same way —
+//! but an entry due at or past the queue's *horizon* waits unsorted in a
+//! far store instead: arming is a push, cancelling a swap-remove plus one
+//! back-pointer fix.
+//!
+//! **The horizon** only moves forward. Every far entry is due at or past
+//! it, so while the heap's root is earlier than the horizon the root is
+//! the earliest pending event and a pop is what it always was. When the
+//! root reaches the horizon (or the heap empties) the pop first sets the
+//! horizon to [`TIMER_HORIZON`] past the earliest event it can see and
+//! moves every far entry now earlier than it into the heap. A lower bound
+//! on the far store's times is kept, so that pass runs only when some far
+//! entry may actually be due: a timer cancelled long before its time is
+//! never scanned at all.
+//!
+//! **Why the order is identical.** A far entry enters the heap before the
+//! heap can hand out anything later than it, and its key is the one drawn
+//! at schedule time; the pop sequence is still a function of the pending
+//! `(at, seq)` keys alone, so replacing any `schedule_timer` by
+//! `schedule_at` changes no run.
+//!
+//! **Why the caller chooses.** Only the caller knows that a timer will be
+//! cancelled long before it is due. An event that does fire pays one
+//! extra move through the far store, and a short timer re-armed every few
+//! microseconds would cross the horizon at every pass; so TCP's
+//! retransmission timer (200 ms at least) takes `schedule_timer`, and
+//! the 500 µs RC retransmission timer, which lands inside the horizon
+//! anyway, stays on `schedule_at`.
 //!
 //! # The queue owns the clocks
 //!
@@ -147,7 +183,8 @@ impl EventToken {
 struct Slot<E> {
     /// Bumped every time the slot is released, invalidating old tokens.
     gen: u32,
-    /// While the slot is pending: the index of its entry in the heap.
+    /// While the slot is pending: the index of its entry in the heap, or
+    /// [`FAR_TAG`] plus its index in the far store.
     /// While it is free: the next slot on the free list.
     link: u32,
     /// The scheduled payload; `Some` exactly while the slot is pending.
@@ -159,6 +196,18 @@ const NIL: u32 = u32::MAX;
 /// Set in [`Entry::slot`] when the entry stands for the head of a lane;
 /// the remaining bits are then the lane's index, not a slab slot.
 const LANE_TAG: u32 = 1 << 31;
+
+/// Set in a pending [`Slot::link`] whose entry waits in the far store;
+/// the remaining bits are then its index there, not in the heap.
+const FAR_TAG: u32 = 1 << 31;
+
+/// How far past the earliest pending event the horizon is set when it
+/// moves (see the module docs): an order of magnitude above the
+/// Ethernet beds' interrupt holdoff and round trip, and well below TCP's
+/// 200 ms minimum retransmission timeout, so a re-armed TCP timer always
+/// lands in the far store and the horizon moves about once per simulated
+/// millisecond.
+pub const TIMER_HORIZON: SimDuration = SimDuration::from_millis(1);
 
 /// Names a FIFO lane opened by [`EventQueue::lane`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -203,6 +252,15 @@ pub struct EventQueue<E> {
     /// Lane events waiting behind their lane's head: pending, but not in
     /// the heap.
     parked: usize,
+    /// Timers due at or past `horizon`, unsorted; each slot's `link` is
+    /// [`FAR_TAG`] plus its index here.
+    far: Vec<Entry>,
+    /// Every entry of `far` is due at or past this time; never moves
+    /// back.
+    horizon: SimTime,
+    /// At or before the time of every entry of `far` while it is not
+    /// empty; exact after each pass that moves due entries to the heap.
+    far_floor: SimTime,
     now: SimTime,
     next_seq: u64,
     slots: Vec<Slot<E>>,
@@ -227,6 +285,9 @@ impl<E> EventQueue<E> {
             heap: Vec::new(),
             lanes: Vec::new(),
             parked: 0,
+            far: Vec::new(),
+            horizon: SimTime::ZERO,
+            far_floor: SimTime::MAX,
             now: SimTime::ZERO,
             next_seq: 0,
             slots: Vec::new(),
@@ -244,17 +305,18 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending (non-cancelled) events, on lanes or not.
+    /// Number of pending (non-cancelled) events, on lanes, in the far
+    /// store or in the heap.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len() + self.parked
+        self.heap.len() + self.parked + self.far.len()
     }
 
     /// `true` when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         // A parked event has its lane's head in the heap ahead of it.
-        self.heap.is_empty()
+        self.heap.is_empty() && self.far.is_empty()
     }
 
     /// How many of the pending events wait on a lane behind its head:
@@ -299,8 +361,12 @@ impl<E> EventQueue<E> {
             slot.event = Some(event);
             idx
         } else {
-            // Bit 31 of a heap entry's slot is `LANE_TAG`.
-            assert!(self.slots.len() < LANE_TAG as usize, "slab exceeds 2^31");
+            // Bit 31 of a heap entry's slot is `LANE_TAG`, and of a
+            // pending slot's link (a heap or far-store index) `FAR_TAG`.
+            assert!(
+                self.slots.len() + self.lanes.len() < LANE_TAG as usize,
+                "slab and lanes exceed 2^31"
+            );
             let idx = self.slots.len() as u32;
             self.slots.push(Slot {
                 gen: 0,
@@ -330,8 +396,7 @@ impl<E> EventQueue<E> {
     fn place(&mut self, i: usize, entry: Entry) {
         self.heap[i] = entry;
         if entry.slot & LANE_TAG == 0 {
-            // `i < heap.len() <= slots.len() + lanes.len()`, both kept
-            // below `LANE_TAG`.
+            // `i < heap.len() <= slots.len() + lanes.len() < FAR_TAG`.
             self.slots[entry.slot as usize].link = i as u32;
         }
     }
@@ -425,7 +490,10 @@ impl<E> EventQueue<E> {
     /// event parks on it; a lane stays open for the queue's lifetime,
     /// across [`EventQueue::clear`] too.
     pub fn lane(&mut self) -> LaneId {
-        assert!(self.lanes.len() < LANE_TAG as usize, "more than 2^31 lanes");
+        assert!(
+            self.slots.len() + self.lanes.len() < LANE_TAG as usize,
+            "slab and lanes exceed 2^31"
+        );
         self.lanes.push(VecDeque::new());
         LaneId(self.lanes.len() as u32 - 1)
     }
@@ -458,6 +526,82 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// [`EventQueue::schedule_at`] for a timer that will usually be
+    /// cancelled long before it is due: at or past the horizon it waits
+    /// unsorted outside the heap, so arming and cancelling it are O(1)
+    /// and sift nothing (see the module docs). It pops exactly where
+    /// `schedule_at` would have put it.
+    pub fn schedule_timer(&mut self, at: SimTime, event: E) -> EventToken {
+        let (at, seq) = self.draw_key(at);
+        if at < self.horizon {
+            return self.push_one_off(at, seq, event);
+        }
+        let slot = self.alloc_slot(event);
+        let index = u32::try_from(self.far.len()).expect("far store below 2^31");
+        let pending = &mut self.slots[slot as usize];
+        pending.link = FAR_TAG | index;
+        let token = EventToken::new(slot, pending.gen);
+        self.far_floor = if self.far.is_empty() {
+            at
+        } else {
+            self.far_floor.min(at)
+        };
+        self.far.push(Entry { at, seq, slot });
+        token
+    }
+
+    /// Moves the horizon past the earliest pending event and returns the
+    /// heap's new root, first moving every far entry the horizon passes
+    /// into the heap. Called by a pop whose root is at or past the
+    /// horizon (or that found the heap empty); on return the root, if
+    /// any, is the earliest pending event.
+    #[cold]
+    #[inline(never)]
+    fn advance_horizon(&mut self) -> Option<Entry> {
+        loop {
+            let top = self.heap.first().map(|entry| entry.at);
+            if self.far.is_empty() {
+                // Nothing waits outside the heap: let the next pops take
+                // the fast path.
+                if let Some(at) = top {
+                    self.horizon = self.horizon.max(at.saturating_add(TIMER_HORIZON));
+                }
+                return self.heap.first().copied();
+            }
+            if top.is_some_and(|at| at < self.horizon) {
+                return self.heap.first().copied();
+            }
+            // Both the root and every far entry are at or past the
+            // horizon, so this moves it forward.
+            let earliest = top.map_or(self.far_floor, |at| at.min(self.far_floor));
+            self.horizon = earliest.saturating_add(TIMER_HORIZON);
+            if self.far_floor < self.horizon || self.horizon == SimTime::MAX {
+                self.admit_due();
+            }
+        }
+    }
+
+    /// Moves every far entry earlier than the horizon (every one, once the
+    /// horizon has saturated) into the heap and makes `far_floor` exact.
+    fn admit_due(&mut self) {
+        let mut floor = SimTime::MAX;
+        let mut i = 0;
+        while i < self.far.len() {
+            let entry = self.far[i];
+            if entry.at < self.horizon || self.horizon == SimTime::MAX {
+                self.far.swap_remove(i);
+                if let Some(moved) = self.far.get(i) {
+                    self.slots[moved.slot as usize].link = FAR_TAG | i as u32;
+                }
+                self.push_entry(entry);
+            } else {
+                floor = floor.min(entry.at);
+                i += 1;
+            }
+        }
+        self.far_floor = floor;
+    }
+
     /// Schedules `event` to fire `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventToken {
         self.schedule_at(self.now.saturating_add(delay), event)
@@ -481,8 +625,17 @@ impl<E> EventQueue<E> {
         if slot.gen != token.gen() || slot.event.is_none() {
             return false;
         }
-        let heap_idx = slot.link as usize;
-        let entry = self.remove_at(heap_idx);
+        let link = slot.link;
+        let entry = if link & FAR_TAG == 0 {
+            self.remove_at(link as usize)
+        } else {
+            let i = (link & !FAR_TAG) as usize;
+            let entry = self.far.swap_remove(i);
+            if let Some(moved) = self.far.get(i) {
+                self.slots[moved.slot as usize].link = link;
+            }
+            entry
+        };
         debug_assert_eq!(entry.slot, idx, "back-pointer names its own entry");
         self.free_slot(idx);
         self.cancelled_total += 1;
@@ -508,7 +661,10 @@ impl<E> EventQueue<E> {
     /// dispatch-boundary checkpoint, in that order.
     #[inline]
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let entry = *self.heap.first()?;
+        let entry = match self.heap.first() {
+            Some(&entry) if entry.at < self.horizon => entry,
+            _ => self.advance_horizon()?,
+        };
         if entry.at > deadline {
             return None;
         }
@@ -551,10 +707,16 @@ impl<E> EventQueue<E> {
         event
     }
 
-    /// The timestamp of the next pending event without removing it.
+    /// The timestamp of the next pending event without removing it. O(1)
+    /// while the heap's root is earlier than the horizon; otherwise a
+    /// scan of the far store.
     #[must_use]
     pub fn next_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|entry| entry.at)
+        let top = self.heap.first().map(|entry| entry.at);
+        match top {
+            Some(at) if at < self.horizon => Some(at),
+            _ => self.far.iter().map(|entry| entry.at).chain(top).min(),
+        }
     }
 
     /// Discards all pending events without changing the clock or the
@@ -570,6 +732,7 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.discarded_total += self.len() as u64;
         self.heap.clear();
+        self.far.clear();
         for pending in &mut self.lanes {
             pending.clear();
         }
@@ -587,14 +750,30 @@ impl<E> EventQueue<E> {
     }
 
     /// Panics unless the structure is consistent: every child sorts
-    /// after its parent, the heap holds exactly the pending slots plus
-    /// one entry per non-empty lane carrying that lane's front key (no
-    /// cancelled entry lingers), every slot entry's slot points back at
-    /// it, each lane's keys strictly ascend from `now`, `parked` counts
-    /// the lane events behind a head, and the free list holds every
-    /// other slot. For tests and debug builds; O(slots + pending).
+    /// after its parent, the heap and the far store together hold
+    /// exactly the pending slots, the heap also one entry per non-empty
+    /// lane carrying that lane's front key (no cancelled entry lingers),
+    /// every slot entry's slot points back at it, every far entry is due
+    /// at or past the horizon and no earlier than `far_floor`, each
+    /// lane's keys strictly ascend from `now`, `parked` counts the lane
+    /// events behind a head, and the free list holds every other slot.
+    /// For tests and debug builds; O(slots + pending).
     #[cfg(any(test, debug_assertions))]
     pub fn check_invariants(&self) {
+        for (i, entry) in self.far.iter().enumerate() {
+            assert!(
+                entry.at >= self.horizon,
+                "far entry {i} is inside the horizon"
+            );
+            assert!(
+                entry.at >= self.far_floor,
+                "far entry {i} is below the floor"
+            );
+            assert!(entry.at >= self.now, "far entry {i} is in the past");
+            let slot = &self.slots[entry.slot as usize];
+            assert!(slot.event.is_some(), "far entry {i} names a free slot");
+            assert_eq!(slot.link, FAR_TAG | i as u32, "far back-pointer is stale");
+        }
         let mut has_entry = vec![false; self.lanes.len()];
         for (i, entry) in self.heap.iter().enumerate() {
             if i > 0 {
@@ -629,9 +808,11 @@ impl<E> EventQueue<E> {
         let lane_heads = has_entry.iter().filter(|&&h| h).count();
         assert_eq!(
             pending + lane_heads,
-            self.heap.len(),
+            self.heap.len() + self.far.len(),
             "a pending slot has no entry"
         );
+        let lane_events: usize = self.lanes.iter().map(VecDeque::len).sum();
+        assert_eq!(pending + lane_events, self.len(), "len miscounts");
         let mut free = 0;
         let mut idx = self.free_head;
         while idx != NIL {
@@ -1004,6 +1185,70 @@ mod tests {
             q.scheduled_total(),
             q.popped_total() + q.cancelled_total() + q.discarded_total()
         );
+    }
+
+    /// A connection's RTO as TCP arms it: every packet re-arms a 200 ms
+    /// timer and cancels the previous one, so none ever fires. Fails on a
+    /// queue that puts the timers in the heap (its depth grows to two).
+    #[test]
+    fn rearmed_timers_leave_the_heap_depth_unchanged() {
+        let mut q = EventQueue::new();
+        let rto = SimDuration::from_millis(200);
+        q.schedule_at(SimTime::from_micros(10), "packet");
+        let depth = q.heap.len();
+        let mut armed = q.schedule_timer(q.now() + rto, "rto");
+        for _ in 0..10_000 {
+            let (now, e) = q.pop().expect("the packet chain never ends");
+            assert_eq!(e, "packet", "no timer fires");
+            q.schedule_at(now + SimDuration::from_micros(10), "packet");
+            let rearmed = q.schedule_timer(now + rto, "rto");
+            assert!(q.cancel(std::mem::replace(&mut armed, rearmed)));
+            assert_eq!(q.heap.len(), depth);
+            assert_eq!((q.len(), q.far.len()), (2, 1));
+        }
+        q.check_invariants();
+        assert_eq!(q.now(), SimTime::from_millis(100));
+        assert_eq!(q.cancelled_total(), 10_000);
+    }
+
+    /// Fails on a queue that pops the heap's root without first moving
+    /// the horizon: the timer, due before the second event, would pop
+    /// after it.
+    #[test]
+    fn a_far_timer_pops_before_later_heap_events() {
+        let mut q = EventQueue::new();
+        q.schedule_timer(SimTime::from_millis(5), "timer");
+        q.schedule_at(SimTime::from_millis(9), "late");
+        q.schedule_at(SimTime::from_nanos(1), "early");
+        assert_eq!((q.far.len(), q.len()), (1, 3));
+        assert_eq!(q.next_time(), Some(SimTime::from_nanos(1)));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("early"));
+        // The root (9 ms) is past the horizon (1 ms + 1 ns): the horizon
+        // moves to 5 ms + 1 ms and admits the timer first.
+        assert_eq!(q.next_time(), Some(SimTime::from_millis(5)));
+        assert_eq!(q.pop_until(SimTime::from_millis(4)), None);
+        q.check_invariants();
+        assert_eq!(q.pop().map(|(_, e)| e), Some("timer"));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("late"));
+        assert!(q.is_empty());
+    }
+
+    /// Fails on a queue whose `is_empty` looks at the heap alone: a bed
+    /// that keeps a heartbeat only while work is pending would stop it
+    /// with a retransmission timer still armed.
+    #[test]
+    fn a_lone_far_timer_is_pending_work() {
+        let mut q = EventQueue::new();
+        let t = q.schedule_timer(SimTime::from_millis(200), 1);
+        assert!(!q.is_empty());
+        assert_eq!((q.len(), q.heap.len()), (1, 0));
+        assert_eq!(q.next_time(), Some(SimTime::from_millis(200)));
+        assert!(q.cancel(t));
+        assert!(!q.cancel(t), "a cancelled far token is stale");
+        assert!(q.is_empty());
+        q.schedule_timer(SimTime::from_millis(300), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(300), 2)));
+        q.check_invariants();
     }
 
     #[test]

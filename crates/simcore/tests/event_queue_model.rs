@@ -12,15 +12,28 @@
 //! without a token, whichever path the queue takes for it. The times it
 //! is given are drawn so that ascending runs, equal times, times earlier
 //! than the lane's tail (the fall-through to the heap) and times below
-//! `now` (the clamp) all occur. The test fails — each checked by breaking
-//! the queue that way — on a queue that (a) appends an earlier-than-tail
-//! event to its lane, (b) forgets to re-key the heap's root after a lane
-//! pop, or (c) leaves lanes populated across `clear()`.
+//! `now` (the clamp) all occur.
+//!
+//! Nor does the far store: `schedule_timer` is `schedule_at`. Timers are
+//! drawn on an axis three horizons wide, so they land both inside the
+//! horizon (straight into the heap) and past it (in the far store), and
+//! 200 ms out as TCP's RTO is; `pop_until` deadlines fall on both sides of
+//! the horizon; cancels reach far tokens that are live, fired, or stale
+//! after `clear`; and since the queue starts with its horizon at zero, the
+//! first timers wait outside the heap with nothing else pending, so `len`,
+//! `is_empty` and `next_time` are compared with only far entries left.
+//!
+//! The test fails — each checked by breaking the queue that way — on a
+//! queue that (a) appends an earlier-than-tail event to its lane, (b)
+//! forgets to re-key the heap's root after a lane pop, (c) leaves lanes
+//! populated across `clear()`, (d) pops the heap's root without first
+//! advancing the horizon past it, or (e) leaves a far entry out of
+//! `is_empty`.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use simcore::event::{EventQueue, EventToken, LaneId};
+use simcore::event::{EventQueue, EventToken, LaneId, TIMER_HORIZON};
 use simcore::time::SimTime;
 
 type Key = (SimTime, u64);
@@ -95,8 +108,10 @@ proptest! {
 
     #[test]
     fn queue_matches_ordered_map_reference(
-        ops in proptest::collection::vec((0u8..26, any::<u64>(), any::<u64>()), 1..400),
+        ops in proptest::collection::vec((0u8..30, any::<u64>(), any::<u64>()), 1..400),
     ) {
+        // Three horizons wide: inside and past the horizon alike.
+        let wide = 3 * TIMER_HORIZON.as_nanos();
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut m = Model::default();
         // Every token ever issued with its reference key, so cancels hit
@@ -125,6 +140,10 @@ proptest! {
                     let deadline = SimTime::from_nanos(a % 64);
                     prop_assert_eq!(q.pop_until(deadline), m.pop_until(deadline));
                 }
+                12 => {
+                    let deadline = SimTime::from_nanos(a % wide);
+                    prop_assert_eq!(q.pop_until(deadline), m.pop_until(deadline));
+                }
                 16 if lanes.len() < 4 => lanes.push((q.lane(), 0)),
                 17..=25 if !lanes.is_empty() => {
                     let pick = (b % lanes.len() as u64) as usize;
@@ -140,6 +159,14 @@ proptest! {
                     let at = SimTime::from_nanos(*tail);
                     q.schedule_on(*lane, at, b);
                     m.schedule_at(at, b);
+                }
+                26..=27 => {
+                    let at = SimTime::from_nanos(a % wide);
+                    issued.push((q.schedule_timer(at, b), m.schedule_at(at, b)));
+                }
+                28 => {
+                    let at = SimTime::from_nanos(200_000_000 + a % 4);
+                    issued.push((q.schedule_timer(at, b), m.schedule_at(at, b)));
                 }
                 // Rare, so that the queue has time to fill between clears.
                 15 if a % 8 == 0 => {

@@ -301,7 +301,8 @@ impl StreamBed {
                     }
                 }
                 (TcpOutput::SetTimer(at), _) => {
-                    let tok = self.queue.schedule_at(at, Ev::Timer(side, slot));
+                    // Re-armed per ACK and almost never due: off the heap.
+                    let tok = self.queue.schedule_timer(at, Ev::Timer(side, slot));
                     if let Some(armed) = self.end(side).timer.replace(tok) {
                         self.queue.cancel(armed);
                     }

@@ -308,6 +308,18 @@ impl Memcached {
         slot
     }
 
+    /// Where `key`'s value lives if it is cached — the address a GET of
+    /// it would touch — without using the item: no tick, no counter and
+    /// no recency change. A server that knows its next requests looks
+    /// them up first, so their table misses overlap instead of being
+    /// paid one request at a time.
+    #[must_use]
+    pub fn lookup(&self, key: u64) -> Option<VirtAddr> {
+        self.items
+            .get(Vpn(key))
+            .map(|item| self.slot_addr(item.slot()))
+    }
+
     /// Processes one operation, returning what to touch and charge.
     pub fn process(&mut self, op: KvOp) -> KvOutcome {
         self.tick += 1;

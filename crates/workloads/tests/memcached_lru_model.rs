@@ -191,6 +191,46 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `lookup` is a GET with no side effect: before every operation a
+    /// probe key is looked up, and the answer must be the model's — the
+    /// address a GET of it touches on a hit, `None` on a miss — over the
+    /// same key sets, while the cache fills and after it starts evicting.
+    /// Probes are also GET for real, which must touch the address the
+    /// lookup gave. Tallies are compared around every lookup, and the
+    /// victims of the SETs that follow (checked through the addresses
+    /// they hand on) must be the model's, which never sees a lookup.
+    #[test]
+    fn lookup_agrees_with_process_and_changes_nothing(
+        capacity in 1u64..24,
+        set in 0..KEY_SETS,
+        ops in proptest::collection::vec((0u8..10, any::<u64>(), any::<u64>()), 1..600),
+    ) {
+        let (mut cache, mut model) = pair(capacity);
+        let keys = capacity * 3;
+        for (kind, k, p) in ops {
+            let probe = key_of(set, p % keys, keys);
+            let tallies = |c: &Memcached| (c.hits(), c.misses(), c.len(), c.evictions());
+            let before = tallies(&cache);
+            let seen = cache.lookup(probe);
+            prop_assert_eq!(seen, model.items.get(&probe).map(|&(slot, _)| model.addr(slot)));
+            prop_assert_eq!(tallies(&cache), before);
+            let key = key_of(set, k % keys, keys);
+            let op = match kind {
+                0..=3 => KvOp::Get { key },
+                4 => KvOp::Get { key: probe },
+                _ => KvOp::Set { key },
+            };
+            let outcome = step(&mut cache, &mut model, op);
+            if kind == 4 {
+                prop_assert_eq!(outcome.touch.map(|(addr, ..)| addr), seen);
+            }
+        }
+    }
+}
+
 /// A full cache sliding its window: every SET past capacity evicts the
 /// oldest key, and 512 of them in a row empty one whole leaf of the
 /// item table — which must forget exactly those items and go on serving

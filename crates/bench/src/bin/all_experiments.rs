@@ -23,7 +23,7 @@ fn main() {
         task(|| ib::fig9(30, 8)),
         task(|| ib::fig9_allreduce(30, 8)),
         task(|| ib::table6(20, 8)),
-        task(|| ib::fig10_ethernet(500)),
+        task(|| ib::fig10_ethernet(ctx, 500)),
         task(|| ib::fig10_infiniband(ctx, 3000)),
         task(ablations::ablation_batching),
         task(ablations::ablation_firmware_bypass),

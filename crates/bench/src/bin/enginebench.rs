@@ -33,7 +33,6 @@ use rdmasim::types::{PinnedGate, QpId, QpOutput, RcConfig, RcPacket, RecvWqe, Se
 use simcore::event::{EventQueue, EventToken};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
-use simcore::trace::TraceRecorder;
 use simcore::units::{Bandwidth, ByteSize};
 use workloads::memcached::{KvOp, Memaslap, Memcached, MemcachedConfig};
 
@@ -218,24 +217,6 @@ fn bench_deliver_lane() -> Sample {
         std::hint::black_box(sum);
     };
     measure("deliver_lane_128", 4096 * 2 + 2 * (4096 / 16), round)
-}
-
-/// Hot-path metric updates against an installed recorder: with
-/// interned ids these are two array writes per update.
-fn bench_metrics() -> Sample {
-    let mut rec = TraceRecorder::new(16);
-    let ops = rec.metrics_mut().metric_id("bench.ops");
-    let depth = rec.metrics_mut().metric_id("bench.depth");
-    let lat = rec.metrics_mut().metric_id("bench.latency");
-    measure("metrics_update_4k", 4096 * 3, || {
-        let m = rec.metrics_mut();
-        for i in 0..4096u64 {
-            m.counter_add_id(ops, 1);
-            m.gauge_set_id(depth, i as f64);
-            m.duration_record_id(lat, SimDuration::from_nanos(i % 997));
-        }
-        std::hint::black_box(m.counter("bench.ops"));
-    })
 }
 
 /// The fold itself: populate one 2 MiB chunk (512 contiguous PTEs) and
@@ -562,7 +543,7 @@ fn figure_wall_clocks(ctx: &RunCtx) -> Vec<(&'static str, f64)> {
         ("fig4a_prefetch", Box::new(|| eth::fig4a(&prefetch, 4))),
         ("fig8b", Box::new(|| ib::fig8b(ctx, 150))),
         ("fig9", Box::new(|| ib::fig9(8, 4))),
-        ("fig10_ethernet", Box::new(|| ib::fig10_ethernet(100))),
+        ("fig10_ethernet", Box::new(|| ib::fig10_ethernet(ctx, 100))),
     ];
     figures
         .into_iter()
@@ -636,7 +617,6 @@ fn main() {
         bench_churn(),
         bench_timer_rearm(),
         bench_deliver_lane(),
-        bench_metrics(),
         bench_promote_512(),
         bench_prefetch_issue_8(),
         bench_lru_touch_evict(),

@@ -9,7 +9,7 @@ use npf_bench::tracectl::{run_tasks, task, RunOpts};
 fn main() {
     let ctx = &RunOpts::init(&[]);
     let tasks = vec![
-        task(|| ib::fig10_ethernet(500)),
+        task(|| ib::fig10_ethernet(ctx, 500)),
         task(|| ib::fig10_infiniband(ctx, 3000)),
     ];
     run_tasks(ctx, tasks, |reports| {

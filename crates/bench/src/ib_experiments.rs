@@ -249,8 +249,8 @@ pub fn table6(iterations: u32, ranks: u32) -> Report {
 }
 
 /// E12 (Ethernet half) — Figure 10 left: stream throughput vs synthetic
-/// rNPF frequency.
-pub fn fig10_ethernet(duration_ms: u64) -> Report {
+/// rNPF frequency, on the fabric the lossy-fabric flags describe.
+pub fn fig10_ethernet(ctx: &RunCtx, duration_ms: u64) -> Report {
     let mut r = Report::new(
         "Stream throughput vs rNPF frequency (Ethernet)",
         "Figure 10 left",
@@ -276,6 +276,7 @@ pub fn fig10_ethernet(duration_ms: u64) -> Report {
                 fault_frequency: freq,
                 major_faults: major,
                 duration: SimDuration::from_millis(duration_ms),
+                profile: ctx.fabric_profile(),
                 ..StreamBedConfig::default()
             });
             cells.push(f(res.goodput_gbps, 2));
@@ -374,4 +375,20 @@ pub fn fig10_infiniband(ctx: &RunCtx, messages: u64) -> Report {
     r.note(format!("clean optimum: {optimum:.1} Gb/s"));
     r.note("paper: RNR NACK keeps high utilization; recovery costs grow as frequency rises");
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tracectl::RunOpts;
+
+    /// Regression: the Ethernet half of Figure 10 ignored the fabric
+    /// flags that its InfiniBand half honours.
+    #[test]
+    fn fig10_ethernet_honours_a_lossy_fabric() {
+        let argv = ["--loss".to_owned(), "0.01".to_owned()];
+        let lossy = RunCtx::new(RunOpts::parse(&argv, &[]).expect("lossy flags parse"));
+        let rows = |ctx: &RunCtx| fig10_ethernet(ctx, 5).render();
+        assert_ne!(rows(&RunCtx::default()), rows(&lossy));
+    }
 }

@@ -37,13 +37,6 @@ impl NpfBreakdown {
     pub fn total(&self) -> SimDuration {
         self.trigger_interrupt + self.driver + self.update_hw_pt + self.resume
     }
-
-    /// Fraction of the total spent in hardware (firmware).
-    #[must_use]
-    pub fn hardware_fraction(&self) -> f64 {
-        let hw = self.trigger_interrupt + self.resume + self.update_hw_pt / 2;
-        hw.as_secs_f64() / self.total().as_secs_f64()
-    }
 }
 
 /// Breakdown of one invalidation, mirroring Figure 3(b).
@@ -322,11 +315,9 @@ mod tests {
         let m = CostModel::default();
         let mut rng = SimRng::new(3);
         let b = m.npf(1, SimDuration::ZERO, false, &mut rng);
-        assert!(
-            b.hardware_fraction() > 0.85,
-            "paper: ~90% firmware, got {:.2}",
-            b.hardware_fraction()
-        );
+        let hw = b.trigger_interrupt + b.resume + b.update_hw_pt / 2;
+        let fraction = hw.as_secs_f64() / b.total().as_secs_f64();
+        assert!(fraction > 0.85, "paper: ~90% firmware, got {fraction:.2}");
     }
 
     #[test]

@@ -463,13 +463,6 @@ impl NpfEngine {
         ready
     }
 
-    /// Pages a completed speculative fault mapped that DMA has since
-    /// used (the prefetch-accuracy numerator).
-    #[must_use]
-    pub fn prefetch_hits(&self) -> u64 {
-        self.counters.get("prefetch_hits") + self.prefetcher.hits_pending()
-    }
-
     /// Is any pending fault already covering `addr..addr+len`? Returns
     /// its id — the NIC's in-flight-fault bitmap (§4's second
     /// optimization) maps onto this: repeated faults on the same range
@@ -1980,7 +1973,6 @@ mod huge_prefetch_tests {
             demand,
             "speculative faults must not raise firmware NPF events"
         );
-        assert!(e.prefetch_hits() > 0);
         e.prefetcher.sync_hits(&mut e.counters);
         assert!(e.counters().get("prefetch_hits") > 0);
     }

@@ -144,11 +144,6 @@ impl StridePrefetcher {
         self.mapped.get_mut().remove(&(domain.0, vpn.0));
     }
 
-    /// Hits `note_probe` has seen that `sync_hits` has not yet counted.
-    pub(crate) fn hits_pending(&self) -> u64 {
-        self.hits_pending.get()
-    }
-
     /// Moves the hits observed by the read-only probe into `counters`
     /// (called on the engine's mutating paths, so its counters are up
     /// to date whenever the simulation can observe them).

@@ -86,7 +86,6 @@ pub struct IoPageTable {
     /// any partial unmap). Translations are byte-for-byte identical to
     /// the 4 KiB-only table; only the PTE *shape* changes.
     huge_enabled: bool,
-    walks: u64,
     faults: u64,
     promotions: u64,
     demotions: u64,
@@ -101,7 +100,6 @@ impl IoPageTable {
             mode,
             entries: PageMap::new(),
             huge_enabled: false,
-            walks: 0,
             faults: 0,
             promotions: 0,
             demotions: 0,
@@ -217,12 +215,6 @@ impl IoPageTable {
         true
     }
 
-    /// Total walks performed.
-    #[must_use]
-    pub fn walks(&self) -> u64 {
-        self.walks
-    }
-
     /// Walks that found no present entry.
     #[must_use]
     pub fn faults(&self) -> u64 {
@@ -271,7 +263,6 @@ impl IoPageTable {
 
     /// Walks the table for a DMA access.
     pub fn translate(&mut self, vpn: Vpn, write: bool) -> Translation {
-        self.walks += 1;
         match self.pte(vpn) {
             Some(pte) if write && !pte.writable => Translation::Error,
             Some(pte) => Translation::Ok(pte.frame),
@@ -286,7 +277,7 @@ impl IoPageTable {
     }
 
     /// Whether every page of `range` is present (and writable, when
-    /// `write`), without touching the walk statistics — the side-effect
+    /// `write`), without touching the fault count — the side-effect
     /// free probe behind `is_descriptor_present` checks.
     #[must_use]
     pub fn probe_range(&self, range: PageRange, write: bool) -> bool {
@@ -362,7 +353,6 @@ mod tests {
         assert!(t.probe_range(PageRange::new(Vpn(0), 2), false));
         assert!(!t.probe_range(PageRange::new(Vpn(0), 2), true), "read-only");
         assert!(!t.probe_range(PageRange::new(Vpn(0), 3), false), "hole");
-        assert_eq!(t.walks(), 0);
         assert_eq!(t.faults(), 0);
     }
 

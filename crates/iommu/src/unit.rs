@@ -15,30 +15,20 @@
 use memsim::types::{FrameId, PageRange, Vpn};
 use simcore::chaos::invariant;
 use simcore::journal;
-use simcore::trace::{self, MetricId};
+use simcore::trace;
 
 use crate::pagetable::{DomainId, IoPageTable, TableMode, HUGE_PAGES};
-
-/// Interned metric ids for the unit's hot-path counters (resolved once
-/// per recorder instead of hashing the metric name per invalidation).
-#[derive(Debug, Clone, Copy)]
-struct MetricIds {
-    invalidations: MetricId,
-    invalidations_mapped: MetricId,
-}
 
 /// The I/O memory management unit.
 #[derive(Debug)]
 pub struct Iommu {
     /// Indexed by `DomainId.0`; ids are handed out densely below.
-    /// `None` = destroyed domain.
-    tables: Vec<Option<IoPageTable>>,
+    tables: Vec<IoPageTable>,
     /// Invariant-note namespace: distinguishes this unit's domain and
     /// frame ids from other nodes' units inside one global checker.
     chaos_ns: u64,
     /// 2 MiB PTE folding, applied to every table present and future.
     huge_enabled: bool,
-    metric_ids: Option<MetricIds>,
 }
 
 // Residue of the deleted translation cache, kept only because the frozen
@@ -72,7 +62,6 @@ impl Iommu {
             tables: Vec::new(),
             chaos_ns: 0,
             huge_enabled: false,
-            metric_ids: None,
         }
     }
 
@@ -88,7 +77,7 @@ impl Iommu {
     /// present and future. Disabling splits existing folds.
     pub fn set_huge_pages(&mut self, enabled: bool) {
         self.huge_enabled = enabled;
-        for t in self.tables.iter_mut().flatten() {
+        for t in &mut self.tables {
             t.set_huge_pages(enabled);
         }
     }
@@ -98,7 +87,6 @@ impl Iommu {
     pub fn huge_stats(&self) -> (u64, u64) {
         self.tables
             .iter()
-            .flatten()
             .fold((0, 0), |(p, d), t| (p + t.promotions(), d + t.demotions()))
     }
 
@@ -112,7 +100,7 @@ impl Iommu {
         let id = DomainId(u32::try_from(self.tables.len()).expect("domain ids fit in u32"));
         let mut table = IoPageTable::new(id, mode);
         table.set_huge_pages(self.huge_enabled);
-        self.tables.push(Some(table));
+        self.tables.push(table);
         id
     }
 
@@ -125,31 +113,13 @@ impl Iommu {
     pub fn table(&self, domain: DomainId) -> &IoPageTable {
         self.tables
             .get(domain.0 as usize)
-            .and_then(Option::as_ref)
             .expect("unknown IOMMU domain")
     }
 
     fn table_mut(&mut self, domain: DomainId) -> &mut IoPageTable {
         self.tables
             .get_mut(domain.0 as usize)
-            .and_then(Option::as_mut)
             .expect("unknown IOMMU domain")
-    }
-
-    /// The interned metric ids, resolving them on first use. `None`
-    /// when no trace recorder is installed.
-    fn metric_ids(&mut self) -> Option<MetricIds> {
-        if self.metric_ids.is_none() {
-            let mut ids = None;
-            trace::metrics(|m| {
-                ids = Some(MetricIds {
-                    invalidations: m.metric_id("iommu.invalidations"),
-                    invalidations_mapped: m.metric_id("iommu.invalidations_mapped"),
-                });
-            });
-            self.metric_ids = ids;
-        }
-        self.metric_ids
     }
 
     /// Whether a DMA to every page of `range` would succeed, in one
@@ -160,7 +130,6 @@ impl Iommu {
     pub fn probe_range(&self, domain: DomainId, range: PageRange, write: bool) -> bool {
         self.tables
             .get(domain.0 as usize)
-            .and_then(Option::as_ref)
             .is_some_and(|t| t.probe_range(range, write))
     }
 
@@ -190,16 +159,12 @@ impl Iommu {
         if table.demotions() > demotions_before && journal::enabled() {
             journal::mark(journal::MarkKind::HugeDemote, vpn.0 & !(HUGE_PAGES - 1));
         }
-        if trace::enabled() {
-            if let Some(ids) = self.metric_ids() {
-                trace::metrics(|m| {
-                    m.counter_add_id(ids.invalidations, 1);
-                    if was_mapped {
-                        m.counter_add_id(ids.invalidations_mapped, 1);
-                    }
-                });
+        trace::metrics(|m| {
+            m.counter_add("iommu.invalidations", 1);
+            if was_mapped {
+                m.counter_add("iommu.invalidations_mapped", 1);
             }
-        }
+        });
         was_mapped
     }
 
@@ -220,23 +185,11 @@ impl Iommu {
                 range.start.0 & !(HUGE_PAGES - 1),
             );
         }
-        if trace::enabled() {
-            if let Some(ids) = self.metric_ids() {
-                trace::metrics(|m| {
-                    m.counter_add_id(ids.invalidations, range.pages);
-                    m.counter_add_id(ids.invalidations_mapped, mapped);
-                });
-            }
-        }
+        trace::metrics(|m| {
+            m.counter_add("iommu.invalidations", range.pages);
+            m.counter_add("iommu.invalidations_mapped", mapped);
+        });
         mapped
-    }
-
-    /// Tears down a domain entirely.
-    pub fn destroy_domain(&mut self, domain: DomainId) {
-        invariant::note_domain_destroyed((self.chaos_ns << 32) | u64::from(domain.0));
-        if let Some(t) = self.tables.get_mut(domain.0 as usize) {
-            *t = None;
-        }
     }
 }
 
@@ -335,8 +288,6 @@ mod tests {
         mmu.map(d0, Vpn(1), FrameId(1), true);
         assert_eq!(verdict(&mmu, d0, 1), (true, true, pte(1, true)));
         assert_eq!(verdict(&mmu, d1, 1), (false, false, None));
-        mmu.destroy_domain(d0);
-        assert!(!probe(&mmu, d0, 1, false));
     }
 
     #[test]
@@ -421,5 +372,23 @@ mod tests {
             .count();
         assert_eq!(mmu.huge_stats().0, 9);
         assert_eq!(marks, 9, "one mark per fold, none for the re-map");
+    }
+
+    /// Regression: the unit cached the metric ids of the first recorder
+    /// it saw, so under a later recorder an invalidation added to
+    /// whichever counter held those indices there.
+    #[test]
+    fn invalidation_counters_follow_the_installed_recorder() {
+        let (mut mmu, d) = odp_iommu();
+        trace::install(trace::TraceRecorder::new(16));
+        mmu.invalidate(d, Vpn(1));
+        trace::uninstall();
+        let mut b = trace::TraceRecorder::new(16);
+        b.metrics_mut().counter_add("tenant0.ops", 5);
+        trace::install(b);
+        mmu.invalidate(d, Vpn(1));
+        let b = trace::uninstall().expect("installed above");
+        assert_eq!(b.metrics().counter("tenant0.ops"), 5);
+        assert_eq!(b.metrics().counter("iommu.invalidations"), 1);
     }
 }

@@ -15,7 +15,6 @@ pub struct FrameAllocator {
     free: Vec<FrameId>,
     next_unused: u64,
     allocated: u64,
-    high_watermark: u64,
     /// Invariant-note namespace: distinguishes this allocator's frame
     /// ids from other nodes' allocators inside one global checker.
     chaos_ns: u64,
@@ -30,7 +29,6 @@ impl FrameAllocator {
             free: Vec::new(),
             next_unused: 0,
             allocated: 0,
-            high_watermark: 0,
             chaos_ns: 0,
         }
     }
@@ -46,22 +44,10 @@ impl FrameAllocator {
         self.total
     }
 
-    /// Frames currently allocated.
-    #[must_use]
-    pub fn allocated(&self) -> u64 {
-        self.allocated
-    }
-
     /// Frames currently free.
     #[must_use]
     pub fn free_count(&self) -> u64 {
         self.total - self.allocated
-    }
-
-    /// The largest number of frames ever simultaneously allocated.
-    #[must_use]
-    pub fn high_watermark(&self) -> u64 {
-        self.high_watermark
     }
 
     /// Allocates one frame, or `None` when memory is exhausted (the
@@ -77,7 +63,6 @@ impl FrameAllocator {
             return None;
         };
         self.allocated += 1;
-        self.high_watermark = self.high_watermark.max(self.allocated);
         invariant::note_frame_allocated((self.chaos_ns << 40) | frame.0);
         Some(frame)
     }
@@ -118,18 +103,9 @@ mod tests {
         let f = a.alloc().expect("frame");
         assert!(a.alloc().is_none());
         a.free(f);
+        assert_eq!(a.free_count(), 1);
         assert_eq!(a.alloc(), Some(f));
-    }
-
-    #[test]
-    fn watermark_tracks_peak() {
-        let mut a = FrameAllocator::new(10);
-        let f1 = a.alloc().expect("frame");
-        let _f2 = a.alloc().expect("frame");
-        a.free(f1);
-        a.alloc().expect("frame");
-        assert_eq!(a.high_watermark(), 2);
-        assert_eq!(a.allocated(), 2);
+        assert_eq!(a.free_count(), 0);
     }
 
     #[test]

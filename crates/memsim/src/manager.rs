@@ -346,13 +346,6 @@ impl MemoryManager {
         self.cache.hit_ratio()
     }
 
-    /// Pages currently demoted to the slow memory tier (0 when no tier
-    /// is configured).
-    #[must_use]
-    pub fn tier_pages(&self) -> u64 {
-        self.nvm.as_ref().map_or(0, SwapDevice::used_slots)
-    }
-
     /// Creates a new, unconstrained address space.
     pub fn create_space(&mut self) -> SpaceId {
         let id = SpaceId(self.next_space);
@@ -975,40 +968,14 @@ impl MemoryManager {
         ))
     }
 
-    /// Reads a file page through the page cache without mapping it
-    /// (buffered I/O for the storage target). Returns whether it hit and
-    /// the cost.
+    /// Reads `pages` consecutive file pages, aggregating disk time. One
+    /// seek is charged per run of misses rather than per page, modelling
+    /// sequential readahead of a block: buffered I/O for the storage
+    /// target, through the page cache without mapping anything.
     ///
     /// # Errors
     ///
     /// [`MemError::OutOfMemory`] when no frame can be found for a miss.
-    pub fn read_file_page(
-        &mut self,
-        file: FileId,
-        page: u64,
-    ) -> Result<crate::pagecache::CachedRead, MemError> {
-        let key = CacheKey { file, page };
-        let t = self.next_tick();
-        if self.cache.lookup(key, t).is_some() {
-            return Ok(crate::pagecache::CachedRead {
-                hit: true,
-                cost: SimDuration::ZERO,
-            });
-        }
-        let (frame, alloc_cost, _inv) = self.alloc_frame()?;
-        let t = self.next_tick();
-        self.cache.insert(key, frame, t);
-        let cost = alloc_cost + self.config.disk.io_time(PAGE_SIZE);
-        Ok(crate::pagecache::CachedRead { hit: false, cost })
-    }
-
-    /// Reads `pages` consecutive file pages, aggregating disk time. One
-    /// seek is charged per run of misses rather than per page, modelling
-    /// sequential readahead of a block.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MemoryManager::read_file_page`].
     pub fn read_file_block(
         &mut self,
         file: FileId,
@@ -1217,7 +1184,7 @@ mod tests {
             )
             .unwrap();
         // Populate the cache via direct read, then map: minor fault.
-        mm.read_file_page(file, 0).unwrap();
+        mm.read_file_block(file, 0, 1).unwrap();
         let a = mm.touch(s, r.start, false).unwrap();
         assert_eq!(a.fault.expect("fault").kind, FaultKind::Minor);
         // An uncached file page is a major fault.
@@ -1489,7 +1456,7 @@ mod tier_tests {
         }
         assert_eq!(mm.counters().get("tier_demotions"), 2, "NVM fills first");
         assert!(mm.counters().get("swap_outs") > 0, "overflow goes to swap");
-        assert_eq!(mm.tier_pages(), 2);
+        assert_eq!(mm.nvm.as_ref().expect("tier").used, 2);
     }
 
     #[test]

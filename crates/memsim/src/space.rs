@@ -163,12 +163,6 @@ impl AddressSpace {
         self.pinned_pages
     }
 
-    /// Total pages covered by VMAs (the virtual size).
-    #[must_use]
-    pub fn mapped_pages(&self) -> u64 {
-        self.vmas.values().map(|v| v.range.pages).sum()
-    }
-
     /// Maps `pages` pages of `backing` at the next free region, returning
     /// the range. This is the `mmap(NULL, ...)` form.
     pub fn mmap(&mut self, pages: u64, backing: Backing) -> PageRange {
@@ -534,7 +528,7 @@ mod tests {
         let a = s.mmap(10, Backing::Anonymous);
         let b = s.mmap(5, Backing::Anonymous);
         assert!(!a.overlaps(b));
-        assert_eq!(s.mapped_pages(), 15);
+        assert_eq!(s.vmas.values().map(|v| v.range.pages).sum::<u64>(), 15);
     }
 
     #[test]

@@ -61,9 +61,7 @@ pub struct SwapDevice {
     free_slots: Vec<u64>,
     next_slot: u64,
     capacity_slots: u64,
-    used: u64,
-    write_ops: u64,
-    read_ops: u64,
+    pub(crate) used: u64,
 }
 
 impl SwapDevice {
@@ -76,27 +74,7 @@ impl SwapDevice {
             next_slot: 0,
             capacity_slots,
             used: 0,
-            write_ops: 0,
-            read_ops: 0,
         }
-    }
-
-    /// Slots currently holding swapped pages.
-    #[must_use]
-    pub fn used_slots(&self) -> u64 {
-        self.used
-    }
-
-    /// Total page writes performed.
-    #[must_use]
-    pub fn write_ops(&self) -> u64 {
-        self.write_ops
-    }
-
-    /// Total page reads performed.
-    #[must_use]
-    pub fn read_ops(&self) -> u64 {
-        self.read_ops
     }
 
     /// The underlying disk model.
@@ -118,7 +96,6 @@ impl SwapDevice {
             return None;
         };
         self.used += 1;
-        self.write_ops += 1;
         Some((slot, self.config.io_time(crate::types::PAGE_SIZE)))
     }
 
@@ -130,7 +107,6 @@ impl SwapDevice {
     pub fn swap_in(&mut self, slot: u64) -> SimDuration {
         assert!(self.used > 0, "swap_in with empty swap");
         self.used -= 1;
-        self.read_ops += 1;
         self.free_slots.push(slot);
         self.config.io_time(crate::types::PAGE_SIZE)
     }
@@ -161,8 +137,6 @@ mod tests {
         s.swap_in(a);
         let (c, _) = s.swap_out().expect("slot reuse");
         assert_eq!(c, a);
-        assert_eq!(s.write_ops(), 3);
-        assert_eq!(s.read_ops(), 1);
-        assert_eq!(s.used_slots(), 2);
+        assert_eq!(s.used, 2);
     }
 }

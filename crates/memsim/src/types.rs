@@ -22,12 +22,6 @@ impl VirtAddr {
         Vpn(self.0 >> PAGE_SHIFT)
     }
 
-    /// The offset within the page.
-    #[must_use]
-    pub const fn page_offset(self) -> u64 {
-        self.0 & (PAGE_SIZE - 1)
-    }
-
     /// Adds a byte offset.
     #[must_use]
     pub const fn add(self, bytes: u64) -> VirtAddr {
@@ -174,7 +168,6 @@ mod tests {
     fn addr_page_split() {
         let a = VirtAddr(0x12345);
         assert_eq!(a.vpn(), Vpn(0x12));
-        assert_eq!(a.page_offset(), 0x345);
         assert_eq!(Vpn(0x12).base(), VirtAddr(0x12000));
     }
 

@@ -1,9 +1,10 @@
-//! Fabric topologies: back-to-back cables and a star through a switch.
+//! The switched fabric: a star of nodes around one switch.
 //!
-//! The paper's Ethernet testbed is two servers connected back-to-back;
-//! the InfiniBand testbed is eight servers through a SwitchX-2. A
-//! [`Fabric`] owns the links and computes end-to-end delivery times,
-//! store-and-forward through the switch.
+//! The paper's InfiniBand testbed is eight servers through a SwitchX-2
+//! (its Ethernet testbed is one back-to-back cable, which the Ethernet
+//! beds drive as two [`Link`]s). A [`Fabric`] owns the links and
+//! computes end-to-end delivery times, store-and-forward through the
+//! switch.
 
 use simcore::chaos::{ChaosEngine, PacketFate};
 use simcore::rng::SimRng;
@@ -11,6 +12,14 @@ use simcore::time::{SimDuration, SimTime};
 
 use crate::link::{Link, LinkConfig, SendOutcome};
 use crate::packet::NodeId;
+
+/// PFC XOFF threshold of a switch egress queue, in bytes: the backlog
+/// past which the switch pauses every ingress.
+pub const PFC_XOFF: u64 = 256 * 1024;
+
+/// PFC XON threshold, in bytes: the backlog below which the paused
+/// ingresses resume.
+pub const PFC_XON: u64 = 128 * 1024;
 
 /// Outcome of a [`Fabric::send_chaos`]: a [`SendOutcome`] enriched with
 /// the injected fault, so the caller can model CRC-discarded corruption
@@ -37,32 +46,20 @@ pub enum ChaosSendOutcome {
     },
 }
 
-/// Topology of a fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Topology {
-    /// Two nodes, one cable.
-    BackToBack,
-    /// All nodes connected to one switch.
-    Star {
-        /// Store-and-forward latency of the switch.
-        switch_latency: SimDuration,
-    },
-}
-
-/// A network fabric connecting a fixed set of nodes.
+/// A network fabric connecting a fixed set of nodes through one switch.
 #[derive(Debug)]
 pub struct Fabric {
-    topology: Topology,
+    /// Store-and-forward latency of the switch.
+    switch_latency: SimDuration,
     nodes: u32,
-    /// Indexed by position. Back-to-back: `[0→1, 1→0]`, so a link's
-    /// index is its sender. Star: node `n`'s uplink at `2n`, the
-    /// switch's downlink toward it at `2n + 1`.
+    /// Indexed by position: node `n`'s uplink at `2n`, the switch's
+    /// downlink toward it at `2n + 1`.
     links: Vec<Link>,
     /// Packets dropped by fault injection.
     chaos_drops: u64,
-    /// PFC thresholds `(xoff, xon)` in bytes, when armed. On a star,
-    /// a switch egress queue backing up past `xoff` pauses every
-    /// uplink until the queue drains below `xon`.
+    /// PFC thresholds `(xoff, xon)` in bytes, when armed: a switch
+    /// egress queue backing up past `xoff` pauses every uplink until the
+    /// queue drains below `xon`.
     pfc: Option<(u64, u64)>,
     /// PFC pause frames the switch has emitted.
     pfc_pauses: u64,
@@ -79,23 +76,6 @@ fn downlink(n: u32) -> usize {
 }
 
 impl Fabric {
-    /// Two nodes (`NodeId(0)`, `NodeId(1)`) connected directly.
-    #[must_use]
-    pub fn back_to_back(config: LinkConfig, rng: &mut SimRng) -> Self {
-        let links = vec![
-            Link::new(config, rng.fork(0x01)),
-            Link::new(config, rng.fork(0x10)),
-        ];
-        Fabric {
-            topology: Topology::BackToBack,
-            nodes: 2,
-            links,
-            chaos_drops: 0,
-            pfc: None,
-            pfc_pauses: 0,
-        }
-    }
-
     /// `nodes` nodes connected through one switch.
     #[must_use]
     pub fn star(
@@ -109,7 +89,7 @@ impl Fabric {
             .map(|i| Link::new(config, rng.fork(i)))
             .collect();
         Fabric {
-            topology: Topology::Star { switch_latency },
+            switch_latency,
             nodes,
             links,
             chaos_drops: 0,
@@ -120,25 +100,15 @@ impl Fabric {
 
     /// Arms PFC with the given `(xoff, xon)` byte thresholds: once a
     /// switch egress queue backs up past `xoff`, the switch pauses
-    /// every ingress until it drains below `xon`. Star topologies only
-    /// (back-to-back has no shared switch queue to protect); a no-op
-    /// there.
+    /// every ingress until it drains below `xon`.
     pub fn set_pfc(&mut self, xoff: u64, xon: u64) {
-        if matches!(self.topology, Topology::Star { .. }) {
-            self.pfc = Some((xoff, xon.min(xoff)));
-        }
+        self.pfc = Some((xoff, xon.min(xoff)));
     }
 
     /// PFC pause frames emitted by the switch so far.
     #[must_use]
     pub fn pfc_pauses(&self) -> u64 {
         self.pfc_pauses
-    }
-
-    /// Number of attached nodes.
-    #[must_use]
-    pub fn node_count(&self) -> u32 {
-        self.nodes
     }
 
     /// Sends `size_bytes` from `from` to `to` at `now`, returning the
@@ -150,49 +120,41 @@ impl Fabric {
     pub fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, size_bytes: u64) -> SendOutcome {
         assert_ne!(from, to, "loopback is not modelled");
         assert!(from.0 < self.nodes && to.0 < self.nodes, "unknown node");
-        match self.topology {
-            Topology::BackToBack => self.links[from.0 as usize].send(now, size_bytes),
-            Topology::Star { switch_latency } => {
-                match self.links[uplink(from.0)].send(now, size_bytes) {
-                    SendOutcome::Dropped => SendOutcome::Dropped,
-                    SendOutcome::Delivered {
-                        arrives_at,
-                        ecn_marked,
-                    } => {
-                        let offered_at = arrives_at + switch_latency;
-                        let down = &mut self.links[downlink(to.0)];
-                        let outcome = match down.send(offered_at, size_bytes) {
-                            SendOutcome::Dropped => SendOutcome::Dropped,
-                            SendOutcome::Delivered {
-                                arrives_at,
-                                ecn_marked: m2,
-                            } => SendOutcome::Delivered {
-                                arrives_at,
-                                ecn_marked: ecn_marked || m2,
-                            },
-                        };
-                        // PFC: the egress queue toward `to` crossed
-                        // XOFF — pause every ingress until it drains
-                        // below XON. Head-of-line blocking for every
-                        // sender is the point (§3: link-level flow
-                        // control stalls *all* streams, not just the
-                        // congested one).
-                        if let Some((xoff, xon)) = self.pfc {
-                            if down.backlog_bytes(offered_at) > xoff {
-                                let resume = down.drains_below(xon);
-                                if resume > offered_at {
-                                    self.pfc_pauses += 1;
-                                    for n in 0..self.nodes {
-                                        self.links[uplink(n)].pause_until(resume);
-                                    }
-                                }
-                            }
-                        }
-                        outcome
+        let SendOutcome::Delivered {
+            arrives_at,
+            ecn_marked,
+        } = self.links[uplink(from.0)].send(now, size_bytes)
+        else {
+            return SendOutcome::Dropped;
+        };
+        let offered_at = arrives_at + self.switch_latency;
+        let down = &mut self.links[downlink(to.0)];
+        let outcome = match down.send(offered_at, size_bytes) {
+            SendOutcome::Dropped => SendOutcome::Dropped,
+            SendOutcome::Delivered {
+                arrives_at,
+                ecn_marked: m2,
+            } => SendOutcome::Delivered {
+                arrives_at,
+                ecn_marked: ecn_marked || m2,
+            },
+        };
+        // PFC: the egress queue toward `to` crossed XOFF — pause every
+        // ingress until it drains below XON. Head-of-line blocking for
+        // every sender is the point (§3: link-level flow control stalls
+        // *all* streams, not just the congested one).
+        if let Some((xoff, xon)) = self.pfc {
+            if down.backlog_bytes(offered_at) > xoff {
+                let resume = down.drains_below(xon);
+                if resume > offered_at {
+                    self.pfc_pauses += 1;
+                    for n in 0..self.nodes {
+                        self.links[uplink(n)].pause_until(resume);
                     }
                 }
             }
         }
+        outcome
     }
 
     /// Sends with fault injection: one [`PacketFate`] is drawn from the
@@ -243,14 +205,9 @@ impl Fabric {
     }
 
     /// Pauses all transmission *toward* `node` until `until` (802.3x
-    /// pause emitted by `node`). On a star this pauses the switch's
-    /// downlink; back-to-back it pauses the peer.
+    /// pause emitted by `node`): pauses the switch's downlink to it.
     pub fn pause_toward(&mut self, node: NodeId, until: SimTime) {
-        let toward = match self.topology {
-            Topology::BackToBack => 1 - node.0 as usize,
-            Topology::Star { .. } => downlink(node.0),
-        };
-        self.links[toward].pause_until(until);
+        self.links[downlink(node.0)].pause_until(until);
     }
 
     /// Total drops across all links.
@@ -281,33 +238,26 @@ mod tests {
         SimRng::new(7)
     }
 
-    #[test]
-    fn back_to_back_delivery() {
-        let mut r = rng();
-        let mut f = Fabric::back_to_back(LinkConfig::datacenter(Bandwidth::gbps(10)), &mut r);
-        let out = f.send(SimTime::ZERO, NodeId(0), NodeId(1), 1250);
-        assert_eq!(
-            out,
-            SendOutcome::Delivered {
-                arrives_at: SimTime::from_micros(2),
-                ecn_marked: false
-            }
-        );
+    /// Two nodes through a 200 ns switch at 10 Gb/s.
+    pub(super) fn pair(rng: &mut SimRng) -> Fabric {
+        let link = LinkConfig::datacenter(Bandwidth::gbps(10));
+        Fabric::star(link, 2, SimDuration::from_nanos(200), rng)
     }
 
     #[test]
     fn directions_are_independent() {
         let mut r = rng();
-        let mut f = Fabric::back_to_back(LinkConfig::datacenter(Bandwidth::gbps(10)), &mut r);
+        let mut f = pair(&mut r);
         // Saturate 0 -> 1; the reverse path is unaffected.
         for _ in 0..100 {
             f.send(SimTime::ZERO, NodeId(0), NodeId(1), 1250);
         }
         let out = f.send(SimTime::ZERO, NodeId(1), NodeId(0), 1250);
+        // Two hops of 1 us serialization + 1 us propagation, one switch.
         assert_eq!(
             out,
             SendOutcome::Delivered {
-                arrives_at: SimTime::from_micros(2),
+                arrives_at: SimTime::from_nanos(4_200),
                 ecn_marked: false
             }
         );
@@ -362,7 +312,7 @@ mod tests {
     #[test]
     fn pause_toward_blocks_last_hop() {
         let mut r = rng();
-        let mut f = Fabric::back_to_back(LinkConfig::datacenter(Bandwidth::gbps(10)), &mut r);
+        let mut f = pair(&mut r);
         f.pause_toward(NodeId(1), SimTime::from_micros(50));
         let SendOutcome::Delivered { arrives_at, .. } =
             f.send(SimTime::ZERO, NodeId(0), NodeId(1), 1250)
@@ -376,22 +326,21 @@ mod tests {
     #[should_panic(expected = "loopback")]
     fn loopback_rejected() {
         let mut r = rng();
-        let mut f = Fabric::back_to_back(LinkConfig::datacenter(Bandwidth::gbps(10)), &mut r);
+        let mut f = pair(&mut r);
         f.send(SimTime::ZERO, NodeId(0), NodeId(0), 64);
     }
 }
 
 #[cfg(test)]
 mod chaos_tests {
+    use super::tests::pair;
     use super::*;
     use simcore::chaos::{ChaosConfig, ChaosProfile};
-    use simcore::units::Bandwidth;
 
     #[test]
     fn chaos_send_replays_per_seed() {
         let run = |seed: u64| {
-            let mut r = SimRng::new(11);
-            let mut f = Fabric::back_to_back(LinkConfig::datacenter(Bandwidth::gbps(10)), &mut r);
+            let mut f = pair(&mut SimRng::new(11));
             let mut chaos = ChaosEngine::new(ChaosConfig::profile(ChaosProfile::Network, seed));
             (0..300)
                 .map(|i| {
@@ -411,8 +360,7 @@ mod chaos_tests {
 
     #[test]
     fn chaos_profile_exercises_every_packet_fault() {
-        let mut r = SimRng::new(11);
-        let mut f = Fabric::back_to_back(LinkConfig::datacenter(Bandwidth::gbps(10)), &mut r);
+        let mut f = pair(&mut SimRng::new(11));
         let mut chaos = ChaosEngine::new(ChaosConfig::profile(ChaosProfile::Network, 3));
         let mut corrupted = 0;
         let mut duplicated = 0;
@@ -547,16 +495,5 @@ mod star_pause_tests {
             f.total_marked() >= marked && marked > 0,
             "marks of both hops"
         );
-    }
-
-    #[test]
-    fn pfc_is_inert_back_to_back() {
-        let mut r = SimRng::new(7);
-        let mut f = Fabric::back_to_back(LinkConfig::datacenter(Bandwidth::gbps(10)), &mut r);
-        f.set_pfc(1, 0);
-        for _ in 0..50 {
-            f.send(SimTime::ZERO, NodeId(0), NodeId(1), 1250);
-        }
-        assert_eq!(f.pfc_pauses(), 0);
     }
 }

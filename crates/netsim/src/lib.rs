@@ -1,9 +1,9 @@
 //! # netsim — simulated network fabric
 //!
 //! Links with serialization, propagation, bounded queues, tail-drop,
-//! ECN marking, random loss injection, and 802.3x pause frames; fabrics
-//! composing them back-to-back (the paper's Ethernet testbed) or through
-//! a switch (the InfiniBand cluster).
+//! ECN marking, random loss injection, and 802.3x pause frames, driven
+//! one cable at a time (the paper's back-to-back Ethernet testbed) or
+//! composed into a star through one switch (the InfiniBand cluster).
 //!
 //! Everything is sans-IO: offering a packet returns the arrival time (or
 //! a drop), and the caller schedules the delivery event on its
@@ -13,11 +13,11 @@
 //!
 //! ```
 //! use netsim::{Fabric, LinkConfig, NodeId, SendOutcome};
-//! use simcore::{SimRng, SimTime, Bandwidth};
+//! use simcore::{Bandwidth, SimDuration, SimRng, SimTime};
 //!
 //! let mut rng = SimRng::new(1);
-//! let mut fabric =
-//!     Fabric::back_to_back(LinkConfig::datacenter(Bandwidth::gbps(12)), &mut rng);
+//! let link = LinkConfig::datacenter(Bandwidth::gbps(56));
+//! let mut fabric = Fabric::star(link, 2, SimDuration::from_nanos(200), &mut rng);
 //! match fabric.send(SimTime::ZERO, NodeId(0), NodeId(1), 1500) {
 //!     SendOutcome::Delivered { arrives_at, .. } => assert!(arrives_at > SimTime::ZERO),
 //!     SendOutcome::Dropped => unreachable!("empty queue cannot drop"),

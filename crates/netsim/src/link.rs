@@ -80,7 +80,6 @@ pub struct Link {
     queued_bytes: u64,
     rng: SimRng,
     sent_packets: u64,
-    sent_bytes: u64,
     dropped_packets: u64,
     marked_packets: u64,
 }
@@ -98,7 +97,6 @@ impl Link {
             queued_bytes: 0,
             rng,
             sent_packets: 0,
-            sent_bytes: 0,
             dropped_packets: 0,
             marked_packets: 0,
         }
@@ -114,12 +112,6 @@ impl Link {
     #[must_use]
     pub fn sent_packets(&self) -> u64 {
         self.sent_packets
-    }
-
-    /// Bytes accepted so far.
-    #[must_use]
-    pub fn sent_bytes(&self) -> u64 {
-        self.sent_bytes
     }
 
     /// Packets tail-dropped so far.
@@ -192,17 +184,6 @@ impl Link {
         }
     }
 
-    /// Lifts a pause immediately (a zero-quanta pause frame).
-    pub fn unpause(&mut self, now: SimTime) {
-        self.paused_until = now;
-    }
-
-    /// `true` while a pause is in force at `now`.
-    #[must_use]
-    pub fn is_paused(&self, now: SimTime) -> bool {
-        self.paused_until > now
-    }
-
     /// Offers a packet of `size_bytes` at `now`.
     pub fn send(&mut self, now: SimTime, size_bytes: u64) -> SendOutcome {
         if self.config.loss_probability > 0.0 && self.rng.chance(self.config.loss_probability) {
@@ -236,7 +217,6 @@ impl Link {
         self.queue.push_back((departure, size_bytes));
         self.queued_bytes += size_bytes;
         self.sent_packets += 1;
-        self.sent_bytes += size_bytes;
         let arrives_at = departure + self.config.propagation;
         // Causal journal: the packet's arrival instant is where every
         // fault chain it triggers begins.
@@ -287,7 +267,6 @@ mod tests {
             }
         );
         assert_eq!(l.sent_packets(), 2);
-        assert_eq!(l.sent_bytes(), 2500);
     }
 
     #[test]
@@ -328,7 +307,6 @@ mod tests {
     fn pause_defers_transmission() {
         let mut l = link(10);
         l.pause_until(SimTime::from_micros(100));
-        assert!(l.is_paused(SimTime::ZERO));
         let out = l.send(SimTime::ZERO, 1250);
         assert_eq!(
             out,
@@ -337,9 +315,6 @@ mod tests {
                 ecn_marked: false
             }
         );
-        // Unpause releases immediately for subsequent sends.
-        l.unpause(SimTime::from_micros(102));
-        assert!(!l.is_paused(SimTime::from_micros(102)));
     }
 
     #[test]
@@ -347,7 +322,16 @@ mod tests {
         let mut l = link(10);
         l.pause_until(SimTime::from_micros(100));
         l.pause_until(SimTime::from_micros(50));
-        assert!(l.is_paused(SimTime::from_micros(75)));
+        // The earlier expiry is ignored: a send at 75 us still waits for
+        // 100 us, then 1 us of serialization and 1 us of propagation.
+        let out = l.send(SimTime::from_micros(75), 1250);
+        assert_eq!(
+            out,
+            SendOutcome::Delivered {
+                arrives_at: SimTime::from_micros(102),
+                ecn_marked: false
+            }
+        );
     }
 
     #[test]

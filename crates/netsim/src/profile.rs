@@ -79,14 +79,10 @@ pub struct FabricProfile {
     /// hop. `0.0` is lossless.
     pub loss: f64,
     /// Priority flow control: when a switch egress queue backs up past
-    /// [`FabricProfile::pfc_xoff`] bytes, the switch pauses every
+    /// [`crate::fabric::PFC_XOFF`] bytes, the switch pauses every
     /// ingress (802.3x-style) until the queue drains below
-    /// [`FabricProfile::pfc_xon`].
+    /// [`crate::fabric::PFC_XON`].
     pub pfc: bool,
-    /// PFC XOFF threshold in bytes.
-    pub pfc_xoff: u64,
-    /// PFC XON (resume) threshold in bytes.
-    pub pfc_xon: u64,
     /// ECN: mark instead of queueing silently once a packet's queue
     /// wait exceeds this threshold.
     pub ecn_threshold: Option<SimDuration>,
@@ -97,8 +93,6 @@ impl Default for FabricProfile {
         FabricProfile {
             loss: 0.0,
             pfc: false,
-            pfc_xoff: 256 * 1024,
-            pfc_xon: 128 * 1024,
             ecn_threshold: None,
         }
     }
@@ -111,7 +105,7 @@ impl FabricProfile {
         FabricProfile::default()
     }
 
-    /// A lossless fabric with PFC armed at the default thresholds —
+    /// A lossless fabric with PFC armed at the fabric's thresholds —
     /// the "RoCE done by the book" configuration IRN argues against.
     #[must_use]
     pub fn lossless_pfc() -> Self {
@@ -136,14 +130,6 @@ impl FabricProfile {
     #[must_use]
     pub fn with_pfc(mut self, pfc: bool) -> Self {
         self.pfc = pfc;
-        self
-    }
-
-    /// Sets the PFC thresholds (XOFF above, XON below).
-    #[must_use]
-    pub fn with_pfc_thresholds(mut self, xoff: u64, xon: u64) -> Self {
-        self.pfc_xoff = xoff;
-        self.pfc_xon = xon;
         self
     }
 
@@ -273,11 +259,5 @@ mod tests {
         let t = TransportConfig::irn().with_bdp_packets(8);
         assert_eq!(t.transport, RdmaTransport::SelectiveRepeat);
         assert_eq!(t.bdp_packets, 8);
-        assert_eq!(
-            FabricProfile::lossless_pfc()
-                .with_pfc_thresholds(1000, 500)
-                .pfc_xon,
-            500
-        );
     }
 }

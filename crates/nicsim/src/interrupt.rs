@@ -53,12 +53,6 @@ impl InterruptModerator {
         self.delivered
     }
 
-    /// Requests coalesced into pending deliveries.
-    #[must_use]
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
-    }
-
     /// Requests an interrupt at `now`. The caller schedules an event at
     /// the returned time for `FireAt` and must then call
     /// [`InterruptModerator::fired`] when it delivers.
@@ -162,7 +156,7 @@ mod tests {
             m.request(SimTime::from_micros(20)),
             InterruptDecision::Coalesced
         );
-        assert_eq!(m.coalesced(), 1);
+        assert_eq!(m.coalesced, 1);
         m.fired(SimTime::from_micros(50));
         // After the window, immediate again.
         assert_eq!(

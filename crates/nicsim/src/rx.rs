@@ -576,12 +576,6 @@ impl<P: Clone> RxEngine<P> {
         Some(e)
     }
 
-    /// Pending entries in the backup ring.
-    #[must_use]
-    pub fn backup_depth(&self) -> u64 {
-        self.backup.as_ref().map_or(0, |b| b.tail - b.head)
-    }
-
     /// The IOprovider finished resolving an rNPF: it re-executed the DMA
     /// into `target_index` (via [`RxEngine::place_resolved`]) and now
     /// reports the bitmap index. Figure 6 `resolve_rNPFs()`.
@@ -715,12 +709,6 @@ impl<P: Clone> RxEngine<P> {
         r.head - r.consumed
     }
 
-    /// Pending (unresolved) rNPFs on a ring.
-    #[must_use]
-    pub fn pending_rnpfs(&self, id: RingId) -> u64 {
-        self.ring(id).pending_bits
-    }
-
     /// Current absolute tail (posted watermark).
     #[must_use]
     pub fn tail(&self, id: RingId) -> u64 {
@@ -852,7 +840,7 @@ mod tests {
         );
         e.recv(R, "pkt2", 102, true);
         assert_eq!(e.readable_packets(R), 0, "no announcement past a fault");
-        assert_eq!(e.backup_depth(), 1);
+        assert_eq!(e.backup_occupancy(R), 1);
 
         // The provider drains the backup entry, resolves the fault,
         // copies the packet back, and reports.
@@ -905,7 +893,7 @@ mod tests {
         };
         let mut e = engine(RxFaultMode::BackupRing { capacity: 64 });
         post_n(&mut e, 8);
-        assert_eq!(e.pending_rnpfs(R), popcount(&e));
+        assert_eq!(e.ring(R).pending_bits, popcount(&e));
         // Interleave faults and stores, resolving out of order — the
         // maintained counter must match a fresh popcount at every step.
         let mut bits = Vec::new();
@@ -916,9 +904,9 @@ mod tests {
                 RxVerdict::Stored { .. } => {}
                 other => panic!("unexpected verdict {other:?}"),
             }
-            assert_eq!(e.pending_rnpfs(R), popcount(&e));
+            assert_eq!(e.ring(R).pending_bits, popcount(&e));
         }
-        assert_eq!(e.pending_rnpfs(R), 3);
+        assert_eq!(e.ring(R).pending_bits, 3);
         while let Some(entry) = e.pop_backup() {
             assert!(e.place_resolved(R, entry.target_index, entry.payload, entry.len));
         }
@@ -926,12 +914,12 @@ mod tests {
         // both transitions (set->clear and clear->clear) stay exact.
         for &b in bits.iter().rev() {
             e.resolve_rnpfs(R, b);
-            assert_eq!(e.pending_rnpfs(R), popcount(&e));
+            assert_eq!(e.ring(R).pending_bits, popcount(&e));
         }
-        assert_eq!(e.pending_rnpfs(R), 0);
+        assert_eq!(e.ring(R).pending_bits, 0);
         e.resolve_rnpfs(R, bits[0]);
-        assert_eq!(e.pending_rnpfs(R), 0);
-        assert_eq!(e.pending_rnpfs(R), popcount(&e));
+        assert_eq!(e.ring(R).pending_bits, 0);
+        assert_eq!(e.ring(R).pending_bits, popcount(&e));
     }
 
     #[test]

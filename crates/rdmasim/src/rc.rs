@@ -187,15 +187,6 @@ pub struct RcStats {
     pub ooo_parked: u64,
 }
 
-impl RcStats {
-    /// All retransmissions regardless of cause (the pre-split meaning
-    /// of [`RcStats::retransmits`]).
-    #[must_use]
-    pub fn total_retransmits(&self) -> u64 {
-        self.retransmits + self.rnr_retransmits
-    }
-}
-
 /// A reliable-connection queue pair.
 #[derive(Debug)]
 pub struct RcQp {
@@ -280,45 +271,15 @@ impl RcQp {
         }
     }
 
-    /// This QP's number.
-    #[must_use]
-    pub fn qpn(&self) -> QpId {
-        self.qpn
-    }
-
-    /// The peer's node (physical destination of emitted packets).
-    #[must_use]
-    pub fn peer_node(&self) -> NodeId {
-        self.peer_node
-    }
-
     /// Transport statistics.
     #[must_use]
     pub fn stats(&self) -> &RcStats {
         &self.stats
     }
 
-    /// `true` once the QP hit a fatal error.
-    #[must_use]
-    pub fn is_errored(&self) -> bool {
-        self.errored
-    }
-
-    /// Work requests not yet fully acknowledged (pending sends + reads).
-    #[must_use]
-    pub fn pending_work(&self) -> usize {
-        self.sq.len() + self.inflight.len() + self.reads.len() + self.tx.len()
-    }
-
     /// Posts a receive buffer.
     pub fn post_recv(&mut self, wqe: RecvWqe) {
         self.rq.push_back(wqe);
-    }
-
-    /// Number of posted, unconsumed receive buffers.
-    #[must_use]
-    pub fn recv_queue_depth(&self) -> usize {
-        self.rq.len()
     }
 
     /// Posts a send-queue operation and transmits what the window and
@@ -1973,11 +1934,11 @@ mod tests {
                     failed.push(c);
                 }
             }
-            if a.is_errored() {
+            if a.errored {
                 break;
             }
         }
-        assert!(a.is_errored());
+        assert!(a.errored);
         assert_eq!(failed.len(), 1);
         assert_eq!(failed[0].status, WcStatus::RetryExceeded);
         // Posts after the error complete immediately with failure.
@@ -2082,7 +2043,7 @@ mod tests {
         assert_eq!(cb.len(), 1);
         assert_eq!(a.stats().retransmits, 1, "loss count unchanged");
         assert_eq!(a.stats().rnr_retransmits, 1, "RNR rewind counted apart");
-        assert_eq!(a.stats().total_retransmits(), 2);
+        assert_eq!(a.stats().retransmits + a.stats().rnr_retransmits, 2);
     }
 
     #[test]
@@ -2294,7 +2255,7 @@ mod exhaustion_tests {
         }
         let failure = failed.expect("RNR retries must exhaust");
         assert_eq!(failure.status, WcStatus::RnrRetryExceeded);
-        assert!(a.is_errored());
+        assert!(a.errored);
     }
 
     /// The send window refills as cumulative ACKs arrive: a message

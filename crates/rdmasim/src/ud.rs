@@ -11,7 +11,7 @@ use netsim::packet::NodeId;
 use std::collections::VecDeque;
 
 use crate::types::{
-    Completion, DmaGate, GateDecision, MessageRange, QpId, RecvWqe, WcOpcode, WcStatus, WrId,
+    Completion, DmaGate, GateDecision, MessageRange, QpId, RecvWqe, WcOpcode, WcStatus,
 };
 
 /// A UD datagram on the wire.
@@ -53,7 +53,6 @@ pub struct UdQp {
     qpn: QpId,
     mtu: u64,
     rq: VecDeque<RecvWqe>,
-    sent: u64,
     delivered: u64,
     dropped: u64,
 }
@@ -66,22 +65,9 @@ impl UdQp {
             qpn,
             mtu,
             rq: VecDeque::new(),
-            sent: 0,
             delivered: 0,
             dropped: 0,
         }
-    }
-
-    /// This QP's number.
-    #[must_use]
-    pub fn qpn(&self) -> QpId {
-        self.qpn
-    }
-
-    /// Datagrams sent.
-    #[must_use]
-    pub fn sent(&self) -> u64 {
-        self.sent
     }
 
     /// Datagrams delivered into buffers.
@@ -108,7 +94,6 @@ impl UdQp {
     /// Panics if `len` exceeds the MTU — UD does not segment.
     pub fn send(&mut self, to_qp: QpId, _to_node: NodeId, len: u64) -> UdDatagram {
         assert!(len <= self.mtu, "UD datagrams must fit one MTU");
-        self.sent += 1;
         UdDatagram {
             dst_qp: to_qp,
             src_qp: self.qpn,
@@ -143,9 +128,6 @@ impl UdQp {
         }
     }
 }
-
-/// A convenience receive-side identifier for UD completions.
-pub type UdWrId = WrId;
 
 #[cfg(test)]
 mod tests {

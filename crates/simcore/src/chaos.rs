@@ -547,12 +547,6 @@ impl ChaosEngine {
         &self.counters
     }
 
-    /// Total faults injected across all classes.
-    #[must_use]
-    pub fn total_injected(&self) -> u64 {
-        self.counters.iter().map(|(_, v)| v).sum()
-    }
-
     fn jitter(rng: &mut SimRng, max: SimDuration) -> SimDuration {
         if max.is_zero() {
             return SimDuration::from_nanos(1);
@@ -982,24 +976,6 @@ impl InvariantChecker {
         }
     }
 
-    /// A whole IOMMU domain was destroyed.
-    pub fn note_domain_destroyed(&mut self, domain: u64) {
-        self.checks += 1;
-        let victims: Vec<(u64, u64)> = self
-            .mapping
-            .keys()
-            .filter(|(d, _)| *d == domain)
-            .copied()
-            .collect();
-        for key in victims {
-            if let Some(frame) = self.mapping.remove(&key) {
-                if let Some(c) = self.frame_mapcount.get_mut(&frame) {
-                    *c = c.saturating_sub(1);
-                }
-            }
-        }
-    }
-
     /// A backup ring of capacity `cap` exists under key `ring`.
     pub fn note_backup_capacity(&mut self, ring: u64, cap: u64) {
         self.checks += 1;
@@ -1316,14 +1292,6 @@ pub mod invariant {
         }
     }
 
-    /// See [`InvariantChecker::note_domain_destroyed`].
-    #[inline]
-    pub fn note_domain_destroyed(domain: u64) {
-        if enabled() {
-            with(|c| c.note_domain_destroyed(domain));
-        }
-    }
-
     /// See [`InvariantChecker::note_backup_capacity`].
     #[inline]
     pub fn note_backup_capacity(ring: u64, cap: u64) {
@@ -1403,7 +1371,10 @@ mod tests {
             assert_eq!(a.npf_fate(), b.npf_fate());
             assert_eq!(a.memory_fate(), b.memory_fate());
         }
-        assert!(a.total_injected() > 0, "profile must actually inject");
+        assert!(
+            a.counters().iter().any(|(_, v)| v > 0),
+            "profile must actually inject"
+        );
     }
 
     #[test]
@@ -1424,7 +1395,7 @@ mod tests {
             assert_eq!(e.npf_fate(), NpfFate::Normal);
             assert_eq!(e.memory_fate(), MemoryFate::Calm);
         }
-        assert_eq!(e.total_injected(), 0);
+        assert!(e.counters().iter().all(|(_, v)| v == 0));
         assert!(!e.enabled());
     }
 

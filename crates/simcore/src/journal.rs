@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 use crate::fxhash::FxHashMap;
 use crate::instruments;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{self, ArgValue};
+use crate::trace::{self, fmt_us, ArgValue};
 
 /// Provenance of a fault: which tenant's traffic and which packet (a
 /// per-run monotonic sequence number) triggered it. `Copy` and two
@@ -859,11 +859,6 @@ fn tenant_tid(tenant: u32) -> u64 {
     } else {
         u64::from(tenant) + 1
     }
-}
-
-/// Nanoseconds to Chrome's fractional microseconds, no float rounding.
-fn fmt_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
 thread_local! {

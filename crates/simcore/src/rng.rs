@@ -60,9 +60,8 @@ impl Xoshiro256pp {
 /// A deterministic random number generator for simulations.
 ///
 /// Wraps an embedded xoshiro256++ with convenience samplers used across
-/// the workloads: uniform ranges, Bernoulli trials, exponential
-/// inter-arrival times, Zipf-like key popularity, and log-normal latency
-/// jitter.
+/// the workloads: uniform ranges, Bernoulli trials, and log-normal
+/// latency jitter.
 #[derive(Debug, Clone)]
 pub struct SimRng {
     inner: Xoshiro256pp,
@@ -151,13 +150,6 @@ impl SimRng {
         }
     }
 
-    /// An exponentially distributed duration with the given mean; used for
-    /// Poisson arrival processes.
-    pub fn exponential(&mut self, mean: SimDuration) -> SimDuration {
-        let u = 1.0 - self.unit(); // (0, 1]
-        SimDuration::from_secs_f64(-u.ln() * mean.as_secs_f64())
-    }
-
     /// A log-normally jittered duration around `base`: the result has
     /// median `base` and sigma controlling tail heaviness. Used to model
     /// the latency tails of Table 4.
@@ -167,38 +159,6 @@ impl SimRng {
         let u2 = self.unit();
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         SimDuration::from_secs_f64(base.as_secs_f64() * (sigma * z).exp())
-    }
-
-    /// Samples a key in `[0, n)` with approximately Zipfian popularity
-    /// (exponent `s`), the classic skew of key-value workloads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
-        assert!(n > 0, "zipf over empty domain");
-        if n == 1 {
-            return 0;
-        }
-        // Inverse-CDF approximation for the continuous analogue; exact
-        // Zipf sampling is unnecessary for workload modelling.
-        let u = self.unit().max(f64::MIN_POSITIVE);
-        if (s - 1.0).abs() < 1e-9 {
-            let hmax = (n as f64).ln();
-            return ((u * hmax).exp() - 1.0).min((n - 1) as f64) as u64;
-        }
-        let e = 1.0 - s;
-        let hmax = ((n as f64).powf(e) - 1.0) / e;
-        let x = (1.0 + u * hmax * e).powf(1.0 / e) - 1.0;
-        (x.min((n - 1) as f64)) as u64
-    }
-
-    /// Fisher-Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below((i + 1) as u64) as usize;
-            slice.swap(i, j);
-        }
     }
 }
 
@@ -254,16 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_roughly_correct() {
-        let mut r = SimRng::new(11);
-        let mean = SimDuration::from_micros(100);
-        let n = 20_000;
-        let total: SimDuration = (0..n).map(|_| r.exponential(mean)).sum();
-        let avg = total.as_secs_f64() / n as f64;
-        assert!((avg - 1e-4).abs() < 5e-6, "sample mean {avg} too far");
-    }
-
-    #[test]
     fn lognormal_median_near_base() {
         let mut r = SimRng::new(13);
         let base = SimDuration::from_micros(220);
@@ -273,32 +223,5 @@ mod tests {
         samples.sort_unstable();
         let median = samples[samples.len() / 2] as f64;
         assert!((median / base.as_nanos() as f64 - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn zipf_skews_to_small_keys() {
-        let mut r = SimRng::new(17);
-        let mut low = 0;
-        let n = 10_000;
-        for _ in 0..n {
-            if r.zipf(1000, 0.99) < 100 {
-                low += 1;
-            }
-        }
-        // With skew 0.99, the first 10% of keys receive well over half
-        // of the draws.
-        assert!(low > n / 2, "only {low}/{n} in the head");
-        assert_eq!(r.zipf(1, 0.99), 0);
-    }
-
-    #[test]
-    fn shuffle_permutes() {
-        let mut r = SimRng::new(19);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input sorted");
     }
 }

@@ -21,12 +21,11 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// Running mean/variance over f64 samples (Welford's algorithm).
+/// Running mean, min and max over f64 samples.
 #[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -38,7 +37,6 @@ impl OnlineStats {
         OnlineStats {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -47,9 +45,7 @@ impl OnlineStats {
     /// Adds a sample.
     pub fn record(&mut self, x: f64) {
         self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.count as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -67,16 +63,6 @@ impl OnlineStats {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Population standard deviation, or 0.0 with fewer than two samples.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
         }
     }
 
@@ -257,16 +243,6 @@ impl TimeSeries {
         }
     }
 
-    /// The first time at which `value >= threshold` held for a point, if
-    /// any. Used to detect "recovered from the cold ring" instants.
-    #[must_use]
-    pub fn first_reaching(&self, threshold: f64) -> Option<SimTime> {
-        self.points
-            .iter()
-            .find(|&&(_, v)| v >= threshold)
-            .map(|&(t, _)| t)
-    }
-
     /// Appends every point of `other` in its insertion order.
     pub fn extend_from(&mut self, other: &TimeSeries) {
         self.points.extend_from_slice(&other.points);
@@ -323,24 +299,6 @@ impl ThroughputMeter {
     #[must_use]
     pub fn series(&self) -> &TimeSeries {
         &self.series
-    }
-
-    /// Overall average rate between time zero and `now`.
-    #[must_use]
-    pub fn overall_rate(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            0.0
-        } else {
-            self.total as f64 / now.as_secs_f64()
-        }
-    }
-
-    /// Folds `other` into `self`: totals add, sampled series append.
-    pub fn merge_from(&mut self, other: &ThroughputMeter) {
-        self.total += other.total;
-        self.window += other.window;
-        self.series.extend_from(&other.series);
-        self.last_sample = self.last_sample.max(other.last_sample);
     }
 }
 
@@ -490,14 +448,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn online_stats_mean_and_std() {
+    fn online_stats_mean_min_max() {
         let mut s = OnlineStats::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.record(x);
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -506,7 +463,6 @@ mod tests {
     fn empty_stats_are_zero() {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
     }
@@ -561,8 +517,6 @@ mod tests {
             ts.window_mean(SimTime::from_secs(10), SimTime::from_secs(20)),
             0.0
         );
-        assert_eq!(ts.first_reaching(25.0), Some(SimTime::from_secs(3)));
-        assert_eq!(ts.first_reaching(99.0), None);
     }
 
     #[test]
@@ -577,7 +531,6 @@ mod tests {
         assert!((pts[0].1 - 500.0).abs() < 1e-9);
         assert!((pts[1].1 - 1500.0).abs() < 1e-9);
         assert_eq!(m.total(), 2000);
-        assert!((m.overall_rate(SimTime::from_secs(2)) - 1000.0).abs() < 1e-9);
     }
 
     #[test]

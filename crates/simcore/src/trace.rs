@@ -10,7 +10,7 @@
 //!    are dropped and counted, never the newest (the tail of a run is
 //!    usually what you are debugging).
 //! 2. **Metrics** — a [`MetricsRegistry`] of named counters, gauges,
-//!    duration histograms, time series, and throughput meters, reusing
+//!    duration histograms and time series, reusing
 //!    the [`crate::stats`] types so experiments and tracing share one
 //!    definition of "p99".
 //! 3. **Exporters** — Chrome trace-event JSON (loadable in Perfetto or
@@ -42,7 +42,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
 use crate::instruments;
-use crate::stats::{DurationHistogram, ThroughputMeter, TimeSeries};
+use crate::stats::{DurationHistogram, TimeSeries};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a span within one recorder.
@@ -141,19 +141,14 @@ impl TraceRecord {
     }
 }
 
-/// Interned handle for one metric name inside a [`MetricsRegistry`].
-///
-/// Resolve once with [`MetricsRegistry::metric_id`] (or implicitly via
-/// the string-keyed update methods), then update through the `*_id`
-/// methods: those are plain array indexing — no hashing, no allocation
-/// — which is what the event-dispatch hot paths use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MetricId(u32);
+/// Interned handle for one metric name inside one [`MetricsRegistry`];
+/// meaningless in any other registry, so it never leaves this module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MetricId(u32);
 
 impl MetricId {
     /// The id's dense index (ids are handed out contiguously from 0).
-    #[must_use]
-    pub fn index(self) -> usize {
+    fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -201,10 +196,10 @@ fn slot<T>(storage: &[Option<T>], id: MetricId) -> Option<&T> {
 /// workloads stop hand-threading histograms where a recorder is
 /// available.
 ///
-/// Names are interned into [`MetricId`]s resolved once; every update is
-/// then an array index into dense per-kind storage. Exports iterate the
-/// id→name table in name order, so the JSON/CSV output is byte-identical
-/// to the historical `BTreeMap`-keyed layout.
+/// Every update names its metric; the name is interned into a dense id
+/// that indexes per-kind storage. Exports iterate the id→name table in
+/// name order, so the JSON/CSV output is byte-identical to the
+/// historical `BTreeMap`-keyed layout.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     names: NameTable,
@@ -212,7 +207,6 @@ pub struct MetricsRegistry {
     gauges: Vec<Option<f64>>,
     histograms: Vec<Option<DurationHistogram>>,
     series: Vec<Option<TimeSeries>>,
-    throughput: Vec<Option<ThroughputMeter>>,
 }
 
 impl MetricsRegistry {
@@ -220,12 +214,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// Interns `name`, returning its stable id. Idempotent: the same
-    /// name always yields the same id within one registry.
-    pub fn metric_id(&mut self, name: &str) -> MetricId {
-        self.names.intern(name)
     }
 
     /// Ids of every metric of one kind, sorted by name — the export
@@ -242,12 +230,6 @@ impl MetricsRegistry {
     /// Adds `n` to the monotonic counter `name`.
     pub fn counter_add(&mut self, name: &str, n: u64) {
         let id = self.names.intern(name);
-        self.counter_add_id(id, n);
-    }
-
-    /// Adds `n` to the counter behind a pre-interned id: array-indexed,
-    /// zero allocation.
-    pub fn counter_add_id(&mut self, id: MetricId, n: u64) {
         *slot_mut(&mut self.counters, id).get_or_insert(0) += n;
     }
 
@@ -266,30 +248,13 @@ impl MetricsRegistry {
         self.gauge_set_id(id, value);
     }
 
-    /// Sets the gauge behind a pre-interned id.
-    pub fn gauge_set_id(&mut self, id: MetricId, value: f64) {
+    fn gauge_set_id(&mut self, id: MetricId, value: f64) {
         *slot_mut(&mut self.gauges, id) = Some(value);
-    }
-
-    /// Reads a gauge (its most recent value), if ever set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.names
-            .get(name)
-            .and_then(|id| slot(&self.gauges, id).copied())
     }
 
     /// Records a duration sample into histogram `name`.
     pub fn duration_record(&mut self, name: &str, d: SimDuration) {
-        let id = self.names.intern(name);
-        self.duration_record_id(id, d);
-    }
-
-    /// Records a duration sample behind a pre-interned id.
-    pub fn duration_record_id(&mut self, id: MetricId, d: SimDuration) {
-        slot_mut(&mut self.histograms, id)
-            .get_or_insert_with(DurationHistogram::new)
-            .record(d);
+        self.histogram_mut(name).record(d);
     }
 
     /// The duration histogram `name`, creating it if absent.
@@ -301,11 +266,6 @@ impl MetricsRegistry {
     /// Appends a `(time, value)` point to series `name`.
     pub fn series_push(&mut self, name: &str, at: SimTime, value: f64) {
         let id = self.names.intern(name);
-        self.series_push_id(id, at, value);
-    }
-
-    /// Appends a series point behind a pre-interned id.
-    pub fn series_push_id(&mut self, id: MetricId, at: SimTime, value: f64) {
         slot_mut(&mut self.series, id)
             .get_or_insert_with(TimeSeries::new)
             .push(at, value);
@@ -317,39 +277,9 @@ impl MetricsRegistry {
         self.names.get(name).and_then(|id| slot(&self.series, id))
     }
 
-    /// Records `n` completed operations on throughput meter `name`.
-    pub fn throughput_record(&mut self, name: &str, n: u64) {
-        let id = self.names.intern(name);
-        self.throughput_record_id(id, n);
-    }
-
-    /// Records completed operations behind a pre-interned id.
-    pub fn throughput_record_id(&mut self, id: MetricId, n: u64) {
-        slot_mut(&mut self.throughput, id)
-            .get_or_insert_with(ThroughputMeter::new)
-            .record(n);
-    }
-
-    /// Closes the sampling window of throughput meter `name` at `now`.
-    pub fn throughput_sample(&mut self, name: &str, now: SimTime) {
-        let id = self.names.intern(name);
-        slot_mut(&mut self.throughput, id)
-            .get_or_insert_with(ThroughputMeter::new)
-            .sample(now);
-    }
-
-    /// The throughput meter `name`, if ever recorded.
-    #[must_use]
-    pub fn throughput(&self, name: &str) -> Option<&ThroughputMeter> {
-        self.names
-            .get(name)
-            .and_then(|id| slot(&self.throughput, id))
-    }
-
     /// Folds `other` into `self` (the parallel experiment runner merges
     /// per-task registries in deterministic task order): counters add,
-    /// gauges take `other`'s latest value, histograms and series append,
-    /// throughput totals add.
+    /// gauges take `other`'s latest value, histograms and series append.
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
         for id in other.sorted_ids(&other.counters) {
             let name = other.names.name(id);
@@ -377,19 +307,10 @@ impl MetricsRegistry {
                     .extend_from(s);
             }
         }
-        for id in other.sorted_ids(&other.throughput) {
-            let name = other.names.name(id);
-            if let Some(t) = slot(&other.throughput, id) {
-                let my = self.names.intern(name);
-                slot_mut(&mut self.throughput, my)
-                    .get_or_insert_with(ThroughputMeter::new)
-                    .merge_from(t);
-            }
-        }
     }
 
-    /// Flat JSON summary: counters, gauges, histogram percentiles,
-    /// series lengths, throughput totals. Deterministic field order
+    /// Flat JSON summary: counters, gauges, histogram percentiles and
+    /// series lengths. Deterministic field order
     /// (name-sorted via the id→name table).
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -465,23 +386,6 @@ impl MetricsRegistry {
                 series.len()
             );
         }
-        out.push_str("\n  },\n  \"throughput\": {");
-        first = true;
-        for id in self.sorted_ids(&self.throughput) {
-            let Some(meter) = slot(&self.throughput, id) else {
-                continue;
-            };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"total\": {}}}",
-                escape_json(self.names.name(id)),
-                meter.total()
-            );
-        }
         out.push_str("\n  }\n}\n");
         out
     }
@@ -519,12 +423,6 @@ impl MetricsRegistry {
                 h.percentile(0.999).as_nanos()
             );
             let _ = writeln!(out, "histogram_max_ns,{name},{}", h.max().as_nanos());
-        }
-        for id in self.sorted_ids(&self.throughput) {
-            let name = self.names.name(id);
-            if let Some(meter) = slot(&self.throughput, id) {
-                let _ = writeln!(out, "throughput_total,{name},{}", meter.total());
-            }
         }
         out
     }
@@ -732,12 +630,6 @@ impl TraceRecorder {
         Some(id)
     }
 
-    /// Number of spans currently open.
-    #[must_use]
-    pub fn open_spans(&self) -> usize {
-        self.open.len()
-    }
-
     /// Records an instantaneous event.
     pub fn instant(&mut self, at: SimTime, track: &'static str, name: &'static str, args: Args) {
         self.push(TraceRecord::Instant {
@@ -755,7 +647,7 @@ impl TraceRecorder {
         let id = match self.counter_gauges.get(&(track, name)) {
             Some(&id) => id,
             None => {
-                let id = self.metrics.metric_id(&format!("{track}.{name}"));
+                let id = self.metrics.names.intern(&format!("{track}.{name}"));
                 self.counter_gauges.insert((track, name), id);
                 id
             }
@@ -921,8 +813,9 @@ fn write_args_inner(body: &mut String, args: &Args, mut need_comma: bool) {
 }
 
 /// Formats nanoseconds as microseconds with exact thousandths, the
-/// Chrome trace time unit.
-fn fmt_us(ns: u64) -> String {
+/// Chrome trace time unit (no float rounding). The journal's exports
+/// share it.
+pub(crate) fn fmt_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
@@ -1113,7 +1006,7 @@ mod tests {
         let mut t = fresh(16);
         let outer = t.begin_span(SimTime::ZERO, "x", "outer");
         let inner = t.begin_span(SimTime::from_micros(2), "x", "inner");
-        assert_eq!(t.open_spans(), 2);
+        assert_eq!(t.open.len(), 2);
         assert_eq!(t.end_span(SimTime::from_micros(8)), Some(inner));
         assert_eq!(t.end_span(SimTime::from_micros(10)), Some(outer));
         assert_eq!(t.end_span(SimTime::from_micros(11)), None);
@@ -1182,7 +1075,7 @@ mod tests {
         let mut t = fresh(8);
         t.counter(SimTime::from_micros(1), "nic", "depth", 3.0);
         t.counter(SimTime::from_micros(2), "nic", "depth", 5.0);
-        assert_eq!(t.metrics().gauge("nic.depth"), Some(5.0));
+        assert!(t.metrics().to_json().contains("\"nic.depth\": 5.0"));
         assert_eq!(t.len(), 2);
     }
 
@@ -1259,18 +1152,15 @@ mod tests {
         m.gauge_set("depth", 2.5);
         m.duration_record("latency", SimDuration::from_micros(220));
         m.series_push("cwnd", SimTime::from_secs(1), 10.0);
-        m.throughput_record("ops", 100);
-        m.throughput_sample("ops", SimTime::from_secs(1));
         assert_eq!(m.counter("faults"), 3);
-        assert_eq!(m.gauge("depth"), Some(2.5));
         assert_eq!(
             m.histogram_mut("latency").median(),
             SimDuration::from_micros(220)
         );
         assert_eq!(m.series("cwnd").map(TimeSeries::len), Some(1));
-        assert_eq!(m.throughput("ops").map(ThroughputMeter::total), Some(100));
         let json = m.to_json();
         assert!(json.contains("\"faults\": 3"));
+        assert!(json.contains("\"depth\": 2.5"));
         assert!(json.contains("\"p50_ns\": 220000"));
         let csv = m.to_csv();
         assert!(csv.starts_with("kind,name,value\n"));
@@ -1372,11 +1262,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_series_and_throughput_are_deterministic_in_task_order() {
+    fn merge_from_series_and_counters_are_deterministic_in_task_order() {
         let part = |base: u64| {
             let mut m = MetricsRegistry::new();
             m.series_push("cwnd", SimTime::from_nanos(base), base as f64);
-            m.throughput_record("ops", base);
             m.counter_add("faults", base);
             m
         };
@@ -1393,15 +1282,12 @@ mod tests {
         let twice = merge_all(&[3, 1, 2]);
         assert_eq!(once.to_json(), twice.to_json());
         assert_eq!(once.to_csv(), twice.to_csv());
-        // Counters and throughput totals are order-free; check both
-        // orders agree on everything their exports show.
+        // Counters are order-free; check both orders agree on everything
+        // their exports show.
         let fwd = merge_all(&[1, 2, 3]);
         let rev = merge_all(&[3, 2, 1]);
         assert_eq!(fwd.to_json(), rev.to_json());
-        assert_eq!(
-            fwd.throughput("ops").map(ThroughputMeter::total),
-            Some(6u64)
-        );
+        assert_eq!(fwd.counter("faults"), 6);
         assert_eq!(fwd.series("cwnd").map(TimeSeries::len), Some(3));
     }
 }

@@ -30,18 +30,6 @@ impl Bandwidth {
     /// Bits per byte times nanoseconds per second.
     const NANOBITS_PER_BYTE: u64 = 8 * 1_000_000_000;
 
-    /// Creates a rate from bits per second.
-    #[must_use]
-    pub const fn bps(bits_per_sec: u64) -> Self {
-        Bandwidth(bits_per_sec)
-    }
-
-    /// Creates a rate from megabits per second.
-    #[must_use]
-    pub const fn mbps(megabits_per_sec: u64) -> Self {
-        Bandwidth(megabits_per_sec * 1_000_000)
-    }
-
     /// Creates a rate from gigabits per second.
     #[must_use]
     pub const fn gbps(gigabits_per_sec: u64) -> Self {
@@ -77,20 +65,6 @@ impl Bandwidth {
     fn transfer_time_wide(self, bytes: u64) -> SimDuration {
         let nanos = bytes as u128 * Self::NANOBITS_PER_BYTE as u128 / self.0 as u128;
         SimDuration::from_nanos(nanos.min(u64::MAX as u128) as u64)
-    }
-
-    /// Bytes transferable in `d` at this rate.
-    #[must_use]
-    pub fn bytes_in(self, d: SimDuration) -> u64 {
-        ((self.0 as u128 * d.as_nanos() as u128) / (8 * 1_000_000_000)) as u64
-    }
-
-    /// Halves the rate; used by the duplication prototype, which models a
-    /// NIC whose PCIe throughput is split between the primary and
-    /// secondary rings (§5).
-    #[must_use]
-    pub const fn halved(self) -> Bandwidth {
-        Bandwidth(self.0 / 2)
     }
 }
 
@@ -205,7 +179,7 @@ mod tests {
         // The u64 path is taken up to and including `limit`; the u128
         // formula is right everywhere, so the two must meet.
         let limit = u64::MAX / Bandwidth::NANOBITS_PER_BYTE;
-        let rates = [Bandwidth::bps(1)]
+        let rates = [Bandwidth(1)]
             .into_iter()
             .chain([12, 56, 100].map(Bandwidth::gbps));
         for rate in rates {
@@ -227,20 +201,6 @@ mod tests {
     #[test]
     fn zero_bandwidth_never_completes() {
         assert_eq!(Bandwidth::ZERO.transfer_time(1), SimDuration::MAX);
-        assert_eq!(Bandwidth::ZERO.bytes_in(SimDuration::from_secs(1)), 0);
-    }
-
-    #[test]
-    fn bytes_in_inverts_transfer_time() {
-        let bw = Bandwidth::gbps(40);
-        let d = bw.transfer_time(1_000_000);
-        let b = bw.bytes_in(d);
-        assert!((b as i64 - 1_000_000).abs() <= 1, "round-trip lost {b}");
-    }
-
-    #[test]
-    fn halved_models_duplication() {
-        assert_eq!(Bandwidth::gbps(24).halved(), Bandwidth::gbps(12));
     }
 
     #[test]
@@ -255,7 +215,7 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(Bandwidth::gbps(56).to_string(), "56.00Gb/s");
-        assert_eq!(Bandwidth::mbps(100).to_string(), "100.00Mb/s");
+        assert_eq!(Bandwidth(100_000_000).to_string(), "100.00Mb/s");
         assert_eq!(ByteSize::mib(4).to_string(), "4.00MiB");
         assert_eq!(ByteSize::bytes_exact(12).to_string(), "12B");
     }

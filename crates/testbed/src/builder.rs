@@ -34,8 +34,7 @@ use netsim::profile::{FabricProfile, RdmaTransport, TransportConfig};
 use npf_core::npf::NpfConfig;
 use npf_core::{ArbiterPolicy, BackendKind, BackendSelect};
 use simcore::chaos::ChaosConfig;
-use simcore::time::SimDuration;
-use simcore::units::{Bandwidth, ByteSize};
+use simcore::units::ByteSize;
 use workloads::memcached::MemcachedConfig;
 
 use crate::eth::{EthConfig, EthTestbed, RxMode};
@@ -501,27 +500,6 @@ impl EthScenario {
         self
     }
 
-    /// Sets the link rate.
-    #[must_use]
-    pub fn bandwidth(mut self, bandwidth: Bandwidth) -> Self {
-        self.config.bandwidth = bandwidth;
-        self
-    }
-
-    /// Sets the interrupt moderation holdoff.
-    #[must_use]
-    pub fn interrupt_holdoff(mut self, holdoff: SimDuration) -> Self {
-        self.config.interrupt_holdoff = holdoff;
-        self
-    }
-
-    /// Sets the server core count.
-    #[must_use]
-    pub fn cores(mut self, cores: u32) -> Self {
-        self.config.cores = cores;
-        self
-    }
-
     /// Pre-faults the receive rings at startup.
     #[must_use]
     pub fn prefault_rings(mut self, prefault: bool) -> Self {
@@ -663,20 +641,6 @@ impl IbScenario {
     #[must_use]
     pub fn node_memory(mut self, memory: ByteSize) -> Self {
         self.config.node_memory = memory;
-        self
-    }
-
-    /// Sets the link rate.
-    #[must_use]
-    pub fn bandwidth(mut self, bandwidth: Bandwidth) -> Self {
-        self.config.bandwidth = bandwidth;
-        self
-    }
-
-    /// Sets the switch store-and-forward latency.
-    #[must_use]
-    pub fn switch_latency(mut self, latency: SimDuration) -> Self {
-        self.config.switch_latency = latency;
         self
     }
 

@@ -11,7 +11,6 @@ use simcore::time::{SimDuration, SimTime};
 #[derive(Debug, Clone)]
 pub struct CpuPool {
     next_free: Vec<SimTime>,
-    busy_total: SimDuration,
 }
 
 impl CpuPool {
@@ -25,20 +24,7 @@ impl CpuPool {
         assert!(cores > 0, "a host needs at least one core");
         CpuPool {
             next_free: vec![SimTime::ZERO; cores as usize],
-            busy_total: SimDuration::ZERO,
         }
-    }
-
-    /// Number of cores.
-    #[must_use]
-    pub fn cores(&self) -> usize {
-        self.next_free.len()
-    }
-
-    /// Total CPU time consumed.
-    #[must_use]
-    pub fn busy_total(&self) -> SimDuration {
-        self.busy_total
     }
 
     /// Runs a work item of `duration` submitted at `now`; returns its
@@ -52,17 +38,7 @@ impl CpuPool {
         let start = (*core).max(now);
         let end = start + duration;
         *core = end;
-        self.busy_total += duration;
         end
-    }
-
-    /// Utilization over `[0, now]` in `[0, 1]`.
-    #[must_use]
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy_total.as_secs_f64() / (now.as_secs_f64() * self.next_free.len() as f64)
     }
 }
 
@@ -88,13 +64,5 @@ mod tests {
         p.run(SimTime::ZERO, SimDuration::from_micros(5));
         let end = p.run(SimTime::from_micros(100), SimDuration::from_micros(5));
         assert_eq!(end, SimTime::from_micros(105));
-    }
-
-    #[test]
-    fn utilization_accounts_busy_time() {
-        let mut p = CpuPool::new(4);
-        p.run(SimTime::ZERO, SimDuration::from_micros(100));
-        let u = p.utilization(SimTime::from_micros(100));
-        assert!((u - 0.25).abs() < 1e-9, "one of four cores busy: {u}");
     }
 }

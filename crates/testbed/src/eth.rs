@@ -44,6 +44,18 @@ use crate::cpu::CpuPool;
 /// instance's sixteen connections.
 const LOOKAHEAD_BATCH: usize = 16;
 
+/// Link rate of both Ethernet beds: 12 Gb/s, the duplication
+/// prototype's effective rate (§5).
+pub(crate) const PROTOTYPE_LINK: Bandwidth = Bandwidth::gbps(12);
+
+/// Interrupt moderation holdoff. Calibrated: NAPI-style moderation
+/// dominating the client-visible RTT (~85 us), matching the paper's
+/// per-instance throughput.
+const INTERRUPT_HOLDOFF: SimDuration = SimDuration::from_micros(85);
+
+/// Server cores: the paper's Ethernet testbed has four.
+const SERVER_CORES: u32 = 4;
+
 /// Receive-fault policy of the server NIC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RxMode {
@@ -90,12 +102,6 @@ pub struct EthConfig {
     pub working_set_keys: u64,
     /// Optional cgroup limit shared by *all* instances (Figure 7).
     pub cgroup_limit: Option<ByteSize>,
-    /// Link rate (12 Gb/s: the duplication prototype's effective rate).
-    pub bandwidth: Bandwidth,
-    /// Interrupt moderation holdoff.
-    pub interrupt_holdoff: SimDuration,
-    /// Server cores.
-    pub cores: u32,
     /// Pre-fault the receive rings at startup (used by the what-if
     /// stream runs; Figure 4 wants them cold).
     pub prefault_rings: bool,
@@ -146,12 +152,6 @@ impl Default for EthConfig {
             memcached: MemcachedConfig::default(),
             working_set_keys: 100_000,
             cgroup_limit: None,
-            bandwidth: Bandwidth::gbps(12),
-            // Calibrated: NAPI-style moderation dominating the
-            // client-visible RTT (~85 us), matching the paper's
-            // per-instance throughput.
-            interrupt_holdoff: SimDuration::from_micros(85),
-            cores: 4,
             prefault_rings: false,
             preload: true,
             prefault_window: 0,
@@ -462,7 +462,7 @@ impl EthTestbed {
                 ring,
                 stack,
                 app,
-                rx_moderator: InterruptModerator::new(config.interrupt_holdoff),
+                rx_moderator: InterruptModerator::new(INTERRUPT_HOLDOFF),
                 conns: Vec::new(),
                 posted: 0,
             };
@@ -490,7 +490,7 @@ impl EthTestbed {
         let conn_alloc = popularity.allocate(config.instances * config.conns_per_instance);
 
         let link_cfg = config.profile.apply_link(LinkConfig {
-            bandwidth: config.bandwidth,
+            bandwidth: PROTOTYPE_LINK,
             propagation: SimDuration::from_micros(1),
             // Flow control enabled (§6): queues absorb bursts instead of
             // dropping.
@@ -520,8 +520,8 @@ impl EthTestbed {
             link_s2c: Link::new(link_cfg, rng.fork(8)),
             lane_c2s,
             lane_s2c,
-            cpu: CpuPool::new(config.cores),
-            backup_moderator: InterruptModerator::new(config.interrupt_holdoff),
+            cpu: CpuPool::new(SERVER_CORES),
+            backup_moderator: InterruptModerator::new(INTERRUPT_HOLDOFF),
             sample_every: SimDuration::from_millis(250),
             sampling: false,
             chaos,
@@ -709,13 +709,6 @@ impl EthTestbed {
         self.rx.counters()
     }
 
-    /// Connections allocated to instance `i` (skewed under
-    /// `tenant_skew`).
-    #[must_use]
-    pub fn conns_of(&self, i: u32) -> u32 {
-        self.conn_alloc[i as usize]
-    }
-
     /// Per-tenant rollup: throughput, faults, drops, backup-ring
     /// occupancy, arbiter queueing, and latency percentiles.
     pub fn tenant_report(&mut self, i: u32) -> TenantReport {
@@ -747,14 +740,12 @@ impl EthTestbed {
     fn emit_tenant_metrics(&self) {
         trace::metrics(|m| {
             for (i, inst) in self.instances.iter().enumerate() {
-                let ops = m.metric_id(&format!("tenant{i}.ops"));
-                m.gauge_set_id(ops, self.metrics[i].ops.total() as f64);
-                let faults = m.metric_id(&format!("tenant{i}.faults"));
-                m.gauge_set_id(faults, self.metrics[i].faults as f64);
-                let drops = m.metric_id(&format!("tenant{i}.drops"));
-                m.gauge_set_id(drops, self.metrics[i].drops as f64);
-                let occ = m.metric_id(&format!("tenant{i}.backup_occupancy"));
-                m.gauge_set_id(occ, self.rx.backup_occupancy(inst.ring) as f64);
+                let ops = self.metrics[i].ops.total() as f64;
+                m.gauge_set(&format!("tenant{i}.ops"), ops);
+                m.gauge_set(&format!("tenant{i}.faults"), self.metrics[i].faults as f64);
+                m.gauge_set(&format!("tenant{i}.drops"), self.metrics[i].drops as f64);
+                let occ = self.rx.backup_occupancy(inst.ring) as f64;
+                m.gauge_set(&format!("tenant{i}.backup_occupancy"), occ);
             }
         });
     }
@@ -1449,13 +1440,9 @@ mod tests {
             .memcached(small_cache(16))
             .tenant_skew(1.2);
         let mut bed = scenario.build().expect("setup");
-        assert_eq!((0..4).map(|i| bed.conns_of(i)).sum::<u32>(), 16);
-        assert!(
-            bed.conns_of(0) > bed.conns_of(3),
-            "skewed allocation: {} vs {}",
-            bed.conns_of(0),
-            bed.conns_of(3)
-        );
+        let conns = &bed.conn_alloc;
+        assert_eq!(conns.iter().sum::<u32>(), 16);
+        assert!(conns[0] > conns[3], "skewed allocation: {conns:?}");
         bed.run_until(SimTime::from_millis(500));
         let head = bed.tenant_report(0);
         let tail = bed.tenant_report(3);

@@ -13,7 +13,7 @@ use memsim::manager::{MemConfig, MemoryManager, TierConfig};
 use memsim::space::Backing;
 use memsim::swap::DiskConfig;
 use memsim::types::{SpaceId, VirtAddr};
-use netsim::fabric::{ChaosSendOutcome, Fabric};
+use netsim::fabric::{ChaosSendOutcome, Fabric, PFC_XOFF, PFC_XON};
 use netsim::link::{LinkConfig, SendOutcome};
 use netsim::packet::NodeId;
 use netsim::profile::FabricProfile;
@@ -32,6 +32,12 @@ use workloads::stream::SyntheticFaults;
 
 use iommu::DomainId;
 
+/// Link rate: 56 Gb/s FDR InfiniBand, the paper's cluster fabric.
+const BANDWIDTH: Bandwidth = Bandwidth::gbps(56);
+
+/// Store-and-forward latency of the cluster's one switch (a SwitchX-2).
+const SWITCH_LATENCY: SimDuration = SimDuration::from_nanos(200);
+
 /// Cluster configuration.
 ///
 /// Plain data: start from [`IbConfig::default`] and assign fields, or
@@ -47,10 +53,6 @@ pub struct IbConfig {
     pub nodes: u32,
     /// Per-node physical memory (the paper's nodes have 128 GB).
     pub node_memory: ByteSize,
-    /// Link rate (56 Gb/s FDR).
-    pub bandwidth: Bandwidth,
-    /// Switch store-and-forward latency.
-    pub switch_latency: SimDuration,
     /// RC transport tuning.
     pub rc: RcConfig,
     /// NPF engine configuration.
@@ -75,8 +77,6 @@ impl Default for IbConfig {
         IbConfig {
             nodes: 8,
             node_memory: ByteSize::gib(8),
-            bandwidth: Bandwidth::gbps(56),
-            switch_latency: SimDuration::from_nanos(200),
             rc: RcConfig::default(),
             npf: NpfConfig::default(),
             disk: DiskConfig::hard_drive(),
@@ -323,15 +323,13 @@ impl IbCluster {
         // does not span testbeds.
         invariant::note_timeline_reset();
         let mut rng = SimRng::new(config.seed);
-        let mut link = config
-            .profile
-            .apply_link(LinkConfig::datacenter(config.bandwidth));
+        let mut link = config.profile.apply_link(LinkConfig::datacenter(BANDWIDTH));
         // Queues never tail-drop: IB's credit-based flow control means
         // the only losses are the profile's random loss (and chaos).
         link.queue_capacity = u64::MAX / 4;
-        let mut fabric = Fabric::star(link, config.nodes, config.switch_latency, &mut rng);
+        let mut fabric = Fabric::star(link, config.nodes, SWITCH_LATENCY, &mut rng);
         if config.profile.pfc {
-            fabric.set_pfc(config.profile.pfc_xoff, config.profile.pfc_xon);
+            fabric.set_pfc(PFC_XOFF, PFC_XON);
         }
         let mut nodes: Vec<IbNode> = (0..config.nodes)
             .map(|i| {

@@ -20,9 +20,11 @@ use simcore::chaos::invariant;
 use simcore::event::{EventQueue, EventToken, LaneId};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
-use simcore::units::{Bandwidth, ByteSize};
+use simcore::units::ByteSize;
 use tcpsim::{ConnSlot, TcpConfig, TcpOutput, TcpSegment, TcpStack};
 use workloads::stream::{StreamReceiver, SyntheticFaults};
+
+use crate::eth::PROTOTYPE_LINK;
 
 /// Fault policy for the stream run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,10 +44,6 @@ pub struct StreamBedConfig {
     pub fault_frequency: f64,
     /// Major (disk-latency) or minor fault resolution.
     pub major_faults: bool,
-    /// Link rate (the 12 Gb/s prototype NIC).
-    pub bandwidth: Bandwidth,
-    /// Receive ring entries.
-    pub ring_entries: u64,
     /// How long to run.
     pub duration: SimDuration,
     /// RNG seed.
@@ -60,8 +58,6 @@ impl Default for StreamBedConfig {
             mode: StreamMode::Backup,
             fault_frequency: 0.0,
             major_faults: false,
-            bandwidth: Bandwidth::gbps(12),
-            ring_entries: 512,
             duration: SimDuration::from_secs(2),
             seed: 1,
             profile: FabricProfile::default(),
@@ -118,6 +114,8 @@ struct Endpoint {
 const PORT: u16 = 9000;
 const MSG: u64 = 64 * 1024;
 const RING: RingId = RingId(0);
+/// Receive ring entries of the stream IOuser.
+const RING_ENTRIES: u64 = 512;
 /// Delay from a ring store to the IOuser consuming it.
 const CONSUME_DELAY: SimDuration = SimDuration::from_micros(4);
 
@@ -154,7 +152,7 @@ impl StreamBed {
         });
         let mut engine = NpfEngine::new(NpfConfig::default(), mm, rng.fork(1));
         let space = engine.memory_mut().create_space();
-        let rx_range = PageRange::new(VirtAddr(RX_BUFFER_BASE).vpn(), config.ring_entries);
+        let rx_range = PageRange::new(VirtAddr(RX_BUFFER_BASE).vpn(), RING_ENTRIES);
         engine
             .memory_mut()
             .mmap_fixed(space, rx_range, Backing::Anonymous)
@@ -174,7 +172,7 @@ impl StreamBed {
             StreamMode::Drop => RxFaultMode::Drop,
             StreamMode::Backup => RxFaultMode::BackupRing { capacity: 2048 },
         });
-        rx.create_ring(RING, config.ring_entries, config.ring_entries * 2);
+        rx.create_ring(RING, RING_ENTRIES, RING_ENTRIES * 2);
 
         let mut synth = SyntheticFaults::new(config.fault_frequency, rng.fork(2));
         synth.arm();
@@ -182,7 +180,7 @@ impl StreamBed {
         let major = minor + NpfConfig::default().cost.memcpy(0) + SimDuration::from_millis(5);
 
         let link_cfg = config.profile.apply_link(LinkConfig {
-            bandwidth: config.bandwidth,
+            bandwidth: PROTOTYPE_LINK,
             propagation: SimDuration::from_micros(1),
             queue_capacity: 8 << 20,
             ecn_threshold: None,
@@ -208,7 +206,7 @@ impl StreamBed {
             receiver: StreamReceiver::new(),
             spare_outs: Vec::new(),
         };
-        for _ in 0..config.ring_entries {
+        for _ in 0..RING_ENTRIES {
             bed.post_one();
         }
         bed.server.stack.listen(PORT, TcpConfig::lwip());
@@ -222,7 +220,7 @@ impl StreamBed {
     }
 
     fn post_one(&mut self) {
-        let slot = self.posted % self.config.ring_entries;
+        let slot = self.posted % RING_ENTRIES;
         self.posted += 1;
         self.rx.post_descriptor(
             RING,
@@ -314,7 +312,7 @@ impl StreamBed {
                     if let Some(conn) = self.server.stack.conn_at_mut(slot) {
                         let n = conn.readable_bytes();
                         conn.read(n);
-                        self.receiver.deliver(now, n);
+                        self.receiver.deliver(n);
                     }
                 }
                 _ => {}

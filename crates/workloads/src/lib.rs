@@ -22,7 +22,7 @@ pub mod mpi;
 pub mod storage;
 pub mod stream;
 
-pub use memcached::{KeyDistribution, KvOp, KvOutcome, Memaslap, Memcached, MemcachedConfig};
+pub use memcached::{KvOp, KvOutcome, Memaslap, Memcached, MemcachedConfig};
 pub use mpi::{BufferPool, Collective, Transfer};
 pub use storage::{FioClient, ReadPlan, StorageConfig, StorageTarget};
 pub use stream::{StreamConfig, StreamReceiver, SyntheticFaults};

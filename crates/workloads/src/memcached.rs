@@ -360,32 +360,17 @@ impl Memcached {
     }
 }
 
-/// Key popularity of the generated load.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KeyDistribution {
-    /// Every key equally likely (memaslap's default; what the paper's
-    /// experiments use).
-    Uniform,
-    /// Zipf-like skew with the given exponent (realistic cache traffic;
-    /// useful for sensitivity studies).
-    Zipf(f64),
-}
-
 /// memaslap-like closed-loop load generator: 90 % GET / 10 % SET over a
-/// sliding key window (the "working set").
+/// key window (the "working set"), every key equally likely (memaslap's
+/// default; what the paper's experiments use).
 #[derive(Debug)]
 pub struct Memaslap {
-    /// Number of distinct keys in the working set.
+    /// Number of distinct keys in the working set: keys `0..n`.
     working_set_keys: u64,
-    /// First key of the window (shifting it changes the working set,
-    /// Figure 7).
-    window_start: u64,
     /// Probability of GET (the rest are SETs).
     get_fraction: f64,
     value_size: u64,
-    distribution: KeyDistribution,
     rng: SimRng,
-    issued: u64,
 }
 
 impl Memaslap {
@@ -395,24 +380,10 @@ impl Memaslap {
     pub fn new(working_set_keys: u64, value_size: u64, rng: SimRng) -> Self {
         Memaslap {
             working_set_keys: working_set_keys.max(1),
-            window_start: 0,
             get_fraction: 0.9,
             value_size,
-            distribution: KeyDistribution::Uniform,
             rng,
-            issued: 0,
         }
-    }
-
-    /// Switches the key popularity model.
-    pub fn set_distribution(&mut self, distribution: KeyDistribution) {
-        self.distribution = distribution;
-    }
-
-    /// Operations issued so far.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 
     /// Current working-set size in keys.
@@ -430,12 +401,7 @@ impl Memaslap {
 
     /// Draws the next operation and its request size in bytes.
     pub fn next_op(&mut self) -> (KvOp, u64) {
-        self.issued += 1;
-        let offset = match self.distribution {
-            KeyDistribution::Uniform => self.rng.below(self.working_set_keys),
-            KeyDistribution::Zipf(s) => self.rng.zipf(self.working_set_keys, s),
-        };
-        let key = self.window_start + offset;
+        let key = self.rng.below(self.working_set_keys);
         if self.rng.unit() < self.get_fraction {
             (KvOp::Get { key }, 40)
         } else {
@@ -473,12 +439,6 @@ impl TenantPopularity {
             .map(|i| 1.0 / f64::from(i + 1).powf(s))
             .collect();
         TenantPopularity { weights }
-    }
-
-    /// Number of tenants.
-    #[must_use]
-    pub fn tenants(&self) -> u32 {
-        u32::try_from(self.weights.len()).unwrap_or(u32::MAX)
     }
 
     /// Tenant `i`'s share of the total load in `[0, 1]`.
@@ -652,46 +612,6 @@ mod tests {
         }
         assert_eq!(get_size, 40);
         assert_eq!(set_size, 2088);
-    }
-}
-
-#[cfg(test)]
-mod distribution_tests {
-    use super::*;
-
-    #[test]
-    fn zipf_load_concentrates_on_hot_keys() {
-        let mut s = Memcached::new(MemcachedConfig {
-            max_bytes: ByteSize::bytes_exact(100 * 1024),
-            value_size: 1024,
-            ..MemcachedConfig::default()
-        });
-        // Working set 10x the capacity: uniform traffic would miss a lot;
-        // Zipf traffic concentrates on the cached head.
-        let mut uniform = Memaslap::new(1000, 1024, SimRng::new(1));
-        for _ in 0..20_000 {
-            let (op, _) = uniform.next_op();
-            s.process(op);
-        }
-        let uniform_hits = s.hit_ratio();
-
-        let mut s2 = Memcached::new(MemcachedConfig {
-            max_bytes: ByteSize::bytes_exact(100 * 1024),
-            value_size: 1024,
-            ..MemcachedConfig::default()
-        });
-        let mut zipf = Memaslap::new(1000, 1024, SimRng::new(1));
-        zipf.set_distribution(KeyDistribution::Zipf(0.99));
-        for _ in 0..20_000 {
-            let (op, _) = zipf.next_op();
-            s2.process(op);
-        }
-        assert!(
-            s2.hit_ratio() > uniform_hits + 0.15,
-            "zipf {:.2} vs uniform {:.2}",
-            s2.hit_ratio(),
-            uniform_hits
-        );
     }
 }
 

@@ -196,12 +196,6 @@ impl BufferPool {
         self.cursor += 1;
         addr
     }
-
-    /// Total pool footprint in bytes.
-    #[must_use]
-    pub fn footprint(&self) -> u64 {
-        self.buffers * self.buffer_stride
-    }
 }
 
 #[cfg(test)]
@@ -278,6 +272,5 @@ mod tests {
         p.next_buffer();
         p.next_buffer();
         assert_eq!(p.next_buffer(), a, "wraps after 4");
-        assert_eq!(p.footprint(), 4 * 12288);
     }
 }

@@ -75,8 +75,6 @@ pub struct ReadPlan {
 pub struct StorageTarget {
     config: StorageConfig,
     free_chunks: Vec<u64>,
-    ios: u64,
-    peak_outstanding: u64,
 }
 
 impl StorageTarget {
@@ -90,8 +88,6 @@ impl StorageTarget {
         StorageTarget {
             config,
             free_chunks,
-            ios: 0,
-            peak_outstanding: 0,
         }
     }
 
@@ -99,18 +95,6 @@ impl StorageTarget {
     #[must_use]
     pub fn config(&self) -> &StorageConfig {
         &self.config
-    }
-
-    /// Transactions served.
-    #[must_use]
-    pub fn ios(&self) -> u64 {
-        self.ios
-    }
-
-    /// Most chunks simultaneously outstanding.
-    #[must_use]
-    pub fn peak_outstanding(&self) -> u64 {
-        self.peak_outstanding
     }
 
     /// Total communication-pool bytes (what the pinned baseline must
@@ -143,9 +127,6 @@ impl StorageTarget {
             .free_chunks
             .pop()
             .expect("communication pool exhausted");
-        self.ios += 1;
-        let outstanding = self.config.total_chunks - self.free_chunks.len() as u64;
-        self.peak_outstanding = self.peak_outstanding.max(outstanding);
         ReadPlan {
             first_page: offset / memsim::PAGE_SIZE,
             pages: len.div_ceil(memsim::PAGE_SIZE),
@@ -169,7 +150,6 @@ pub struct FioClient {
     block_size: u64,
     lun_size: u64,
     rng: SimRng,
-    issued: u64,
 }
 
 impl FioClient {
@@ -181,25 +161,11 @@ impl FioClient {
             block_size,
             lun_size: lun_size.bytes(),
             rng,
-            issued: 0,
         }
-    }
-
-    /// Requests issued.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// The configured block size.
-    #[must_use]
-    pub fn block_size(&self) -> u64 {
-        self.block_size
     }
 
     /// Draws the next `(offset, len)`, block-aligned.
     pub fn next_read(&mut self) -> (u64, u64) {
-        self.issued += 1;
         let blocks = self.lun_size / self.block_size;
         let block = self.rng.below(blocks);
         (block * self.block_size, self.block_size)
@@ -235,7 +201,6 @@ mod tests {
             }
         }
         assert!(seen.len() <= 4, "LIFO keeps the hot set small: {seen:?}");
-        assert_eq!(t.peak_outstanding(), 4);
     }
 
     #[test]
@@ -262,7 +227,6 @@ mod tests {
             assert_eq!(off % (512 * 1024), 0);
             assert!(off + len <= ByteSize::gib(4).bytes());
         }
-        assert_eq!(f.issued(), 1000);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! generator only after warm-up.
 
 use simcore::rng::SimRng;
-use simcore::time::SimTime;
 
 /// Configuration of a stream run.
 #[derive(Debug, Clone, Copy)]
@@ -80,13 +79,10 @@ impl SyntheticFaults {
     }
 }
 
-/// Receiver-side byte counter and goodput calculator.
+/// Receiver-side byte counter.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamReceiver {
     bytes: u64,
-    messages: u64,
-    started: Option<SimTime>,
-    last: Option<SimTime>,
 }
 
 impl StreamReceiver {
@@ -96,14 +92,9 @@ impl StreamReceiver {
         StreamReceiver::default()
     }
 
-    /// Records delivery of `bytes` at `now`.
-    pub fn deliver(&mut self, now: SimTime, bytes: u64) {
-        if self.started.is_none() {
-            self.started = Some(now);
-        }
-        self.last = Some(now);
+    /// Records delivery of `bytes`.
+    pub fn deliver(&mut self, bytes: u64) {
         self.bytes += bytes;
-        self.messages += 1;
     }
 
     /// Total bytes delivered.
@@ -111,29 +102,11 @@ impl StreamReceiver {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
-
-    /// Messages delivered.
-    #[must_use]
-    pub fn messages(&self) -> u64 {
-        self.messages
-    }
-
-    /// Goodput in Gb/s between the first and last delivery.
-    #[must_use]
-    pub fn goodput_gbps(&self) -> f64 {
-        match (self.started, self.last) {
-            (Some(a), Some(b)) if b > a => {
-                (self.bytes as f64 * 8.0) / b.saturating_since(a).as_secs_f64() / 1e9
-            }
-            _ => 0.0,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::time::SimDuration;
 
     #[test]
     fn disarmed_generator_never_faults() {
@@ -159,20 +132,16 @@ mod tests {
     }
 
     #[test]
-    fn goodput_computation() {
+    fn deliveries_accumulate_bytes() {
         let mut r = StreamReceiver::new();
-        let t0 = SimTime::from_secs(1);
-        r.deliver(t0, 0); // start marker
-        r.deliver(t0 + SimDuration::from_secs(1), 1_250_000_000);
-        // 1.25 GB in 1 s = 10 Gb/s.
-        assert!((r.goodput_gbps() - 10.0).abs() < 1e-9);
-        assert_eq!(r.messages(), 2);
+        r.deliver(0);
+        r.deliver(1_250_000_000);
+        assert_eq!(r.bytes(), 1_250_000_000);
     }
 
     #[test]
     fn empty_receiver_reports_zero() {
         let r = StreamReceiver::new();
-        assert_eq!(r.goodput_gbps(), 0.0);
         assert_eq!(r.bytes(), 0);
     }
 }

@@ -1,9 +1,9 @@
 //! Runs every experiment (E1-E12 plus ablations) and prints the full
 //! report document — the source of `EXPERIMENTS.md`.
 //!
-//! Takes the standard flags (see `--help`). `--jobs` and `--shards`
-//! name one worker budget, shared by the experiment points and the
-//! testbeds inside them; output is byte-identical at every value.
+//! Takes the standard flags (see `--help`). `--jobs` is the one worker
+//! budget, shared by the experiment points and the testbeds inside
+//! them; output is byte-identical at every value.
 use npf_bench::tracectl::{run_tasks, task, RunOpts};
 use npf_bench::{ablations, eth_experiments as eth, ib_experiments as ib, micro};
 

@@ -11,8 +11,8 @@
 //! * `--check <path>`: compare this run's cells against a committed
 //!   artifact and exit 1 on any drift. Only simulation-deterministic
 //!   tallies are compared — wall-clock never enters the file.
-//! * `--jobs <n>` / `--shards <n>`: the worker budget (the larger
-//!   wins); output is byte-identical at every value.
+//! * `--jobs <n>`: the worker budget; output is byte-identical at
+//!   every value.
 //! * `--chaos-seed <n>`: inject faults into every cell (the tallies
 //!   then differ from the committed artifact by design).
 

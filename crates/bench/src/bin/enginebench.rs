@@ -533,7 +533,7 @@ fn figure_wall_clocks(ctx: &RunCtx) -> Vec<(&'static str, f64)> {
     let four_workers = ctx.clone().with_workers(4);
     // The huge-page + speculative-prefetch ablation of the same figure
     // (depth 64): the memory fast paths' headline lever. CI byte-diffs
-    // this cell at --jobs 4 --shards 4 against serial.
+    // this cell at --jobs 4 against serial.
     let prefetch = ctx.clone().with_huge_pages(true).with_prefetch(64);
     let figures: Vec<(&'static str, Figure<'_>)> = vec![
         ("fig3", Box::new(|| micro::fig3(100))),

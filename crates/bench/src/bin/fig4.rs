@@ -1,8 +1,8 @@
 //! Regenerates Figure 4: the cold ring problem.
 //!
-//! Takes the standard flags (see `--help`). `--jobs` and `--shards`
-//! name one worker budget, shared by the experiment points and the
-//! testbeds inside them; output is byte-identical at every value.
+//! Takes the standard flags (see `--help`). `--jobs` is the one worker
+//! budget, shared by the experiment points and the testbeds inside
+//! them; output is byte-identical at every value.
 use npf_bench::eth_experiments as eth;
 use npf_bench::tracectl::{run_tasks, task, RunOpts};
 

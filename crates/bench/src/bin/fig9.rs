@@ -1,9 +1,9 @@
 //! Regenerates Figure 9: IMB collectives under each registration
 //! strategy.
 //!
-//! Takes the standard flags (see `--help`). `--jobs` and `--shards`
-//! name one worker budget, shared by the experiment points and the
-//! testbeds inside them; output is byte-identical at every value.
+//! Takes the standard flags (see `--help`). `--jobs` is the one worker
+//! budget, shared by the experiment points and the testbeds inside
+//! them; output is byte-identical at every value.
 use npf_bench::ib_experiments as ib;
 use npf_bench::tracectl::{run_tasks, task, RunOpts};
 

@@ -14,9 +14,8 @@
 //! * `--check <path>`: compare this run's cells against a committed
 //!   artifact and exit 1 on any drift. Only simulation-deterministic
 //!   tallies are compared — wall-clock never enters the file.
-//! * `--jobs <n>` / `--shards <n>`: the worker budget (the larger
-//!   wins; each cell is one coupling group). Output is byte-identical
-//!   at every value.
+//! * `--jobs <n>`: the worker budget (each cell is one coupling
+//!   group). Output is byte-identical at every value.
 
 use netsim::profile::RdmaTransport;
 use npf_bench::lossy::{self, LossyCell};

@@ -14,9 +14,8 @@
 //!   artifact and exit 1 on any drift. Only simulation-deterministic
 //!   tallies are compared — wall-clock lands in the separate
 //!   `timings` array, never in the checked cell lines.
-//! * `--jobs <n>` / `--shards <n>`: the worker budget (the larger
-//!   wins; each cell is one coupling group). Output is byte-identical
-//!   at every value.
+//! * `--jobs <n>`: the worker budget (each cell is one coupling
+//!   group). Output is byte-identical at every value.
 //! * `--chaos-seed <n>`: inject faults into every cell (the tallies
 //!   then differ from the committed artifact by design).
 

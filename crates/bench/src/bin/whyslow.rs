@@ -16,8 +16,8 @@
 //!   committed golden copy and exit 1 on drift.
 //! * `--journal <path>`: additionally write the merged journal as
 //!   Chrome flow-event JSON (Perfetto-loadable).
-//! * `--jobs <n>` / `--shards <n>`: the worker budget (the larger
-//!   wins); the artifact is byte-identical at every value.
+//! * `--jobs <n>`: the worker budget; the artifact is byte-identical
+//!   at every value.
 
 use npf_bench::tracectl::{self, RunOpts};
 use npf_bench::whyslow;

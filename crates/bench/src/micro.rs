@@ -10,10 +10,11 @@ use memsim::space::Backing;
 use memsim::types::Vpn;
 use npf_core::cost::NpfBreakdown;
 use npf_core::npf::{NpfConfig, NpfEngine};
+use simcore::instruments::Instruments;
 use simcore::rng::SimRng;
 use simcore::stats::DurationHistogram;
 use simcore::time::SimTime;
-use simcore::trace::{self, TraceRecord, TraceRecorder};
+use simcore::trace::{TraceRecord, TraceRecorder};
 use simcore::units::ByteSize;
 
 use crate::report::{f, Report};
@@ -195,23 +196,27 @@ pub fn measure_npf_traced(
     iterations: u32,
     seed: u64,
 ) -> (BreakdownAvg, BreakdownAvg, u32) {
-    let own = !trace::enabled();
-    if own {
-        // Each fault emits its parent+children spans plus one memsim
-        // instant per page, so size the ring to the page count or the
-        // 4MB runs wrap and lose the early parent spans.
-        let pages = message_bytes.div_ceil(memsim::PAGE_SIZE) as usize;
-        trace::install(TraceRecorder::new(iterations as usize * (pages + 16) + 64));
-    }
-    let mut before = 0usize;
-    trace::with(|t| before = t.len());
+    let mut installed = Instruments::take();
+    let own = installed.trace.is_none();
+    // Each fault emits its parent+children spans plus one memsim
+    // instant per page, so size the ring to the page count or the 4MB
+    // runs wrap and lose the early parent spans.
+    let pages = message_bytes.div_ceil(memsim::PAGE_SIZE) as usize;
+    let capacity = iterations as usize * (pages + 16) + 64;
+    let before = installed
+        .trace
+        .get_or_insert_with(|| TraceRecorder::new(capacity))
+        .len();
+    installed.install();
     let (model, _) = measure_npf(message_bytes, iterations, seed);
-    let mut derived = (BreakdownAvg::default(), 0u32);
-    trace::with(|t| derived = traced_breakdown(t.records().skip(before)));
+    let mut installed = Instruments::take();
+    let recorder = installed.trace.as_ref().expect("installed above");
+    let (derived, faults) = traced_breakdown(recorder.records().skip(before));
     if own {
-        trace::uninstall();
+        installed.trace = None;
     }
-    (model, derived.0, derived.1)
+    installed.install();
+    (model, derived, faults)
 }
 
 /// Figure 3 regenerated from recorded spans: the observability layer's
@@ -347,6 +352,6 @@ mod tests {
         let text = r.render();
         assert!(text.contains("spans[us]"));
         assert!(text.contains("worst disagreement"));
-        assert!(!trace::enabled(), "private recorder uninstalled");
+        assert!(!simcore::trace::enabled(), "private recorder uninstalled");
     }
 }

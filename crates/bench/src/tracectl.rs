@@ -12,9 +12,9 @@
 //! a testbed because the value carrying it was handed there.
 //!
 //! The shared flags are the [`STANDARD_FLAGS`] table (`--help` prints
-//! it). `--jobs` and `--shards` name one budget — the larger wins —
-//! that experiment points and the testbeds inside them share
-//! ([`simcore::shard`]); output is byte-identical at every value.
+//! it). `--jobs` is the one worker budget that experiment points and
+//! the testbeds inside them share ([`simcore::shard`]); output is
+//! byte-identical at every value.
 //! All feature knobs default to the paper's configuration, so every
 //! figure is byte-identical unless a flag says otherwise.
 //!
@@ -29,11 +29,12 @@ use memsim::swap::DiskConfig;
 use netsim::profile::{FabricProfile, RdmaTransport, TransportConfig};
 use npf_core::npf::NpfConfig;
 use npf_core::{ArbiterPolicy, BackendKind};
-use simcore::chaos::{invariant, ChaosConfig, ChaosProfile, InvariantChecker};
-use simcore::journal::{self, JournalRecorder};
+use simcore::chaos::{ChaosConfig, ChaosProfile, InvariantChecker};
+use simcore::instruments::Instruments;
+use simcore::journal::JournalRecorder;
 use simcore::shard::Pool;
 pub use simcore::shard::{task, Task};
-use simcore::trace::{self, TraceRecorder};
+use simcore::trace::TraceRecorder;
 use simcore::units::ByteSize;
 
 use crate::report::Report;
@@ -72,11 +73,6 @@ const STANDARD_FLAGS: &[(&str, &str, &str)] = &[
          shared by experiment points and the independent\n\
          testbeds inside them; output is byte-identical\n\
          at any n",
-    ),
-    (
-        "shards",
-        "<n>",
-        "same budget as --jobs: the larger of the two wins",
     ),
     ("tenants", "<n>", "tenant/IO-channel count for scale sweeps"),
     (
@@ -164,8 +160,7 @@ pub struct RunOpts {
     /// `--chaos-seed` / `--chaos-profile`: fault injection, if asked.
     /// `--chaos-profile` alone uses seed 0.
     pub chaos: Option<ChaosConfig>,
-    /// The worker budget: the larger of `--jobs <n>` and `--shards
-    /// <n>`; both absent → 1, `0` → all cores.
+    /// `--jobs <n>`: the worker budget; absent → 1, `0` → all cores.
     pub workers: usize,
     /// `--tenants <n>`: tenant/IOchannel count for scale sweeps.
     pub tenants: Option<u32>,
@@ -307,8 +302,7 @@ impl RunOpts {
         })?;
         let chaos = (seed.is_some() || profile.is_some())
             .then(|| ChaosConfig::profile(profile.unwrap_or(ChaosProfile::All), seed.unwrap_or(0)));
-        let jobs = typed(v, "jobs", worker_count)?.unwrap_or(1);
-        let shards = typed(v, "shards", worker_count)?.unwrap_or(1);
+        let workers = typed(v, "jobs", worker_count)?.unwrap_or(1);
         let loss = typed(v, "loss", |p| {
             let loss: f64 = p
                 .parse()
@@ -330,7 +324,7 @@ impl RunOpts {
             metrics: v.remove("metrics").map(PathBuf::from),
             journal: v.remove("journal").map(PathBuf::from),
             chaos,
-            workers: jobs.max(shards),
+            workers,
             tenants: typed(v, "tenants", integer)?,
             arbiter: typed(v, "arbiter", |p| {
                 ArbiterPolicy::parse(p).map_err(|bad| format!("does not accept {bad:?}"))
@@ -487,17 +481,14 @@ impl RunCtx {
     }
 }
 
-/// Installs the invariant checker a chaos run executes under, and
-/// prints the chosen seed so a violation can be replayed.
-pub(crate) fn install_checker(cfg: ChaosConfig) {
+/// The invariant checker a chaos run executes under. Prints the chosen
+/// seed so a violation can be replayed.
+pub(crate) fn chaos_checker(cfg: ChaosConfig) -> InvariantChecker {
     eprintln!(
         "chaos enabled: seed {} (replay with --chaos-seed {})",
         cfg.seed, cfg.seed
     );
-    assert!(
-        invariant::install(InvariantChecker::new(cfg.seed)).is_none(),
-        "an invariant checker was already installed"
-    );
+    InvariantChecker::new(cfg.seed)
 }
 
 fn write_or_warn(path: &Path, what: &str, contents: &str) {
@@ -507,10 +498,10 @@ fn write_or_warn(path: &Path, what: &str, contents: &str) {
     }
 }
 
-/// Runs `body` under the instruments the flags ask for and exports
+/// Runs `body` under the [`Instruments`] the flags ask for and exports
 /// them afterwards: a trace recorder for `--trace`/`--metrics`, a fault
-/// journal for `--journal`. Without any of them this is a plain call to
-/// `body` (instrumentation costs one branch per site).
+/// journal for `--journal`. Without any of them `body` runs
+/// uninstrumented (instrumentation costs one branch per site).
 ///
 /// With `--chaos-seed`/`--chaos-profile`, also installs an
 /// [`InvariantChecker`] around `body`: a violation prints the failing
@@ -522,29 +513,26 @@ fn write_or_warn(path: &Path, what: &str, contents: &str) {
 /// the exported files are byte-identical at every worker count.
 pub fn run<R>(ctx: &RunCtx, body: impl FnOnce() -> R) -> R {
     let opts = &ctx.opts;
-    if let Some(cfg) = opts.chaos {
-        install_checker(cfg);
-    }
-    if opts.trace.is_some() || opts.metrics.is_some() {
-        assert!(
-            trace::install(TraceRecorder::new(DEFAULT_CAPACITY)).is_none(),
-            "a trace recorder was already installed"
-        );
-    }
-    if opts.journal.is_some() {
-        assert!(
-            journal::install(JournalRecorder::new()).is_none(),
-            "a fault journal was already installed"
-        );
-    }
+    let recording = opts.trace.is_some() || opts.metrics.is_some();
+    let asked = Instruments {
+        checker: opts.chaos.map(chaos_checker),
+        trace: recording.then(|| TraceRecorder::new(DEFAULT_CAPACITY)),
+        journal: opts.journal.is_some().then(JournalRecorder::new),
+    };
+    assert!(
+        asked.install().is_empty(),
+        "instruments were already installed"
+    );
     let out = body();
-    // Settle chaos while the recorder is still installed, so a
-    // violation discovered here can dump the trace ring.
-    let violated = opts.chaos.is_some_and(|cfg| {
-        let checker = invariant::uninstall().expect("checker installed above");
-        report_chaos(cfg, &checker)
-    });
-    if let Some(recorder) = trace::uninstall() {
+    let Instruments {
+        trace,
+        journal,
+        checker,
+    } = Instruments::take();
+    let violated = opts
+        .chaos
+        .is_some_and(|cfg| report_chaos(cfg, &checker.expect("checker installed above")));
+    if let Some(recorder) = trace {
         if let Some(path) = &opts.trace {
             if recorder.dropped() > 0 {
                 eprintln!(
@@ -563,7 +551,7 @@ pub fn run<R>(ctx: &RunCtx, body: impl FnOnce() -> R) -> R {
             write_or_warn(path, "metrics", &contents);
         }
     }
-    if let (Some(path), Some(j)) = (&opts.journal, journal::uninstall()) {
+    if let (Some(path), Some(j)) = (&opts.journal, journal) {
         finish_journal(&j, path, violated);
     }
     if violated {
@@ -709,7 +697,7 @@ mod tests {
     #[test]
     fn help_lists_every_standard_flag_once() {
         let help = usage("bench", &["out"]);
-        assert_eq!(STANDARD_FLAGS.len(), 18);
+        assert_eq!(STANDARD_FLAGS.len(), 17);
         for (name, ..) in STANDARD_FLAGS {
             assert_eq!(help.matches(&format!("\n  --{name} ")).count(), 1, "{name}");
         }
@@ -748,7 +736,6 @@ mod tests {
                 "--metrics",
                 "/tmp/m.csv",
                 "--jobs=4",
-                "--shards=2",
                 "--tenants",
                 "256",
                 "--arbiter=wfq",
@@ -778,18 +765,22 @@ mod tests {
     }
 
     #[test]
-    fn jobs_and_shards_name_one_budget() {
+    fn jobs_is_the_one_worker_budget() {
         let workers = |items: &[&str]| RunOpts::parse(&argv(items), &[]).expect("valid").workers;
         assert_eq!(workers(&[]), 1);
         assert_eq!(workers(&["--jobs", "3"]), 3);
-        assert_eq!(workers(&["--shards", "3"]), 3);
-        assert_eq!(workers(&["--jobs", "2", "--shards", "5"]), 5);
         assert_eq!(
             workers(&["--jobs", "0"]),
             simcore::shard::host_parallelism()
         );
-        let bad = RunOpts::parse(&argv(&["--shards", "many"]), &[]).unwrap_err();
-        assert!(bad.contains("--shards must be an integer"), "{bad}");
+        let bad = RunOpts::parse(&argv(&["--jobs", "many"]), &[]).unwrap_err();
+        assert!(bad.contains("--jobs must be an integer"), "{bad}");
+    }
+
+    #[test]
+    fn shards_is_not_a_second_spelling_of_jobs() {
+        let err = RunOpts::parse(&argv(&["--shards", "4"]), &[]).unwrap_err();
+        assert!(err.contains("unknown flag --shards"), "{err}");
     }
 
     #[test]
@@ -914,7 +905,7 @@ mod tests {
     #[test]
     fn run_without_flags_leaves_tracing_disabled() {
         let r = run(&RunCtx::default(), || {
-            assert!(!trace::enabled());
+            assert!(!simcore::trace::enabled());
             7
         });
         assert_eq!(r, 7);

@@ -11,8 +11,8 @@
 //! and `--check` pins it against a committed golden copy.
 
 use npf_core::ArbiterPolicy;
-use simcore::chaos::invariant;
-use simcore::journal::{self, JournalRecorder, JournalWatchdog};
+use simcore::instruments::Instruments;
+use simcore::journal::{JournalRecorder, JournalWatchdog};
 use simcore::time::SimDuration;
 
 use crate::scale;
@@ -52,8 +52,7 @@ pub fn scenario_tenants(name: &str) -> Result<u32, String> {
 ///
 /// # Panics
 ///
-/// Panics when the calling thread already has a journal or checker
-/// installed.
+/// Panics when the calling thread already has instruments installed.
 #[must_use]
 pub fn run_scenario(
     ctx: &RunCtx,
@@ -66,24 +65,26 @@ pub fn run_scenario(
     if let Some(budget) = budget {
         root.set_watchdog(JournalWatchdog { budget });
     }
+    let asked = Instruments {
+        journal: Some(root),
+        checker: ctx.opts.chaos.map(tracectl::chaos_checker),
+        ..Instruments::default()
+    };
     assert!(
-        journal::install(root).is_none(),
-        "a fault journal was already installed"
+        asked.install().is_empty(),
+        "instruments were already installed"
     );
-    if let Some(cfg) = ctx.opts.chaos {
-        tracectl::install_checker(cfg);
-    }
     ctx.pool(
         seeds
             .iter()
             .map(|&seed| task(move || scale::run_cell(ctx, tenants, seed, policy, Some(16))))
             .collect(),
     );
-    let violations = invariant::uninstall().map_or(0, |c| c.violations().len());
-    (
-        journal::uninstall().expect("journal installed above"),
-        violations,
-    )
+    let Instruments {
+        journal, checker, ..
+    } = Instruments::take();
+    let violations = checker.map_or(0, |c| c.violations().len());
+    (journal.expect("journal installed above"), violations)
 }
 
 /// Faults whose phase sums disagree with their end-to-end latency.

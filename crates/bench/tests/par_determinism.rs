@@ -16,9 +16,10 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use npf_bench::report::Report;
-use simcore::chaos::{invariant, ChaosConfig, ChaosProfile, InvariantChecker};
+use simcore::chaos::{ChaosConfig, ChaosProfile, InvariantChecker};
+use simcore::instruments::Instruments;
 use simcore::shard::{task, Pool, Task};
-use simcore::trace::{self, TraceRecorder};
+use simcore::trace::TraceRecorder;
 use simcore::units::ByteSize;
 
 /// Output of one binary run: stdout, the chaos-relevant stderr lines,
@@ -161,11 +162,16 @@ fn chaos_ib_task(seed: u64) -> Task<'static, Report> {
 /// checker, as `tracectl::run` would install them, and renders
 /// everything observable about the run into one comparable blob.
 fn fingerprint(pool: &Pool) -> (String, Vec<Report>, u64) {
-    assert!(trace::install(TraceRecorder::new(1 << 16)).is_none());
-    assert!(invariant::install(InvariantChecker::new(21)).is_none());
+    let caller = Instruments {
+        trace: Some(TraceRecorder::new(1 << 16)),
+        checker: Some(InvariantChecker::new(21)),
+        ..Instruments::default()
+    };
+    assert!(caller.install().is_empty());
     let reports = pool.run((0..4).map(|i| chaos_ib_task(21 + i)).collect());
-    let checker = invariant::uninstall().expect("installed above");
-    let recorder = trace::uninstall().expect("installed above");
+    let installed = Instruments::take();
+    let checker = installed.checker.expect("installed above");
+    let recorder = installed.trace.expect("installed above");
     let rendered = reports
         .iter()
         .map(Report::render)

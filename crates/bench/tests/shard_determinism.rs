@@ -24,10 +24,11 @@
 use npf_bench::tracectl::{task, RunCtx};
 use npf_core::ArbiterPolicy;
 use proptest::prelude::*;
-use simcore::chaos::{invariant, ChaosConfig, ChaosProfile, InvariantChecker};
-use simcore::journal::{self, JournalRecorder};
+use simcore::chaos::{ChaosConfig, ChaosProfile, InvariantChecker};
+use simcore::instruments::Instruments;
+use simcore::journal::JournalRecorder;
 use simcore::shard::Pool;
-use simcore::trace::{self, TraceRecorder};
+use simcore::trace::TraceRecorder;
 use simcore::{JournalWatchdog, SimDuration};
 
 const POLICIES: [ArbiterPolicy; 3] = [
@@ -74,20 +75,21 @@ fn run_at(
     watchdog: bool,
 ) -> Capture {
     // Caller-side instruments, mirroring `tracectl::run`'s setup.
-    assert!(
-        trace::install(TraceRecorder::new(RING)).is_none(),
-        "test thread must start uninstrumented"
-    );
-    if let Some(s) = chaos_seed {
-        assert!(invariant::install(InvariantChecker::new(s)).is_none());
-    }
     let mut jr = JournalRecorder::new();
     if watchdog {
         jr.set_watchdog(JournalWatchdog {
             budget: SimDuration::from_micros(200),
         });
     }
-    assert!(journal::install(jr).is_none());
+    let caller = Instruments {
+        trace: Some(TraceRecorder::new(RING)),
+        journal: Some(jr),
+        checker: chaos_seed.map(InvariantChecker::new),
+    };
+    assert!(
+        caller.install().is_empty(),
+        "test thread must start uninstrumented"
+    );
 
     let chaos = chaos_seed.map(|s| ChaosConfig::profile(ChaosProfile::All, s));
     let ctx = &RunCtx::default()
@@ -106,11 +108,12 @@ fn run_at(
             .collect(),
     );
 
-    let recorder = trace::uninstall().expect("installed above");
-    let journal = journal::uninstall().expect("installed above");
-    let chaos_summary = chaos_seed
-        .map(|_| {
-            let mut checker = invariant::uninstall().expect("installed above");
+    let installed = Instruments::take();
+    let recorder = installed.trace.expect("installed above");
+    let journal = installed.journal.expect("installed above");
+    let chaos_summary = installed
+        .checker
+        .map(|mut checker| {
             let violations = format!("{:?}", checker.finish());
             format!(
                 "seed={} checks={} resolved={} delivered={} violations={violations:?}",

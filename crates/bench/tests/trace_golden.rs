@@ -4,15 +4,27 @@
 //! must not.
 
 use npf_bench::micro::measure_npf;
+use simcore::instruments::Instruments;
 use simcore::trace::{self, TraceRecorder};
+
+/// Runs `body` under a fresh recorder and returns the recorder.
+fn recorded(body: impl FnOnce()) -> TraceRecorder {
+    assert!(!trace::enabled(), "no recorder leaked from a previous run");
+    Instruments {
+        trace: Some(TraceRecorder::new(1 << 16)),
+        ..Instruments::default()
+    }
+    .install();
+    body();
+    Instruments::take().trace.expect("installed above")
+}
 
 /// Runs the Figure 3 microbenchmark under a fresh recorder and returns
 /// the Chrome trace-event JSON it exports.
 fn traced_run(seed: u64) -> String {
-    assert!(!trace::enabled(), "no recorder leaked from a previous run");
-    trace::install(TraceRecorder::new(1 << 16));
-    let _ = measure_npf(4 * 1024, 200, seed);
-    let recorder = trace::uninstall().expect("installed above");
+    let recorder = recorded(|| {
+        let _ = measure_npf(4 * 1024, 200, seed);
+    });
     assert_eq!(recorder.dropped(), 0, "ring must not wrap in this test");
     recorder.export_chrome_json()
 }
@@ -62,10 +74,9 @@ fn export_is_wellformed_chrome_trace_json() {
 
 #[test]
 fn metrics_registry_populated_by_traced_run() {
-    assert!(!trace::enabled());
-    trace::install(TraceRecorder::new(1 << 16));
-    let _ = measure_npf(4 * 1024, 50, 7);
-    let recorder = trace::uninstall().expect("installed above");
+    let recorder = recorded(|| {
+        let _ = measure_npf(4 * 1024, 50, 7);
+    });
     let m = recorder.metrics();
     assert_eq!(m.counter("npf.events"), 50);
     let json = m.to_json();

@@ -150,15 +150,22 @@ impl<P: Clone> BackupDriver<P> {
             drained += 1;
         }
         self.counters.add_id(self.drained, drained);
-        if trace::enabled() {
-            trace::instant_now(
+        trace::with(|t| {
+            t.instant(
+                t.clock(),
                 "backup_driver",
                 "backup_interrupt",
                 vec![("drained", ArgValue::U64(drained))],
             );
-            trace::counter_now("backup_driver", "queue_depth", self.queued_packets() as f64);
-            trace::metrics(|m| m.counter_add("backup_driver.drained", drained));
-        }
+            t.counter(
+                t.clock(),
+                "backup_driver",
+                "queue_depth",
+                self.queued_packets() as f64,
+            );
+            t.metrics_mut()
+                .counter_add("backup_driver.drained", drained);
+        });
         let cost = engine.config().cost.interrupt_dispatch
             + engine.config().cost.backup_resolver_per_packet * drained.max(1);
         (woken, cost)
@@ -192,8 +199,8 @@ impl<P: Clone> BackupDriver<P> {
             rx.request_tail_interrupt(ring);
             state.parked = true;
             self.counters.bump_id(self.parked);
-            if trace::enabled() {
-                trace::instant(
+            trace::with(|t| {
+                t.instant(
                     now,
                     "backup_driver",
                     "parked",
@@ -202,8 +209,8 @@ impl<P: Clone> BackupDriver<P> {
                         ("target_index", ArgValue::U64(target_index)),
                     ],
                 );
-                trace::metrics(|m| m.counter_add("backup_driver.parked", 1));
-            }
+                t.metrics_mut().counter_add("backup_driver.parked", 1);
+            });
             return Ok(ResolveStep::WaitingForRing(ring));
         }
 
@@ -238,27 +245,19 @@ impl<P: Clone> BackupDriver<P> {
         assert!(placed, "descriptor checked above");
         let notify = rx.resolve_rnpfs(ring, entry.bit_index);
         self.counters.bump_id(self.merged);
-        journal::mark_at(ready_at + cost, journal::MarkKind::ReplayDrain, entry.len);
-        if trace::enabled() {
-            trace::span(
-                now,
-                (ready_at + cost).saturating_since(now),
-                "backup_driver",
-                "merge_back",
-                vec![
-                    ("ring", ArgValue::U64(u64::from(ring.0))),
-                    ("len", ArgValue::U64(entry.len)),
-                    ("notify_iouser", ArgValue::Bool(notify)),
-                ],
-            );
-            trace::counter(
-                now,
-                "backup_driver",
-                "queue_depth",
-                self.queued_packets() as f64,
-            );
-            trace::metrics(|m| m.counter_add("backup_driver.merged", 1));
-        }
+        journal::with(|j| j.mark_at(ready_at + cost, journal::MarkKind::ReplayDrain, entry.len));
+        trace::with(|t| {
+            let args = vec![
+                ("ring", ArgValue::U64(u64::from(ring.0))),
+                ("len", ArgValue::U64(entry.len)),
+                ("notify_iouser", ArgValue::Bool(notify)),
+            ];
+            let span = (ready_at + cost).saturating_since(now);
+            t.complete_span(now, span, "backup_driver", "merge_back", None, args);
+            let depth = self.queued_packets() as f64;
+            t.counter(now, "backup_driver", "queue_depth", depth);
+            t.metrics_mut().counter_add("backup_driver.merged", 1);
+        });
         Ok(ResolveStep::Resolved {
             ring,
             notify_iouser: notify,

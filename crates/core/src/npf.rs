@@ -781,7 +781,7 @@ impl NpfEngine {
     ) {
         let demand = !fault.speculative;
         let (pages, start, ready_at) = (fault.range.pages, admitted.start, fault.ready_at);
-        if trace::enabled() {
+        trace::with(|t| {
             // The fault lifecycle span, decomposed into the backend's
             // service plan: Figure 3's five components (i)–(v) under
             // firmware, validate/bounce/copy under the software
@@ -797,59 +797,55 @@ impl NpfEngine {
                 args.push(("queued_us", ArgValue::F64(queued.as_micros_f64())));
             }
             let name = if demand { "npf" } else { "npf_prefetch" };
-            let parent = trace::span(start, plan.service_time(), "npf", name, args);
-            if let Some(parent) = parent {
-                let mut at = start;
-                for &(phase, d) in plan.slices.iter() {
-                    trace::child_span(at, d, "npf", trace_child_name(phase), parent, Vec::new());
-                    at += d;
-                }
+            let parent = t.complete_span(start, plan.service_time(), "npf", name, None, args);
+            let mut at = start;
+            for &(phase, d) in plan.slices.iter() {
+                let child = trace_child_name(phase);
+                t.complete_span(at, d, "npf", child, Some(parent), Vec::new());
+                at += d;
             }
             if demand {
                 let in_flight = (self.pending.len() + 1) as f64;
-                trace::counter(now, "npf", "pending_faults", in_flight);
-                trace::metrics(|m| {
-                    m.counter_add("npf.events", 1);
-                    m.counter_add("npf.pages", pages);
-                    m.duration_record("npf.latency", ready_at.saturating_since(now));
-                });
+                t.counter(now, "npf", "pending_faults", in_flight);
+                let m = t.metrics_mut();
+                m.counter_add("npf.events", 1);
+                m.counter_add("npf.pages", pages);
+                m.duration_record("npf.latency", ready_at.saturating_since(now));
             } else {
-                trace::metrics(|m| m.counter_add("npf.prefetches", 1));
+                t.metrics_mut().counter_add("npf.prefetches", 1);
             }
-        }
-        if journal::enabled() {
-            // The causal journal records the same decomposition as the
-            // trace span, plus — for a demand fault — the pre-admission
-            // waits and the chaos tail, as typed phases that tile
-            // `[now, ready_at]` exactly: their sum IS the end-to-end
-            // latency, by construction. A speculative fault has no
-            // waits and no chaos, so its slices alone tile the interval.
+        });
+        // The causal journal records the same decomposition as the
+        // trace span, plus — for a demand fault — the pre-admission
+        // waits and the chaos tail, as typed phases that tile
+        // `[now, ready_at]` exactly: their sum IS the end-to-end
+        // latency, by construction. A speculative fault has no waits
+        // and no chaos, so its slices alone tile the interval.
+        journal::with(|j| {
             let key = (self.chaos_ns << 32) | fault.id;
             let domain = u64::from(fault.domain.0);
-            journal::with(|j| {
-                j.fault_begun(key, domain, pages, major, now, ready_at);
-                if demand {
-                    // Bounce-pool backpressure is zero-width under firmware.
-                    let waits = [
-                        (Phase::QueueWait, now, admitted.chan_start),
-                        (Phase::ArbWait, admitted.chan_start, admitted.arb_start),
-                        (Phase::BounceWait, admitted.arb_start, start),
-                    ];
-                    for (phase, from, to) in waits {
-                        j.phase(key, phase, from, to.saturating_since(from));
-                    }
+            j.fault_begun(key, domain, pages, major, now, ready_at);
+            if demand {
+                // Bounce-pool backpressure is zero-width under firmware.
+                let waits = [
+                    (Phase::QueueWait, now, admitted.chan_start),
+                    (Phase::ArbWait, admitted.chan_start, admitted.arb_start),
+                    (Phase::BounceWait, admitted.arb_start, start),
+                ];
+                for (phase, from, to) in waits {
+                    j.phase(key, phase, from, to.saturating_since(from));
                 }
-                let mut at = start;
-                for &(phase, d) in plan.slices.iter() {
-                    j.phase(key, phase, at, d);
-                    at += d;
-                }
-                if demand {
-                    let chaos_extra = ready_at.saturating_since(at);
-                    j.phase(key, Phase::ChaosExtra, at, chaos_extra);
-                }
-            });
-        }
+            }
+            let mut at = start;
+            for &(phase, d) in plan.slices.iter() {
+                j.phase(key, phase, at, d);
+                at += d;
+            }
+            if demand {
+                let chaos_extra = ready_at.saturating_since(at);
+                j.phase(key, Phase::ChaosExtra, at, chaos_extra);
+            }
+        });
     }
 
     /// Pend stage: tallies the fault and adds it to `pending` and its
@@ -864,7 +860,7 @@ impl NpfEngine {
             self.counters.bump_id(self.ids.npf_events);
             self.counters.add_id(self.ids.npf_pages, fault.range.pages);
         }
-        invariant::note_fault_begun((self.chaos_ns << 32) | fault.id, now);
+        invariant::with(|c| c.note_fault_begun((self.chaos_ns << 32) | fault.id, now));
         dense_slot(&mut self.pending_by_domain, fault.domain).push((fault.id, fault.range));
         self.pending.push_back(fault);
         self.pending.len() - 1
@@ -896,10 +892,10 @@ impl NpfEngine {
             .binary_search_by_key(&id, |&(id, _)| id)
             .expect("every pending fault is linked under its domain");
         linked.remove(at);
-        invariant::note_fault_resolved((self.chaos_ns << 32) | id);
+        invariant::with(|c| c.note_fault_resolved((self.chaos_ns << 32) | id));
         journal::with(|j| j.fault_resolved((self.chaos_ns << 32) | id));
-        if trace::enabled() {
-            trace::instant(
+        trace::with(|t| {
+            t.instant(
                 record.ready_at,
                 "npf",
                 "fault_complete",
@@ -908,13 +904,13 @@ impl NpfEngine {
                     ("pages", ArgValue::U64(record.range.pages)),
                 ],
             );
-            trace::counter(
+            t.counter(
                 record.ready_at,
                 "npf",
                 "pending_faults",
                 self.pending.len() as f64,
             );
-        }
+        });
         // Pages may have been reclaimed again between fault start and
         // completion under extreme pressure; map only what is still
         // resident (the next access faults again, which is correct).
@@ -963,18 +959,18 @@ impl NpfEngine {
             self.seen_promotions = promotions;
             self.counters.add_id(self.ids.huge_promotions, delta);
             self.pending_huge_cost += self.config.cost.huge_promote() * delta;
-            if trace::enabled() {
-                trace::metrics(|m| m.counter_add("npf.huge_promotions", delta));
-            }
+            trace::with(|t| {
+                t.metrics_mut().counter_add("npf.huge_promotions", delta);
+            });
         }
         if demotions > self.seen_demotions {
             let delta = demotions - self.seen_demotions;
             self.seen_demotions = demotions;
             self.counters.add_id(self.ids.huge_demotions, delta);
             self.pending_huge_cost += self.config.cost.huge_demote() * delta;
-            if trace::enabled() {
-                trace::metrics(|m| m.counter_add("npf.huge_demotions", delta));
-            }
+            trace::with(|t| {
+                t.metrics_mut().counter_add("npf.huge_demotions", delta);
+            });
         }
     }
 
@@ -1024,10 +1020,11 @@ impl NpfEngine {
             }
             self.prefetcher.forget(d, inv.vpn);
             cost += self.config.cost.invalidation(1, was_mapped).total();
-            if trace::enabled() {
+            trace::with(|t| {
                 // No `now` in scope (invalidations arrive from MMU
                 // notifier callbacks); stamp with the recorder clock.
-                trace::instant_now(
+                t.instant(
+                    t.clock(),
                     "npf",
                     "invalidation",
                     vec![
@@ -1035,8 +1032,8 @@ impl NpfEngine {
                         ("was_mapped", ArgValue::Bool(was_mapped)),
                     ],
                 );
-                trace::metrics(|m| m.counter_add("npf.invalidations", 1));
-            }
+                t.metrics_mut().counter_add("npf.invalidations", 1);
+            });
         }
         // Partial unmaps may have split folded leaves; price them.
         self.absorb_huge_deltas();

@@ -151,9 +151,9 @@ impl StridePrefetcher {
         let hits = self.hits_pending.take();
         if hits > 0 {
             counters.add_id(self.hits_id, hits);
-            if trace::enabled() {
-                trace::metrics(|m| m.counter_add("npf.prefetch_hits", hits));
-            }
+            trace::with(|t| {
+                t.metrics_mut().counter_add("npf.prefetch_hits", hits);
+            });
         }
     }
 }
@@ -167,7 +167,8 @@ mod tests {
     use memsim::manager::{MemConfig, MemoryManager};
     use memsim::space::Backing;
     use memsim::types::{PageRange, SpaceId, Vpn};
-    use simcore::journal::{self, JournalRecorder, Phase};
+    use simcore::instruments::Instruments;
+    use simcore::journal::{FaultJournal, JournalRecorder, Phase};
     use simcore::rng::SimRng;
     use simcore::time::{SimDuration, SimTime};
     use simcore::units::ByteSize;
@@ -297,9 +298,13 @@ mod tests {
     #[test]
     fn speculative_journal_chain_is_the_plan_slices_alone() {
         let (mut e, _s, d) = engine(8, 64, 1024);
-        assert!(journal::install(JournalRecorder::new()).is_none());
+        let journaling = Instruments {
+            journal: Some(JournalRecorder::new()),
+            ..Instruments::default()
+        };
+        assert!(journaling.install().is_empty());
         let (now, spawned) = train(&mut e, d, |_, _| {});
-        let recorder = journal::uninstall().expect("installed above");
+        let recorder = Instruments::take().journal.expect("installed above");
         let [(_, ready_at)] = spawned[..] else {
             panic!("one speculative fault, got {spawned:?}");
         };
@@ -316,7 +321,7 @@ mod tests {
             Phase::ChaosExtra,
         ];
         for wait in waits {
-            let holds = |f: &journal::FaultJournal| f.phases.iter().any(|p| p.phase == wait);
+            let holds = |f: &FaultJournal| f.phases.iter().any(|p| p.phase == wait);
             assert!(
                 holds(demand),
                 "a demand chain records {wait:?}, even at zero width"

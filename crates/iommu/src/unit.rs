@@ -152,14 +152,17 @@ impl Iommu {
     /// page was mapped (the paper's invalidation flow short-circuits
     /// when it was not, Figure 3b).
     pub fn invalidate(&mut self, domain: DomainId, vpn: Vpn) -> bool {
-        invariant::note_frame_unmapped((self.chaos_ns << 32) | u64::from(domain.0), vpn.0);
+        let key = (self.chaos_ns << 32) | u64::from(domain.0);
+        invariant::with(|c| c.note_frame_unmapped(key, vpn.0));
         let table = self.table_mut(domain);
         let demotions_before = table.demotions();
         let was_mapped = table.unmap(vpn);
-        if table.demotions() > demotions_before && journal::enabled() {
-            journal::mark(journal::MarkKind::HugeDemote, vpn.0 & !(HUGE_PAGES - 1));
+        if table.demotions() > demotions_before {
+            let chunk = vpn.0 & !(HUGE_PAGES - 1);
+            journal::with(|j| j.mark(journal::MarkKind::HugeDemote, chunk));
         }
-        trace::metrics(|m| {
+        trace::with(|t| {
+            let m = t.metrics_mut();
             m.counter_add("iommu.invalidations", 1);
             if was_mapped {
                 m.counter_add("iommu.invalidations_mapped", 1);
@@ -171,21 +174,21 @@ impl Iommu {
     /// Invalidates a range, returning how many pages were actually
     /// mapped.
     pub fn invalidate_range(&mut self, domain: DomainId, range: PageRange) -> u64 {
-        if invariant::enabled() {
+        let key = (self.chaos_ns << 32) | u64::from(domain.0);
+        invariant::with(|c| {
             for vpn in range.iter() {
-                invariant::note_frame_unmapped((self.chaos_ns << 32) | u64::from(domain.0), vpn.0);
+                c.note_frame_unmapped(key, vpn.0);
             }
-        }
+        });
         let table = self.table_mut(domain);
         let demotions_before = table.demotions();
         let mapped = table.unmap_range(range);
-        if table.demotions() > demotions_before && journal::enabled() {
-            journal::mark(
-                journal::MarkKind::HugeDemote,
-                range.start.0 & !(HUGE_PAGES - 1),
-            );
+        if table.demotions() > demotions_before {
+            let chunk = range.start.0 & !(HUGE_PAGES - 1);
+            journal::with(|j| j.mark(journal::MarkKind::HugeDemote, chunk));
         }
-        trace::metrics(|m| {
+        trace::with(|t| {
+            let m = t.metrics_mut();
             m.counter_add("iommu.invalidations", range.pages);
             m.counter_add("iommu.invalidations_mapped", mapped);
         });
@@ -197,15 +200,13 @@ impl Iommu {
 /// 2 MiB chunk. The mark follows `IoPageTable::promotions`, so an
 /// identical re-map of a page in an already folded chunk marks nothing.
 fn install(table: &mut IoPageTable, chaos_ns: u64, vpn: Vpn, frame: FrameId, writable: bool) {
-    invariant::note_frame_mapped(
-        (chaos_ns << 32) | u64::from(table.domain().0),
-        vpn.0,
-        (chaos_ns << 40) | frame.0,
-    );
+    let key = (chaos_ns << 32) | u64::from(table.domain().0);
+    invariant::with(|c| c.note_frame_mapped(key, vpn.0, (chaos_ns << 40) | frame.0));
     let promotions_before = table.promotions();
     table.map(vpn, frame, writable);
-    if table.promotions() > promotions_before && journal::enabled() {
-        journal::mark(journal::MarkKind::HugePromote, vpn.0 & !(HUGE_PAGES - 1));
+    if table.promotions() > promotions_before {
+        let chunk = vpn.0 & !(HUGE_PAGES - 1);
+        journal::with(|j| j.mark(journal::MarkKind::HugePromote, chunk));
     }
 }
 
@@ -213,7 +214,8 @@ fn install(table: &mut IoPageTable, chaos_ns: u64, vpn: Vpn, frame: FrameId, wri
 mod tests {
     use super::*;
     use crate::pagetable::IoPte;
-    use simcore::journal::{self, MarkKind};
+    use simcore::instruments::Instruments;
+    use simcore::journal::MarkKind;
 
     fn odp_iommu() -> (Iommu, DomainId) {
         let mut mmu = Iommu::new(64);
@@ -356,7 +358,11 @@ mod tests {
     /// (evicted) chunk marked a tenth promotion that never happened.
     #[test]
     fn huge_promote_marks_follow_the_promotion_counter() {
-        journal::install(journal::JournalRecorder::new());
+        Instruments {
+            journal: Some(journal::JournalRecorder::new()),
+            ..Instruments::default()
+        }
+        .install();
         let mut mmu = Iommu::new(64);
         mmu.set_huge_pages(true);
         let d = mmu.create_domain(TableMode::PageFaultCapable);
@@ -364,7 +370,8 @@ mod tests {
             mmu.map_batch(d, &chunk(c * HUGE_PAGES, 100_000 * (c + 1)), true);
         }
         mmu.map(d, Vpn(7), FrameId(100_007), true); // identical: stays folded
-        let marks = journal::uninstall()
+        let marks = Instruments::take()
+            .journal
             .expect("installed above")
             .marks()
             .iter()
@@ -380,14 +387,17 @@ mod tests {
     #[test]
     fn invalidation_counters_follow_the_installed_recorder() {
         let (mut mmu, d) = odp_iommu();
-        trace::install(trace::TraceRecorder::new(16));
+        let recording = |t: trace::TraceRecorder| Instruments {
+            trace: Some(t),
+            ..Instruments::default()
+        };
+        recording(trace::TraceRecorder::new(16)).install();
         mmu.invalidate(d, Vpn(1));
-        trace::uninstall();
         let mut b = trace::TraceRecorder::new(16);
         b.metrics_mut().counter_add("tenant0.ops", 5);
-        trace::install(b);
+        recording(b).install();
         mmu.invalidate(d, Vpn(1));
-        let b = trace::uninstall().expect("installed above");
+        let b = Instruments::take().trace.expect("installed above");
         assert_eq!(b.metrics().counter("tenant0.ops"), 5);
         assert_eq!(b.metrics().counter("iommu.invalidations"), 1);
     }

@@ -63,7 +63,7 @@ impl FrameAllocator {
             return None;
         };
         self.allocated += 1;
-        invariant::note_frame_allocated((self.chaos_ns << 40) | frame.0);
+        invariant::with(|c| c.note_frame_allocated((self.chaos_ns << 40) | frame.0));
         Some(frame)
     }
 
@@ -77,7 +77,7 @@ impl FrameAllocator {
         debug_assert!(frame.0 < self.total, "foreign frame {frame}");
         self.allocated -= 1;
         self.free.push(frame);
-        invariant::note_frame_freed((self.chaos_ns << 40) | frame.0);
+        invariant::with(|c| c.note_frame_freed((self.chaos_ns << 40) | frame.0));
     }
 }
 

@@ -645,7 +645,7 @@ impl MemoryManager {
                     io_cost += io;
                     tier_cost += io;
                     self.counters.bump_id(self.ids.tier_promotions);
-                    journal::mark(journal::MarkKind::TierMigrate, vpn.0);
+                    journal::with(|j| j.mark(journal::MarkKind::TierMigrate, vpn.0));
                 } else {
                     let io = self.swap.swap_in(slot);
                     cost += io;
@@ -692,14 +692,15 @@ impl MemoryManager {
             *self.group_resident.get_mut(&g).expect("group exists") += 1;
         }
 
-        if journal::enabled() && kind == FaultKind::Major {
-            journal::mark(journal::MarkKind::BackingFetch, vpn.0);
+        if kind == FaultKind::Major {
+            journal::with(|j| j.mark(journal::MarkKind::BackingFetch, vpn.0));
         }
-        if trace::enabled() {
+        trace::with(|t| {
             // Host fault handling has no simulated clock of its own
             // (costs are returned to the caller); stamp with the
             // recorder's clock.
-            trace::instant_now(
+            t.instant(
+                t.clock(),
                 "memsim",
                 if kind == FaultKind::Major {
                     "major_fault"
@@ -711,18 +712,17 @@ impl MemoryManager {
                     ("write", ArgValue::Bool(write)),
                 ],
             );
-            trace::metrics(|m| {
-                m.counter_add(
-                    if kind == FaultKind::Major {
-                        "memsim.major_faults"
-                    } else {
-                        "memsim.minor_faults"
-                    },
-                    1,
-                );
-                m.duration_record("memsim.fault_cost", cost);
-            });
-        }
+            let m = t.metrics_mut();
+            m.counter_add(
+                if kind == FaultKind::Major {
+                    "memsim.major_faults"
+                } else {
+                    "memsim.minor_faults"
+                },
+                1,
+            );
+            m.duration_record("memsim.fault_cost", cost);
+        });
 
         Ok(FaultResolution {
             kind,
@@ -779,9 +779,10 @@ impl MemoryManager {
                 Err(_) => break, // nothing reclaimable left
             }
         }
-        if trace::enabled() && !invalidations.is_empty() {
-            trace::metrics(|m| {
-                m.counter_add("memsim.chaos_reclaimed", invalidations.len() as u64);
+        if !invalidations.is_empty() {
+            trace::with(|t| {
+                let n = invalidations.len() as u64;
+                t.metrics_mut().counter_add("memsim.chaos_reclaimed", n);
             });
         }
         invalidations
@@ -851,19 +852,15 @@ impl MemoryManager {
             let slot =
                 if let Some((nvm_slot, _io)) = self.nvm.as_mut().and_then(SwapDevice::swap_out) {
                     self.counters.bump_id(self.ids.tier_demotions);
-                    journal::mark(journal::MarkKind::TierMigrate, vpn.0);
-                    if trace::enabled() {
-                        trace::metrics(|m| m.counter_add("memsim.tier_demotions", 1));
-                    }
+                    journal::with(|j| j.mark(journal::MarkKind::TierMigrate, vpn.0));
+                    trace::with(|t| t.metrics_mut().counter_add("memsim.tier_demotions", 1));
                     nvm_slot | NVM_SLOT_TAG
                 } else {
                     let Some((swap_slot, _io)) = self.swap.swap_out() else {
                         return Err(MemError::SwapFull);
                     };
                     self.counters.bump_id(self.ids.swap_outs);
-                    if trace::enabled() {
-                        trace::metrics(|m| m.counter_add("memsim.swap_outs", 1));
-                    }
+                    trace::with(|t| t.metrics_mut().counter_add("memsim.swap_outs", 1));
                     swap_slot
                 };
             cost += SimDuration::from_micros(3); // writeback queueing CPU
@@ -878,15 +875,12 @@ impl MemoryManager {
         };
         self.release_frame(frame);
         self.counters.bump_id(self.ids.evictions);
-        journal::mark(journal::MarkKind::Eviction, vpn.0);
-        if trace::enabled() {
-            trace::instant_now(
-                "memsim",
-                "reclaim_evict",
-                vec![("vpn", ArgValue::U64(vpn.0))],
-            );
-            trace::metrics(|m| m.counter_add("memsim.evictions", 1));
-        }
+        journal::with(|j| j.mark(journal::MarkKind::Eviction, vpn.0));
+        trace::with(|t| {
+            let args = vec![("vpn", ArgValue::U64(vpn.0))];
+            t.instant(t.clock(), "memsim", "reclaim_evict", args);
+            t.metrics_mut().counter_add("memsim.evictions", 1);
+        });
         if let Some(&g) = self.space_group.get(&space) {
             *self.group_resident.get_mut(&g).expect("group exists") -= 1;
         }

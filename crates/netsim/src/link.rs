@@ -201,7 +201,7 @@ impl Link {
         // transmitter beyond its natural serialization horizon: journal
         // the stall as a standalone tile-exact slice.
         if start > natural_start {
-            journal::wait_event(journal::Phase::PauseWait, natural_start, start);
+            journal::with(|j| j.wait_event(journal::Phase::PauseWait, natural_start, start));
         }
         let wait = start.saturating_since(now);
         let mut ecn_marked = false;
@@ -220,7 +220,7 @@ impl Link {
         let arrives_at = departure + self.config.propagation;
         // Causal journal: the packet's arrival instant is where every
         // fault chain it triggers begins.
-        journal::mark_at(arrives_at, journal::MarkKind::PacketArrival, size_bytes);
+        journal::with(|j| j.mark_at(arrives_at, journal::MarkKind::PacketArrival, size_bytes));
         SendOutcome::Delivered {
             arrives_at,
             ecn_marked,

@@ -114,15 +114,12 @@ impl InterruptModerator {
         self.pending_at = None;
         self.last_fired = Some(now);
         self.delivered += 1;
-        if trace::enabled() {
-            trace::instant(
-                now,
-                "nicsim",
-                "interrupt",
-                vec![("coalesced_so_far", ArgValue::U64(self.coalesced))],
-            );
-            trace::metrics(|m| m.counter_add("nicsim.interrupts_delivered", 1));
-        }
+        trace::with(|t| {
+            let args = vec![("coalesced_so_far", ArgValue::U64(self.coalesced))];
+            t.instant(now, "nicsim", "interrupt", args);
+            t.metrics_mut()
+                .counter_add("nicsim.interrupts_delivered", 1);
+        });
     }
 }
 

@@ -232,7 +232,7 @@ impl<P: Clone> RxEngine<P> {
         let backup = match mode {
             RxFaultMode::Drop => None,
             RxFaultMode::BackupRing { capacity } => {
-                invariant::note_backup_capacity(backup_key, capacity);
+                invariant::with(|c| c.note_backup_capacity(backup_key, capacity));
                 Some(BackupRing {
                     size: capacity,
                     head: 0,
@@ -403,12 +403,12 @@ impl<P: Clone> RxEngine<P> {
                 true
             };
             self.counters.bump_id(self.ids.stored);
-            if trace::enabled() {
+            trace::with(|t| {
                 let (head, tail) = (r.head, r.tail);
-                trace::counter_now("nicsim", "ring_head", head as f64);
-                trace::counter_now("nicsim", "ring_tail", tail as f64);
-                trace::metrics(|m| m.counter_add("nicsim.rx_stored", 1));
-            }
+                t.counter(t.clock(), "nicsim", "ring_head", head as f64);
+                t.counter(t.clock(), "nicsim", "ring_tail", tail as f64);
+                t.metrics_mut().counter_add("nicsim.rx_stored", 1);
+            });
             return RxVerdict::Stored {
                 index: idx,
                 notify_iouser: notify,
@@ -425,9 +425,10 @@ impl<P: Clone> RxEngine<P> {
                 r.slots[slot] = Some(Slot::Hole);
                 r.head += 1;
                 self.counters.bump_id(self.ids.dropped_fault);
-                journal::mark(journal::MarkKind::RxDrop, u64::from(id.0));
-                if trace::enabled() {
-                    trace::instant_now(
+                journal::with(|j| j.mark(journal::MarkKind::RxDrop, u64::from(id.0)));
+                trace::with(|t| {
+                    t.instant(
+                        t.clock(),
                         "nicsim",
                         "steer_drop",
                         vec![
@@ -435,16 +436,17 @@ impl<P: Clone> RxEngine<P> {
                             ("burned_descriptor", ArgValue::Bool(true)),
                         ],
                     );
-                    trace::metrics(|m| m.counter_add("nicsim.rx_dropped_fault", 1));
-                }
+                    t.metrics_mut().counter_add("nicsim.rx_dropped_fault", 1);
+                });
                 return RxVerdict::Dropped {
                     burned_descriptor: true,
                 };
             }
             self.counters.bump_id(self.ids.dropped_no_buffer);
-            journal::mark(journal::MarkKind::RxDrop, u64::from(id.0));
-            if trace::enabled() {
-                trace::instant_now(
+            journal::with(|j| j.mark(journal::MarkKind::RxDrop, u64::from(id.0)));
+            trace::with(|t| {
+                t.instant(
+                    t.clock(),
                     "nicsim",
                     "steer_drop",
                     vec![
@@ -452,23 +454,25 @@ impl<P: Clone> RxEngine<P> {
                         ("burned_descriptor", ArgValue::Bool(false)),
                     ],
                 );
-                trace::metrics(|m| m.counter_add("nicsim.rx_dropped_no_buffer", 1));
-            }
+                t.metrics_mut()
+                    .counter_add("nicsim.rx_dropped_no_buffer", 1);
+            });
             return RxVerdict::Dropped {
                 burned_descriptor: false,
             };
         };
-        invariant::note_backup_offered();
+        invariant::with(|c| c.note_backup_offered());
         // Partitioned quota: a tenant at its cap drops its own packet
         // instead of crowding the shared ring.
         if let BackupPolicy::Partitioned { quota } = self.policy {
             if backup.per_ring.get(id.0 as usize).copied().unwrap_or(0) >= quota {
-                invariant::note_backup_dropped();
+                invariant::with(|c| c.note_backup_dropped());
                 self.counters.bump_id(self.ids.dropped_quota);
                 self.counters.bump_id(self.ids.dropped_fault);
-                journal::mark(journal::MarkKind::RxDrop, u64::from(id.0));
-                if trace::enabled() {
-                    trace::instant_now(
+                journal::with(|j| j.mark(journal::MarkKind::RxDrop, u64::from(id.0)));
+                trace::with(|t| {
+                    t.instant(
+                        t.clock(),
                         "nicsim",
                         "backup_quota_drop",
                         vec![
@@ -476,8 +480,8 @@ impl<P: Clone> RxEngine<P> {
                             ("quota", ArgValue::U64(quota)),
                         ],
                     );
-                    trace::metrics(|m| m.counter_add("nicsim.backup_quota_drop", 1));
-                }
+                    t.metrics_mut().counter_add("nicsim.backup_quota_drop", 1);
+                });
                 return RxVerdict::Dropped {
                     burned_descriptor: false,
                 };
@@ -488,11 +492,12 @@ impl<P: Clone> RxEngine<P> {
             // kept (the pending rNPF at this slot will be resolved by an
             // earlier backup entry or a retransmission). Never silent:
             // the drop is counted and the invariant checker told.
-            invariant::note_backup_dropped();
+            invariant::with(|c| c.note_backup_dropped());
             self.counters.bump_id(self.ids.dropped_fault);
-            journal::mark(journal::MarkKind::RxDrop, u64::from(id.0));
-            if trace::enabled() {
-                trace::instant_now(
+            journal::with(|j| j.mark(journal::MarkKind::RxDrop, u64::from(id.0)));
+            trace::with(|t| {
+                t.instant(
+                    t.clock(),
                     "nicsim",
                     "backup_overflow",
                     vec![
@@ -501,8 +506,8 @@ impl<P: Clone> RxEngine<P> {
                         ("head_offset", ArgValue::U64(r.head_offset)),
                     ],
                 );
-                trace::metrics(|m| m.counter_add("nicsim.backup_overflow", 1));
-            }
+                t.metrics_mut().counter_add("nicsim.backup_overflow", 1);
+            });
             return RxVerdict::Dropped {
                 burned_descriptor: false,
             };
@@ -522,7 +527,7 @@ impl<P: Clone> RxEngine<P> {
         let occ = *occ;
         let hwm = BackupRing::<P>::slot(&mut backup.hwm, id);
         *hwm = (*hwm).max(occ);
-        invariant::note_backup_stored(self.backup_key);
+        invariant::with(|c| c.note_backup_stored(self.backup_key));
         let bit = (bit_index % r.bm_size) as usize;
         if !r.bitmap[bit] {
             r.bitmap[bit] = true;
@@ -538,9 +543,10 @@ impl<P: Clone> RxEngine<P> {
         }
         r.head_offset += 1;
         self.counters.bump_id(self.ids.backup_stored);
-        journal::mark(journal::MarkKind::RxBackupDivert, idx);
-        if trace::enabled() {
-            trace::instant_now(
+        journal::with(|j| j.mark(journal::MarkKind::RxBackupDivert, idx));
+        trace::with(|t| {
+            t.instant(
+                t.clock(),
                 "nicsim",
                 "steer_backup",
                 vec![
@@ -549,10 +555,15 @@ impl<P: Clone> RxEngine<P> {
                     ("bit_index", ArgValue::U64(bit_index)),
                 ],
             );
-            trace::counter_now("nicsim", "backup_depth", (backup.tail - backup.head) as f64);
-            trace::counter_now("nicsim", "bitmap_pending", r.pending_bits as f64);
-            trace::metrics(|m| m.counter_add("nicsim.rx_backup_stored", 1));
-        }
+            t.counter(
+                t.clock(),
+                "nicsim",
+                "backup_depth",
+                (backup.tail - backup.head) as f64,
+            );
+            t.counter(t.clock(), "nicsim", "bitmap_pending", r.pending_bits as f64);
+            t.metrics_mut().counter_add("nicsim.rx_backup_stored", 1);
+        });
         RxVerdict::Backup {
             backup_index,
             bit_index,
@@ -572,7 +583,7 @@ impl<P: Clone> RxEngine<P> {
         if let Some(occ) = backup.per_ring.get_mut(e.ring.0 as usize) {
             *occ = occ.saturating_sub(1);
         }
-        invariant::note_backup_drained(self.backup_key);
+        invariant::with(|c| c.note_backup_drained(self.backup_key));
         Some(e)
     }
 
@@ -607,8 +618,9 @@ impl<P: Clone> RxEngine<P> {
         let head = r.head;
         let bitmap_pending = r.pending_bits;
         self.counters.bump_id(self.ids.resolved);
-        if trace::enabled() {
-            trace::instant_now(
+        trace::with(|t| {
+            t.instant(
+                t.clock(),
                 "nicsim",
                 "rnpf_resolved",
                 vec![
@@ -617,10 +629,10 @@ impl<P: Clone> RxEngine<P> {
                     ("head_advanced", ArgValue::Bool(advanced)),
                 ],
             );
-            trace::counter_now("nicsim", "ring_head", head as f64);
-            trace::counter_now("nicsim", "bitmap_pending", bitmap_pending as f64);
-            trace::metrics(|m| m.counter_add("nicsim.rnpfs_resolved", 1));
-        }
+            t.counter(t.clock(), "nicsim", "ring_head", head as f64);
+            t.counter(t.clock(), "nicsim", "bitmap_pending", bitmap_pending as f64);
+            t.metrics_mut().counter_add("nicsim.rnpfs_resolved", 1);
+        });
         advanced
     }
 

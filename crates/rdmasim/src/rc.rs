@@ -351,8 +351,8 @@ impl RcQp {
             RcPacketKind::NakSequenceError => self.on_seq_nak(now, pkt.psn, out),
             RcPacketKind::NakReceiverNotReady { wait } => {
                 self.stats.rnr_nacks_received += 1;
-                if trace::enabled() {
-                    trace::instant(
+                trace::with(|t| {
+                    t.instant(
                         now,
                         "rdmasim",
                         "rnr_nack_received",
@@ -361,8 +361,8 @@ impl RcQp {
                             ("wait_us", ArgValue::F64(wait.as_micros_f64())),
                         ],
                     );
-                    trace::metrics(|m| m.counter_add("rdmasim.rnr_nacks_received", 1));
-                }
+                    t.metrics_mut().counter_add("rdmasim.rnr_nacks_received", 1);
+                });
                 self.rnr_retry += 1;
                 if self.rnr_retry > self.cfg.max_rnr_retries {
                     self.fail(WcStatus::RnrRetryExceeded, out);
@@ -487,8 +487,8 @@ impl RcQp {
                     return;
                 }
                 self.stats.timeouts += 1;
-                if trace::enabled() {
-                    trace::instant(
+                trace::with(|t| {
+                    t.instant(
                         now,
                         "rdmasim",
                         "retransmit_timeout",
@@ -497,8 +497,8 @@ impl RcQp {
                             ("inflight", ArgValue::U64(self.inflight.len() as u64)),
                         ],
                     );
-                    trace::metrics(|m| m.counter_add("rdmasim.timeouts", 1));
-                }
+                    t.metrics_mut().counter_add("rdmasim.timeouts", 1);
+                });
                 self.retry += 1;
                 if self.retry > self.cfg.max_retries {
                     self.fail(WcStatus::RetryExceeded, out);
@@ -507,11 +507,13 @@ impl RcQp {
                 // The time between arming the timer and its expiry is
                 // dead air on this QP: journal it so `whyslow` can
                 // attribute tail latency to retransmission stalls.
-                simcore::journal::wait_event(
-                    simcore::journal::Phase::RetransmitWait,
-                    self.timer_armed_at,
-                    now,
-                );
+                simcore::journal::with(|j| {
+                    j.wait_event(
+                        simcore::journal::Phase::RetransmitWait,
+                        self.timer_armed_at,
+                        now,
+                    )
+                });
                 match self.cfg.transport {
                     RdmaTransport::GoBackN => {
                         // Go-back-N: everything unacked is resent in
@@ -971,8 +973,9 @@ impl RcQp {
                 Retx::Rnr => self.stats.rnr_retransmits += 1,
                 Retx::No => unreachable!(),
             }
-            if trace::enabled() {
-                trace::instant_now(
+            trace::with(|t| {
+                t.instant(
+                    t.clock(),
                     "rdmasim",
                     "retransmit",
                     vec![
@@ -980,8 +983,8 @@ impl RcQp {
                         ("psn", ArgValue::U64(psn)),
                     ],
                 );
-                trace::metrics(|m| m.counter_add("rdmasim.retransmits", 1));
-            }
+                t.metrics_mut().counter_add("rdmasim.retransmits", 1);
+            });
         }
         let len = match desc.kind {
             RcPacketKind::SendData { len, .. } | RcPacketKind::WriteData { len, .. } => len,
@@ -1111,10 +1114,9 @@ impl RcQp {
                     // stream key is this QP's own — unique per QP
                     // direction — and the sequence is its running
                     // message count.
-                    simcore::chaos::invariant::note_qp_message(
-                        self.chaos_stream,
-                        self.stats.messages_received,
-                    );
+                    simcore::chaos::invariant::with(|c| {
+                        c.note_qp_message(self.chaos_stream, self.stats.messages_received)
+                    });
                     out.push(QpOutput::Complete(Completion {
                         wr_id: progress.wqe.wr_id,
                         opcode: WcOpcode::Recv,
@@ -1233,14 +1235,15 @@ impl RcQp {
             self.ooo.clear();
         }
         self.stats.rnr_nacks_sent += 1;
-        if trace::enabled() {
-            trace::instant_now(
+        trace::with(|t| {
+            t.instant(
+                t.clock(),
                 "rdmasim",
                 "rnr_nack_sent",
                 vec![("qpn", ArgValue::U64(u64::from(self.qpn.0)))],
             );
-            trace::metrics(|m| m.counter_add("rdmasim.rnr_nacks_sent", 1));
-        }
+            t.metrics_mut().counter_add("rdmasim.rnr_nacks_sent", 1);
+        });
         out.push(QpOutput::Send {
             to: self.peer_node,
             packet: RcPacket {

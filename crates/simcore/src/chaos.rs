@@ -2,24 +2,25 @@
 //!
 //! Two halves, both threaded through the whole stack:
 //!
-//! 1. **Fault injection.** A [`ChaosEngine`] draws typed [`FaultPlan`]
-//!    decisions from per-class [`SimRng`] streams forked from a single
-//!    chaos seed, so the same seed replays the exact same fault
-//!    schedule. Injection points: packet drop/corrupt/duplicate/reorder
-//!    in `netsim::fabric`, lost and delayed interrupts in
-//!    `nicsim::interrupt`, NPF resolution delay/transient-failure/retry
-//!    in `core::npf`, memory-pressure bursts and eviction storms in
-//!    `memsim::manager`.
+//! 1. **Fault injection.** A [`ChaosEngine`] draws typed per-class
+//!    fates ([`PacketFate`], [`InterruptFate`], [`NpfFate`],
+//!    [`MemoryFate`], [`PauseFate`]) from per-class [`SimRng`] streams
+//!    forked from a single chaos seed, so the same seed replays the
+//!    exact same fault schedule. Injection points: packet
+//!    drop/corrupt/duplicate/reorder in `netsim::fabric`, lost and
+//!    delayed interrupts in `nicsim::interrupt`, NPF resolution
+//!    delay/transient-failure/retry in `core::npf`, memory-pressure
+//!    bursts and eviction storms in `memsim::manager`.
 //!
-//! 2. **Invariant checking.** An [`InvariantChecker`] installed
-//!    thread-locally (the same pattern as [`crate::trace`]) receives
-//!    `note_*` observations from every crate and evaluates cross-crate
-//!    predicates at event dispatch: exactly-once in-order delivery per
-//!    RC QP, the backup ring never silently overflowing, no IOMMU PTE
-//!    mapping a frame the memory manager has freed, sim-time
-//!    monotonicity, and every raised NPF eventually resolved or
-//!    aborted. On violation the checker dumps the trace ring for the
-//!    failing seed.
+//! 2. **Invariant checking.** An [`InvariantChecker`], one of the
+//!    thread's [`crate::instruments`], receives `note_*` observations
+//!    from every crate through [`invariant::with`] and evaluates
+//!    cross-crate predicates at event dispatch: exactly-once in-order
+//!    delivery per RC QP, the backup ring never silently overflowing, no
+//!    IOMMU PTE mapping a frame the memory manager has freed, sim-time
+//!    monotonicity, and every raised NPF eventually resolved.
+//!    On violation the checker dumps the trace ring for the failing
+//!    seed.
 //!
 //! Both halves cost one thread-local branch per site when disabled, and
 //! the chaos RNG is seeded independently of the simulation seed, so a
@@ -27,8 +28,8 @@
 //! module at all (the zero-overhead disabled path the golden-trace
 //! tests pin down).
 
-use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt::Debug;
 
 use crate::rng::SimRng;
 use crate::stats::Counters;
@@ -456,24 +457,6 @@ pub enum PauseFate {
     },
 }
 
-/// A typed fault decision, one variant per injection class. Each is
-/// derived from that class's private [`SimRng`] stream, so a seed
-/// replays the exact same fault schedule regardless of how classes
-/// interleave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultPlan {
-    /// Packet-level decision.
-    Packet(PacketFate),
-    /// Interrupt-level decision.
-    Interrupt(InterruptFate),
-    /// NPF-resolution decision.
-    Npf(NpfFate),
-    /// Memory-pressure decision.
-    Memory(MemoryFate),
-    /// PFC pause decision.
-    Pause(PauseFate),
-}
-
 // ---------------------------------------------------------------------
 // The injector
 // ---------------------------------------------------------------------
@@ -580,7 +563,7 @@ impl ChaosEngine {
         } else {
             return PacketFate::Deliver;
         };
-        self.trace_injection("packet", &FaultPlan::Packet(fate));
+        trace_injection("packet", "Packet", &fate);
         fate
     }
 
@@ -604,7 +587,7 @@ impl ChaosEngine {
         } else {
             return InterruptFate::Deliver;
         };
-        self.trace_injection("interrupt", &FaultPlan::Interrupt(fate));
+        trace_injection("interrupt", "Interrupt", &fate);
         fate
     }
 
@@ -630,7 +613,7 @@ impl ChaosEngine {
         } else {
             return NpfFate::Normal;
         };
-        self.trace_injection("npf", &FaultPlan::Npf(fate));
+        trace_injection("npf", "Npf", &fate);
         fate
     }
 
@@ -654,7 +637,7 @@ impl ChaosEngine {
         } else {
             return MemoryFate::Calm;
         };
-        self.trace_injection("memory", &FaultPlan::Memory(fate));
+        trace_injection("memory", "Memory", &fate);
         fate
     }
 
@@ -669,25 +652,29 @@ impl ChaosEngine {
             let fate = PauseFate::Storm {
                 pause: Self::jitter(&mut self.pause_rng, c.max_pause),
             };
-            self.trace_injection("pause", &FaultPlan::Pause(fate));
+            trace_injection("pause", "Pause", &fate);
             return fate;
         }
         PauseFate::Calm
     }
+}
 
-    fn trace_injection(&self, class: &'static str, plan: &FaultPlan) {
-        if trace::enabled() {
-            trace::instant_now(
-                "chaos",
-                "inject",
-                vec![
-                    ("class", trace::ArgValue::Str(class.to_owned())),
-                    ("plan", trace::ArgValue::Str(format!("{plan:?}"))),
-                ],
-            );
-            trace::metrics(|m| m.counter_add("chaos.injected", 1));
-        }
-    }
+/// Records one injection on the trace ring: its class and its plan,
+/// printed as `Variant(fate)` (for example `Packet(Drop)`).
+fn trace_injection(class: &'static str, variant: &str, fate: &impl Debug) {
+    trace::with(|t| {
+        let plan = format!("{variant}({fate:?})");
+        t.instant(
+            t.clock(),
+            "chaos",
+            "inject",
+            vec![
+                ("class", trace::ArgValue::Str(class.to_owned())),
+                ("plan", trace::ArgValue::Str(plan)),
+            ],
+        );
+        t.metrics_mut().counter_add("chaos.injected", 1);
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -724,7 +711,6 @@ pub struct InvariantChecker {
     /// Outstanding NPFs: fault id → time raised.
     pending_faults: HashMap<u64, SimTime>,
     resolved_faults: u64,
-    aborted_faults: u64,
     /// Next expected message sequence per RC stream key.
     qp_next_seq: HashMap<u64, u64>,
     /// Live IOMMU mappings: (domain, vpn) → frame.
@@ -776,7 +762,7 @@ impl InvariantChecker {
         self.checks
     }
 
-    /// NPFs raised and not yet resolved or aborted.
+    /// NPFs raised and not yet resolved.
     #[must_use]
     pub fn outstanding_faults(&self) -> usize {
         self.pending_faults.len()
@@ -804,7 +790,6 @@ impl InvariantChecker {
     pub fn absorb(&mut self, other: InvariantChecker) {
         self.pending_faults.extend(other.pending_faults);
         self.resolved_faults += other.resolved_faults;
-        self.aborted_faults += other.aborted_faults;
         self.qp_next_seq.extend(other.qp_next_seq);
         self.mapping.extend(other.mapping);
         self.frame_mapcount.extend(other.frame_mapcount);
@@ -856,10 +841,9 @@ impl InvariantChecker {
 
     // -- observations --------------------------------------------------
 
-    /// A fresh simulation timeline begins (a testbed was constructed):
-    /// its clock restarts at zero, so monotonicity must not compare
-    /// against the previous testbed's final time. Experiment binaries
-    /// build many testbeds under one process-global checker.
+    /// A fresh simulation timeline begins: monotonicity must not
+    /// compare against the previous testbed's final time. Testbeds call
+    /// [`crate::instruments::note_timeline_reset`], which calls this.
     pub fn note_timeline_reset(&mut self) {
         self.checks += 1;
         self.last_time = None;
@@ -897,19 +881,6 @@ impl InvariantChecker {
             );
         } else {
             self.resolved_faults += 1;
-        }
-    }
-
-    /// An NPF was abandoned (channel teardown).
-    pub fn note_fault_aborted(&mut self, id: u64) {
-        self.checks += 1;
-        if self.pending_faults.remove(&id).is_none() {
-            self.violate(
-                "npf-resolution",
-                format!("fault id {id} aborted but never raised"),
-            );
-        } else {
-            self.aborted_faults += 1;
         }
     }
 
@@ -1062,7 +1033,7 @@ impl InvariantChecker {
         }
     }
 
-    /// End-of-run predicate: every raised NPF was resolved or aborted.
+    /// End-of-run predicate: every raised NPF was resolved.
     /// Call after the testbed quiesces; returns all violations.
     pub fn finish(&mut self) -> &[Violation] {
         if !self.pending_faults.is_empty() {
@@ -1078,22 +1049,15 @@ impl InvariantChecker {
     }
 }
 
-// ---------------------------------------------------------------------
-// Thread-local installation (same pattern as simcore::trace)
-// ---------------------------------------------------------------------
-
-thread_local! {
-    static CHECKER: RefCell<Option<InvariantChecker>> = const { RefCell::new(None) };
-}
-
-/// Free-function observation API. Every call is one thread-local branch
-/// when no checker is installed — cheap enough to leave always-on in
-/// production code paths.
+/// The checker's access path plus the invariant-note namespaces. Every
+/// observation site is one thread-local branch when no checker is
+/// installed — cheap enough to leave always-on in production code
+/// paths.
 pub mod invariant {
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    use super::{InvariantChecker, SimTime, CHECKER};
-    use crate::instruments;
+    use super::InvariantChecker;
+    use crate::instruments::{self, GATE};
 
     /// Source of unique namespaces for frame/domain note keys. Every
     /// independent resource pool (one per NPF engine: its frame
@@ -1108,19 +1072,11 @@ pub mod invariant {
     /// `ns << 40` frame keys leave room for.
     const ROOT_SCOPE: (u64, u64) = (1 << 20, 1 << 24);
 
-    thread_local! {
-        /// When set, `fresh_namespace` draws from this `[next, end)`
-        /// range instead of the process-global counter — the worker
-        /// pool scopes each task to a deterministic range so the salted
-        /// ids in violation reports don't depend on which worker
-        /// constructed which testbed first.
-        static NS_SCOPE: std::cell::Cell<Option<(u64, u64)>> =
-            const { std::cell::Cell::new(None) };
-    }
-
     /// Allocates a fresh note-key namespace: from the thread's scoped
     /// range inside [`with_namespaces`], else from the process-global
-    /// counter.
+    /// counter. The worker pool scopes each task to a deterministic
+    /// range, so the salted ids in violation reports don't depend on
+    /// which worker constructed which testbed first.
     ///
     /// # Panics
     ///
@@ -1129,9 +1085,9 @@ pub mod invariant {
     /// silently.
     #[must_use]
     pub fn fresh_namespace() -> u64 {
-        if let Some((next, end)) = NS_SCOPE.with(std::cell::Cell::get) {
+        if let Some((next, end)) = GATE.with(|g| g.ns_scope.get()) {
             assert!(next < end, "invariant namespace scope exhausted");
-            NS_SCOPE.with(|c| c.set(Some((next + 1, end))));
+            GATE.with(|g| g.ns_scope.set(Some((next + 1, end))));
             return next;
         }
         NAMESPACES.fetch_add(1, Ordering::Relaxed)
@@ -1150,11 +1106,11 @@ pub mod invariant {
     /// the same fixed root range on every call.
     #[must_use]
     pub fn split_namespaces(n: usize) -> (u64, u64) {
-        let scope = NS_SCOPE.with(std::cell::Cell::get);
+        let scope = GATE.with(|g| g.ns_scope.get());
         let (next, end) = scope.unwrap_or(ROOT_SCOPE);
         let span = (end - next) / (n as u64 + 1);
         if scope.is_some() {
-            NS_SCOPE.with(|c| c.set(Some((next, next + span))));
+            GATE.with(|g| g.ns_scope.set(Some((next, next + span))));
         }
         (next + span, span)
     }
@@ -1168,23 +1124,10 @@ pub mod invariant {
     /// mention — is a function of the task's position, not of worker
     /// scheduling.
     pub fn with_namespaces<R>(base: u64, span: u64, f: impl FnOnce() -> R) -> R {
-        let prev = NS_SCOPE.with(|c| c.replace(Some((base, base + span))));
+        let prev = GATE.with(|g| g.ns_scope.replace(Some((base, base + span))));
         let r = f();
-        NS_SCOPE.with(|c| c.set(prev));
+        GATE.with(|g| g.ns_scope.set(prev));
         r
-    }
-
-    /// Installs `checker` for the current thread, returning the
-    /// previous one.
-    pub fn install(checker: InvariantChecker) -> Option<InvariantChecker> {
-        instruments::set(instruments::CHECKER, true);
-        CHECKER.with(|slot| slot.borrow_mut().replace(checker))
-    }
-
-    /// Removes and returns the current thread's checker.
-    pub fn uninstall() -> Option<InvariantChecker> {
-        instruments::set(instruments::CHECKER, false);
-        CHECKER.with(|slot| slot.borrow_mut().take())
     }
 
     /// `true` when a checker is installed (the one branch paid per
@@ -1196,169 +1139,18 @@ pub mod invariant {
     }
 
     /// Runs `f` against the installed checker, if any.
+    #[inline]
     pub fn with<R>(f: impl FnOnce(&mut InvariantChecker) -> R) -> Option<R> {
         if !enabled() {
             return None;
         }
-        CHECKER.with(|slot| slot.borrow_mut().as_mut().map(f))
-    }
-
-    /// See [`InvariantChecker::note_timeline_reset`].
-    #[inline]
-    pub fn note_timeline_reset() {
-        if enabled() {
-            with(InvariantChecker::note_timeline_reset);
-        }
-    }
-
-    /// See [`InvariantChecker::note_event_time`].
-    #[inline]
-    pub fn note_event_time(now: SimTime) {
-        if enabled() {
-            with(|c| c.note_event_time(now));
-        }
-    }
-
-    /// See [`InvariantChecker::checkpoint`]. Called by the event queue
-    /// as it pops each event, and by nothing else.
-    #[inline]
-    pub(crate) fn checkpoint(now: SimTime) {
-        if enabled() {
-            with(|c| c.checkpoint(now));
-        }
-    }
-
-    /// See [`InvariantChecker::note_fault_begun`].
-    #[inline]
-    pub fn note_fault_begun(id: u64, now: SimTime) {
-        if enabled() {
-            with(|c| c.note_fault_begun(id, now));
-        }
-    }
-
-    /// See [`InvariantChecker::note_fault_resolved`].
-    #[inline]
-    pub fn note_fault_resolved(id: u64) {
-        if enabled() {
-            with(|c| c.note_fault_resolved(id));
-        }
-    }
-
-    /// See [`InvariantChecker::note_fault_aborted`].
-    #[inline]
-    pub fn note_fault_aborted(id: u64) {
-        if enabled() {
-            with(|c| c.note_fault_aborted(id));
-        }
-    }
-
-    /// See [`InvariantChecker::note_qp_message`].
-    #[inline]
-    pub fn note_qp_message(stream: u64, seq: u64) {
-        if enabled() {
-            with(|c| c.note_qp_message(stream, seq));
-        }
-    }
-
-    /// See [`InvariantChecker::note_frame_allocated`].
-    #[inline]
-    pub fn note_frame_allocated(frame: u64) {
-        if enabled() {
-            with(|c| c.note_frame_allocated(frame));
-        }
-    }
-
-    /// See [`InvariantChecker::note_frame_freed`].
-    #[inline]
-    pub fn note_frame_freed(frame: u64) {
-        if enabled() {
-            with(|c| c.note_frame_freed(frame));
-        }
-    }
-
-    /// See [`InvariantChecker::note_frame_mapped`].
-    #[inline]
-    pub fn note_frame_mapped(domain: u64, vpn: u64, frame: u64) {
-        if enabled() {
-            with(|c| c.note_frame_mapped(domain, vpn, frame));
-        }
-    }
-
-    /// See [`InvariantChecker::note_frame_unmapped`].
-    #[inline]
-    pub fn note_frame_unmapped(domain: u64, vpn: u64) {
-        if enabled() {
-            with(|c| c.note_frame_unmapped(domain, vpn));
-        }
-    }
-
-    /// See [`InvariantChecker::note_backup_capacity`].
-    #[inline]
-    pub fn note_backup_capacity(ring: u64, cap: u64) {
-        if enabled() {
-            with(|c| c.note_backup_capacity(ring, cap));
-        }
-    }
-
-    /// See [`InvariantChecker::note_backup_offered`].
-    #[inline]
-    pub fn note_backup_offered() {
-        if enabled() {
-            with(|c| c.note_backup_offered());
-        }
-    }
-
-    /// See [`InvariantChecker::note_backup_stored`].
-    #[inline]
-    pub fn note_backup_stored(ring: u64) {
-        if enabled() {
-            with(|c| c.note_backup_stored(ring));
-        }
-    }
-
-    /// See [`InvariantChecker::note_backup_drained`].
-    #[inline]
-    pub fn note_backup_drained(ring: u64) {
-        if enabled() {
-            with(|c| c.note_backup_drained(ring));
-        }
-    }
-
-    /// See [`InvariantChecker::note_backup_dropped`].
-    #[inline]
-    pub fn note_backup_dropped() {
-        if enabled() {
-            with(|c| c.note_backup_dropped());
-        }
+        instruments::SLOT.with(|s| s.checker.borrow_mut().as_mut().map(f))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Scoped install/uninstall so a panicking test doesn't leak a
-    /// checker into the thread's next test.
-    struct Installed;
-
-    impl Installed {
-        fn new(seed: u64) -> Installed {
-            invariant::install(InvariantChecker::new(seed));
-            Installed
-        }
-
-        fn finish(self) -> InvariantChecker {
-            let mut c = invariant::uninstall().expect("installed");
-            c.finish();
-            c
-        }
-    }
-
-    impl Drop for Installed {
-        fn drop(&mut self) {
-            invariant::uninstall();
-        }
-    }
 
     #[test]
     fn same_seed_same_fault_schedule() {
@@ -1432,10 +1224,10 @@ mod tests {
 
     #[test]
     fn time_monotonicity_violation_detected() {
-        let guard = Installed::new(9);
-        invariant::note_event_time(SimTime::from_micros(10));
-        invariant::note_event_time(SimTime::from_micros(5));
-        let c = guard.finish();
+        let mut c = InvariantChecker::new(9);
+        c.note_event_time(SimTime::from_micros(10));
+        c.note_event_time(SimTime::from_micros(5));
+        c.finish();
         assert_eq!(c.violations().len(), 1);
         assert_eq!(c.violations()[0].invariant, "time-monotonicity");
     }
@@ -1446,12 +1238,12 @@ mod tests {
         // restarts sim time at zero. A reset between them must not trip
         // the monotonicity predicate, but going backwards *within* a
         // timeline still must.
-        let guard = Installed::new(9);
-        invariant::note_event_time(SimTime::from_micros(400));
-        invariant::note_timeline_reset();
-        invariant::note_event_time(SimTime::from_micros(3));
-        invariant::note_event_time(SimTime::from_micros(1));
-        let c = guard.finish();
+        let mut c = InvariantChecker::new(9);
+        c.note_event_time(SimTime::from_micros(400));
+        c.note_timeline_reset();
+        c.note_event_time(SimTime::from_micros(3));
+        c.note_event_time(SimTime::from_micros(1));
+        c.finish();
         assert_eq!(c.violations().len(), 1);
         assert_eq!(c.violations()[0].invariant, "time-monotonicity");
         assert!(c.violations()[0].detail.contains("1"));
@@ -1459,11 +1251,11 @@ mod tests {
 
     #[test]
     fn unresolved_fault_reported_at_finish() {
-        let guard = Installed::new(9);
-        invariant::note_fault_begun(1, SimTime::from_micros(1));
-        invariant::note_fault_begun(2, SimTime::from_micros(2));
-        invariant::note_fault_resolved(1);
-        let c = guard.finish();
+        let mut c = InvariantChecker::new(9);
+        c.note_fault_begun(1, SimTime::from_micros(1));
+        c.note_fault_begun(2, SimTime::from_micros(2));
+        c.note_fault_resolved(1);
+        c.finish();
         assert_eq!(c.violations().len(), 1);
         assert_eq!(c.violations()[0].invariant, "npf-resolution");
         assert!(c.violations()[0].detail.contains("[2]"));
@@ -1471,101 +1263,100 @@ mod tests {
 
     #[test]
     fn out_of_order_delivery_detected() {
-        let guard = Installed::new(9);
-        invariant::note_qp_message(1, 1);
-        invariant::note_qp_message(1, 2);
-        invariant::note_qp_message(1, 2); // duplicate delivery
-        invariant::note_qp_message(2, 1); // independent stream is fine
-        let c = guard.finish();
+        let mut c = InvariantChecker::new(9);
+        c.note_qp_message(1, 1);
+        c.note_qp_message(1, 2);
+        c.note_qp_message(1, 2); // duplicate delivery
+        c.note_qp_message(2, 1); // independent stream is fine
+        c.finish();
         assert_eq!(c.violations().len(), 1);
         assert_eq!(c.violations()[0].invariant, "rc-exactly-once");
     }
 
     #[test]
     fn freed_frame_mapping_detected_at_checkpoint() {
-        let guard = Installed::new(9);
-        invariant::note_frame_allocated(7);
-        invariant::note_frame_mapped(0, 0x10, 7);
-        invariant::note_frame_freed(7);
+        let mut c = InvariantChecker::new(9);
+        c.note_frame_allocated(7);
+        c.note_frame_mapped(0, 0x10, 7);
+        c.note_frame_freed(7);
         // The unmap never happens: next checkpoint must flag it.
-        invariant::checkpoint(SimTime::from_micros(1));
-        let c = guard.finish();
+        c.checkpoint(SimTime::from_micros(1));
+        c.finish();
         assert_eq!(c.violations().len(), 1);
         assert_eq!(c.violations()[0].invariant, "no-freed-frame-mapped");
     }
 
     #[test]
     fn freed_then_unmapped_frame_is_clean() {
-        let guard = Installed::new(9);
-        invariant::note_frame_allocated(7);
-        invariant::note_frame_mapped(0, 0x10, 7);
-        invariant::note_frame_freed(7);
-        invariant::note_frame_unmapped(0, 0x10); // invalidation flow ran
-        invariant::checkpoint(SimTime::from_micros(1));
-        let c = guard.finish();
+        let mut c = InvariantChecker::new(9);
+        c.note_frame_allocated(7);
+        c.note_frame_mapped(0, 0x10, 7);
+        c.note_frame_freed(7);
+        c.note_frame_unmapped(0, 0x10); // invalidation flow ran
+        c.checkpoint(SimTime::from_micros(1));
+        c.finish();
         assert!(c.violations().is_empty(), "{:?}", c.violations());
     }
 
     #[test]
     fn mapping_a_free_frame_detected_immediately() {
-        let guard = Installed::new(9);
-        invariant::note_frame_allocated(3);
-        invariant::note_frame_freed(3);
-        invariant::note_frame_mapped(0, 0x20, 3);
-        let c = guard.finish();
+        let mut c = InvariantChecker::new(9);
+        c.note_frame_allocated(3);
+        c.note_frame_freed(3);
+        c.note_frame_mapped(0, 0x20, 3);
+        c.finish();
         assert_eq!(c.violations().len(), 1);
         assert_eq!(c.violations()[0].invariant, "no-freed-frame-mapped");
     }
 
     #[test]
     fn backup_depth_bounded_by_capacity() {
-        let guard = Installed::new(9);
-        invariant::note_backup_capacity(0, 2);
-        invariant::note_backup_offered();
-        invariant::note_backup_stored(0);
-        invariant::note_backup_offered();
-        invariant::note_backup_stored(0);
-        invariant::note_backup_offered();
-        invariant::note_backup_stored(0); // over capacity
-        let c = guard.finish();
+        let mut c = InvariantChecker::new(9);
+        c.note_backup_capacity(0, 2);
+        c.note_backup_offered();
+        c.note_backup_stored(0);
+        c.note_backup_offered();
+        c.note_backup_stored(0);
+        c.note_backup_offered();
+        c.note_backup_stored(0); // over capacity
+        c.finish();
         assert_eq!(c.violations().len(), 1);
         assert_eq!(c.violations()[0].invariant, "backup-no-silent-overflow");
     }
 
     #[test]
     fn silent_backup_drop_detected() {
-        let guard = Installed::new(9);
-        invariant::note_backup_capacity(0, 8);
-        invariant::note_backup_offered();
+        let mut c = InvariantChecker::new(9);
+        c.note_backup_capacity(0, 8);
+        c.note_backup_offered();
         // Neither stored nor dropped-with-accounting.
-        invariant::checkpoint(SimTime::from_micros(1));
-        let c = guard.finish();
+        c.checkpoint(SimTime::from_micros(1));
+        c.finish();
         assert_eq!(c.violations().len(), 1);
         assert_eq!(c.violations()[0].invariant, "backup-no-silent-overflow");
     }
 
     #[test]
     fn accounted_backup_flow_is_clean() {
-        let guard = Installed::new(9);
-        invariant::note_backup_capacity(0, 1);
-        invariant::note_backup_offered();
-        invariant::note_backup_stored(0);
-        invariant::note_backup_offered();
-        invariant::note_backup_dropped(); // overflow, but counted
-        invariant::note_backup_drained(0);
-        invariant::checkpoint(SimTime::from_micros(1));
-        let c = guard.finish();
+        let mut c = InvariantChecker::new(9);
+        c.note_backup_capacity(0, 1);
+        c.note_backup_offered();
+        c.note_backup_stored(0);
+        c.note_backup_offered();
+        c.note_backup_dropped(); // overflow, but counted
+        c.note_backup_drained(0);
+        c.checkpoint(SimTime::from_micros(1));
+        c.finish();
         assert!(c.violations().is_empty(), "{:?}", c.violations());
     }
 
     #[test]
     fn notes_are_noops_without_checker() {
         assert!(!invariant::enabled());
-        invariant::note_event_time(SimTime::from_micros(1));
-        invariant::note_qp_message(0, 99);
-        invariant::note_frame_freed(1);
-        invariant::checkpoint(SimTime::from_micros(2));
-        assert!(invariant::uninstall().is_none());
+        assert!(invariant::with(|c| c.note_event_time(SimTime::from_micros(1))).is_none());
+        assert!(invariant::with(|c| c.note_qp_message(0, 99)).is_none());
+        assert!(invariant::with(|c| c.checkpoint(SimTime::from_micros(2))).is_none());
+        assert!(crate::instruments::Instruments::take().checker.is_none());
     }
 
     #[test]

@@ -130,7 +130,7 @@ use crate::{instruments, journal, trace};
 fn stamp(now: SimTime) {
     trace::with(|t| t.set_clock(now));
     journal::with(|j| j.set_clock(now));
-    invariant::checkpoint(now);
+    invariant::with(|c| c.checkpoint(now));
 }
 
 /// A heap entry: delivery key plus where the payload lives — a slab slot,
@@ -861,11 +861,16 @@ mod tests {
 
     #[test]
     fn pop_until_honours_the_deadline_and_stamps_instruments() {
+        use crate::instruments::Instruments;
         use crate::journal::{JournalRecorder, MarkKind};
         use crate::trace::TraceRecorder;
 
-        trace::install(TraceRecorder::new(16));
-        journal::install(JournalRecorder::new());
+        Instruments {
+            trace: Some(TraceRecorder::new(16)),
+            journal: Some(JournalRecorder::new()),
+            ..Instruments::default()
+        }
+        .install();
         let mut q = EventQueue::new();
         for us in [9, 1, 5, 3] {
             q.schedule_at(SimTime::from_micros(us), us);
@@ -875,7 +880,7 @@ mod tests {
         while let Some((at, e)) = q.pop_until(deadline) {
             assert!(at <= deadline);
             // A producer with no `now` in scope stamps with the queue's.
-            journal::mark(MarkKind::Eviction, e);
+            journal::with(|j| j.mark(MarkKind::Eviction, e));
             seen.push(e);
         }
         assert_eq!(seen, [1, 3, 5]);
@@ -883,9 +888,10 @@ mod tests {
         assert_eq!(q.next_time(), Some(SimTime::from_micros(9)));
         assert_eq!(q.popped_total(), 3);
 
-        let traced = trace::uninstall().expect("installed above");
+        let installed = Instruments::take();
+        let traced = installed.trace.expect("installed above");
         assert_eq!(traced.clock(), deadline);
-        let journal = journal::uninstall().expect("installed above");
+        let journal = installed.journal.expect("installed above");
         let times: Vec<SimTime> = journal.marks().iter().map(|m| m.time).collect();
         assert_eq!(times, [1, 3, 5].map(SimTime::from_micros));
     }

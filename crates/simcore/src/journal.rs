@@ -21,13 +21,13 @@
 //! * an SLO watchdog ([`JournalWatchdog`]) that flags faults whose
 //!   latency exceeds a sim-time budget, shipping the causal chain.
 //!
-//! Like the trace ring, the journal uses a thread-local recorder with
-//! an installed flag, so the disabled path is one `Cell` read.
-//! Recorders merge with [`JournalRecorder::absorb`] in task order with
-//! `(time, seq)` event rebasing — parallel runs stay byte-identical to
-//! serial ones at every `--jobs` value.
+//! Like the trace ring, the journal is one of the thread's
+//! [`crate::instruments`], reached through [`with`], so the disabled
+//! path is one `Cell` read. Recorders merge with
+//! [`JournalRecorder::absorb`] in task order with `(time, seq)` event
+//! rebasing — parallel runs stay byte-identical to serial ones at every
+//! `--jobs` value.
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
 
 use crate::fxhash::FxHashMap;
@@ -348,10 +348,9 @@ pub struct SloHit {
     pub budget: SimDuration,
 }
 
-/// The thread-local journal recorder. Mirrors
-/// [`crate::trace::TraceRecorder`]: install one per worker, drive the
-/// simulation, uninstall, and [`JournalRecorder::absorb`] into the
-/// main recorder in task order.
+/// The journal recorder. Like [`crate::trace::TraceRecorder`], the
+/// worker pool runs each task under a fresh one and
+/// [`JournalRecorder::absorb`]s them into the caller's in task order.
 #[derive(Debug)]
 pub struct JournalRecorder {
     faults: Vec<FaultJournal>,
@@ -407,6 +406,12 @@ impl JournalRecorder {
         if now > self.clock {
             self.clock = now;
         }
+    }
+
+    /// Restarts the clock at zero for a new timeline; see
+    /// [`instruments::note_timeline_reset`].
+    pub(crate) fn reset_clock(&mut self) {
+        self.clock = SimTime::ZERO;
     }
 
     /// Sets the current cause context; subsequent faults and marks
@@ -519,8 +524,8 @@ impl JournalRecorder {
                     latency,
                     budget: w.budget,
                 });
-                if trace::enabled() {
-                    trace::instant(
+                trace::with(|t| {
+                    t.instant(
                         ready_at,
                         "journal",
                         "slo_violation",
@@ -531,7 +536,7 @@ impl JournalRecorder {
                             ("budget_ns", ArgValue::U64(w.budget.as_nanos())),
                         ],
                     );
-                }
+                });
             }
         }
     }
@@ -592,22 +597,19 @@ impl JournalRecorder {
     /// contract as [`crate::trace::TraceRecorder::absorb`]: merging in
     /// task order yields byte-identical journals at every `--jobs`
     /// value.
-    pub fn absorb(&mut self, other: &JournalRecorder) {
+    pub fn absorb(&mut self, other: JournalRecorder) {
         let id_base = self.next_id;
         let seq_base = self.seq;
-        for f in &other.faults {
-            let mut f = f.clone();
+        for mut f in other.faults {
             f.id = JournalId(id_base + f.id.0);
             f.seq += seq_base;
             self.faults.push(f);
         }
-        for m in &other.marks {
-            let mut m = *m;
+        for mut m in other.marks {
             m.seq += seq_base;
             self.marks.push(m);
         }
-        for h in &other.slo_hits {
-            let mut h = *h;
+        for mut h in other.slo_hits {
             h.fault = JournalId(id_base + h.fault.0);
             self.slo_hits.push(h);
         }
@@ -861,22 +863,6 @@ fn tenant_tid(tenant: u32) -> u64 {
     }
 }
 
-thread_local! {
-    static RECORDER: RefCell<Option<JournalRecorder>> = const { RefCell::new(None) };
-}
-
-/// Installs `recorder` as the thread's journal, returning the old one.
-pub fn install(recorder: JournalRecorder) -> Option<JournalRecorder> {
-    instruments::set(instruments::JOURNAL, true);
-    RECORDER.with(|r| r.borrow_mut().replace(recorder))
-}
-
-/// Removes and returns the thread's journal.
-pub fn uninstall() -> Option<JournalRecorder> {
-    instruments::set(instruments::JOURNAL, false);
-    RECORDER.with(|r| r.borrow_mut().take())
-}
-
 /// `true` when a journal recorder is installed on this thread. The
 /// disabled path of every instrumentation site is this single read.
 #[inline]
@@ -886,56 +872,12 @@ pub fn enabled() -> bool {
 }
 
 /// Runs `f` against the installed recorder, if any.
-pub fn with<F: FnOnce(&mut JournalRecorder)>(f: F) {
+#[inline]
+pub fn with<R>(f: impl FnOnce(&mut JournalRecorder) -> R) -> Option<R> {
     if !enabled() {
-        return;
+        return None;
     }
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            f(rec);
-        }
-    });
-}
-
-/// Sets the cause context for subsequent faults and marks.
-#[inline]
-pub fn set_cause(cause: CauseId) {
-    if enabled() {
-        with(|j| j.set_cause(cause));
-    }
-}
-
-/// Clears the cause context.
-#[inline]
-pub fn clear_cause() {
-    if enabled() {
-        with(|j| j.clear_cause());
-    }
-}
-
-/// Emits a causal annotation at the journal clock.
-#[inline]
-pub fn mark(kind: MarkKind, detail: u64) {
-    if enabled() {
-        with(|j| j.mark(kind, detail));
-    }
-}
-
-/// Records a standalone transport stall (retransmission timeout or PFC
-/// pause) spanning `[start, end]` on the installed recorder, if any.
-#[inline]
-pub fn wait_event(phase: Phase, start: SimTime, end: SimTime) {
-    if enabled() {
-        with(|j| j.wait_event(phase, start, end));
-    }
-}
-
-/// Emits a causal annotation at `time`.
-#[inline]
-pub fn mark_at(time: SimTime, kind: MarkKind, detail: u64) {
-    if enabled() {
-        with(|j| j.mark_at(time, kind, detail));
-    }
+    instruments::SLOT.with(|s| s.journal.borrow_mut().as_mut().map(f))
 }
 
 #[cfg(test)]
@@ -1019,28 +961,36 @@ mod tests {
 
     #[test]
     fn absorb_rebases_ids_and_seq_in_task_order() {
-        let mut a = JournalRecorder::new();
-        record_fault(
-            &mut a,
-            1,
-            0,
-            0,
-            [1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        );
-        a.mark_at(SimTime::from_nanos(1), MarkKind::Eviction, 7);
-        let mut b = JournalRecorder::new();
-        record_fault(
-            &mut b,
-            1,
-            1,
-            50,
-            [0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        );
-        b.mark_at(SimTime::from_nanos(51), MarkKind::BackingFetch, 9);
+        let tasks = || {
+            let mut a = JournalRecorder::new();
+            record_fault(
+                &mut a,
+                1,
+                0,
+                0,
+                [1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            );
+            a.mark_at(SimTime::from_nanos(1), MarkKind::Eviction, 7);
+            let mut b = JournalRecorder::new();
+            record_fault(
+                &mut b,
+                1,
+                1,
+                50,
+                [0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            );
+            b.mark_at(SimTime::from_nanos(51), MarkKind::BackingFetch, 9);
+            [a, b]
+        };
+        let merge = || {
+            let mut merged = JournalRecorder::new();
+            for task in tasks() {
+                merged.absorb(task);
+            }
+            merged
+        };
 
-        let mut merged = JournalRecorder::new();
-        merged.absorb(&a);
-        merged.absorb(&b);
+        let merged = merge();
         assert_eq!(merged.faults().len(), 2);
         assert_eq!(merged.faults()[0].id, JournalId(0));
         assert_eq!(merged.faults()[1].id, JournalId(1));
@@ -1048,9 +998,7 @@ mod tests {
         assert_eq!(merged.marks().len(), 2);
         assert!(merged.marks()[0].seq < merged.marks()[1].seq);
         // Same tasks, same order => byte-identical renderings.
-        let mut merged2 = JournalRecorder::new();
-        merged2.absorb(&a);
-        merged2.absorb(&b);
+        let merged2 = merge();
         assert_eq!(merged.attribution_report(), merged2.attribution_report());
         assert_eq!(merged.export_chrome_json(), merged2.export_chrome_json());
     }
@@ -1125,13 +1073,21 @@ mod tests {
 
     #[test]
     fn install_roundtrip_and_disabled_path() {
+        use crate::instruments::Instruments;
+
         assert!(!enabled());
-        mark(MarkKind::Eviction, 1); // no-op, no panic
-        assert!(install(JournalRecorder::new()).is_none());
+        assert!(with(|j| j.mark(MarkKind::Eviction, 1)).is_none());
+        let installed = Instruments {
+            journal: Some(JournalRecorder::new()),
+            ..Instruments::default()
+        };
+        assert!(installed.install().is_empty());
         assert!(enabled());
-        set_cause(CauseId::tenant(5));
-        mark_at(SimTime::from_nanos(3), MarkKind::Eviction, 42);
-        let rec = uninstall().expect("installed");
+        with(|j| {
+            j.set_cause(CauseId::tenant(5));
+            j.mark_at(SimTime::from_nanos(3), MarkKind::Eviction, 42);
+        });
+        let rec = Instruments::take().journal.expect("installed");
         assert!(!enabled());
         assert_eq!(rec.marks().len(), 1);
         assert_eq!(rec.marks()[0].cause.tenant, 5);

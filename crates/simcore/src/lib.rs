@@ -36,7 +36,7 @@
 pub mod chaos;
 pub mod event;
 pub mod fxhash;
-mod instruments;
+pub mod instruments;
 pub mod journal;
 pub mod rng;
 pub mod shard;
@@ -45,7 +45,7 @@ pub mod time;
 pub mod trace;
 pub mod units;
 
-pub use chaos::{ChaosConfig, ChaosEngine, ChaosProfile, FaultPlan, InvariantChecker};
+pub use chaos::{ChaosConfig, ChaosEngine, ChaosProfile, InvariantChecker};
 pub use event::{EventQueue, EventToken};
 pub use journal::{CauseId, FaultJournal, JournalId, JournalRecorder, JournalWatchdog, Phase};
 pub use rng::SimRng;

@@ -11,16 +11,15 @@
 //!
 //! # Determinism contract
 //!
-//! Whatever [`trace`]/[`journal`]/[`invariant`] instruments the calling
-//! thread has installed are taken off it for the duration of the call.
-//! Every task then runs — on whichever thread claims it, the caller's
-//! included — under fresh, empty instruments of the same kinds and
-//! settings (ring capacity, chaos seed, SLO watchdog) and inside its
-//! own invariant-namespace range. After all tasks finish the caller's
-//! instruments go back on and absorb the per-task state strictly in
-//! task order. Nothing about thread interleaving, worker count, or
-//! which thread ran what is observable; a call with one worker and a
-//! call with eight produce the same bytes by construction.
+//! Whatever [`Instruments`] the calling thread has installed are taken
+//! off it for the duration of the call. Every task then runs — on
+//! whichever thread claims it, the caller's included — under their
+//! mirror (fresh, empty instruments of the same kinds and settings) and
+//! inside its own invariant-namespace range. After all tasks finish the
+//! caller's instruments absorb the per-task state strictly in task
+//! order and go back on. Nothing about thread interleaving, worker
+//! count, or which thread ran what is observable; a call with one
+//! worker and a call with eight produce the same bytes by construction.
 //!
 //! # One budget
 //!
@@ -35,78 +34,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::chaos::{invariant, InvariantChecker};
-use crate::journal::{self, JournalRecorder};
-use crate::trace::{self, TraceRecorder};
-
-/// The instruments installed on one thread.
-#[derive(Debug)]
-struct Instruments {
-    recorder: Option<TraceRecorder>,
-    checker: Option<InvariantChecker>,
-    journal: Option<JournalRecorder>,
-}
-
-impl Instruments {
-    /// Takes whatever is installed off the current thread.
-    fn take() -> Self {
-        Instruments {
-            recorder: trace::uninstall(),
-            checker: invariant::uninstall(),
-            journal: journal::uninstall(),
-        }
-    }
-
-    /// Empty instruments of the same kinds and settings as `self`:
-    /// recording when `self` records (same ring capacity), checking
-    /// under the same chaos seed, journaling with the same watchdog.
-    fn fresh(&self) -> Self {
-        Instruments {
-            recorder: self
-                .recorder
-                .as_ref()
-                .map(|r| TraceRecorder::new(r.capacity())),
-            checker: self
-                .checker
-                .as_ref()
-                .map(|c| InvariantChecker::new(c.seed())),
-            journal: self.journal.as_ref().map(|j| {
-                let mut fresh = JournalRecorder::new();
-                if let Some(w) = j.watchdog() {
-                    fresh.set_watchdog(w);
-                }
-                fresh
-            }),
-        }
-    }
-
-    /// Installs these instruments on the current thread.
-    fn install(self) {
-        if let Some(r) = self.recorder {
-            trace::install(r);
-        }
-        if let Some(c) = self.checker {
-            invariant::install(c);
-        }
-        if let Some(j) = self.journal {
-            journal::install(j);
-        }
-    }
-
-    /// Folds this task's collected state into the instruments installed
-    /// on the current thread. Call in task order.
-    fn absorb_into_installed(self) {
-        if let Some(rec) = self.recorder {
-            trace::with(|mine| mine.absorb(rec));
-        }
-        if let Some(j) = self.journal {
-            journal::with(|mine| mine.absorb(&j));
-        }
-        if let Some(c) = self.checker {
-            invariant::with(|mine| mine.absorb(c));
-        }
-    }
-}
+use crate::chaos::invariant;
+use crate::instruments::Instruments;
 
 /// A boxed task, as [`Pool::run`] consumes them.
 pub type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
@@ -209,7 +138,7 @@ impl Pool {
     pub fn run<T: Send>(&self, tasks: Vec<Task<'_, T>>) -> Vec<T> {
         let n = tasks.len();
         let helpers = self.borrow(effective_shards(self.workers, n, self.host) - 1);
-        let caller = Instruments::take();
+        let mut caller = Instruments::take();
         let (ns_base, ns_span) = invariant::split_namespaces(n);
         let inputs: Vec<Mutex<Option<Task<'_, T>>>> =
             tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
@@ -226,7 +155,7 @@ impl Pool {
                 .expect("a task panicked holding its input slot")
                 .take()
                 .expect("each task index is claimed exactly once");
-            caller.fresh().install();
+            caller.mirror().install();
             let result = invariant::with_namespaces(ns_base + i as u64 * ns_span, ns_span, task);
             *outputs[i]
                 .lock()
@@ -244,18 +173,19 @@ impl Pool {
             }
             worker();
         });
-        caller.install();
-        outputs
+        let results = outputs
             .into_iter()
             .map(|slot| {
                 let (result, instruments) = slot
                     .into_inner()
                     .expect("a task panicked holding its result slot")
                     .expect("the worker loop fills every slot");
-                instruments.absorb_into_installed();
+                caller.absorb(instruments);
                 result
             })
-            .collect()
+            .collect();
+        caller.install();
+        results
     }
 }
 
@@ -267,7 +197,7 @@ mod tests {
 
     #[test]
     fn single_core_hosts_always_run_inline() {
-        // `--shards 4` on a 1-core runner must not spawn contending
+        // `--jobs 4` on a 1-core runner must not spawn contending
         // workers.
         assert_eq!(effective_shards(4, 16, 1), 1);
         assert_eq!(effective_shards(4, 3, 1), 1);
@@ -299,28 +229,34 @@ mod tests {
 
     #[test]
     fn instruments_are_mirrored_per_task_and_absorbed_in_task_order() {
+        use crate::chaos::InvariantChecker;
+        use crate::trace::{self, ArgValue, TraceRecorder};
+
         // The caller records and checks; every task must see fresh
         // instruments of the same kinds (never the caller's own), and
         // the caller's must come back holding everything in task order.
-        assert!(trace::install(TraceRecorder::new(1 << 10)).is_none());
-        assert!(invariant::install(InvariantChecker::new(5)).is_none());
-        trace::metrics(|m| m.counter_add("caller.before", 1));
-        let tasks: Vec<Task<'_, (u64, Option<u64>)>> = (0..6u64)
+        let caller = Instruments {
+            trace: Some(TraceRecorder::new(1 << 10)),
+            checker: Some(InvariantChecker::new(5)),
+            ..Instruments::default()
+        };
+        assert!(caller.install().is_empty());
+        trace::with(|t| t.metrics_mut().counter_add("caller.before", 1));
+        let tasks: Vec<Task<'_, (Option<u64>, Option<u64>)>> = (0..6u64)
             .map(|i| {
                 Box::new(move || {
-                    let mut seen_before = 0;
-                    trace::with(|r| seen_before = r.metrics().counter("caller.before"));
-                    trace::span(
-                        SimTime::from_micros(i),
-                        SimDuration::from_micros(1),
-                        "shard",
-                        "task",
-                        vec![("i", crate::trace::ArgValue::U64(i))],
-                    );
-                    trace::metrics(|m| m.counter_add("shard.tasks", 1));
-                    invariant::note_event_time(SimTime::from_micros(1));
-                    // Backwards inside the same task: one violation.
-                    invariant::note_event_time(SimTime::ZERO);
+                    let seen_before = trace::with(|t| {
+                        let d = SimDuration::from_micros(1);
+                        let args = vec![("i", ArgValue::U64(i))];
+                        t.complete_span(SimTime::from_micros(i), d, "shard", "task", None, args);
+                        t.metrics_mut().counter_add("shard.tasks", 1);
+                        t.metrics().counter("caller.before")
+                    });
+                    invariant::with(|c| {
+                        c.note_event_time(SimTime::from_micros(1));
+                        // Backwards inside the same task: one violation.
+                        c.note_event_time(SimTime::ZERO);
+                    });
                     (seen_before, invariant::with(|c| c.seed()))
                 }) as Task<'_, _>
             })
@@ -328,12 +264,13 @@ mod tests {
         let out = Pool::on_host(3, 8).run(tasks);
         assert!(out
             .iter()
-            .all(|&(before, seed)| before == 0 && seed == Some(5)));
-        assert!(journal::uninstall().is_none(), "no journal was mirrored");
-        let checker = invariant::uninstall().expect("still installed");
+            .all(|&(before, seed)| before == Some(0) && seed == Some(5)));
+        let back = Instruments::take();
+        assert!(back.journal.is_none(), "no journal was mirrored");
+        let checker = back.checker.expect("still installed");
         assert_eq!(checker.violations().len(), 6);
         assert!(checker.checks() >= 12);
-        let rec = trace::uninstall().expect("still installed");
+        let rec = back.trace.expect("still installed");
         assert_eq!(rec.metrics().counter("caller.before"), 1);
         assert_eq!(rec.metrics().counter("shard.tasks"), 6);
         let starts: Vec<SimTime> = rec

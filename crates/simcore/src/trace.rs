@@ -17,27 +17,33 @@
 //!    `chrome://tracing`) and flat JSON/CSV metric summaries, all with
 //!    deterministic field ordering.
 //!
-//! Instrumented code calls the free functions ([`span`], [`instant`],
-//! [`counter`], [`metrics`], ...). They are no-ops until a recorder is
-//! installed for the current thread with [`install`]; the disabled path
-//! is a single thread-local flag check, so always-on instrumentation
-//! costs nothing measurable in the hot paths.
+//! Instrumented code records through [`with`], which runs a closure on
+//! the thread's recorder when one is installed
+//! ([`crate::instruments::Instruments`]); the disabled path is a single
+//! thread-local flag check, so always-on instrumentation costs nothing
+//! measurable in the hot paths.
 //!
 //! # Examples
 //!
 //! ```
-//! use simcore::trace::{self, TraceRecorder};
+//! use simcore::instruments::Instruments;
 //! use simcore::time::{SimDuration, SimTime};
+//! use simcore::trace::{self, TraceRecorder};
 //!
-//! trace::install(TraceRecorder::new(1024));
-//! let parent = trace::begin(SimTime::ZERO, "npf", "npf");
-//! trace::end(SimTime::from_micros(220));
-//! let rec = trace::uninstall().expect("installed above");
-//! assert_eq!(rec.spans().count(), 1);
-//! assert!(parent.is_some());
+//! Instruments {
+//!     trace: Some(TraceRecorder::new(1024)),
+//!     ..Instruments::default()
+//! }
+//! .install();
+//! trace::with(|t| {
+//!     let d = SimDuration::from_micros(220);
+//!     let parent = t.complete_span(SimTime::ZERO, d, "npf", "npf", None, Vec::new());
+//!     t.complete_span(SimTime::ZERO, d, "npf", "fault_trigger", Some(parent), Vec::new());
+//! });
+//! let rec = Instruments::take().trace.expect("installed above");
+//! assert_eq!(rec.spans().count(), 2);
 //! ```
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -429,14 +435,13 @@ impl MetricsRegistry {
 }
 
 /// The trace collector: a bounded ring of [`TraceRecord`]s plus the
-/// metrics registry and the open-span stack.
+/// metrics registry.
 #[derive(Debug)]
 pub struct TraceRecorder {
     ring: VecDeque<TraceRecord>,
     capacity: usize,
     dropped: u64,
     next_span: u64,
-    open: Vec<(SpanId, SimTime, &'static str, &'static str, Args)>,
     clock: SimTime,
     metrics: MetricsRegistry,
     /// Interned `track.name` gauge ids for counter samples, so the
@@ -457,7 +462,6 @@ impl TraceRecorder {
             capacity: capacity.max(1),
             dropped: 0,
             next_span: 0,
-            open: Vec::new(),
             clock: SimTime::ZERO,
             metrics: MetricsRegistry::new(),
             counter_gauges: HashMap::new(),
@@ -512,6 +516,12 @@ impl TraceRecorder {
         if now > self.clock {
             self.clock = now;
         }
+    }
+
+    /// Restarts the logical clock at zero for a new timeline; see
+    /// [`instruments::note_timeline_reset`].
+    pub(crate) fn reset_clock(&mut self) {
+        self.clock = SimTime::ZERO;
     }
 
     /// The metrics registry.
@@ -583,8 +593,6 @@ impl TraceRecorder {
     ) -> SpanId {
         let id = SpanId(self.next_span);
         self.next_span += 1;
-        // Spans emitted inside an open span nest under it by default.
-        let parent = parent.or_else(|| self.open.last().map(|&(id, ..)| id));
         self.set_clock(start + duration);
         self.push(TraceRecord::Span {
             id,
@@ -596,38 +604,6 @@ impl TraceRecorder {
             args,
         });
         id
-    }
-
-    /// Opens a span at `start`; close it with [`TraceRecorder::end_span`].
-    /// Spans opened while another is open become its children.
-    pub fn begin_span(
-        &mut self,
-        start: SimTime,
-        track: &'static str,
-        name: &'static str,
-    ) -> SpanId {
-        let id = SpanId(self.next_span);
-        self.next_span += 1;
-        self.set_clock(start);
-        self.open.push((id, start, track, name, Vec::new()));
-        id
-    }
-
-    /// Closes the innermost open span at `end`, recording it. Returns
-    /// its id, or `None` when no span is open.
-    pub fn end_span(&mut self, end: SimTime) -> Option<SpanId> {
-        let (id, start, track, name, args) = self.open.pop()?;
-        let parent = self.open.last().map(|&(pid, ..)| pid);
-        self.push(TraceRecord::Span {
-            id,
-            parent,
-            start,
-            duration: end.saturating_since(start),
-            track,
-            name,
-            args,
-        });
-        Some(id)
     }
 
     /// Records an instantaneous event.
@@ -848,24 +824,6 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-thread_local! {
-    static RECORDER: RefCell<Option<TraceRecorder>> = const { RefCell::new(None) };
-}
-
-/// Installs `recorder` as the current thread's sink, enabling the
-/// instrumentation free functions. Replaces (and returns) any previous
-/// recorder.
-pub fn install(recorder: TraceRecorder) -> Option<TraceRecorder> {
-    instruments::set(instruments::TRACE, true);
-    RECORDER.with(|r| r.borrow_mut().replace(recorder))
-}
-
-/// Removes and returns the current thread's recorder, disabling tracing.
-pub fn uninstall() -> Option<TraceRecorder> {
-    instruments::set(instruments::TRACE, false);
-    RECORDER.with(|r| r.borrow_mut().take())
-}
-
 /// `true` when a recorder is installed on this thread.
 #[inline]
 #[must_use]
@@ -876,90 +834,11 @@ pub fn enabled() -> bool {
 /// Runs `f` against the installed recorder, if any. The no-recorder
 /// path is a single thread-local flag check.
 #[inline]
-pub fn with<F: FnOnce(&mut TraceRecorder)>(f: F) {
+pub fn with<R>(f: impl FnOnce(&mut TraceRecorder) -> R) -> Option<R> {
     if !enabled() {
-        return;
+        return None;
     }
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            f(rec);
-        }
-    });
-}
-
-/// Records a completed span (explicit start + duration); returns its id
-/// when tracing is enabled.
-pub fn span(
-    start: SimTime,
-    duration: SimDuration,
-    track: &'static str,
-    name: &'static str,
-    args: Args,
-) -> Option<SpanId> {
-    let mut out = None;
-    with(|t| out = Some(t.complete_span(start, duration, track, name, None, args)));
-    out
-}
-
-/// Records a completed span nested under `parent`.
-pub fn child_span(
-    start: SimTime,
-    duration: SimDuration,
-    track: &'static str,
-    name: &'static str,
-    parent: SpanId,
-    args: Args,
-) -> Option<SpanId> {
-    let mut out = None;
-    with(|t| out = Some(t.complete_span(start, duration, track, name, Some(parent), args)));
-    out
-}
-
-/// Opens a span; close it with [`end`].
-pub fn begin(start: SimTime, track: &'static str, name: &'static str) -> Option<SpanId> {
-    let mut out = None;
-    with(|t| out = Some(t.begin_span(start, track, name)));
-    out
-}
-
-/// Closes the innermost open span.
-pub fn end(at: SimTime) -> Option<SpanId> {
-    let mut out = None;
-    with(|t| out = t.end_span(at));
-    out
-}
-
-/// Records an instantaneous event.
-pub fn instant(at: SimTime, track: &'static str, name: &'static str, args: Args) {
-    with(|t| t.instant(at, track, name, args));
-}
-
-/// Records an instantaneous event stamped with the recorder's logical
-/// clock — for call sites with no `now` in scope.
-pub fn instant_now(track: &'static str, name: &'static str, args: Args) {
-    with(|t| {
-        let at = t.clock();
-        t.instant(at, track, name, args);
-    });
-}
-
-/// Records a counter/gauge sample.
-pub fn counter(at: SimTime, track: &'static str, name: &'static str, value: f64) {
-    with(|t| t.counter(at, track, name, value));
-}
-
-/// Records a counter/gauge sample stamped with the logical clock.
-pub fn counter_now(track: &'static str, name: &'static str, value: f64) {
-    with(|t| {
-        let at = t.clock();
-        t.counter(at, track, name, value);
-    });
-}
-
-/// Runs `f` against the installed recorder's metrics registry.
-#[inline]
-pub fn metrics<F: FnOnce(&mut MetricsRegistry)>(f: F) {
-    with(|t| f(t.metrics_mut()));
+    instruments::SLOT.with(|s| s.trace.borrow_mut().as_mut().map(f))
 }
 
 #[cfg(test)]
@@ -999,58 +878,6 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["a", "b"]);
         assert_eq!(t.clock(), SimTime::from_micros(15));
-    }
-
-    #[test]
-    fn open_spans_nest_and_attribute_parents() {
-        let mut t = fresh(16);
-        let outer = t.begin_span(SimTime::ZERO, "x", "outer");
-        let inner = t.begin_span(SimTime::from_micros(2), "x", "inner");
-        assert_eq!(t.open.len(), 2);
-        assert_eq!(t.end_span(SimTime::from_micros(8)), Some(inner));
-        assert_eq!(t.end_span(SimTime::from_micros(10)), Some(outer));
-        assert_eq!(t.end_span(SimTime::from_micros(11)), None);
-
-        // The inner span closed first, so it appears first, with the
-        // outer id as its parent.
-        let spans: Vec<(&str, Option<SpanId>, SimDuration)> = t
-            .records()
-            .map(|r| match r {
-                TraceRecord::Span {
-                    name,
-                    parent,
-                    duration,
-                    ..
-                } => (*name, *parent, *duration),
-                _ => panic!("span expected"),
-            })
-            .collect();
-        assert_eq!(
-            spans,
-            vec![
-                ("inner", Some(outer), SimDuration::from_micros(6)),
-                ("outer", None, SimDuration::from_micros(10)),
-            ]
-        );
-    }
-
-    #[test]
-    fn complete_span_inside_open_span_nests() {
-        let mut t = fresh(16);
-        let outer = t.begin_span(SimTime::ZERO, "x", "outer");
-        t.complete_span(
-            SimTime::from_micros(1),
-            SimDuration::from_micros(2),
-            "x",
-            "leaf",
-            None,
-            Vec::new(),
-        );
-        t.end_span(SimTime::from_micros(5));
-        let TraceRecord::Span { parent, .. } = t.records().next().expect("leaf") else {
-            panic!("span expected");
-        };
-        assert_eq!(*parent, Some(outer));
     }
 
     #[test]
@@ -1118,31 +945,28 @@ mod tests {
 
     #[test]
     fn install_uninstall_roundtrip() {
+        use crate::instruments::Instruments;
+
+        let span = || {
+            with(|t| {
+                let d = SimDuration::from_micros(1);
+                t.complete_span(SimTime::ZERO, d, "x", "s", None, Vec::new())
+            })
+        };
         assert!(!enabled());
-        assert!(install(fresh(4)).is_none());
+        let installed = Instruments {
+            trace: Some(fresh(4)),
+            ..Instruments::default()
+        };
+        assert!(installed.install().is_empty());
         assert!(enabled());
-        span(
-            SimTime::ZERO,
-            SimDuration::from_micros(1),
-            "x",
-            "s",
-            Vec::new(),
-        )
-        .expect("recorder installed");
-        let rec = uninstall().expect("was installed");
+        span().expect("recorder installed");
+        let rec = Instruments::take().trace.expect("was installed");
         assert!(!enabled());
         assert_eq!(rec.len(), 1);
-        // Free functions are no-ops now.
-        assert!(span(
-            SimTime::ZERO,
-            SimDuration::from_micros(1),
-            "x",
-            "s",
-            Vec::new()
-        )
-        .is_none());
-        instant(SimTime::ZERO, "x", "e", Vec::new());
-        assert!(uninstall().is_none());
+        // `with` is a no-op now.
+        assert!(span().is_none());
+        assert!(Instruments::take().trace.is_none());
     }
 
     #[test]

@@ -358,8 +358,8 @@ impl TcpConnection {
     /// to `out`.
     pub fn on_timer_into(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
         self.timer_armed = false;
-        if trace::enabled() {
-            trace::instant(
+        trace::with(|t| {
+            t.instant(
                 now,
                 "tcpsim",
                 "rto_expiry",
@@ -368,8 +368,8 @@ impl TcpConnection {
                     ("rto_us", ArgValue::F64(self.rto.as_micros_f64())),
                 ],
             );
-            trace::metrics(|m| m.counter_add("tcpsim.rto_expiries", 1));
-        }
+            t.metrics_mut().counter_add("tcpsim.rto_expiries", 1);
+        });
         match self.state {
             TcpState::SynSent => {
                 self.retries += 1;
@@ -427,25 +427,26 @@ impl TcpConnection {
             .min(self.flight_size())
             .min(self.config.mss);
         let seg = self.segment(self.snd_una, len, TcpFlags::ack());
-        if trace::enabled() {
-            trace::instant_now(
+        trace::with(|t| {
+            t.instant(
+                t.clock(),
                 "tcpsim",
                 "retransmit",
                 vec![("seq", ArgValue::U64(seg.seq)), ("len", ArgValue::U64(len))],
             );
-            trace::metrics(|m| m.counter_add("tcpsim.retransmits", 1));
-        }
+            t.metrics_mut().counter_add("tcpsim.retransmits", 1);
+        });
         out.push(TcpOutput::Send(seg));
     }
 
     /// Samples the congestion window into the trace (time series for
     /// Figure 4-style plots).
     fn trace_cwnd(&self, now: SimTime) {
-        if trace::enabled() {
+        trace::with(|t| {
             let cwnd = self.cwnd as f64;
-            trace::counter(now, "tcpsim", "cwnd", cwnd);
-            trace::metrics(|m| m.series_push("tcpsim.cwnd", now, cwnd));
-        }
+            t.counter(now, "tcpsim", "cwnd", cwnd);
+            t.metrics_mut().series_push("tcpsim.cwnd", now, cwnd);
+        });
     }
 
     /// Processes an incoming segment. `ecn_marked` reports a
@@ -614,10 +615,10 @@ impl TcpConnection {
                 self.cwnd = self.ssthresh + 3 * self.config.mss;
                 self.recover = Some(self.snd_nxt);
                 self.rtt_probe = None;
-                if trace::enabled() {
-                    trace::instant(now, "tcpsim", "fast_retransmit", Vec::new());
-                    trace::metrics(|m| m.counter_add("tcpsim.fast_retransmits", 1));
-                }
+                trace::with(|t| {
+                    t.instant(now, "tcpsim", "fast_retransmit", Vec::new());
+                    t.metrics_mut().counter_add("tcpsim.fast_retransmits", 1);
+                });
                 self.retransmit_head(out);
                 self.trace_cwnd(now);
             } else if self.dupacks > 3 && self.recover.is_some() {

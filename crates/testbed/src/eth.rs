@@ -27,8 +27,9 @@ use nicsim::sriov::ChannelTable;
 use npf_core::backup_driver::{BackupDriver, ResolveStep};
 use npf_core::npf::{NpfConfig, NpfEngine};
 use npf_core::{BackendKind, RX_BUFFER_BASE};
-use simcore::chaos::{invariant, ChaosConfig, ChaosEngine, MemoryFate, PacketFate};
+use simcore::chaos::{ChaosConfig, ChaosEngine, MemoryFate, PacketFate};
 use simcore::event::{EventQueue, EventToken, LaneId};
+use simcore::instruments;
 use simcore::journal::{self, CauseId};
 use simcore::rng::SimRng;
 use simcore::stats::{DurationHistogram, ThroughputMeter};
@@ -357,10 +358,10 @@ pub struct EthTestbed {
 impl EthTestbed {
     /// Constructs the testbed from an already-validated configuration.
     pub(crate) fn build(config: EthConfig) -> Result<Self, MemError> {
-        // A new testbed starts a new timeline at t=0; tell the (possibly
-        // process-global) invariant checker so monotonicity tracking
-        // does not span testbeds.
-        invariant::note_timeline_reset();
+        // A new testbed starts a new timeline at t=0; tell the thread's
+        // instruments, so their clocks restart with it and monotonicity
+        // tracking does not span testbeds.
+        instruments::note_timeline_reset();
         let mut rng = SimRng::new(config.seed);
         let mm = MemoryManager::new(MemConfig {
             total_memory: config.host_memory,
@@ -738,7 +739,8 @@ impl EthTestbed {
     /// Emits per-tenant gauges into the metrics registry (no-op unless
     /// metrics recording is enabled).
     fn emit_tenant_metrics(&self) {
-        trace::metrics(|m| {
+        trace::with(|t| {
+            let m = t.metrics_mut();
             for (i, inst) in self.instances.iter().enumerate() {
                 let ops = self.metrics[i].ops.total() as f64;
                 m.gauge_set(&format!("tenant{i}.ops"), ops);
@@ -913,13 +915,13 @@ impl EthTestbed {
         // this packet triggers is journalled under its (tenant, packet)
         // cause. The sequence counter only advances while journalling,
         // so the disabled path stays free.
-        if journal::enabled() {
+        journal::with(|j| {
             self.packet_seq += 1;
-            journal::set_cause(CauseId {
+            j.set_cause(CauseId {
                 tenant: idx,
                 packet: self.packet_seq,
             });
-        }
+        });
         let inst = &mut self.instances[idx as usize];
         let wire = seg.wire_size();
 
@@ -998,7 +1000,7 @@ impl EthTestbed {
                 }
             }
         }
-        journal::clear_cause();
+        journal::with(|j| j.clear_cause());
     }
 
     fn request_iouser_irq(&mut self, now: SimTime, idx: u32) {
@@ -1114,13 +1116,13 @@ impl EthTestbed {
         // Replay-drain work (and any rNPF it resolves) is attributed to
         // the ring's tenant; the original packet sequence is gone by
         // now, so the cause carries tenant provenance only.
-        if journal::enabled() {
+        journal::with(|j| {
             let tenant = self
                 .channels
                 .by_ring(ring)
                 .map_or(CauseId::NO_TENANT, |c| c.id.0);
-            journal::set_cause(CauseId::tenant(tenant));
-        }
+            j.set_cause(CauseId::tenant(tenant));
+        });
         match self
             .driver
             .resolve_step(now, &mut self.engine, &mut self.rx, ring)
@@ -1152,7 +1154,7 @@ impl EthTestbed {
             }
         }
         self.schedule_prefetch_completions();
-        journal::clear_cause();
+        journal::with(|j| j.clear_cause());
     }
 
     /// Schedules completion events for any speculative pre-faults the

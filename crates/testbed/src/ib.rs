@@ -23,8 +23,9 @@ use rdmasim::types::{
     Completion, DmaGate, GateDecision, MessageRange, QpId, QpOutput, QpTimer, RcConfig, RcPacket,
     RecvWqe, SendOp, WrId,
 };
-use simcore::chaos::{invariant, ChaosConfig, ChaosEngine, MemoryFate, PauseFate};
+use simcore::chaos::{ChaosConfig, ChaosEngine, MemoryFate, PauseFate};
 use simcore::event::{EventQueue, EventToken, LaneId};
+use simcore::instruments;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::units::{Bandwidth, ByteSize};
@@ -318,10 +319,10 @@ pub struct IbCluster {
 impl IbCluster {
     /// Constructs the cluster from an already-validated configuration.
     pub(crate) fn build(config: IbConfig) -> Self {
-        // A new cluster starts a new timeline at t=0; tell the (possibly
-        // process-global) invariant checker so monotonicity tracking
-        // does not span testbeds.
-        invariant::note_timeline_reset();
+        // A new cluster starts a new timeline at t=0; tell the thread's
+        // instruments, so their clocks restart with it and monotonicity
+        // tracking does not span testbeds.
+        instruments::note_timeline_reset();
         let mut rng = SimRng::new(config.seed);
         let mut link = config.profile.apply_link(LinkConfig::datacenter(BANDWIDTH));
         // Queues never tail-drop: IB's credit-based flow control means
@@ -1212,12 +1213,17 @@ mod tests {
 
     #[test]
     fn journal_marks_carry_event_time() {
-        use simcore::journal::{self, JournalRecorder, MarkKind};
+        use simcore::instruments::Instruments;
+        use simcore::journal::{JournalRecorder, MarkKind};
 
         // 12 MiB of sends through 8 MiB nodes: both sides evict.
         const MSG: u64 = 64 * 1024;
         const MESSAGES: u64 = 192;
-        journal::install(JournalRecorder::new());
+        Instruments {
+            journal: Some(JournalRecorder::new()),
+            ..Instruments::default()
+        }
+        .install();
         let scenario = crate::builder::ScenarioBuilder::infiniband()
             .nodes(2)
             .node_memory(ByteSize::mib(8));
@@ -1231,7 +1237,7 @@ mod tests {
             c.post_send(0, qa, i, SendOp::Send { local, len: MSG });
         }
         c.run_until_quiescent(10_000_000);
-        let journal = journal::uninstall().expect("installed above");
+        let journal = Instruments::take().journal.expect("installed above");
         assert_eq!(c.drain_completions(1).len() as u64, MESSAGES);
 
         // Link arrivals are stamped ahead with their delivery time;

@@ -16,8 +16,8 @@ use netsim::profile::FabricProfile;
 use nicsim::rx::{RingId, RxDescriptor, RxEngine, RxFaultMode, RxVerdict};
 use npf_core::npf::{NpfConfig, NpfEngine};
 use npf_core::RX_BUFFER_BASE;
-use simcore::chaos::invariant;
 use simcore::event::{EventQueue, EventToken, LaneId};
+use simcore::instruments;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::units::ByteSize;
@@ -138,10 +138,10 @@ struct StreamBed {
 
 impl StreamBed {
     fn new(config: StreamBedConfig) -> Self {
-        // A new bed starts a new timeline at t=0; tell the (possibly
-        // process-global) invariant checker so monotonicity tracking
-        // does not span testbeds.
-        invariant::note_timeline_reset();
+        // A new bed starts a new timeline at t=0; tell the thread's
+        // instruments, so their clocks restart with it and monotonicity
+        // tracking does not span testbeds.
+        instruments::note_timeline_reset();
         let mut rng = SimRng::new(config.seed);
 
         // Server: one IOuser with a pre-faulted ring. Nothing consults
@@ -407,6 +407,15 @@ pub fn run_stream(config: StreamBedConfig) -> StreamBedResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::instruments::Instruments;
+    use simcore::journal::{self, JournalRecorder, MarkKind};
+
+    fn journaling() -> Instruments {
+        Instruments {
+            journal: Some(JournalRecorder::new()),
+            ..Instruments::default()
+        }
+    }
 
     #[test]
     fn clean_stream_approaches_line_rate() {
@@ -486,16 +495,14 @@ mod tests {
 
     #[test]
     fn journal_marks_carry_event_time() {
-        use simcore::journal::{self, JournalRecorder, MarkKind};
-
         let duration = SimDuration::from_millis(50);
-        journal::install(JournalRecorder::new());
+        journaling().install();
         let r = run_stream(StreamBedConfig {
             fault_frequency: 1.0 / 64.0,
             duration,
             ..StreamBedConfig::default()
         });
-        let journal = journal::uninstall().expect("installed above");
+        let journal = Instruments::take().journal.expect("installed above");
         assert!(r.backup_packets > 0);
         // Link arrivals are stamped ahead with their delivery time;
         // every other mark reads the journal clock.
@@ -515,6 +522,33 @@ mod tests {
         }
     }
 
+    /// Regression: the journal clock used to run on across beds, so a
+    /// second run's clock-stamped marks read the first run's end time.
+    #[test]
+    fn back_to_back_runs_stamp_marks_on_their_own_timelines() {
+        let run = |duration| {
+            run_stream(StreamBedConfig {
+                fault_frequency: 1.0 / 64.0,
+                duration,
+                ..StreamBedConfig::default()
+            })
+        };
+        journaling().install();
+        run(SimDuration::from_millis(60));
+        let first = journal::with(|j| j.marks().len()).expect("installed above");
+        let second = run(SimDuration::from_millis(20));
+        let journal = Instruments::take().journal.expect("installed above");
+        let diverts: Vec<SimTime> = journal.marks()[first..]
+            .iter()
+            .filter(|m| m.kind == MarkKind::RxBackupDivert)
+            .map(|m| m.time)
+            .collect();
+        assert_eq!(diverts.len() as u64, second.backup_packets);
+        assert!(!diverts.is_empty());
+        let end = SimTime::ZERO + SimDuration::from_millis(20);
+        assert!(diverts.iter().all(|&t| t <= end), "{diverts:?}");
+    }
+
     #[test]
     fn back_to_back_runs_are_checked_on_separate_timelines() {
         use simcore::chaos::{invariant, InvariantChecker};
@@ -526,15 +560,19 @@ mod tests {
                 ..StreamBedConfig::default()
             })
         };
-        invariant::install(InvariantChecker::new(7));
+        Instruments {
+            checker: Some(InvariantChecker::new(7)),
+            ..Instruments::default()
+        }
+        .install();
         run(SimDuration::from_millis(20));
         run(SimDuration::from_millis(20));
         let clean = invariant::with(|c| c.checks() > 0 && c.violations().is_empty());
         assert_eq!(clean, Some(true), "each run starts its own timeline");
         // The bed's events did reach the checker: its clock stands at
         // the second run's last one, so an earlier time is out of order.
-        invariant::note_event_time(SimTime::from_nanos(1));
-        let mut checker = invariant::uninstall().expect("installed above");
+        invariant::with(|c| c.note_event_time(SimTime::from_nanos(1)));
+        let mut checker = Instruments::take().checker.expect("installed above");
         let found: Vec<_> = checker.finish().iter().map(|v| v.invariant).collect();
         assert_eq!(found, ["time-monotonicity"]);
     }

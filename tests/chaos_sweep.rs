@@ -28,9 +28,22 @@ use std::collections::HashMap;
 use npf::prelude::*;
 use npf::rdmasim::types::{SendOp, WcStatus};
 use npf::simcore::chaos::{invariant, ChaosProfile};
+use npf::simcore::instruments::Instruments;
+use npf::simcore::journal::JournalRecorder;
 use npf::simcore::shard::{self, Pool};
 use npf::testbed::eth::RxMode;
 use npf::workloads::memcached::MemcachedConfig;
+
+/// Installs a fresh checker for `chaos`, plus a fresh journal when
+/// `journal`, on a thread with nothing installed.
+fn instrument(chaos: ChaosConfig, journal: bool) {
+    let fresh = Instruments {
+        checker: Some(InvariantChecker::new(chaos.seed)),
+        journal: journal.then(JournalRecorder::new),
+        ..Instruments::default()
+    };
+    assert!(fresh.install().is_empty(), "stale instruments");
+}
 
 /// Base seed for the sweep, shiftable per CI matrix job.
 fn seed_base() -> u64 {
@@ -87,10 +100,7 @@ fn accumulate(totals: &mut HashMap<String, u64>, counters: &npf::simcore::stats:
 /// invariant. Returns injection totals for coverage accounting.
 fn run_ib(chaos: ChaosConfig) -> HashMap<String, u64> {
     let mut totals = HashMap::new();
-    assert!(
-        invariant::install(InvariantChecker::new(chaos.seed)).is_none(),
-        "stale checker"
-    );
+    instrument(chaos, false);
     // IB's rnr_retry = 7 means "retry forever"; model that here so the
     // sweep asserts liveness, not the transport's give-up threshold.
     let rc = npf::rdmasim::types::RcConfig {
@@ -158,7 +168,7 @@ fn run_ib(chaos: ChaosConfig) -> HashMap<String, u64> {
         assert_eq!(comp.status, WcStatus::Success);
     }
 
-    let mut checker = invariant::uninstall().expect("checker installed");
+    let mut checker = Instruments::take().checker.expect("checker installed");
     let end = checker.finish();
     assert!(
         end.is_empty(),
@@ -183,10 +193,7 @@ fn run_ib(chaos: ChaosConfig) -> HashMap<String, u64> {
 /// outstanding so `finish()` can certify resolution liveness.
 fn run_eth(chaos: ChaosConfig) -> HashMap<String, u64> {
     let mut totals = HashMap::new();
-    assert!(
-        invariant::install(InvariantChecker::new(chaos.seed)).is_none(),
-        "stale checker"
-    );
+    instrument(chaos, false);
     // NVMe swap: as in the IB sweep, resolution must beat the next
     // chaos eviction or no quiescent cut ever exists.
     let mut bed = ScenarioBuilder::ethernet()
@@ -237,7 +244,7 @@ fn run_eth(chaos: ChaosConfig) -> HashMap<String, u64> {
         bed.total_ops()
     );
 
-    let mut checker = invariant::uninstall().expect("checker installed");
+    let mut checker = Instruments::take().checker.expect("checker installed");
     let end = checker.finish();
     assert!(
         end.is_empty(),
@@ -346,10 +353,7 @@ fn eth_chaos_sweep_holds_invariants() {
 fn run_eth_arbiter(chaos: ChaosConfig) -> HashMap<String, u64> {
     use npf::prelude::{ArbiterPolicy, NpfConfig, ScenarioBuilder};
     let mut totals = HashMap::new();
-    assert!(
-        invariant::install(InvariantChecker::new(chaos.seed)).is_none(),
-        "stale checker"
-    );
+    instrument(chaos, false);
     let quota = 16u64;
     let mut bed = ScenarioBuilder::ethernet()
         .mode(RxMode::Backup)
@@ -408,7 +412,7 @@ fn run_eth_arbiter(chaos: ChaosConfig) -> HashMap<String, u64> {
         );
     }
 
-    let mut checker = invariant::uninstall().expect("checker installed");
+    let mut checker = Instruments::take().checker.expect("checker installed");
     let end = checker.finish();
     assert!(
         end.is_empty(),
@@ -445,18 +449,10 @@ fn arbitrated_multi_tenant_bed_survives_chaos() {
 #[test]
 fn chaos_faults_leave_complete_journal_chains() {
     use npf::prelude::{ArbiterPolicy, NpfConfig, ScenarioBuilder};
-    use npf::simcore::journal::{self, JournalRecorder};
     let base = seed_base();
     for s in 0..2u64 {
         let chaos = ChaosConfig::profile(ChaosProfile::All, base + 0x3000 + s);
-        assert!(
-            invariant::install(InvariantChecker::new(chaos.seed)).is_none(),
-            "stale checker"
-        );
-        assert!(
-            journal::install(JournalRecorder::new()).is_none(),
-            "stale journal"
-        );
+        instrument(chaos, true);
         let mut bed = ScenarioBuilder::ethernet()
             .mode(RxMode::Backup)
             .instances(4)
@@ -500,8 +496,9 @@ fn chaos_faults_leave_complete_journal_chains() {
             chaos.seed
         );
 
-        let j = journal::uninstall().expect("journal installed");
-        let mut checker = invariant::uninstall().expect("checker installed");
+        let installed = Instruments::take();
+        let j = installed.journal.expect("journal installed");
+        let mut checker = installed.checker.expect("checker installed");
         let end = checker.finish();
         assert!(
             end.is_empty(),
@@ -549,10 +546,7 @@ fn chaos_faults_leave_complete_journal_chains() {
 /// [`run_eth`]. Returns injection totals for coverage accounting.
 fn run_eth_softemu(chaos: ChaosConfig) -> HashMap<String, u64> {
     let mut totals = HashMap::new();
-    assert!(
-        invariant::install(InvariantChecker::new(chaos.seed)).is_none(),
-        "stale checker"
-    );
+    instrument(chaos, false);
     let mut bed = ScenarioBuilder::ethernet()
         .mode(RxMode::Backup)
         .instances(2)
@@ -615,7 +609,7 @@ fn run_eth_softemu(chaos: ChaosConfig) -> HashMap<String, u64> {
         chaos.seed
     );
 
-    let mut checker = invariant::uninstall().expect("checker installed");
+    let mut checker = Instruments::take().checker.expect("checker installed");
     let end = checker.finish();
     assert!(
         end.is_empty(),
@@ -697,18 +691,11 @@ fn softemu_backend_survives_chaos_matrix() {
 /// while chaos delays resolutions and storms evictions.
 #[test]
 fn softemu_bounce_chains_leave_complete_journals() {
-    use npf::simcore::journal::{self, JournalRecorder, Phase};
+    use npf::simcore::journal::Phase;
     let base = seed_base();
     for s in 0..2u64 {
         let chaos = ChaosConfig::profile(ChaosProfile::All, base + 0x5000 + s);
-        assert!(
-            invariant::install(InvariantChecker::new(chaos.seed)).is_none(),
-            "stale checker"
-        );
-        assert!(
-            journal::install(JournalRecorder::new()).is_none(),
-            "stale journal"
-        );
+        instrument(chaos, true);
         let mut bed = ScenarioBuilder::ethernet()
             .mode(RxMode::Backup)
             .instances(2)
@@ -746,8 +733,9 @@ fn softemu_bounce_chains_leave_complete_journals() {
             chaos.seed
         );
 
-        let j = journal::uninstall().expect("journal installed");
-        let mut checker = invariant::uninstall().expect("checker installed");
+        let installed = Instruments::take();
+        let j = installed.journal.expect("journal installed");
+        let mut checker = installed.checker.expect("checker installed");
         let end = checker.finish();
         assert!(
             end.is_empty(),
@@ -853,18 +841,11 @@ fn disabled_chaos_injects_nothing_and_stays_deterministic() {
 #[test]
 fn prefetched_faults_leave_complete_journal_chains() {
     use npf::prelude::NpfConfig;
-    use npf::simcore::journal::{self, JournalRecorder, Phase};
+    use npf::simcore::journal::Phase;
     let base = seed_base();
     for s in 0..2u64 {
         let chaos = ChaosConfig::profile(ChaosProfile::All, base + 0x6000 + s);
-        assert!(
-            invariant::install(InvariantChecker::new(chaos.seed)).is_none(),
-            "stale checker"
-        );
-        assert!(
-            journal::install(JournalRecorder::new()).is_none(),
-            "stale journal"
-        );
+        instrument(chaos, true);
         let mut bed = ScenarioBuilder::ethernet()
             .mode(RxMode::Backup)
             .instances(2)
@@ -930,8 +911,9 @@ fn prefetched_faults_leave_complete_journal_chains() {
             chaos.seed
         );
 
-        let j = journal::uninstall().expect("journal installed");
-        let mut checker = invariant::uninstall().expect("checker installed");
+        let installed = Instruments::take();
+        let j = installed.journal.expect("journal installed");
+        let mut checker = installed.checker.expect("checker installed");
         let end = checker.finish();
         assert!(
             end.is_empty(),

@@ -21,7 +21,8 @@ use proptest::prelude::*;
 use npf::netsim::profile::{FabricProfile, RdmaTransport, TransportConfig};
 use npf::prelude::*;
 use npf::rdmasim::types::{RcConfig, SendOp, WcStatus};
-use npf::simcore::chaos::{invariant, PauseChaos};
+use npf::simcore::chaos::PauseChaos;
+use npf::simcore::instruments::Instruments;
 
 /// Base seed, shiftable per CI matrix job like the chaos sweep's.
 fn seed_base() -> u64 {
@@ -86,7 +87,7 @@ proptest! {
 
 #[test]
 fn pause_storms_with_loss_keep_exactly_once_and_complete_journals() {
-    use npf::simcore::journal::{self, JournalRecorder};
+    use npf::simcore::journal::JournalRecorder;
     let base = seed_base();
     for s in 0..2u64 {
         let chaos =
@@ -94,14 +95,12 @@ fn pause_storms_with_loss_keep_exactly_once_and_complete_journals() {
                 storm: 0.05,
                 max_pause: SimDuration::from_micros(80),
             });
-        assert!(
-            invariant::install(InvariantChecker::new(chaos.seed)).is_none(),
-            "stale checker"
-        );
-        assert!(
-            journal::install(JournalRecorder::new()).is_none(),
-            "stale journal"
-        );
+        let fresh = Instruments {
+            checker: Some(InvariantChecker::new(chaos.seed)),
+            journal: Some(JournalRecorder::new()),
+            ..Instruments::default()
+        };
+        assert!(fresh.install().is_empty(), "stale instruments");
         // Retry forever, as the chaos sweep does: the cell asserts
         // liveness, not the transport's give-up threshold.
         let rc = RcConfig {
@@ -160,8 +159,9 @@ fn pause_storms_with_loss_keep_exactly_once_and_complete_journals() {
             .get("pause_storm");
         assert!(storms > 0, "storms must fire at chaos seed {}", chaos.seed);
 
-        let j = journal::uninstall().expect("journal installed");
-        let mut checker = invariant::uninstall().expect("checker installed");
+        let installed = Instruments::take();
+        let j = installed.journal.expect("journal installed");
+        let mut checker = installed.checker.expect("checker installed");
         let end = checker.finish();
         assert!(
             end.is_empty(),

@@ -100,9 +100,13 @@ impl Fabric {
 
     /// Arms PFC with the given `(xoff, xon)` byte thresholds: once a
     /// switch egress queue backs up past `xoff`, the switch pauses
-    /// every ingress until it drains below `xon`.
+    /// every ingress until it drains below `xon`. Arm it before the
+    /// first send: the switch watches its egress queues from then on.
     pub fn set_pfc(&mut self, xoff: u64, xon: u64) {
         self.pfc = Some((xoff, xon.min(xoff)));
+        for n in 0..self.nodes {
+            self.links[downlink(n)].watch_backlog();
+        }
     }
 
     /// PFC pause frames emitted by the switch so far.

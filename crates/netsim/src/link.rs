@@ -18,6 +18,11 @@ use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::units::Bandwidth;
 
+/// A queue capacity no run can fill: a link configured with it never
+/// tail-drops (InfiniBand's credit-based flow control), and keeps no
+/// record of its backlog unless a fabric reads it.
+pub const UNBOUNDED_QUEUE: u64 = u64::MAX / 4;
+
 /// Configuration of one link direction.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkConfig {
@@ -26,7 +31,8 @@ pub struct LinkConfig {
     /// Propagation delay.
     pub propagation: SimDuration,
     /// Output queue capacity in bytes; the queue is measured as the
-    /// backlog of bytes not yet serialized. Tail-drop beyond this.
+    /// backlog of bytes not yet serialized. Tail-drop beyond this;
+    /// [`UNBOUNDED_QUEUE`] never drops.
     pub queue_capacity: u64,
     /// When `Some(threshold)`, packets that would wait longer than
     /// `threshold` in the queue are ECN-marked instead of dropped (until
@@ -74,10 +80,17 @@ pub struct Link {
     /// Pause (802.3x) expiry; the transmitter is silent until then.
     paused_until: SimTime,
     /// Accepted packets not yet fully serialized:
-    /// `(serialization_done, bytes)` in departure order.
+    /// `(serialization_done, bytes)` in departure order. Kept only
+    /// where something reads it: a bounded queue's tail-drop, or a
+    /// fabric that watches the backlog for PFC.
     queue: VecDeque<(SimTime, u64)>,
     /// Bytes currently in `queue`.
     queued_bytes: u64,
+    /// Whether `queue` is kept.
+    keeps_queue: bool,
+    /// The last `(bytes, serialization time)` computed: a link carries
+    /// one or two packet sizes, so most sends skip the division.
+    last_transfer: (u64, SimDuration),
     rng: SimRng,
     sent_packets: u64,
     dropped_packets: u64,
@@ -95,6 +108,8 @@ impl Link {
             paused_until: SimTime::ZERO,
             queue: VecDeque::new(),
             queued_bytes: 0,
+            keeps_queue: config.queue_capacity < UNBOUNDED_QUEUE,
+            last_transfer: (0, config.bandwidth.transfer_time(0)),
             rng,
             sent_packets: 0,
             dropped_packets: 0,
@@ -128,9 +143,14 @@ impl Link {
 
     /// Current queue backlog in bytes at `now`: actual bytes of packets
     /// admitted but not yet fully serialized (pause time does not
-    /// fabricate backlog; real buffered frames do).
+    /// fabricate backlog; real buffered frames do). An unbounded link
+    /// keeps no backlog unless a fabric watches it (PFC).
     #[must_use]
     pub fn backlog_bytes(&self, now: SimTime) -> u64 {
+        debug_assert!(
+            self.keeps_queue,
+            "an unwatched unbounded link keeps no backlog"
+        );
         self.queue
             .iter()
             .filter(|&&(done, _)| done > now)
@@ -145,6 +165,10 @@ impl Link {
     /// crosses back below XON.
     #[must_use]
     pub fn drains_below(&self, target: u64) -> SimTime {
+        debug_assert!(
+            self.keeps_queue,
+            "an unwatched unbounded link keeps no backlog"
+        );
         let mut remaining = self.queued_bytes;
         if remaining <= target {
             return SimTime::ZERO;
@@ -156,6 +180,13 @@ impl Link {
             }
         }
         SimTime::ZERO
+    }
+
+    /// Keeps the backlog of an unbounded link too, for a fabric that
+    /// reads it. Packets sent before the call are not in it.
+    pub(crate) fn watch_backlog(&mut self) {
+        debug_assert_eq!(self.sent_packets, 0, "watch a link before it sends");
+        self.keeps_queue = true;
     }
 
     fn drain_queue(&mut self, now: SimTime) {
@@ -190,10 +221,12 @@ impl Link {
             self.dropped_packets += 1;
             return SendOutcome::Dropped;
         }
-        self.drain_queue(now);
-        if self.queued_bytes + size_bytes > self.config.queue_capacity {
-            self.dropped_packets += 1;
-            return SendOutcome::Dropped;
+        if self.keeps_queue {
+            self.drain_queue(now);
+            if self.queued_bytes + size_bytes > self.config.queue_capacity {
+                self.dropped_packets += 1;
+                return SendOutcome::Dropped;
+            }
         }
         let natural_start = self.horizon.max(now);
         let start = self.effective_horizon().max(now);
@@ -211,11 +244,15 @@ impl Link {
                 self.marked_packets += 1;
             }
         }
-        let tx = self.config.bandwidth.transfer_time(size_bytes);
-        let departure = start + tx;
+        if size_bytes != self.last_transfer.0 {
+            self.last_transfer = (size_bytes, self.config.bandwidth.transfer_time(size_bytes));
+        }
+        let departure = start + self.last_transfer.1;
         self.horizon = departure;
-        self.queue.push_back((departure, size_bytes));
-        self.queued_bytes += size_bytes;
+        if self.keeps_queue {
+            self.queue.push_back((departure, size_bytes));
+            self.queued_bytes += size_bytes;
+        }
         self.sent_packets += 1;
         let arrives_at = departure + self.config.propagation;
         // Causal journal: the packet's arrival instant is where every
@@ -267,6 +304,20 @@ mod tests {
             }
         );
         assert_eq!(l.sent_packets(), 2);
+        // Sizes alternating on one link: each packet serializes in its
+        // own size's time, whichever size went before it.
+        let mut horizon = SimTime::from_micros(2);
+        for size in [64, 4096, 64, 64, 4096, 4096, 1250, 64] {
+            horizon += Bandwidth::gbps(10).transfer_time(size);
+            assert_eq!(
+                l.send(SimTime::ZERO, size),
+                SendOutcome::Delivered {
+                    arrives_at: horizon + SimDuration::from_micros(1),
+                    ecn_marked: false
+                },
+                "{size} bytes"
+            );
+        }
     }
 
     #[test]
@@ -287,6 +338,25 @@ mod tests {
         let out = l.send(SimTime::ZERO, 1500);
         assert_eq!(out, SendOutcome::Dropped);
         assert_eq!(l.dropped_packets(), 1);
+    }
+
+    #[test]
+    fn unbounded_queue_never_drops() {
+        let mut cfg = LinkConfig::datacenter(Bandwidth::gbps(10));
+        cfg.queue_capacity = UNBOUNDED_QUEUE;
+        let mut l = Link::new(cfg, SimRng::new(1));
+        // 100 MB offered at once: each packet still waits for the ones
+        // before it, none is dropped.
+        for k in 1..=80_000 {
+            assert_eq!(
+                l.send(SimTime::ZERO, 1250),
+                SendOutcome::Delivered {
+                    arrives_at: SimTime::from_micros(k + 1),
+                    ecn_marked: false
+                }
+            );
+        }
+        assert_eq!(l.dropped_packets(), 0);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! is proportional to that span, not to the number of live entries.
 //! Callers keep the span bounded (`window_packets`, `bdp_packets`,
 //! `SACK_WINDOW` in [`crate::rc`]); holes inside it — PSNs reserved for
-//! RDMA read responses, entries removed by a rewind — cost one empty
-//! slot each.
+//! RDMA read responses, packets not yet parked — cost one empty slot
+//! each.
 
 use std::collections::VecDeque;
 use std::ops::{Bound, RangeBounds};
@@ -72,11 +72,17 @@ impl<T> PsnWindow<T> {
 
     /// Stores `value` at `psn`, returning the entry it replaced. A PSN
     /// outside the current span grows the window toward it — upward
-    /// for new packets, downward when a rewound PSN is sent again after
-    /// the window moved past it.
+    /// for new packets, downward when a retransmit queued before its
+    /// packet was acked is sent after the window moved past it.
     pub fn insert(&mut self, psn: u64, value: T) -> Option<T> {
         if self.slots.is_empty() {
             self.base = psn;
+        }
+        // Every new packet lands one past the span: append it.
+        if psn.wrapping_sub(self.base) == self.slots.len() as u64 {
+            self.slots.push_back(Some(value));
+            self.live += 1;
+            return None;
         }
         if psn < self.base {
             for _ in 0..self.base - psn {
@@ -130,13 +136,6 @@ impl<T> PsnWindow<T> {
     #[must_use]
     pub fn first_key(&self) -> Option<u64> {
         (!self.slots.is_empty()).then_some(self.base)
-    }
-
-    /// The highest live PSN.
-    #[must_use]
-    pub fn last_key(&self) -> Option<u64> {
-        let span = self.slots.len() as u64;
-        span.checked_sub(1).map(|last| self.base + last)
     }
 
     /// Removes and returns the entry with the lowest PSN.
@@ -195,11 +194,6 @@ impl<T> PsnWindow<T> {
             .range_mut(lo..hi)
             .enumerate()
             .filter_map(move |(i, slot)| slot.as_mut().map(|v| (first + i as u64, v)))
-    }
-
-    /// All live entries, mutably, ascending by PSN.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> + '_ {
-        self.range_mut(..)
     }
 
     /// Drops every entry.

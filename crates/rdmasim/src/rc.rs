@@ -71,11 +71,11 @@ struct TxDesc {
 
 /// Requester state of one unacknowledged PSN: the packet, plus the
 /// selective-repeat recovery marks that live and die with it. Marks
-/// are only set on in-flight PSNs, and a marked packet leaves the
-/// window only through a cumulative ACK (which retires the marks below
-/// it) or an RNR rewind (which clears every mark first), so the marks
-/// need no lifetime of their own. This relies on both ends of a
-/// connection running one transport: go-back-N never sets a mark.
+/// are only set on live PSNs, and a marked packet stops being live only
+/// through a cumulative ACK (which retires the marks below it) or an
+/// RNR rewind (which clears every mark first), so the marks need no
+/// lifetime of their own. This relies on both ends of a connection
+/// running one transport: go-back-N never sets a mark.
 #[derive(Debug, Clone, Copy)]
 struct TxSlot {
     desc: TxDesc,
@@ -85,6 +85,19 @@ struct TxSlot {
     /// Already queued or sent as a SACK-driven retransmit since the
     /// last cumulative-ACK advance (suppresses duplicate recovery).
     retx_queued: bool,
+    /// Rewound slots only: an RNR NACK (rather than loss) rewound it.
+    rnr: bool,
+}
+
+impl TxSlot {
+    fn new(desc: TxDesc) -> Self {
+        TxSlot {
+            desc,
+            sacked: false,
+            retx_queued: false,
+            rnr: false,
+        }
+    }
 }
 
 /// Why a packet is being (re)transmitted, for split accounting: RNR
@@ -100,12 +113,11 @@ enum Retx {
     Rnr,
 }
 
-/// An item waiting to be put on the wire.
+/// An item waiting to be put on the wire, behind the rewound run.
 #[derive(Debug, Clone, Copy)]
 enum TxItem {
-    /// A retransmission (PSN already assigned). `rnr` records whether an
-    /// RNR NACK (rather than loss) caused it.
-    Retransmit { psn: u64, desc: TxDesc, rnr: bool },
+    /// A selective loss retransmission (PSN already assigned).
+    Retransmit { psn: u64, desc: TxDesc },
     /// A read-response slice (responder side; PSN pre-assigned from the
     /// request's reserved range).
     ReadResponse {
@@ -202,9 +214,18 @@ pub struct RcQp {
     // Requester.
     sq: VecDeque<SqWr>,
     tx: VecDeque<TxItem>,
-    /// Unacked packets by PSN. The span is bounded by the transmit
-    /// window plus the PSN ranges reserved for outstanding reads.
+    /// Unacked packets by PSN, each kept in place until a cumulative
+    /// ACK retires it or an error flushes it. The entries at or above
+    /// `resend_from` are the *rewound run*: packets a rewind queued for
+    /// resending, which go out in PSN order ahead of everything in `tx`.
+    /// The others are live. The span is bounded by the transmit window
+    /// plus the PSN ranges reserved for outstanding reads.
     inflight: PsnWindow<TxSlot>,
+    /// Lowest PSN of the rewound run; `u64::MAX` while nothing is
+    /// rewound.
+    resend_from: u64,
+    /// Entries in the rewound run.
+    rewound: usize,
     next_psn: u64,
     pause: Pause,
     retry: u32,
@@ -222,6 +243,11 @@ pub struct RcQp {
     /// repeat only). Keyed by PSN; bounded to [`SACK_WINDOW`] beyond
     /// the expected PSN.
     ooo: PsnWindow<RcPacket>,
+    /// Which of the [`SACK_WINDOW`] PSNs after `epsn` sit in `ooo`: bit
+    /// `i` is `epsn + 1 + i`, the selective ACK's own layout. Kept in
+    /// step with `ooo` and `epsn`, so a SACK reads it instead of
+    /// scanning the park.
+    ooo_bits: u64,
     rq: VecDeque<RecvWqe>,
     cur_recv: Option<RecvProgress>,
     nak_outstanding: bool,
@@ -250,6 +276,8 @@ impl RcQp {
             sq: VecDeque::new(),
             tx: VecDeque::new(),
             inflight: PsnWindow::new(),
+            resend_from: u64::MAX,
+            rewound: 0,
             next_psn: 0,
             pause: Pause::None,
             retry: 0,
@@ -260,6 +288,7 @@ impl RcQp {
             read_fault: None,
             epsn: 0,
             ooo: PsnWindow::new(),
+            ooo_bits: 0,
             rq: VecDeque::new(),
             cur_recv: None,
             nak_outstanding: false,
@@ -371,7 +400,7 @@ impl RcQp {
                 // An RNR means the receiver discarded data (it also
                 // flushes its out-of-order park under selective repeat),
                 // so any SACK state is stale.
-                for (_, slot) in self.inflight.iter_mut() {
+                for (_, slot) in self.inflight.range_mut(..self.resend_from) {
                     slot.sacked = false;
                     slot.retx_queued = false;
                 }
@@ -483,7 +512,7 @@ impl RcQp {
             }
             QpTimer::Retransmit => {
                 self.timer_armed = false;
-                if self.inflight.is_empty() && self.reads.is_empty() {
+                if self.live_len() == 0 && self.reads.is_empty() {
                     return;
                 }
                 self.stats.timeouts += 1;
@@ -494,7 +523,7 @@ impl RcQp {
                         "retransmit_timeout",
                         vec![
                             ("qpn", ArgValue::U64(u64::from(self.qpn.0))),
-                            ("inflight", ArgValue::U64(self.inflight.len() as u64)),
+                            ("inflight", ArgValue::U64(self.live_len() as u64)),
                         ],
                     );
                     t.metrics_mut().counter_add("rdmasim.timeouts", 1);
@@ -518,27 +547,28 @@ impl RcQp {
                     RdmaTransport::GoBackN => {
                         // Go-back-N: everything unacked is resent in
                         // order.
-                        if let Some(oldest) = self.inflight.first_key() {
+                        if let Some(oldest) = self.first_live() {
                             self.rewind_to(oldest, Retx::Loss);
                         }
                     }
                     RdmaTransport::SelectiveRepeat => {
                         // Selective repeat: only the holes are resent;
                         // SACKed packets sit at the receiver already.
-                        if self.inflight.range(..).all(|(_, slot)| slot.sacked) {
+                        let live = ..self.resend_from;
+                        if self.inflight.range(live).all(|(_, slot)| slot.sacked) {
                             // Every in-flight packet is SACKed: the
                             // receiver has them all and the ACK that
                             // would retire them was itself lost. Probe
                             // with the oldest unacked packet — the
                             // receiver re-acks duplicates — so the
                             // window drains instead of waiting forever.
-                            if let Some((_, oldest)) = self.inflight.iter_mut().next() {
+                            if let Some((_, oldest)) = self.inflight.range_mut(live).next() {
                                 oldest.sacked = false;
                             }
                         }
                         // A timeout starts a new recovery round, so
                         // holes queued in the last one are queued again.
-                        for (psn, slot) in self.inflight.iter_mut() {
+                        for (psn, slot) in self.inflight.range_mut(live) {
                             if !slot.sacked {
                                 slot.retx_queued = false;
                                 Self::queue_selective_retransmit(&mut self.tx, psn, slot);
@@ -601,6 +631,9 @@ impl RcQp {
         self.errored = true;
         out.push(QpOutput::CancelTimer(QpTimer::Retransmit));
         // Flush completions for everything outstanding, oldest first.
+        // Every unacked packet, live or rewound, is one window entry, so
+        // each completes once: a retransmit still waiting in `tx` copies
+        // one of them, or a packet already acked.
         let mut flushed: Vec<Completion> = Vec::new();
         for (_psn, slot) in self.inflight.drain() {
             if let Some((wr_id, opcode, len)) = slot.desc.complete {
@@ -612,18 +645,9 @@ impl RcQp {
                 });
             }
         }
-        for item in std::mem::take(&mut self.tx) {
-            if let TxItem::Retransmit { desc, .. } = item {
-                if let Some((wr_id, opcode, len)) = desc.complete {
-                    flushed.push(Completion {
-                        wr_id,
-                        opcode,
-                        status,
-                        len,
-                    });
-                }
-            }
-        }
+        self.resend_from = u64::MAX;
+        self.rewound = 0;
+        self.tx.clear();
         for wr in std::mem::take(&mut self.sq) {
             flushed.push(Completion {
                 wr_id: wr.wr_id,
@@ -646,7 +670,7 @@ impl RcQp {
     fn on_ack(&mut self, now: SimTime, psn: u64, out: &mut Vec<QpOutput>) {
         // Cumulative progress retires the entries' SACK marks with them.
         let mut progressed = false;
-        while self.inflight.first_key().is_some_and(|first| first <= psn) {
+        while self.first_live().is_some_and(|first| first <= psn) {
             let (_, slot) = self.inflight.pop_first().expect("first key exists");
             progressed = true;
             if let Some((wr_id, opcode, len)) = slot.desc.complete {
@@ -691,18 +715,26 @@ impl RcQp {
         if expected > 0 {
             self.on_ack(now, expected - 1, out);
         }
-        let mut highest = None;
-        for i in 0..SACK_WINDOW {
-            if bitmap & (1 << i) != 0 {
-                let p = expected + 1 + i;
-                if let Some(slot) = self.inflight.get_mut(p) {
-                    slot.sacked = true;
-                }
-                highest = Some(p);
+        // Visit the set bits of live PSNs only, lowest first: bit `i`
+        // names a rewound packet once `expected + 1 + i` reaches the run.
+        let mut bits = match self.resend_from.saturating_sub(expected + 1) {
+            live if live < SACK_WINDOW => bitmap & ((1 << live) - 1),
+            _ => bitmap,
+        };
+        while bits != 0 {
+            let p = expected + 1 + u64::from(bits.trailing_zeros());
+            bits &= bits - 1;
+            if let Some(slot) = self.inflight.get_mut(p) {
+                slot.sacked = true;
             }
         }
-        let upper = highest.unwrap_or(expected + 1);
-        for (psn, slot) in self.inflight.range_mut(expected..upper) {
+        // Holes lie below the highest SACKed PSN.
+        let upper = match bitmap {
+            0 => expected + 1,
+            _ => expected + 1 + u64::from(63 - bitmap.leading_zeros()),
+        };
+        let holes = expected..upper.min(self.resend_from);
+        for (psn, slot) in self.inflight.range_mut(holes) {
             if !slot.sacked {
                 Self::queue_selective_retransmit(&mut self.tx, psn, slot);
             }
@@ -722,30 +754,43 @@ impl RcQp {
             tx.push_back(TxItem::Retransmit {
                 psn,
                 desc: slot.desc,
-                rnr: false,
             });
         }
     }
 
-    /// Moves every unacked packet with `psn >= from` back onto the front
-    /// of the tx queue, in PSN order. Under selective repeat, packets
-    /// the receiver already SACKed are left in place.
+    /// Rewinds every live packet with `psn >= from`: it joins the
+    /// rewound run and is resent, in PSN order, before anything queued
+    /// in `tx`. The descriptors stay in the window. Live packets all
+    /// lie below the run, so the run stays one suffix of the window.
+    /// Under selective repeat only an RNR NACK rewinds, and it clears
+    /// every SACK mark first: no packet the receiver holds is resent.
     fn rewind_to(&mut self, from: u64, cause: Retx) {
-        let rnr = cause == Retx::Rnr;
-        let go_back_n = self.cfg.transport == RdmaTransport::GoBackN;
-        let (Some(first), Some(last)) = (self.inflight.first_key(), self.inflight.last_key())
-        else {
-            return;
-        };
-        // Newest first, each onto the front: the queue ends up ascending.
-        let resend = |slot: &TxSlot| go_back_n || !slot.sacked;
-        for psn in (from.max(first)..=last).rev() {
-            if self.inflight.get(psn).is_some_and(resend) {
-                let slot = self.inflight.remove(psn).expect("checked live");
-                let desc = slot.desc;
-                self.tx.push_front(TxItem::Retransmit { psn, desc, rnr });
-            }
+        let mut lowest = None;
+        for (psn, slot) in self.inflight.range_mut(from..self.resend_from) {
+            debug_assert!(
+                !slot.sacked && !slot.retx_queued,
+                "PSN {psn} is rewound with its recovery marks set"
+            );
+            slot.rnr = cause == Retx::Rnr;
+            lowest.get_or_insert(psn);
+            self.rewound += 1;
         }
+        if let Some(lowest) = lowest {
+            self.resend_from = lowest;
+        }
+    }
+
+    /// Unacked packets on the wire as far as the QP knows: the window
+    /// less the rewound run.
+    fn live_len(&self) -> usize {
+        self.inflight.len() - self.rewound
+    }
+
+    /// The oldest live packet's PSN.
+    fn first_live(&self) -> Option<u64> {
+        self.inflight
+            .first_key()
+            .filter(|&first| first < self.resend_from)
     }
 
     fn reissue_read_continuations(&mut self, out: &mut Vec<QpOutput>) {
@@ -777,7 +822,7 @@ impl RcQp {
     }
 
     fn rearm_timer(&mut self, now: SimTime, out: &mut Vec<QpOutput>) {
-        let need = !self.inflight.is_empty() || !self.reads.is_empty();
+        let need = self.live_len() > 0 || !self.reads.is_empty();
         if need {
             self.timer_armed = true;
             self.timer_armed_at = now;
@@ -808,10 +853,49 @@ impl RcQp {
                 Pause::Rnr(until) if until <= now => self.pause = Pause::None,
                 _ => break,
             }
-            // Priority 1: queued retransmissions and read responses.
+            // Priority 1: the rewound run, oldest first.
+            if self.rewound > 0 {
+                let psn = self.resend_from;
+                let TxSlot {
+                    desc:
+                        TxDesc {
+                            kind,
+                            gather,
+                            message,
+                            ..
+                        },
+                    rnr,
+                    ..
+                } = *self.inflight.get(psn).expect("the run starts at an entry");
+                if let Some((addr, len)) = gather {
+                    if let GateDecision::Fault { fault_id } =
+                        gate.gather(self.qpn, addr, len, message)
+                    {
+                        self.pause = Pause::LocalFault(fault_id);
+                        break;
+                    }
+                }
+                // The packet is live again, its recovery marks clear.
+                self.rewound -= 1;
+                self.resend_from = match self.rewound {
+                    0 => u64::MAX,
+                    // Only PSNs an RDMA read reserved leave holes.
+                    _ if self.inflight.get(psn + 1).is_some() => psn + 1,
+                    _ => {
+                        self.inflight
+                            .range(psn + 1..)
+                            .next()
+                            .expect("the run goes on")
+                            .0
+                    }
+                };
+                self.transmit(psn, kind, if rnr { Retx::Rnr } else { Retx::Loss }, out);
+                continue;
+            }
+            // Priority 2: queued retransmissions and read responses.
             if let Some(item) = self.tx.front().copied() {
                 match item {
-                    TxItem::Retransmit { psn, desc, rnr } => {
+                    TxItem::Retransmit { psn, desc } => {
                         if let Some((addr, len)) = desc.gather {
                             if let GateDecision::Fault { fault_id } =
                                 gate.gather(self.qpn, addr, len, desc.message)
@@ -821,7 +905,13 @@ impl RcQp {
                             }
                         }
                         self.tx.pop_front();
-                        self.emit(psn, desc, if rnr { Retx::Rnr } else { Retx::Loss }, out);
+                        // A packet acked since its retransmit was queued
+                        // is unacked again; one still live keeps its
+                        // recovery marks.
+                        if self.inflight.get(psn).is_none() {
+                            self.inflight.insert(psn, TxSlot::new(desc));
+                        }
+                        self.transmit(psn, desc.kind, Retx::Loss, out);
                     }
                     TxItem::ReadResponse {
                         psn,
@@ -853,14 +943,14 @@ impl RcQp {
                 }
                 continue;
             }
-            // Priority 2: new packets from the send queue, window
+            // Priority 3: new packets from the send queue, window
             // permitting. Selective repeat additionally caps in-flight
             // data at one BDP (IRN's replacement for PFC back-pressure).
             let window = match self.cfg.transport {
                 RdmaTransport::GoBackN => self.cfg.window_packets,
                 RdmaTransport::SelectiveRepeat => self.cfg.window_packets.min(self.cfg.bdp_packets),
             };
-            if self.inflight.len() as u64 >= window {
+            if self.live_len() as u64 >= window {
                 break;
             }
             let Some(wr) = self.sq.front().copied() else {
@@ -891,9 +981,7 @@ impl RcQp {
                         complete: last.then_some((wr.wr_id, WcOpcode::Send, len)),
                     };
                     self.advance_sq(last, chunk);
-                    let psn = self.next_psn;
-                    self.next_psn += 1;
-                    self.emit(psn, desc, Retx::No, out);
+                    self.emit_new(desc, out);
                 }
                 SendOp::Write { local, remote, len } => {
                     let offset = wr.cursor;
@@ -918,9 +1006,7 @@ impl RcQp {
                         complete: last.then_some((wr.wr_id, WcOpcode::Write, len)),
                     };
                     self.advance_sq(last, chunk);
-                    let psn = self.next_psn;
-                    self.next_psn += 1;
-                    self.emit(psn, desc, Retx::No, out);
+                    self.emit_new(desc, out);
                 }
                 SendOp::Read { local, remote, len } => {
                     let packets = len.div_ceil(self.cfg.mtu).max(1);
@@ -966,7 +1052,16 @@ impl RcQp {
         }
     }
 
-    fn emit(&mut self, psn: u64, desc: TxDesc, retx: Retx, out: &mut Vec<QpOutput>) {
+    /// Sends the send queue's next packet and keeps it in the window.
+    fn emit_new(&mut self, desc: TxDesc, out: &mut Vec<QpOutput>) {
+        let psn = self.next_psn;
+        self.next_psn += 1;
+        self.inflight.insert(psn, TxSlot::new(desc));
+        self.transmit(psn, desc.kind, Retx::No, out);
+    }
+
+    /// Puts data packet `psn` on the wire, with its accounting.
+    fn transmit(&mut self, psn: u64, kind: RcPacketKind, retx: Retx, out: &mut Vec<QpOutput>) {
         if retx != Retx::No {
             match retx {
                 Retx::Loss => self.stats.retransmits += 1,
@@ -986,32 +1081,19 @@ impl RcQp {
                 t.metrics_mut().counter_add("rdmasim.retransmits", 1);
             });
         }
-        let len = match desc.kind {
+        let len = match kind {
             RcPacketKind::SendData { len, .. } | RcPacketKind::WriteData { len, .. } => len,
             _ => 0,
         };
         self.stats.data_packets_sent += 1;
         self.stats.bytes_sent += len;
-        match self.inflight.get_mut(psn) {
-            // A selective retransmit of a packet that never left the
-            // window: its recovery marks stand.
-            Some(slot) => slot.desc = desc,
-            None => {
-                let slot = TxSlot {
-                    desc,
-                    sacked: false,
-                    retx_queued: false,
-                };
-                self.inflight.insert(psn, slot);
-            }
-        }
         out.push(QpOutput::Send {
             to: self.peer_node,
             packet: RcPacket {
                 dst_qp: self.peer_qp,
                 src_qp: self.qpn,
                 psn,
-                kind: desc.kind,
+                kind,
             },
         });
     }
@@ -1144,7 +1226,7 @@ impl RcQp {
                 len,
                 packets,
             } => {
-                self.epsn += packets + 1;
+                self.advance_epsn(packets + 1);
                 self.nak_outstanding = false;
                 self.queue_read_responses(pkt.psn, remote, len, packets);
             }
@@ -1164,6 +1246,7 @@ impl RcQp {
         }
         if self.ooo.insert(pkt.psn, pkt).is_none() {
             self.stats.ooo_parked += 1;
+            self.ooo_bits |= 1 << (pkt.psn - self.epsn - 1);
         } else {
             // Duplicate of an already-parked packet.
             self.stats.rx_dropped += 1;
@@ -1175,6 +1258,9 @@ impl RcQp {
     /// as the expected PSN is missing or a packet fails to make progress
     /// (e.g. its scatter DMA faulted and an RNR flushed the park).
     fn drain_parked(&mut self, now: SimTime, gate: &mut dyn DmaGate, out: &mut Vec<QpOutput>) {
+        if self.ooo.is_empty() {
+            return;
+        }
         while let Some(pkt) = self.ooo.remove(self.epsn) {
             let before = self.epsn;
             self.responder_path(now, pkt, gate, out);
@@ -1189,10 +1275,14 @@ impl RcQp {
     fn send_sack(&mut self, out: &mut Vec<QpOutput>) {
         self.stats.sacks_sent += 1;
         self.since_ack = 0;
-        let mut bitmap = 0u64;
-        for (p, _) in self.ooo.range(self.epsn + 1..=self.epsn + SACK_WINDOW) {
-            bitmap |= 1 << (p - self.epsn - 1);
-        }
+        let bitmap = self.ooo_bits;
+        debug_assert_eq!(
+            bitmap,
+            self.ooo
+                .range(self.epsn + 1..=self.epsn + SACK_WINDOW)
+                .fold(0, |bits, (p, _)| bits | 1 << (p - self.epsn - 1)),
+            "the kept SACK bitmap disagrees with the park"
+        );
         out.push(QpOutput::Send {
             to: self.peer_node,
             packet: RcPacket {
@@ -1204,8 +1294,17 @@ impl RcQp {
         });
     }
 
+    /// Moves the expected PSN `by` ahead, and the SACK bitmap with it.
+    fn advance_epsn(&mut self, by: u64) {
+        self.epsn += by;
+        self.ooo_bits = u32::try_from(by)
+            .ok()
+            .and_then(|by| self.ooo_bits.checked_shr(by))
+            .unwrap_or(0);
+    }
+
     fn accept_packet(&mut self, last: bool, out: &mut Vec<QpOutput>) {
-        self.epsn += 1;
+        self.advance_epsn(1);
         self.nak_outstanding = false;
         self.since_ack += 1;
         if last || self.since_ack >= self.cfg.ack_every {
@@ -1233,6 +1332,7 @@ impl RcQp {
         if !self.ooo.is_empty() {
             self.stats.rx_dropped += self.ooo.len() as u64;
             self.ooo.clear();
+            self.ooo_bits = 0;
         }
         self.stats.rnr_nacks_sent += 1;
         trace::with(|t| {
@@ -2562,5 +2662,136 @@ mod selective_repeat_tests {
             "sacked PSN 2 is never resent: {retx2:?}"
         );
         assert!(retx2.iter().any(|p| p.psn == 1), "hole PSN 1 is resent");
+    }
+
+    /// A gate whose first gather succeeds and every later one faults,
+    /// on a fault that never resolves.
+    struct GatherOnce {
+        gathered: bool,
+    }
+
+    impl DmaGate for GatherOnce {
+        fn gather(&mut self, _: QpId, _: VirtAddr, _: u64, _: MessageRange) -> GateDecision {
+            if std::mem::replace(&mut self.gathered, true) {
+                GateDecision::Fault { fault_id: 7 }
+            } else {
+                GateDecision::Ok
+            }
+        }
+        fn scatter(&mut self, _: QpId, _: VirtAddr, _: u64, _: MessageRange) -> GateDecision {
+            GateDecision::Ok
+        }
+    }
+
+    /// A gate whose every scatter faults.
+    struct ScatterFault;
+
+    impl DmaGate for ScatterFault {
+        fn gather(&mut self, _: QpId, _: VirtAddr, _: u64, _: MessageRange) -> GateDecision {
+            GateDecision::Ok
+        }
+        fn scatter(&mut self, _: QpId, _: VirtAddr, _: u64, _: MessageRange) -> GateDecision {
+            GateDecision::Fault { fault_id: 9 }
+        }
+    }
+
+    /// Regression: a QP that errors while paused on a gather fault, with
+    /// a hole's retransmit queued, used to flush that packet's work
+    /// request twice — once from the window, once from the tx queue.
+    #[test]
+    fn error_flushes_a_queued_retransmit_once() {
+        let mut a = RcQp::new(sr_cfg(), QpId(1), QpId(2), NodeId(1));
+        let mut gate = GatherOnce { gathered: false };
+        let op = SendOp::Send {
+            local: VirtAddr(0),
+            len: 100,
+        };
+        let mut outs = a.post_send(SimTime::ZERO, 42, op, &mut gate);
+        assert_eq!(sends(&outs).len(), 1);
+        // The packet is lost; every timeout queues its retransmit, whose
+        // gather faults.
+        let mut now = SimTime::ZERO;
+        for _ in 0..20 {
+            now += simcore::time::SimDuration::from_millis(20);
+            outs.extend(a.on_timer(now, QpTimer::Retransmit, &mut gate));
+        }
+        assert!(a.errored, "the retries ran out");
+        let flushed: Vec<Completion> = outs
+            .iter()
+            .filter_map(|o| match o {
+                QpOutput::Complete(c) => Some(*c),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            flushed.len(),
+            1,
+            "one completion per work request: {flushed:?}"
+        );
+        assert_eq!(flushed[0].wr_id, 42);
+        assert_eq!(flushed[0].status, WcStatus::RetryExceeded);
+    }
+
+    /// SACKs and ACKs that reach the sender while an RNR rewind waits out
+    /// its pause neither mark nor retire the rewound packets: the resend
+    /// after the pause carries the whole rewound run, in PSN order.
+    #[test]
+    fn rewound_packets_ignore_acks_until_resent() {
+        let (mut a, mut b) = sr_pair(sr_cfg());
+        b.post_recv(RecvWqe {
+            wr_id: 1,
+            addr: VirtAddr(0x10000),
+            capacity: 1 << 20,
+        });
+        let op = SendOp::Send {
+            local: VirtAddr(0),
+            len: 6 * 4096,
+        };
+        let pkts = sends(&a.post_send(SimTime::ZERO, 1, op, &mut PinnedGate));
+        assert_eq!(pkts.len(), 6);
+        // PSN 0 lands; PSN 1's scatter faults, so the responder NACKs it
+        // and PSNs 2..6 park behind it, each SACKed.
+        let mut to_a = sends(&b.on_packet(SimTime::ZERO, pkts[0], &mut PinnedGate));
+        to_a.extend(sends(&b.on_packet(
+            SimTime::ZERO,
+            pkts[1],
+            &mut ScatterFault,
+        )));
+        for p in &pkts[2..] {
+            to_a.extend(sends(&b.on_packet(SimTime::ZERO, *p, &mut PinnedGate)));
+        }
+        let rnr = to_a
+            .iter()
+            .position(|p| matches!(p.kind, RcPacketKind::NakReceiverNotReady { .. }))
+            .expect("the fault is NACKed");
+        // The NACK rewinds PSNs 1..6; the SACKs behind it change nothing.
+        let mut outs = Vec::new();
+        for p in &to_a[rnr..] {
+            outs.extend(a.on_packet(SimTime::ZERO, *p, &mut PinnedGate));
+        }
+        assert!(sends(&outs).is_empty(), "paused: nothing is resent yet");
+        assert_eq!(a.inflight.len(), 5, "the rewound run stays in the window");
+        assert_eq!((a.live_len(), a.resend_from), (0, 1));
+        let resume = SimTime::ZERO + sr_cfg().rnr_wait;
+        let resent = sends(&a.on_timer(resume, QpTimer::RnrResume, &mut PinnedGate));
+        let psns: Vec<u64> = resent.iter().map(|p| p.psn).collect();
+        assert_eq!(psns, [1, 2, 3, 4, 5]);
+        assert_eq!(a.stats().rnr_retransmits, 5);
+        assert_eq!((a.live_len(), a.resend_from), (5, u64::MAX));
+        assert!(
+            a.inflight
+                .range(..)
+                .all(|(_, slot)| !slot.sacked && !slot.retx_queued),
+            "the resent run starts with clear recovery marks"
+        );
+        let mut comps_b = Vec::new();
+        for p in resent {
+            for o in b.on_packet(resume, p, &mut PinnedGate) {
+                if let QpOutput::Complete(c) = o {
+                    comps_b.push(c);
+                }
+            }
+        }
+        assert_eq!(comps_b.len(), 1, "the message completes once");
     }
 }

@@ -23,7 +23,6 @@ fn assert_same_state(
     prop_assert_eq!(w.len(), m.len());
     prop_assert_eq!(w.is_empty(), m.is_empty());
     prop_assert_eq!(w.first_key(), m.keys().next().copied());
-    prop_assert_eq!(w.last_key(), m.keys().next_back().copied());
     prop_assert_eq!(w.get(probe), m.get(&probe));
     let all: Vec<(u64, u64)> = w.range(..).map(|(p, &v)| (p, v)).collect();
     let expected: Vec<(u64, u64)> = m.iter().map(|(&p, &v)| (p, v)).collect();
@@ -98,7 +97,7 @@ proptest! {
                 // A go-back-N rewind: everything from `near` up leaves,
                 // newest first, and the cursor does not move back.
                 18 => {
-                    if let Some(last) = w.last_key() {
+                    if let Some(&last) = m.keys().next_back() {
                         for psn in (near..=last).rev() {
                             prop_assert_eq!(w.remove(psn), m.remove(&psn));
                         }
@@ -131,7 +130,6 @@ fn bounds_at_the_edges_of_the_psn_space() {
     let mut w: PsnWindow<u8> = PsnWindow::new();
     assert_eq!(w.range(..).count(), 0);
     assert_eq!(w.first_key(), None);
-    assert_eq!(w.last_key(), None);
     w.insert(u64::MAX - 1, 1);
     w.insert(u64::MAX, 2);
     let keys = |w: &PsnWindow<u8>, r: std::ops::RangeInclusive<u64>| -> Vec<u64> {

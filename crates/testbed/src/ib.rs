@@ -14,7 +14,7 @@ use memsim::space::Backing;
 use memsim::swap::DiskConfig;
 use memsim::types::{SpaceId, VirtAddr};
 use netsim::fabric::{ChaosSendOutcome, Fabric, PFC_XOFF, PFC_XON};
-use netsim::link::{LinkConfig, SendOutcome};
+use netsim::link::{LinkConfig, SendOutcome, UNBOUNDED_QUEUE};
 use netsim::packet::NodeId;
 use netsim::profile::FabricProfile;
 use npf_core::npf::{NpfConfig, NpfEngine};
@@ -327,7 +327,7 @@ impl IbCluster {
         let mut link = config.profile.apply_link(LinkConfig::datacenter(BANDWIDTH));
         // Queues never tail-drop: IB's credit-based flow control means
         // the only losses are the profile's random loss (and chaos).
-        link.queue_capacity = u64::MAX / 4;
+        link.queue_capacity = UNBOUNDED_QUEUE;
         let mut fabric = Fabric::star(link, config.nodes, SWITCH_LATENCY, &mut rng);
         if config.profile.pfc {
             fabric.set_pfc(PFC_XOFF, PFC_XON);
@@ -718,14 +718,16 @@ impl IbCluster {
         // complete through the same FaultDone path (the handler
         // tolerates ids no QP is waiting on).
         let spawned = engine.drain_spawned_prefetches();
-        for (id, ready) in new_faults.into_iter().chain(spawned) {
-            queue.schedule_at(
-                ready,
-                IbEvent::FaultDone {
-                    node: node_idx,
-                    fault: id,
-                },
-            );
+        if !new_faults.is_empty() || !spawned.is_empty() {
+            for (id, ready) in new_faults.into_iter().chain(spawned) {
+                queue.schedule_at(
+                    ready,
+                    IbEvent::FaultDone {
+                        node: node_idx,
+                        fault: id,
+                    },
+                );
+            }
         }
         for (id, at) in new_synthetic {
             queue.schedule_at(

@@ -1,6 +1,6 @@
 //! Transport differential properties (DESIGN §15).
 //!
-//! Two suites over the IRN-style selective-repeat transport:
+//! Three suites over the IRN-style selective-repeat transport:
 //!
 //! * A proptest differential: on the idealised **lossless** fabric,
 //!   selective repeat and go-back-N must produce *identical completion
@@ -15,12 +15,24 @@
 //!   journal chain must stay complete and exactly tiled, and the storm
 //!   must actually have fired (so a regression that silently disables
 //!   the injection point fails here).
+//! * A proptest on a bare `RcQp` pair: loss, duplicates, reordering,
+//!   rNPFs and RDMA reads, with every selective ACK checked against a
+//!   model of the responder's park (and, in debug builds, by
+//!   `send_sack` against a scan of the park itself).
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
+use npf::memsim::types::VirtAddr;
+use npf::netsim::packet::NodeId;
 use npf::netsim::profile::{FabricProfile, RdmaTransport, TransportConfig};
 use npf::prelude::*;
-use npf::rdmasim::types::{RcConfig, SendOp, WcStatus};
+use npf::rdmasim::rc::RcQp;
+use npf::rdmasim::types::{
+    Completion, DmaGate, GateDecision, MessageRange, PinnedGate, QpId, QpOutput, QpTimer, RcConfig,
+    RcPacket, RcPacketKind, RecvWqe, SendOp, WcStatus,
+};
 use npf::simcore::chaos::PauseChaos;
 use npf::simcore::instruments::Instruments;
 
@@ -82,6 +94,229 @@ proptest! {
         let gbn = run_schedule(RdmaTransport::GoBackN, &lens);
         let irn = run_schedule(RdmaTransport::SelectiveRepeat, &lens);
         prop_assert_eq!(gbn, irn);
+    }
+}
+
+/// What the wire does to the packet at the head of one direction.
+fn fate(code: u8) -> Fate {
+    match code % 8 {
+        0 => Fate::Drop,
+        1 => Fate::Duplicate,
+        2 => Fate::Delay,
+        _ => Fate::Deliver,
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Fate {
+    Deliver,
+    Drop,
+    /// Deliver it, and a copy later.
+    Duplicate,
+    /// Send it to the back of its direction's queue.
+    Delay,
+}
+
+/// A responder gate whose scatters fault as its schedule says and then
+/// never again: every fault is an rNPF, answered with an RNR NACK.
+struct ScheduledFaults(std::vec::IntoIter<bool>);
+
+impl DmaGate for ScheduledFaults {
+    fn gather(&mut self, _: QpId, _: VirtAddr, _: u64, _: MessageRange) -> GateDecision {
+        GateDecision::Ok
+    }
+    fn scatter(&mut self, _: QpId, _: VirtAddr, _: u64, _: MessageRange) -> GateDecision {
+        match self.0.next() {
+            Some(true) => GateDecision::Fault { fault_id: 1 },
+            _ => GateDecision::Ok,
+        }
+    }
+}
+
+/// One end of the bare pair: its QP, armed timers and completions.
+struct End {
+    qp: RcQp,
+    timers: [Option<SimTime>; QpTimer::COUNT],
+    done: Vec<Completion>,
+}
+
+impl End {
+    /// Applies `outs`, putting packets on `wire`.
+    fn absorb(&mut self, outs: Vec<QpOutput>, wire: &mut VecDeque<RcPacket>) {
+        for out in outs {
+            match out {
+                QpOutput::Send { packet, .. } => wire.push_back(packet),
+                QpOutput::SetTimer(t, at) => self.timers[t.index()] = Some(at),
+                QpOutput::CancelTimer(t) => self.timers[t.index()] = None,
+                QpOutput::Complete(c) => self.done.push(c),
+                QpOutput::RnrIssued { .. } => {}
+            }
+        }
+    }
+}
+
+/// Runs `ops` (kind, length) from node 0 to node 1 of a bare
+/// selective-repeat pair whose wire mangles packets as `wire` says and
+/// whose responder faults scatters as `faults` says, then checks every
+/// selective ACK the responder sends against a model of its park: the
+/// PSNs it reported parked, less those at or below the ACK's expected
+/// PSN, emptied by every RNR NACK. Returns the number of SACKs checked.
+fn sack_bitmaps_follow_the_park(
+    ops: &[(u8, u64)],
+    wire: &[u8],
+    faults: Vec<bool>,
+) -> Result<u64, TestCaseError> {
+    let cfg = RcConfig {
+        transport: RdmaTransport::SelectiveRepeat,
+        max_retries: 100_000,
+        max_rnr_retries: 100_000,
+        bdp_packets: 16,
+        ..RcConfig::default()
+    };
+    let end = |qp| End {
+        qp,
+        timers: [None; QpTimer::COUNT],
+        done: Vec::new(),
+    };
+    let mut a = end(RcQp::new(cfg, QpId(1), QpId(2), NodeId(1)));
+    let mut b = end(RcQp::new(cfg, QpId(2), QpId(1), NodeId(0)));
+    let mut gate_b = ScheduledFaults(faults.into_iter());
+    let (mut to_a, mut to_b) = (VecDeque::new(), VecDeque::new());
+    let mut now = SimTime::ZERO;
+    let mut recvs = Vec::new();
+    for (i, &(kind, len)) in (0u64..).zip(ops) {
+        let local = VirtAddr(i << 20);
+        let remote = VirtAddr(1 << 40 | i << 20);
+        let op = match kind % 3 {
+            0 => {
+                let wqe = RecvWqe {
+                    wr_id: 1000 + i,
+                    addr: remote,
+                    capacity: len,
+                };
+                b.qp.post_recv(wqe);
+                recvs.push(1000 + i);
+                SendOp::Send { local, len }
+            }
+            1 => SendOp::Write { local, remote, len },
+            _ => SendOp::Read { local, remote, len },
+        };
+        let outs = a.qp.post_send(now, i, op, &mut PinnedGate);
+        a.absorb(outs, &mut to_b);
+    }
+    // The first packet is always lost, so the park fills at least once.
+    let mut fates = std::iter::once(Fate::Drop).chain(wire.iter().map(|&c| fate(c)));
+    let mut parked = std::collections::BTreeSet::new();
+    let mut sacks = 0;
+    for step in 0u64.. {
+        prop_assert!(step < 1_000_000, "the pair never went quiet");
+        if to_a.is_empty() && to_b.is_empty() {
+            // Idle wire: jump to the earliest armed timer, or stop.
+            let due = [&a, &b]
+                .iter()
+                .enumerate()
+                .flat_map(|(side, e)| {
+                    let armed = e.timers.iter().enumerate();
+                    armed.filter_map(move |(t, at)| at.map(|at| (at, side, t)))
+                })
+                .min();
+            let Some((at, side, t)) = due else { break };
+            now = now.max(at);
+            let timer = [
+                QpTimer::Retransmit,
+                QpTimer::RnrResume,
+                QpTimer::FaultResume,
+            ]
+            .into_iter()
+            .find(|k| k.index() == t)
+            .expect("a timer kind");
+            if side == 0 {
+                a.timers[t] = None;
+                let outs = a.qp.on_timer(now, timer, &mut PinnedGate);
+                a.absorb(outs, &mut to_b);
+            } else {
+                b.timers[t] = None;
+                let outs = b.qp.on_timer(now, timer, &mut gate_b);
+                b.absorb(outs, &mut to_a);
+            }
+            continue;
+        }
+        now += SimDuration::from_nanos(100);
+        let toward_b = to_a.is_empty() || (!to_b.is_empty() && step % 2 == 0);
+        let queue = if toward_b { &mut to_b } else { &mut to_a };
+        let pkt = queue.pop_front().expect("picked a non-empty direction");
+        match fates.next().unwrap_or(Fate::Deliver) {
+            Fate::Drop => continue,
+            Fate::Delay => {
+                queue.push_back(pkt);
+                continue;
+            }
+            Fate::Duplicate => queue.push_back(pkt),
+            Fate::Deliver => {}
+        }
+        if !toward_b {
+            let outs = a.qp.on_packet(now, pkt, &mut PinnedGate);
+            a.absorb(outs, &mut to_b);
+            continue;
+        }
+        let parked_before = b.qp.stats().ooo_parked;
+        let outs = b.qp.on_packet(now, pkt, &mut gate_b);
+        if b.qp.stats().ooo_parked > parked_before {
+            parked.insert(pkt.psn);
+        }
+        for out in &outs {
+            let QpOutput::Send { packet, .. } = out else {
+                continue;
+            };
+            match packet.kind {
+                RcPacketKind::NakReceiverNotReady { .. } => parked.clear(),
+                RcPacketKind::SelectiveAck { bitmap } => {
+                    let expected = packet.psn;
+                    parked.retain(|&p| p > expected);
+                    let mut want = 0u64;
+                    for &p in &parked {
+                        let bit = p - expected - 1;
+                        prop_assert!(bit < 64, "PSN {} parked past the SACK window", p);
+                        want |= 1 << bit;
+                    }
+                    prop_assert_eq!(bitmap, want, "SACK at expected PSN {}", expected);
+                    sacks += 1;
+                }
+                _ => {}
+            }
+        }
+        b.absorb(outs, &mut to_a);
+    }
+    prop_assert_eq!(sacks, b.qp.stats().sacks_sent, "every SACK was checked");
+    // Exactly once and in order, whatever the wire and the faults did.
+    let received: Vec<u64> = b.done.iter().map(|c| c.wr_id).collect();
+    prop_assert_eq!(received, recvs);
+    let mut completed: Vec<u64> = a.done.iter().map(|c| c.wr_id).collect();
+    completed.sort_unstable();
+    prop_assert_eq!(completed, (0..ops.len() as u64).collect::<Vec<_>>());
+    let ok = |c: &Completion| c.status == WcStatus::Success;
+    prop_assert!(
+        a.done.iter().chain(&b.done).all(ok),
+        "every completion succeeds"
+    );
+    Ok(sacks)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Loss, duplicates, reordering, rNPFs and read requests on a bare
+    /// selective-repeat pair: every SACK's bitmap matches the park. In a
+    /// debug build `send_sack` also checks its kept bitmap against a scan
+    /// of the park on each of them.
+    #[test]
+    fn sack_bitmaps_match_the_park_under_loss_faults_and_reads(
+        ops in proptest::collection::vec((0u8..3, 1u64..48 * 1024), 1..10),
+        wire in proptest::collection::vec(any::<u8>(), 0..300),
+        faults in proptest::collection::vec(0u8..4, 0..40),
+    ) {
+        let faults = faults.into_iter().map(|f| f == 0).collect();
+        sack_bitmaps_follow_the_park(&ops, &wire, faults)?;
     }
 }
 

@@ -76,7 +76,7 @@ pub struct BackendCell {
 /// bug, not an input error.
 #[must_use]
 pub fn run_cell(ctx: &RunCtx, backend: BackendKind, seed: u64) -> BackendCell {
-    let mut scenario = ScenarioBuilder::ethernet()
+    let mut bed = ScenarioBuilder::ethernet()
         .mode(RxMode::Backup)
         .instances(4)
         .conns_per_instance(2)
@@ -90,11 +90,10 @@ pub fn run_cell(ctx: &RunCtx, backend: BackendKind, seed: u64) -> BackendCell {
         })
         .working_set_keys(1_000)
         .npf(ctx.npf_config().with_backend(BackendSelect::of(backend)))
-        .seed(seed);
-    if let Some(cfg) = ctx.opts.chaos {
-        scenario = scenario.chaos(cfg);
-    }
-    let mut bed = scenario.build().expect("backendbench cell must validate");
+        .chaos(ctx.opts.chaos)
+        .seed(seed)
+        .build()
+        .expect("backendbench cell must validate");
     bed.run_until(CELL_HORIZON);
     let counters = bed.engine().counters();
     let mut cell = BackendCell {
@@ -246,7 +245,7 @@ mod tests {
             let base = RunCtx::default().with_pool(pool);
             let cells = (1..=4u64).map(|s| {
                 let chaos = ChaosConfig::profile(ChaosProfile::Npf, s);
-                let ctx = base.clone().with_chaos(Some(chaos));
+                let ctx = base.clone().with_chaos(chaos);
                 task(move || run_cell(&ctx, BackendKind::SoftEmu, s))
             });
             base.pool(cells.collect())

@@ -24,7 +24,7 @@ fn base_scenario(ctx: &RunCtx, mode: RxMode) -> EthScenario {
             ..MemcachedConfig::default()
         })
         .working_set_keys(1_800_000)
-        .chaos(ctx.chaos_or_disabled())
+        .chaos(ctx.opts.chaos)
         .profile(ctx.fabric_profile())
         .npf(ctx.npf_config());
     match ctx.tier_config() {

@@ -301,7 +301,7 @@ pub fn fig10_infiniband(ctx: &RunCtx, messages: u64) -> Report {
             .seed(5)
             .profile(ctx.fabric_profile())
             .transport(ctx.transport_config())
-            .chaos(ctx.chaos_or_disabled())
+            .chaos(ctx.opts.chaos)
             .build()
             .expect("fig10 cluster must validate");
         let (qa, qb) = c.connect(0, 1);

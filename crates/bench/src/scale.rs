@@ -107,6 +107,7 @@ pub fn run_cell(
                 .with_arbiter(policy)
                 .with_total_fault_slots(64),
         )
+        .chaos(ctx.opts.chaos)
         .seed(seed);
     if let Some(quota) = quota {
         scenario = scenario.backup_quota(quota);
@@ -114,9 +115,6 @@ pub fn run_cell(
     if policy == ArbiterPolicy::WeightedFair {
         // One heavy tenant, so the sweep exercises unequal shares.
         scenario = scenario.tenant_weight(0, 4);
-    }
-    if let Some(cfg) = ctx.opts.chaos {
-        scenario = scenario.chaos(cfg);
     }
     let mut bed = scenario.build().expect("scalebench cell must validate");
     bed.run_until(CELL_HORIZON);

@@ -157,9 +157,9 @@ pub struct RunOpts {
     pub metrics: Option<PathBuf>,
     /// `--journal <path>`: write the fault-lifecycle journal on exit.
     pub journal: Option<PathBuf>,
-    /// `--chaos-seed` / `--chaos-profile`: fault injection, if asked.
-    /// `--chaos-profile` alone uses seed 0.
-    pub chaos: Option<ChaosConfig>,
+    /// `--chaos-seed` / `--chaos-profile`: fault injection, disabled
+    /// unless asked. `--chaos-profile` alone uses seed 0.
+    pub chaos: ChaosConfig,
     /// `--jobs <n>`: the worker budget; absent → 1, `0` → all cores.
     pub workers: usize,
     /// `--tenants <n>`: tenant/IOchannel count for scale sweeps.
@@ -300,8 +300,11 @@ impl RunOpts {
         let profile = typed(v, "chaos-profile", |p| {
             ChaosProfile::from_name(p).ok_or_else(|| format!("{p:?} is unknown (try \"all\")"))
         })?;
-        let chaos = (seed.is_some() || profile.is_some())
-            .then(|| ChaosConfig::profile(profile.unwrap_or(ChaosProfile::All), seed.unwrap_or(0)));
+        let chaos = if seed.is_some() || profile.is_some() {
+            ChaosConfig::profile(profile.unwrap_or(ChaosProfile::All), seed.unwrap_or(0))
+        } else {
+            ChaosConfig::disabled()
+        };
         let workers = typed(v, "jobs", worker_count)?.unwrap_or(1);
         let loss = typed(v, "loss", |p| {
             let loss: f64 = p
@@ -416,7 +419,7 @@ impl RunCtx {
     /// This context with fault injection set as `--chaos-seed` /
     /// `--chaos-profile` would.
     #[must_use]
-    pub fn with_chaos(mut self, chaos: Option<ChaosConfig>) -> Self {
+    pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
         self.opts.chaos = chaos;
         self
     }
@@ -426,13 +429,6 @@ impl RunCtx {
     /// determinism contract.
     pub fn pool<T: Send>(&self, tasks: Vec<Task<'_, T>>) -> Vec<T> {
         self.pool.run(tasks)
-    }
-
-    /// The requested chaos config, defaulting to disabled: the form
-    /// testbed config literals splice in directly.
-    #[must_use]
-    pub fn chaos_or_disabled(&self) -> ChaosConfig {
-        self.opts.chaos.unwrap_or_else(ChaosConfig::disabled)
     }
 
     /// The [`NpfConfig`] matching the memory-feature flags: defaults
@@ -481,14 +477,17 @@ impl RunCtx {
     }
 }
 
-/// The invariant checker a chaos run executes under. Prints the chosen
-/// seed so a violation can be replayed.
-pub(crate) fn chaos_checker(cfg: ChaosConfig) -> InvariantChecker {
-    eprintln!(
-        "chaos enabled: seed {} (replay with --chaos-seed {})",
-        cfg.seed, cfg.seed
-    );
-    InvariantChecker::new(cfg.seed)
+/// The invariant checker a run under `cfg` executes under: one when
+/// chaos is enabled, announcing the seed so a violation can be
+/// replayed, none otherwise.
+pub(crate) fn chaos_checker(cfg: ChaosConfig) -> Option<InvariantChecker> {
+    cfg.enabled().then(|| {
+        eprintln!(
+            "chaos enabled: seed {} (replay with --chaos-seed {})",
+            cfg.seed, cfg.seed
+        );
+        InvariantChecker::new(cfg.seed)
+    })
 }
 
 fn write_or_warn(path: &Path, what: &str, contents: &str) {
@@ -515,7 +514,7 @@ pub fn run<R>(ctx: &RunCtx, body: impl FnOnce() -> R) -> R {
     let opts = &ctx.opts;
     let recording = opts.trace.is_some() || opts.metrics.is_some();
     let asked = Instruments {
-        checker: opts.chaos.map(chaos_checker),
+        checker: chaos_checker(opts.chaos),
         trace: recording.then(|| TraceRecorder::new(DEFAULT_CAPACITY)),
         journal: opts.journal.is_some().then(JournalRecorder::new),
     };
@@ -529,9 +528,7 @@ pub fn run<R>(ctx: &RunCtx, body: impl FnOnce() -> R) -> R {
         journal,
         checker,
     } = Instruments::take();
-    let violated = opts
-        .chaos
-        .is_some_and(|cfg| report_chaos(cfg, &checker.expect("checker installed above")));
+    let violated = checker.is_some_and(|checker| report_chaos(opts.chaos, &checker));
     if let Some(recorder) = trace {
         if let Some(path) = &opts.trace {
             if recorder.dropped() > 0 {
@@ -707,15 +704,15 @@ mod tests {
     #[test]
     fn parses_chaos_flags() {
         let chaos = |items: &[&str]| RunOpts::parse(&argv(items), &[]).expect("valid").chaos;
-        assert_eq!(chaos(&["--jobs", "1"]), None);
-        let cfg = chaos(&["--chaos-seed", "42"]).expect("enabled");
+        assert_eq!(chaos(&["--jobs", "1"]), ChaosConfig::disabled());
+        let cfg = chaos(&["--chaos-seed", "42"]);
         assert_eq!(cfg.seed, 42);
         assert!(cfg.enabled());
-        let cfg = chaos(&["--chaos-seed=7", "--chaos-profile=network"]).expect("enabled");
+        let cfg = chaos(&["--chaos-seed=7", "--chaos-profile=network"]);
         assert_eq!(cfg.seed, 7);
         assert!(cfg.net.active());
         assert!(!cfg.interrupt.active());
-        let cfg = chaos(&["--chaos-profile", "irq"]).expect("enabled");
+        let cfg = chaos(&["--chaos-profile", "irq"]);
         assert!(cfg.interrupt.active());
         assert_eq!(cfg.seed, 0);
         // `iommu` named a profile until its fault class was deleted.
@@ -758,7 +755,8 @@ mod tests {
         assert_eq!(opts.arbiter, Some(ArbiterPolicy::WeightedFair));
         assert_eq!(opts.quota, Some(64));
         assert_eq!(opts.backend, Some(BackendKind::SoftEmu));
-        assert_eq!(opts.chaos.expect("chaos on").seed, 9);
+        assert!(opts.chaos.enabled());
+        assert_eq!(opts.chaos.seed, 9);
         assert!(opts.huge_pages);
         assert_eq!(opts.prefetch, 16);
         assert_eq!(opts.tier_mib, Some(2048));
@@ -857,8 +855,7 @@ mod tests {
         let opts = &ctx.opts;
         assert_eq!(opts.trace, None);
         assert_eq!(opts.metrics, None);
-        assert!(opts.chaos.is_none());
-        assert!(!ctx.chaos_or_disabled().enabled());
+        assert!(!opts.chaos.enabled());
         assert_eq!(opts.workers, 1);
         assert_eq!(opts.tenants, None);
         assert_eq!(opts.arbiter, None);

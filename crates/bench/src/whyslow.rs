@@ -67,7 +67,7 @@ pub fn run_scenario(
     }
     let asked = Instruments {
         journal: Some(root),
-        checker: ctx.opts.chaos.map(tracectl::chaos_checker),
+        checker: tracectl::chaos_checker(ctx.opts.chaos),
         ..Instruments::default()
     };
     assert!(

@@ -91,7 +91,9 @@ fn run_at(
         "test thread must start uninstrumented"
     );
 
-    let chaos = chaos_seed.map(|s| ChaosConfig::profile(ChaosProfile::All, s));
+    let chaos = chaos_seed.map_or(ChaosConfig::disabled(), |s| {
+        ChaosConfig::profile(ChaosProfile::All, s)
+    });
     let ctx = &RunCtx::default()
         .with_chaos(chaos)
         .with_pool(Pool::on_host(shards, 8));

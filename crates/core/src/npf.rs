@@ -38,7 +38,7 @@ use memsim::manager::{Invalidation, MemError, MemoryManager};
 use memsim::space::Pte;
 use memsim::types::{PageRange, SpaceId, VirtAddr, Vpn};
 use memsim::FrameId;
-use simcore::chaos::{invariant, ChaosEngine, NpfFate};
+use simcore::chaos::{invariant, ChaosConfig, ChaosEngine, NpfFate};
 use simcore::journal::{self, Phase};
 use simcore::rng::SimRng;
 use simcore::stats::{CounterId, Counters};
@@ -309,8 +309,9 @@ pub struct NpfEngine {
     /// allocator and IOMMU, frame/domain ids) so engines never alias
     /// inside one process-global checker.
     chaos_ns: u64,
-    /// Fault injector for the NPF resolution path (None = chaos off).
-    chaos: Option<ChaosEngine>,
+    /// Fault injector for the NPF resolution path (a disabled engine
+    /// until [`NpfEngine::set_chaos`] arms one).
+    chaos: ChaosEngine,
     /// The ODP backend servicing faults, built from
     /// [`NpfConfig::backend`].
     backend: Box<dyn OdpBackend>,
@@ -362,7 +363,7 @@ impl NpfEngine {
             next_fault: 0,
             rng,
             chaos_ns: ns,
-            chaos: None,
+            chaos: ChaosEngine::new(ChaosConfig::disabled()),
             backend,
             counters,
             ids,
@@ -740,16 +741,16 @@ impl NpfEngine {
         // Chaos: NPF resolution delay / transient-failure / retry. The
         // perturbed time extends the outstanding slot too, so the
         // concurrency limiter sees the real completion.
-        let ready_at = match self.chaos.as_mut().map(ChaosEngine::npf_fate) {
-            None | Some(NpfFate::Normal) => ready_at,
-            Some(NpfFate::Delay { extra }) => {
+        let ready_at = match self.chaos.npf_fate() {
+            NpfFate::Normal => ready_at,
+            NpfFate::Delay { extra } => {
                 self.counters.bump_id(self.ids.npf_chaos_delays);
                 ready_at + extra
             }
-            Some(NpfFate::Transient {
+            NpfFate::Transient {
                 retries,
                 retry_delay,
-            }) => {
+            } => {
                 self.counters
                     .add_id(self.ids.npf_chaos_retries, u64::from(retries));
                 if self.backend.kind() == BackendKind::SoftEmu {
@@ -977,13 +978,7 @@ impl NpfEngine {
     /// Arms the NPF-resolution fault injector. The engine draws one
     /// [`NpfFate`] per fault from the injector's dedicated stream.
     pub fn set_chaos(&mut self, chaos: ChaosEngine) {
-        self.chaos = Some(chaos);
-    }
-
-    /// The engine's fault injector, when armed.
-    #[must_use]
-    pub fn chaos(&self) -> Option<&ChaosEngine> {
-        self.chaos.as_ref()
+        self.chaos = chaos;
     }
 
     /// Chaos memory pressure: forcibly reclaims up to `pages` pages and

@@ -6,7 +6,6 @@
 //! computes end-to-end delivery times, store-and-forward through the
 //! switch.
 
-use simcore::chaos::{ChaosEngine, PacketFate};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 
@@ -21,31 +20,6 @@ pub const PFC_XOFF: u64 = 256 * 1024;
 /// ingresses resume.
 pub const PFC_XON: u64 = 128 * 1024;
 
-/// Outcome of a [`Fabric::send_chaos`]: a [`SendOutcome`] enriched with
-/// the injected fault, so the caller can model CRC-discarded corruption
-/// and schedule duplicate deliveries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosSendOutcome {
-    /// The packet is gone — either the fabric's own queue overflowed
-    /// (`injected == false`) or chaos dropped it (`injected == true`).
-    Dropped {
-        /// `true` when the drop was fault-injected rather than organic.
-        injected: bool,
-    },
-    /// The packet arrives (possibly late, corrupted, or twice).
-    Delivered {
-        /// Delivery time, including any injected reorder delay.
-        arrives_at: SimTime,
-        /// ECN mark from the traversed links.
-        ecn_marked: bool,
-        /// The payload was corrupted in flight: the receiver's CRC
-        /// check must discard it on arrival.
-        corrupted: bool,
-        /// When set, a duplicate copy also arrives at this later time.
-        duplicate_at: Option<SimTime>,
-    },
-}
-
 /// A network fabric connecting a fixed set of nodes through one switch.
 #[derive(Debug)]
 pub struct Fabric {
@@ -55,8 +29,6 @@ pub struct Fabric {
     /// Indexed by position: node `n`'s uplink at `2n`, the switch's
     /// downlink toward it at `2n + 1`.
     links: Vec<Link>,
-    /// Packets dropped by fault injection.
-    chaos_drops: u64,
     /// PFC thresholds `(xoff, xon)` in bytes, when armed: a switch
     /// egress queue backing up past `xoff` pauses every uplink until the
     /// queue drains below `xon`.
@@ -92,7 +64,6 @@ impl Fabric {
             switch_latency,
             nodes,
             links,
-            chaos_drops: 0,
             pfc: None,
             pfc_pauses: 0,
         }
@@ -159,53 +130,6 @@ impl Fabric {
             }
         }
         outcome
-    }
-
-    /// Sends with fault injection: one [`PacketFate`] is drawn from the
-    /// chaos engine's packet stream and applied on top of the fabric's
-    /// organic behaviour (queue drops, ECN marks still happen).
-    pub fn send_chaos(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        size_bytes: u64,
-        chaos: &mut ChaosEngine,
-    ) -> ChaosSendOutcome {
-        let fate = chaos.packet_fate();
-        if fate == PacketFate::Drop {
-            self.chaos_drops += 1;
-            return ChaosSendOutcome::Dropped { injected: true };
-        }
-        match self.send(now, from, to, size_bytes) {
-            SendOutcome::Dropped => ChaosSendOutcome::Dropped { injected: false },
-            SendOutcome::Delivered {
-                arrives_at,
-                ecn_marked,
-            } => {
-                let (arrives_at, corrupted, duplicate_at) = match fate {
-                    PacketFate::Deliver | PacketFate::Drop => (arrives_at, false, None),
-                    PacketFate::Corrupt => (arrives_at, true, None),
-                    PacketFate::Duplicate { extra } => {
-                        (arrives_at, false, Some(arrives_at + extra))
-                    }
-                    PacketFate::Reorder { extra } => (arrives_at + extra, false, None),
-                };
-                ChaosSendOutcome::Delivered {
-                    arrives_at,
-                    ecn_marked,
-                    corrupted,
-                    duplicate_at,
-                }
-            }
-        }
-    }
-
-    /// Packets dropped by fault injection (not counted in
-    /// [`Fabric::total_drops`], which tracks organic queue drops).
-    #[must_use]
-    pub fn chaos_drops(&self) -> u64 {
-        self.chaos_drops
     }
 
     /// Pauses all transmission *toward* `node` until `until` (802.3x
@@ -339,7 +263,20 @@ mod tests {
 mod chaos_tests {
     use super::tests::pair;
     use super::*;
-    use simcore::chaos::{ChaosConfig, ChaosProfile};
+    use simcore::chaos::{ChaosConfig, ChaosEngine, ChaosProfile, PacketFate};
+
+    /// Sends one 1250-byte packet 0 -> 1 the way the beds do: draw its
+    /// fate, keep an injected drop off the wire, map the wire's arrival.
+    fn send(f: &mut Fabric, chaos: &mut ChaosEngine, now: SimTime) -> Vec<SimTime> {
+        let fate = chaos.packet_fate();
+        if fate == PacketFate::Drop {
+            return Vec::new();
+        }
+        match f.send(now, NodeId(0), NodeId(1), 1250) {
+            SendOutcome::Delivered { arrives_at, .. } => fate.arrivals(arrives_at).collect(),
+            SendOutcome::Dropped => Vec::new(),
+        }
+    }
 
     #[test]
     fn chaos_send_replays_per_seed() {
@@ -347,16 +284,8 @@ mod chaos_tests {
             let mut f = pair(&mut SimRng::new(11));
             let mut chaos = ChaosEngine::new(ChaosConfig::profile(ChaosProfile::Network, seed));
             (0..300)
-                .map(|i| {
-                    f.send_chaos(
-                        SimTime::from_micros(i * 10),
-                        NodeId(0),
-                        NodeId(1),
-                        1250,
-                        &mut chaos,
-                    )
-                })
-                .collect::<Vec<ChaosSendOutcome>>()
+                .map(|i| send(&mut f, &mut chaos, SimTime::from_micros(i * 10)))
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5), "same seed, same fault schedule");
         assert_ne!(run(5), run(6), "different seeds diverge");
@@ -366,31 +295,38 @@ mod chaos_tests {
     fn chaos_profile_exercises_every_packet_fault() {
         let mut f = pair(&mut SimRng::new(11));
         let mut chaos = ChaosEngine::new(ChaosConfig::profile(ChaosProfile::Network, 3));
-        let mut corrupted = 0;
-        let mut duplicated = 0;
+        let jitter = SimDuration::from_micros(30);
+        let (mut lost, mut late, mut twice) = (0, 0, 0);
         for i in 0..2000u64 {
-            match f.send_chaos(
-                SimTime::from_micros(i * 10),
-                NodeId(0),
-                NodeId(1),
-                1250,
-                &mut chaos,
-            ) {
-                ChaosSendOutcome::Delivered {
-                    corrupted: c,
-                    duplicate_at,
-                    ..
-                } => {
-                    corrupted += u64::from(c);
-                    duplicated += u64::from(duplicate_at.is_some());
+            let now = SimTime::from_micros(i * 10);
+            // Sends 10 us apart find both hops idle: 1 us serialization
+            // and 1 us propagation each, plus the 200 ns switch.
+            let wire = now + SimDuration::from_nanos(4_200);
+            match send(&mut f, &mut chaos, now)[..] {
+                [] => lost += 1,
+                [at] if at == wire => {}
+                [at] => {
+                    assert!(at > wire && at <= wire + jitter, "reorder within jitter");
+                    late += 1;
                 }
-                ChaosSendOutcome::Dropped { .. } => {}
+                [first, copy] => {
+                    assert_eq!(first, wire, "the original arrives on time");
+                    assert!(copy > wire && copy <= wire + jitter, "copy within jitter");
+                    twice += 1;
+                }
+                _ => panic!("a packet arrives at most twice"),
             }
         }
-        assert!(f.chaos_drops() > 0, "drops injected");
-        assert!(corrupted > 0, "corruption injected");
-        assert!(duplicated > 0, "duplicates injected");
-        assert!(chaos.counters().get("net_reorder") > 0, "reorder injected");
+        let c = chaos.counters();
+        for class in ["net_drop", "net_corrupt", "net_duplicate", "net_reorder"] {
+            assert!(c.get(class) > 0, "{class} injected");
+        }
+        assert_eq!(lost, c.get("net_drop") + c.get("net_corrupt"));
+        assert_eq!(late, c.get("net_reorder"));
+        assert_eq!(twice, c.get("net_duplicate"));
+        // An injected drop never reaches the wire; a corrupted packet
+        // burns both hops.
+        assert_eq!(f.total_sent(), 2 * (2000 - c.get("net_drop")));
     }
 }
 

@@ -27,8 +27,6 @@ pub struct InterruptModerator {
     pending_at: Option<SimTime>,
     delivered: u64,
     coalesced: u64,
-    lost: u64,
-    delayed: u64,
 }
 
 impl InterruptModerator {
@@ -42,8 +40,6 @@ impl InterruptModerator {
             pending_at: None,
             delivered: 0,
             coalesced: 0,
-            lost: 0,
-            delayed: 0,
         }
     }
 
@@ -56,7 +52,15 @@ impl InterruptModerator {
     /// Requests an interrupt at `now`. The caller schedules an event at
     /// the returned time for `FireAt` and must then call
     /// [`InterruptModerator::fired`] when it delivers.
-    pub fn request(&mut self, now: SimTime) -> InterruptDecision {
+    ///
+    /// The fire time of a granted interrupt is perturbed by one
+    /// [`InterruptFate`] drawn from `chaos`'s interrupt stream (none
+    /// when the class is off). A *lost* interrupt is redelivered at the
+    /// watchdog timeout (as on real NICs), so the system stays live but
+    /// eats the latency hole; a *delayed* one is merely late. Coalesced
+    /// requests draw nothing — the pending delivery already has its
+    /// fate.
+    pub fn request(&mut self, now: SimTime, chaos: &mut ChaosEngine) -> InterruptDecision {
         if self.pending_at.is_some() {
             self.coalesced += 1;
             return InterruptDecision::Coalesced;
@@ -65,48 +69,13 @@ impl InterruptModerator {
             Some(last) if now.saturating_since(last) < self.holdoff => last + self.holdoff,
             _ => now,
         };
+        let at = match chaos.interrupt_fate() {
+            InterruptFate::Deliver => at,
+            InterruptFate::Lose { redeliver_after } => at + redeliver_after,
+            InterruptFate::Delay { extra } => at + extra,
+        };
         self.pending_at = Some(at);
         InterruptDecision::FireAt(at)
-    }
-
-    /// [`InterruptModerator::request`] with fault injection: the fire
-    /// time of a granted interrupt is perturbed by one
-    /// [`InterruptFate`] drawn from the chaos engine's interrupt
-    /// stream. A *lost* interrupt is redelivered at the watchdog
-    /// timeout (as on real NICs), so the system stays live but eats the
-    /// latency hole; a *delayed* one is merely late. Coalesced requests
-    /// are untouched — the pending delivery already has its fate.
-    pub fn request_chaos(&mut self, now: SimTime, chaos: &mut ChaosEngine) -> InterruptDecision {
-        match self.request(now) {
-            InterruptDecision::Coalesced => InterruptDecision::Coalesced,
-            InterruptDecision::FireAt(at) => {
-                let at = match chaos.interrupt_fate() {
-                    InterruptFate::Deliver => at,
-                    InterruptFate::Lose { redeliver_after } => {
-                        self.lost += 1;
-                        at + redeliver_after
-                    }
-                    InterruptFate::Delay { extra } => {
-                        self.delayed += 1;
-                        at + extra
-                    }
-                };
-                self.pending_at = Some(at);
-                InterruptDecision::FireAt(at)
-            }
-        }
-    }
-
-    /// Interrupts lost (and watchdog-redelivered) by fault injection.
-    #[must_use]
-    pub fn chaos_lost(&self) -> u64 {
-        self.lost
-    }
-
-    /// Interrupts delayed by fault injection.
-    #[must_use]
-    pub fn chaos_delayed(&self) -> u64 {
-        self.delayed
     }
 
     /// Records the delivery of the pending interrupt.
@@ -126,12 +95,17 @@ impl InterruptModerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::chaos::{ChaosConfig, ChaosProfile};
+
+    fn off() -> ChaosEngine {
+        ChaosEngine::new(ChaosConfig::disabled())
+    }
 
     #[test]
     fn first_interrupt_is_immediate() {
         let mut m = InterruptModerator::new(SimDuration::from_micros(50));
         assert_eq!(
-            m.request(SimTime::from_micros(5)),
+            m.request(SimTime::from_micros(5), &mut off()),
             InterruptDecision::FireAt(SimTime::from_micros(5))
         );
         m.fired(SimTime::from_micros(5));
@@ -140,72 +114,85 @@ mod tests {
 
     #[test]
     fn requests_inside_holdoff_defer() {
+        let mut chaos = off();
         let mut m = InterruptModerator::new(SimDuration::from_micros(50));
-        m.request(SimTime::ZERO);
+        m.request(SimTime::ZERO, &mut chaos);
         m.fired(SimTime::ZERO);
         // 10 us later: deferred to the 50 us boundary.
         assert_eq!(
-            m.request(SimTime::from_micros(10)),
+            m.request(SimTime::from_micros(10), &mut chaos),
             InterruptDecision::FireAt(SimTime::from_micros(50))
         );
         // Further requests merge.
         assert_eq!(
-            m.request(SimTime::from_micros(20)),
+            m.request(SimTime::from_micros(20), &mut chaos),
             InterruptDecision::Coalesced
         );
         assert_eq!(m.coalesced, 1);
         m.fired(SimTime::from_micros(50));
         // After the window, immediate again.
         assert_eq!(
-            m.request(SimTime::from_micros(200)),
+            m.request(SimTime::from_micros(200), &mut chaos),
             InterruptDecision::FireAt(SimTime::from_micros(200))
         );
     }
 
     #[test]
-    fn chaos_disabled_matches_plain_request() {
-        use simcore::chaos::{ChaosConfig, ChaosEngine};
-        let mut chaos = ChaosEngine::new(ChaosConfig::disabled());
-        let mut a = InterruptModerator::new(SimDuration::from_micros(50));
-        let mut b = InterruptModerator::new(SimDuration::from_micros(50));
-        for i in 0..20u64 {
-            let t = SimTime::from_micros(i * 7);
-            assert_eq!(a.request_chaos(t, &mut chaos), b.request(t));
-            if i % 3 == 0 {
-                a.fired(t);
-                b.fired(t);
-            }
-        }
-        assert_eq!(a.chaos_lost(), 0);
-        assert_eq!(a.chaos_delayed(), 0);
+    fn disabled_chaos_fires_on_the_holdoff_schedule() {
+        let mut chaos = off();
+        let mut m = InterruptModerator::new(SimDuration::from_micros(50));
+        let us = SimTime::from_micros;
+        let fire = |t| InterruptDecision::FireAt(us(t));
+        assert_eq!(m.request(us(0), &mut chaos), fire(0));
+        m.fired(us(0));
+        assert_eq!(m.request(us(7), &mut chaos), fire(50));
+        assert_eq!(m.request(us(14), &mut chaos), InterruptDecision::Coalesced);
+        m.fired(us(50));
+        assert_eq!(m.request(us(60), &mut chaos), fire(100));
+        m.fired(us(100));
+        assert_eq!(m.request(us(200), &mut chaos), fire(200));
+        assert_eq!(chaos.counters().iter().count(), 0, "nothing injected");
     }
 
     #[test]
     fn chaos_perturbs_fire_times_but_stays_live() {
-        use simcore::chaos::{ChaosConfig, ChaosEngine, ChaosProfile};
         let mut chaos = ChaosEngine::new(ChaosConfig::profile(ChaosProfile::Interrupts, 5));
+        let watchdog = chaos.config().interrupt.watchdog;
+        let max_delay = chaos.config().interrupt.max_delay;
         let mut m = InterruptModerator::new(SimDuration::from_micros(10));
-        let mut fired = 0;
+        let (mut on_time, mut lost, mut delayed) = (0, 0, 0);
+        // Requests 1 ms apart: past the watchdog and the holdoff, so the
+        // injected fate alone decides each fire time.
         for i in 0..500u64 {
-            let t = SimTime::from_micros(i * 20);
-            if let InterruptDecision::FireAt(at) = m.request_chaos(t, &mut chaos) {
-                assert!(at >= t, "never delivered early");
-                m.fired(at);
-                fired += 1;
+            let t = SimTime::from_millis(i);
+            let InterruptDecision::FireAt(at) = m.request(t, &mut chaos) else {
+                panic!("nothing is pending to coalesce with");
+            };
+            if at == t {
+                on_time += 1;
+            } else if at == t + watchdog {
+                lost += 1;
+            } else {
+                assert!(at > t && at <= t + max_delay, "late within max_delay");
+                delayed += 1;
             }
+            m.fired(at);
         }
-        assert_eq!(fired, 500, "every granted interrupt is delivered");
-        assert!(m.chaos_lost() > 0, "losses injected");
-        assert!(m.chaos_delayed() > 0, "delays injected");
+        assert_eq!(m.delivered(), 500, "every granted interrupt is delivered");
+        let c = chaos.counters();
+        assert_eq!(lost, c.get("irq_lost"));
+        assert_eq!(delayed, c.get("irq_delayed"));
+        assert!(lost > 0 && delayed > 0 && on_time > 0, "every fate drawn");
     }
 
     #[test]
     fn zero_holdoff_never_defers() {
+        let mut chaos = off();
         let mut m = InterruptModerator::new(SimDuration::ZERO);
-        m.request(SimTime::ZERO);
+        m.request(SimTime::ZERO, &mut chaos);
         m.fired(SimTime::ZERO);
         assert_eq!(
-            m.request(SimTime::ZERO),
+            m.request(SimTime::ZERO, &mut chaos),
             InterruptDecision::FireAt(SimTime::ZERO)
         );
     }

@@ -6,11 +6,13 @@
 //!    fates ([`PacketFate`], [`InterruptFate`], [`NpfFate`],
 //!    [`MemoryFate`], [`PauseFate`]) from per-class [`SimRng`] streams
 //!    forked from a single chaos seed, so the same seed replays the
-//!    exact same fault schedule. Injection points: packet
-//!    drop/corrupt/duplicate/reorder in `netsim::fabric`, lost and
-//!    delayed interrupts in `nicsim::interrupt`, NPF resolution
+//!    exact same fault schedule. Injection points, one per class:
+//!    packet drop/corrupt/duplicate/reorder around the beds'
+//!    `netsim` sends ([`PacketFate::arrivals`]), lost and delayed
+//!    interrupts in `nicsim::interrupt`, NPF resolution
 //!    delay/transient-failure/retry in `core::npf`, memory-pressure
-//!    bursts and eviction storms in `memsim::manager`.
+//!    bursts and eviction storms in `memsim::manager`, and PFC pause
+//!    storms at the InfiniBand fabric.
 //!
 //! 2. **Invariant checking.** An [`InvariantChecker`], one of the
 //!    thread's [`crate::instruments`], receives `note_*` observations
@@ -22,11 +24,14 @@
 //!    On violation the checker dumps the trace ring for the failing
 //!    seed.
 //!
-//! Both halves cost one thread-local branch per site when disabled, and
-//! the chaos RNG is seeded independently of the simulation seed, so a
-//! run with chaos disabled is bit-identical to a build without this
-//! module at all (the zero-overhead disabled path the golden-trace
-//! tests pin down).
+//! Chaos off is a disabled engine, not a second path: each fault class
+//! has one draw site, and an engine built from
+//! [`ChaosConfig::disabled`] answers every draw with the no-fault fate
+//! without touching its streams. Both halves cost one branch per site
+//! when disabled, and the chaos RNG is seeded independently of the
+//! simulation seed, so a run with chaos disabled is bit-identical to a
+//! build without this module at all (the zero-overhead disabled path
+//! the golden-trace tests pin down).
 
 use std::collections::HashMap;
 use std::fmt::Debug;
@@ -40,7 +45,8 @@ use crate::trace;
 // Configuration
 // ---------------------------------------------------------------------
 
-/// Packet-level faults injected at the fabric (`netsim::fabric`).
+/// Packet-level faults, drawn per packet the beds send over a `netsim`
+/// link or fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetChaos {
     /// Probability a packet is silently dropped.
@@ -391,6 +397,24 @@ pub enum PacketFate {
     },
 }
 
+impl PacketFate {
+    /// When a packet the wire delivers at `arrives_at` reaches its
+    /// receiver under this fate: never (dropped, or discarded by the
+    /// receiver's CRC check), once, once late, or twice in order. A
+    /// [`PacketFate::Drop`] never reaches the wire, so the caller skips
+    /// the send for it.
+    #[inline]
+    pub fn arrivals(self, arrives_at: SimTime) -> impl Iterator<Item = SimTime> {
+        let (first, second) = match self {
+            PacketFate::Deliver => (Some(arrives_at), None),
+            PacketFate::Drop | PacketFate::Corrupt => (None, None),
+            PacketFate::Duplicate { extra } => (Some(arrives_at), Some(arrives_at + extra)),
+            PacketFate::Reorder { extra } => (Some(arrives_at + extra), None),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
 /// Fate of one fired interrupt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InterruptFate {
@@ -462,10 +486,13 @@ pub enum PauseFate {
 // ---------------------------------------------------------------------
 
 /// The seeded fault injector. One per testbed (forked per component
-/// where a component draws concurrently — see [`ChaosEngine::fork`]).
+/// where a component draws concurrently — see [`ChaosEngine::fork`]),
+/// present whether or not chaos is on: a disabled engine draws nothing.
 #[derive(Debug)]
 pub struct ChaosEngine {
     cfg: ChaosConfig,
+    /// `cfg.net.active()`, kept so the per-packet check is one branch.
+    net_active: bool,
     net_rng: SimRng,
     irq_rng: SimRng,
     npf_rng: SimRng,
@@ -482,6 +509,7 @@ impl ChaosEngine {
         let mut root = SimRng::new(cfg.seed);
         ChaosEngine {
             cfg,
+            net_active: cfg.net.active(),
             net_rng: root.fork(1),
             irq_rng: root.fork(2),
             npf_rng: root.fork(3),
@@ -537,12 +565,19 @@ impl ChaosEngine {
         SimDuration::from_nanos(1 + rng.below(max.as_nanos().max(1)))
     }
 
-    /// Draws the fate of one packet.
+    /// Draws the fate of one packet. Inlined down to the one branch a
+    /// disabled packet class costs; the draw itself stays out of line.
+    #[inline]
     pub fn packet_fate(&mut self) -> PacketFate {
-        let c = self.cfg.net;
-        if !c.active() {
+        if !self.net_active {
             return PacketFate::Deliver;
         }
+        self.draw_packet_fate()
+    }
+
+    #[inline(never)]
+    fn draw_packet_fate(&mut self) -> PacketFate {
+        let c = self.cfg.net;
         let r = self.net_rng.unit();
         let fate = if r < c.drop {
             self.counters.bump("net_drop");
@@ -1186,9 +1221,34 @@ mod tests {
             assert_eq!(e.interrupt_fate(), InterruptFate::Deliver);
             assert_eq!(e.npf_fate(), NpfFate::Normal);
             assert_eq!(e.memory_fate(), MemoryFate::Calm);
+            assert_eq!(e.pause_fate(), PauseFate::Calm);
         }
         assert!(e.counters().iter().all(|(_, v)| v == 0));
         assert!(!e.enabled());
+        // No stream moved: each still yields a fresh engine's first draw.
+        let mut fresh = ChaosEngine::new(ChaosConfig::disabled());
+        for (used, unused) in [
+            (&mut e.net_rng, &mut fresh.net_rng),
+            (&mut e.irq_rng, &mut fresh.irq_rng),
+            (&mut e.npf_rng, &mut fresh.npf_rng),
+            (&mut e.mem_rng, &mut fresh.mem_rng),
+            (&mut e.pause_rng, &mut fresh.pause_rng),
+        ] {
+            assert_eq!(used.next_u64(), unused.next_u64());
+        }
+    }
+
+    #[test]
+    fn packet_fates_map_to_arrivals() {
+        let at = SimTime::from_micros(10);
+        let extra = SimDuration::from_micros(3);
+        let late = SimTime::from_micros(13);
+        let arrivals = |fate: PacketFate| fate.arrivals(at).collect::<Vec<_>>();
+        assert_eq!(arrivals(PacketFate::Deliver), [at]);
+        assert_eq!(arrivals(PacketFate::Drop), []);
+        assert_eq!(arrivals(PacketFate::Corrupt), []);
+        assert_eq!(arrivals(PacketFate::Duplicate { extra }), [at, late]);
+        assert_eq!(arrivals(PacketFate::Reorder { extra }), [late]);
     }
 
     #[test]

@@ -134,6 +134,18 @@ pub enum ScenarioError {
         /// `Eq`).
         loss: String,
     },
+    /// Chaos is enabled with a zero tick period: every chaos tick
+    /// re-arms at the same instant, so simulated time never advances.
+    ZeroChaosTick,
+    /// A chaos fault probability that is not a number in `[0, 1]` (a
+    /// NaN would silently switch its class off).
+    ChaosProbabilityOutOfRange {
+        /// The offending field of [`ChaosConfig`], e.g. `net.drop`.
+        field: &'static str,
+        /// The offending probability (stringified so the error stays
+        /// `Eq`).
+        value: String,
+    },
     /// Construction failed in the memory subsystem (e.g. pinning under
     /// [`RxMode::Pin`] with insufficient host memory — Table 5's "N/A").
     Mem(MemError),
@@ -217,6 +229,10 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::LossOutOfRange { loss } => {
                 write!(f, "loss probability {loss} is outside [0, 1)")
             }
+            ScenarioError::ZeroChaosTick => write!(f, "chaos enabled with a zero tick period"),
+            ScenarioError::ChaosProbabilityOutOfRange { field, value } => {
+                write!(f, "chaos probability {field} = {value} is outside [0, 1]")
+            }
             ScenarioError::Mem(e) => write!(f, "{e}"),
         }
     }
@@ -280,6 +296,7 @@ pub(crate) fn validate_eth(cfg: &EthConfig) -> Result<(), ScenarioError> {
     }
     validate_profile(&cfg.profile)?;
     validate_npf(&cfg.npf)?;
+    validate_chaos(&cfg.chaos)?;
     // Port-space geometry: server listeners live at 11211 + instance,
     // client locals at 20000 + connection; both must stay within u16
     // and must not collide.
@@ -322,7 +339,8 @@ pub(crate) fn validate_ib(cfg: &IbConfig) -> Result<(), ScenarioError> {
     if cfg.rc.transport == RdmaTransport::SelectiveRepeat && cfg.rc.bdp_packets == 0 {
         return Err(ScenarioError::BdpCapZero);
     }
-    validate_npf(&cfg.npf)
+    validate_npf(&cfg.npf)?;
+    validate_chaos(&cfg.chaos)
 }
 
 /// Whole-config validation of a fabric profile.
@@ -336,6 +354,35 @@ pub(crate) fn validate_profile(profile: &FabricProfile) -> Result<(), ScenarioEr
         return Err(ScenarioError::PfcNeedsLossless {
             loss: profile.loss.to_string(),
         });
+    }
+    Ok(())
+}
+
+fn validate_chaos(cfg: &ChaosConfig) -> Result<(), ScenarioError> {
+    let probabilities = [
+        ("net.drop", cfg.net.drop),
+        ("net.corrupt", cfg.net.corrupt),
+        ("net.duplicate", cfg.net.duplicate),
+        ("net.reorder", cfg.net.reorder),
+        ("interrupt.lose", cfg.interrupt.lose),
+        ("interrupt.delay", cfg.interrupt.delay),
+        ("npf.delay", cfg.npf.delay),
+        ("npf.transient", cfg.npf.transient),
+        ("memory.burst", cfg.memory.burst),
+        ("memory.storm", cfg.memory.storm),
+        ("pause.storm", cfg.pause.storm),
+    ];
+    for (field, p) in probabilities {
+        // NaN fails `contains`, as does any infinity.
+        if !(0.0..=1.0).contains(&p) {
+            return Err(ScenarioError::ChaosProbabilityOutOfRange {
+                field,
+                value: p.to_string(),
+            });
+        }
+    }
+    if cfg.enabled() && cfg.tick.is_zero() {
+        return Err(ScenarioError::ZeroChaosTick);
     }
     Ok(())
 }
@@ -730,6 +777,8 @@ impl IbScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::chaos::ChaosProfile;
+    use simcore::time::SimDuration;
 
     #[test]
     fn zero_nodes_is_a_typed_error_not_a_panic() {
@@ -767,7 +816,45 @@ mod tests {
                 loss: "1.5".to_string()
             })
         );
+        // A zero chaos tick livelocks the bed at t=0; a NaN or
+        // out-of-range fault probability is rejected, not ignored.
+        let chaos = ChaosConfig::profile(ChaosProfile::All, 1);
+        let mut zero_tick = chaos;
+        zero_tick.tick = SimDuration::ZERO;
+        assert_eq!(
+            ScenarioBuilder::infiniband()
+                .chaos(zero_tick)
+                .validate()
+                .err(),
+            Some(ScenarioError::ZeroChaosTick)
+        );
+        let mut nan = chaos;
+        nan.net.drop = f64::NAN;
+        assert_eq!(
+            ScenarioBuilder::infiniband().chaos(nan).validate().err(),
+            Some(ScenarioError::ChaosProbabilityOutOfRange {
+                field: "net.drop",
+                value: "NaN".to_string()
+            })
+        );
+        let mut storm = ChaosConfig::disabled();
+        storm.pause.storm = 1.5;
+        assert_eq!(
+            ScenarioBuilder::infiniband().chaos(storm).validate().err(),
+            Some(ScenarioError::ChaosProbabilityOutOfRange {
+                field: "pause.storm",
+                value: "1.5".to_string()
+            })
+        );
+        // A disabled config never ticks, so its period is moot.
+        let mut idle = ChaosConfig::disabled();
+        idle.tick = SimDuration::ZERO;
+        assert!(ScenarioBuilder::infiniband().chaos(idle).validate().is_ok());
         // The sensible combinations pass.
+        assert!(ScenarioBuilder::infiniband()
+            .chaos(chaos)
+            .validate()
+            .is_ok());
         assert!(ScenarioBuilder::infiniband()
             .profile(FabricProfile::lossless_pfc())
             .validate()
@@ -846,6 +933,30 @@ mod tests {
             Some(ScenarioError::UnknownTenant {
                 instance: 3,
                 instances: 1
+            })
+        );
+        let mut zero_tick = ChaosConfig::profile(ChaosProfile::Memory, 1);
+        zero_tick.tick = SimDuration::ZERO;
+        assert_eq!(
+            base().chaos(zero_tick).validate().err(),
+            Some(ScenarioError::ZeroChaosTick)
+        );
+        let mut negative = ChaosConfig::profile(ChaosProfile::Interrupts, 1);
+        negative.interrupt.lose = -0.1;
+        assert_eq!(
+            base().chaos(negative).validate().err(),
+            Some(ScenarioError::ChaosProbabilityOutOfRange {
+                field: "interrupt.lose",
+                value: "-0.1".to_string()
+            })
+        );
+        let mut infinite = ChaosConfig::profile(ChaosProfile::Npf, 1);
+        infinite.npf.transient = f64::INFINITY;
+        assert_eq!(
+            base().chaos(infinite).validate().err(),
+            Some(ScenarioError::ChaosProbabilityOutOfRange {
+                field: "npf.transient",
+                value: "inf".to_string()
             })
         );
         assert!(base().validate().is_ok());

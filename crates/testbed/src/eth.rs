@@ -338,9 +338,10 @@ pub struct EthTestbed {
     backup_moderator: InterruptModerator,
     sample_every: SimDuration,
     sampling: bool,
-    /// Master fault injector (None when chaos is disabled). Owns the
-    /// packet and interrupt fate streams; the NPF engine holds a fork.
-    chaos: Option<ChaosEngine>,
+    /// Master fault injector (a disabled one when chaos is off). Owns
+    /// the packet, interrupt and memory fate streams; the NPF engine
+    /// holds a fork.
+    chaos: ChaosEngine,
     chaos_tick_armed: bool,
     /// Connections allocated per instance (skewed under
     /// `tenant_skew`, uniform otherwise).
@@ -370,13 +371,8 @@ impl EthTestbed {
             ..MemConfig::default()
         });
         let mut engine = NpfEngine::new(config.npf, mm, rng.fork(1));
-        let chaos = if config.chaos.enabled() {
-            let mut master = ChaosEngine::new(config.chaos);
-            engine.set_chaos(master.fork(0x200));
-            Some(master)
-        } else {
-            None
-        };
+        let mut chaos = ChaosEngine::new(config.chaos);
+        engine.set_chaos(chaos.fork(0x200));
         let fault_mode = match config.mode {
             RxMode::Backup => RxFaultMode::BackupRing {
                 capacity: config.backup_capacity,
@@ -537,28 +533,18 @@ impl EthTestbed {
         Ok(bed)
     }
 
-    /// The master fault injector, when chaos is enabled.
+    /// The master fault injector; every moderator draws its interrupt
+    /// fates from it, so its `irq_lost` / `irq_delayed` counters are the
+    /// bed's interrupt injections.
     #[must_use]
-    pub fn chaos(&self) -> Option<&ChaosEngine> {
-        self.chaos.as_ref()
-    }
-
-    /// `(lost, delayed)` interrupt injections across every moderator.
-    #[must_use]
-    pub fn irq_chaos_counts(&self) -> (u64, u64) {
-        let mut lost = self.backup_moderator.chaos_lost();
-        let mut delayed = self.backup_moderator.chaos_delayed();
-        for inst in &self.instances {
-            lost += inst.rx_moderator.chaos_lost();
-            delayed += inst.rx_moderator.chaos_delayed();
-        }
-        (lost, delayed)
+    pub fn chaos(&self) -> &ChaosEngine {
+        &self.chaos
     }
 
     /// Schedules the next chaos heartbeat, if chaos is on and none is
     /// pending.
     fn arm_chaos_tick(&mut self) {
-        if self.chaos.is_some() && !self.chaos_tick_armed {
+        if self.chaos.enabled() && !self.chaos_tick_armed {
             self.chaos_tick_armed = true;
             self.queue
                 .schedule_in(self.config.chaos.tick, EthEvent::ChaosTick);
@@ -567,10 +553,7 @@ impl EthTestbed {
 
     /// Applies one round of memory-pressure chaos to the server.
     fn chaos_tick(&mut self) {
-        let Some(engine) = self.chaos.as_mut() else {
-            return;
-        };
-        match engine.memory_fate() {
+        match self.chaos.memory_fate() {
             MemoryFate::Calm => {}
             MemoryFate::PressureBurst { pages } | MemoryFate::EvictionStorm { pages } => {
                 self.engine.chaos_evict(pages);
@@ -582,10 +565,7 @@ impl EthTestbed {
     /// `to_server` selects the client→server link.
     fn link_send(&mut self, now: SimTime, seg: TcpSegment, to_server: bool) {
         let wire = seg.wire_size();
-        let fate = self
-            .chaos
-            .as_mut()
-            .map_or(PacketFate::Deliver, ChaosEngine::packet_fate);
+        let fate = self.chaos.packet_fate();
         if fate == PacketFate::Drop {
             // Injected loss: TCP retransmission recovers.
             return;
@@ -602,24 +582,12 @@ impl EthTestbed {
                 EthEvent::ToClient(seg)
             }
         };
-        match link.send(now, wire) {
-            SendOutcome::Delivered { arrives_at, .. } => match fate {
-                PacketFate::Deliver => {
-                    self.queue.schedule_on(lane, arrives_at, event(seg));
-                }
-                // Corruption burns the wire but fails the CRC; the
-                // stack never sees the segment.
-                PacketFate::Corrupt => {}
-                PacketFate::Duplicate { extra } => {
-                    self.queue.schedule_on(lane, arrives_at, event(seg));
-                    self.queue.schedule_on(lane, arrives_at + extra, event(seg));
-                }
-                PacketFate::Reorder { extra } => {
-                    self.queue.schedule_on(lane, arrives_at + extra, event(seg));
-                }
-                PacketFate::Drop => unreachable!("drop handled above"),
-            },
-            SendOutcome::Dropped => {}
+        if let SendOutcome::Delivered { arrives_at, .. } = link.send(now, wire) {
+            // Corruption burns the wire but fails the CRC; the stack
+            // never sees the segment.
+            for at in fate.arrivals(arrives_at) {
+                self.queue.schedule_on(lane, at, event(seg));
+            }
         }
     }
 
@@ -983,10 +951,7 @@ impl EthTestbed {
                 }
             }
             RxVerdict::Backup { .. } => {
-                let decision = match self.chaos.as_mut() {
-                    Some(chaos) => self.backup_moderator.request_chaos(now, chaos),
-                    None => self.backup_moderator.request(now),
-                };
+                let decision = self.backup_moderator.request(now, &mut self.chaos);
                 if let InterruptDecision::FireAt(at) = decision {
                     self.queue.schedule_at(at, EthEvent::BackupInterrupt);
                 }
@@ -1005,10 +970,7 @@ impl EthTestbed {
 
     fn request_iouser_irq(&mut self, now: SimTime, idx: u32) {
         let inst = &mut self.instances[idx as usize];
-        let decision = match self.chaos.as_mut() {
-            Some(chaos) => inst.rx_moderator.request_chaos(now, chaos),
-            None => inst.rx_moderator.request(now),
-        };
+        let decision = inst.rx_moderator.request(now, &mut self.chaos);
         if let InterruptDecision::FireAt(at) = decision {
             self.queue.schedule_at(at, EthEvent::IoUserInterrupt(idx));
         }

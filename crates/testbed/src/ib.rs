@@ -13,7 +13,7 @@ use memsim::manager::{MemConfig, MemoryManager, TierConfig};
 use memsim::space::Backing;
 use memsim::swap::DiskConfig;
 use memsim::types::{SpaceId, VirtAddr};
-use netsim::fabric::{ChaosSendOutcome, Fabric, PFC_XOFF, PFC_XON};
+use netsim::fabric::{Fabric, PFC_XOFF, PFC_XON};
 use netsim::link::{LinkConfig, SendOutcome, UNBOUNDED_QUEUE};
 use netsim::packet::NodeId;
 use netsim::profile::FabricProfile;
@@ -23,7 +23,7 @@ use rdmasim::types::{
     Completion, DmaGate, GateDecision, MessageRange, QpId, QpOutput, QpTimer, RcConfig, RcPacket,
     RecvWqe, SendOp, WrId,
 };
-use simcore::chaos::{ChaosConfig, ChaosEngine, MemoryFate, PauseFate};
+use simcore::chaos::{ChaosConfig, ChaosEngine, MemoryFate, PacketFate, PauseFate};
 use simcore::event::{EventQueue, EventToken, LaneId};
 use simcore::instruments;
 use simcore::rng::SimRng;
@@ -310,9 +310,10 @@ pub struct IbCluster {
     fabric: Fabric,
     nodes: Vec<IbNode>,
     next_qp: u32,
-    /// Master fault injector (None when chaos is disabled). Owns the
-    /// packet-fate stream; each node's NPF engine holds a fork.
-    chaos: Option<ChaosEngine>,
+    /// Master fault injector (a disabled one when chaos is off). Owns
+    /// the packet, memory and pause streams; each node's NPF engine
+    /// holds a fork.
+    chaos: ChaosEngine,
     chaos_tick_armed: bool,
 }
 
@@ -353,15 +354,10 @@ impl IbCluster {
                 }
             })
             .collect();
-        let chaos = if config.chaos.enabled() {
-            let mut master = ChaosEngine::new(config.chaos);
-            for (i, node) in nodes.iter_mut().enumerate() {
-                node.engine.set_chaos(master.fork(0x100 + i as u64));
-            }
-            Some(master)
-        } else {
-            None
-        };
+        let mut chaos = ChaosEngine::new(config.chaos);
+        for (i, node) in nodes.iter_mut().enumerate() {
+            node.engine.set_chaos(chaos.fork(0x100 + i as u64));
+        }
         let mut queue = EventQueue::new();
         let lanes = (0..config.nodes).map(|_| queue.lane()).collect();
         let mut cluster = IbCluster {
@@ -378,17 +374,11 @@ impl IbCluster {
         cluster
     }
 
-    /// The master fault injector, when chaos is enabled.
+    /// The master fault injector; its `net_drop` counter tallies the
+    /// packets it dropped on the otherwise lossless fabric.
     #[must_use]
-    pub fn chaos(&self) -> Option<&ChaosEngine> {
-        self.chaos.as_ref()
-    }
-
-    /// Packets the chaos injector dropped on the otherwise lossless
-    /// fabric.
-    #[must_use]
-    pub fn chaos_drops(&self) -> u64 {
-        self.fabric.chaos_drops()
+    pub fn chaos(&self) -> &ChaosEngine {
+        &self.chaos
     }
 
     /// The switched fabric: drop/mark/PFC-pause tallies for the lossy
@@ -401,7 +391,7 @@ impl IbCluster {
     /// Schedules the next chaos heartbeat, if chaos is on and none is
     /// pending.
     fn arm_chaos_tick(&mut self) {
-        if self.chaos.is_some() && !self.chaos_tick_armed {
+        if self.chaos.enabled() && !self.chaos_tick_armed {
             self.chaos_tick_armed = true;
             self.queue
                 .schedule_in(self.config.chaos.tick, IbEvent::ChaosTick);
@@ -411,17 +401,14 @@ impl IbCluster {
     /// Applies one round of memory-pressure and PFC pause-storm chaos
     /// to every node.
     fn chaos_tick(&mut self, now: SimTime) {
-        let Some(engine) = self.chaos.as_mut() else {
-            return;
-        };
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            match engine.memory_fate() {
+            match self.chaos.memory_fate() {
                 MemoryFate::Calm => {}
                 MemoryFate::PressureBurst { pages } | MemoryFate::EvictionStorm { pages } => {
                     node.engine.chaos_evict(pages);
                 }
             }
-            match engine.pause_fate() {
+            match self.chaos.pause_fate() {
                 PauseFate::Calm => {}
                 PauseFate::Storm { pause } => {
                     // A rogue peer sprays pause frames at this node's
@@ -754,57 +741,33 @@ impl IbCluster {
         for (i, out) in outputs.into_iter().enumerate() {
             match out {
                 QpOutput::Send { to, packet } => {
-                    let size = packet.wire_size();
-                    let deliver = |queue: &mut EventQueue<IbEvent>, at: SimTime| {
-                        let node = to.0;
-                        queue.schedule_on(
-                            lanes[node as usize],
-                            at,
-                            IbEvent::Deliver { node, pkt: packet },
-                        );
-                    };
-                    if let Some(chaos) = chaos.as_mut() {
-                        match fabric.send_chaos(now, NodeId(node_idx), to, size, chaos) {
-                            ChaosSendOutcome::Dropped { injected } => {
-                                // Only the injector or a lossy profile
-                                // drops; transport-level retransmission
-                                // recovers either way.
-                                assert!(
-                                    injected || config.profile.loss > 0.0,
-                                    "lossless IB fabric dropped a packet"
+                    let fate = chaos.packet_fate();
+                    if fate == PacketFate::Drop {
+                        // Injected loss never reaches the wire; the
+                        // transport's retransmission recovers.
+                        continue;
+                    }
+                    match fabric.send(now, NodeId(node_idx), to, packet.wire_size()) {
+                        SendOutcome::Delivered { arrives_at, .. } => {
+                            // A corrupted packet burns the wire but fails
+                            // the receiver's CRC: it never reaches the QP.
+                            let node = to.0;
+                            for at in fate.arrivals(arrives_at) {
+                                queue.schedule_on(
+                                    lanes[node as usize],
+                                    at,
+                                    IbEvent::Deliver { node, pkt: packet },
                                 );
-                            }
-                            ChaosSendOutcome::Delivered {
-                                arrives_at,
-                                corrupted,
-                                duplicate_at,
-                                ..
-                            } => {
-                                // A corrupted packet burns the wire but
-                                // fails the receiver's CRC, so it is
-                                // never delivered to the QP.
-                                if !corrupted {
-                                    deliver(queue, arrives_at);
-                                }
-                                if let Some(at) = duplicate_at {
-                                    deliver(queue, at);
-                                }
                             }
                         }
-                    } else {
-                        match fabric.send(now, NodeId(node_idx), to, size) {
-                            SendOutcome::Delivered { arrives_at, .. } => {
-                                deliver(queue, arrives_at);
-                            }
-                            SendOutcome::Dropped => {
-                                // Random loss from a lossy profile: the
-                                // packet vanishes and the transport's
-                                // timeout/NAK machinery recovers.
-                                assert!(
-                                    config.profile.loss > 0.0,
-                                    "lossless IB fabric dropped a packet"
-                                );
-                            }
+                        SendOutcome::Dropped => {
+                            // Random loss from a lossy profile: the
+                            // packet vanishes and the transport's
+                            // timeout/NAK machinery recovers.
+                            assert!(
+                                config.profile.loss > 0.0,
+                                "lossless IB fabric dropped a packet"
+                            );
                         }
                     }
                 }

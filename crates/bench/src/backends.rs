@@ -13,7 +13,7 @@
 //! (`BENCH_backend.json`) carries only simulation-deterministic
 //! tallies, never wall-clock.
 
-use npf_core::{BackendKind, BackendSelect};
+use npf_core::BackendKind;
 use simcore::{ByteSize, SimTime};
 use testbed::builder::ScenarioBuilder;
 use testbed::eth::RxMode;
@@ -89,7 +89,7 @@ pub fn run_cell(ctx: &RunCtx, backend: BackendKind, seed: u64) -> BackendCell {
             ..MemcachedConfig::default()
         })
         .working_set_keys(1_000)
-        .npf(ctx.npf_config().with_backend(BackendSelect::of(backend)))
+        .npf(ctx.npf_config().with_backend(backend))
         .chaos(ctx.opts.chaos)
         .seed(seed)
         .build()

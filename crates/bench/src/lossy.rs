@@ -15,7 +15,7 @@
 //! carries only simulation-deterministic tallies, never wall-clock.
 
 use netsim::profile::{FabricProfile, RdmaTransport, TransportConfig};
-use npf_core::{BackendKind, BackendSelect};
+use npf_core::BackendKind;
 use simcore::time::SimDuration;
 use simcore::units::ByteSize;
 use testbed::builder::ScenarioBuilder;
@@ -110,7 +110,7 @@ pub fn run_cell(
     let mut cluster: IbCluster = ScenarioBuilder::infiniband()
         .nodes(SENDERS + 1)
         .node_memory(ByteSize::mib(512))
-        .npf(ctx.npf_config().with_backend(BackendSelect::of(backend)))
+        .npf(ctx.npf_config().with_backend(backend))
         .profile(profile)
         .transport(TransportConfig::default().with_transport(transport))
         .seed(7)

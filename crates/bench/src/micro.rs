@@ -8,7 +8,7 @@
 use memsim::manager::{MemConfig, MemoryManager};
 use memsim::space::Backing;
 use memsim::types::Vpn;
-use npf_core::cost::NpfBreakdown;
+use npf_core::cost::{NpfBreakdown, COST};
 use npf_core::npf::{NpfConfig, NpfEngine};
 use simcore::instruments::Instruments;
 use simcore::rng::SimRng;
@@ -121,13 +121,12 @@ pub fn fig3(iterations: u32) -> Report {
     ]);
 
     // Invalidation breakdown (Figure 3b): mapped and unmapped cases.
-    let cost = NpfConfig::default().cost;
     for (label, pages, mapped) in [
         ("inval (mapped)", 1u64, true),
         ("inval (mapped)", 1024, true),
         ("inval (lazy/unmapped)", 1, false),
     ] {
-        let b = cost.invalidation(pages, mapped);
+        let b = COST.invalidation(pages, mapped);
         r.row([
             label.into(),
             if pages == 1 { "4KB" } else { "4MB" }.into(),

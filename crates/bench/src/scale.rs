@@ -59,16 +59,6 @@ pub struct ScaleCell {
     pub p99_us: u64,
 }
 
-/// The canonical spelling of a policy in the JSON artifact.
-#[must_use]
-pub fn policy_name(policy: ArbiterPolicy) -> &'static str {
-    match policy {
-        ArbiterPolicy::ChannelOnly => "channel",
-        ArbiterPolicy::RoundRobin => "rr",
-        ArbiterPolicy::WeightedFair => "wfq",
-    }
-}
-
 /// Runs one sweep cell: `tenants` skewed memcached tenants on one NIC
 /// under `policy` arbitration, with an optional per-tenant backup
 /// quota, to the fixed horizon. The fabric, memory-feature and chaos
@@ -175,7 +165,7 @@ pub fn render_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"npf-scalebench-v1\",\n");
-    out.push_str(&format!("  \"arbiter\": \"{}\",\n", policy_name(policy)));
+    out.push_str(&format!("  \"arbiter\": \"{}\",\n", policy.name()));
     match quota {
         Some(q) => out.push_str(&format!("  \"backup_quota\": {q},\n")),
         None => out.push_str("  \"backup_quota\": null,\n"),

@@ -505,7 +505,9 @@ fn write_or_warn(path: &Path, what: &str, contents: &str) {
 /// With `--chaos-seed`/`--chaos-profile`, also installs an
 /// [`InvariantChecker`] around `body`: a violation prints the failing
 /// seed (plus the trace ring, when recording) and the process exits
-/// nonzero, so chaos-enabled experiment runs are CI-able.
+/// nonzero, so chaos-enabled experiment runs are CI-able. A binary
+/// whose testbeds take no chaos config built no enabled engine; rather
+/// than print a clean verdict for faults it never injected, it exits 2.
 ///
 /// Whatever `body` fans out through [`RunCtx::pool`] runs under fresh
 /// copies of these instruments and is absorbed back in task order, so
@@ -528,6 +530,12 @@ pub fn run<R>(ctx: &RunCtx, body: impl FnOnce() -> R) -> R {
         journal,
         checker,
     } = Instruments::take();
+    if checker.as_ref().is_some_and(|c| c.chaos_engines() == 0) {
+        eprintln!(
+            "error: --chaos-seed/--chaos-profile reached no testbed: this binary injects no faults"
+        );
+        std::process::exit(2);
+    }
     let violated = checker.is_some_and(|checker| report_chaos(opts.chaos, &checker));
     if let Some(recorder) = trace {
         if let Some(path) = &opts.trace {
@@ -708,15 +716,18 @@ mod tests {
         let cfg = chaos(&["--chaos-seed", "42"]);
         assert_eq!(cfg.seed, 42);
         assert!(cfg.enabled());
+        assert!(ChaosProfile::ALL.iter().all(|&class| cfg.arms(class)));
         let cfg = chaos(&["--chaos-seed=7", "--chaos-profile=network"]);
         assert_eq!(cfg.seed, 7);
-        assert!(cfg.net.active());
-        assert!(!cfg.interrupt.active());
-        let cfg = chaos(&["--chaos-profile", "irq"]);
-        assert!(cfg.interrupt.active());
+        assert!(cfg.arms(ChaosProfile::Network));
+        assert!(!cfg.arms(ChaosProfile::Interrupts));
+        let cfg = chaos(&["--chaos-profile", "interrupts"]);
+        assert!(cfg.arms(ChaosProfile::Interrupts));
+        assert!(!cfg.arms(ChaosProfile::Network));
         assert_eq!(cfg.seed, 0);
-        // `iommu` named a profile until its fault class was deleted.
-        for name in ["gremlins", "iommu"] {
+        // `iommu` named a profile until its fault class was deleted;
+        // `irq` was an unlisted alias of `interrupts`.
+        for name in ["gremlins", "iommu", "irq"] {
             let bad = RunOpts::parse(&argv(&["--chaos-profile", name]), &[]).unwrap_err();
             assert!(
                 bad.contains(&format!("--chaos-profile {name:?} is unknown")),

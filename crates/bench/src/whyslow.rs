@@ -117,7 +117,7 @@ pub fn render_artifact(
     let mut out = format!(
         "whyslow: {} tenants, arbiter {}, seeds [{}], horizon {}us\n",
         tenants,
-        scale::policy_name(policy),
+        policy.name(),
         seed_list,
         scale::CELL_HORIZON.as_micros()
     );

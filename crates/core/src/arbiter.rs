@@ -47,17 +47,28 @@ pub enum ArbiterPolicy {
 }
 
 impl ArbiterPolicy {
-    /// Parses the CLI spellings used by the bench bins.
+    /// Parses a policy's [`ArbiterPolicy::name`], the CLI spelling of
+    /// the bench bins (`--arbiter channel|rr|wfq`).
     ///
     /// # Errors
     ///
     /// Returns the unrecognized input.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
-            "channel" | "channel-only" | "none" => Ok(ArbiterPolicy::ChannelOnly),
-            "rr" | "round-robin" => Ok(ArbiterPolicy::RoundRobin),
-            "wfq" | "weighted-fair" => Ok(ArbiterPolicy::WeightedFair),
+            "channel" => Ok(ArbiterPolicy::ChannelOnly),
+            "rr" => Ok(ArbiterPolicy::RoundRobin),
+            "wfq" => Ok(ArbiterPolicy::WeightedFair),
             other => Err(other.to_owned()),
+        }
+    }
+
+    /// The canonical spelling of the policy (flags, artifacts).
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            ArbiterPolicy::ChannelOnly => "channel",
+            ArbiterPolicy::RoundRobin => "rr",
+            ArbiterPolicy::WeightedFair => "wfq",
         }
     }
 }
@@ -251,6 +262,25 @@ impl FaultArbiter {
         self.outstanding[domain.0 as usize].push(ready_at);
         if let Some(i) = self.pending_slot.take() {
             self.servers[i] = (ready_at, Some(domain));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn policy_names_round_trip() {
+        for policy in [
+            ArbiterPolicy::ChannelOnly,
+            ArbiterPolicy::RoundRobin,
+            ArbiterPolicy::WeightedFair,
+        ] {
+            assert_eq!(ArbiterPolicy::parse(policy.name()), Ok(policy));
+        }
+        for unlisted in ["channel-only", "none", "round-robin", "weighted-fair"] {
+            assert_eq!(ArbiterPolicy::parse(unlisted), Err(unlisted.to_owned()));
         }
     }
 }

@@ -23,6 +23,7 @@ use simcore::trace::{self, ArgValue};
 
 use iommu::DomainId;
 
+use crate::cost::COST;
 use crate::npf::NpfEngine;
 
 /// One step outcome of the resolver thread.
@@ -133,9 +134,13 @@ impl<P: Clone> BackupDriver<P> {
     /// Backup-ring interrupt handler: drains the NIC's backup entries
     /// into per-IOuser queues. Returns the rings that now have work and
     /// the handler's CPU cost.
+    ///
+    /// The engine argument is unread (the cost is priced from
+    /// [`COST`]); it stays only because the frozen `benchmark/` calls
+    /// this signature.
     pub fn on_backup_interrupt(
         &mut self,
-        engine: &NpfEngine,
+        _engine: &NpfEngine,
         rx: &mut RxEngine<P>,
     ) -> (Vec<RingId>, SimDuration) {
         let mut woken = Vec::new();
@@ -166,8 +171,7 @@ impl<P: Clone> BackupDriver<P> {
             t.metrics_mut()
                 .counter_add("backup_driver.drained", drained);
         });
-        let cost = engine.config().cost.interrupt_dispatch
-            + engine.config().cost.backup_resolver_per_packet * drained.max(1);
+        let cost = COST.interrupt_dispatch + COST.backup_resolver_per_packet * drained.max(1);
         (woken, cost)
     }
 
@@ -223,7 +227,7 @@ impl<P: Clone> BackupDriver<P> {
         // page(s) the packet touches there.
         let buf_addr = VirtAddr(crate::RX_BUFFER_BASE + (target_index % slots) * memsim::PAGE_SIZE);
         let mut ready_at = now;
-        let mut cost = engine.config().cost.backup_resolver_per_packet;
+        let mut cost = COST.backup_resolver_per_packet;
         if !engine.dma_ready(domain, buf_addr, entry.len.max(1), true) {
             if let Some(fid) = engine.pending_fault_covering(domain, buf_addr, entry.len.max(1)) {
                 // Another packet already started this fault; wait for it.
@@ -240,7 +244,7 @@ impl<P: Clone> BackupDriver<P> {
             }
         }
         // Copy the packet into the IOuser buffer.
-        cost += engine.config().cost.memcpy(entry.len);
+        cost += COST.memcpy(entry.len);
         let placed = rx.place_resolved(ring, target_index, entry.payload.clone(), entry.len);
         assert!(placed, "descriptor checked above");
         let notify = rx.resolve_rnpfs(ring, entry.bit_index);

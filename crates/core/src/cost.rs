@@ -59,7 +59,9 @@ impl InvalidationBreakdown {
     }
 }
 
-/// All tunable costs of the NPF engine and its competitors.
+/// The costs of the NPF engine and its competitors. There is one
+/// instance, the calibrated [`COST`]: no configuration carries a cost
+/// model.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     // --- NPF path (Figure 3a) ---
@@ -133,40 +135,37 @@ pub struct CostModel {
     pub backup_resolver_per_packet: SimDuration,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            // 100 + 10 + 20 + 90 = 220 us for a 1-page minor fault;
-            // + 1024 pages * (115 + 12) ns ≈ 350 us for 4 MB (Figure 3a).
-            fault_trigger_hw: SimDuration::from_micros(100),
-            driver_sw_base: SimDuration::from_micros(10),
-            driver_sw_per_page: SimDuration::from_nanos(115),
-            update_pt_base: SimDuration::from_micros(20),
-            update_pt_per_page: SimDuration::from_nanos(12),
-            resume_hw: SimDuration::from_micros(90),
-            resume_hw_bypassed: SimDuration::from_micros(25),
-            hw_jitter_sigma: 0.08,
-            hw_outlier_probability: 0.004,
-            hw_outlier_factor: 2.1,
-            promote_2m_base: SimDuration::from_micros(15),
-            demote_2m_base: SimDuration::from_micros(8),
-            prefetch_issue_base: SimDuration::from_micros(2),
-            // 5 + 15 + 5 = 25 us for a mapped 4 KB invalidation, ~65 us
-            // at 4 MB (Figure 3b).
-            inv_checks: SimDuration::from_micros(5),
-            inv_update_pt_base: SimDuration::from_micros(15),
-            inv_update_pt_per_page: SimDuration::from_nanos(35),
-            inv_updates: SimDuration::from_micros(5),
-            mr_register_base: SimDuration::from_micros(2),
-            pin_per_page: SimDuration::from_nanos(270),
-            unpin_per_page: SimDuration::from_nanos(200),
-            pindown_lookup: SimDuration::from_nanos(150),
-            memcpy_bandwidth: Bandwidth::gbps(40), // 5 GB/s per core
-            interrupt_dispatch: SimDuration::from_micros(2),
-            backup_resolver_per_packet: SimDuration::from_micros(1),
-        }
-    }
-}
+/// The calibrated cost model every engine prices with.
+pub const COST: CostModel = CostModel {
+    // 100 + 10 + 20 + 90 = 220 us for a 1-page minor fault;
+    // + 1024 pages * (115 + 12) ns ≈ 350 us for 4 MB (Figure 3a).
+    fault_trigger_hw: SimDuration::from_micros(100),
+    driver_sw_base: SimDuration::from_micros(10),
+    driver_sw_per_page: SimDuration::from_nanos(115),
+    update_pt_base: SimDuration::from_micros(20),
+    update_pt_per_page: SimDuration::from_nanos(12),
+    resume_hw: SimDuration::from_micros(90),
+    resume_hw_bypassed: SimDuration::from_micros(25),
+    hw_jitter_sigma: 0.08,
+    hw_outlier_probability: 0.004,
+    hw_outlier_factor: 2.1,
+    promote_2m_base: SimDuration::from_micros(15),
+    demote_2m_base: SimDuration::from_micros(8),
+    prefetch_issue_base: SimDuration::from_micros(2),
+    // 5 + 15 + 5 = 25 us for a mapped 4 KB invalidation, ~65 us
+    // at 4 MB (Figure 3b).
+    inv_checks: SimDuration::from_micros(5),
+    inv_update_pt_base: SimDuration::from_micros(15),
+    inv_update_pt_per_page: SimDuration::from_nanos(35),
+    inv_updates: SimDuration::from_micros(5),
+    mr_register_base: SimDuration::from_micros(2),
+    pin_per_page: SimDuration::from_nanos(270),
+    unpin_per_page: SimDuration::from_nanos(200),
+    pindown_lookup: SimDuration::from_nanos(150),
+    memcpy_bandwidth: Bandwidth::gbps(40), // 5 GB/s per core
+    interrupt_dispatch: SimDuration::from_micros(2),
+    backup_resolver_per_packet: SimDuration::from_micros(1),
+};
 
 impl CostModel {
     /// Samples the breakdown of one NPF resolving `pages` pages.
@@ -274,7 +273,7 @@ mod tests {
 
     #[test]
     fn minor_4kb_fault_near_220us() {
-        let m = CostModel::default();
+        let m = COST;
         let mut rng = SimRng::new(1);
         let mut total = 0f64;
         let n = 200;
@@ -293,7 +292,7 @@ mod tests {
 
     #[test]
     fn fault_4mb_near_350us_and_software_grows() {
-        let m = CostModel::default();
+        let m = COST;
         let mut rng = SimRng::new(2);
         let mut total = 0f64;
         let n = 200;
@@ -312,7 +311,7 @@ mod tests {
 
     #[test]
     fn hardware_dominates_small_faults() {
-        let m = CostModel::default();
+        let m = COST;
         let mut rng = SimRng::new(3);
         let b = m.npf(1, SimDuration::ZERO, false, &mut rng);
         let hw = b.trigger_interrupt + b.resume + b.update_hw_pt / 2;
@@ -322,7 +321,7 @@ mod tests {
 
     #[test]
     fn bypass_resume_is_faster() {
-        let m = CostModel::default();
+        let m = COST;
         let mut r1 = SimRng::new(4);
         let mut r2 = SimRng::new(4);
         let slow = m.npf(1, SimDuration::ZERO, false, &mut r1);
@@ -332,7 +331,7 @@ mod tests {
 
     #[test]
     fn invalidation_costs_match_figure_3b() {
-        let m = CostModel::default();
+        let m = COST;
         let mapped_4k = m.invalidation(1, true).total();
         assert!(
             (20.0..30.0).contains(&mapped_4k.as_micros_f64()),
@@ -349,14 +348,14 @@ mod tests {
 
     #[test]
     fn registration_scales_with_pages() {
-        let m = CostModel::default();
+        let m = COST;
         assert!(m.register_pinned(1024) > m.register_pinned(1) * 100);
         assert!(m.deregister_pinned(10) < m.register_pinned(10));
     }
 
     #[test]
     fn huge_page_ops_are_deterministic_and_cheaper_than_a_fault() {
-        let m = CostModel::default();
+        let m = COST;
         // ~15 + 512*0.012 ≈ 21 us promote; ~8 + 6 ≈ 14 us demote.
         assert_eq!(m.huge_promote(), m.huge_promote());
         assert!((18.0..25.0).contains(&m.huge_promote().as_micros_f64()));
@@ -368,7 +367,7 @@ mod tests {
 
     #[test]
     fn prefetch_issue_is_software_only_cheap() {
-        let m = CostModel::default();
+        let m = COST;
         let one = m.prefetch_issue(1);
         let eight = m.prefetch_issue(8);
         assert_eq!(one, m.prefetch_issue(1), "no RNG involved");
@@ -379,7 +378,7 @@ mod tests {
 
     #[test]
     fn memcpy_prices_by_bandwidth() {
-        let m = CostModel::default();
+        let m = COST;
         // 5 GB/s => 128 KiB ≈ 26 us.
         let t = m.memcpy(128 * 1024).as_micros_f64();
         assert!((20.0..35.0).contains(&t), "got {t}");

@@ -20,7 +20,8 @@
 //! * [`pinning::Registrar`] — the competing registration strategies of
 //!   §2.2 (static, fine-grained, pin-down cache, copy) priced against
 //!   the same engine, for apples-to-apples comparisons.
-//! * [`cost::CostModel`] — constants calibrated to Figure 3/Table 4.
+//! * [`cost::COST`] — the one cost model, constants calibrated to
+//!   Figure 3/Table 4.
 //!
 //! # Examples
 //!
@@ -56,11 +57,11 @@ mod prefetch;
 
 pub use arbiter::{ArbiterPolicy, ArbiterStats, FaultArbiter};
 pub use backend::{
-    BackendKind, BackendSelect, FaultPlan, FaultRequest, FirmwareBackend, OdpBackend,
-    PinnedBackend, SoftEmuBackend, SoftEmuConfig,
+    BackendKind, FaultPlan, FaultRequest, FirmwareBackend, OdpBackend, PinnedBackend,
+    SoftEmuBackend,
 };
 pub use backup_driver::{BackupDriver, ResolveStep};
-pub use cost::{CostModel, InvalidationBreakdown, NpfBreakdown};
+pub use cost::{CostModel, InvalidationBreakdown, NpfBreakdown, COST};
 pub use npf::{FaultRecord, NpfConfig, NpfEngine};
 pub use pinning::{Registrar, RegistrarStats, Strategy};
 

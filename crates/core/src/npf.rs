@@ -46,15 +46,14 @@ use simcore::time::{SimDuration, SimTime};
 use simcore::trace::{self, ArgValue};
 
 use crate::arbiter::{ArbiterPolicy, FaultArbiter};
-use crate::backend::{
-    trace_child_name, BackendKind, BackendSelect, FaultPlan, FaultRequest, OdpBackend,
-};
-use crate::cost::{CostModel, NpfBreakdown};
+use crate::backend::{trace_child_name, BackendKind, FaultPlan, FaultRequest, OdpBackend};
+use crate::cost::{NpfBreakdown, COST};
 use crate::dense_slot;
 use crate::prefetch::StridePrefetcher;
 
 /// Engine configuration: the paper's optimizations as toggles, for the
-/// ablation benches.
+/// ablation benches. Costs are not configured: every engine prices with
+/// the calibrated [`COST`].
 ///
 /// Non-exhaustive: construct via [`NpfConfig::default`] and the
 /// `with_*` setters so new knobs (arbitration, slot pools) are not
@@ -62,8 +61,6 @@ use crate::prefetch::StridePrefetcher;
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct NpfConfig {
-    /// Costs in force.
-    pub cost: CostModel,
     /// Maximum concurrently-serviced faults per channel (the prototype
     /// uses four, §4). Extra faults queue behind outstanding ones.
     pub concurrent_faults_per_channel: u32,
@@ -88,7 +85,7 @@ pub struct NpfConfig {
     /// Which ODP backend services faults: the paper's firmware NPF
     /// path (default), the NP-RDMA-style driver-level software
     /// emulation, or the pinned-only baseline.
-    pub backend: BackendSelect,
+    pub backend: BackendKind,
     /// Fold runs of 512 resident 4 KiB pages into 2 MiB leaves in the
     /// IOMMU page tables. Promotion and demotion maintenance is charged
     /// to the next fault's OS span.
@@ -104,14 +101,13 @@ pub struct NpfConfig {
 impl Default for NpfConfig {
     fn default() -> Self {
         NpfConfig {
-            cost: CostModel::default(),
             concurrent_faults_per_channel: 4,
             batch_resolution: true,
             firmware_bypass: false,
             arbiter: ArbiterPolicy::ChannelOnly,
             total_fault_slots: 0,
             iotlb_entries: 4096,
-            backend: BackendSelect::Firmware,
+            backend: BackendKind::Firmware,
             huge_pages: false,
             prefetch_depth: 0,
         }
@@ -156,7 +152,7 @@ impl NpfConfig {
 
     /// Selects the ODP backend.
     #[must_use]
-    pub fn with_backend(mut self, backend: BackendSelect) -> Self {
+    pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
     }
@@ -703,12 +699,8 @@ impl NpfEngine {
             speculative: origin == Origin::Speculative,
             tier_cost: resolved.tier_cost,
         };
-        self.backend.plan(
-            &request,
-            &self.config.cost,
-            &mut self.rng,
-            &mut self.counters,
-        )
+        self.backend
+            .plan(&request, &mut self.rng, &mut self.counters)
     }
 
     /// Admit stage: when a fault raised at `now` needing `service` time
@@ -959,7 +951,7 @@ impl NpfEngine {
             let delta = promotions - self.seen_promotions;
             self.seen_promotions = promotions;
             self.counters.add_id(self.ids.huge_promotions, delta);
-            self.pending_huge_cost += self.config.cost.huge_promote() * delta;
+            self.pending_huge_cost += COST.huge_promote() * delta;
             trace::with(|t| {
                 t.metrics_mut().counter_add("npf.huge_promotions", delta);
             });
@@ -968,7 +960,7 @@ impl NpfEngine {
             let delta = demotions - self.seen_demotions;
             self.seen_demotions = demotions;
             self.counters.add_id(self.ids.huge_demotions, delta);
-            self.pending_huge_cost += self.config.cost.huge_demote() * delta;
+            self.pending_huge_cost += COST.huge_demote() * delta;
             trace::with(|t| {
                 t.metrics_mut().counter_add("npf.huge_demotions", delta);
             });
@@ -1014,7 +1006,7 @@ impl NpfEngine {
                 self.counters.bump_id(self.ids.invalidations_mapped);
             }
             self.prefetcher.forget(d, inv.vpn);
-            cost += self.config.cost.invalidation(1, was_mapped).total();
+            cost += COST.invalidation(1, was_mapped).total();
             trace::with(|t| {
                 // No `now` in scope (invalidations arrive from MMU
                 // notifier callbacks); stamp with the recorder clock.
@@ -1149,7 +1141,7 @@ impl NpfEngine {
         }
         self.iommu.map_batch(domain, &mappings, true);
         self.absorb_huge_deltas();
-        cost += self.config.cost.register_pinned(range.pages);
+        cost += COST.register_pinned(range.pages);
         Ok(cost)
     }
 
@@ -1167,7 +1159,7 @@ impl NpfEngine {
         self.mm.unpin_range(space, range)?;
         self.iommu.invalidate_range(domain, range);
         self.absorb_huge_deltas();
-        Ok(self.config.cost.deregister_pinned(range.pages))
+        Ok(COST.deregister_pinned(range.pages))
     }
 }
 
@@ -1572,15 +1564,13 @@ mod tests {
         assert_eq!(e.counters().get("npf_major"), 1);
     }
 
-    fn softemu_engine(
-        cfg: crate::backend::SoftEmuConfig,
-    ) -> (NpfEngine, SpaceId, DomainId, PageRange) {
+    fn softemu_engine(config: NpfConfig) -> (NpfEngine, SpaceId, DomainId, PageRange) {
         let mm = MemoryManager::new(MemConfig {
             total_memory: ByteSize::mib(16),
             ..MemConfig::default()
         });
         let mut e = NpfEngine::new(
-            NpfConfig::default().with_backend(BackendSelect::SoftEmu(cfg)),
+            config.with_backend(BackendKind::SoftEmu),
             mm,
             SimRng::new(1),
         );
@@ -1595,7 +1585,7 @@ mod tests {
 
     #[test]
     fn softemu_fault_has_no_firmware_events_and_is_faster() {
-        let (mut e, _s, d, r) = softemu_engine(crate::backend::SoftEmuConfig::default());
+        let (mut e, _s, d, r) = softemu_engine(NpfConfig::default());
         assert_eq!(e.backend_kind(), BackendKind::SoftEmu);
         let rec = e
             .begin_fault(SimTime::ZERO, d, r.start.base(), 4096, true, None)
@@ -1633,10 +1623,13 @@ mod tests {
 
     #[test]
     fn softemu_pool_exhaustion_backpressures_without_drops() {
-        let cfg = crate::backend::SoftEmuConfig::default().with_bounce_buffers(1);
-        let (mut e, _s, d, r) = softemu_engine(cfg);
+        // One fault more than the pool holds, all on one channel whose
+        // own limit admits them at once: only the pool can hold one back.
+        let faults = crate::backend::BOUNCE_BUFFERS + 1;
+        let (mut e, _s, d, r) =
+            softemu_engine(NpfConfig::default().with_concurrent_faults_per_channel(faults));
         let mut readies = Vec::new();
-        for i in 0..3u64 {
+        for i in 0..u64::from(faults) {
             let rec = e
                 .begin_fault(
                     SimTime::ZERO,
@@ -1650,15 +1643,17 @@ mod tests {
                 .clone();
             readies.push((rec.id, rec.ready_at));
         }
-        // Every fault is admitted (no drops), serialized on the single
-        // bounce buffer.
-        assert_eq!(e.counters().get("npf_events"), 3);
-        assert!(readies[0].1 < readies[1].1 && readies[1].1 < readies[2].1);
-        assert!(e.counters().get("softemu_pool_waits") >= 2);
+        // Every fault is admitted (no drops); the pool serves all but
+        // the last at once, and the last waits for a buffer's release.
+        assert_eq!(e.counters().get("npf_events"), u64::from(faults));
+        let (last, pooled) = readies.split_last().expect("faults raised");
+        assert!(pooled.iter().all(|&(_, at)| at == pooled[0].1));
+        assert!(last.1 > pooled[0].1);
+        assert_eq!(e.counters().get("softemu_pool_waits"), 1);
         for (id, _) in readies {
             e.complete_fault(id);
         }
-        assert_eq!(e.counters().get("softemu_copyouts"), 3);
+        assert_eq!(e.counters().get("softemu_copyouts"), u64::from(faults));
     }
 
     #[test]
@@ -1671,9 +1666,7 @@ mod tests {
             ..MemConfig::default()
         });
         let mut e = NpfEngine::new(
-            NpfConfig::default().with_backend(BackendSelect::SoftEmu(
-                crate::backend::SoftEmuConfig::default(),
-            )),
+            NpfConfig::default().with_backend(BackendKind::SoftEmu),
             mm,
             SimRng::new(1),
         );
@@ -1707,7 +1700,7 @@ mod tests {
             ..MemConfig::default()
         });
         let mut e = NpfEngine::new(
-            NpfConfig::default().with_backend(BackendSelect::Pinned),
+            NpfConfig::default().with_backend(BackendKind::Pinned),
             mm,
             SimRng::new(1),
         );

@@ -25,6 +25,7 @@ use simcore::units::ByteSize;
 
 use iommu::DomainId;
 
+use crate::cost::COST;
 use crate::npf::NpfEngine;
 
 /// The strategy selector.
@@ -114,16 +115,16 @@ impl Registrar {
             }
             Strategy::FineGrained | Strategy::PinDownCache { .. } => {
                 // Registration is lazy; work happens per transfer.
-                Ok(engine.config().cost.mr_register_base)
+                Ok(COST.mr_register_base)
             }
             Strategy::Odp => {
                 // ODP registration is instant: no pages touched.
-                Ok(engine.config().cost.mr_register_base)
+                Ok(COST.mr_register_base)
             }
             Strategy::Copy => {
                 // The bounce buffer is registered once; treat the region
                 // itself as unregistered.
-                Ok(engine.config().cost.mr_register_base)
+                Ok(COST.mr_register_base)
             }
         }
     }
@@ -151,7 +152,7 @@ impl Registrar {
             }
             Strategy::PinDownCache { capacity } => {
                 let capacity_pages = capacity.bytes() / memsim::PAGE_SIZE;
-                let mut cost = engine.config().cost.pindown_lookup;
+                let mut cost = COST.pindown_lookup;
                 // Which pages miss?
                 let missing: Vec<Vpn> = range
                     .iter()
@@ -191,7 +192,7 @@ impl Registrar {
                 let touch =
                     engine.touch_range(engine.space_of(self.domain), addr, len.max(1), false)?;
                 self.stats.bytes_copied += len;
-                Ok(touch + engine.config().cost.memcpy(len))
+                Ok(touch + COST.memcpy(len))
             }
         }
     }
@@ -223,7 +224,7 @@ impl Registrar {
                 let touch =
                     engine.touch_range(engine.space_of(self.domain), addr, len.max(1), true)?;
                 self.stats.bytes_copied += len;
-                Ok(touch + engine.config().cost.memcpy(len))
+                Ok(touch + COST.memcpy(len))
             }
             _ => Ok(SimDuration::ZERO),
         }

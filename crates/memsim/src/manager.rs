@@ -53,7 +53,15 @@ impl Default for TierConfig {
 /// the swap device; [`PageState::SwappedOut`] carries either unchanged.
 const NVM_SLOT_TAG: u64 = 1 << 63;
 
-/// Configuration of the memory subsystem.
+/// Fixed OS software cost of resolving any fault (trap + bookkeeping).
+const FAULT_SW_COST: SimDuration = SimDuration::from_micros(1);
+
+/// Extra OS software cost per page resolved (translation, zeroing); the
+/// paper measures ~115 ns/page of OS work for large messages (§4).
+const PER_PAGE_SW_COST: SimDuration = SimDuration::from_nanos(115);
+
+/// Configuration of the memory subsystem. The OS's own fault costs are
+/// the constants `FAULT_SW_COST` and `PER_PAGE_SW_COST`, not settings.
 #[derive(Debug, Clone, Copy)]
 pub struct MemConfig {
     /// Physical memory available to the host.
@@ -62,11 +70,6 @@ pub struct MemConfig {
     pub disk: DiskConfig,
     /// Swap space.
     pub swap_capacity: ByteSize,
-    /// Fixed software cost of resolving any fault (trap + bookkeeping).
-    pub fault_sw_cost: SimDuration,
-    /// Extra software cost per page resolved (translation, zeroing); the
-    /// paper measures ~115 ns/page of OS work for large messages (§4).
-    pub per_page_sw_cost: SimDuration,
     /// Per-space mlock limit (`RLIMIT_MEMLOCK`); `None` disables the
     /// check (privileged IOproviders).
     pub rlimit_memlock: Option<ByteSize>,
@@ -83,8 +86,6 @@ impl Default for MemConfig {
             total_memory: ByteSize::gib(8),
             disk: DiskConfig::hard_drive(),
             swap_capacity: ByteSize::gib(16),
-            fault_sw_cost: SimDuration::from_micros(1),
-            per_page_sw_cost: SimDuration::from_nanos(115),
             rlimit_memlock: None,
             tier: None,
         }
@@ -539,7 +540,7 @@ impl MemoryManager {
         // The writer's translation changes either way: existing I/O
         // mappings of this page are stale.
         let mut invalidations = vec![Invalidation { space, vpn }];
-        let mut cost = self.config.fault_sw_cost;
+        let mut cost = FAULT_SW_COST;
         let frame = if refs > 1 {
             let (new, alloc_cost, inv) = self.alloc_frame()?;
             cost += alloc_cost;
@@ -614,7 +615,7 @@ impl MemoryManager {
         );
         let backing = self.space(space)?.backing_of(vpn)?;
 
-        let mut cost = self.config.fault_sw_cost + self.config.per_page_sw_cost;
+        let mut cost = FAULT_SW_COST + PER_PAGE_SW_COST;
         let mut io_cost = SimDuration::ZERO;
         let mut tier_cost = SimDuration::ZERO;
         let mut invalidations = Vec::new();

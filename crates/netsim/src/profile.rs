@@ -42,12 +42,13 @@ pub enum RdmaTransport {
 }
 
 impl RdmaTransport {
-    /// Parses a command-line name (`gbn` or `irn`).
+    /// Parses a transport's [`RdmaTransport::name`] (`gbn` or `irn`),
+    /// its command-line spelling.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
-            "gbn" | "go-back-n" => Some(RdmaTransport::GoBackN),
-            "irn" | "selective-repeat" => Some(RdmaTransport::SelectiveRepeat),
+            "gbn" => Some(RdmaTransport::GoBackN),
+            "irn" => Some(RdmaTransport::SelectiveRepeat),
             _ => None,
         }
     }
@@ -226,11 +227,9 @@ mod tests {
         for t in [RdmaTransport::GoBackN, RdmaTransport::SelectiveRepeat] {
             assert_eq!(RdmaTransport::from_name(t.name()), Some(t));
         }
-        assert_eq!(
-            RdmaTransport::from_name("selective-repeat"),
-            Some(RdmaTransport::SelectiveRepeat)
-        );
-        assert_eq!(RdmaTransport::from_name("bogus"), None);
+        for unlisted in ["bogus", "go-back-n", "selective-repeat"] {
+            assert_eq!(RdmaTransport::from_name(unlisted), None, "{unlisted}");
+        }
     }
 
     #[test]

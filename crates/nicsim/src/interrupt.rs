@@ -95,7 +95,7 @@ impl InterruptModerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::chaos::{ChaosConfig, ChaosProfile};
+    use simcore::chaos::{ChaosConfig, ChaosProfile, IRQ_MAX_DELAY, IRQ_WATCHDOG};
 
     fn off() -> ChaosEngine {
         ChaosEngine::new(ChaosConfig::disabled())
@@ -157,8 +157,7 @@ mod tests {
     #[test]
     fn chaos_perturbs_fire_times_but_stays_live() {
         let mut chaos = ChaosEngine::new(ChaosConfig::profile(ChaosProfile::Interrupts, 5));
-        let watchdog = chaos.config().interrupt.watchdog;
-        let max_delay = chaos.config().interrupt.max_delay;
+        let (watchdog, max_delay) = (IRQ_WATCHDOG, IRQ_MAX_DELAY);
         let mut m = InterruptModerator::new(SimDuration::from_micros(10));
         let (mut on_time, mut lost, mut delayed) = (0, 0, 0);
         // Requests 1 ms apart: past the watchdog and the holdoff, so the

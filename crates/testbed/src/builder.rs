@@ -32,7 +32,7 @@ use memsim::manager::{MemError, TierConfig};
 use memsim::swap::DiskConfig;
 use netsim::profile::{FabricProfile, RdmaTransport, TransportConfig};
 use npf_core::npf::NpfConfig;
-use npf_core::{ArbiterPolicy, BackendKind, BackendSelect};
+use npf_core::{ArbiterPolicy, BackendKind};
 use simcore::chaos::ChaosConfig;
 use simcore::units::ByteSize;
 use workloads::memcached::MemcachedConfig;
@@ -98,9 +98,6 @@ pub enum ScenarioError {
         /// The backend that cannot honour it.
         backend: BackendKind,
     },
-    /// A software-emulation backend with a zero-sized bounce pool
-    /// (every unmapped DMA would wait forever for a buffer).
-    ZeroBounceBuffers,
     /// A tenant weight for an instance the scenario does not create.
     UnknownTenant {
         /// The weighted instance.
@@ -133,18 +130,6 @@ pub enum ScenarioError {
         /// The offending probability (stringified so the error stays
         /// `Eq`).
         loss: String,
-    },
-    /// Chaos is enabled with a zero tick period: every chaos tick
-    /// re-arms at the same instant, so simulated time never advances.
-    ZeroChaosTick,
-    /// A chaos fault probability that is not a number in `[0, 1]` (a
-    /// NaN would silently switch its class off).
-    ChaosProbabilityOutOfRange {
-        /// The offending field of [`ChaosConfig`], e.g. `net.drop`.
-        field: &'static str,
-        /// The offending probability (stringified so the error stays
-        /// `Eq`).
-        value: String,
     },
     /// Construction failed in the memory subsystem (e.g. pinning under
     /// [`RxMode::Pin`] with insufficient host memory — Table 5's "N/A").
@@ -201,9 +186,6 @@ impl std::fmt::Display for ScenarioError {
                 "firmware-bypass resume requested but the backend is {}",
                 backend.as_str()
             ),
-            ScenarioError::ZeroBounceBuffers => {
-                write!(f, "softemu backend with a zero-sized bounce-buffer pool")
-            }
             ScenarioError::UnknownTenant {
                 instance,
                 instances,
@@ -228,10 +210,6 @@ impl std::fmt::Display for ScenarioError {
             }
             ScenarioError::LossOutOfRange { loss } => {
                 write!(f, "loss probability {loss} is outside [0, 1)")
-            }
-            ScenarioError::ZeroChaosTick => write!(f, "chaos enabled with a zero tick period"),
-            ScenarioError::ChaosProbabilityOutOfRange { field, value } => {
-                write!(f, "chaos probability {field} = {value} is outside [0, 1]")
             }
             ScenarioError::Mem(e) => write!(f, "{e}"),
         }
@@ -296,7 +274,6 @@ pub(crate) fn validate_eth(cfg: &EthConfig) -> Result<(), ScenarioError> {
     }
     validate_profile(&cfg.profile)?;
     validate_npf(&cfg.npf)?;
-    validate_chaos(&cfg.chaos)?;
     // Port-space geometry: server listeners live at 11211 + instance,
     // client locals at 20000 + connection; both must stay within u16
     // and must not collide.
@@ -339,8 +316,7 @@ pub(crate) fn validate_ib(cfg: &IbConfig) -> Result<(), ScenarioError> {
     if cfg.rc.transport == RdmaTransport::SelectiveRepeat && cfg.rc.bdp_packets == 0 {
         return Err(ScenarioError::BdpCapZero);
     }
-    validate_npf(&cfg.npf)?;
-    validate_chaos(&cfg.chaos)
+    validate_npf(&cfg.npf)
 }
 
 /// Whole-config validation of a fabric profile.
@@ -358,35 +334,6 @@ pub(crate) fn validate_profile(profile: &FabricProfile) -> Result<(), ScenarioEr
     Ok(())
 }
 
-fn validate_chaos(cfg: &ChaosConfig) -> Result<(), ScenarioError> {
-    let probabilities = [
-        ("net.drop", cfg.net.drop),
-        ("net.corrupt", cfg.net.corrupt),
-        ("net.duplicate", cfg.net.duplicate),
-        ("net.reorder", cfg.net.reorder),
-        ("interrupt.lose", cfg.interrupt.lose),
-        ("interrupt.delay", cfg.interrupt.delay),
-        ("npf.delay", cfg.npf.delay),
-        ("npf.transient", cfg.npf.transient),
-        ("memory.burst", cfg.memory.burst),
-        ("memory.storm", cfg.memory.storm),
-        ("pause.storm", cfg.pause.storm),
-    ];
-    for (field, p) in probabilities {
-        // NaN fails `contains`, as does any infinity.
-        if !(0.0..=1.0).contains(&p) {
-            return Err(ScenarioError::ChaosProbabilityOutOfRange {
-                field,
-                value: p.to_string(),
-            });
-        }
-    }
-    if cfg.enabled() && cfg.tick.is_zero() {
-        return Err(ScenarioError::ZeroChaosTick);
-    }
-    Ok(())
-}
-
 fn validate_npf(cfg: &NpfConfig) -> Result<(), ScenarioError> {
     if cfg.arbiter != ArbiterPolicy::ChannelOnly && cfg.total_fault_slots == 0 {
         return Err(ScenarioError::ArbiterWithoutSlots);
@@ -394,7 +341,7 @@ fn validate_npf(cfg: &NpfConfig) -> Result<(), ScenarioError> {
     // Cross-channel arbitration and the bypass resume are firmware NIC
     // features; the driver-level backends have neither a shared fault
     // slot pool nor a firmware to bypass.
-    let backend = cfg.backend.kind();
+    let backend = cfg.backend;
     if backend != BackendKind::Firmware {
         if cfg.arbiter != ArbiterPolicy::ChannelOnly {
             return Err(ScenarioError::ArbiterNeedsFirmware {
@@ -404,11 +351,6 @@ fn validate_npf(cfg: &NpfConfig) -> Result<(), ScenarioError> {
         }
         if cfg.firmware_bypass {
             return Err(ScenarioError::BypassNeedsFirmware { backend });
-        }
-    }
-    if let BackendSelect::SoftEmu(se) = cfg.backend {
-        if se.bounce_buffers == 0 {
-            return Err(ScenarioError::ZeroBounceBuffers);
         }
     }
     Ok(())
@@ -778,7 +720,6 @@ impl IbScenario {
 mod tests {
     use super::*;
     use simcore::chaos::ChaosProfile;
-    use simcore::time::SimDuration;
 
     #[test]
     fn zero_nodes_is_a_typed_error_not_a_panic() {
@@ -816,43 +757,9 @@ mod tests {
                 loss: "1.5".to_string()
             })
         );
-        // A zero chaos tick livelocks the bed at t=0; a NaN or
-        // out-of-range fault probability is rejected, not ignored.
-        let chaos = ChaosConfig::profile(ChaosProfile::All, 1);
-        let mut zero_tick = chaos;
-        zero_tick.tick = SimDuration::ZERO;
-        assert_eq!(
-            ScenarioBuilder::infiniband()
-                .chaos(zero_tick)
-                .validate()
-                .err(),
-            Some(ScenarioError::ZeroChaosTick)
-        );
-        let mut nan = chaos;
-        nan.net.drop = f64::NAN;
-        assert_eq!(
-            ScenarioBuilder::infiniband().chaos(nan).validate().err(),
-            Some(ScenarioError::ChaosProbabilityOutOfRange {
-                field: "net.drop",
-                value: "NaN".to_string()
-            })
-        );
-        let mut storm = ChaosConfig::disabled();
-        storm.pause.storm = 1.5;
-        assert_eq!(
-            ScenarioBuilder::infiniband().chaos(storm).validate().err(),
-            Some(ScenarioError::ChaosProbabilityOutOfRange {
-                field: "pause.storm",
-                value: "1.5".to_string()
-            })
-        );
-        // A disabled config never ticks, so its period is moot.
-        let mut idle = ChaosConfig::disabled();
-        idle.tick = SimDuration::ZERO;
-        assert!(ScenarioBuilder::infiniband().chaos(idle).validate().is_ok());
         // The sensible combinations pass.
         assert!(ScenarioBuilder::infiniband()
-            .chaos(chaos)
+            .chaos(ChaosConfig::profile(ChaosProfile::All, 1).with_pause_storms())
             .validate()
             .is_ok());
         assert!(ScenarioBuilder::infiniband()
@@ -935,36 +842,11 @@ mod tests {
                 instances: 1
             })
         );
-        let mut zero_tick = ChaosConfig::profile(ChaosProfile::Memory, 1);
-        zero_tick.tick = SimDuration::ZERO;
-        assert_eq!(
-            base().chaos(zero_tick).validate().err(),
-            Some(ScenarioError::ZeroChaosTick)
-        );
-        let mut negative = ChaosConfig::profile(ChaosProfile::Interrupts, 1);
-        negative.interrupt.lose = -0.1;
-        assert_eq!(
-            base().chaos(negative).validate().err(),
-            Some(ScenarioError::ChaosProbabilityOutOfRange {
-                field: "interrupt.lose",
-                value: "-0.1".to_string()
-            })
-        );
-        let mut infinite = ChaosConfig::profile(ChaosProfile::Npf, 1);
-        infinite.npf.transient = f64::INFINITY;
-        assert_eq!(
-            base().chaos(infinite).validate().err(),
-            Some(ScenarioError::ChaosProbabilityOutOfRange {
-                field: "npf.transient",
-                value: "inf".to_string()
-            })
-        );
         assert!(base().validate().is_ok());
     }
 
     #[test]
     fn backend_validation_matrix() {
-        use npf_core::SoftEmuConfig;
         let base = || {
             ScenarioBuilder::ethernet()
                 .instances(1)
@@ -972,14 +854,13 @@ mod tests {
                 .host_memory(ByteSize::mib(256))
                 .working_set_keys(100)
         };
-        let softemu = || BackendSelect::SoftEmu(SoftEmuConfig::default());
         // Firmware-only knobs are rejected under the driver-level
         // backends...
         assert_eq!(
             base()
                 .npf(
                     NpfConfig::default()
-                        .with_backend(softemu())
+                        .with_backend(BackendKind::SoftEmu)
                         .with_arbiter(ArbiterPolicy::RoundRobin)
                         .with_total_fault_slots(8)
                 )
@@ -994,7 +875,7 @@ mod tests {
             base()
                 .npf(
                     NpfConfig::default()
-                        .with_backend(BackendSelect::Pinned)
+                        .with_backend(BackendKind::Pinned)
                         .with_arbiter(ArbiterPolicy::WeightedFair)
                         .with_total_fault_slots(8)
                 )
@@ -1009,7 +890,7 @@ mod tests {
             base()
                 .npf(
                     NpfConfig::default()
-                        .with_backend(softemu())
+                        .with_backend(BackendKind::SoftEmu)
                         .with_firmware_bypass(true)
                 )
                 .validate()
@@ -1017,15 +898,6 @@ mod tests {
             Some(ScenarioError::BypassNeedsFirmware {
                 backend: BackendKind::SoftEmu,
             })
-        );
-        assert_eq!(
-            base()
-                .npf(NpfConfig::default().with_backend(BackendSelect::SoftEmu(
-                    SoftEmuConfig::default().with_bounce_buffers(0)
-                )))
-                .validate()
-                .err(),
-            Some(ScenarioError::ZeroBounceBuffers)
         );
         // ...while the same knobs stay legal under firmware, and the
         // well-formed non-firmware configurations pass.
@@ -1039,11 +911,11 @@ mod tests {
             .validate()
             .is_ok());
         assert!(base()
-            .npf(NpfConfig::default().with_backend(softemu()))
+            .npf(NpfConfig::default().with_backend(BackendKind::SoftEmu))
             .validate()
             .is_ok());
         assert!(base()
-            .npf(NpfConfig::default().with_backend(BackendSelect::Pinned))
+            .npf(NpfConfig::default().with_backend(BackendKind::Pinned))
             .validate()
             .is_ok());
         // The same checks guard the InfiniBand path.
@@ -1051,7 +923,7 @@ mod tests {
             ScenarioBuilder::infiniband()
                 .npf(
                     NpfConfig::default()
-                        .with_backend(softemu())
+                        .with_backend(BackendKind::SoftEmu)
                         .with_firmware_bypass(true)
                 )
                 .validate()

@@ -27,7 +27,7 @@ use nicsim::sriov::ChannelTable;
 use npf_core::backup_driver::{BackupDriver, ResolveStep};
 use npf_core::npf::{NpfConfig, NpfEngine};
 use npf_core::{BackendKind, RX_BUFFER_BASE};
-use simcore::chaos::{ChaosConfig, ChaosEngine, MemoryFate, PacketFate};
+use simcore::chaos::{ChaosConfig, ChaosEngine, MemoryFate, PacketFate, CHAOS_TICK};
 use simcore::event::{EventQueue, EventToken, LaneId};
 use simcore::instruments;
 use simcore::journal::{self, CauseId};
@@ -103,8 +103,9 @@ pub struct EthConfig {
     pub working_set_keys: u64,
     /// Optional cgroup limit shared by *all* instances (Figure 7).
     pub cgroup_limit: Option<ByteSize>,
-    /// Pre-fault the receive rings at startup (used by the what-if
-    /// stream runs; Figure 4 wants them cold).
+    /// Pre-fault the receive rings at startup. Every experiment leaves
+    /// this off (Figure 4 wants cold rings); only tests turn it on, to
+    /// compare a warm ring with a cold one.
     pub prefault_rings: bool,
     /// Pre-populate each instance's cache with its working set
     /// (memaslap's warmup phase); steady-state experiments want this.
@@ -546,8 +547,7 @@ impl EthTestbed {
     fn arm_chaos_tick(&mut self) {
         if self.chaos.enabled() && !self.chaos_tick_armed {
             self.chaos_tick_armed = true;
-            self.queue
-                .schedule_in(self.config.chaos.tick, EthEvent::ChaosTick);
+            self.queue.schedule_in(CHAOS_TICK, EthEvent::ChaosTick);
         }
     }
 
@@ -1446,7 +1446,7 @@ mod tests {
             .schedule_timer(due, EthEvent::TcpTimer(Side::Client, slot));
         bed.client.conns[slot.index()].timer = Some(rto);
         let popped = bed.queue.popped_total();
-        bed.run_until(due - bed.config.chaos.tick);
+        bed.run_until(due - CHAOS_TICK);
         assert!(bed.chaos_tick_armed, "the heartbeat stopped early");
         assert_eq!(bed.queue.len(), 2, "heartbeat and timer pending");
         assert!(

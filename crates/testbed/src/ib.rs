@@ -23,7 +23,7 @@ use rdmasim::types::{
     Completion, DmaGate, GateDecision, MessageRange, QpId, QpOutput, QpTimer, RcConfig, RcPacket,
     RecvWqe, SendOp, WrId,
 };
-use simcore::chaos::{ChaosConfig, ChaosEngine, MemoryFate, PacketFate, PauseFate};
+use simcore::chaos::{ChaosConfig, ChaosEngine, MemoryFate, PacketFate, PauseFate, CHAOS_TICK};
 use simcore::event::{EventQueue, EventToken, LaneId};
 use simcore::instruments;
 use simcore::rng::SimRng;
@@ -393,8 +393,7 @@ impl IbCluster {
     fn arm_chaos_tick(&mut self) {
         if self.chaos.enabled() && !self.chaos_tick_armed {
             self.chaos_tick_armed = true;
-            self.queue
-                .schedule_in(self.config.chaos.tick, IbEvent::ChaosTick);
+            self.queue.schedule_in(CHAOS_TICK, IbEvent::ChaosTick);
         }
     }
 

@@ -12,6 +12,7 @@ use memsim::space::Backing;
 use memsim::swap::DiskConfig;
 use memsim::types::{PageRange, VirtAddr};
 use npf_core::npf::NpfConfig;
+use npf_core::COST;
 use rdmasim::types::{SendOp, WcOpcode};
 use simcore::time::{SimDuration, SimTime};
 use simcore::units::ByteSize;
@@ -233,7 +234,7 @@ pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemErro
             .engine_mut()
             .touch_range(space, plan.comm_buffer, plan.touch_len, true)
             .expect("comm buffer touch");
-        delay += touch + node.engine_mut().config().cost.memcpy(plan.touch_len);
+        delay += touch + COST.memcpy(plan.touch_len);
         // RDMA-write the block to the initiator.
         let remote = VirtAddr(init_buf.0 + (*issued % 64) * config.block_size);
         cluster.post_send_after(

@@ -15,7 +15,7 @@ use netsim::link::{Link, LinkConfig, SendOutcome};
 use netsim::profile::FabricProfile;
 use nicsim::rx::{RingId, RxDescriptor, RxEngine, RxFaultMode, RxVerdict};
 use npf_core::npf::{NpfConfig, NpfEngine};
-use npf_core::RX_BUFFER_BASE;
+use npf_core::{COST, RX_BUFFER_BASE};
 use simcore::event::{EventQueue, EventToken, LaneId};
 use simcore::instruments;
 use simcore::rng::SimRng;
@@ -177,7 +177,7 @@ impl StreamBed {
         let mut synth = SyntheticFaults::new(config.fault_frequency, rng.fork(2));
         synth.arm();
         let minor = SimDuration::from_micros(220);
-        let major = minor + NpfConfig::default().cost.memcpy(0) + SimDuration::from_millis(5);
+        let major = minor + COST.memcpy(0) + SimDuration::from_millis(5);
 
         let link_cfg = config.profile.apply_link(LinkConfig {
             bandwidth: PROTOTYPE_LINK,

@@ -51,7 +51,7 @@ pub mod prelude {
     pub use memsim::space::Backing;
     pub use npf_core::npf::{NpfConfig, NpfEngine};
     pub use npf_core::pinning::{Registrar, Strategy};
-    pub use npf_core::{ArbiterPolicy, BackendKind, BackendSelect, SoftEmuConfig};
+    pub use npf_core::{ArbiterPolicy, BackendKind};
     pub use simcore::chaos::{ChaosConfig, ChaosEngine, ChaosProfile, InvariantChecker};
     pub use simcore::{Bandwidth, ByteSize, SimDuration, SimRng, SimTime};
     pub use testbed::builder::{EthScenario, IbScenario, ScenarioBuilder, ScenarioError};

@@ -64,7 +64,7 @@ fn run_ib(kind: BackendKind, seed: u64) -> (Vec<(u64, u64, bool)>, u64) {
     const MSGS: u64 = 8;
     let mut c = ScenarioBuilder::infiniband()
         .nodes(2)
-        .npf(NpfConfig::default().with_backend(BackendSelect::of(kind)))
+        .npf(NpfConfig::default().with_backend(kind))
         .seed(seed)
         .build()
         .expect("ib conformance scenario must validate");
@@ -150,7 +150,7 @@ fn run_eth(kind: BackendKind, seed: u64) -> (u64, u64) {
             ..MemcachedConfig::default()
         })
         .working_set_keys(500)
-        .npf(NpfConfig::default().with_backend(BackendSelect::of(kind)))
+        .npf(NpfConfig::default().with_backend(kind))
         .seed(seed)
         .build()
         .expect("eth conformance scenario must validate");
@@ -231,7 +231,7 @@ proptest! {
                     ..MemcachedConfig::default()
                 })
                 .working_set_keys(keys)
-                .npf(NpfConfig::default().with_backend(BackendSelect::of(kind)))
+                .npf(NpfConfig::default().with_backend(kind))
                 .seed(seed)
                 .build();
             let mut bed = match bed {

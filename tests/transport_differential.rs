@@ -33,7 +33,6 @@ use npf::rdmasim::types::{
     Completion, DmaGate, GateDecision, MessageRange, PinnedGate, QpId, QpOutput, QpTimer, RcConfig,
     RcPacket, RcPacketKind, RecvWqe, SendOp, WcStatus,
 };
-use npf::simcore::chaos::PauseChaos;
 use npf::simcore::instruments::Instruments;
 
 /// Base seed, shiftable per CI matrix job like the chaos sweep's.
@@ -326,10 +325,7 @@ fn pause_storms_with_loss_keep_exactly_once_and_complete_journals() {
     let base = seed_base();
     for s in 0..2u64 {
         let chaos =
-            ChaosConfig::profile(ChaosProfile::Network, base + 0x7000 + s).with_pause(PauseChaos {
-                storm: 0.05,
-                max_pause: SimDuration::from_micros(80),
-            });
+            ChaosConfig::profile(ChaosProfile::Network, base + 0x7000 + s).with_pause_storms();
         let fresh = Instruments {
             checker: Some(InvariantChecker::new(chaos.seed)),
             journal: Some(JournalRecorder::new()),

@@ -1,5 +1,5 @@
 //! Calibration helper: prints per-instance-count throughput so the
-//! Table 5 constants (`cpu_per_op`, interrupt holdoff) can be re-tuned
+//! Table 5 constants (`CPU_PER_OP`, interrupt holdoff) can be re-tuned
 //! if the cost model changes.
 //!
 //! Run with: `cargo run --release -p npf-bench --example calibrate_table5`

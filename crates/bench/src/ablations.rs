@@ -153,9 +153,7 @@ pub fn ablation_pindown_sweep(iterations: u32) -> Report {
             ranks: 4,
             message_bytes: 64 * 1024,
             iterations,
-            warmup_iterations: 18,
             strategy: Strategy::PinDownCache { capacity: cap },
-            off_cache_buffers: 16,
             collective: Collective::SendRecv,
             seed: 13,
         });
@@ -171,9 +169,7 @@ pub fn ablation_pindown_sweep(iterations: u32) -> Report {
         ranks: 4,
         message_bytes: 64 * 1024,
         iterations,
-        warmup_iterations: 18,
         strategy: Strategy::FineGrained,
-        off_cache_buffers: 16,
         collective: Collective::SendRecv,
         seed: 13,
     });
@@ -186,9 +182,7 @@ pub fn ablation_pindown_sweep(iterations: u32) -> Report {
         ranks: 4,
         message_bytes: 64 * 1024,
         iterations,
-        warmup_iterations: 18,
         strategy: Strategy::Odp,
-        off_cache_buffers: 16,
         collective: Collective::SendRecv,
         seed: 13,
     });

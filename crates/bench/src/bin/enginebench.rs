@@ -29,12 +29,12 @@ use netsim::link::LinkConfig;
 use netsim::packet::NodeId;
 use npf_bench::tracectl::{RunCtx, RunOpts};
 use rdmasim::rc::RcQp;
-use rdmasim::types::{PinnedGate, QpId, QpOutput, RcConfig, RcPacket, RecvWqe, SendOp};
+use rdmasim::types::{PinnedGate, QpId, QpOutput, RcConfig, RcPacket, RecvWqe, SendOp, MTU};
 use simcore::event::{EventQueue, EventToken};
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use simcore::units::{Bandwidth, ByteSize};
-use workloads::memcached::{KvOp, Memaslap, Memcached, MemcachedConfig};
+use workloads::memcached::{KvOp, Memaslap, Memcached, MemcachedConfig, SLAB_BASE};
 
 /// Events per second below `baseline * (1 - REGRESSION_TOLERANCE)`
 /// fail `--check`.
@@ -377,7 +377,7 @@ fn bench_rc_stream_window64() -> Sample {
     for _ in 0..DEPTH {
         post(&mut a, &mut b, &mut wire);
     }
-    measure("rc_stream_window64", DEPTH * (LEN / cfg.mtu + 1), || {
+    measure("rc_stream_window64", DEPTH * (LEN / MTU + 1), || {
         let mut sent = 0;
         while sent < DEPTH {
             let (toward_b, pkt) = wire.pop_front().expect("a closed loop never drains");
@@ -429,7 +429,6 @@ fn bench_kv_evict_full_cache() -> Sample {
     let config = MemcachedConfig {
         max_bytes: ByteSize::bytes_exact(ITEMS * 1024),
         value_size: 1024,
-        ..MemcachedConfig::default()
     };
     let mut app = Memcached::new(config);
     app.reserve_keys(ITEMS);
@@ -455,7 +454,6 @@ fn bench_kv_get_hit_1p8m() -> Sample {
     let config = MemcachedConfig {
         max_bytes: ByteSize::gib(3),
         value_size: 1024,
-        ..MemcachedConfig::default()
     };
     let mut app = Memcached::new(config);
     app.reserve_keys(KEYS);
@@ -486,7 +484,6 @@ fn bench_serve_batch16_1p8m() -> Sample {
     let config = MemcachedConfig {
         max_bytes: ByteSize::gib(3),
         value_size: 1024,
-        ..MemcachedConfig::default()
     };
     let mut app = Memcached::new(config);
     let mut mm = MemoryManager::new(MemConfig {
@@ -494,7 +491,7 @@ fn bench_serve_batch16_1p8m() -> Sample {
         ..MemConfig::default()
     });
     let space = mm.create_space();
-    let slab = PageRange::new(config.slab_base.vpn(), app.slab_bytes().pages());
+    let slab = PageRange::new(SLAB_BASE.vpn(), app.slab_bytes().pages());
     mm.mmap_fixed(space, slab, Backing::Anonymous)
         .expect("3 GiB of address space");
     app.reserve_keys(KEYS);

@@ -21,7 +21,6 @@ fn base_scenario(ctx: &RunCtx, mode: RxMode) -> EthScenario {
         .memcached(MemcachedConfig {
             max_bytes: ByteSize::gib(3),
             value_size: 1024,
-            ..MemcachedConfig::default()
         })
         .working_set_keys(1_800_000)
         .chaos(ctx.opts.chaos)
@@ -207,7 +206,6 @@ pub fn fig7(ctx: &RunCtx, total_secs: u64, swap_at: u64) -> Report {
         let cache = |max_bytes| MemcachedConfig {
             max_bytes,
             value_size,
-            ..MemcachedConfig::default()
         };
         let scenario = base_scenario(ctx, if pinned { RxMode::Pin } else { RxMode::Backup })
             .instances(2)

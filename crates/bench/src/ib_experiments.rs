@@ -9,7 +9,6 @@ use testbed::mpi_run::{run_collective, MpiRunConfig};
 use testbed::storage_bed::{run_storage, StorageBedConfig};
 use testbed::stream_eth::{run_stream, StreamBedConfig, StreamMode};
 use workloads::mpi::Collective;
-use workloads::storage::StorageConfig;
 
 use memsim::types::PageRange;
 use rdmasim::types::{SendOp, WcOpcode};
@@ -31,8 +30,6 @@ pub fn fig8a(ctx: &RunCtx, total_ios: u64) -> Report {
             total_ios,
             odp,
             pinned_headroom: ByteSize::mib(2200),
-            storage: StorageConfig::default(), // 4 GB LUN, 1 GiB pool
-            queue_depth: 16,
             warm_cache: true,
             // The paper's "high-performance hard drive" with NCQ:
             // ~0.5 ms effective access, 500 MB/s streaming.
@@ -78,11 +75,9 @@ pub fn fig8b(ctx: &RunCtx, total_ios_per_point: u64) -> Report {
             reserved: ByteSize::mib(100),
             block_size: block,
             sessions,
-            queue_depth: 16,
             total_ios: total_ios_per_point,
             odp,
             pinned_headroom: ByteSize::ZERO,
-            storage: StorageConfig::default(),
             tier: ctx.tier_config(),
             npf: ctx.npf_config(),
             ..StorageBedConfig::default()
@@ -140,9 +135,7 @@ pub fn fig9(iterations: u32, ranks: u32) -> Report {
                     ranks,
                     message_bytes: kb * 1024,
                     iterations,
-                    warmup_iterations: 18,
                     strategy,
-                    off_cache_buffers: 16,
                     collective,
                     seed: 9,
                 });
@@ -181,9 +174,7 @@ pub fn fig9_allreduce(iterations: u32, ranks: u32) -> Report {
                 ranks,
                 message_bytes: kb * 1024,
                 iterations,
-                warmup_iterations: 18,
                 strategy,
-                off_cache_buffers: 16,
                 collective: Collective::AllReduce,
                 seed: 10,
             });
@@ -229,9 +220,7 @@ pub fn table6(iterations: u32, ranks: u32) -> Report {
                 ranks,
                 message_bytes: kb * 1024,
                 iterations,
-                warmup_iterations: 18,
                 strategy,
-                off_cache_buffers: 16,
                 collective,
                 seed: 11,
             });
@@ -277,7 +266,6 @@ pub fn fig10_ethernet(ctx: &RunCtx, duration_ms: u64) -> Report {
                 major_faults: major,
                 duration: SimDuration::from_millis(duration_ms),
                 profile: ctx.fabric_profile(),
-                ..StreamBedConfig::default()
             });
             cells.push(f(res.goodput_gbps, 2));
         }

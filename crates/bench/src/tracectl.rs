@@ -25,7 +25,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use memsim::manager::TierConfig;
-use memsim::swap::DiskConfig;
 use netsim::profile::{FabricProfile, RdmaTransport, TransportConfig};
 use npf_core::npf::NpfConfig;
 use npf_core::{ArbiterPolicy, BackendKind};
@@ -449,7 +448,6 @@ impl RunCtx {
     pub fn tier_config(&self) -> Option<TierConfig> {
         self.opts.tier_mib.map(|mib| TierConfig {
             capacity: ByteSize::mib(mib),
-            disk: DiskConfig::nvm(),
         })
     }
 

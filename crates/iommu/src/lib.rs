@@ -7,8 +7,7 @@
 //! translates one way — [`Iommu::probe_range`] reads the page table —
 //! and the NPF engine in `npf-core` raises the fault on a miss; there is
 //! no translation cache and no page-request queue, because no figure
-//! depends on one (EXPERIMENTS.md, "Wire or delete: the IOTLB"). A
-//! [`nested::NestedWalk`] models the 2D (guest/host) tables of §2.4.
+//! depends on one (EXPERIMENTS.md, "Wire or delete: the IOTLB").
 //!
 //! # Examples
 //!
@@ -30,10 +29,8 @@
 //! assert!(!mmu.probe_range(dom, page, true));
 //! ```
 
-pub mod nested;
 pub mod pagetable;
 pub mod unit;
 
-pub use nested::{Gpn, NestedTranslation, NestedWalk};
 pub use pagetable::{DomainId, IoPageTable, IoPte, TableMode, Translation};
 pub use unit::Iommu;

@@ -31,20 +31,18 @@ pub struct CgroupId(pub u32);
 
 /// Configuration of a slow byte-addressable memory tier (the hemem
 /// idiom: DRAM in front, NVM behind, with the OS migrating pages
-/// between them on fault/reclaim events).
+/// between them on fault/reclaim events). The tier's device is always
+/// [`DiskConfig::nvm`].
 #[derive(Debug, Clone, Copy)]
 pub struct TierConfig {
     /// Capacity of the slow tier.
     pub capacity: ByteSize,
-    /// Device model for the slow tier (latency/bandwidth of NVM).
-    pub disk: DiskConfig,
 }
 
 impl Default for TierConfig {
     fn default() -> Self {
         TierConfig {
             capacity: ByteSize::gib(2),
-            disk: DiskConfig::nvm(),
         }
     }
 }
@@ -70,9 +68,6 @@ pub struct MemConfig {
     pub disk: DiskConfig,
     /// Swap space.
     pub swap_capacity: ByteSize,
-    /// Per-space mlock limit (`RLIMIT_MEMLOCK`); `None` disables the
-    /// check (privileged IOproviders).
-    pub rlimit_memlock: Option<ByteSize>,
     /// Optional slow memory tier. Cold dirty pages demote to NVM before
     /// falling back to swap; re-faulting promotes them back to DRAM,
     /// charging the (much cheaper) NVM fetch as
@@ -86,7 +81,6 @@ impl Default for MemConfig {
             total_memory: ByteSize::gib(8),
             disk: DiskConfig::hard_drive(),
             swap_capacity: ByteSize::gib(16),
-            rlimit_memlock: None,
             tier: None,
         }
     }
@@ -176,13 +170,6 @@ pub enum MemError {
     OutOfMemory,
     /// The swap device is full.
     SwapFull,
-    /// The per-space `RLIMIT_MEMLOCK` would be exceeded.
-    MlockLimit {
-        /// The limit in force.
-        limit: ByteSize,
-        /// The pinned size the request would have produced.
-        requested: ByteSize,
-    },
 }
 
 impl std::fmt::Display for MemError {
@@ -192,9 +179,6 @@ impl std::fmt::Display for MemError {
             MemError::Space(e) => write!(f, "{e}"),
             MemError::OutOfMemory => write!(f, "out of memory: nothing reclaimable"),
             MemError::SwapFull => write!(f, "swap space exhausted"),
-            MemError::MlockLimit { limit, requested } => {
-                write!(f, "mlock limit {limit} exceeded (requested {requested})")
-            }
         }
     }
 }
@@ -290,7 +274,7 @@ impl MemoryManager {
             swap: SwapDevice::new(config.disk, swap_slots),
             nvm: config
                 .tier
-                .map(|t| SwapDevice::new(t.disk, t.capacity.bytes() / PAGE_SIZE)),
+                .map(|t| SwapDevice::new(DiskConfig::nvm(), t.capacity.bytes() / PAGE_SIZE)),
             cache: PageCache::new(),
             lru: LruTracker::new(),
             frame_refs: HashMap::new(),
@@ -889,20 +873,13 @@ impl MemoryManager {
     }
 
     /// Pins a range (mlock / DMA registration): faults pages in and
-    /// excludes them from reclaim.
+    /// excludes them from reclaim. There is no `RLIMIT_MEMLOCK`: the
+    /// pinning processes the paper runs are privileged.
     ///
     /// # Errors
     ///
-    /// [`MemError::MlockLimit`] when `RLIMIT_MEMLOCK` would be exceeded;
-    /// otherwise as for [`MemoryManager::resolve_fault`].
+    /// As for [`MemoryManager::resolve_fault`].
     pub fn pin_range(&mut self, space: SpaceId, range: PageRange) -> Result<PinOutcome, MemError> {
-        if let Some(limit) = self.config.rlimit_memlock {
-            let current = self.space(space)?.pinned_pages() * PAGE_SIZE;
-            let requested = ByteSize::bytes_exact(current + range.pages * PAGE_SIZE);
-            if requested.bytes() > limit.bytes() {
-                return Err(MemError::MlockLimit { limit, requested });
-            }
-        }
         let mut cost = SimDuration::ZERO;
         let mut faulted = 0;
         let mut invalidations = Vec::new();
@@ -1127,22 +1104,6 @@ mod tests {
         mm.pin_range(s, r).unwrap();
         let more = mm.mmap(s, ByteSize::kib(4), Backing::Anonymous).unwrap();
         assert_eq!(mm.touch(s, more.start, true), Err(MemError::OutOfMemory));
-    }
-
-    #[test]
-    fn mlock_limit_enforced() {
-        let mut mm = MemoryManager::new(MemConfig {
-            total_memory: ByteSize::mib(1),
-            rlimit_memlock: Some(ByteSize::kib(64)), // the Linux default
-            ..MemConfig::default()
-        });
-        let s = mm.create_space();
-        let r = mm.mmap(s, ByteSize::kib(128), Backing::Anonymous).unwrap();
-        let err = mm.pin_range(s, r).unwrap_err();
-        assert!(matches!(err, MemError::MlockLimit { .. }));
-        // Within the limit succeeds.
-        let small = PageRange::new(r.start, 16);
-        assert!(mm.pin_range(s, small).is_ok());
     }
 
     #[test]
@@ -1433,7 +1394,6 @@ mod tier_tests {
             total_memory: ByteSize::kib(ram_kib),
             tier: Some(TierConfig {
                 capacity: ByteSize::kib(tier_kib),
-                disk: DiskConfig::nvm(),
             }),
             ..MemConfig::default()
         })

@@ -3,8 +3,7 @@
 //! Reliable-connection (RC) queue pairs with the full recovery toolbox
 //! the paper's §4 builds on — cumulative ACKs, sequence-error NAKs,
 //! go-back-N retransmission, and **RNR NACK** (the mechanism the
-//! modified firmware reuses to suspend senders on receive-side NPFs) —
-//! plus unreliable datagrams (UD).
+//! modified firmware reuses to suspend senders on receive-side NPFs).
 //!
 //! Every DMA a QP performs consults a [`types::DmaGate`]; the NPF engine
 //! in `npf-core` implements the gate over the IOMMU and host memory.
@@ -34,7 +33,6 @@
 pub mod psn_window;
 pub mod rc;
 pub mod types;
-pub mod ud;
 
 pub use psn_window::PsnWindow;
 pub use rc::{RcQp, RcStats};
@@ -42,4 +40,3 @@ pub use types::{
     Completion, DmaGate, GateDecision, MessageRange, PinnedGate, QpId, QpOutput, QpTimer, RcConfig,
     RcPacket, RcPacketKind, RdmaTransport, RecvWqe, SendOp, WcOpcode, WcStatus, WrId,
 };
-pub use ud::{UdDatagram, UdQp, UdRecvOutcome};

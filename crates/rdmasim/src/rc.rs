@@ -36,7 +36,8 @@ use simcore::trace::{self, ArgValue};
 use crate::psn_window::PsnWindow;
 use crate::types::{
     Completion, DmaGate, GateDecision, MessageRange, QpId, QpOutput, QpTimer, RcConfig, RcPacket,
-    RcPacketKind, RdmaTransport, RecvWqe, SendOp, WcOpcode, WcStatus, WrId,
+    RcPacketKind, RdmaTransport, RecvWqe, SendOp, WcOpcode, WcStatus, WrId, MTU,
+    RETRANSMIT_TIMEOUT, RNR_WAIT,
 };
 
 /// Width of the [`RcPacketKind::SelectiveAck`] bitmap: out-of-order
@@ -439,14 +440,13 @@ impl RcQp {
                     .find(|&&(base, _, _, packets)| nacked > base && nacked <= base + packets)
                 {
                     let message = MessageRange::new(remote, len);
-                    let mtu = self.cfg.mtu;
                     for i in 0..packets {
                         let psn = base + 1 + i;
                         if psn < nacked {
                             continue;
                         }
-                        let offset = i * mtu;
-                        let chunk = (len - offset).min(mtu);
+                        let offset = i * MTU;
+                        let chunk = (len - offset).min(MTU);
                         self.parked_read_responses.push_back(TxItem::ReadResponse {
                             psn,
                             addr: VirtAddr(remote.0 + offset),
@@ -800,7 +800,7 @@ impl RcQp {
                 continue;
             }
             let remaining = r.len - r.received;
-            let packets = remaining.div_ceil(self.cfg.mtu).max(1);
+            let packets = remaining.div_ceil(MTU).max(1);
             // Continuation request: PSN = last successfully received
             // response (or the original request PSN), so the responder
             // re-streams `next_resp_psn ..`.
@@ -830,10 +830,8 @@ impl RcQp {
             // consecutive losses (IRN's loss-driven backoff); go-back-N
             // keeps the fixed legacy timeout.
             let timeout = match self.cfg.transport {
-                RdmaTransport::GoBackN => self.cfg.retransmit_timeout,
-                RdmaTransport::SelectiveRepeat => {
-                    self.cfg.retransmit_timeout * (1u64 << self.retry.min(5))
-                }
+                RdmaTransport::GoBackN => RETRANSMIT_TIMEOUT,
+                RdmaTransport::SelectiveRepeat => RETRANSMIT_TIMEOUT * (1u64 << self.retry.min(5)),
             };
             out.push(QpOutput::SetTimer(QpTimer::Retransmit, now + timeout));
         } else if self.timer_armed {
@@ -959,7 +957,7 @@ impl RcQp {
             match wr.op {
                 SendOp::Send { local, len } => {
                     let offset = wr.cursor;
-                    let chunk = (len - offset).min(self.cfg.mtu);
+                    let chunk = (len - offset).min(MTU);
                     let last = offset + chunk >= len;
                     let addr = VirtAddr(local.0 + offset);
                     let message = MessageRange::new(local, len);
@@ -985,7 +983,7 @@ impl RcQp {
                 }
                 SendOp::Write { local, remote, len } => {
                     let offset = wr.cursor;
-                    let chunk = (len - offset).min(self.cfg.mtu);
+                    let chunk = (len - offset).min(MTU);
                     let last = offset + chunk >= len;
                     let addr = VirtAddr(local.0 + offset);
                     let message = MessageRange::new(local, len);
@@ -1009,7 +1007,7 @@ impl RcQp {
                     self.emit_new(desc, out);
                 }
                 SendOp::Read { local, remote, len } => {
-                    let packets = len.div_ceil(self.cfg.mtu).max(1);
+                    let packets = len.div_ceil(MTU).max(1);
                     let base = self.next_psn;
                     self.next_psn += packets + 1;
                     self.sq.pop_front();
@@ -1350,9 +1348,7 @@ impl RcQp {
                 dst_qp: self.peer_qp,
                 src_qp: self.qpn,
                 psn: self.epsn,
-                kind: RcPacketKind::NakReceiverNotReady {
-                    wait: self.cfg.rnr_wait,
-                },
+                kind: RcPacketKind::NakReceiverNotReady { wait: RNR_WAIT },
             },
         });
     }
@@ -1366,7 +1362,7 @@ impl RcQp {
         let message = MessageRange::new(remote, len);
         let mut offset = 0;
         for i in 0..packets {
-            let chunk = (len - offset).min(self.cfg.mtu);
+            let chunk = (len - offset).min(MTU);
             let last = i + 1 == packets;
             self.tx.push_back(TxItem::ReadResponse {
                 psn: base_psn + 1 + i,
@@ -1425,9 +1421,7 @@ impl RcQp {
                             dst_qp: self.peer_qp,
                             src_qp: self.qpn,
                             psn,
-                            kind: RcPacketKind::NakReadNotReady {
-                                wait: self.cfg.rnr_wait,
-                            },
+                            kind: RcPacketKind::NakReadNotReady { wait: RNR_WAIT },
                         },
                     });
                 }
@@ -1675,7 +1669,7 @@ mod tests {
             addr: VirtAddr(0x10000),
             capacity: 4096,
         });
-        let resume = SimTime::ZERO + RcConfig::default().rnr_wait;
+        let resume = SimTime::ZERO + RNR_WAIT;
         let outs = a.on_timer(resume, QpTimer::RnrResume, &mut PinnedGate);
         let (ca, cb) = run(
             &mut a,
@@ -1780,7 +1774,7 @@ mod tests {
         a.on_packet(SimTime::ZERO, nak, &mut PinnedGate);
         // After the pause the fault is resolved (gate accepts) and the
         // retransmitted packet lands.
-        let resume = SimTime::ZERO + RcConfig::default().rnr_wait;
+        let resume = SimTime::ZERO + RNR_WAIT;
         let outs = a.on_timer(resume, QpTimer::RnrResume, &mut PinnedGate);
         let (ca, cb) = run(&mut a, &mut b, outs, &mut PinnedGate, &mut faulty, resume);
         assert_eq!(ca.len(), 1);
@@ -1933,7 +1927,7 @@ mod tests {
             .collect();
         assert_eq!(pkts.len(), 3);
         // Lose all three; fire the retransmission timer.
-        let deadline = SimTime::ZERO + RcConfig::default().retransmit_timeout;
+        let deadline = SimTime::ZERO + RETRANSMIT_TIMEOUT;
         let outs = a.on_timer(deadline, QpTimer::Retransmit, &mut PinnedGate);
         let retx: Vec<RcPacket> = outs
             .iter()
@@ -2031,7 +2025,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut failed = Vec::new();
         for _ in 0..5 {
-            now += cfg.retransmit_timeout;
+            now += RETRANSMIT_TIMEOUT;
             for o in a.on_timer(now, QpTimer::Retransmit, &mut PinnedGate) {
                 if let QpOutput::Complete(c) = o {
                     failed.push(c);
@@ -2086,7 +2080,7 @@ mod tests {
             &mut PinnedGate,
         );
         drop(outs); // packet lost on the wire
-        let deadline = SimTime::ZERO + RcConfig::default().retransmit_timeout;
+        let deadline = SimTime::ZERO + RETRANSMIT_TIMEOUT;
         let outs = a.on_timer(deadline, QpTimer::Retransmit, &mut PinnedGate);
         assert_eq!(a.stats().retransmits, 1, "timeout retx is loss");
         assert_eq!(a.stats().rnr_retransmits, 0);
@@ -2132,7 +2126,7 @@ mod tests {
             addr: VirtAddr(0x10000),
             capacity: 1 << 20,
         });
-        let resume = deadline + RcConfig::default().rnr_wait;
+        let resume = deadline + RNR_WAIT;
         let outs = a.on_timer(resume, QpTimer::RnrResume, &mut PinnedGate);
         let (ca, cb) = run(
             &mut a,
@@ -2270,7 +2264,7 @@ mod read_rnr_extension_tests {
 
         // The responder's timer fires and it re-streams from the NACKed
         // PSN; the read completes.
-        let resume = SimTime::ZERO + cfg.rnr_wait;
+        let resume = SimTime::ZERO + RNR_WAIT;
         let resent: Vec<RcPacket> = b
             .on_timer(resume, QpTimer::RnrResume, &mut PinnedGate)
             .into_iter()
@@ -2633,7 +2627,7 @@ mod selective_repeat_tests {
         let pkts = sends(&outs);
         // Only packet 2 arrives (parked); its SACK is lost too.
         b.on_packet(SimTime::ZERO, pkts[2], &mut PinnedGate);
-        let deadline = SimTime::ZERO + RcConfig::default().retransmit_timeout;
+        let deadline = SimTime::ZERO + RETRANSMIT_TIMEOUT;
         let outs = a.on_timer(deadline, QpTimer::Retransmit, &mut PinnedGate);
         let retx = sends(&outs);
         // The SACK never arrived, so the sender re-sends all three; but
@@ -2652,7 +2646,7 @@ mod selective_repeat_tests {
         });
         let t2 = timer2.expect("timer re-armed");
         assert!(
-            t2 >= deadline + RcConfig::default().retransmit_timeout * 2,
+            t2 >= deadline + RETRANSMIT_TIMEOUT * 2,
             "backoff doubles the timeout after a loss round"
         );
         let outs = a.on_timer(t2, QpTimer::Retransmit, &mut PinnedGate);
@@ -2772,7 +2766,7 @@ mod selective_repeat_tests {
         assert!(sends(&outs).is_empty(), "paused: nothing is resent yet");
         assert_eq!(a.inflight.len(), 5, "the rewound run stays in the window");
         assert_eq!((a.live_len(), a.resend_from), (0, 1));
-        let resume = SimTime::ZERO + sr_cfg().rnr_wait;
+        let resume = SimTime::ZERO + RNR_WAIT;
         let resent = sends(&a.on_timer(resume, QpTimer::RnrResume, &mut PinnedGate));
         let psns: Vec<u64> = resent.iter().map(|p| p.psn).collect();
         assert_eq!(psns, [1, 2, 3, 4, 5]);

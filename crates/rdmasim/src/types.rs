@@ -365,20 +365,24 @@ pub enum QpOutput {
 /// where it takes effect.
 pub use netsim::profile::RdmaTransport;
 
+/// Path MTU payload bytes.
+pub const MTU: u64 = 4096;
+
+/// Transport retransmission timeout (the go-back-N base; selective
+/// repeat backs off from it).
+pub const RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_micros(500);
+
+/// Pause a sender honours on an RNR NACK that carries no value of its
+/// own.
+pub(crate) const RNR_WAIT: SimDuration = SimDuration::from_micros(360);
+
 /// Tuning knobs of an RC QP.
 #[derive(Debug, Clone, Copy)]
 pub struct RcConfig {
-    /// Path MTU payload bytes.
-    pub mtu: u64,
     /// Maximum outstanding unacked request packets.
     pub window_packets: u64,
-    /// Transport retransmission timeout.
-    pub retransmit_timeout: SimDuration,
     /// Transport retries before the QP errors out.
     pub max_retries: u32,
-    /// Pause a sender honours on RNR NACK when the NACK does not carry
-    /// its own value.
-    pub rnr_wait: SimDuration,
     /// RNR retries before the QP errors out (IB's 7 means infinite; the
     /// simulator uses a large finite default).
     pub max_rnr_retries: u32,
@@ -402,11 +406,8 @@ pub struct RcConfig {
 impl Default for RcConfig {
     fn default() -> Self {
         RcConfig {
-            mtu: 4096,
             window_packets: 128,
-            retransmit_timeout: SimDuration::from_micros(500),
             max_retries: 7,
-            rnr_wait: SimDuration::from_micros(360),
             max_rnr_retries: 1000,
             ack_every: 16,
             rnr_for_reads: false,

@@ -50,7 +50,7 @@ pub use event::{EventQueue, EventToken};
 pub use journal::{CauseId, FaultJournal, JournalId, JournalRecorder, JournalWatchdog, Phase};
 pub use rng::SimRng;
 pub use shard::Pool;
-pub use stats::{CounterId, Counters, DurationHistogram, OnlineStats, ThroughputMeter, TimeSeries};
+pub use stats::{CounterId, Counters, DurationHistogram, ThroughputMeter, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use trace::{ArgValue, MetricsRegistry, SpanId, TraceRecord, TraceRecorder};
 pub use units::{Bandwidth, ByteSize};

@@ -131,7 +131,6 @@ impl TcpStack {
         &mut self,
         now: SimTime,
         seg: TcpSegment,
-        ecn_marked: bool,
         out: &mut Vec<TcpOutput>,
     ) -> Option<ConnSlot> {
         let id = (seg.dst_port, seg.src_port);
@@ -139,14 +138,14 @@ impl TcpStack {
             let conn = self.conns[slot.index()]
                 .as_mut()
                 .expect("the index holds live connections only");
-            conn.on_segment_into(now, seg, ecn_marked, out);
+            conn.on_segment_into(now, seg, out);
             return Some(slot);
         }
         if seg.flags.syn && !seg.flags.ack {
             if let Some(&config) = self.listeners.get(&seg.dst_port) {
                 let mut conn = TcpConnection::new(config, seg.dst_port, seg.src_port);
                 conn.listen();
-                conn.on_segment_into(now, seg, ecn_marked, out);
+                conn.on_segment_into(now, seg, out);
                 return Some(self.insert(id, conn));
             }
         }
@@ -161,15 +160,14 @@ impl TcpStack {
         }
     }
 
-    /// Drops connections that are finished or failed, returning how many
-    /// were reaped. Every other connection keeps its slot; a freed slot
-    /// is handed out again only to a new connection.
+    /// Drops connections that failed, returning how many were reaped.
+    /// Every other connection keeps its slot; a freed slot is handed
+    /// out again only to a new connection.
     pub fn reap(&mut self) -> usize {
         let before = self.index.len();
         for (i, entry) in self.conns.iter_mut().enumerate() {
-            let finished =
-                |c: &mut TcpConnection| matches!(c.state(), TcpState::Done | TcpState::Failed);
-            if let Some(conn) = entry.take_if(finished) {
+            let failed = |c: &mut TcpConnection| c.state() == TcpState::Failed;
+            if let Some(conn) = entry.take_if(failed) {
                 self.index.remove(&(conn.local_port(), conn.remote_port()));
                 self.free
                     .push(ConnSlot(u32::try_from(i).expect("slots fit u32")));
@@ -191,7 +189,7 @@ mod tests {
 
     fn deliver(stack: &mut TcpStack, seg: TcpSegment) -> Option<(ConnSlot, Vec<TcpOutput>)> {
         let mut outs = Vec::new();
-        let slot = stack.on_segment_into(SimTime::ZERO, seg, false, &mut outs)?;
+        let slot = stack.on_segment_into(SimTime::ZERO, seg, &mut outs)?;
         Some((slot, outs))
     }
 

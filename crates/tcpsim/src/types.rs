@@ -12,12 +12,8 @@ pub struct TcpFlags {
     pub syn: bool,
     /// Acknowledgment field is valid.
     pub ack: bool,
-    /// Sender has finished sending.
-    pub fin: bool,
     /// Hard reset.
     pub rst: bool,
-    /// ECN echo: the receiver saw a congestion-experienced mark.
-    pub ece: bool,
 }
 
 impl TcpFlags {
@@ -66,7 +62,7 @@ pub struct TcpSegment {
     pub src_port: u16,
     /// Destination port.
     pub dst_port: u16,
-    /// First sequence number covered (SYN/FIN occupy one number each).
+    /// First sequence number covered (a SYN occupies one number).
     pub seq: u64,
     /// Cumulative acknowledgment (valid when `flags.ack`).
     pub ack: u64,
@@ -85,43 +81,39 @@ impl TcpSegment {
     pub fn wire_size(&self) -> u64 {
         self.len + 54
     }
-
-    /// The sequence number following this segment (accounting for
-    /// SYN/FIN consuming one).
-    #[must_use]
-    pub fn seq_end(&self) -> u64 {
-        self.seq + self.len + u64::from(self.flags.syn) + u64::from(self.flags.fin)
-    }
 }
 
-/// TCP tuning knobs.
+/// Maximum segment size (payload bytes per segment); both endpoints
+/// of the paper use 1448.
+pub const MSS: u64 = 1448;
+
+/// Initial retransmission timeout before any RTT sample (RFC 6298: 1 s).
+pub const RTO_INITIAL: SimDuration = SimDuration::from_secs(1);
+
+/// Lower bound on the RTO (Linux: 200 ms).
+pub const RTO_MIN: SimDuration = SimDuration::from_millis(200);
+
+/// SYN retransmissions before `connect` fails (Linux `tcp_syn_retries`).
+pub const MAX_SYN_RETRIES: u32 = 6;
+
+/// TCP tuning knobs: what the paper's two endpoints set differently.
+/// What they share is a constant ([`MSS`], [`RTO_INITIAL`],
+/// [`RTO_MIN`], [`MAX_SYN_RETRIES`]).
 ///
 /// Two presets match the paper's endpoints: [`TcpConfig::linux`] for the
 /// memaslap client machine and [`TcpConfig::lwip`] for the IOuser's
 /// user-level stack.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
-    /// Maximum segment size (payload bytes per segment).
-    pub mss: u64,
     /// Initial congestion window, in segments.
     pub initial_cwnd_segments: u64,
-    /// Initial retransmission timeout before any RTT sample (RFC 6298:
-    /// 1 second).
-    pub rto_initial: SimDuration,
-    /// Lower bound on the RTO (Linux: 200 ms).
-    pub rto_min: SimDuration,
     /// Upper bound on the RTO backoff.
     pub rto_max: SimDuration,
     /// Consecutive RTOs on the same data before the connection is
     /// declared dead (Linux `tcp_retries2` ≈ 15).
     pub max_data_retries: u32,
-    /// SYN retransmissions before `connect` fails (Linux
-    /// `tcp_syn_retries` = 6).
-    pub max_syn_retries: u32,
     /// Fixed advertised receive window.
     pub receive_window: u64,
-    /// React to ECN echoes as to loss (rate halving without retransmit).
-    pub ecn: bool,
 }
 
 impl TcpConfig {
@@ -129,15 +121,10 @@ impl TcpConfig {
     #[must_use]
     pub fn linux() -> Self {
         TcpConfig {
-            mss: 1448,
             initial_cwnd_segments: 10,
-            rto_initial: SimDuration::from_secs(1),
-            rto_min: SimDuration::from_millis(200),
             rto_max: SimDuration::from_secs(120),
             max_data_retries: 15,
-            max_syn_retries: 6,
             receive_window: 1 << 20,
-            ecn: false,
         }
     }
 
@@ -146,22 +133,17 @@ impl TcpConfig {
     #[must_use]
     pub fn lwip() -> Self {
         TcpConfig {
-            mss: 1448,
             initial_cwnd_segments: 2,
-            rto_initial: SimDuration::from_secs(1),
-            rto_min: SimDuration::from_millis(200),
             rto_max: SimDuration::from_secs(60),
             max_data_retries: 12,
-            max_syn_retries: 6,
             receive_window: 256 * 1024,
-            ecn: false,
         }
     }
 
     /// Initial congestion window in bytes.
     #[must_use]
     pub fn initial_cwnd(&self) -> u64 {
-        self.initial_cwnd_segments * self.mss
+        self.initial_cwnd_segments * MSS
     }
 }
 
@@ -174,24 +156,6 @@ impl Default for TcpConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seq_end_counts_syn_and_fin() {
-        let mut seg = TcpSegment {
-            src_port: 1,
-            dst_port: 2,
-            seq: 100,
-            ack: 0,
-            len: 10,
-            window: 0,
-            flags: TcpFlags::ack(),
-        };
-        assert_eq!(seg.seq_end(), 110);
-        seg.flags.syn = true;
-        assert_eq!(seg.seq_end(), 111);
-        seg.flags.fin = true;
-        assert_eq!(seg.seq_end(), 112);
-    }
 
     #[test]
     fn wire_size_includes_headers() {
@@ -212,6 +176,6 @@ mod tests {
         let linux = TcpConfig::linux();
         let lwip = TcpConfig::lwip();
         assert!(linux.initial_cwnd() > lwip.initial_cwnd());
-        assert_eq!(linux.rto_initial, lwip.rto_initial);
+        assert!(linux.rto_max > lwip.rto_max);
     }
 }

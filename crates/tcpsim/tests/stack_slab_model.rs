@@ -72,7 +72,7 @@ impl Reference {
         let over: Vec<ConnId> = self
             .conns
             .iter()
-            .filter(|(_, c)| matches!(c.state(), TcpState::Done | TcpState::Failed))
+            .filter(|(_, c)| c.state() == TcpState::Failed)
             .map(|(&id, _)| id)
             .collect();
         for id in &over {
@@ -154,7 +154,7 @@ proptest! {
                         window: 65_535,
                         flags: TcpFlags::syn(),
                     };
-                    let (got, outs) = collect(|out| stack.on_segment_into(now, seg, false, out));
+                    let (got, outs) = collect(|out| stack.on_segment_into(now, seg, out));
                     let expected = reference.on_segment(now, seg);
                     prop_assert_eq!(got.is_some(), expected.is_some());
                     prop_assert!(got.is_some() || outs.is_empty(), "a demux miss has no effects");
@@ -186,7 +186,7 @@ proptest! {
                         window: 65_535,
                         flags,
                     };
-                    let (got, outs) = collect(|out| stack.on_segment_into(now, seg, false, out));
+                    let (got, outs) = collect(|out| stack.on_segment_into(now, seg, out));
                     let expected = reference.on_segment(now, seg);
                     prop_assert_eq!(got.is_some(), expected.is_some());
                     prop_assert!(got.is_some() || outs.is_empty(), "a demux miss has no effects");

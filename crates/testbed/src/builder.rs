@@ -36,9 +36,11 @@ use npf_core::{ArbiterPolicy, BackendKind};
 use simcore::chaos::ChaosConfig;
 use simcore::units::ByteSize;
 use workloads::memcached::MemcachedConfig;
+use workloads::storage::{CHUNK_SIZE, TOTAL_CHUNKS};
 
 use crate::eth::{EthConfig, EthTestbed, RxMode};
 use crate::ib::{IbCluster, IbConfig};
+use crate::storage_bed::QUEUE_DEPTH;
 
 /// Why a scenario failed validation (or construction).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,6 +133,19 @@ pub enum ScenarioError {
         /// `Eq`).
         loss: String,
     },
+    /// A storage read block that is empty or larger than the target's
+    /// per-transaction chunk.
+    BlockSizeOutOfRange {
+        /// The configured block size in bytes.
+        block_size: u64,
+    },
+    /// A storage run with no initiator session.
+    NoSessions,
+    /// More storage reads in flight than the target's chunk pool holds.
+    PoolExhausted {
+        /// The configured initiator sessions.
+        sessions: u32,
+    },
     /// Construction failed in the memory subsystem (e.g. pinning under
     /// [`RxMode::Pin`] with insufficient host memory — Table 5's "N/A").
     Mem(MemError),
@@ -211,6 +226,15 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::LossOutOfRange { loss } => {
                 write!(f, "loss probability {loss} is outside [0, 1)")
             }
+            ScenarioError::BlockSizeOutOfRange { block_size } => write!(
+                f,
+                "storage block of {block_size} bytes is not within one {CHUNK_SIZE}-byte chunk"
+            ),
+            ScenarioError::NoSessions => write!(f, "storage run with zero sessions"),
+            ScenarioError::PoolExhausted { sessions } => write!(
+                f,
+                "{sessions} sessions at depth {QUEUE_DEPTH} need more than the {TOTAL_CHUNKS} pool chunks"
+            ),
             ScenarioError::Mem(e) => write!(f, "{e}"),
         }
     }
@@ -486,13 +510,6 @@ impl EthScenario {
     #[must_use]
     pub fn cgroup_limit(mut self, limit: ByteSize) -> Self {
         self.config.cgroup_limit = Some(limit);
-        self
-    }
-
-    /// Pre-faults the receive rings at startup.
-    #[must_use]
-    pub fn prefault_rings(mut self, prefault: bool) -> Self {
-        self.config.prefault_rings = prefault;
         self
     }
 

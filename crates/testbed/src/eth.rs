@@ -37,7 +37,9 @@ use simcore::time::{SimDuration, SimTime};
 use simcore::trace;
 use simcore::units::{Bandwidth, ByteSize};
 use tcpsim::{ConnSlot, TcpConfig, TcpOutput, TcpSegment, TcpStack};
-use workloads::memcached::{KvOp, Memaslap, Memcached, MemcachedConfig, TenantPopularity};
+use workloads::memcached::{
+    KvOp, Memaslap, Memcached, MemcachedConfig, TenantPopularity, SLAB_BASE,
+};
 
 use crate::cpu::CpuPool;
 
@@ -68,7 +70,8 @@ pub enum RxMode {
     Backup,
 }
 
-/// Testbed configuration.
+/// Testbed configuration. Receive rings always start cold, as in
+/// Figure 4: no field pre-faults them.
 ///
 /// Plain data: start from [`EthConfig::default`] and assign fields, or
 /// chain the setters of [`crate::builder::ScenarioBuilder::ethernet`].
@@ -103,10 +106,6 @@ pub struct EthConfig {
     pub working_set_keys: u64,
     /// Optional cgroup limit shared by *all* instances (Figure 7).
     pub cgroup_limit: Option<ByteSize>,
-    /// Pre-fault the receive rings at startup. Every experiment leaves
-    /// this off (Figure 4 wants cold rings); only tests turn it on, to
-    /// compare a warm ring with a cold one.
-    pub prefault_rings: bool,
     /// Pre-populate each instance's cache with its working set
     /// (memaslap's warmup phase); steady-state experiments want this.
     pub preload: bool,
@@ -120,8 +119,8 @@ pub struct EthConfig {
     /// Fault injection (disabled by default; a disabled config draws
     /// nothing from any RNG, so traces stay byte-identical).
     pub chaos: ChaosConfig,
-    /// NPF engine configuration (cost model, per-channel concurrency,
-    /// cross-channel fault arbiter).
+    /// NPF engine configuration (backend, per-channel concurrency,
+    /// cross-channel fault arbiter, huge pages, prefetch).
     pub npf: NpfConfig,
     /// Optional NVM backing tier in front of the swap disk (cold dirty
     /// pages demote there first; re-faults promote them back cheaply).
@@ -136,7 +135,8 @@ pub struct EthConfig {
     pub tenant_skew: Option<f64>,
     /// Fabric profile (loss regime / ECN marking). The Ethernet testbed
     /// models a flow-controlled datacenter edge, so the default is
-    /// lossless; PFC thresholds are ignored on this point-to-point link.
+    /// lossless; PFC thresholds are ignored on this point-to-point link,
+    /// and TCP does not react to ECN marks.
     pub profile: FabricProfile,
 }
 
@@ -154,7 +154,6 @@ impl Default for EthConfig {
             memcached: MemcachedConfig::default(),
             working_set_keys: 100_000,
             cgroup_limit: None,
-            prefault_rings: false,
             preload: true,
             prefault_window: 0,
             seed: 1,
@@ -408,7 +407,7 @@ impl EthTestbed {
             let slab_pages = app.slab_bytes().pages();
             engine.memory_mut().mmap_fixed(
                 space,
-                PageRange::new(config.memcached.slab_base.vpn(), slab_pages.max(1)),
+                PageRange::new(SLAB_BASE.vpn(), slab_pages.max(1)),
                 Backing::Anonymous,
             )?;
 
@@ -423,21 +422,7 @@ impl EthTestbed {
                 // Static pinning: the IOprovider pins the entire IOuser
                 // address space (RX buffers and slab).
                 engine.pin_and_map(domain, rx_range)?;
-                engine.pin_and_map(
-                    domain,
-                    PageRange::new(config.memcached.slab_base.vpn(), slab_pages.max(1)),
-                )?;
-            } else if config.prefault_rings {
-                // Warm the ring: touch and map each buffer page.
-                for vpn in rx_range.iter() {
-                    engine.touch(space, vpn, true)?;
-                    let frame = engine
-                        .memory()
-                        .space(space)?
-                        .frame_of(vpn)
-                        .expect("just touched");
-                    engine.iommu_mut().map(domain, vpn, frame, true);
-                }
+                engine.pin_and_map(domain, PageRange::new(SLAB_BASE.vpn(), slab_pages.max(1)))?;
             }
 
             let mut app = app;
@@ -1007,7 +992,7 @@ impl EthTestbed {
             let mut outs = self.take_outs();
             let inst = &mut self.instances[idx as usize];
             let known = inst.stack.len();
-            match inst.stack.on_segment_into(now, seg, false, &mut outs) {
+            match inst.stack.on_segment_into(now, seg, &mut outs) {
                 Some(slot) => {
                     if inst.stack.len() > known {
                         // Accepted just now: link it to the client's end.
@@ -1180,11 +1165,7 @@ impl EthTestbed {
 
     fn client_rx(&mut self, now: SimTime, seg: TcpSegment) {
         let mut outs = self.take_outs();
-        match self
-            .client
-            .stack
-            .on_segment_into(now, seg, false, &mut outs)
-        {
+        match self.client.stack.on_segment_into(now, seg, &mut outs) {
             Some(slot) => self.apply_outputs(now, Side::Client, slot, outs),
             None => self.spare_outs.push(outs),
         }
@@ -1289,7 +1270,7 @@ impl EthTestbed {
                         self.metrics[state.instance as usize].failed_conns += 1;
                     }
                 }
-                (TcpOutput::Connected | TcpOutput::PeerClosed | TcpOutput::Failed(_), _) => {}
+                (TcpOutput::Connected | TcpOutput::Failed(_), _) => {}
             }
         }
         self.spare_outs.push(outs);
@@ -1316,7 +1297,6 @@ mod tests {
         MemcachedConfig {
             max_bytes: ByteSize::mib(mib),
             value_size: 1024,
-            ..MemcachedConfig::default()
         }
     }
 
@@ -1362,18 +1342,6 @@ mod tests {
             backup_bed.total_ops()
         );
         assert!(drop_bed.rx_counters().get("dropped_fault") > 0);
-    }
-
-    #[test]
-    fn prefaulted_drop_ring_behaves_like_pinned() {
-        let scenario = small(RxMode::Drop).prefault_rings(true);
-        let mut bed = scenario.build().expect("setup");
-        bed.run_until(SimTime::from_secs(1));
-        assert!(
-            bed.total_ops() > 1000,
-            "a warm ring must not drop: {}",
-            bed.total_ops()
-        );
     }
 
     #[test]

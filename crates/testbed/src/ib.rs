@@ -1069,7 +1069,7 @@ mod tests {
                 live.push(at);
             }
         }
-        assert_eq!(live, [now + c.config.rc.retransmit_timeout]);
+        assert_eq!(live, [now + rdmasim::types::RETRANSMIT_TIMEOUT]);
 
         // Same completions at the same simulated time as when every
         // SetTimer cost a cancel and a schedule.

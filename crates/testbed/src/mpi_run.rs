@@ -20,6 +20,14 @@ use workloads::mpi::{BufferPool, Collective};
 use crate::builder::ScenarioBuilder;
 use crate::ib::IbCluster;
 
+/// Unmeasured warm-up iterations before the measured ones: buffers
+/// become hot / registered, as in a long IMB run's steady state.
+const WARMUP_ITERATIONS: u32 = 18;
+
+/// Buffers rotated per rank (IMB `off_cache`: fresh buffers each
+/// iteration until the rotation wraps).
+const OFF_CACHE_BUFFERS: u64 = 16;
+
 /// Configuration of one collective run.
 #[derive(Debug, Clone, Copy)]
 pub struct MpiRunConfig {
@@ -27,16 +35,11 @@ pub struct MpiRunConfig {
     pub ranks: u32,
     /// Message bytes per rank.
     pub message_bytes: u64,
-    /// Measured iterations (IMB style).
+    /// Measured iterations (IMB style), after 18 unmeasured warm-up
+    /// iterations.
     pub iterations: u32,
-    /// Unmeasured warm-up iterations (buffers become hot / registered,
-    /// as in a long IMB run's steady state).
-    pub warmup_iterations: u32,
     /// Registration strategy under test.
     pub strategy: Strategy,
-    /// Buffers rotated per rank (IMB `off_cache`: > 1 forces fresh
-    /// buffers each iteration; 1 reuses one hot buffer).
-    pub off_cache_buffers: u64,
     /// The collective.
     pub collective: Collective,
     /// RNG seed.
@@ -49,9 +52,7 @@ impl Default for MpiRunConfig {
             ranks: 8,
             message_bytes: 64 * 1024,
             iterations: 10,
-            warmup_iterations: 0,
             strategy: Strategy::Odp,
-            off_cache_buffers: 16,
             collective: Collective::SendRecv,
             seed: 1,
         }
@@ -102,7 +103,7 @@ pub fn run_collective(config: MpiRunConfig) -> MpiRunResult {
     for r in 0..config.ranks {
         let pool_bytes = ByteSize::bytes_exact(
             (config.message_bytes.div_ceil(memsim::PAGE_SIZE) * memsim::PAGE_SIZE)
-                * config.off_cache_buffers.max(1)
+                * OFF_CACHE_BUFFERS
                 * 2,
         );
         let base = cluster.alloc_buffers(r, pool_bytes);
@@ -110,12 +111,12 @@ pub fn run_collective(config: MpiRunConfig) -> MpiRunResult {
         send_pools.push(BufferPool::new(
             base.0,
             config.message_bytes,
-            config.off_cache_buffers,
+            OFF_CACHE_BUFFERS,
         ));
         recv_pools.push(BufferPool::new(
             base.0 + half,
             config.message_bytes,
-            config.off_cache_buffers,
+            OFF_CACHE_BUFFERS,
         ));
         let domain = cluster.node(r).default_domain();
         let mut reg = Registrar::new(config.strategy, domain);
@@ -135,8 +136,8 @@ pub fn run_collective(config: MpiRunConfig) -> MpiRunResult {
     let reduce_bw_bytes_per_sec: f64 = 3.0e9;
     let mut wr_id = 0u64;
 
-    for iter in 0..config.warmup_iterations + config.iterations {
-        if iter == config.warmup_iterations {
+    for iter in 0..WARMUP_ITERATIONS + config.iterations {
+        if iter == WARMUP_ITERATIONS {
             start = cluster.now();
             bytes_moved = 0;
         }
@@ -251,9 +252,7 @@ mod tests {
             ranks: 4,
             message_bytes: 64 * 1024,
             iterations: 4,
-            warmup_iterations: 0,
             strategy,
-            off_cache_buffers: 4,
             collective,
             seed: 3,
         })
@@ -278,13 +277,11 @@ mod tests {
         // Once the pool has been cycled, no further faults occur.
         let few_iters = run_collective(MpiRunConfig {
             iterations: 4,
-            off_cache_buffers: 4,
             ranks: 4,
             ..MpiRunConfig::default()
         });
         let many_iters = run_collective(MpiRunConfig {
             iterations: 40,
-            off_cache_buffers: 4,
             ranks: 4,
             ..MpiRunConfig::default()
         });
@@ -301,7 +298,6 @@ mod tests {
             strategy: Strategy::Copy,
             ranks: 4,
             iterations: 6,
-            warmup_iterations: 16,
             ..MpiRunConfig::default()
         });
         let pin = run_collective(MpiRunConfig {
@@ -311,7 +307,6 @@ mod tests {
             },
             ranks: 4,
             iterations: 6,
-            warmup_iterations: 16,
             ..MpiRunConfig::default()
         });
         assert!(
@@ -328,14 +323,12 @@ mod tests {
         let odp = run_collective(MpiRunConfig {
             message_bytes: 64 * 1024,
             iterations: 12,
-            warmup_iterations: 16,
             ranks: 4,
             ..MpiRunConfig::default()
         });
         let pin = run_collective(MpiRunConfig {
             message_bytes: 64 * 1024,
             iterations: 12,
-            warmup_iterations: 16,
             ranks: 4,
             strategy: Strategy::PinDownCache {
                 capacity: ByteSize::mib(64),

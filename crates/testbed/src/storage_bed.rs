@@ -16,12 +16,20 @@ use npf_core::COST;
 use rdmasim::types::{SendOp, WcOpcode};
 use simcore::time::{SimDuration, SimTime};
 use simcore::units::ByteSize;
-use workloads::storage::{FioClient, StorageConfig, StorageTarget};
+use workloads::storage::{
+    FioClient, StorageTarget, CHUNK_SIZE, COMM_BASE, COMM_POOL, LUN_FILE, LUN_SIZE, TOTAL_CHUNKS,
+};
 
 use simcore::rng::SimRng;
 
-use crate::builder::IbScenario;
+use crate::builder::{IbScenario, ScenarioError};
 use crate::ib::{IbCluster, IbConfig};
+
+/// Outstanding requests per initiator session (fio's `iodepth`).
+pub(crate) const QUEUE_DEPTH: u32 = 16;
+
+/// RNG seed of the cluster and of the fio client.
+const SEED: u64 = 1;
 
 /// Configuration of one storage run.
 #[derive(Debug, Clone, Copy)]
@@ -33,10 +41,8 @@ pub struct StorageBedConfig {
     /// Random-read block size (512 KB in Figure 8(a); 64 KB vs 512 KB
     /// in 8(b)).
     pub block_size: u64,
-    /// Initiator sessions.
+    /// Initiator sessions, each 16 reads deep (fio's `iodepth`).
     pub sessions: u32,
-    /// Outstanding requests per session.
-    pub queue_depth: u32,
     /// Total reads to perform.
     pub total_ios: u64,
     /// `true` for ODP communication buffers, `false` for the pinned
@@ -46,8 +52,6 @@ pub struct StorageBedConfig {
     /// per-initiator structures, kernel watermarks). Calibrated so the
     /// pinned service "fails to load" below 5 GB, as §6.1 reports.
     pub pinned_headroom: ByteSize,
-    /// Storage/tgt parameters.
-    pub storage: StorageConfig,
     /// Disk model (the paper's "high-performance hard drive").
     pub disk: DiskConfig,
     /// Optional NVM backing tier in front of the swap disk.
@@ -57,8 +61,6 @@ pub struct StorageBedConfig {
     /// Warm the page cache to steady state before measuring (fio runs
     /// for minutes; the measured window is steady state).
     pub warm_cache: bool,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for StorageBedConfig {
@@ -68,16 +70,13 @@ impl Default for StorageBedConfig {
             reserved: ByteSize::mib(900),
             block_size: 512 * 1024,
             sessions: 1,
-            queue_depth: 16,
             total_ios: 2000,
             odp: true,
             pinned_headroom: ByteSize::gib(3),
-            storage: StorageConfig::default(),
             disk: DiskConfig::hard_drive(),
             tier: None,
             npf: NpfConfig::default(),
             warm_cache: false,
-            seed: 1,
         }
     }
 }
@@ -99,25 +98,47 @@ pub struct StorageBedResult {
     pub elapsed: SimDuration,
 }
 
+/// Checks what the target can serve: a block fits one chunk, and every
+/// session's reads in flight fit the pool together.
+fn validate(config: &StorageBedConfig) -> Result<(), ScenarioError> {
+    if config.block_size == 0 || config.block_size > CHUNK_SIZE {
+        return Err(ScenarioError::BlockSizeOutOfRange {
+            block_size: config.block_size,
+        });
+    }
+    if config.sessions == 0 {
+        return Err(ScenarioError::NoSessions);
+    }
+    if u64::from(config.sessions) * u64::from(QUEUE_DEPTH) > TOTAL_CHUNKS {
+        return Err(ScenarioError::PoolExhausted {
+            sessions: config.sessions,
+        });
+    }
+    Ok(())
+}
+
 /// Runs the storage benchmark.
 ///
 /// # Errors
 ///
-/// Returns the pinning failure when the pinned configuration does not
-/// fit in memory — the paper's "fails to load the tgt service" outcome
-/// below 5 GB.
-pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemError> {
+/// Returns [`ScenarioError::Mem`] with the pinning failure when the
+/// pinned configuration does not fit in memory — the paper's "fails to
+/// load the tgt service" outcome below 5 GB — and a typed error for a
+/// configuration the target cannot serve: a block larger than a chunk
+/// or empty, no sessions, more reads in flight than the pool has
+/// chunks, or a cluster the InfiniBand builder rejects.
+pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, ScenarioError> {
+    validate(&config)?;
     let mut cluster = IbScenario::from_config(IbConfig {
         nodes: 2,
         node_memory: config.target_memory,
-        seed: config.seed,
+        seed: SEED,
         npf: config.npf,
         disk: config.disk,
         tier: config.tier,
         ..IbConfig::default()
     })
-    .build()
-    .unwrap_or_else(|e| panic!("invalid storage scenario: {e}"));
+    .build()?;
 
     // OS + daemon baseline: pinned, unreclaimable.
     {
@@ -131,16 +152,14 @@ pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemErro
     }
 
     // Communication chunk pool.
-    let mut target = StorageTarget::new(config.storage, config.sessions);
-    let pool_bytes = target.comm_pool_bytes();
+    let mut target = StorageTarget::default();
+    let pool = PageRange::new(COMM_BASE.vpn(), COMM_POOL.pages());
     {
         let node = cluster.node_mut(0);
         let space = node.space();
-        node.engine_mut().memory_mut().mmap_fixed(
-            space,
-            PageRange::new(config.storage.comm_base.vpn(), pool_bytes.pages()),
-            Backing::Anonymous,
-        )?;
+        node.engine_mut()
+            .memory_mut()
+            .mmap_fixed(space, pool, Backing::Anonymous)?;
     }
     let (q_target, _q_init) = cluster.connect_shared(0, 1);
     if !config.odp {
@@ -150,15 +169,12 @@ pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemErro
         let free_after = config
             .target_memory
             .saturating_sub(config.reserved)
-            .saturating_sub(pool_bytes);
+            .saturating_sub(COMM_POOL);
         if free_after < config.pinned_headroom {
-            return Err(MemError::OutOfMemory);
+            return Err(MemError::OutOfMemory.into());
         }
         let domain = cluster.node(0).default_domain();
-        cluster.node_mut(0).engine_mut().pin_and_map(
-            domain,
-            PageRange::new(config.storage.comm_base.vpn(), pool_bytes.pages()),
-        )?;
+        cluster.node_mut(0).engine_mut().pin_and_map(domain, pool)?;
     }
 
     // Initiator-side landing buffers: pinned (unmodified initiator).
@@ -174,7 +190,7 @@ pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemErro
         // pass over the LUN (LRU keeps the tail up to capacity). Wall
         // time only; the simulated clock does not advance.
         let node = cluster.node_mut(0);
-        let pages = config.storage.lun_size.bytes() / memsim::PAGE_SIZE;
+        let pages = LUN_SIZE.bytes() / memsim::PAGE_SIZE;
         let chunk = 1024;
         let mut p = 0;
         while p < pages {
@@ -182,16 +198,12 @@ pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemErro
             let _ = node
                 .engine_mut()
                 .memory_mut()
-                .read_file_block(config.storage.lun_file, p, n);
+                .read_file_block(LUN_FILE, p, n);
             p += n;
         }
     }
 
-    let mut fio = FioClient::new(
-        config.block_size,
-        config.storage.lun_size,
-        SimRng::new(config.seed ^ 0xf10),
-    );
+    let mut fio = FioClient::new(config.block_size, SimRng::new(SEED ^ 0xf10));
 
     // The single disk serializes.
     let mut disk_free = SimTime::ZERO;
@@ -200,7 +212,7 @@ pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemErro
     let mut completed = 0u64;
     let mut outstanding = 0u32;
     let start = cluster.now();
-    let depth = config.queue_depth * config.sessions.max(1);
+    let depth = QUEUE_DEPTH * config.sessions;
 
     let issue = |cluster: &mut IbCluster,
                  target: &mut StorageTarget,
@@ -209,8 +221,7 @@ pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemErro
                  chunk_of_wr: &mut std::collections::HashMap<u64, u64>,
                  issued: &mut u64| {
         let (offset, len) = fio.next_read();
-        let session = (*issued % u64::from(config.sessions.max(1))) as u32;
-        let plan = target.plan_read(session, offset, len);
+        let plan = target.plan_read(offset, len);
         chunk_of_wr.insert(*issued, plan.chunk);
         let now = cluster.now();
         // Page-cache read (single disk serializes misses).
@@ -218,7 +229,7 @@ pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemErro
         let read = node
             .engine_mut()
             .memory_mut()
-            .read_file_block(config.storage.lun_file, plan.first_page, plan.pages)
+            .read_file_block(LUN_FILE, plan.first_page, plan.pages)
             .expect("LUN read");
         let mut delay = plan.cpu;
         if !read.hit {
@@ -309,64 +320,41 @@ pub fn run_storage(config: StorageBedConfig) -> Result<StorageBedResult, MemErro
 mod tests {
     use super::*;
 
-    fn quick(memory_gib: u64, odp: bool) -> Result<StorageBedResult, MemError> {
+    fn quick(memory_gib: u64, odp: bool) -> Result<StorageBedResult, ScenarioError> {
         run_storage(StorageBedConfig {
             target_memory: ByteSize::gib(memory_gib),
             reserved: ByteSize::mib(900),
             total_ios: 2500,
             odp,
             pinned_headroom: ByteSize::ZERO,
-            storage: StorageConfig {
-                lun_size: ByteSize::mib(256),
-                total_chunks: 64,
-                ..StorageConfig::default()
-            },
             ..StorageBedConfig::default()
         })
     }
 
     #[test]
     fn odp_runs_in_low_memory_where_pinning_fails() {
-        // Pool: 8 chunks x 512 KB = 4 MiB — tiny; shrink memory so the
-        // pinned baseline cannot start.
-        let r = run_storage(StorageBedConfig {
+        let cfg = |odp| StorageBedConfig {
             target_memory: ByteSize::gib(1),
             reserved: ByteSize::mib(900),
             total_ios: 50,
-            odp: false,
+            odp,
             pinned_headroom: ByteSize::mib(256),
-            storage: StorageConfig {
-                lun_size: ByteSize::mib(256),
-                total_chunks: 512,
-                ..StorageConfig::default()
-            },
             sessions: 4,
             ..StorageBedConfig::default()
-        });
-        // 4 sessions x 64 chunks x 512 KB = 128 MiB pinned on top of
-        // 900 MiB reserved in a 1 GiB host leaves no headroom: fails.
-        assert!(r.is_err(), "pinned pool must not fit");
-        let r = run_storage(StorageBedConfig {
-            target_memory: ByteSize::gib(1),
-            reserved: ByteSize::mib(900),
-            total_ios: 50,
-            odp: true,
-            pinned_headroom: ByteSize::mib(256),
-            storage: StorageConfig {
-                lun_size: ByteSize::mib(256),
-                total_chunks: 512,
-                ..StorageConfig::default()
-            },
-            sessions: 4,
-            ..StorageBedConfig::default()
-        });
+        };
+        // The 1 GiB pool pinned on top of 900 MiB reserved in a 1 GiB
+        // host leaves no headroom: fails.
+        let r = run_storage(cfg(false));
+        assert_eq!(r.err(), Some(ScenarioError::Mem(MemError::OutOfMemory)));
+        // ODP backs only the 4 x 16 chunks in flight.
+        let r = run_storage(cfg(true));
         assert!(r.is_ok(), "ODP must run: {r:?}");
     }
 
     #[test]
     fn more_memory_means_more_bandwidth() {
-        // 1 GiB host: ~124 MiB of cache for a 256 MiB LUN (~50% hits).
-        // 2 GiB host: the whole LUN fits.
+        // 1 GiB host: ~124 MiB of cache for the 4 GiB LUN; 2 GiB host:
+        // ~1.1 GiB, enough to keep every block read so far.
         let small = quick(1, true).expect("small run");
         let large = quick(2, true).expect("large run");
         assert!(
@@ -382,20 +370,16 @@ mod tests {
     fn odp_beats_pinned_at_equal_memory() {
         // The pinned pool steals page-cache memory; with 64 KB reads
         // into 512 KB chunks, ODP backs only the touched eighth of the
-        // pool, leaving far more cache.
+        // chunks in flight, leaving far more cache.
         let cfg = |odp| StorageBedConfig {
-            target_memory: ByteSize::mib(512),
+            target_memory: ByteSize::mib(1536),
             reserved: ByteSize::mib(64),
-            total_ios: 12_000,
+            total_ios: 3000,
             odp,
             pinned_headroom: ByteSize::ZERO,
             block_size: 64 * 1024,
-            storage: StorageConfig {
-                lun_size: ByteSize::mib(256),
-                total_chunks: 512,
-                ..StorageConfig::default()
-            },
             sessions: 8,
+            warm_cache: true,
             ..StorageBedConfig::default()
         };
         let pinned = run_storage(cfg(false)).expect("pinned run");
@@ -413,34 +397,61 @@ mod tests {
     fn small_blocks_leave_chunks_unbacked() {
         // 64 KB reads into 512 KB chunks: ODP backs only what is
         // touched.
-        let small_blocks = run_storage(StorageBedConfig {
-            block_size: 64 * 1024,
+        let run = |block_size| StorageBedConfig {
+            block_size,
             total_ios: 300,
             odp: true,
             target_memory: ByteSize::gib(6),
-            storage: StorageConfig {
-                lun_size: ByteSize::mib(512),
-                ..StorageConfig::default()
-            },
             ..StorageBedConfig::default()
-        })
-        .expect("64k run");
-        let large_blocks = run_storage(StorageBedConfig {
-            block_size: 512 * 1024,
-            total_ios: 300,
-            odp: true,
-            target_memory: ByteSize::gib(6),
-            storage: StorageConfig {
-                lun_size: ByteSize::mib(512),
-                ..StorageConfig::default()
-            },
-            ..StorageBedConfig::default()
-        })
-        .expect("512k run");
+        };
+        let small_blocks = run_storage(run(64 * 1024)).expect("64k run");
+        let large_blocks = run_storage(run(512 * 1024)).expect("512k run");
         // Figure 8(b): memory usage with 64 KB blocks is far below the
-        // 512 KB configuration. Compare comm-pool residency via pinned
-        // == 0 and resident dominated by... the page cache is not in
-        // `resident`, so resident reflects touched chunk pages.
+        // 512 KB configuration. The page cache is not in `resident`, so
+        // resident reflects touched chunk pages.
         assert!(small_blocks.resident < large_blocks.resident);
+    }
+
+    #[test]
+    fn unservable_configs_are_typed_errors() {
+        // Enough reads to exhaust the pool if the run started.
+        let run = |block_size, sessions| {
+            run_storage(StorageBedConfig {
+                block_size,
+                sessions,
+                total_ios: 4096,
+                ..StorageBedConfig::default()
+            })
+            .err()
+        };
+        let too_big = CHUNK_SIZE + 4096;
+        assert_eq!(
+            run(too_big, 1),
+            Some(ScenarioError::BlockSizeOutOfRange {
+                block_size: too_big
+            })
+        );
+        assert_eq!(
+            run(0, 1),
+            Some(ScenarioError::BlockSizeOutOfRange { block_size: 0 })
+        );
+        assert_eq!(run(64 * 1024, 0), Some(ScenarioError::NoSessions));
+        assert_eq!(
+            run(64 * 1024, 129),
+            Some(ScenarioError::PoolExhausted { sessions: 129 })
+        );
+        let rejected = run_storage(StorageBedConfig {
+            npf: NpfConfig::default().with_arbiter(npf_core::ArbiterPolicy::RoundRobin),
+            ..StorageBedConfig::default()
+        });
+        assert_eq!(rejected.err(), Some(ScenarioError::ArbiterWithoutSlots));
+        // 128 sessions x 16 reads fill the pool exactly.
+        let full = run_storage(StorageBedConfig {
+            block_size: 64 * 1024,
+            sessions: 128,
+            total_ios: 10,
+            ..StorageBedConfig::default()
+        });
+        assert!(full.is_ok(), "{full:?}");
     }
 }

@@ -35,6 +35,9 @@ pub enum StreamMode {
     Backup,
 }
 
+/// RNG seed of a stream run.
+const SEED: u64 = 1;
+
 /// Configuration of a stream run.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamBedConfig {
@@ -46,8 +49,6 @@ pub struct StreamBedConfig {
     pub major_faults: bool,
     /// How long to run.
     pub duration: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
     /// Fabric profile (loss regime / ECN marking) of the stream link.
     pub profile: FabricProfile,
 }
@@ -59,7 +60,6 @@ impl Default for StreamBedConfig {
             fault_frequency: 0.0,
             major_faults: false,
             duration: SimDuration::from_secs(2),
-            seed: 1,
             profile: FabricProfile::default(),
         }
     }
@@ -142,7 +142,7 @@ impl StreamBed {
         // instruments, so their clocks restart with it and monotonicity
         // tracking does not span testbeds.
         instruments::note_timeline_reset();
-        let mut rng = SimRng::new(config.seed);
+        let mut rng = SimRng::new(SEED);
 
         // Server: one IOuser with a pre-faulted ring. Nothing consults
         // the engine once the ring is warm: only synthetic faults fire.
@@ -269,10 +269,7 @@ impl StreamBed {
     /// are performed. Returns the connection it belonged to.
     fn on_segment(&mut self, now: SimTime, side: Side, seg: TcpSegment) -> Option<ConnSlot> {
         let mut outs = self.take_outs();
-        let slot = self
-            .end(side)
-            .stack
-            .on_segment_into(now, seg, false, &mut outs);
+        let slot = self.end(side).stack.on_segment_into(now, seg, &mut outs);
         match slot {
             Some(slot) => self.apply(now, side, slot, outs),
             None => self.spare_outs.push(outs),

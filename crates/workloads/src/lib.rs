@@ -24,5 +24,5 @@ pub mod stream;
 
 pub use memcached::{KvOp, KvOutcome, Memaslap, Memcached, MemcachedConfig};
 pub use mpi::{BufferPool, Collective, Transfer};
-pub use storage::{FioClient, ReadPlan, StorageConfig, StorageTarget};
-pub use stream::{StreamConfig, StreamReceiver, SyntheticFaults};
+pub use storage::{FioClient, ReadPlan, StorageTarget};
+pub use stream::{StreamReceiver, SyntheticFaults};

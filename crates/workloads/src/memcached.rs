@@ -18,6 +18,14 @@ use simcore::rng::SimRng;
 use simcore::time::SimDuration;
 use simcore::units::ByteSize;
 
+/// Base address of the item slab in the server's address space.
+pub const SLAB_BASE: VirtAddr = VirtAddr(0x1_0000_0000);
+
+/// CPU time to parse + hash + respond to one request, excluding
+/// memory-touch costs. Calibrated: ~8 us per operation saturates four
+/// 3.1 GHz cores near the paper's aggregate throughput (Table 5).
+pub const CPU_PER_OP: SimDuration = SimDuration::from_micros(8);
+
 /// Server configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MemcachedConfig {
@@ -25,11 +33,6 @@ pub struct MemcachedConfig {
     pub max_bytes: ByteSize,
     /// Value size of every item (memaslap uses fixed-size items).
     pub value_size: u64,
-    /// Base address of the item slab in the server's address space.
-    pub slab_base: VirtAddr,
-    /// CPU time to parse + hash + respond to one request, excluding
-    /// memory-touch costs.
-    pub cpu_per_op: SimDuration,
 }
 
 impl Default for MemcachedConfig {
@@ -37,11 +40,6 @@ impl Default for MemcachedConfig {
         MemcachedConfig {
             max_bytes: ByteSize::gib(1),
             value_size: 1024,
-            slab_base: VirtAddr(0x1_0000_0000),
-            // Calibrated: ~8 us of parse+hash+respond per operation
-            // saturates four 3.1 GHz cores near the paper's aggregate
-            // throughput (Table 5).
-            cpu_per_op: SimDuration::from_micros(8),
         }
     }
 }
@@ -221,7 +219,7 @@ impl Memcached {
     }
 
     fn slot_addr(&self, slot: u32) -> VirtAddr {
-        VirtAddr(self.config.slab_base.0 + u64::from(slot) * self.config.value_size)
+        VirtAddr(SLAB_BASE.0 + u64::from(slot) * self.config.value_size)
     }
 
     /// Takes `slot` out of the recency list.
@@ -330,7 +328,7 @@ impl Memcached {
                     KvOutcome {
                         hit: true,
                         touch: Some((self.slot_addr(slot), self.config.value_size, false)),
-                        cpu: self.config.cpu_per_op,
+                        cpu: CPU_PER_OP,
                         response_bytes: self.config.value_size + 48,
                     }
                 }
@@ -339,7 +337,7 @@ impl Memcached {
                     KvOutcome {
                         hit: false,
                         touch: None,
-                        cpu: self.config.cpu_per_op,
+                        cpu: CPU_PER_OP,
                         response_bytes: 32,
                     }
                 }
@@ -352,7 +350,7 @@ impl Memcached {
                 KvOutcome {
                     hit: false,
                     touch: Some((self.slot_addr(slot), self.config.value_size, true)),
-                    cpu: self.config.cpu_per_op,
+                    cpu: CPU_PER_OP,
                     response_bytes: 16,
                 }
             }
@@ -503,7 +501,6 @@ mod tests {
         Memcached::new(MemcachedConfig {
             max_bytes: ByteSize::bytes_exact(max_items * 1024),
             value_size: 1024,
-            ..MemcachedConfig::default()
         })
     }
 

@@ -14,37 +14,29 @@ use simcore::rng::SimRng;
 use simcore::time::SimDuration;
 use simcore::units::ByteSize;
 
-/// Target configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct StorageConfig {
-    /// The LUN's backing file.
-    pub lun_file: FileId,
-    /// LUN size.
-    pub lun_size: ByteSize,
-    /// Fixed per-transaction communication chunk (tgt uses 512 KB).
-    pub chunk_size: u64,
-    /// Total communication chunks in the global pool (tgt statically
-    /// sizes this; 2048 x 512 KB = 1 GiB).
-    pub total_chunks: u64,
-    /// Base address of the communication-buffer pool in the target's
-    /// address space.
-    pub comm_base: VirtAddr,
-    /// CPU cost per I/O transaction (SCSI processing).
-    pub cpu_per_io: SimDuration,
-}
+/// The LUN's backing file.
+pub const LUN_FILE: FileId = FileId(1);
 
-impl Default for StorageConfig {
-    fn default() -> Self {
-        StorageConfig {
-            lun_file: FileId(1),
-            lun_size: ByteSize::gib(4),
-            chunk_size: 512 * 1024,
-            total_chunks: 2048,
-            comm_base: VirtAddr(0x2_0000_0000),
-            cpu_per_io: SimDuration::from_micros(6),
-        }
-    }
-}
+/// LUN size.
+pub const LUN_SIZE: ByteSize = ByteSize::gib(4);
+
+/// Fixed per-transaction communication chunk (tgt uses 512 KB).
+pub const CHUNK_SIZE: u64 = 512 * 1024;
+
+/// Communication chunks in the global pool (tgt statically sizes it:
+/// 2048 x 512 KB = 1 GiB).
+pub const TOTAL_CHUNKS: u64 = 2048;
+
+/// The communication-buffer pool: what the pinned baseline must lock
+/// (tgt's static 1 GB allocation).
+pub const COMM_POOL: ByteSize = ByteSize::bytes_exact(CHUNK_SIZE * TOTAL_CHUNKS);
+
+/// Base address of the communication-buffer pool in the target's
+/// address space.
+pub const COMM_BASE: VirtAddr = VirtAddr(0x2_0000_0000);
+
+/// CPU cost per I/O transaction (SCSI processing).
+const CPU_PER_IO: SimDuration = SimDuration::from_micros(6);
 
 /// One read transaction plan: what the target must do for a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +46,7 @@ pub struct ReadPlan {
     /// Pages to read from the LUN (via the page cache).
     pub pages: u64,
     /// The communication buffer the payload is staged in. Only
-    /// `touch_len` bytes of the `chunk_size` chunk are written.
+    /// `touch_len` bytes of the [`CHUNK_SIZE`] chunk are written.
     pub comm_buffer: VirtAddr,
     /// The pool chunk backing `comm_buffer`; return it with
     /// [`StorageTarget::release_chunk`] when the transfer completes.
@@ -65,7 +57,7 @@ pub struct ReadPlan {
     pub cpu: SimDuration,
 }
 
-/// The target.
+/// The target. All initiator sessions share its one chunk pool.
 ///
 /// Chunks are allocated from a global LIFO free list, as an allocator
 /// would: under a fixed queue depth only a small hot subset of the pool
@@ -73,56 +65,30 @@ pub struct ReadPlan {
 /// pool unbacked (Figure 8).
 #[derive(Debug)]
 pub struct StorageTarget {
-    config: StorageConfig,
     free_chunks: Vec<u64>,
 }
 
-impl StorageTarget {
-    /// Creates a target serving `sessions` initiator sessions (sessions
-    /// share the global pool).
-    #[must_use]
-    pub fn new(config: StorageConfig, sessions: u32) -> Self {
-        let _ = sessions;
+impl Default for StorageTarget {
+    fn default() -> Self {
         // LIFO: chunk 0 on top.
-        let free_chunks = (0..config.total_chunks).rev().collect();
         StorageTarget {
-            config,
-            free_chunks,
+            free_chunks: (0..TOTAL_CHUNKS).rev().collect(),
         }
     }
+}
 
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &StorageConfig {
-        &self.config
-    }
-
-    /// Total communication-pool bytes (what the pinned baseline must
-    /// lock — tgt's static 1 GB allocation).
-    #[must_use]
-    pub fn comm_pool_bytes(&self) -> ByteSize {
-        ByteSize::bytes_exact(self.config.chunk_size * self.config.total_chunks)
-    }
-
-    /// The base address of pool chunk `c`.
-    fn chunk_addr(&self, chunk: u64) -> VirtAddr {
-        VirtAddr(self.config.comm_base.0 + chunk * self.config.chunk_size)
-    }
-
-    /// Plans one read of `len` bytes at `offset` for `session`.
+impl StorageTarget {
+    /// Plans one read of `len` bytes at `offset`.
     ///
     /// # Panics
     ///
     /// Panics when the request exceeds the chunk size, falls outside
-    /// the LUN, or the pool is exhausted (queue depth exceeded the
-    /// pool — a configuration error).
-    pub fn plan_read(&mut self, session: u32, offset: u64, len: u64) -> ReadPlan {
-        let _ = session;
-        assert!(len <= self.config.chunk_size, "request exceeds chunk");
-        assert!(
-            offset + len <= self.config.lun_size.bytes(),
-            "read beyond LUN"
-        );
+    /// the LUN, or the pool is exhausted (more reads in flight than
+    /// chunks). `testbed::storage_bed::run_storage` rejects the
+    /// configurations that would do either before it plans a read.
+    pub fn plan_read(&mut self, offset: u64, len: u64) -> ReadPlan {
+        assert!(len <= CHUNK_SIZE, "request exceeds chunk");
+        assert!(offset + len <= LUN_SIZE.bytes(), "read beyond LUN");
         let chunk = self
             .free_chunks
             .pop()
@@ -130,43 +96,37 @@ impl StorageTarget {
         ReadPlan {
             first_page: offset / memsim::PAGE_SIZE,
             pages: len.div_ceil(memsim::PAGE_SIZE),
-            comm_buffer: self.chunk_addr(chunk),
+            comm_buffer: VirtAddr(COMM_BASE.0 + chunk * CHUNK_SIZE),
             chunk,
             touch_len: len,
-            cpu: self.config.cpu_per_io,
+            cpu: CPU_PER_IO,
         }
     }
 
     /// Returns a chunk to the pool once its transfer completed.
     pub fn release_chunk(&mut self, chunk: u64) {
-        debug_assert!(chunk < self.config.total_chunks);
+        debug_assert!(chunk < TOTAL_CHUNKS);
         self.free_chunks.push(chunk);
     }
 }
 
-/// fio-like random-read generator.
+/// fio-like random-read generator over the LUN.
 #[derive(Debug)]
 pub struct FioClient {
     block_size: u64,
-    lun_size: u64,
     rng: SimRng,
 }
 
 impl FioClient {
-    /// Creates a generator issuing `block_size` random reads over a
-    /// `lun_size` device.
+    /// Creates a generator issuing `block_size` random reads.
     #[must_use]
-    pub fn new(block_size: u64, lun_size: ByteSize, rng: SimRng) -> Self {
-        FioClient {
-            block_size,
-            lun_size: lun_size.bytes(),
-            rng,
-        }
+    pub fn new(block_size: u64, rng: SimRng) -> Self {
+        FioClient { block_size, rng }
     }
 
     /// Draws the next `(offset, len)`, block-aligned.
     pub fn next_read(&mut self) -> (u64, u64) {
-        let blocks = self.lun_size / self.block_size;
+        let blocks = LUN_SIZE.bytes() / self.block_size;
         let block = self.rng.below(blocks);
         (block * self.block_size, self.block_size)
     }
@@ -178,22 +138,22 @@ mod tests {
 
     #[test]
     fn lifo_reuses_the_hottest_chunk() {
-        let mut t = StorageTarget::new(StorageConfig::default(), 1);
-        let a = t.plan_read(0, 0, 512 * 1024);
+        let mut t = StorageTarget::default();
+        let a = t.plan_read(0, 512 * 1024);
         t.release_chunk(a.chunk);
-        let b = t.plan_read(0, 512 * 1024, 512 * 1024);
+        let b = t.plan_read(512 * 1024, 512 * 1024);
         assert_eq!(a.comm_buffer, b.comm_buffer, "freed chunk reused first");
         assert_eq!(a.pages, 128);
     }
 
     #[test]
     fn queue_depth_bounds_touched_chunks() {
-        let mut t = StorageTarget::new(StorageConfig::default(), 4);
+        let mut t = StorageTarget::default();
         // Depth-3 pipeline over many requests touches exactly 3 chunks.
         let mut seen = std::collections::HashSet::new();
         let mut live = std::collections::VecDeque::new();
         for i in 0..100u64 {
-            let p = t.plan_read(0, (i % 8) * 512 * 1024, 512 * 1024);
+            let p = t.plan_read((i % 8) * 512 * 1024, 512 * 1024);
             seen.insert(p.chunk);
             live.push_back(p.chunk);
             if live.len() > 3 {
@@ -205,23 +165,22 @@ mod tests {
 
     #[test]
     fn small_blocks_touch_less_than_chunk() {
-        let mut t = StorageTarget::new(StorageConfig::default(), 1);
-        let p = t.plan_read(0, 0, 64 * 1024);
+        let mut t = StorageTarget::default();
+        let p = t.plan_read(0, 64 * 1024);
         assert_eq!(p.touch_len, 64 * 1024);
-        assert_eq!(t.config().chunk_size, 512 * 1024);
+        assert_eq!(CHUNK_SIZE, 512 * 1024);
         assert_eq!(p.pages, 16);
     }
 
     #[test]
     fn comm_pool_size_matches_tgt() {
-        let t = StorageTarget::new(StorageConfig::default(), 32);
         // 512 KB * 2048 chunks = 1 GiB — tgt's static buffer.
-        assert_eq!(t.comm_pool_bytes(), ByteSize::gib(1));
+        assert_eq!(COMM_POOL, ByteSize::gib(1));
     }
 
     #[test]
     fn fio_reads_are_aligned_and_in_bounds() {
-        let mut f = FioClient::new(512 * 1024, ByteSize::gib(4), SimRng::new(1));
+        let mut f = FioClient::new(512 * 1024, SimRng::new(1));
         for _ in 0..1000 {
             let (off, len) = f.next_read();
             assert_eq!(off % (512 * 1024), 0);
@@ -232,7 +191,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "beyond LUN")]
     fn read_past_lun_panics() {
-        let mut t = StorageTarget::new(StorageConfig::default(), 1);
-        t.plan_read(0, ByteSize::gib(4).bytes(), 4096);
+        let mut t = StorageTarget::default();
+        t.plan_read(LUN_SIZE.bytes(), 4096);
     }
 }

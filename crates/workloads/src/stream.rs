@@ -10,28 +10,6 @@
 
 use simcore::rng::SimRng;
 
-/// Configuration of a stream run.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamConfig {
-    /// Message size the sender loops on (the paper uses 64 KB).
-    pub message_bytes: u64,
-    /// Synthetic rNPF probability per received packet (the paper sweeps
-    /// 2⁻¹⁰ … 2⁻³⁰).
-    pub fault_frequency: f64,
-    /// Whether injected faults are major (disk) or minor.
-    pub major_faults: bool,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            message_bytes: 64 * 1024,
-            fault_frequency: 0.0,
-            major_faults: false,
-        }
-    }
-}
-
 /// Per-packet synthetic fault generator.
 #[derive(Debug)]
 pub struct SyntheticFaults {

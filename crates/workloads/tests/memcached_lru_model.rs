@@ -32,13 +32,12 @@ use std::collections::HashMap;
 use memsim::types::VirtAddr;
 use proptest::prelude::*;
 use simcore::units::ByteSize;
-use workloads::memcached::{KvOp, KvOutcome, Memcached, MemcachedConfig};
+use workloads::memcached::{KvOp, KvOutcome, Memcached, MemcachedConfig, CPU_PER_OP, SLAB_BASE};
 
 const VALUE: u64 = 1024;
 
 /// An LRU cache written the obvious way.
 struct Model {
-    config: MemcachedConfig,
     capacity: usize,
     /// key -> (slot, tick of last use)
     items: HashMap<u64, (u64, u64)>,
@@ -50,12 +49,12 @@ struct Model {
 
 impl Model {
     fn addr(&self, slot: u64) -> VirtAddr {
-        VirtAddr(self.config.slab_base.0 + slot * VALUE)
+        VirtAddr(SLAB_BASE.0 + slot * VALUE)
     }
 
     fn process(&mut self, op: KvOp) -> KvOutcome {
         self.tick += 1;
-        let cpu = self.config.cpu_per_op;
+        let cpu = CPU_PER_OP;
         match op {
             KvOp::Get { key } => match self.items.get_mut(&key) {
                 Some((slot, tick)) => {
@@ -115,10 +114,8 @@ fn pair(capacity: u64) -> (Memcached, Model) {
     let config = MemcachedConfig {
         max_bytes: ByteSize::bytes_exact(capacity * VALUE),
         value_size: VALUE,
-        ..MemcachedConfig::default()
     };
     let model = Model {
-        config,
         capacity: capacity as usize,
         items: HashMap::new(),
         tick: 0,

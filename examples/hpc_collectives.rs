@@ -36,9 +36,7 @@ fn main() {
                 ranks: 8,
                 message_bytes: 64 * 1024,
                 iterations: 30,
-                warmup_iterations: 18,
                 strategy,
-                off_cache_buffers: 16,
                 collective,
                 seed: 21,
             });

@@ -9,7 +9,6 @@
 
 use simcore::ByteSize;
 use testbed::storage_bed::{run_storage, StorageBedConfig};
-use workloads::storage::StorageConfig;
 
 fn main() {
     let cfg = |odp: bool, block: u64| StorageBedConfig {
@@ -17,11 +16,9 @@ fn main() {
         reserved: ByteSize::mib(900),
         block_size: block,
         sessions: 8,
-        queue_depth: 16,
         total_ios: 2000,
         odp,
         pinned_headroom: ByteSize::ZERO,
-        storage: StorageConfig::default(),
         warm_cache: true,
         ..StorageBedConfig::default()
     };

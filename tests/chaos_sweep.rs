@@ -204,7 +204,6 @@ fn run_eth(chaos: ChaosConfig) -> HashMap<String, u64> {
         .memcached(MemcachedConfig {
             max_bytes: ByteSize::mib(64),
             value_size: 1024,
-            ..MemcachedConfig::default()
         })
         .working_set_keys(1000)
         .chaos(chaos)
@@ -354,7 +353,6 @@ fn run_eth_arbiter(chaos: ChaosConfig) -> HashMap<String, u64> {
         .memcached(MemcachedConfig {
             max_bytes: ByteSize::mib(16),
             value_size: 1024,
-            ..MemcachedConfig::default()
         })
         .working_set_keys(1000)
         .tenant_skew(1.0)
@@ -449,7 +447,6 @@ fn chaos_faults_leave_complete_journal_chains() {
             .memcached(MemcachedConfig {
                 max_bytes: ByteSize::mib(16),
                 value_size: 1024,
-                ..MemcachedConfig::default()
             })
             .working_set_keys(1000)
             .tenant_skew(1.0)
@@ -543,7 +540,6 @@ fn run_eth_softemu(chaos: ChaosConfig) -> HashMap<String, u64> {
         .memcached(MemcachedConfig {
             max_bytes: ByteSize::mib(16),
             value_size: 1024,
-            ..MemcachedConfig::default()
         })
         .working_set_keys(1000)
         .npf(NpfConfig::default().with_backend(BackendKind::SoftEmu))
@@ -687,7 +683,6 @@ fn softemu_bounce_chains_leave_complete_journals() {
             .memcached(MemcachedConfig {
                 max_bytes: ByteSize::mib(16),
                 value_size: 1024,
-                ..MemcachedConfig::default()
             })
             .working_set_keys(1000)
             .npf(NpfConfig::default().with_backend(BackendKind::SoftEmu))
@@ -832,12 +827,10 @@ fn prefetched_faults_leave_complete_journal_chains() {
             .disk(npf::memsim::swap::DiskConfig::nvme())
             .tier(npf::memsim::manager::TierConfig {
                 capacity: ByteSize::mib(256),
-                disk: npf::memsim::swap::DiskConfig::nvm(),
             })
             .memcached(MemcachedConfig {
                 max_bytes: ByteSize::mib(64),
                 value_size: 1024,
-                ..MemcachedConfig::default()
             })
             .working_set_keys(1000)
             .npf(
@@ -1038,7 +1031,6 @@ fn fixed_chaos_seed_reproduces_pinned_outcome() {
         .memcached(MemcachedConfig {
             max_bytes: ByteSize::mib(64),
             value_size: 1024,
-            ..MemcachedConfig::default()
         })
         .working_set_keys(1000)
         .chaos(chaos)

@@ -26,11 +26,6 @@ fn storage_bed_is_deterministic() {
     let cfg = StorageBedConfig {
         total_ios: 200,
         target_memory: simcore::ByteSize::gib(2),
-        storage: workloads::storage::StorageConfig {
-            lun_size: simcore::ByteSize::mib(256),
-            total_chunks: 64,
-            ..workloads::storage::StorageConfig::default()
-        },
         pinned_headroom: simcore::ByteSize::ZERO,
         ..StorageBedConfig::default()
     };

@@ -129,20 +129,17 @@ fn different_seeds_still_serve() {
 #[test]
 fn stream_isolation_faulting_channel_does_not_slow_others() {
     // §3's "Stream Isolation" requirement: an IOuser hitting rNPFs must
-    // not slow down unrelated channels. Run a warm instance alone, then
-    // next to a cold (faulting) instance: its throughput must not drop.
+    // not slow down unrelated channels. Run an instance alone, then next
+    // to a second instance whose cold ring faults alongside it: its
+    // throughput must not drop.
     let solo = {
-        let scenario = small(RxMode::Backup).instances(1).prefault_rings(true);
+        let scenario = small(RxMode::Backup).instances(1);
         let mut bed = scenario.build().expect("setup");
         bed.run_until(SimTime::from_millis(800));
         bed.metrics()[0].ops.total()
     };
     let with_neighbor = {
-        // Both rings pre-faulted except... the second instance's cold
-        // slab still faults on first touches; more importantly its ring
-        // is cold because prefault_rings is off here. Instance 0 is
-        // warmed manually through the same preload path.
-        let scenario = small(RxMode::Backup).instances(2).prefault_rings(false);
+        let scenario = small(RxMode::Backup).instances(2);
         let mut bed = scenario.build().expect("setup");
         bed.run_until(SimTime::from_millis(800));
         bed.metrics()[0].ops.total()
@@ -208,7 +205,6 @@ fn tiered_backing_serves_and_migrates() {
         .working_set_keys(150_000)
         .tier(npf::memsim::manager::TierConfig {
             capacity: ByteSize::mib(256),
-            disk: npf::memsim::swap::DiskConfig::nvm(),
         });
     let mut bed = scenario.build().expect("setup");
     bed.run_until(SimTime::from_millis(800));

@@ -143,7 +143,7 @@ proptest! {
         // 8 segments of data (inside the initial window); deliver in an
         // arbitrary (possibly duplicated) order, then deliver any
         // stragglers.
-        let mss = TcpConfig::linux().mss;
+        let mss = tcpsim::types::MSS;
         let segs: Vec<_> = client.write(SimTime::ZERO, 8 * mss).into_iter().filter_map(|o| match o {
             TcpOutput::Send(s) => Some(s),
             _ => None,

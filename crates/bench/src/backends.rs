@@ -245,7 +245,8 @@ mod tests {
             let base = RunCtx::default().with_pool(pool);
             let cells = (1..=4u64).map(|s| {
                 let chaos = ChaosConfig::profile(ChaosProfile::Npf, s);
-                let ctx = base.clone().with_chaos(chaos);
+                let mut ctx = base.clone();
+                ctx.opts.chaos = chaos;
                 task(move || run_cell(&ctx, BackendKind::SoftEmu, s))
             });
             base.pool(cells.collect())

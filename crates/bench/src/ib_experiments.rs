@@ -271,7 +271,7 @@ pub fn fig10_ethernet(ctx: &RunCtx, duration_ms: u64) -> Report {
         }
         r.row(cells);
     }
-    r.note("paper: backup ring sustains bandwidth at high frequencies; dropping collapses; fault type only matters when dropping (RTO >> resolution)");
+    r.note("paper: backup ring sustains bandwidth at high frequencies; dropping collapses; fault type makes no difference when dropping (RTO >> resolution)");
     r
 }
 

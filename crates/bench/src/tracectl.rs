@@ -415,14 +415,6 @@ impl RunCtx {
         self
     }
 
-    /// This context with fault injection set as `--chaos-seed` /
-    /// `--chaos-profile` would.
-    #[must_use]
-    pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.opts.chaos = chaos;
-        self
-    }
-
     /// Runs independent tasks on the run's worker budget and returns
     /// their results in task order; see [`simcore::shard`] for the
     /// determinism contract.

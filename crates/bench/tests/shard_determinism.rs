@@ -94,9 +94,9 @@ fn run_at(
     let chaos = chaos_seed.map_or(ChaosConfig::disabled(), |s| {
         ChaosConfig::profile(ChaosProfile::All, s)
     });
-    let ctx = &RunCtx::default()
-        .with_chaos(chaos)
-        .with_pool(Pool::on_host(shards, 8));
+    let mut ctx = RunCtx::default().with_pool(Pool::on_host(shards, 8));
+    ctx.opts.chaos = chaos;
+    let ctx = &ctx;
 
     let params = [
         (tenants, seed),
@@ -115,7 +115,7 @@ fn run_at(
     let journal = installed.journal.expect("installed above");
     let chaos_summary = installed
         .checker
-        .map(|mut checker| {
+        .map(|checker| {
             let violations = format!("{:?}", checker.finish());
             format!(
                 "seed={} checks={} resolved={} delivered={} violations={violations:?}",

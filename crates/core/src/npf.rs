@@ -17,7 +17,7 @@
 //! ([`NpfEngine::begin_fault`]) or the stride prefetcher predicted it:
 //!
 //! 1. **resolve** — one pass over the host page tables, then the OS
-//!    work per page (allocate, swap in, break COW);
+//!    work per page (allocate, zero-fill, swap in);
 //! 2. **plan** — the [`OdpBackend`] prices the service as ordered phase
 //!    slices;
 //! 3. **admit** — the fault waits its turn: per-channel cap and
@@ -200,12 +200,12 @@ pub struct FaultRecord {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Origin {
     /// The NIC hit a not-present page: every page of the range must
-    /// resolve (errors propagate, COW breaks) and the fault waits its
-    /// turn in the admit stage.
+    /// resolve (errors propagate) and the fault waits its turn in the
+    /// admit stage.
     Demand,
     /// The stride prefetcher predicted the range. Driver-side
     /// pre-validation, not a NIC event: it maps what it can get without
-    /// surfacing an error or breaking COW, skips the per-channel slots,
+    /// surfacing an error, skips the per-channel slots,
     /// the arbiter, backend admission and chaos, and draws no RNG — so
     /// enabling prefetch never perturbs the demand path's draw sites.
     Speculative,
@@ -627,23 +627,6 @@ impl NpfEngine {
         let mut r = Resolved::default();
         for &(vpn, pte) in ptes.iter() {
             let frame = match pte.frame() {
-                // A DMA write to a COW-shared page must break the
-                // sharing first (otherwise the device would scribble on
-                // the other sharers' frame) — but never speculatively:
-                // that is left to a demand fault that knows the write
-                // really happened.
-                Some(_) if write && pte.cow => {
-                    if !demand {
-                        continue;
-                    }
-                    let access = self.mm.touch(space, vpn, true)?;
-                    let broke = access.fault.expect("COW break reports a fault");
-                    r.os_cost += broke.cost;
-                    for inv in &broke.invalidations {
-                        r.os_cost += self.run_invalidation(*inv);
-                    }
-                    broke.frame
-                }
                 Some(frame) => frame,
                 None => {
                     let res = match self.mm.resolve_fault(space, vpn, write) {
@@ -1025,24 +1008,6 @@ impl NpfEngine {
         // Partial unmaps may have split folded leaves; price them.
         self.absorb_huge_deltas();
         cost
-    }
-
-    /// Forks an IOuser's address space with COW sharing and runs the
-    /// resulting invalidation storm against the IOMMU (§5 names forking
-    /// as a cause of cold sequences: every formerly-mapped page must be
-    /// re-faulted before the NIC can DMA again). Returns the child space
-    /// and the total invalidation cost.
-    ///
-    /// # Errors
-    ///
-    /// Propagates memory errors.
-    pub fn fork_iouser(&mut self, parent: SpaceId) -> Result<(SpaceId, SimDuration), MemError> {
-        let (child, invalidations) = self.mm.fork_space(parent)?;
-        let mut cost = SimDuration::ZERO;
-        for inv in invalidations {
-            cost += self.run_invalidation(inv);
-        }
-        Ok((child, cost))
     }
 
     /// CPU-side touch with invalidation propagation: workloads use this
@@ -1728,112 +1693,6 @@ mod tests {
             .clone();
         e.complete_fault(rec.id);
         assert_eq!(e.counters().get("pinned_unexpected_faults"), 1);
-    }
-}
-
-#[cfg(test)]
-mod cow_fork_tests {
-    use super::*;
-    use memsim::manager::MemConfig;
-    use memsim::space::Backing;
-    use simcore::units::ByteSize;
-
-    /// §5's fork-causes-cold-sequences story, end to end: a DMA-ready
-    /// channel loses its mappings when the IOuser forks, and the next
-    /// DMA takes an NPF instead of corrupting the now-shared frame.
-    #[test]
-    fn fork_invalidates_dma_mappings() {
-        let mm = MemoryManager::new(MemConfig {
-            total_memory: ByteSize::mib(32),
-            ..MemConfig::default()
-        });
-        let mut e = NpfEngine::new(NpfConfig::default(), mm, SimRng::new(5));
-        let parent = e.memory_mut().create_space();
-        let r = e
-            .memory_mut()
-            .mmap(parent, ByteSize::kib(64), Backing::Anonymous)
-            .expect("mmap");
-        let d = e.create_channel(parent);
-        // Warm the channel: DMA-ready across the whole buffer.
-        let rec = e
-            .begin_fault(SimTime::ZERO, d, r.start.base(), 64 * 1024, true, None)
-            .expect("fault")
-            .clone();
-        e.complete_fault(rec.id);
-        assert!(e.dma_ready(d, r.start.base(), 64 * 1024, true));
-
-        // Fork: the invalidation storm purges the parent's mappings.
-        let (child, cost) = e.fork_iouser(parent).expect("fork");
-        assert!(
-            cost > SimDuration::from_micros(100),
-            "16 invalidations cost time"
-        );
-        assert!(
-            !e.dma_ready(d, r.start.base(), 1, true),
-            "stale writable mapping must not survive the fork"
-        );
-        assert!(e.counters().get("invalidations_mapped") >= 16);
-
-        // The cold sequence: the next DMA faults; resolution breaks COW
-        // (write fault on a shared page) and the channel re-warms.
-        let rec = e
-            .begin_fault(SimTime::ZERO, d, r.start.base(), 4096, true, None)
-            .expect("refault")
-            .clone();
-        e.complete_fault(rec.id);
-        assert!(e.dma_ready(d, r.start.base(), 4096, true));
-        // The child still shares the remaining pages untouched.
-        assert_eq!(e.memory().space(child).expect("child").resident_pages(), 16);
-    }
-}
-
-#[cfg(test)]
-mod cow_dma_tests {
-    use super::*;
-    use memsim::manager::MemConfig;
-    use memsim::space::Backing;
-    use simcore::units::ByteSize;
-
-    /// A DMA write fault on a COW page breaks the sharing: the channel
-    /// maps a *private* frame, never the shared one.
-    #[test]
-    fn dma_write_fault_breaks_cow() {
-        let mm = MemoryManager::new(MemConfig {
-            total_memory: ByteSize::mib(8),
-            ..MemConfig::default()
-        });
-        let mut e = NpfEngine::new(NpfConfig::default(), mm, SimRng::new(6));
-        let parent = e.memory_mut().create_space();
-        let r = e
-            .memory_mut()
-            .mmap(parent, ByteSize::kib(4), Backing::Anonymous)
-            .expect("mmap");
-        e.memory_mut()
-            .touch(parent, r.start, true)
-            .expect("populate");
-        let (child, _cost) = e.fork_iouser(parent).expect("fork");
-        let shared = e.memory().space(child).expect("child").frame_of(r.start);
-
-        // The parent's channel DMA-writes the page.
-        let d = e.create_channel(parent);
-        let rec = e
-            .begin_fault(SimTime::ZERO, d, r.start.base(), 4096, true, None)
-            .expect("fault")
-            .clone();
-        e.complete_fault(rec.id);
-        let parent_frame = e.memory().space(parent).expect("parent").frame_of(r.start);
-        assert_ne!(
-            parent_frame, shared,
-            "the DMA target must be a private copy, not the shared frame"
-        );
-        assert_eq!(
-            e.memory().space(child).expect("child").frame_of(r.start),
-            shared,
-            "the child keeps the original"
-        );
-        assert!(e.dma_ready(d, r.start.base(), 4096, true));
-        assert!(e.counters().get("npf_events") >= 1);
-        assert_eq!(e.memory().counters().get("cow_breaks"), 1);
     }
 }
 

@@ -4,7 +4,8 @@
 //! copying (Table 3):
 //!
 //! * **static pinning** — pin everything up front; simple, kills the
-//!   canonical memory optimizations,
+//!   canonical memory optimizations (the beds' pinned buffers model it,
+//!   so it is no [`Strategy`] here),
 //! * **fine-grained pinning** — pin/map around every DMA; safe and
 //!   memory-friendly but slow and it complicates the programming model,
 //! * **coarse-grained pinning (pin-down cache)** — a bounded cache of
@@ -14,8 +15,8 @@
 //!   paying CPU bandwidth per byte,
 //! * **ODP/NPF** — register instantly; page faults resolve on demand.
 //!
-//! [`Registrar`] prices all five against the shared [`NpfEngine`], so
-//! every experiment compares them on identical memory state.
+//! [`Registrar`] prices the other four against the shared [`NpfEngine`],
+//! so every experiment compares them on identical memory state.
 
 use memsim::lru::LruTracker;
 use memsim::manager::MemError;
@@ -31,8 +32,6 @@ use crate::npf::NpfEngine;
 /// The strategy selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Pin the whole registered region at registration time.
-    StaticPin,
     /// Pin and map immediately before each transfer; unpin after.
     FineGrained,
     /// Keep a bounded cache of pinned ranges with LRU eviction.
@@ -95,40 +94,6 @@ impl Registrar {
         self.stats
     }
 
-    /// Registration-time work for a region the application will use for
-    /// I/O. Returns the cost.
-    ///
-    /// # Errors
-    ///
-    /// Propagates memory errors (e.g. pinning more than physical
-    /// memory under `StaticPin`).
-    pub fn register_region(
-        &mut self,
-        engine: &mut NpfEngine,
-        range: PageRange,
-    ) -> Result<SimDuration, MemError> {
-        match self.strategy {
-            Strategy::StaticPin => {
-                let cost = engine.pin_and_map(self.domain, range)?;
-                self.stats.pinned_pages += range.pages;
-                Ok(cost)
-            }
-            Strategy::FineGrained | Strategy::PinDownCache { .. } => {
-                // Registration is lazy; work happens per transfer.
-                Ok(COST.mr_register_base)
-            }
-            Strategy::Odp => {
-                // ODP registration is instant: no pages touched.
-                Ok(COST.mr_register_base)
-            }
-            Strategy::Copy => {
-                // The bounce buffer is registered once; treat the region
-                // itself as unregistered.
-                Ok(COST.mr_register_base)
-            }
-        }
-    }
-
     /// Pre-transfer work for `addr..addr+len`. Returns the cost charged
     /// before the DMA may start.
     ///
@@ -144,7 +109,7 @@ impl Registrar {
         self.stats.transfers += 1;
         let range = PageRange::covering(addr, len.max(1));
         match self.strategy {
-            Strategy::StaticPin | Strategy::Odp => Ok(SimDuration::ZERO),
+            Strategy::Odp => Ok(SimDuration::ZERO),
             Strategy::FineGrained => {
                 let cost = engine.pin_and_map(self.domain, range)?;
                 self.stats.pinned_pages += range.pages;
@@ -166,11 +131,24 @@ impl Registrar {
                     return Ok(cost);
                 }
                 self.stats.cache_misses += 1;
-                // Evict LRU pages until the new ones fit.
+                // Refresh the hit pages first, so eviction reaches a page
+                // of this transfer only once every other page is gone.
+                for vpn in range.iter() {
+                    if self.cache.contains(CACHE_SPACE, vpn) {
+                        self.cache.touch(CACHE_SPACE, vpn);
+                    }
+                }
+                // Evict LRU pages until the new ones fit, but never one
+                // the transfer is about to use: a range larger than the
+                // cache overfills it instead.
                 while self.cache.len() as u64 + missing.len() as u64 > capacity_pages {
                     let Some((_, victim)) = self.cache.pop_oldest() else {
                         break;
                     };
+                    if range.contains(victim) {
+                        self.cache.touch(CACHE_SPACE, victim);
+                        break;
+                    }
                     cost += engine.unpin_and_unmap(self.domain, PageRange::new(victim, 1))?;
                     self.stats.cache_evictions += 1;
                     self.stats.pinned_pages -= 1;
@@ -255,31 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn static_pin_front_loads_cost() {
-        let (mut e, mut reg, r) = setup(Strategy::StaticPin);
-        let reg_cost = reg.register_region(&mut e, r).expect("register");
-        assert!(
-            reg_cost > SimDuration::from_micros(100),
-            "2048 pages pinned"
-        );
-        let prep = reg
-            .prepare_transfer(&mut e, r.start.base(), 64 * 1024)
-            .expect("prepare");
-        assert_eq!(prep, SimDuration::ZERO, "transfers are free after");
-        assert_eq!(
-            e.memory()
-                .space(e.space_of(reg.domain))
-                .unwrap()
-                .pinned_pages(),
-            2048
-        );
-    }
-
-    #[test]
     fn odp_registration_is_instant_and_pins_nothing() {
         let (mut e, mut reg, r) = setup(Strategy::Odp);
-        let cost = reg.register_region(&mut e, r).expect("register");
-        assert!(cost < SimDuration::from_micros(10));
+        let cost = reg
+            .prepare_transfer(&mut e, r.start.base(), 64 * 1024)
+            .expect("prepare");
+        assert_eq!(cost, SimDuration::ZERO);
         assert_eq!(
             e.memory()
                 .space(e.space_of(reg.domain))
@@ -292,7 +251,6 @@ mod tests {
     #[test]
     fn fine_grained_pays_per_transfer() {
         let (mut e, mut reg, r) = setup(Strategy::FineGrained);
-        reg.register_region(&mut e, r).expect("register");
         let addr = r.start.base();
         let prep = reg.prepare_transfer(&mut e, addr, 64 * 1024).expect("prep");
         assert!(prep > SimDuration::ZERO);
@@ -309,7 +267,6 @@ mod tests {
         let (mut e, mut reg, r) = setup(Strategy::PinDownCache {
             capacity: ByteSize::mib(4),
         });
-        reg.register_region(&mut e, r).expect("register");
         let addr = r.start.base();
         let cold = reg
             .prepare_transfer(&mut e, addr, 128 * 1024)
@@ -330,7 +287,6 @@ mod tests {
         let (mut e, mut reg, r) = setup(Strategy::PinDownCache {
             capacity: ByteSize::kib(64), // 16 pages
         });
-        reg.register_region(&mut e, r).expect("register");
         // Two disjoint 64 KiB buffers thrash a 64 KiB cache.
         let a = r.start.base();
         let b = Vpn(r.start.0 + 256).base();
@@ -342,10 +298,32 @@ mod tests {
         assert!(!e.dma_ready(reg.domain, a, 64 * 1024, true));
     }
 
+    /// A transfer whose hit page is the cache's oldest must not evict
+    /// it: the page would be unpinned and unmapped while the transfer
+    /// still counts on it, and re-entered into the cache unpinned.
+    #[test]
+    fn pindown_cache_never_evicts_a_page_of_the_transfer() {
+        let (mut e, mut reg, r) = setup(Strategy::PinDownCache {
+            capacity: ByteSize::kib(16), // 4 pages
+        });
+        let page = |i: u64| Vpn(r.start.0 + i).base();
+        // Pages 2..6 fill the cache; page 2 is the oldest.
+        reg.prepare_transfer(&mut e, page(2), 4 * 4096)
+            .expect("prep");
+        // Pages 0..3: page 2 hits, pages 0 and 1 miss.
+        reg.prepare_transfer(&mut e, page(0), 3 * 4096)
+            .expect("prep");
+        assert!(e.dma_ready(reg.domain, page(0), 3 * 4096, true));
+        assert_eq!(reg.stats().cache_evictions, 2, "pages 3 and 4 go");
+        assert_eq!(reg.stats().pinned_pages, 4);
+        let space = e.memory().space(e.space_of(reg.domain)).unwrap();
+        assert_eq!(space.pinned_pages(), 4, "the stats match the host");
+        assert_eq!(reg.cache.len(), 4);
+    }
+
     #[test]
     fn copy_strategy_prices_bytes() {
         let (mut e, mut reg, r) = setup(Strategy::Copy);
-        reg.register_region(&mut e, r).expect("register");
         let small = reg
             .prepare_transfer(&mut e, r.start.base(), 16 * 1024)
             .expect("prep");

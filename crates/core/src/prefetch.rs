@@ -235,28 +235,6 @@ mod tests {
         assert!(!e.dma_ready(d, Vpn(24).base(), 1, true));
     }
 
-    #[test]
-    fn write_speculation_leaves_a_cow_page_shared_and_unmapped() {
-        let (mut e, parent, d) = engine(8, 64, 1024);
-        // Page 17 is resident and, after the fork, COW-shared.
-        e.touch(parent, Vpn(17), true).expect("populate");
-        let (child, _cost) = e.fork_iouser(parent).expect("fork");
-        let (_, spawned) = train(&mut e, d, |_, _| {});
-        let [(id, _)] = spawned[..] else {
-            panic!("one speculative fault, got {spawned:?}");
-        };
-        e.complete_fault(id);
-        // The window 16..24 mapped everything but the COW page.
-        assert_eq!(e.counters().get("prefetch_pages"), 7);
-        assert!(e.dma_ready(d, Vpn(16).base(), PAGE, true));
-        assert!(e.dma_ready(d, Vpn(18).base(), 6 * PAGE, true));
-        assert!(!e.dma_ready(d, Vpn(17).base(), 1, true));
-        assert_eq!(e.memory().counters().get("cow_breaks"), 0);
-        let frame_of = |s| e.memory().space(s).expect("space").frame_of(Vpn(17));
-        assert!(frame_of(parent).is_some());
-        assert_eq!(frame_of(parent), frame_of(child), "still shared");
-    }
-
     /// Pins every page a demand fault is about to touch, so that by the
     /// fourth fault nothing is reclaimable and the only frames
     /// speculation can use are the ones the host has beyond those 16.

@@ -32,5 +32,5 @@
 pub mod pagetable;
 pub mod unit;
 
-pub use pagetable::{DomainId, IoPageTable, IoPte, TableMode, Translation};
+pub use pagetable::{DomainId, IoPageTable, IoPte, TableMode};
 pub use unit::Iommu;

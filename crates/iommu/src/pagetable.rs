@@ -7,7 +7,11 @@
 //! The paper's key hardware change (§4) is allowing **non-present** PTEs:
 //! the baseline Connect-IB required every PTE to be valid, which forces
 //! pinning; the modified firmware tolerates invalid entries and reports
-//! faults instead. [`TableMode`] captures both behaviours.
+//! faults instead. Every table here is of the second kind: a DMA probes
+//! it with [`IoPageTable::probe_range`], and a hole or a write through a
+//! read-only entry is a page fault the NPF engine raises. Pinned
+//! registration needs no second table mode — a pinned buffer is simply
+//! one whose entries are all present.
 
 use memsim::dense::{PageMap, LEAF_LEN};
 use memsim::types::{FrameId, PageRange, Vpn};
@@ -27,15 +31,13 @@ impl std::fmt::Display for DomainId {
     }
 }
 
-/// Whether the table tolerates non-present entries.
+/// Whether the table tolerates non-present entries: always, as the
+/// paper's modified firmware does. The one-variant type is kept because
+/// the benchmark passes `TableMode::PageFaultCapable` to
+/// [`crate::Iommu::create_domain`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableMode {
-    /// Baseline hardware: every registered page must be mapped (pinned)
-    /// before DMA; a miss is a fatal programming error surfaced as
-    /// [`Translation::Error`].
-    PinnedOnly,
-    /// Paper's modified firmware: entries may be invalid; a miss is a
-    /// recoverable page fault ([`Translation::Fault`]).
+    /// Entries may be invalid; a miss is a recoverable page fault.
     PageFaultCapable,
 }
 
@@ -48,29 +50,6 @@ pub struct IoPte {
     pub writable: bool,
 }
 
-/// Result of a table walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Translation {
-    /// Present and permitted.
-    Ok(FrameId),
-    /// Not present: recoverable in [`TableMode::PageFaultCapable`] mode.
-    Fault,
-    /// Not present in [`TableMode::PinnedOnly`] mode, or a write through
-    /// a read-only mapping — a programming error, not a page fault.
-    Error,
-}
-
-impl Translation {
-    /// The frame, if the walk succeeded.
-    #[must_use]
-    pub fn frame(self) -> Option<FrameId> {
-        match self {
-            Translation::Ok(f) => Some(f),
-            _ => None,
-        }
-    }
-}
-
 /// An I/O page table for one domain.
 ///
 /// Entries live in a dense, direct-indexed [`PageMap`]: a walk is two
@@ -79,14 +58,12 @@ impl Translation {
 #[derive(Debug, Clone)]
 pub struct IoPageTable {
     domain: DomainId,
-    mode: TableMode,
     entries: PageMap<IoPte>,
     /// When set, 512 present 4 KiB siblings with contiguous frames and
     /// uniform permissions fold into one 2 MiB PTE (and split back on
     /// any partial unmap). Translations are byte-for-byte identical to
     /// the 4 KiB-only table; only the PTE *shape* changes.
     huge_enabled: bool,
-    faults: u64,
     promotions: u64,
     demotions: u64,
 }
@@ -94,13 +71,11 @@ pub struct IoPageTable {
 impl IoPageTable {
     /// Creates an empty table for `domain`.
     #[must_use]
-    pub fn new(domain: DomainId, mode: TableMode) -> Self {
+    pub fn new(domain: DomainId) -> Self {
         IoPageTable {
             domain,
-            mode,
             entries: PageMap::new(),
             huge_enabled: false,
-            faults: 0,
             promotions: 0,
             demotions: 0,
         }
@@ -215,12 +190,6 @@ impl IoPageTable {
         true
     }
 
-    /// Walks that found no present entry.
-    #[must_use]
-    pub fn faults(&self) -> u64 {
-        self.faults
-    }
-
     /// Installs (or updates) the entry for `vpn`. With huge pages
     /// enabled, a map that completes an eligible chunk folds it; a map
     /// that contradicts a covering huge PTE splits it first.
@@ -261,24 +230,9 @@ impl IoPageTable {
             .or_else(|| self.entries.huge(vpn).map(|h| Self::synth_huge(h, vpn)))
     }
 
-    /// Walks the table for a DMA access.
-    pub fn translate(&mut self, vpn: Vpn, write: bool) -> Translation {
-        match self.pte(vpn) {
-            Some(pte) if write && !pte.writable => Translation::Error,
-            Some(pte) => Translation::Ok(pte.frame),
-            None => {
-                self.faults += 1;
-                match self.mode {
-                    TableMode::PageFaultCapable => Translation::Fault,
-                    TableMode::PinnedOnly => Translation::Error,
-                }
-            }
-        }
-    }
-
     /// Whether every page of `range` is present (and writable, when
-    /// `write`), without touching the fault count — the side-effect
-    /// free probe behind `is_descriptor_present` checks.
+    /// `write`) — the side-effect free probe behind
+    /// `is_descriptor_present` checks.
     #[must_use]
     pub fn probe_range(&self, range: PageRange, write: bool) -> bool {
         let mut ok = true;
@@ -302,58 +256,64 @@ impl IoPageTable {
 mod tests {
     use super::*;
 
-    fn table(mode: TableMode) -> IoPageTable {
-        IoPageTable::new(DomainId(1), mode)
+    fn table() -> IoPageTable {
+        IoPageTable::new(DomainId(1))
+    }
+
+    fn pte(frame: u64, writable: bool) -> Option<IoPte> {
+        Some(IoPte {
+            frame: FrameId(frame),
+            writable,
+        })
+    }
+
+    fn one(vpn: u64) -> PageRange {
+        PageRange::new(Vpn(vpn), 1)
     }
 
     #[test]
     fn present_entries_translate() {
-        let mut t = table(TableMode::PageFaultCapable);
+        let mut t = table();
         t.map(Vpn(5), FrameId(42), true);
-        assert_eq!(t.translate(Vpn(5), true), Translation::Ok(FrameId(42)));
-        assert_eq!(t.translate(Vpn(5), false), Translation::Ok(FrameId(42)));
+        assert_eq!(t.pte(Vpn(5)), pte(42, true));
+        assert!(t.probe_range(one(5), true));
         assert_eq!(t.present_pages(), 1);
     }
 
     #[test]
     fn missing_entry_faults_in_odp_mode() {
-        let mut t = table(TableMode::PageFaultCapable);
-        assert_eq!(t.translate(Vpn(5), false), Translation::Fault);
-        assert_eq!(t.faults(), 1);
-    }
-
-    #[test]
-    fn missing_entry_errors_in_pinned_mode() {
-        let mut t = table(TableMode::PinnedOnly);
-        assert_eq!(t.translate(Vpn(5), false), Translation::Error);
+        let t = table();
+        assert_eq!(t.pte(Vpn(5)), None);
+        assert!(!t.probe_range(one(5), false));
     }
 
     #[test]
     fn write_through_readonly_errors() {
-        let mut t = table(TableMode::PageFaultCapable);
+        let mut t = table();
         t.map(Vpn(1), FrameId(1), false);
-        assert_eq!(t.translate(Vpn(1), true), Translation::Error);
-        assert_eq!(t.translate(Vpn(1), false), Translation::Ok(FrameId(1)));
+        assert!(!t.probe_range(one(1), true));
+        assert!(t.probe_range(one(1), false));
+        assert_eq!(t.pte(Vpn(1)), pte(1, false));
     }
 
     #[test]
     fn unmap_reports_presence() {
-        let mut t = table(TableMode::PageFaultCapable);
+        let mut t = table();
         t.map(Vpn(1), FrameId(1), true);
         assert!(t.unmap(Vpn(1)));
         assert!(!t.unmap(Vpn(1)), "second unmap finds nothing");
-        assert_eq!(t.translate(Vpn(1), false), Translation::Fault);
+        assert_eq!(t.pte(Vpn(1)), None);
     }
 
     #[test]
     fn probe_range_is_side_effect_free() {
-        let mut t = table(TableMode::PageFaultCapable);
+        let mut t = table();
         t.map(Vpn(0), FrameId(0), true);
         t.map(Vpn(1), FrameId(1), false);
         assert!(t.probe_range(PageRange::new(Vpn(0), 2), false));
         assert!(!t.probe_range(PageRange::new(Vpn(0), 2), true), "read-only");
         assert!(!t.probe_range(PageRange::new(Vpn(0), 3), false), "hole");
-        assert_eq!(t.faults(), 0);
+        assert_eq!(t.present_pages(), 2);
     }
 
     fn fill_chunk(t: &mut IoPageTable, base: u64, frame0: u64) {
@@ -364,7 +324,7 @@ mod tests {
 
     #[test]
     fn contiguous_full_chunk_promotes() {
-        let mut t = table(TableMode::PageFaultCapable);
+        let mut t = table();
         t.set_huge_pages(true);
         fill_chunk(&mut t, 512, 7000);
         assert_eq!(t.huge_ptes(), 1);
@@ -372,13 +332,13 @@ mod tests {
         assert!(t.is_huge(Vpn(700)));
         assert_eq!(t.present_pages(), HUGE_PAGES as usize);
         // Translations agree with the 4 KiB model.
-        assert_eq!(t.translate(Vpn(700), true), Translation::Ok(FrameId(7188)));
+        assert_eq!(t.pte(Vpn(700)), pte(7188, true));
         assert_eq!(t.pte(Vpn(1023)).expect("mapped").frame, FrameId(7511));
     }
 
     #[test]
     fn non_contiguous_chunk_stays_small() {
-        let mut t = table(TableMode::PageFaultCapable);
+        let mut t = table();
         t.set_huge_pages(true);
         for i in 0..HUGE_PAGES {
             // One discontinuity in the middle of the frame run.
@@ -391,21 +351,21 @@ mod tests {
 
     #[test]
     fn partial_unmap_demotes() {
-        let mut t = table(TableMode::PageFaultCapable);
+        let mut t = table();
         t.set_huge_pages(true);
         fill_chunk(&mut t, 512, 7000);
         assert_eq!(t.huge_ptes(), 1);
         assert!(t.unmap(Vpn(600)));
         assert_eq!(t.huge_ptes(), 0);
         assert_eq!(t.demotions(), 1);
-        assert_eq!(t.translate(Vpn(600), false), Translation::Fault);
-        assert_eq!(t.translate(Vpn(601), false), Translation::Ok(FrameId(7089)));
+        assert_eq!(t.pte(Vpn(600)), None);
+        assert_eq!(t.pte(Vpn(601)), pte(7089, true));
         assert_eq!(t.present_pages(), HUGE_PAGES as usize - 1);
     }
 
     #[test]
     fn identical_remap_keeps_fold_and_conflicting_remap_splits() {
-        let mut t = table(TableMode::PageFaultCapable);
+        let mut t = table();
         t.set_huge_pages(true);
         fill_chunk(&mut t, 512, 7000);
         t.map(Vpn(700), FrameId(7188), true); // identical: stays folded
@@ -413,25 +373,25 @@ mod tests {
         t.map(Vpn(700), FrameId(1), true); // conflicting: splits
         assert_eq!(t.huge_ptes(), 0);
         assert_eq!(t.demotions(), 1);
-        assert_eq!(t.translate(Vpn(700), false), Translation::Ok(FrameId(1)));
+        assert_eq!(t.pte(Vpn(700)), pte(1, true));
     }
 
     #[test]
     fn disabling_huge_pages_splits_existing_folds() {
-        let mut t = table(TableMode::PageFaultCapable);
+        let mut t = table();
         t.set_huge_pages(true);
         fill_chunk(&mut t, 512, 7000);
         assert_eq!(t.huge_ptes(), 1);
         t.set_huge_pages(false);
         assert_eq!(t.huge_ptes(), 0);
         assert_eq!(t.present_pages(), HUGE_PAGES as usize);
-        assert_eq!(t.translate(Vpn(900), false), Translation::Ok(FrameId(7388)));
+        assert_eq!(t.pte(Vpn(900)), pte(7388, true));
     }
 
     #[test]
     fn huge_ptes_and_probe_agree_with_small_pages() {
-        let mut small = table(TableMode::PageFaultCapable);
-        let mut huge = table(TableMode::PageFaultCapable);
+        let mut small = table();
+        let mut huge = table();
         huge.set_huge_pages(true);
         for i in 0..HUGE_PAGES {
             small.map(Vpn(512 + i), FrameId(7000 + i), true);
@@ -447,7 +407,7 @@ mod tests {
 
     #[test]
     fn unmap_range_counts_present() {
-        let mut t = table(TableMode::PageFaultCapable);
+        let mut t = table();
         t.map(Vpn(1), FrameId(1), true);
         t.map(Vpn(3), FrameId(3), true);
         let n = t.unmap_range(PageRange::new(Vpn(0), 8));

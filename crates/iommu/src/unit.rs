@@ -95,10 +95,11 @@ impl Iommu {
         self.chaos_ns = ns;
     }
 
-    /// Creates a new translation domain.
-    pub fn create_domain(&mut self, mode: TableMode) -> DomainId {
+    /// Creates a new translation domain. The argument is always
+    /// `TableMode::PageFaultCapable`.
+    pub fn create_domain(&mut self, _mode: TableMode) -> DomainId {
         let id = DomainId(u32::try_from(self.tables.len()).expect("domain ids fit in u32"));
-        let mut table = IoPageTable::new(id, mode);
+        let mut table = IoPageTable::new(id);
         table.set_huge_pages(self.huge_enabled);
         self.tables.push(table);
         id

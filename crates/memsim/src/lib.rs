@@ -39,6 +39,6 @@ pub use manager::{
     Access, CgroupId, FaultKind, FaultResolution, Invalidation, MemConfig, MemError, MemoryManager,
     PinOutcome,
 };
-pub use space::{AddressSpace, Backing, PageState, Pte, SpaceError, Vma};
+pub use space::{AddressSpace, Backing, PageState, Pte, SpaceError};
 pub use swap::{DiskConfig, SwapDevice};
 pub use types::{FileId, FrameId, PageRange, SpaceId, VirtAddr, Vpn, PAGE_SIZE};

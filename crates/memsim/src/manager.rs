@@ -1,9 +1,9 @@
 //! The host memory manager: demand paging, reclaim, pinning, cgroups.
 //!
 //! [`MemoryManager`] is the OS side of Figure 2's NPF flow: it owns the
-//! frame pool, resolves page faults (allocating, zero-filling, swapping
-//! in, or reading through the page cache), reclaims memory under
-//! pressure, and reports **invalidations** — pages it took away — so the
+//! frame pool, resolves page faults (allocating, zero-filling or
+//! swapping in), serves buffered file reads through the page cache,
+//! reclaims memory under pressure, and reports **invalidations** — pages it took away — so the
 //! NPF driver can purge IOMMU mappings (the MMU-notifier path).
 //!
 //! The manager is sans-IO: every operation returns the simulated time it
@@ -89,9 +89,9 @@ impl Default for MemConfig {
 /// The class of a resolved fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Resolved without disk I/O (zero-fill or page-cache hit).
+    /// Resolved without disk I/O (zero-fill).
     Minor,
-    /// Required disk I/O (swap-in or page-cache miss).
+    /// Required I/O (swap-in, or promotion from the slow tier).
     Major,
 }
 
@@ -208,8 +208,6 @@ pub struct MemoryManager {
     nvm: Option<SwapDevice>,
     cache: PageCache,
     lru: LruTracker,
-    /// Reference counts of frames shared by COW (absent = 1 owner).
-    frame_refs: HashMap<FrameId, u32>,
     /// Shared recency clock across mapped memory and the page cache
     /// (their relative ages decide reclaim order, as in Linux).
     clock: u64,
@@ -225,9 +223,7 @@ pub struct MemoryManager {
 #[derive(Debug, Clone, Copy)]
 struct MemCounterIds {
     cache_drops: CounterId,
-    cow_breaks: CounterId,
     evictions: CounterId,
-    forks: CounterId,
     major_faults: CounterId,
     minor_faults: CounterId,
     swap_outs: CounterId,
@@ -239,9 +235,7 @@ impl MemCounterIds {
     fn register(counters: &mut Counters) -> Self {
         MemCounterIds {
             cache_drops: counters.register("cache_drops"),
-            cow_breaks: counters.register("cow_breaks"),
             evictions: counters.register("evictions"),
-            forks: counters.register("forks"),
             major_faults: counters.register("major_faults"),
             minor_faults: counters.register("minor_faults"),
             swap_outs: counters.register("swap_outs"),
@@ -277,7 +271,6 @@ impl MemoryManager {
                 .map(|t| SwapDevice::new(DiskConfig::nvm(), t.capacity.bytes() / PAGE_SIZE)),
             cache: PageCache::new(),
             lru: LruTracker::new(),
-            frame_refs: HashMap::new(),
             clock: 0,
             counters,
             ids,
@@ -387,7 +380,8 @@ impl MemoryManager {
             .ok_or(MemError::NoSuchSpace(id))
     }
 
-    /// Maps `size` of `backing` into `space`.
+    /// Maps `size` of anonymous memory into `space`. The [`Backing`]
+    /// argument is always `Backing::Anonymous`.
     ///
     /// # Errors
     ///
@@ -396,13 +390,14 @@ impl MemoryManager {
         &mut self,
         space: SpaceId,
         size: ByteSize,
-        backing: Backing,
+        _backing: Backing,
     ) -> Result<PageRange, MemError> {
-        Ok(self.space_mut(space)?.mmap(size.pages(), backing))
+        Ok(self.space_mut(space)?.mmap(size.pages()))
     }
 
     /// Maps `range` at a fixed location (the testbeds use well-known
-    /// buffer addresses).
+    /// buffer addresses). The [`Backing`] argument is always
+    /// `Backing::Anonymous`.
     ///
     /// # Errors
     ///
@@ -411,9 +406,9 @@ impl MemoryManager {
         &mut self,
         space: SpaceId,
         range: PageRange,
-        backing: Backing,
+        _backing: Backing,
     ) -> Result<(), MemError> {
-        self.space_mut(space)?.mmap_fixed(range, backing)?;
+        self.space_mut(space)?.mmap_fixed(range)?;
         Ok(())
     }
 
@@ -427,7 +422,7 @@ impl MemoryManager {
         let group = self.space_group.get(&space).copied();
         for (vpn, frame) in freed {
             self.lru.remove(space, vpn);
-            self.release_frame(frame);
+            self.frames.free(frame);
             if let Some(g) = group {
                 *self.group_resident.get_mut(&g).expect("group exists") -= 1;
             }
@@ -443,11 +438,7 @@ impl MemoryManager {
     /// when reclaim cannot make room.
     pub fn touch(&mut self, space: SpaceId, vpn: Vpn, write: bool) -> Result<Access, MemError> {
         let s = self.space_mut(space)?;
-        if let Some((pinned, cow_write)) = s.touch_resident(vpn, write) {
-            if cow_write {
-                let fault = self.break_cow(space, vpn)?;
-                return Ok(Access { fault: Some(fault) });
-            }
+        if let Some(pinned) = s.touch_resident(vpn, write) {
             if !pinned {
                 let t = self.next_tick();
                 self.lru.touch_tick(space, vpn, t);
@@ -466,88 +457,6 @@ impl MemoryManager {
     pub fn recency(&self, space: SpaceId, vpn: Vpn) -> Option<u64> {
         self.spaces.get(space.0 as usize)?.frame_of(vpn)?;
         self.lru.tick_of(space, vpn)
-    }
-
-    /// Forks `parent` into a new space: same mappings, resident pages
-    /// shared copy-on-write (Table 1's canonical optimization; §5 names
-    /// COW forks as a cause of cold sequences for direct I/O).
-    ///
-    /// Returns the child id plus the invalidations the fork produced:
-    /// every formerly-writable parent page is now write-protected, so
-    /// any I/O mapping of it is stale (this is the MMU-notifier storm a
-    /// real fork triggers, and why §5 lists forking as a cold-sequence
-    /// cause).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::NoSuchSpace`] for unknown parents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parent has pinned or swapped-out pages.
-    pub fn fork_space(
-        &mut self,
-        parent: SpaceId,
-    ) -> Result<(SpaceId, Vec<Invalidation>), MemError> {
-        if self.spaces.get(parent.0 as usize).is_none() {
-            return Err(MemError::NoSuchSpace(parent));
-        }
-        let child_id = SpaceId(self.next_space);
-        self.next_space += 1;
-        let child = self.spaces[parent.0 as usize].fork_into(child_id);
-        // Account frame sharing, track the child's pages for reclaim,
-        // and collect the parent-side invalidations.
-        let shared: Vec<(Vpn, FrameId)> = child.resident_iter().collect();
-        let mut invalidations = Vec::with_capacity(shared.len());
-        for (vpn, frame) in shared {
-            *self.frame_refs.entry(frame).or_insert(1) += 1;
-            let t = self.next_tick();
-            self.lru.touch_tick(child_id, vpn, t);
-            invalidations.push(Invalidation { space: parent, vpn });
-        }
-        debug_assert_eq!(child_id.0 as usize, self.spaces.len());
-        self.spaces.push(child);
-        self.counters.bump_id(self.ids.forks);
-        Ok((child_id, invalidations))
-    }
-
-    /// Breaks copy-on-write sharing for a written page: the writer gets
-    /// a private copy (or the page outright if it is the last sharer).
-    /// The old mapping must be invalidated in any IOMMU.
-    fn break_cow(&mut self, space: SpaceId, vpn: Vpn) -> Result<FaultResolution, MemError> {
-        let old = self
-            .space(space)?
-            .frame_of(vpn)
-            .expect("COW break on resident page");
-        let refs = self.frame_refs.get(&old).copied().unwrap_or(1);
-        self.counters.bump_id(self.ids.cow_breaks);
-        // The writer's translation changes either way: existing I/O
-        // mappings of this page are stale.
-        let mut invalidations = vec![Invalidation { space, vpn }];
-        let mut cost = FAULT_SW_COST;
-        let frame = if refs > 1 {
-            let (new, alloc_cost, inv) = self.alloc_frame()?;
-            cost += alloc_cost;
-            invalidations.extend(inv);
-            // Page copy: ~4 KiB at memory bandwidth.
-            cost += SimDuration::from_nanos(800);
-            self.release_frame(old);
-            self.spaces[space.0 as usize].replace_frame(vpn, new);
-            new
-        } else {
-            self.spaces[space.0 as usize].clear_cow(vpn, true);
-            old
-        };
-        let t = self.next_tick();
-        self.lru.touch_tick(space, vpn, t);
-        Ok(FaultResolution {
-            kind: FaultKind::Minor,
-            frame,
-            cost,
-            io_cost: SimDuration::ZERO,
-            tier_cost: SimDuration::ZERO,
-            invalidations,
-        })
     }
 
     /// Touches every page of a byte range, summing costs. Convenience
@@ -575,8 +484,8 @@ impl MemoryManager {
     /// Resolves a fault on `vpn`, making the page resident.
     ///
     /// This is the entry point the NPF driver uses on behalf of the NIC
-    /// (step 3 of Figure 2): it performs allocation, zero-fill, swap-in,
-    /// or page-cache fill, reclaiming memory if necessary.
+    /// (step 3 of Figure 2): it performs allocation, zero-fill or
+    /// swap-in, reclaiming memory if necessary.
     ///
     /// # Errors
     ///
@@ -597,7 +506,6 @@ impl MemoryManager {
             pte.frame().is_none(),
             "resolve_fault on resident page {vpn}"
         );
-        let backing = self.space(space)?.backing_of(vpn)?;
 
         let mut cost = FAULT_SW_COST + PER_PAGE_SW_COST;
         let mut io_cost = SimDuration::ZERO;
@@ -619,9 +527,9 @@ impl MemoryManager {
         cost += alloc_cost;
         invalidations.append(&mut alloc_inv);
 
-        // Fill the page according to its backing.
-        let kind = match (backing, pte.state) {
-            (Backing::Anonymous, PageState::SwappedOut { slot }) => {
+        // Fill the page: swap it in, or zero-fill it.
+        let kind = match pte.state {
+            PageState::SwappedOut { slot } => {
                 if slot & NVM_SLOT_TAG != 0 {
                     // Promotion from the slow tier back into DRAM.
                     let nvm = self.nvm.as_mut().expect("tagged slot implies a tier");
@@ -639,33 +547,11 @@ impl MemoryManager {
                 self.counters.bump_id(self.ids.major_faults);
                 FaultKind::Major
             }
-            (Backing::Anonymous, _) => {
+            _ => {
                 // Zero-fill (delayed allocation). Charged in the per-page
                 // software cost.
                 self.counters.bump_id(self.ids.minor_faults);
                 FaultKind::Minor
-            }
-            (Backing::File { .. }, _) => {
-                let (file, page) = self
-                    .space(space)?
-                    .file_page_of(vpn)
-                    .expect("file backing has file page");
-                let key = CacheKey { file, page };
-                let t = self.next_tick();
-                if self.cache.lookup(key, t).is_some() {
-                    self.counters.bump_id(self.ids.minor_faults);
-                    FaultKind::Minor
-                } else {
-                    // Read through the cache: the newly allocated frame
-                    // holds the data and is *also* accounted to the cache
-                    // conceptually; for simplicity the mapped copy is the
-                    // only copy (no double caching).
-                    let io = self.config.disk.io_time(PAGE_SIZE);
-                    cost += io;
-                    io_cost += io;
-                    self.counters.bump_id(self.ids.major_faults);
-                    FaultKind::Major
-                }
             }
         };
 
@@ -717,18 +603,6 @@ impl MemoryManager {
             tier_cost,
             invalidations,
         })
-    }
-
-    /// Drops one reference to `frame`, freeing it when this was the
-    /// last.
-    fn release_frame(&mut self, frame: FrameId) {
-        match self.frame_refs.get_mut(&frame) {
-            Some(refs) if *refs > 2 => *refs -= 1,
-            Some(_) => {
-                self.frame_refs.remove(&frame);
-            }
-            None => self.frames.free(frame),
-        }
     }
 
     /// Allocates a frame, reclaiming if the pool is exhausted.
@@ -823,14 +697,9 @@ impl MemoryManager {
     /// the disk time of the write is not charged to the faulting task.
     fn evict_mapped(&mut self, space: SpaceId, vpn: Vpn) -> Result<SimDuration, MemError> {
         let s = &mut self.spaces[space.0 as usize];
-        let backing = s.backing_of(vpn)?;
-        let is_anon = matches!(backing, Backing::Anonymous);
         let pte = s.pte(vpn)?;
         let mut cost = SimDuration::ZERO;
-        let shared = pte
-            .frame()
-            .is_some_and(|f| self.frame_refs.get(&f).copied().unwrap_or(1) > 1);
-        let (frame, _dirty) = if is_anon && pte.dirty && !shared {
+        let (frame, _dirty) = if pte.dirty {
             // LRU victims are by construction the coldest mapped pages:
             // demote them to the slow tier while it has room, and fall
             // back to swap once NVM is full (the hemem policy).
@@ -851,14 +720,10 @@ impl MemoryManager {
             cost += SimDuration::from_micros(3); // writeback queueing CPU
             s.evict(vpn, Some(slot))
         } else {
-            // Clean anonymous pages are all-zero: drop and re-zero later.
-            // Clean file pages re-read from the cache/disk. A COW-shared
-            // page just drops this mapping; the frame lives on in the
-            // other sharers (approximation: a re-touch here is a minor
-            // zero-fill rather than a content-preserving re-share).
+            // Clean pages are all-zero: drop and re-zero later.
             s.evict(vpn, None)
         };
-        self.release_frame(frame);
+        self.frames.free(frame);
         self.counters.bump_id(self.ids.evictions);
         journal::with(|j| j.mark(journal::MarkKind::Eviction, vpn.0));
         trace::with(|t| {
@@ -1125,30 +990,6 @@ mod tests {
     }
 
     #[test]
-    fn file_pages_hit_cache_after_first_read() {
-        let mut mm = small_manager(64);
-        let s = mm.create_space();
-        let file = FileId(7);
-        let r = mm
-            .mmap(
-                s,
-                ByteSize::kib(8),
-                Backing::File {
-                    file,
-                    page_offset: 0,
-                },
-            )
-            .unwrap();
-        // Populate the cache via direct read, then map: minor fault.
-        mm.read_file_block(file, 0, 1).unwrap();
-        let a = mm.touch(s, r.start, false).unwrap();
-        assert_eq!(a.fault.expect("fault").kind, FaultKind::Minor);
-        // An uncached file page is a major fault.
-        let a2 = mm.touch(s, r.start.next(), false).unwrap();
-        assert_eq!(a2.fault.expect("fault").kind, FaultKind::Major);
-    }
-
-    #[test]
     fn block_reads_charge_one_seek() {
         let mut mm = small_manager(64);
         let file = FileId(1);
@@ -1209,178 +1050,6 @@ mod tests {
         assert_eq!(mm.pinned_bytes(s).unwrap(), ByteSize::kib(8));
         mm.unpin_range(s, PageRange::new(r.start, 2)).unwrap();
         assert_eq!(mm.pinned_bytes(s).unwrap(), ByteSize::ZERO);
-    }
-}
-
-#[cfg(test)]
-mod cow_tests {
-    use super::*;
-    use crate::space::Backing;
-
-    fn manager() -> MemoryManager {
-        MemoryManager::new(MemConfig {
-            total_memory: ByteSize::mib(1),
-            ..MemConfig::default()
-        })
-    }
-
-    #[test]
-    fn fork_shares_frames_until_write() {
-        let mut mm = manager();
-        let parent = mm.create_space();
-        let r = mm
-            .mmap(parent, ByteSize::kib(16), Backing::Anonymous)
-            .unwrap();
-        for vpn in r.iter() {
-            mm.touch(parent, vpn, true).unwrap();
-        }
-        let free_before = mm.free_frames();
-        let (child, _inv) = mm.fork_space(parent).unwrap();
-        // No frames consumed by the fork itself.
-        assert_eq!(mm.free_frames(), free_before);
-        assert_eq!(mm.space(child).unwrap().resident_pages(), 4);
-        // Reads stay shared.
-        let a = mm.touch(child, r.start, false).unwrap();
-        assert!(a.fault.is_none());
-        assert_eq!(
-            mm.space(child).unwrap().frame_of(r.start),
-            mm.space(parent).unwrap().frame_of(r.start)
-        );
-    }
-
-    #[test]
-    fn write_breaks_cow_with_invalidation() {
-        let mut mm = manager();
-        let parent = mm.create_space();
-        let r = mm
-            .mmap(parent, ByteSize::kib(8), Backing::Anonymous)
-            .unwrap();
-        for vpn in r.iter() {
-            mm.touch(parent, vpn, true).unwrap();
-        }
-        let (child, _inv) = mm.fork_space(parent).unwrap();
-        let free_before = mm.free_frames();
-        // Child writes: gets a private copy; the stale mapping is
-        // reported for IOMMU invalidation.
-        let a = mm.touch(child, r.start, true).unwrap();
-        let fault = a.fault.expect("COW break is a (minor) fault");
-        assert_eq!(fault.kind, FaultKind::Minor);
-        assert!(fault.invalidations.contains(&Invalidation {
-            space: child,
-            vpn: r.start
-        }));
-        assert_eq!(mm.free_frames(), free_before - 1, "one private copy");
-        assert_ne!(
-            mm.space(child).unwrap().frame_of(r.start),
-            mm.space(parent).unwrap().frame_of(r.start)
-        );
-        assert_eq!(mm.counters().get("cow_breaks"), 1);
-        // Parent's subsequent write is the *last sharer*: no copy.
-        let a = mm.touch(parent, r.start, true).unwrap();
-        let fault = a.fault.expect("still reported as a transition");
-        assert_eq!(mm.free_frames(), free_before - 1, "no extra frame");
-        assert!(fault.cost.as_nanos() > 0);
-        // Second write is free.
-        let a = mm.touch(parent, r.start, true).unwrap();
-        assert!(a.fault.is_none());
-    }
-
-    #[test]
-    fn cow_chain_parent_child_grandchild() {
-        let mut mm = manager();
-        let parent = mm.create_space();
-        let r = mm
-            .mmap(parent, ByteSize::kib(4), Backing::Anonymous)
-            .unwrap();
-        mm.touch(parent, r.start, true).unwrap();
-        let (child, _inv) = mm.fork_space(parent).unwrap();
-        let (grandchild, _inv2) = mm.fork_space(child).unwrap();
-        // Three sharers of one frame.
-        let f = mm.space(parent).unwrap().frame_of(r.start).unwrap();
-        assert_eq!(mm.space(grandchild).unwrap().frame_of(r.start), Some(f));
-        // Each write peels one sharer off.
-        mm.touch(grandchild, r.start, true).unwrap();
-        assert_ne!(mm.space(grandchild).unwrap().frame_of(r.start), Some(f));
-        assert_eq!(mm.space(child).unwrap().frame_of(r.start), Some(f));
-        mm.touch(child, r.start, true).unwrap();
-        assert_ne!(mm.space(child).unwrap().frame_of(r.start), Some(f));
-        // Parent keeps the original frame, now private.
-        mm.touch(parent, r.start, true).unwrap();
-        assert_eq!(mm.space(parent).unwrap().frame_of(r.start), Some(f));
-    }
-
-    #[test]
-    fn munmap_of_shared_pages_keeps_frames_for_sharers() {
-        let mut mm = manager();
-        let parent = mm.create_space();
-        let r = mm
-            .mmap(parent, ByteSize::kib(8), Backing::Anonymous)
-            .unwrap();
-        for vpn in r.iter() {
-            mm.touch(parent, vpn, true).unwrap();
-        }
-        let (child, _inv) = mm.fork_space(parent).unwrap();
-        let free_before = mm.free_frames();
-        mm.munmap(child, r).unwrap();
-        assert_eq!(
-            mm.free_frames(),
-            free_before,
-            "shared frames survive the child's unmap"
-        );
-        // Parent still resident; a parent write is now a last-sharer
-        // transition with no copy.
-        assert!(mm.space(parent).unwrap().is_resident(r.start));
-        mm.touch(parent, r.start, true).unwrap();
-        assert!(mm.space(parent).unwrap().is_resident(r.start));
-        // Unmapping the parent finally frees them.
-        mm.munmap(parent, r).unwrap();
-        assert_eq!(mm.free_frames(), free_before + 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "pinned")]
-    fn fork_with_pinned_pages_panics() {
-        let mut mm = manager();
-        let parent = mm.create_space();
-        let r = mm
-            .mmap(parent, ByteSize::kib(4), Backing::Anonymous)
-            .unwrap();
-        mm.pin_range(parent, r).unwrap();
-        let _ = mm.fork_space(parent);
-    }
-
-    #[test]
-    fn eviction_of_shared_page_spares_the_frame() {
-        // Fork, then pressure the child until its shared page is
-        // evicted: the parent keeps the frame.
-        let mut mm = MemoryManager::new(MemConfig {
-            total_memory: ByteSize::kib(24), // 6 frames
-            ..MemConfig::default()
-        });
-        let parent = mm.create_space();
-        let r = mm
-            .mmap(parent, ByteSize::kib(4), Backing::Anonymous)
-            .unwrap();
-        mm.touch(parent, r.start, true).unwrap();
-        let (child, _inv) = mm.fork_space(parent).unwrap();
-        // The child allocates enough private memory to evict everything
-        // reclaimable, including its shared view of the page.
-        let big = mm
-            .mmap(child, ByteSize::kib(24), Backing::Anonymous)
-            .unwrap();
-        // Keep the parent's copy hot so the child's is the LRU victim.
-        for vpn in big.iter() {
-            mm.touch(child, vpn, true).unwrap();
-            mm.touch(parent, r.start, false).unwrap();
-        }
-        assert!(
-            mm.space(parent).unwrap().is_resident(r.start),
-            "the parent's view must survive"
-        );
-        // The child's mapping of the shared page is gone or dropped; its
-        // private pages may have swapped, but the shared frame survived.
-        let f = mm.space(parent).unwrap().frame_of(r.start);
-        assert!(f.is_some());
     }
 }
 

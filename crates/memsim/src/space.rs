@@ -4,39 +4,23 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use crate::dense::PageMap;
-use crate::types::{FileId, FrameId, PageRange, SpaceId, Vpn};
+use crate::types::{FrameId, PageRange, SpaceId, Vpn};
 
-/// What backs a virtual memory area.
+/// What backs a virtual memory area: always anonymous memory, zero-filled
+/// on first touch (delayed allocation) and swapped out under pressure.
+/// The one-variant type is kept because the benchmark passes
+/// `Backing::Anonymous` to [`crate::MemoryManager::mmap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backing {
-    /// Anonymous memory: zero-filled on first touch (delayed allocation),
-    /// swapped out under pressure.
+    /// Anonymous memory.
     Anonymous,
-    /// A memory-mapped file: pages come from the page cache; clean pages
-    /// are dropped (not swapped) under pressure. `page_offset` is the
-    /// file page at which the mapping starts.
-    File {
-        /// Backing file.
-        file: FileId,
-        /// File page corresponding to the first page of the VMA.
-        page_offset: u64,
-    },
-}
-
-/// A virtual memory area: a contiguous mapped range with one backing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Vma {
-    /// The pages covered.
-    pub range: PageRange,
-    /// What backs them.
-    pub backing: Backing,
 }
 
 /// Residency state of one virtual page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageState {
     /// Mapped by a VMA but never touched: first access is a minor fault
-    /// with zero-fill (anonymous) or a page-cache lookup (file).
+    /// with zero-fill.
     Untouched,
     /// Backed by a physical frame.
     Resident(FrameId),
@@ -45,8 +29,8 @@ pub enum PageState {
         /// Swap slot holding the page.
         slot: u64,
     },
-    /// File page whose frame was reclaimed; a re-access goes back to the
-    /// page cache (and possibly the disk).
+    /// Clean page whose frame was reclaimed: its content was all zeros,
+    /// so a re-access is again a minor zero-fill.
     Dropped,
 }
 
@@ -58,12 +42,9 @@ pub struct Pte {
     /// Pinned pages are excluded from reclaim (mlock / DMA registration).
     /// Counts nested pins.
     pub pin_count: u32,
-    /// Set on write access; dirty anonymous pages must be swapped out on
-    /// eviction rather than dropped.
+    /// Set on write access; dirty pages must be swapped out on eviction
+    /// rather than dropped.
     pub dirty: bool,
-    /// Write-protected, sharing its frame with another space (fork with
-    /// copy-on-write, Table 1). A write must break the sharing.
-    pub cow: bool,
 }
 
 impl Pte {
@@ -72,7 +53,6 @@ impl Pte {
             state: PageState::Untouched,
             pin_count: 0,
             dirty: false,
-            cow: false,
         }
     }
 
@@ -96,15 +76,17 @@ impl Pte {
 ///
 /// Tracks VMAs and per-page residency. Fault resolution policy lives in
 /// [`crate::manager::MemoryManager`]; this type only answers structural
-/// questions (is this page mapped? what backs it?).
+/// questions (is this page mapped? is it resident?).
 #[derive(Debug)]
 pub struct AddressSpace {
     id: SpaceId,
-    vmas: BTreeMap<u64, Vma>, // keyed by range.start.0
+    /// The virtual memory areas: contiguous mapped ranges, keyed by
+    /// their first page.
+    vmas: BTreeMap<u64, PageRange>,
     ptes: PageMap<Pte>,
     /// Last VMA a lookup resolved: page accesses cluster, so most
     /// lookups skip the `vmas` tree walk entirely.
-    vma_cache: Cell<Option<Vma>>,
+    vma_cache: Cell<Option<PageRange>>,
     next_free_vpn: u64,
     resident_pages: u64,
     pinned_pages: u64,
@@ -163,31 +145,31 @@ impl AddressSpace {
         self.pinned_pages
     }
 
-    /// Maps `pages` pages of `backing` at the next free region, returning
+    /// Maps `pages` anonymous pages at the next free region, returning
     /// the range. This is the `mmap(NULL, ...)` form.
-    pub fn mmap(&mut self, pages: u64, backing: Backing) -> PageRange {
+    pub fn mmap(&mut self, pages: u64) -> PageRange {
         let start = Vpn(self.next_free_vpn);
         let range = PageRange::new(start, pages);
         // Leave a one-page guard gap, as real mmap tends to.
         self.next_free_vpn += pages + 1;
-        self.vmas.insert(range.start.0, Vma { range, backing });
+        self.vmas.insert(range.start.0, range);
         range
     }
 
-    /// Maps `range` with `backing` at a fixed location.
+    /// Maps `range` anonymously at a fixed location.
     ///
     /// # Errors
     ///
     /// Returns [`SpaceError::Overlap`] when the range intersects an
     /// existing VMA.
-    pub fn mmap_fixed(&mut self, range: PageRange, backing: Backing) -> Result<(), SpaceError> {
+    pub fn mmap_fixed(&mut self, range: PageRange) -> Result<(), SpaceError> {
         for vma in self.vmas.values() {
-            if vma.range.overlaps(range) {
+            if vma.overlaps(range) {
                 return Err(SpaceError::Overlap);
             }
         }
         self.next_free_vpn = self.next_free_vpn.max(range.end().0 + 1);
-        self.vmas.insert(range.start.0, Vma { range, backing });
+        self.vmas.insert(range.start.0, range);
         Ok(())
     }
 
@@ -200,7 +182,7 @@ impl AddressSpace {
     /// `range.start` with the same length.
     pub fn munmap(&mut self, range: PageRange) -> Result<Vec<(Vpn, FrameId)>, SpaceError> {
         match self.vmas.get(&range.start.0) {
-            Some(vma) if vma.range == range => {}
+            Some(vma) if *vma == range => {}
             _ => return Err(SpaceError::NotMapped(range.start)),
         }
         self.vmas.remove(&range.start.0);
@@ -220,53 +202,21 @@ impl AddressSpace {
         Ok(freed)
     }
 
-    /// The VMA covering `vpn`, if any.
-    #[must_use]
-    pub fn vma_of(&self, vpn: Vpn) -> Option<&Vma> {
-        self.vmas
-            .range(..=vpn.0)
-            .next_back()
-            .map(|(_, v)| v)
-            .filter(|v| v.range.contains(vpn))
-    }
-
-    /// Like [`AddressSpace::vma_of`] but by value, served from the
-    /// one-entry VMA cache on the fast path.
+    /// The VMA covering `vpn`, if any, served from the one-entry VMA
+    /// cache on the fast path.
     #[inline]
-    fn vma_covering(&self, vpn: Vpn) -> Option<Vma> {
+    fn vma_covering(&self, vpn: Vpn) -> Option<PageRange> {
         if let Some(vma) = self.vma_cache.get() {
-            if vma.range.contains(vpn) {
+            if vma.contains(vpn) {
                 return Some(vma);
             }
         }
-        let vma = self.vma_of(vpn).copied();
-        if let Some(v) = vma {
-            self.vma_cache.set(Some(v));
+        let (_, &vma) = self.vmas.range(..=vpn.0).next_back()?;
+        if !vma.contains(vpn) {
+            return None;
         }
-        vma
-    }
-
-    /// The backing of `vpn`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpaceError::NotMapped`] for addresses outside every VMA.
-    pub fn backing_of(&self, vpn: Vpn) -> Result<Backing, SpaceError> {
-        self.vma_covering(vpn)
-            .map(|v| v.backing)
-            .ok_or(SpaceError::NotMapped(vpn))
-    }
-
-    /// For a file-backed page, the `(file, file_page)` it maps.
-    #[must_use]
-    pub fn file_page_of(&self, vpn: Vpn) -> Option<(FileId, u64)> {
-        let vma = self.vma_covering(vpn)?;
-        match vma.backing {
-            Backing::File { file, page_offset } => {
-                Some((file, page_offset + (vpn.0 - vma.range.start.0)))
-            }
-            Backing::Anonymous => None,
-        }
+        self.vma_cache.set(Some(vma));
+        Some(vma)
     }
 
     /// The PTE for `vpn`. Pages inside a VMA that were never touched
@@ -302,7 +252,7 @@ impl AddressSpace {
             let Some(vma) = self.vma_covering(vpn) else {
                 return Err(SpaceError::NotMapped(vpn));
             };
-            let run_end = Vpn(end.0.min(vma.range.end().0));
+            let run_end = Vpn(end.0.min(vma.end().0));
             self.ptes
                 .scan_range(PageRange::new(vpn, run_end.0 - vpn.0), |v, pte| {
                     f(v, pte.copied().unwrap_or_else(Pte::untouched));
@@ -340,118 +290,28 @@ impl AddressSpace {
         );
         pte.state = PageState::Resident(frame);
         pte.dirty = write;
-        pte.cow = false;
         self.resident_pages += 1;
         if pte.is_pinned() {
             self.pinned_pages += 1;
         }
     }
 
-    /// Replaces the frame of a resident page in place (a COW break: the
-    /// space receives its private copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is not resident.
-    pub fn replace_frame(&mut self, vpn: Vpn, frame: FrameId) {
-        let pte = self.ptes.get_mut(vpn).expect("replace of unmapped page");
-        assert!(pte.frame().is_some(), "replace of non-resident page {vpn}");
-        pte.state = PageState::Resident(frame);
-        pte.cow = false;
-        pte.dirty = true;
-    }
-
-    /// Marks a resident page as COW-shared (write-protected, shared
-    /// frame).
-    pub fn mark_cow(&mut self, vpn: Vpn) {
-        if let Some(pte) = self.ptes.get_mut(vpn) {
-            if pte.frame().is_some() {
-                pte.cow = true;
-                pte.dirty = false;
-            }
-        }
-    }
-
-    /// Clears the COW flag (last sharer: the page is private again).
-    pub fn clear_cow(&mut self, vpn: Vpn, write: bool) {
-        if let Some(pte) = self.ptes.get_mut(vpn) {
-            pte.cow = false;
-            if write {
-                pte.dirty = true;
-            }
-        }
-    }
-
-    /// Snapshot of `(vpn, pte)` pairs in ascending VPN order (fork
-    /// support; the deterministic order also fixes downstream frame
-    /// bookkeeping order).
-    pub fn pte_iter(&self) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
-        self.ptes.iter().map(|(v, &p)| (v, p))
-    }
-
-    /// Builds a forked copy of this space's structure under a new id:
-    /// identical VMAs; resident pages shared (both marked COW);
-    /// untouched/dropped pages copied as-is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parent has pinned or swapped-out pages (fork is
-    /// supported for unpinned, in-core parents; swap-slot sharing is out
-    /// of scope — touch the pages in first).
-    pub fn fork_into(&mut self, child_id: SpaceId) -> AddressSpace {
-        let mut child = AddressSpace::new(child_id);
-        child.next_free_vpn = self.next_free_vpn;
-        for vma in self.vmas.values() {
-            child.vmas.insert(vma.range.start.0, *vma);
-        }
-        let parent_ptes: Vec<(Vpn, Pte)> = self.pte_iter().collect();
-        for (vpn, pte) in parent_ptes {
-            assert!(!pte.is_pinned(), "fork of a space with pinned pages");
-            match pte.state {
-                PageState::Resident(frame) => {
-                    self.mark_cow(vpn);
-                    child.ptes.insert(
-                        vpn,
-                        Pte {
-                            state: PageState::Resident(frame),
-                            pin_count: 0,
-                            dirty: false,
-                            cow: true,
-                        },
-                    );
-                    child.resident_pages += 1;
-                }
-                PageState::SwappedOut { .. } => {
-                    panic!("fork of a space with swapped-out pages");
-                }
-                PageState::Untouched | PageState::Dropped => {
-                    child.ptes.insert(vpn, pte);
-                }
-            }
-        }
-        child
-    }
-
     /// Fast-path CPU access to a resident page: one dense lookup that
-    /// marks dirty on non-COW writes and reports `(pinned, cow_write)`
-    /// so the caller can do LRU/COW work without re-walking. Returns
-    /// `None` when the page is not resident (fault path).
-    pub fn touch_resident(&mut self, vpn: Vpn, write: bool) -> Option<(bool, bool)> {
+    /// marks dirty on writes and reports whether the page is pinned, so
+    /// the caller can do LRU work without re-walking. Returns `None`
+    /// when the page is not resident (fault path).
+    pub fn touch_resident(&mut self, vpn: Vpn, write: bool) -> Option<bool> {
         let pte = self.ptes.get_mut(vpn)?;
         pte.frame()?;
-        if write && pte.cow {
-            return Some((pte.is_pinned(), true));
-        }
         if write {
             pte.dirty = true;
         }
-        Some((pte.is_pinned(), false))
+        Some(pte.is_pinned())
     }
 
     /// Evicts a resident page, transitioning it to `SwappedOut` (with
-    /// `slot`) for anonymous pages or `Dropped` for file pages. Returns
-    /// the freed frame and whether the page was dirty. COW state is
-    /// dropped with the mapping.
+    /// `slot`) or, for a clean page, `Dropped`. Returns the freed frame
+    /// and whether the page was dirty.
     ///
     /// # Panics
     ///
@@ -505,13 +365,6 @@ impl AddressSpace {
             false
         }
     }
-
-    /// Iterates resident pages in ascending VPN order (for teardown).
-    pub fn resident_iter(&self) -> impl Iterator<Item = (Vpn, FrameId)> + '_ {
-        self.ptes
-            .iter()
-            .filter_map(|(vpn, pte)| pte.frame().map(|f| (vpn, f)))
-    }
 }
 
 #[cfg(test)]
@@ -525,27 +378,24 @@ mod tests {
     #[test]
     fn mmap_assigns_disjoint_ranges() {
         let mut s = space();
-        let a = s.mmap(10, Backing::Anonymous);
-        let b = s.mmap(5, Backing::Anonymous);
+        let a = s.mmap(10);
+        let b = s.mmap(5);
         assert!(!a.overlaps(b));
-        assert_eq!(s.vmas.values().map(|v| v.range.pages).sum::<u64>(), 15);
+        assert_eq!(s.vmas.values().map(|v| v.pages).sum::<u64>(), 15);
     }
 
     #[test]
     fn mmap_fixed_rejects_overlap() {
         let mut s = space();
-        let a = s.mmap(10, Backing::Anonymous);
+        let a = s.mmap(10);
         let overlapping = PageRange::new(a.start, 1);
-        assert_eq!(
-            s.mmap_fixed(overlapping, Backing::Anonymous),
-            Err(SpaceError::Overlap)
-        );
+        assert_eq!(s.mmap_fixed(overlapping), Err(SpaceError::Overlap));
     }
 
     #[test]
     fn untouched_pages_report_untouched() {
         let mut s = space();
-        let r = s.mmap(4, Backing::Anonymous);
+        let r = s.mmap(4);
         let pte = s.pte(r.start).expect("mapped");
         assert_eq!(pte.state, PageState::Untouched);
         assert!(!s.is_resident(r.start));
@@ -555,16 +405,12 @@ mod tests {
     fn unmapped_pages_error() {
         let s = space();
         assert!(matches!(s.pte(Vpn(0xdead)), Err(SpaceError::NotMapped(_))));
-        assert!(matches!(
-            s.backing_of(Vpn(0xdead)),
-            Err(SpaceError::NotMapped(_))
-        ));
     }
 
     #[test]
     fn install_and_evict_roundtrip() {
         let mut s = space();
-        let r = s.mmap(1, Backing::Anonymous);
+        let r = s.mmap(1);
         s.install(r.start, FrameId(7), true);
         assert_eq!(s.frame_of(r.start), Some(FrameId(7)));
         assert_eq!(s.resident_pages(), 1);
@@ -579,26 +425,9 @@ mod tests {
     }
 
     #[test]
-    fn clean_file_pages_drop() {
-        let mut s = space();
-        let r = s.mmap(
-            2,
-            Backing::File {
-                file: FileId(1),
-                page_offset: 100,
-            },
-        );
-        s.install(r.start, FrameId(1), false);
-        let (_, dirty) = s.evict(r.start, None);
-        assert!(!dirty);
-        assert_eq!(s.pte(r.start).expect("mapped").state, PageState::Dropped);
-        assert_eq!(s.file_page_of(r.start.next()), Some((FileId(1), 101)));
-    }
-
-    #[test]
     fn pin_counts_nest() {
         let mut s = space();
-        let r = s.mmap(1, Backing::Anonymous);
+        let r = s.mmap(1);
         s.install(r.start, FrameId(0), false);
         assert!(s.pin(r.start));
         assert!(!s.pin(r.start), "second pin is not a transition");
@@ -612,7 +441,7 @@ mod tests {
     #[should_panic(expected = "evicting pinned page")]
     fn evicting_pinned_page_panics() {
         let mut s = space();
-        let r = s.mmap(1, Backing::Anonymous);
+        let r = s.mmap(1);
         s.install(r.start, FrameId(0), false);
         s.pin(r.start);
         s.evict(r.start, None);
@@ -621,7 +450,7 @@ mod tests {
     #[test]
     fn munmap_returns_frames() {
         let mut s = space();
-        let r = s.mmap(3, Backing::Anonymous);
+        let r = s.mmap(3);
         s.install(r.start, FrameId(1), false);
         s.install(r.start.next(), FrameId(2), false);
         let freed = s.munmap(r).expect("munmap");

@@ -132,12 +132,6 @@ impl Fabric {
         outcome
     }
 
-    /// Pauses all transmission *toward* `node` until `until` (802.3x
-    /// pause emitted by `node`): pauses the switch's downlink to it.
-    pub fn pause_toward(&mut self, node: NodeId, until: SimTime) {
-        self.links[downlink(node.0)].pause_until(until);
-    }
-
     /// Total drops across all links.
     #[must_use]
     pub fn total_drops(&self) -> u64 {
@@ -238,19 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn pause_toward_blocks_last_hop() {
-        let mut r = rng();
-        let mut f = pair(&mut r);
-        f.pause_toward(NodeId(1), SimTime::from_micros(50));
-        let SendOutcome::Delivered { arrives_at, .. } =
-            f.send(SimTime::ZERO, NodeId(0), NodeId(1), 1250)
-        else {
-            panic!("delivered");
-        };
-        assert!(arrives_at >= SimTime::from_micros(51));
-    }
-
-    #[test]
     #[should_panic(expected = "loopback")]
     fn loopback_rejected() {
         let mut r = rng();
@@ -334,35 +315,6 @@ mod chaos_tests {
 mod star_pause_tests {
     use super::*;
     use simcore::units::Bandwidth;
-
-    #[test]
-    fn pause_toward_star_node_blocks_only_its_downlink() {
-        let mut r = SimRng::new(3);
-        let mut f = Fabric::star(
-            LinkConfig::datacenter(Bandwidth::gbps(56)),
-            4,
-            SimDuration::from_nanos(200),
-            &mut r,
-        );
-        f.pause_toward(NodeId(1), SimTime::from_micros(100));
-        let SendOutcome::Delivered {
-            arrives_at: paused, ..
-        } = f.send(SimTime::ZERO, NodeId(0), NodeId(1), 4096)
-        else {
-            panic!("delivered")
-        };
-        let SendOutcome::Delivered {
-            arrives_at: clear, ..
-        } = f.send(SimTime::ZERO, NodeId(0), NodeId(2), 4096)
-        else {
-            panic!("delivered")
-        };
-        assert!(paused >= SimTime::from_micros(100), "paused path waits");
-        assert!(
-            clear < SimTime::from_micros(10),
-            "other nodes are unaffected: {clear}"
-        );
-    }
 
     #[test]
     fn pfc_incast_pauses_every_uplink() {

@@ -196,23 +196,10 @@ impl Default for TransportConfig {
 }
 
 impl TransportConfig {
-    /// The IRN-style selective-repeat transport at the default BDP cap.
-    #[must_use]
-    pub fn irn() -> Self {
-        TransportConfig::default().with_transport(RdmaTransport::SelectiveRepeat)
-    }
-
     /// Sets the loss-recovery discipline.
     #[must_use]
     pub fn with_transport(mut self, transport: RdmaTransport) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Sets the BDP cap in packets.
-    #[must_use]
-    pub fn with_bdp_packets(mut self, bdp_packets: u64) -> Self {
-        self.bdp_packets = bdp_packets;
         self
     }
 }
@@ -255,7 +242,10 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let t = TransportConfig::irn().with_bdp_packets(8);
+        let t = TransportConfig {
+            bdp_packets: 8,
+            ..TransportConfig::default().with_transport(RdmaTransport::SelectiveRepeat)
+        };
         assert_eq!(t.transport, RdmaTransport::SelectiveRepeat);
         assert_eq!(t.bdp_packets, 8);
     }

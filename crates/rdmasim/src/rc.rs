@@ -500,7 +500,7 @@ impl RcQp {
             return;
         }
         match timer {
-            QpTimer::RnrResume | QpTimer::FaultResume => {
+            QpTimer::RnrResume => {
                 if matches!(self.pause, Pause::Rnr(_)) {
                     self.pause = Pause::None;
                 }

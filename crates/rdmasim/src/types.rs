@@ -314,14 +314,11 @@ pub enum QpTimer {
     Retransmit,
     /// RNR backoff expiry (resume after receiver-not-ready).
     RnrResume,
-    /// Local-fault pause is resolved externally; this timer fires when
-    /// the NPF engine says the page is ready.
-    FaultResume,
 }
 
 impl QpTimer {
     /// Number of timer kinds: the size of a per-QP timer table.
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 2;
 
     /// This kind's slot in a per-QP timer table, below [`QpTimer::COUNT`].
     #[must_use]
@@ -329,7 +326,6 @@ impl QpTimer {
         match self {
             QpTimer::Retransmit => 0,
             QpTimer::RnrResume => 1,
-            QpTimer::FaultResume => 2,
         }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! 1. **Fault injection.** A [`ChaosEngine`] draws typed per-class
 //!    fates ([`PacketFate`], [`InterruptFate`], [`NpfFate`],
-//!    [`MemoryFate`], [`PauseFate`]) from per-class [`SimRng`] streams
+//!    [`MemoryFate`]) from per-class [`SimRng`] streams
 //!    forked from a single chaos seed, so the same seed replays the
 //!    exact same fault schedule. Every class fires at fixed rates (the
 //!    constants below and [`CHAOS_TICK`]); a [`ChaosConfig`] only picks
@@ -13,9 +13,8 @@
 //!    packet drop/corrupt/duplicate/reorder around the beds'
 //!    `netsim` sends ([`PacketFate::arrivals`]), lost and delayed
 //!    interrupts in `nicsim::interrupt`, NPF resolution
-//!    delay/transient-failure/retry in `core::npf`, memory-pressure
-//!    bursts and eviction storms in `memsim::manager`, and PFC pause
-//!    storms at the InfiniBand fabric.
+//!    delay/transient-failure/retry in `core::npf`, and memory-pressure
+//!    bursts and eviction storms in `memsim::manager`.
 //!
 //! 2. **Invariant checking.** An [`InvariantChecker`], one of the
 //!    thread's [`crate::instruments`], receives `note_*` observations
@@ -50,8 +49,8 @@ use crate::trace;
 
 /// Which fault classes an engine arms, and the seed of its schedule.
 /// The rates of every class are the constants below: a config names a
-/// [`ChaosProfile`] (one class or all four) and, separately, PFC pause
-/// storms, so a bad rate or a zero tick cannot be expressed.
+/// [`ChaosProfile`] (one class or all four), so a bad rate or a zero
+/// tick cannot be expressed.
 ///
 /// The seed is *independent* of the simulation seed: a testbed with
 /// chaos disabled draws nothing from any chaos stream, so its existing
@@ -61,7 +60,6 @@ pub struct ChaosConfig {
     /// Seed of the chaos schedule (forked per fault class).
     pub seed: u64,
     profile: Option<ChaosProfile>,
-    pause_storms: bool,
 }
 
 impl Default for ChaosConfig {
@@ -77,7 +75,6 @@ impl ChaosConfig {
         ChaosConfig {
             seed: 0,
             profile: None,
-            pause_storms: false,
         }
     }
 
@@ -87,25 +84,17 @@ impl ChaosConfig {
         ChaosConfig {
             seed,
             profile: Some(profile),
-            pause_storms: false,
         }
-    }
-
-    /// Also arms PFC pause storms, the one class no profile arms.
-    #[must_use]
-    pub const fn with_pause_storms(mut self) -> Self {
-        self.pause_storms = true;
-        self
     }
 
     /// `true` when at least one fault class can fire.
     #[must_use]
     pub const fn enabled(&self) -> bool {
-        self.profile.is_some() || self.pause_storms
+        self.profile.is_some()
     }
 
     /// `true` when the profile in force fires the faults of `class`
-    /// ([`ChaosProfile::All`] fires every class but pause storms).
+    /// ([`ChaosProfile::All`] fires every class).
     #[must_use]
     pub fn arms(&self, class: ChaosProfile) -> bool {
         self.profile
@@ -113,8 +102,7 @@ impl ChaosConfig {
     }
 }
 
-/// Period of the testbeds' chaos tick, which draws the memory and pause
-/// fates.
+/// Period of the testbeds' chaos tick, which draws the memory fates.
 pub const CHAOS_TICK: SimDuration = SimDuration::from_micros(50);
 
 // Packet faults, one draw per packet.
@@ -152,12 +140,6 @@ const MEM_BURST: f64 = 0.02;
 const MEM_BURST_PAGES: u64 = 16;
 const MEM_STORM: f64 = 0.005;
 const MEM_STORM_PAGES: u64 = 64;
-
-// PFC pause storms, one draw per node per chaos tick: a rogue peer
-// spraying pause frames stalls the node's egress for up to
-// `PAUSE_MAX`.
-const PAUSE_STORM: f64 = 0.05;
-const PAUSE_MAX: SimDuration = SimDuration::from_micros(80);
 
 /// Named per-class fault profiles, one per injection layer plus the
 /// union.
@@ -309,18 +291,6 @@ pub enum MemoryFate {
     },
 }
 
-/// PFC pause decision for one node at one chaos tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PauseFate {
-    /// No pause storm this tick.
-    Calm,
-    /// Stall the node's egress for `pause` (a burst of pause frames).
-    Storm {
-        /// How long the egress stays paused.
-        pause: SimDuration,
-    },
-}
-
 // ---------------------------------------------------------------------
 // The injector
 // ---------------------------------------------------------------------
@@ -340,7 +310,6 @@ pub struct ChaosEngine {
     irq_rng: SimRng,
     npf_rng: SimRng,
     mem_rng: SimRng,
-    pause_rng: SimRng,
     counters: Counters,
 }
 
@@ -365,12 +334,6 @@ impl ChaosEngine {
             irq_rng: root.fork(2),
             npf_rng: root.fork(3),
             mem_rng: root.fork(4),
-            pause_rng: {
-                // Lane 5 belonged to a deleted fault class; `fork` draws
-                // from the root, so skip its draw to keep lane 6's stream.
-                root.next_u64();
-                root.fork(6)
-            },
             counters: Counters::new(),
         }
     }
@@ -396,8 +359,7 @@ impl ChaosEngine {
 
     /// Counts of injected faults per class: `net_drop`, `net_corrupt`,
     /// `net_duplicate`, `net_reorder`, `irq_lost`, `irq_delayed`,
-    /// `npf_delay`, `npf_transient`, `mem_burst`, `mem_storm`,
-    /// `pause_storm`.
+    /// `npf_delay`, `npf_transient`, `mem_burst`, `mem_storm`.
     #[must_use]
     pub fn counters(&self) -> &Counters {
         &self.counters
@@ -512,22 +474,6 @@ impl ChaosEngine {
         };
         trace_injection("memory", "Memory", &fate);
         fate
-    }
-
-    /// Draws the PFC pause decision for one node at one chaos tick.
-    pub fn pause_fate(&mut self) -> PauseFate {
-        if !self.cfg.pause_storms {
-            return PauseFate::Calm;
-        }
-        if self.pause_rng.chance(PAUSE_STORM) {
-            self.counters.bump("pause_storm");
-            let fate = PauseFate::Storm {
-                pause: Self::jitter(&mut self.pause_rng, PAUSE_MAX),
-            };
-            trace_injection("pause", "Pause", &fate);
-            return fate;
-        }
-        PauseFate::Calm
     }
 }
 
@@ -921,19 +867,22 @@ impl InvariantChecker {
         }
     }
 
-    /// End-of-run predicate: every raised NPF was resolved.
-    /// Call after the testbed quiesces; returns all violations.
-    pub fn finish(&mut self) -> &[Violation] {
+    /// End-of-run verdict: every violation so far, plus an
+    /// `npf-resolution` one when a raised NPF never resolved. Call after
+    /// the testbed quiesces; the checker itself is left as it was.
+    #[must_use]
+    pub fn finish(&self) -> Vec<Violation> {
+        let mut all = self.violations.clone();
         if !self.pending_faults.is_empty() {
             let mut ids: Vec<u64> = self.pending_faults.keys().copied().collect();
             ids.sort_unstable();
-            self.violate(
-                "npf-resolution",
-                format!("{} NPFs never resolved or aborted: {ids:?}", ids.len()),
-            );
-            self.pending_faults.clear();
+            all.push(Violation {
+                invariant: "npf-resolution",
+                at: self.last_time,
+                detail: format!("{} NPFs never resolved or aborted: {ids:?}", ids.len()),
+            });
         }
-        &self.violations
+        all
     }
 }
 
@@ -1074,7 +1023,6 @@ mod tests {
             assert_eq!(e.interrupt_fate(), InterruptFate::Deliver);
             assert_eq!(e.npf_fate(), NpfFate::Normal);
             assert_eq!(e.memory_fate(), MemoryFate::Calm);
-            assert_eq!(e.pause_fate(), PauseFate::Calm);
         }
         assert!(e.counters().iter().all(|(_, v)| v == 0));
         assert!(!e.enabled());
@@ -1085,7 +1033,6 @@ mod tests {
             (&mut e.irq_rng, &mut fresh.irq_rng),
             (&mut e.npf_rng, &mut fresh.npf_rng),
             (&mut e.mem_rng, &mut fresh.mem_rng),
-            (&mut e.pause_rng, &mut fresh.pause_rng),
         ] {
             assert_eq!(used.next_u64(), unused.next_u64());
         }
@@ -1128,24 +1075,6 @@ mod tests {
     }
 
     #[test]
-    fn pause_storms_are_armed_apart_from_the_profiles() {
-        let all = ChaosConfig::profile(ChaosProfile::All, 7);
-        let stormy = all.with_pause_storms();
-        assert!(all.arms(ChaosProfile::Memory) && stormy.arms(ChaosProfile::Memory));
-        let mut calm = ChaosEngine::new(all);
-        let mut e = ChaosEngine::new(stormy);
-        for _ in 0..2000 {
-            assert_eq!(calm.pause_fate(), PauseFate::Calm);
-            if let PauseFate::Storm { pause } = e.pause_fate() {
-                assert!(!pause.is_zero() && pause <= PAUSE_MAX);
-            }
-        }
-        assert!(e.counters().get("pause_storm") > 0);
-        let alone = ChaosConfig::disabled().with_pause_storms();
-        assert!(alone.enabled() && !alone.arms(ChaosProfile::Network));
-    }
-
-    #[test]
     fn enabled_engines_note_themselves_to_the_checker() {
         let fresh = crate::instruments::Instruments {
             checker: Some(InvariantChecker::new(1)),
@@ -1181,9 +1110,9 @@ mod tests {
         let mut c = InvariantChecker::new(9);
         c.note_event_time(SimTime::from_micros(10));
         c.note_event_time(SimTime::from_micros(5));
-        c.finish();
-        assert_eq!(c.violations().len(), 1);
-        assert_eq!(c.violations()[0].invariant, "time-monotonicity");
+        let end = c.finish();
+        assert_eq!(end.len(), 1);
+        assert_eq!(end[0].invariant, "time-monotonicity");
     }
 
     #[test]
@@ -1197,10 +1126,10 @@ mod tests {
         c.note_timeline_reset();
         c.note_event_time(SimTime::from_micros(3));
         c.note_event_time(SimTime::from_micros(1));
-        c.finish();
-        assert_eq!(c.violations().len(), 1);
-        assert_eq!(c.violations()[0].invariant, "time-monotonicity");
-        assert!(c.violations()[0].detail.contains("1"));
+        let end = c.finish();
+        assert_eq!(end.len(), 1);
+        assert_eq!(end[0].invariant, "time-monotonicity");
+        assert!(end[0].detail.contains("1"));
     }
 
     #[test]
@@ -1209,10 +1138,10 @@ mod tests {
         c.note_fault_begun(1, SimTime::from_micros(1));
         c.note_fault_begun(2, SimTime::from_micros(2));
         c.note_fault_resolved(1);
-        c.finish();
-        assert_eq!(c.violations().len(), 1);
-        assert_eq!(c.violations()[0].invariant, "npf-resolution");
-        assert!(c.violations()[0].detail.contains("[2]"));
+        let end = c.finish();
+        assert_eq!(end.len(), 1);
+        assert_eq!(end[0].invariant, "npf-resolution");
+        assert!(end[0].detail.contains("[2]"));
     }
 
     #[test]
@@ -1222,9 +1151,9 @@ mod tests {
         c.note_qp_message(1, 2);
         c.note_qp_message(1, 2); // duplicate delivery
         c.note_qp_message(2, 1); // independent stream is fine
-        c.finish();
-        assert_eq!(c.violations().len(), 1);
-        assert_eq!(c.violations()[0].invariant, "rc-exactly-once");
+        let end = c.finish();
+        assert_eq!(end.len(), 1);
+        assert_eq!(end[0].invariant, "rc-exactly-once");
     }
 
     #[test]
@@ -1235,9 +1164,9 @@ mod tests {
         c.note_frame_freed(7);
         // The unmap never happens: next checkpoint must flag it.
         c.checkpoint(SimTime::from_micros(1));
-        c.finish();
-        assert_eq!(c.violations().len(), 1);
-        assert_eq!(c.violations()[0].invariant, "no-freed-frame-mapped");
+        let end = c.finish();
+        assert_eq!(end.len(), 1);
+        assert_eq!(end[0].invariant, "no-freed-frame-mapped");
     }
 
     #[test]
@@ -1248,8 +1177,8 @@ mod tests {
         c.note_frame_freed(7);
         c.note_frame_unmapped(0, 0x10); // invalidation flow ran
         c.checkpoint(SimTime::from_micros(1));
-        c.finish();
-        assert!(c.violations().is_empty(), "{:?}", c.violations());
+        let end = c.finish();
+        assert!(end.is_empty(), "{:?}", end);
     }
 
     #[test]
@@ -1258,9 +1187,9 @@ mod tests {
         c.note_frame_allocated(3);
         c.note_frame_freed(3);
         c.note_frame_mapped(0, 0x20, 3);
-        c.finish();
-        assert_eq!(c.violations().len(), 1);
-        assert_eq!(c.violations()[0].invariant, "no-freed-frame-mapped");
+        let end = c.finish();
+        assert_eq!(end.len(), 1);
+        assert_eq!(end[0].invariant, "no-freed-frame-mapped");
     }
 
     #[test]
@@ -1273,9 +1202,9 @@ mod tests {
         c.note_backup_stored(0);
         c.note_backup_offered();
         c.note_backup_stored(0); // over capacity
-        c.finish();
-        assert_eq!(c.violations().len(), 1);
-        assert_eq!(c.violations()[0].invariant, "backup-no-silent-overflow");
+        let end = c.finish();
+        assert_eq!(end.len(), 1);
+        assert_eq!(end[0].invariant, "backup-no-silent-overflow");
     }
 
     #[test]
@@ -1285,9 +1214,9 @@ mod tests {
         c.note_backup_offered();
         // Neither stored nor dropped-with-accounting.
         c.checkpoint(SimTime::from_micros(1));
-        c.finish();
-        assert_eq!(c.violations().len(), 1);
-        assert_eq!(c.violations()[0].invariant, "backup-no-silent-overflow");
+        let end = c.finish();
+        assert_eq!(end.len(), 1);
+        assert_eq!(end[0].invariant, "backup-no-silent-overflow");
     }
 
     #[test]
@@ -1300,8 +1229,8 @@ mod tests {
         c.note_backup_dropped(); // overflow, but counted
         c.note_backup_drained(0);
         c.checkpoint(SimTime::from_micros(1));
-        c.finish();
-        assert!(c.violations().is_empty(), "{:?}", c.violations());
+        let end = c.finish();
+        assert!(end.is_empty(), "{:?}", end);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub enum TcpState {
     SynReceived,
     /// Data may flow.
     Established,
-    /// The stack gave up (max retries, reset).
+    /// The stack gave up (retry limit exceeded).
     Failed,
 }
 
@@ -55,8 +55,6 @@ pub enum FailReason {
     ConnectTimeout,
     /// Data retransmission limit exceeded (`tcp_retries2`).
     RetransmitLimit,
-    /// Peer reset the connection.
-    Reset,
 }
 
 /// Effects produced by the state machine.
@@ -414,12 +412,6 @@ impl TcpConnection {
     /// [`TcpConnection::on_segment`], appending the effects to `out`.
     pub fn on_segment_into(&mut self, now: SimTime, seg: TcpSegment, out: &mut Vec<TcpOutput>) {
         if matches!(self.state, TcpState::Failed | TcpState::Closed) {
-            return;
-        }
-        if seg.flags.rst {
-            self.state = TcpState::Failed;
-            self.cancel_timer(out);
-            out.push(TcpOutput::Failed(FailReason::Reset));
             return;
         }
 
@@ -897,24 +889,6 @@ mod tests {
         }
         assert!(failed, "retry limit must fail the connection");
         assert_eq!(c.state(), TcpState::Failed);
-    }
-
-    #[test]
-    fn rst_fails_immediately() {
-        let (mut c, mut s) = pair();
-        let first = c.connect(SimTime::ZERO);
-        run_lockstep(&mut c, &mut s, first, SimTime::ZERO);
-        let rst = TcpSegment {
-            src_port: 80,
-            dst_port: 1000,
-            seq: 0,
-            ack: 0,
-            len: 0,
-            window: 0,
-            flags: TcpFlags::rst(),
-        };
-        let outs = c.on_segment(SimTime::ZERO, rst, false);
-        assert!(outs.contains(&TcpOutput::Failed(FailReason::Reset)));
     }
 
     #[test]

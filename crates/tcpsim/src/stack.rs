@@ -7,7 +7,8 @@
 //!
 //! Connections live in a slab and are named by a dense [`ConnSlot`]:
 //! `connect` and `on_segment` resolve it once, and every later call
-//! (`on_timer`, `conn_at_mut`) indexes the slab with it. The only
+//! (`on_timer`, `conn_at_mut`) indexes the slab with it. A slot is
+//! never freed, so a handle stays valid for the stack's lifetime. The only
 //! [`ConnId`] hash is the demux index, consulted once per received
 //! segment (and by [`TcpStack::slot_of`]). Effects are appended to a
 //! buffer the caller owns, so no call allocates.
@@ -15,15 +16,16 @@
 use simcore::fxhash::FxHashMap;
 use simcore::time::SimTime;
 
-use crate::conn::{TcpConnection, TcpOutput, TcpState};
+use crate::conn::{TcpConnection, TcpOutput};
 use crate::types::{TcpConfig, TcpSegment};
 
 /// Identifies a connection within a stack: `(local_port, remote_port)`.
 pub type ConnId = (u16, u16);
 
 /// Dense handle of one connection inside the [`TcpStack`] that handed
-/// it out, valid until that connection is reaped. Callers keep their
-/// own per-connection state in a `Vec` indexed by [`ConnSlot::index`].
+/// it out, valid for the stack's lifetime: slots are handed out in
+/// order and never freed, so callers keep their own per-connection
+/// state in a `Vec` indexed by [`ConnSlot::index`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnSlot(u32);
 
@@ -38,13 +40,11 @@ impl ConnSlot {
 /// A TCP stack instance.
 #[derive(Debug, Default)]
 pub struct TcpStack {
-    /// The connection slab, indexed by [`ConnSlot`]. A reaped
-    /// connection leaves `None` behind; live slots are never renumbered.
-    conns: Vec<Option<TcpConnection>>,
-    /// Reaped slots, reusable only by a new connection.
-    free: Vec<ConnSlot>,
-    /// The demux index, holding exactly the live connections. Only
-    /// probed, never iterated.
+    /// The connection slab, indexed by [`ConnSlot`]. A failed
+    /// connection keeps its slot.
+    conns: Vec<TcpConnection>,
+    /// The demux index, one entry per slot. Only probed, never
+    /// iterated.
     index: FxHashMap<ConnId, ConnSlot>,
     listeners: FxHashMap<u16, TcpConfig>,
 }
@@ -62,17 +62,14 @@ impl TcpStack {
     }
 
     /// Stores a new connection under `id`: in the slot `id` already
-    /// names, else in a reaped slot, else in a fresh one.
+    /// names, else in the next one.
     fn insert(&mut self, id: ConnId, conn: TcpConnection) -> ConnSlot {
         if let Some(&slot) = self.index.get(&id) {
-            self.conns[slot.index()] = Some(conn);
+            self.conns[slot.index()] = conn;
             return slot;
         }
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.conns.push(None);
-            ConnSlot(u32::try_from(self.conns.len() - 1).expect("connection slots fit u32"))
-        });
-        self.conns[slot.index()] = Some(conn);
+        let slot = ConnSlot(u32::try_from(self.conns.len()).expect("connection slots fit u32"));
+        self.conns.push(conn);
         self.index.insert(id, slot);
         slot
     }
@@ -98,28 +95,36 @@ impl TcpStack {
         self.index.get(&id).copied()
     }
 
-    /// The connection in `slot`, unless it was reaped.
+    /// The connection in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no connection of this stack was handed `slot`.
     #[must_use]
-    pub fn conn_at(&self, slot: ConnSlot) -> Option<&TcpConnection> {
-        self.conns.get(slot.index())?.as_ref()
+    pub fn conn_at(&self, slot: ConnSlot) -> &TcpConnection {
+        &self.conns[slot.index()]
     }
 
     /// Mutable access to the connection in `slot` (for
-    /// `write`/`read`/`close`), unless it was reaped.
-    pub fn conn_at_mut(&mut self, slot: ConnSlot) -> Option<&mut TcpConnection> {
-        self.conns.get_mut(slot.index())?.as_mut()
+    /// `write`/`read`/`close`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no connection of this stack was handed `slot`.
+    pub fn conn_at_mut(&mut self, slot: ConnSlot) -> &mut TcpConnection {
+        &mut self.conns[slot.index()]
     }
 
     /// Number of connections (any state).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.conns.len()
     }
 
     /// `true` when no connections exist.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.conns.is_empty()
     }
 
     /// Handles an inbound segment, returning its connection and
@@ -135,10 +140,7 @@ impl TcpStack {
     ) -> Option<ConnSlot> {
         let id = (seg.dst_port, seg.src_port);
         if let Some(&slot) = self.index.get(&id) {
-            let conn = self.conns[slot.index()]
-                .as_mut()
-                .expect("the index holds live connections only");
-            conn.on_segment_into(now, seg, out);
+            self.conns[slot.index()].on_segment_into(now, seg, out);
             return Some(slot);
         }
         if seg.flags.syn && !seg.flags.ack {
@@ -153,33 +155,16 @@ impl TcpStack {
     }
 
     /// Handles the retransmission timer of one connection, appending
-    /// the effects to `out` (nothing for a reaped slot).
+    /// the effects to `out`.
     pub fn on_timer_into(&mut self, now: SimTime, slot: ConnSlot, out: &mut Vec<TcpOutput>) {
-        if let Some(conn) = self.conn_at_mut(slot) {
-            conn.on_timer_into(now, out);
-        }
-    }
-
-    /// Drops connections that failed, returning how many were reaped.
-    /// Every other connection keeps its slot; a freed slot is handed
-    /// out again only to a new connection.
-    pub fn reap(&mut self) -> usize {
-        let before = self.index.len();
-        for (i, entry) in self.conns.iter_mut().enumerate() {
-            let failed = |c: &mut TcpConnection| c.state() == TcpState::Failed;
-            if let Some(conn) = entry.take_if(failed) {
-                self.index.remove(&(conn.local_port(), conn.remote_port()));
-                self.free
-                    .push(ConnSlot(u32::try_from(i).expect("slots fit u32")));
-            }
-        }
-        before - self.index.len()
+        self.conn_at_mut(slot).on_timer_into(now, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::TcpState;
 
     fn connect(stack: &mut TcpStack, local: u16, remote: u16) -> (ConnSlot, Vec<TcpOutput>) {
         let mut outs = Vec::new();
@@ -193,16 +178,8 @@ mod tests {
         Some((slot, outs))
     }
 
-    fn timer(stack: &mut TcpStack, at: SimTime, slot: ConnSlot) -> Vec<TcpOutput> {
-        let mut outs = Vec::new();
-        stack.on_timer_into(at, slot, &mut outs);
-        outs
-    }
-
     fn by_id(stack: &TcpStack, id: ConnId) -> &TcpConnection {
-        stack
-            .conn_at(stack.slot_of(id).expect("a live id"))
-            .expect("a live slot")
+        stack.conn_at(stack.slot_of(id).expect("a known id"))
     }
 
     /// Shuttles segments between two stacks until quiescent.
@@ -249,10 +226,7 @@ mod tests {
         server.listen(80, TcpConfig::lwip());
         let (id, outs) = connect(&mut client, 4000, 80);
         pump(&mut client, &mut server, sends(&outs));
-        assert_eq!(
-            client.conn_at(id).expect("conn").state(),
-            TcpState::Established
-        );
+        assert_eq!(client.conn_at(id).state(), TcpState::Established);
         assert_eq!(by_id(&server, (80, 4000)).state(), TcpState::Established);
     }
 
@@ -275,61 +249,11 @@ mod tests {
         let (b, outs_b) = connect(&mut client, 4001, 80);
         pump(&mut client, &mut server, sends(&outs_a));
         pump(&mut client, &mut server, sends(&outs_b));
-        let outs = client
-            .conn_at_mut(a)
-            .expect("conn")
-            .write(SimTime::ZERO, 500);
+        let outs = client.conn_at_mut(a).write(SimTime::ZERO, 500);
         pump(&mut client, &mut server, sends(&outs));
         assert_eq!(by_id(&server, (80, 4000)).readable_bytes(), 500);
         assert_eq!(by_id(&server, (80, 4001)).readable_bytes(), 0);
         assert_ne!(a, b);
         assert_eq!(server.len(), 2);
-    }
-
-    #[test]
-    fn reap_removes_failed() {
-        let mut client = TcpStack::new();
-        let (slot, outs) = connect(&mut client, 4000, 80);
-        // Never deliver anything; fire the timer past the SYN retry limit.
-        fail(&mut client, slot, &outs);
-        assert_eq!(client.reap(), 1);
-        assert!(client.is_empty());
-    }
-
-    /// Fires `slot`'s timer until the connection gives up.
-    fn fail(stack: &mut TcpStack, slot: ConnSlot, first: &[TcpOutput]) {
-        let next_timer = |outs: &[TcpOutput]| {
-            outs.iter().find_map(|o| match o {
-                TcpOutput::SetTimer(t) => Some(*t),
-                _ => None,
-            })
-        };
-        let mut deadline = next_timer(first);
-        while let Some(at) = deadline {
-            deadline = next_timer(&timer(stack, at, slot));
-        }
-        assert_eq!(stack.conn_at(slot).expect("conn").state(), TcpState::Failed);
-    }
-
-    #[test]
-    fn reap_never_renumbers_a_live_slot() {
-        let mut client = TcpStack::new();
-        let (doomed, outs) = connect(&mut client, 4000, 80);
-        let (held, _) = connect(&mut client, 4001, 80);
-        fail(&mut client, doomed, &outs);
-        assert_eq!(client.reap(), 1);
-        // The neighbour a caller still holds names the same connection.
-        assert_eq!(client.slot_of((4001, 80)), Some(held));
-        assert_eq!(client.conn_at(held).expect("conn").local_port(), 4001);
-        // The reaped slot is gone: no connection, no id, a silent timer.
-        assert!(client.conn_at(doomed).is_none());
-        assert_eq!(client.slot_of((4000, 80)), None);
-        assert!(timer(&mut client, SimTime::from_secs(1), doomed).is_empty());
-        assert_eq!(client.len(), 1);
-        // Only a new connection takes the slot over.
-        let (reused, _) = connect(&mut client, 4002, 80);
-        assert_eq!(reused, doomed);
-        assert_eq!(client.conn_at(held).expect("conn").local_port(), 4001);
-        assert_eq!(client.conn_at(reused).expect("conn").local_port(), 4002);
     }
 }

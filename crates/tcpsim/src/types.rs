@@ -12,8 +12,6 @@ pub struct TcpFlags {
     pub syn: bool,
     /// Acknowledgment field is valid.
     pub ack: bool,
-    /// Hard reset.
-    pub rst: bool,
 }
 
 impl TcpFlags {
@@ -41,16 +39,6 @@ impl TcpFlags {
         TcpFlags {
             syn: true,
             ack: true,
-            ..TcpFlags::default()
-        }
-    }
-
-    /// An RST.
-    #[must_use]
-    pub fn rst() -> Self {
-        TcpFlags {
-            rst: true,
-            ..TcpFlags::default()
         }
     }
 }

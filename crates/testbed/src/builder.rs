@@ -757,9 +757,12 @@ mod tests {
             })
         );
         // Selective repeat with a zero BDP cap would never send.
+        let mut zero_cap =
+            TransportConfig::default().with_transport(RdmaTransport::SelectiveRepeat);
+        zero_cap.bdp_packets = 0;
         assert_eq!(
             ScenarioBuilder::infiniband()
-                .transport(TransportConfig::irn().with_bdp_packets(0))
+                .transport(zero_cap)
                 .validate()
                 .err(),
             Some(ScenarioError::BdpCapZero)
@@ -776,7 +779,7 @@ mod tests {
         );
         // The sensible combinations pass.
         assert!(ScenarioBuilder::infiniband()
-            .chaos(ChaosConfig::profile(ChaosProfile::All, 1).with_pause_storms())
+            .chaos(ChaosConfig::profile(ChaosProfile::All, 1))
             .validate()
             .is_ok());
         assert!(ScenarioBuilder::infiniband()
@@ -785,7 +788,7 @@ mod tests {
             .is_ok());
         assert!(ScenarioBuilder::infiniband()
             .profile(FabricProfile::lossy(0.01))
-            .transport(TransportConfig::irn())
+            .transport(TransportConfig::default().with_transport(RdmaTransport::SelectiveRepeat))
             .validate()
             .is_ok());
     }
@@ -1020,7 +1023,9 @@ mod tests {
         };
         config.npf.iotlb_entries = 0;
         config.rc.transport = RdmaTransport::SelectiveRepeat;
-        config.rc.bdp_packets = TransportConfig::irn().bdp_packets;
+        config.rc.bdp_packets = TransportConfig::default()
+            .with_transport(RdmaTransport::SelectiveRepeat)
+            .bdp_packets;
         let run = |mut c: IbCluster| {
             let (qa, qb) = c.connect(0, 1);
             let src = c.alloc_buffers(0, ByteSize::mib(1));
@@ -1036,7 +1041,7 @@ mod tests {
             .nodes(2)
             .node_memory(ByteSize::mib(64))
             .seed(9)
-            .transport(TransportConfig::irn())
+            .transport(TransportConfig::default().with_transport(RdmaTransport::SelectiveRepeat))
             .build()
             .expect("setters"));
         assert_eq!(a, b);

@@ -218,8 +218,8 @@ struct Instance {
     stack: TcpStack,
     app: Memcached,
     rx_moderator: InterruptModerator,
-    /// Indexed by the [`ConnSlot`] `stack` hands out. The bed never
-    /// reaps, so a new connection always gets the next index
+    /// Indexed by the [`ConnSlot`] `stack` hands out. A stack never
+    /// frees a slot, so a new connection always gets the next index
     /// ([`install`] asserts it).
     conns: Vec<ServerConn>,
     /// Descriptors posted so far (absolute).
@@ -247,19 +247,19 @@ struct ClientConn {
 ///
 /// # Panics
 ///
-/// Panics if `slot` is not the next index: a stack that reaps hands a
-/// freed slot to its next connection, which would otherwise inherit the
-/// dead connection's timer token and oracles here.
+/// Panics if `slot` is not the next index. A [`TcpStack`] hands its
+/// slots out in order and never frees one, so this only fires if a
+/// caller installs the same connection twice or skips one.
 fn install<T>(conns: &mut Vec<T>, slot: ConnSlot, state: T) {
-    assert_eq!(slot.index(), conns.len(), "the beds never reap");
+    assert_eq!(slot.index(), conns.len(), "slots are handed out in order");
     conns.push(state);
 }
 
 /// The client machine.
 struct Client {
     stack: TcpStack,
-    /// Indexed by the [`ConnSlot`] `stack` hands out; like
-    /// [`Instance::conns`], never reaped.
+    /// Indexed by the [`ConnSlot`] `stack` hands out, like
+    /// [`Instance::conns`].
     conns: Vec<ClientConn>,
     generators: Vec<Memaslap>,
 }
@@ -827,9 +827,9 @@ impl EthTestbed {
                 self.client.conns[peer.index()]
                     .responses
                     .push_back((response_bytes, hit));
-                if let Some(c) = inst.stack.conn_at_mut(conn) {
-                    c.write_into(now, response_bytes, &mut outs);
-                }
+                inst.stack
+                    .conn_at_mut(conn)
+                    .write_into(now, response_bytes, &mut outs);
                 self.apply_outputs(now, Side::Server(instance), conn, outs);
             }
             EthEvent::Sample => {
@@ -1121,9 +1121,7 @@ impl EthTestbed {
             let Some(&(req_bytes, op)) = requests.front() else {
                 return;
             };
-            let Some(conn) = inst.stack.conn_at_mut(slot) else {
-                return;
-            };
+            let conn = inst.stack.conn_at_mut(slot);
             if conn.readable_bytes() < req_bytes {
                 return;
             }
@@ -1177,9 +1175,7 @@ impl EthTestbed {
             let Some(&(bytes, hit)) = state.responses.front() else {
                 return;
             };
-            let Some(conn) = self.client.stack.conn_at_mut(slot) else {
-                return;
-            };
+            let conn = self.client.stack.conn_at_mut(slot);
             if conn.readable_bytes() < bytes {
                 return;
             }
@@ -1208,9 +1204,10 @@ impl EthTestbed {
         // Tell the server's framing oracle.
         state.requests.push_back((req_bytes, op));
         let mut outs = self.take_outs();
-        if let Some(c) = self.client.stack.conn_at_mut(slot) {
-            c.write_into(now, req_bytes, &mut outs);
-        }
+        self.client
+            .stack
+            .conn_at_mut(slot)
+            .write_into(now, req_bytes, &mut outs);
         self.apply_outputs(now, Side::Client, slot, outs);
     }
 

@@ -23,7 +23,7 @@ use rdmasim::types::{
     Completion, DmaGate, GateDecision, MessageRange, QpId, QpOutput, QpTimer, RcConfig, RcPacket,
     RecvWqe, SendOp, WrId,
 };
-use simcore::chaos::{ChaosConfig, ChaosEngine, MemoryFate, PacketFate, PauseFate, CHAOS_TICK};
+use simcore::chaos::{ChaosConfig, ChaosEngine, MemoryFate, PacketFate, CHAOS_TICK};
 use simcore::event::{EventQueue, EventToken, LaneId};
 use simcore::instruments;
 use simcore::rng::SimRng;
@@ -211,8 +211,8 @@ enum IbEvent {
     /// Clock sentinel (used to advance simulated time across CPU-side
     /// work that produces no packets).
     Nop,
-    /// Periodic chaos heartbeat driving memory-pressure and PFC
-    /// pause-storm injections. Re-arms itself while work is pending.
+    /// Periodic chaos heartbeat driving memory-pressure injections.
+    /// Re-arms itself while work is pending.
     ChaosTick,
 }
 
@@ -397,23 +397,13 @@ impl IbCluster {
         }
     }
 
-    /// Applies one round of memory-pressure and PFC pause-storm chaos
-    /// to every node.
-    fn chaos_tick(&mut self, now: SimTime) {
-        for (i, node) in self.nodes.iter_mut().enumerate() {
+    /// Applies one round of memory-pressure chaos to every node.
+    fn chaos_tick(&mut self) {
+        for node in &mut self.nodes {
             match self.chaos.memory_fate() {
                 MemoryFate::Calm => {}
                 MemoryFate::PressureBurst { pages } | MemoryFate::EvictionStorm { pages } => {
                     node.engine.chaos_evict(pages);
-                }
-            }
-            match self.chaos.pause_fate() {
-                PauseFate::Calm => {}
-                PauseFate::Storm { pause } => {
-                    // A rogue peer sprays pause frames at this node's
-                    // ingress: the switch downlink stalls, backing
-                    // traffic up behind it.
-                    self.fabric.pause_toward(NodeId(i as u32), now + pause);
                 }
             }
         }
@@ -629,7 +619,7 @@ impl IbCluster {
             IbEvent::Nop => {}
             IbEvent::ChaosTick => {
                 self.chaos_tick_armed = false;
-                self.chaos_tick(now);
+                self.chaos_tick();
                 // Keep ticking only while other work is pending, so
                 // quiescence is still reachable.
                 if !self.queue.is_empty() {
@@ -1084,13 +1074,13 @@ mod tests {
 
     #[test]
     fn queue_stats_balance_with_deliveries_parked_on_lanes() {
-        use netsim::profile::{FabricProfile, TransportConfig};
+        use netsim::profile::{FabricProfile, RdmaTransport, TransportConfig};
 
         const MSG: u64 = 64 * 1024;
         let scenario = crate::builder::ScenarioBuilder::infiniband()
             .nodes(2)
             .profile(FabricProfile::lossy(0.01))
-            .transport(TransportConfig::irn());
+            .transport(TransportConfig::default().with_transport(RdmaTransport::SelectiveRepeat));
         let mut c = scenario.build().expect("valid scenario");
         let (qa, qb) = c.connect(0, 1);
         let src = c.alloc_buffers(0, ByteSize::mib(1));

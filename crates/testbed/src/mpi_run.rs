@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use memsim::types::{PageRange, VirtAddr};
+use memsim::types::VirtAddr;
 use npf_core::pinning::{Registrar, Strategy};
 use rdmasim::types::{QpId, SendOp, WcOpcode};
 use simcore::time::SimDuration;
@@ -119,13 +119,7 @@ pub fn run_collective(config: MpiRunConfig) -> MpiRunResult {
             OFF_CACHE_BUFFERS,
         ));
         let domain = cluster.node(r).default_domain();
-        let mut reg = Registrar::new(config.strategy, domain);
-        // Register the whole pool region up front (what MPI does with
-        // its communication buffers).
-        let range = PageRange::covering(base, pool_bytes.bytes());
-        reg.register_region(cluster.node_mut(r).engine_mut(), range)
-            .expect("registration");
-        registrars.push(reg);
+        registrars.push(Registrar::new(config.strategy, domain));
     }
 
     let mut start = cluster.now();

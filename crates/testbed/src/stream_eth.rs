@@ -259,9 +259,10 @@ impl StreamBed {
 
     fn client_write(&mut self, now: SimTime, slot: ConnSlot, bytes: u64) {
         let mut outs = self.take_outs();
-        if let Some(conn) = self.client.stack.conn_at_mut(slot) {
-            conn.write_into(now, bytes, &mut outs);
-        }
+        self.client
+            .stack
+            .conn_at_mut(slot)
+            .write_into(now, bytes, &mut outs);
         self.apply(now, Side::Client, slot, outs);
     }
 
@@ -306,11 +307,10 @@ impl StreamBed {
                 // Start the stream: keep the pipe full.
                 (TcpOutput::Connected, Side::Client) => self.client_write(now, slot, MSG * 8),
                 (TcpOutput::Readable, Side::Server) => {
-                    if let Some(conn) = self.server.stack.conn_at_mut(slot) {
-                        let n = conn.readable_bytes();
-                        conn.read(n);
-                        self.receiver.deliver(n);
-                    }
+                    let conn = self.server.stack.conn_at_mut(slot);
+                    let n = conn.readable_bytes();
+                    conn.read(n);
+                    self.receiver.deliver(n);
                 }
                 _ => {}
             }
@@ -363,8 +363,7 @@ impl StreamBed {
             Ev::ToClient(seg) => {
                 if let Some(slot) = self.on_segment(now, Side::Client, seg) {
                     // Keep the stream saturated.
-                    let conn = self.client.stack.conn_at(slot);
-                    if conn.is_some_and(|c| c.send_queue_bytes() < MSG * 4) {
+                    if self.client.stack.conn_at(slot).send_queue_bytes() < MSG * 4 {
                         self.client_write(now, slot, MSG * 4);
                     }
                 }
@@ -569,7 +568,7 @@ mod tests {
         // The bed's events did reach the checker: its clock stands at
         // the second run's last one, so an earlier time is out of order.
         invariant::with(|c| c.note_event_time(SimTime::from_nanos(1)));
-        let mut checker = Instruments::take().checker.expect("installed above");
+        let checker = Instruments::take().checker.expect("installed above");
         let found: Vec<_> = checker.finish().iter().map(|v| v.invariant).collect();
         assert_eq!(found, ["time-monotonicity"]);
     }

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use proptest::prelude::*;
 
 use iommu::pagetable::HUGE_PAGES;
-use iommu::{IoPageTable, IoPte, Iommu, TableMode, Translation};
+use iommu::{IoPageTable, IoPte, Iommu, TableMode};
 use memsim::dense::PageMap;
 use memsim::lru::LruTracker;
 use memsim::types::{FrameId, PageRange, SpaceId, Vpn};
@@ -312,7 +312,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A huge-enabled page table is observably a plain 4 KiB table: maps,
-    /// unmaps, translations, and probes all match a flat `BTreeMap`
+    /// unmaps, per-page entries, and probes all match a flat `BTreeMap`
     /// reference exactly, while folding stays an internal transform.
     /// Additionally the fold state itself is pinned: a chunk is folded
     /// *iff* the reference says it is fold-eligible, and
@@ -325,10 +325,9 @@ proptest! {
         ),
     ) {
         let universe = HP_CHUNKS * HUGE_PAGES;
-        let mut fast = IoPageTable::new(iommu::DomainId(0), TableMode::PageFaultCapable);
+        let mut fast = IoPageTable::new(iommu::DomainId(0));
         fast.set_huge_pages(true);
         let mut reference: BTreeMap<u64, (u64, bool)> = BTreeMap::new();
-        let mut ref_faults = 0u64;
         for &(op, chunk, offset, len, flag, contiguous) in &ops {
             let v = chunk * HUGE_PAGES + offset;
             match op {
@@ -367,16 +366,12 @@ proptest! {
                     prop_assert_eq!(fast.unmap_range(range), want);
                 }
                 _ => {
-                    // Translate for read (flag=false) or write (flag=true).
-                    let want = match reference.get(&v) {
-                        Some(&(_, w)) if flag && !w => Translation::Error,
-                        Some(&(f, _)) => Translation::Ok(FrameId(f)),
-                        None => {
-                            ref_faults += 1;
-                            Translation::Fault
-                        }
-                    };
-                    prop_assert_eq!(fast.translate(Vpn(v), flag), want);
+                    // The entry a DMA to `v` would find.
+                    let want = reference.get(&v).map(|&(f, w)| IoPte {
+                        frame: FrameId(f),
+                        writable: w,
+                    });
+                    prop_assert_eq!(fast.pte(Vpn(v)), want);
                     // Probes are side-effect-free and must agree too.
                     let end = (v + len).min(universe);
                     let range = PageRange::new(Vpn(v), end - v);
@@ -387,7 +382,6 @@ proptest! {
                 }
             }
             prop_assert_eq!(fast.present_pages(), reference.len());
-            prop_assert_eq!(fast.faults(), ref_faults);
             // Fold state == reference eligibility, chunk by chunk, and the
             // promote/demote counters account for every live fold.
             let mut folded = 0u64;

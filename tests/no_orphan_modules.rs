@@ -20,6 +20,13 @@
 //!    non-test code (`crates/*/src` before `#[cfg(test)]`, `src`,
 //!    `benchmark/src`): a field one value serves is a constant. See
 //!    `every_config_field_takes_two_values` for what counts as a value.
+//! 4. Test-only state changes: every `pub fn` under `crates/*/src` but
+//!    the `&self` methods, which only observe, is called by non-test
+//!    code as 3 defines it. Tests and examples may not keep a mutation
+//!    alive.
+//! 5. Test-only variants: every variant of a `pub enum` under
+//!    `crates/*/src` is named by non-test code outside a pattern; one
+//!    that only `match` arms mention is never built. See `in_pattern`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fs;
@@ -571,12 +578,13 @@ struct Src {
 impl Src {
     fn new(root: &Path, path: &Path) -> Src {
         let text = fs::read_to_string(path).expect("readable source");
-        let code = strip(&mask(&text), false);
-        let rel = path
-            .strip_prefix(root)
-            .expect("under root")
-            .display()
-            .to_string();
+        let rel = path.strip_prefix(root).expect("under root").display();
+        Src::parse(rel.to_string(), &text)
+    }
+
+    /// `text`, the source at `rel` (a path from the repository root).
+    fn parse(rel: String, text: &str) -> Src {
+        let code = strip(&mask(text), false);
         let (mut impls, mut fns, mut offset) = (Vec::new(), Vec::new(), 0);
         for line in code.lines() {
             if line.starts_with("impl") {
@@ -1177,5 +1185,361 @@ fn every_config_field_takes_two_values() {
          (make it a constant, or allow-list it with a reason):\n  {}",
         single.len(),
         single.join("\n  ")
+    );
+}
+
+// ---------------------------------------------------------------------
+// 4. State changes and enum variants that only tests reach.
+
+/// `path` (from the repository root) holds non-test code: `crates/*/src`,
+/// `src` or `benchmark/src`. Tests and examples do not count.
+fn is_non_test(path: &str) -> bool {
+    path.starts_with("src/")
+        || path.starts_with("benchmark/src/")
+        || (path.starts_with("crates/") && path.split('/').nth(2) == Some("src"))
+}
+
+/// The non-test sources among `files` (`(path from the root, text)`),
+/// `#[cfg(test)]` code stripped.
+fn non_test(files: &[(String, String)]) -> Vec<Src> {
+    let files = files.iter().filter(|(p, _)| is_non_test(p));
+    files.map(|(p, t)| Src::parse(p.clone(), t)).collect()
+}
+
+/// `(path from the root, text)` of every source file of the workspace.
+fn workspace_texts(root: &Path) -> Vec<(String, String)> {
+    let (_, files) = workspace(root);
+    let text = |p: &PathBuf| fs::read_to_string(p).expect("readable source");
+    let rel = |p: &PathBuf| {
+        p.strip_prefix(root)
+            .expect("under root")
+            .display()
+            .to_string()
+    };
+    files.iter().map(|p| (rel(p), text(p))).collect()
+}
+
+/// How `file: Owner::name` lines name an item of `src`.
+fn item_of(src: &Src, owner: &str, name: &str) -> String {
+    let rel = src.rel.trim_start_matches("crates/");
+    match owner {
+        "" => format!("{rel}: {name}"),
+        owner => format!("{rel}: {owner}::{name}"),
+    }
+}
+
+/// The first parameter of the `fn` whose name ends at byte `at`, its
+/// generic parameters (`<R: Fn(u32) -> u32>`) skipped.
+fn first_param(code: &str, mut at: usize) -> &str {
+    if code[at..].starts_with('<') {
+        let mut depth = 0;
+        for (i, b) in code.bytes().enumerate().skip(at) {
+            match b {
+                b'<' => depth += 1,
+                b'>' if !code[..i].ends_with('-') => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 {
+                at = i + 1;
+                break;
+            }
+        }
+    }
+    let Some(open) = code[at..].find('(').map(|i| at + i) else {
+        return "";
+    };
+    let params = &code[open + 1..close_of(code, open)];
+    split_top(params).first().copied().unwrap_or("")
+}
+
+/// The `pub fn`s under `crates/*/src` that may change state — every one
+/// but the methods taking `&self` — which no non-test code calls, as
+/// `file: [Owner::]name`. A call is `name(`, `.name(`, `name::<` or a
+/// `::name` path (a fn passed by path, `task(ablations::f)`); matching
+/// is by name.
+fn test_only_fns(files: &[(String, String)]) -> Vec<String> {
+    let srcs = non_test(files);
+    let called: HashSet<&str> = srcs
+        .iter()
+        .flat_map(|s| identifiers(&s.code))
+        .filter(|(_, (_, calls))| *calls > 0)
+        .map(|(name, _)| name)
+        .collect();
+    let mut orphans = Vec::new();
+    for src in srcs.iter().filter(|s| s.rel.starts_with("crates/")) {
+        let code = &src.code;
+        for f in &src.fns {
+            let before = code[..f.item.0].trim_end();
+            let before = before.strip_suffix("const").map_or(before, str::trim_end);
+            let public = before
+                .strip_suffix("pub")
+                .is_some_and(|b| !b.ends_with(is_ident));
+            let receiver: String = first_param(code, f.item.0 + 3 + f.name.len())
+                .split_whitespace()
+                .collect();
+            let observer = (receiver.starts_with('&')
+                && receiver.ends_with("self")
+                && !receiver.contains("mut"))
+                || receiver == "self:&Self";
+            if public && !observer && !called.contains(f.name.as_str()) {
+                orphans.push(item_of(src, &f.owner, &f.name));
+            }
+        }
+    }
+    orphans.sort();
+    orphans
+}
+
+/// Where the innermost bracket open around byte `at` is.
+fn enclosing(code: &str, at: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    for i in (0..at).rev() {
+        match code.as_bytes()[i] {
+            b')' | b']' | b'}' => depth += 1,
+            b'(' | b'[' | b'{' if depth == 0 => return Some(i),
+            b'(' | b'[' | b'{' => depth -= 1,
+            _ => {}
+        }
+    }
+    None
+}
+
+/// The name at bytes `start..end` sits in a pattern: a `match` arm before
+/// its `=>` (with `|` alternatives and tuples), the left side of the `=`
+/// of `if let`, `while let` or `let … else`, or the pattern argument of
+/// `matches!`. `braced`: a `{ .. }` right after the name is its fields.
+fn in_pattern(code: &str, start: usize, end: usize, braced: bool) -> bool {
+    let bytes = code.as_bytes();
+    // Inside `(..)` or `[..]`, the whole group decides — unless the group
+    // is `matches!`'s, whose arguments after the first are the pattern.
+    if let Some(open) = enclosing(code, start).filter(|&o| bytes[o] != b'{') {
+        if code[..open].ends_with("matches!") {
+            return expr_end(code, open + 1) < start;
+        }
+        let close = close_of(code, open) + 1;
+        return in_pattern(code, chain_start(code, close), close, false);
+    }
+    // A guard (`x if x == E::V =>`) or a condition is an expression.
+    let mut arm = start;
+    let mut depth = 0i32;
+    while arm > 0 {
+        match bytes[arm - 1] {
+            b')' | b']' => depth += 1,
+            b'(' | b'[' => depth -= 1,
+            b',' | b';' | b'{' | b'}' if depth == 0 => break,
+            b'>' if depth == 0 && code[..arm - 1].ends_with('=') => break,
+            _ => {}
+        }
+        arm -= 1;
+    }
+    let words: Vec<&str> = code[arm..start]
+        .split(|c: char| !is_ident(c))
+        .filter(|w| !w.is_empty())
+        .collect();
+    if words.windows(2).any(|w| w[0] == "if" && w[1] != "let") || words.last() == Some(&"if") {
+        return false;
+    }
+    let mut i = end;
+    let rest = code[end..].trim_start();
+    if braced && rest.starts_with('{') {
+        i = close_of(code, code.len() - rest.len()) + 1;
+    }
+    let mut depth = 0i32;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'(' | b'[' => depth += 1,
+            b')' | b']' if depth == 0 => return false,
+            b')' | b']' => depth -= 1,
+            b'{' | b'}' | b',' | b';' if depth == 0 => return false,
+            b'=' if depth == 0 => {
+                match bytes.get(i + 1) {
+                    Some(b'>') => return true,
+                    Some(b'=') => i += 1,
+                    // A lone `=` after a pattern: `let`'s.
+                    _ if !b"=!<>+-*/%&|^".contains(&bytes[i - 1]) => return true,
+                    _ => {}
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    false
+}
+
+/// The variants of the `pub enum`s under `crates/*/src` that no non-test
+/// code constructs, as `file: Enum::Variant`. A variant is constructed
+/// where it is named — `Enum::V` or, in the enum's `impl`, `Self::V` —
+/// outside a pattern (see `in_pattern`), or where it is `#[default]`.
+fn unconstructed_variants(files: &[(String, String)]) -> Vec<String> {
+    let srcs = non_test(files);
+    // `(enum, variant) -> (defining file, has fields in braces, constructed)`.
+    let mut variants: BTreeMap<(String, String), (usize, bool, bool)> = BTreeMap::new();
+    for (n, src) in srcs
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.rel.starts_with("crates/"))
+    {
+        let code = &src.code;
+        for (at, _) in code.match_indices("pub enum ") {
+            let name = ident_at(code, at + 9);
+            let Some(open) = code[at..].find('{').map(|i| at + i) else {
+                continue;
+            };
+            for mut part in split_top(&code[open + 1..close_of(code, open)]) {
+                let mut default = false;
+                while part.starts_with("#[") {
+                    default |= part.starts_with("#[default]");
+                    part = part[close_of(part, 1) + 1..].trim_start();
+                }
+                let variant = ident_at(part, 0);
+                let braced = part[variant.len()..].trim_start().starts_with('{');
+                let key = (name.to_owned(), variant.to_owned());
+                variants.insert(key, (n, braced, default));
+            }
+        }
+    }
+    for src in &srcs {
+        let code = &src.code;
+        let mut at = 0;
+        while at < code.len() {
+            // `mask` left the code ASCII: a byte is a char.
+            let word = ident_at(code, at);
+            if word.is_empty() {
+                at += 1;
+                continue;
+            }
+            let end = at + word.len();
+            if let Some(before) = code[..at].strip_suffix("::") {
+                let owner = match ident_before(before, before.len()).0 {
+                    "Self" => src.impl_at(at).map_or("", |i| i.owner.as_str()),
+                    owner => owner,
+                };
+                let key = (owner.to_owned(), word.to_owned());
+                if let Some((_, braced, constructed)) = variants.get_mut(&key) {
+                    *constructed |= !in_pattern(code, path_start(code, at), end, *braced);
+                }
+            }
+            at = end;
+        }
+    }
+    let unconstructed = variants
+        .iter()
+        .filter(|(_, (.., constructed))| !constructed);
+    let mut orphans: Vec<String> = unconstructed
+        .map(|((name, variant), (n, ..))| item_of(&srcs[*n], name, variant))
+        .collect();
+    orphans.sort();
+    orphans
+}
+
+#[test]
+fn every_state_changing_pub_fn_has_a_non_test_caller() {
+    let orphans = test_only_fns(&workspace_texts(Path::new(env!("CARGO_MANIFEST_DIR"))));
+    assert!(
+        orphans.is_empty(),
+        "{} state-changing pub fns only tests call, each `file: [Owner::]name` (call it \
+         from a bed or bin, or delete it):\n  {}",
+        orphans.len(),
+        orphans.join("\n  ")
+    );
+}
+
+#[test]
+fn every_pub_enum_variant_is_constructed_by_non_test_code() {
+    let orphans = unconstructed_variants(&workspace_texts(Path::new(env!("CARGO_MANIFEST_DIR"))));
+    assert!(
+        orphans.is_empty(),
+        "{} pub enum variants only tests construct, each `file: Enum::Variant` (construct \
+         it from a bed or bin, or delete it):\n  {}",
+        orphans.len(),
+        orphans.join("\n  ")
+    );
+}
+
+/// The two rules on planted sources: a state change only a test makes
+/// and a variant only `match` arms name are found; a called fn and a
+/// constructed variant are not.
+#[test]
+fn state_and_variant_rules_find_planted_orphans() {
+    let lib = r#"
+pub enum Mode {
+    #[default]
+    Quiet,
+    Loud(u32),
+    Shout { volume: u8 },
+    Whisper,
+}
+
+impl Mode {
+    pub fn name(&self) -> &'static str {
+        match self {
+            Mode::Quiet | Mode::Loud(_) => "low",
+            Self::Shout { .. } => "shout",
+            Mode::Whisper => "whisper",
+        }
+    }
+}
+
+pub struct Counter {
+    n: u64,
+    mode: Mode,
+}
+
+impl Counter {
+    pub fn new<R: Fn(u32) -> u32>(_f: R) -> Counter {
+        Counter { n: 0, mode: Mode::Loud(3) }
+    }
+
+    pub fn bump(&mut self) {
+        self.n += 1;
+    }
+
+    pub fn reset(&mut self) {
+        if let Mode::Shout { .. } = self.mode {
+            self.n = 0;
+        }
+        if matches!(self.mode, Mode::Whisper) {
+            self.n = 1;
+        }
+    }
+
+    pub fn peek(&self) -> u64 {
+        self.n
+    }
+}
+
+pub fn drive(c: &mut Counter) {
+    c.bump();
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn resets() {
+        let mut c = super::Counter::new(|x| x);
+        c.mode = super::Mode::Whisper;
+        c.reset();
+    }
+}
+"#;
+    let bin = "fn main() { let mut c = demo::Counter::new(|x| x); demo::drive(&mut c); }";
+    let test = "fn t() { c.reset(); let m = demo::Mode::Shout { volume: 1 }; }";
+    let files = [
+        ("crates/demo/src/lib.rs", lib),
+        ("src/bin/demo.rs", bin),
+        ("tests/demo.rs", test),
+    ];
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(p, t)| (p.to_string(), t.to_string()))
+        .collect();
+    assert_eq!(test_only_fns(&files), ["demo/src/lib.rs: Counter::reset"]);
+    assert_eq!(
+        unconstructed_variants(&files),
+        [
+            "demo/src/lib.rs: Mode::Shout",
+            "demo/src/lib.rs: Mode::Whisper"
+        ]
     );
 }

@@ -9,12 +9,12 @@
 //!   receiver. Cold rings keep the RNR-NACK path engaged, so the
 //!   equality covers the interaction of both disciplines with ODP
 //!   faults, not just the happy path.
-//! * A chaos cell: pause storms (802.3x injections at the fabric) on
-//!   top of 1% random loss, under the invariant checker and the fault
-//!   journal. Delivery must stay exactly-once and in order, every
-//!   journal chain must stay complete and exactly tiled, and the storm
-//!   must actually have fired (so a regression that silently disables
-//!   the injection point fails here).
+//! * A chaos cell: network chaos (drops, corruption, duplicates,
+//!   reordering) on top of 1% random loss, under the invariant checker
+//!   and the fault journal. Delivery must stay exactly-once and in
+//!   order, every journal chain must stay complete and exactly tiled,
+//!   and the chaos must actually have fired (so a regression that
+//!   silently disables the injection point fails here).
 //! * A proptest on a bare `RcQp` pair: loss, duplicates, reordering,
 //!   rNPFs and RDMA reads, with every selective ACK checked against a
 //!   model of the responder's park (and, in debug builds, by
@@ -221,14 +221,10 @@ fn sack_bitmaps_follow_the_park(
                 .min();
             let Some((at, side, t)) = due else { break };
             now = now.max(at);
-            let timer = [
-                QpTimer::Retransmit,
-                QpTimer::RnrResume,
-                QpTimer::FaultResume,
-            ]
-            .into_iter()
-            .find(|k| k.index() == t)
-            .expect("a timer kind");
+            let timer = [QpTimer::Retransmit, QpTimer::RnrResume]
+                .into_iter()
+                .find(|k| k.index() == t)
+                .expect("a timer kind");
             if side == 0 {
                 a.timers[t] = None;
                 let outs = a.qp.on_timer(now, timer, &mut PinnedGate);
@@ -320,12 +316,11 @@ proptest! {
 }
 
 #[test]
-fn pause_storms_with_loss_keep_exactly_once_and_complete_journals() {
+fn network_chaos_with_loss_keeps_exactly_once_and_complete_journals() {
     use npf::simcore::journal::JournalRecorder;
     let base = seed_base();
     for s in 0..2u64 {
-        let chaos =
-            ChaosConfig::profile(ChaosProfile::Network, base + 0x7000 + s).with_pause_storms();
+        let chaos = ChaosConfig::profile(ChaosProfile::Network, base + 0x7000 + s);
         let fresh = Instruments {
             checker: Some(InvariantChecker::new(chaos.seed)),
             journal: Some(JournalRecorder::new()),
@@ -344,11 +339,11 @@ fn pause_storms_with_loss_keep_exactly_once_and_complete_journals() {
             .node_memory(ByteSize::mib(256))
             .rc(rc)
             .profile(FabricProfile::lossy(0.01))
-            .transport(TransportConfig::irn())
+            .transport(TransportConfig::default().with_transport(RdmaTransport::SelectiveRepeat))
             .chaos(chaos)
             .seed(13)
             .build()
-            .expect("pause-storm scenario must validate");
+            .expect("lossy chaos scenario must validate");
         let (qa, qb) = c.connect(0, 1);
         let src = c.alloc_buffers(0, ByteSize::mib(4));
         let dst = c.alloc_buffers(1, ByteSize::mib(4));
@@ -383,12 +378,12 @@ fn pause_storms_with_loss_keep_exactly_once_and_complete_journals() {
             );
             assert_eq!(comp.status, WcStatus::Success);
         }
-        let storms = c.chaos().counters().get("pause_storm");
-        assert!(storms > 0, "storms must fire at chaos seed {}", chaos.seed);
+        let injected = c.chaos().counters().iter().map(|(_, n)| n).sum::<u64>();
+        assert!(injected > 0, "chaos must fire at chaos seed {}", chaos.seed);
 
         let installed = Instruments::take();
         let j = installed.journal.expect("journal installed");
-        let mut checker = installed.checker.expect("checker installed");
+        let checker = installed.checker.expect("checker installed");
         let end = checker.finish();
         assert!(
             end.is_empty(),
